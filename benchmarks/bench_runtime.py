@@ -425,6 +425,10 @@ def run_recovery_benchmark(corpus=None, pipeline=None) -> dict:
         "replayed_ticks": stats["replayed_ticks_total"],
         "replay_ring_peak_bytes": stats["ring_peak_bytes"],
         "snapshot_nbytes": stats["last_snapshot_nbytes"],
+        "checkpoint_bytes_total": stats["checkpoint_bytes_total"],
+        "checkpoint_chain_peak_bytes": stats["checkpoint_chain_peak_bytes"],
+        "n_full_checkpoints": stats["n_full_checkpoints"],
+        "n_delta_checkpoints": stats["n_delta_checkpoints"],
         "reports_identical": True,
     }
 

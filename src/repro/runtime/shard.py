@@ -119,7 +119,9 @@ class ShardedEngine:
         Fork backend: each worker checkpoints its engine every this many
         feed ticks; the parent's replay ring holds at most this many
         un-checkpointed ticks per shard (plus the in-flight one).  Smaller
-        values shrink the ring and speed replay, at more snapshot work.
+        values shrink the ring and speed replay; checkpoints are incremental
+        (DESIGN.md §8), so the extra work is the snapshot's structure, not
+        the sessions' accumulated rows.
     recv_timeout_s:
         Fork backend: per-reply deadline after which an unresponsive worker
         is declared hung and recovered.

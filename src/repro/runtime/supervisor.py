@@ -8,13 +8,16 @@ backend survive worker death without losing a flow (DESIGN.md §8):
   (``Connection.poll`` + ``Process.is_alive``), so a dead worker raises
   immediately (broken pipe / EOF) and a hung one (e.g. SIGSTOP'd) surfaces
   after ``recv_timeout_s`` instead of deadlocking the parent;
-* **checkpoints** — workers piggyback a zlib-compressed pickle of their
-  engine snapshot (:meth:`StreamingEngine.snapshot`) on every
-  ``snapshot_every_ticks``-th tick reply; the parent keeps only the latest
-  blob per shard and never unpickles it;
+* **checkpoints** — on every ``snapshot_every_ticks``-th tick reply a worker
+  piggybacks an *incremental* checkpoint of its engine snapshot
+  (:meth:`StreamingEngine.snapshot`): the snapshot's structure plus only the
+  arrays it has not shipped before (:class:`_CheckpointEncoder`).  The
+  parent keeps the opaque blobs as a per-shard chain, drops the chain when a
+  reply is flagged full, and never unpickles any of it;
 * **replay ring** — the parent retains each tick it sent since the last
   checkpoint (a bounded deque: at most ``snapshot_every_ticks`` + in-flight
-  entries).  Recovery = respawn the worker, send it the checkpoint, resend
+  entries).  Recovery = respawn the worker, send it the checkpoint chain
+  (folded back into one snapshot by :func:`_decode_checkpoints`), resend
   the ring in sequence order.  Because engine folds are deterministic and
   snapshots are exact, the respawned worker reconstructs *bit-identical*
   state — close reports equal an uninterrupted run's;
@@ -31,12 +34,20 @@ backend survive worker death without losing a flow (DESIGN.md §8):
 Wire protocol (parent → worker / worker → parent)::
 
     ("tick", seq, payload, clock, want_snapshot)
-                            -> ("events", done_seq, events, snapshot | None)
+                            -> ("events", done_seq, events, checkpoint | None)
     ("swap", seq, pipeline_blob, want_snapshot)
-                            -> ("events", done_seq, events, snapshot | None)
-    ("restore", snapshot | None, last_seq, pipeline_blob | None)
+                            -> ("events", done_seq, events, checkpoint | None)
+    ("restore", [checkpoint blobs], last_seq, pipeline_blob | None)
                             -> ("restored", [flow keys])
     ("close",)              -> ("closed", events, analytics | None)
+
+A ``checkpoint`` is ``(full, blob)``: ``blob`` is the zlib-pickled pair
+``(structure, {token: array})`` — the snapshot pickled with every large
+numeric array replaced by an integer token, and the arrays behind the
+tokens this chain has not carried yet.  ``full`` says the blob carries every
+array its structure names, so it starts a new chain; otherwise it extends
+the current one.  A restore sends the whole chain (empty before the first
+checkpoint), and the worker's first checkpoint after it is full again.
 
 A tick's ``payload`` names its data plane (DESIGN.md §12):
 
@@ -77,6 +88,7 @@ so the parent/worker stay in lockstep (one reply per transmission).
 
 from __future__ import annotations
 
+import io
 import multiprocessing as mp
 import os
 import pickle
@@ -86,6 +98,8 @@ import zlib
 from collections import deque
 from dataclasses import replace as dataclasses_replace
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.flow import FlowKey
 from repro.net.packet import PacketColumns
@@ -117,6 +131,77 @@ def _decode_snapshot(payload: bytes) -> dict:
     return pickle.loads(zlib.decompress(payload))
 
 
+class _CheckpointEncoder:
+    """Worker-side incremental encoding of successive engine snapshots.
+
+    ``snapshot()`` copies whatever the engine mutates in place and shares by
+    reference only arrays that are never written again (DESIGN.md §8), so an
+    array object met again in a later snapshot still has the bytes it was
+    shipped with.  The encoder keeps a strong reference to every array the
+    latest snapshot named (an ``id`` cannot be reused while it is held), and
+    ships an array once per chain.
+    """
+
+    #: numeric arrays at least this large travel by token; smaller ones stay
+    #: inside the structure, where a token would cost about as much
+    TOKEN_MIN_NBYTES = 256
+
+    def __init__(self) -> None:
+        self._shipped: Dict[int, Tuple[int, np.ndarray]] = {}  # id -> (token, array)
+        self._next_token = 0
+        self._chain_nbytes = 0  # uncompressed bytes of the chain the parent holds
+
+    def encode(self, snapshot: dict) -> Tuple[bool, bytes]:
+        """One ``(full, blob)`` checkpoint; ``full`` starts a new chain."""
+        live: Dict[int, Tuple[int, np.ndarray]] = {}
+        fresh: Dict[int, np.ndarray] = {}
+
+        def persistent_id(obj):
+            if (
+                type(obj) is not np.ndarray
+                or obj.nbytes < self.TOKEN_MIN_NBYTES
+                or obj.dtype.hasobject
+            ):
+                return None
+            entry = live.get(id(obj)) or self._shipped.get(id(obj))
+            if entry is None:
+                entry = (self._next_token, obj)
+                self._next_token += 1
+                fresh[entry[0]] = obj
+            live[id(obj)] = entry
+            return entry[0]
+
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = persistent_id
+        pickler.dump(snapshot)
+        structure = buffer.getvalue()
+        live_nbytes = len(structure) + sum(a.nbytes for _token, a in live.values())
+        fresh_nbytes = len(structure) + sum(a.nbytes for a in fresh.values())
+        if self._chain_nbytes + fresh_nbytes > 2 * live_nbytes:
+            # re-base: the chain would hold over twice what a checkpoint of
+            # the current state needs (closed sessions, superseded copies) —
+            # ship every live array and let the parent drop the chain
+            fresh = dict(live.values())
+            fresh_nbytes = live_nbytes
+            self._chain_nbytes = 0
+        full = self._chain_nbytes == 0
+        self._chain_nbytes += fresh_nbytes
+        self._shipped = live
+        return full, _encode_snapshot((structure, fresh))
+
+
+def _decode_checkpoints(chain: List[bytes]) -> dict:
+    """Fold a checkpoint chain back into the snapshot its last blob names."""
+    arrays: Dict[int, np.ndarray] = {}
+    for blob in chain:
+        structure, fresh = _decode_snapshot(blob)
+        arrays.update(fresh)
+    unpickler = pickle.Unpickler(io.BytesIO(structure))
+    unpickler.persistent_load = arrays.__getitem__
+    return unpickler.load()
+
+
 def _supervised_worker(connection) -> None:
     """Shard worker loop: sequence-numbered folds over one shard engine."""
     config = {
@@ -137,6 +222,7 @@ def _supervised_worker(connection) -> None:
         return engine
 
     engine = fresh_engine()
+    encoder = _CheckpointEncoder()
     last_seq = -1
     stash: Dict[int, tuple] = {}
 
@@ -181,18 +267,20 @@ def _supervised_worker(connection) -> None:
                 events.extend(late_events)
                 last_seq += 1
                 want_snapshot = want_snapshot or late_want
-            payload = _encode_snapshot(engine.snapshot()) if want_snapshot else None
-            connection.send(("events", last_seq, events, payload))
+            checkpoint = encoder.encode(engine.snapshot()) if want_snapshot else None
+            connection.send(("events", last_seq, events, checkpoint))
         elif kind == "restore":
-            _tag, payload, snapshot_seq, swap_blob = message
+            _tag, chain, snapshot_seq, swap_blob = message
             engine = fresh_engine()
+            # the restored arrays are new objects: the next checkpoint is full
+            encoder = _CheckpointEncoder()
             if swap_blob is not None:
                 # the model current at the checkpoint: snapshots capture
                 # session state, never the pipeline, so the swap replays
                 # first (its event was already delivered — discard it)
                 engine.swap_pipeline(_decode_snapshot(swap_blob))
-            if payload is not None:
-                engine.restore(_decode_snapshot(payload))
+            if chain:
+                engine.restore(_decode_checkpoints(chain))
             last_seq = snapshot_seq
             stash.clear()
             connection.send(("restored", list(engine.live_flows)))
@@ -227,7 +315,7 @@ class _ShardRecord:
         "ring_nbytes",
         "shm_nbytes",
         "free_slots",
-        "snapshot",
+        "chain",
         "snapshot_seq",
         "emitted_seq",
         "pending_replies",
@@ -246,7 +334,8 @@ class _ShardRecord:
         # currently reusable (checkpoint-pruned); empty on the pipe plane
         self.shm_nbytes = 0
         self.free_slots: deque = deque()
-        self.snapshot: Optional[bytes] = None
+        # the opaque checkpoint blobs since the last full one, oldest first
+        self.chain: List[bytes] = []
         self.snapshot_seq = -1
         self.emitted_seq = -1
         self.pending_replies = 0
@@ -326,6 +415,10 @@ class ShardSupervisor:
         self.shm_fallback_ticks = 0
         self.pipe_payload_bytes_total = 0
         self.last_snapshot_nbytes = 0
+        self.checkpoint_bytes_total = 0
+        self.checkpoint_chain_peak_bytes = 0
+        self.n_full_checkpoints = 0
+        self.n_delta_checkpoints = 0
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -383,14 +476,7 @@ class ShardSupervisor:
                 except OSError:
                     pass
             if worker is not None:
-                worker.join(timeout=5)
-                if worker.is_alive():
-                    worker.terminate()
-                    worker.join(timeout=5)
-                if worker.is_alive():
-                    worker.kill()
-                    worker.join(timeout=5)
-                worker.close()
+                self._reap(worker, timeout=5)
             record.connection = None
             record.worker = None
         if self._rings is not None:
@@ -399,6 +485,22 @@ class ShardSupervisor:
             # tests assert exactly this)
             for ring in self._rings:
                 ring.destroy()
+
+    @staticmethod
+    def _reap(worker, timeout: float) -> None:
+        """Join a worker, escalating terminate → kill, and only then close it.
+
+        ``Process.close()`` raises ``ValueError`` on a process that is still
+        alive, so a join that timed out must escalate, never fall through.
+        """
+        worker.join(timeout=timeout)
+        if worker.is_alive():
+            worker.terminate()
+            worker.join(timeout=timeout)
+        if worker.is_alive():
+            worker.kill()
+            worker.join(timeout=timeout)
+        worker.close()
 
     # ------------------------------------------------------------ ticking
     def begin_tick(self, clock: float) -> int:
@@ -502,11 +604,15 @@ class ShardSupervisor:
         # sending the next multi-megabyte tick — a send/send deadlock.
         while record.pending_replies > 0:
             events.extend(self._absorb_reply(record, self._recv(record)))
+        self._send(record, message)
+        record.pending_replies += 1
+
+    @staticmethod
+    def _send(record: _ShardRecord, message: tuple) -> None:
         try:
             record.connection.send(message)
         except (BrokenPipeError, OSError) as exc:
             raise _WorkerFailure("dead") from exc
-        record.pending_replies += 1
 
     @staticmethod
     def _message_nbytes(message: tuple) -> int:
@@ -620,12 +726,23 @@ class ShardSupervisor:
 
     def _absorb_reply(self, record: _ShardRecord, reply: tuple) -> List[ContextEvent]:
         """Apply one ("events", ...) reply: checkpoint, watermark, emit."""
-        _tag, done_seq, events, payload = reply
+        _tag, done_seq, events, checkpoint = reply
         record.pending_replies = max(0, record.pending_replies - 1)
-        if payload is not None:
-            record.snapshot = payload
+        if checkpoint is not None:
+            full, blob = checkpoint
+            if full:
+                record.chain = []
+                self.n_full_checkpoints += 1
+            else:
+                self.n_delta_checkpoints += 1
+            record.chain.append(blob)
             record.snapshot_seq = done_seq
-            self.last_snapshot_nbytes = len(payload)
+            self.last_snapshot_nbytes = len(blob)
+            self.checkpoint_bytes_total += len(blob)
+            self.checkpoint_chain_peak_bytes = max(
+                self.checkpoint_chain_peak_bytes,
+                sum(len(held) for other in self._records for held in other.chain),
+            )
             self._ring_prune(record)
         if done_seq > record.emitted_seq:
             record.emitted_seq = done_seq
@@ -638,18 +755,17 @@ class ShardSupervisor:
     def _recover(self, record: _ShardRecord, reason: str) -> List[ContextEvent]:
         """Respawn one shard worker and re-home its flows exactly.
 
-        Restore the latest checkpoint, then replay the ring in sequence
+        Restore the checkpoint chain, then replay the ring in sequence
         order; replies below the emitted watermark are dropped, so the
         consumer sees each event exactly once.  The last replayed tick
         always requests a fresh checkpoint so the ring re-prunes.
         """
         started = time.monotonic()
         worker, connection = record.worker, record.connection
-        if worker is not None and worker.is_alive():
-            worker.kill()  # SIGKILL also ends SIGSTOPped workers
         if worker is not None:
-            worker.join(timeout=10)
-            worker.close()
+            if worker.is_alive():
+                worker.kill()  # SIGKILL also ends SIGSTOPped workers
+            self._reap(worker, timeout=10)
         if connection is not None:
             try:
                 connection.close()
@@ -663,7 +779,7 @@ class ShardSupervisor:
             if swap_seq <= record.snapshot_seq:
                 swap_blob = blob
         record.connection.send(
-            ("restore", record.snapshot, record.snapshot_seq, swap_blob)
+            ("restore", record.chain, record.snapshot_seq, swap_blob)
         )
         reply = self._recv_or_die(record, "restore handshake")
         if reply[0] != "restored":
@@ -730,7 +846,8 @@ class ShardSupervisor:
                 events.extend(self._recover(record, failure.reason))
         events.extend(self.drain(shard))
         try:
-            record.connection.send(("close",))
+            # a worker that died after its last reply fails the send itself
+            self._send(record, ("close",))
             reply = self._recv(record)
         except _WorkerFailure as failure:
             # the worker died holding un-reported close state: recover it
@@ -786,6 +903,10 @@ class ShardSupervisor:
             "recovery_latencies_s": list(self.recovery_latencies_s),
             "ring_peak_bytes": self.ring_peak_bytes,
             "last_snapshot_nbytes": self.last_snapshot_nbytes,
+            "checkpoint_bytes_total": self.checkpoint_bytes_total,
+            "checkpoint_chain_peak_bytes": self.checkpoint_chain_peak_bytes,
+            "n_full_checkpoints": self.n_full_checkpoints,
+            "n_delta_checkpoints": self.n_delta_checkpoints,
             "n_swaps": len(self._swap_history),
             "data_plane": self.data_plane,
             "shm_ring_peak_bytes": self.shm_ring_peak_bytes,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import signal
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.runtime import (
     SessionRecovered,
     SessionReport,
     ShardedEngine,
+    ShardSupervisor,
     StallWorker,
     StreamingEngine,
     TruncateBatch,
@@ -133,24 +135,35 @@ def test_snapshot_restore_continues_bit_identical(
 
 
 def test_snapshot_does_not_alias_live_state(fitted_pipeline, runtime_sessions):
-    """Mutating the engine after a snapshot must not corrupt the snapshot."""
+    """Whatever the engine does after a snapshot, the held dict never changes.
+
+    The snapshot is pickled at the cut and again — the same live dict — after
+    the rest of the feed and ``close_all()``: any array it shares with the
+    engine that is later written in place changes the second pickle.  This is
+    the contract the incremental checkpoint encoder leans on (an array object
+    met again still has the bytes it was shipped with, DESIGN.md §8).
+    """
     batches = list(SessionFeed(runtime_sessions, batch_seconds=4.0))
     cut = len(batches) // 2
-    engine = StreamingEngine(fitted_pipeline)
-    for batch in batches[:cut]:
-        engine.ingest(batch)
-    frozen = pickle.dumps(engine.snapshot())
-    reference = StreamingEngine(fitted_pipeline)
-    reference.restore(pickle.loads(frozen))
-    for batch in batches[cut:]:
-        engine.ingest(batch)
-    engine.close_all()
-    # the snapshot taken at the cut still restores to the cut, not the end
-    assert pickle.dumps(engine.snapshot()) != frozen
-    resumed = StreamingEngine(fitted_pipeline)
-    resumed.restore(pickle.loads(frozen))
-    assert resumed.live_flows == reference.live_flows
-    assert resumed.state_nbytes() == reference.state_nbytes()
+    # one test id for all three tiers: exact and approx QoE, and full history
+    for mode in SESSION_MODES:
+        engine = StreamingEngine(fitted_pipeline, session_mode=mode, analytics=True)
+        for batch in batches[:cut]:
+            engine.ingest(batch)
+        held = engine.snapshot()
+        frozen = pickle.dumps(held)
+        reference = StreamingEngine(fitted_pipeline, session_mode=mode, analytics=True)
+        reference.restore(pickle.loads(frozen))
+        for batch in batches[cut:]:
+            engine.ingest(batch)
+        engine.close_all()
+        assert pickle.dumps(held) == frozen, mode
+        assert pickle.dumps(engine.snapshot()) != frozen
+        # and it still restores to the cut, not the end
+        resumed = StreamingEngine(fitted_pipeline, session_mode=mode, analytics=True)
+        resumed.restore(held)
+        assert resumed.live_flows == reference.live_flows
+        assert resumed.state_nbytes() == reference.state_nbytes()
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +521,57 @@ def fleet_reference(fitted_pipeline, fleet_sessions):
     return reports
 
 
+class _SlowToDieWorker:
+    """A process handle that is still alive after its first ``join``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def is_alive(self):
+        return self.calls.count("join") < 2
+
+    def join(self, timeout=None):
+        self.calls.append("join")
+
+    def kill(self):
+        self.calls.append("kill")
+
+    terminate = kill
+
+    def close(self):
+        if self.is_alive():  # what multiprocessing.Process.close() does
+            raise ValueError("Cannot close a process while it is still running")
+        self.calls.append("close")
+
+
+class _RestoredConnection:
+    """The replacement worker's pipe end: answers the restore handshake."""
+
+    def send(self, message):
+        assert message[0] == "restore"
+
+    def poll(self, timeout):
+        return True
+
+    def recv(self):
+        return ("restored", [])
+
+    def close(self):
+        pass
+
+
+def test_recover_escalates_before_closing_a_slow_worker(fitted_pipeline):
+    """A reap whose join times out kills and joins again; it never raises."""
+    supervisor = ShardSupervisor(fitted_pipeline, n_shards=1)
+    record = supervisor._records[0]
+    record.worker, record.connection = _SlowToDieWorker(), _RestoredConnection()
+    slow = record.worker
+    supervisor._spawn = lambda rec: setattr(rec, "connection", _RestoredConnection())
+    events = supervisor._recover(record, "hung")
+    assert [type(event) for event in events] == [WorkerRestarted]
+    assert slow.calls == ["kill", "join", "kill", "join", "close"]
+
+
 @pytest.mark.faults
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_seeded_kill_matrix_is_bit_identical(
@@ -608,6 +672,25 @@ def test_kill_during_close_still_reports_every_flow(
     for port, report in reports.items():
         assert_report_identical(report, runtime_offline_reports[port - 52000])
     assert mp.active_children() == []
+
+
+@pytest.mark.faults
+def test_worker_dead_before_the_close_message_is_recovered(fitted_pipeline):
+    """A worker that dies *after* its last reply fails the close send itself."""
+    supervisor = ShardSupervisor(fitted_pipeline, n_shards=1)
+    supervisor.start()
+    try:
+        supervisor.begin_tick(0.0)
+        supervisor.send_tick(0, [])
+        supervisor.drain(0)
+        worker = supervisor._records[0].worker
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        events = supervisor.close_all()  # BrokenPipeError before the fix
+        assert [type(event) for event in events] == [WorkerRestarted]
+    finally:
+        supervisor.stop()
 
 
 @pytest.mark.faults
