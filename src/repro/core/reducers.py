@@ -61,6 +61,7 @@ Bit-identical finalisation relies on two properties of the data:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -93,6 +94,15 @@ _EMPTY_FEATURES = np.zeros((0, 4))
 _EMPTY_SLOTS = np.zeros(0, dtype=np.int64)
 _EMPTY_FLOAT = np.zeros(0, dtype=float)
 _EMPTY_INT = np.zeros(0, dtype=np.int64)
+
+
+def _bucket(timestamp: float, origin: float, width: float) -> int:
+    """Slot / interval index of one timestamp, as the reducers bucket rows.
+
+    The same ``floor((t - origin) / width)`` the array folds compute per row
+    (IEEE double either way), clipped to 0 for pre-origin rows like theirs.
+    """
+    return max(0, math.floor((timestamp - origin) / width))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +256,28 @@ class SlotStageReducer:
                 idx, weights=sizes[up], minlength=length
             )
             self._raw[:length, 3] += np.bincount(idx, minlength=length)
+
+    def absorb_slot(
+        self,
+        slot: int,
+        down_bytes: float,
+        down_packets: int,
+        up_bytes: float,
+        up_packets: int,
+    ) -> None:
+        """Fold a batch whose rows all fall into ``slot``, given its totals.
+
+        Counter-identical to :meth:`absorb` on those rows: ``bincount`` would
+        add the same four totals to this one row and zeros elsewhere (payload
+        sizes are integral, so the caller's sums are exact in any order).
+        """
+        self._ensure_capacity(slot)
+        self._max_slot = max(self._max_slot, slot)
+        row = self._raw[slot]
+        row[0] += down_bytes
+        row[1] += down_packets
+        row[2] += up_bytes
+        row[3] += up_packets
 
     def absorb_directional(
         self,
@@ -566,7 +598,7 @@ class QoEIntervalReducer(_IntervalSealer):
             starts = np.concatenate(([0], boundaries))
             ends = np.concatenate((boundaries, [indices.size]))
             for start, end in zip(starts, ends):
-                self._append(
+                self.absorb_interval(
                     int(indices[start]),
                     timestamps[start:end],
                     sequences[start:end] if sequences is not None else None,
@@ -576,7 +608,7 @@ class QoEIntervalReducer(_IntervalSealer):
         else:
             for interval in np.unique(indices):
                 mask = indices == interval
-                self._append(
+                self.absorb_interval(
                     int(interval),
                     timestamps[mask],
                     sequences[mask] if sequences is not None else None,
@@ -584,7 +616,7 @@ class QoEIntervalReducer(_IntervalSealer):
                     float(sizes[mask].sum()),
                 )
 
-    def _append(
+    def absorb_interval(
         self,
         key: int,
         timestamps: np.ndarray,
@@ -592,6 +624,7 @@ class QoEIntervalReducer(_IntervalSealer):
         rtp_times: Optional[np.ndarray],
         payload_sum: float,
     ) -> None:
+        """Queue downstream rows that all fall into interval ``key``."""
         store = self._stores.get(key)
         if store is None:
             store = self._stores[key] = _IntervalStore()
@@ -1366,39 +1399,72 @@ class SessionReducerCascade:
             self.origin_shifts += 1
         if self._history is not None:
             self._history.append(columns)
-        return self._fold(columns)
+        return self._fold(columns, batch_min)
 
-    def _fold(self, columns: PacketColumns) -> int:
+    def _fold(self, columns: PacketColumns, batch_min: float) -> int:
+        """Fold one non-empty batch against the current origin.
+
+        A flow's share of one feed tick usually sits inside one slot, inside
+        one QoE interval and past the title window.  The batch's time span
+        (``batch_min`` .. its max) shows which of the three hold; each one
+        that does replaces a per-row index pass by its known outcome, and
+        every other batch takes the general reducers.
+        """
         timestamps = columns.timestamps
-        self.last_ts = max(self.last_ts, float(timestamps.max()))
+        origin = self.origin
+        batch_max = float(timestamps.max())
+        self.last_ts = max(self.last_ts, batch_max)
         self.n_packets += len(columns)
         down = columns.directions == DOWNSTREAM_CODE
         sizes = columns.payload_sizes
         # one downstream gather, shared by the byte totals and the QoE store
         down_times = timestamps[down]
         down_sizes = sizes[down]
+        down_sum = 0.0
         if down_times.size:
             self.has_downstream = True
             down_sum = float(down_sizes.sum())
             self.down_bytes += down_sum
-            # integral payload sizes make the subtraction exact
-            self.up_bytes += float(sizes.sum()) - down_sum
-        else:
-            self.up_bytes += float(sizes.sum())
+        # integral payload sizes make the subtraction exact
+        up_sum = float(sizes.sum()) - down_sum
+        self.up_bytes += up_sum
         ssrc = columns.rtp_ssrc
         if not self.has_rtp and ssrc is not None and bool(np.any(ssrc != RTP_NONE)):
             self.has_rtp = True
-        new_window_rows = self.launch.absorb(columns, self.origin)
-        self.slots.absorb(timestamps, sizes, down, self.origin)
+
+        if batch_min > origin + self._window_seconds:
+            new_window_rows = 0  # no row can be inside the title window
+        else:
+            new_window_rows = self.launch.absorb(columns, origin)
+
+        # floor((t - origin) / width) never decreases with t, so equal indices
+        # at the batch's min and max are the index of every row
+        slot = _bucket(batch_min, origin, self.slots.slot_duration)
+        if slot == _bucket(batch_max, origin, self.slots.slot_duration):
+            n_down = int(down_times.size)
+            self.slots.absorb_slot(
+                slot, down_sum, n_down, up_sum, len(columns) - n_down
+            )
+        else:
+            self.slots.absorb(timestamps, sizes, down, origin)
+
+        if not down_times.size:
+            return new_window_rows
         sequences = columns.rtp_sequence
         rtp_times = columns.rtp_timestamp
-        self.qoe.absorb_arrays(
-            down_times,
-            down_sizes,
-            sequences[down] if sequences is not None else None,
-            rtp_times[down] if rtp_times is not None else None,
-            self.origin,
-        )
+        down_sequences = sequences[down] if sequences is not None else None
+        down_rtp_times = rtp_times[down] if rtp_times is not None else None
+        interval = _bucket(batch_min, origin, self._qoe_interval_seconds)
+        if self.qoe_mode == "exact" and interval == _bucket(
+            batch_max, origin, self._qoe_interval_seconds
+        ):
+            self.qoe.absorb_interval(
+                interval, down_times, down_sequences, down_rtp_times, down_sum
+            )
+        else:
+            self.qoe.absorb_arrays(
+                down_times, down_sizes, down_sequences, down_rtp_times, origin
+            )
         return new_window_rows
 
     def absorb_stream(self, stream: PacketStream) -> int:
@@ -1469,7 +1535,7 @@ class SessionReducerCascade:
         self.qoe = QoEIntervalReducer(self._qoe_interval_seconds)
         self.qoe._sealed_upto = sealed_upto
         for batch in history:
-            self._fold(batch)
+            self._fold(batch, float(batch.timestamps.min()))
 
     # ------------------------------------------------------------ aggregates
     @property

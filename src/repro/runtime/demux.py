@@ -32,6 +32,9 @@ from repro.net.packet import (
 __all__ = ["FlowDemux", "canonical_flow_key", "flow_addresses"]
 
 _ID_OF = np.frompyfunc(id, 1, 1)
+#: Entries (two per flow) at which the canonical-key cache starts over; a
+#: probe that runs for hours sees far more flows than are ever live at once.
+_CANONICAL_CACHE_ENTRIES = 1 << 16
 
 
 def flow_addresses(key: FlowKey) -> Tuple[tuple, tuple]:
@@ -78,7 +81,7 @@ def canonical_flow_key(address: tuple, direction_code: int) -> FlowKey:
 
 
 class FlowDemux:
-    """Stateful batch demultiplexer (the canonical-key cache persists)."""
+    """Stateful batch demultiplexer (a bounded canonical-key cache persists)."""
 
     def __init__(self) -> None:
         self._canonical: Dict[Tuple[tuple, int], FlowKey] = {}
@@ -86,6 +89,10 @@ class FlowDemux:
     def _key_for(self, address: tuple, direction_code: int) -> FlowKey:
         cached = self._canonical.get((address, direction_code))
         if cached is None:
+            if len(self._canonical) >= _CANONICAL_CACHE_ENTRIES:
+                # a pure cache of value-equal keys: dropping it costs one
+                # rebuild per live flow, never a different answer
+                self._canonical.clear()
             cached = canonical_flow_key(address, direction_code)
             self._canonical[(address, direction_code)] = cached
         return cached
@@ -136,8 +143,8 @@ class FlowDemux:
             # visit address groups in first-appearance order so new flows
             # register deterministically
             for group in np.argsort(first_rows, kind="stable"):
+                # a stable argsort leaves each group's rows ascending
                 rows = order[starts[group] : ends[group]]
-                rows = np.sort(rows)
                 address = addresses[int(first_rows[group])]
                 codes = directions[rows]
                 for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
     CloudGamingFlowDetector,
@@ -494,3 +496,153 @@ class TestHostileCaptures:
         )
         assert sum(len(batch) for batch in batches) == len(whole)
         assert chunk_stats == whole_stats
+
+
+# ---------------------------------------------------------------------------
+# block-decoded batch iterator vs the per-span decode loop it replaced
+# ---------------------------------------------------------------------------
+def per_span_batches(path, batch_packets, batch_seconds, client_ip, stats):
+    """Oracle: the loop ``iter_pcap_column_batches`` ran before it decoded in
+    blocks — one dedicated decode per batch span, client pinned by the first
+    span, column layout (which columns are ``None``) worked out per span."""
+    from pathlib import Path
+
+    from repro.net.packet import DEFAULT_ADDRESS, RTP_NONE, PacketColumns
+    from repro.net.pcap import _decode_records, _ip_to_bytes, _scan_records
+
+    data = Path(path).read_bytes()
+    timestamps, offsets, lengths = _scan_records(data, source=str(path), stats=stats)
+    n_records = timestamps.size
+    client_u32 = (
+        None if client_ip is None else int.from_bytes(_ip_to_bytes(client_ip), "big")
+    )
+    if n_records == 0:
+        return
+    if batch_seconds is None:
+        bounds = list(range(0, n_records, batch_packets)) + [n_records]
+    else:
+        origin = float(timestamps[0])
+        last = float(timestamps[-1])
+        edges = origin + batch_seconds * np.arange(
+            1, int(np.ceil(max(last - origin, 0.0) / batch_seconds)) + 1
+        )
+        bounds = (
+            [0]
+            + [int(i) for i in np.searchsorted(timestamps, edges, side="left")]
+            + [n_records]
+        )
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        if end <= start:
+            continue
+        span = slice(start, end)
+        block, client_u32 = _decode_records(
+            data, timestamps[span], offsets[span], lengths[span], client_u32,
+            stats=stats,
+        )
+        full = block.columns
+        if not len(full):
+            continue
+        has_rtp = bool(np.any(full.rtp_ssrc != RTP_NONE))
+        addressed = any(address != DEFAULT_ADDRESS for address in full.addresses)
+        yield PacketColumns(
+            timestamps=full.timestamps,
+            payload_sizes=full.payload_sizes,
+            directions=full.directions,
+            rtp_payload_type=full.rtp_payload_type if has_rtp else None,
+            rtp_ssrc=full.rtp_ssrc if has_rtp else None,
+            rtp_sequence=full.rtp_sequence if has_rtp else None,
+            rtp_timestamp=full.rtp_timestamp if has_rtp else None,
+            addresses=full.addresses if addressed else None,
+        )
+
+
+def _record_frame(kind, flow):
+    """One capture record of the given kind on client port ``51000 + flow``."""
+    make = TestHostileCaptures.frame
+    client, server = TestHostileCaptures.CLIENT, TestHostileCaptures.SERVER
+    down = dict(src=server, dst=client, sport=49004, dport=51000 + flow)
+    if kind == "rtp_down":
+        return make(payload=TestHostileCaptures.rtp_payload(flow + 1), **down)
+    if kind == "rtp_up":
+        return make(payload=TestHostileCaptures.rtp_payload(9), sport=51000 + flow)
+    if kind == "plain_down":
+        return make(payload=bytes(40 + flow), **down)
+    if kind == "default_address":
+        return make(payload=bytes(30), src="0.0.0.0", dst="0.0.0.0", sport=0, dport=0)
+    if kind == "malformed_rtp":  # kept, demoted to non-RTP columns
+        return make(payload=b"\x80\x60\x00\x01\x00\x00", **down)
+    return {
+        "short": b"\x02" * 20,
+        "non_ipv4": make(ethertype=0x86DD),
+        "non_udp": make(protocol=6),
+        "ihl_low": make(ihl_words=4),
+        "ihl_past_frame": make(payload=bytes(10), ihl_words=12),
+        "bad_udp_length": make(udp_length=4),
+    }[kind]
+
+
+_RECORD_KINDS = (
+    "rtp_down", "rtp_up", "plain_down", "default_address", "malformed_rtp",
+    "short", "non_ipv4", "non_udp", "ihl_low", "ihl_past_frame", "bad_udp_length",
+)
+# runs of one kind, so RTP-free and default-address batches occur inside blocks
+# that hold RTP and addressed rows; gaps of zero (ties on a batch edge) up to
+# more than a second (empty time spans)
+_RUNS = st.lists(
+    st.tuples(
+        st.sampled_from(_RECORD_KINDS),
+        st.integers(0, 3),  # flow
+        st.lists(st.sampled_from([0, 1_000, 20_000, 150_000, 1_200_000]),
+                 min_size=1, max_size=12),  # microseconds before each record
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    runs=_RUNS,
+    batching=st.one_of(
+        st.tuples(st.integers(1, 40), st.none()),
+        st.tuples(st.just(50_000), st.sampled_from([0.01, 0.1, 0.15, 0.5, 3.0])),
+    ),
+    block_records=st.sampled_from([1, 3, 8, 4096]),
+    client_ip=st.sampled_from([None, TestHostileCaptures.CLIENT]),
+    truncated=st.booleans(),
+)
+def test_block_decoded_batches_equal_per_span_decode(
+    tmp_path_factory, runs, batching, block_records, client_ip, truncated
+):
+    from unittest import mock
+
+    from repro.net import ParseStats, pcap
+
+    frames, clock = [], 0
+    for kind, flow, gaps in runs:
+        for gap in gaps:
+            clock += gap
+            frames.append((clock / 1e6, _record_frame(kind, flow)))
+    path = tmp_path_factory.mktemp("blocks") / "capture.pcap"
+    TestHostileCaptures.write_raw_pcap(
+        path, frames, trailing=b"\x01" * 9 if truncated else b""
+    )
+    batch_packets, batch_seconds = batching
+    expected_stats, got_stats = ParseStats(), ParseStats()
+    expected = list(
+        per_span_batches(path, batch_packets, batch_seconds, client_ip, expected_stats)
+    )
+    with mock.patch.object(pcap, "_BLOCK_RECORDS", block_records):
+        got = list(
+            pcap.iter_pcap_column_batches(
+                path,
+                batch_packets=batch_packets,
+                batch_seconds=batch_seconds,
+                client_ip=client_ip,
+                stats=got_stats,
+            )
+        )
+    assert len(got) == len(expected)
+    for reference, batch in zip(expected, got):
+        TestPcapColumnarPath.assert_columns_equal(reference, batch)
+    assert got_stats == expected_stats

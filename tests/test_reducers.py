@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.qoe import ObjectiveQoEEstimator
+from repro.core.reducers import SessionReducerCascade
 from repro.net.flow import Flow
 from repro.net.packet import (
     DOWNSTREAM_CODE,
@@ -398,3 +401,150 @@ def test_double_buffered_fork_feed_matches_serial(
         ]
         assert isinstance(serial[key][-1], SessionReport)
         assert_report_identical(forked[key][-1].report, serial[key][-1].report)
+
+
+# ---------------------------------------------------------------------------
+# the fold's shortcuts vs the general reducers (property test)
+# ---------------------------------------------------------------------------
+class GeneralFoldCascade(SessionReducerCascade):
+    """Oracle: every batch through the general reducers, whatever its span —
+    ``SlotStageReducer.absorb``, ``absorb_arrays`` and
+    ``LaunchWindowReducer.absorb`` only (the fold before it learnt to spot a
+    batch inside one slot / one QoE interval / past the title window)."""
+
+    __slots__ = ()
+
+    def _fold(self, columns, batch_min):
+        timestamps = columns.timestamps
+        self.last_ts = max(self.last_ts, float(timestamps.max()))
+        self.n_packets += len(columns)
+        down = columns.directions == DOWNSTREAM_CODE
+        sizes = columns.payload_sizes
+        down_times = timestamps[down]
+        down_sizes = sizes[down]
+        if down_times.size:
+            self.has_downstream = True
+            down_sum = float(down_sizes.sum())
+            self.down_bytes += down_sum
+            self.up_bytes += float(sizes.sum()) - down_sum
+        else:
+            self.up_bytes += float(sizes.sum())
+        ssrc = columns.rtp_ssrc
+        if not self.has_rtp and ssrc is not None and bool(np.any(ssrc != RTP_NONE)):
+            self.has_rtp = True
+        new_window_rows = self.launch.absorb(columns, self.origin)
+        self.slots.absorb(timestamps, sizes, down, self.origin)
+        sequences = columns.rtp_sequence
+        rtp_times = columns.rtp_timestamp
+        self.qoe.absorb_arrays(
+            down_times,
+            down_sizes,
+            sequences[down] if sequences is not None else None,
+            rtp_times[down] if rtp_times is not None else None,
+            self.origin,
+        )
+        return new_window_rows
+
+
+#: Timestamps sit on a 1/8 s grid from a base that is exact in binary, so
+#: rows land exactly on slot, QoE-interval and title-window edges all the time.
+_GRID_S = 0.125
+_BASE_S = 1000.0
+
+
+@st.composite
+def _sub_batches(draw):
+    batches = []
+    for _ in range(draw(st.integers(1, 10))):
+        n = draw(st.integers(1, 9))
+        # 0 .. 50 s in any order (late and pre-origin batches), whole seconds
+        # over-represented so batches start exactly on the origin's edges
+        start = draw(
+            st.one_of(st.integers(0, 400), st.integers(0, 12).map(lambda s: 8 * s))
+        )
+        spread = draw(st.sampled_from([0, 2, 7, 8, 40, 90]))
+        ticks = draw(st.lists(st.integers(0, spread), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            ticks.sort()
+        side = draw(st.sampled_from(["mixed", "down", "up"]))
+        if side == "mixed":
+            down = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        else:
+            down = [side == "down"] * n
+        rtp = draw(st.sampled_from(["none", "all", "some"]))
+        if rtp == "none":
+            sequence = rtp_clock = ssrc = None
+        else:
+            carried = [
+                rtp == "all" or draw(st.booleans()) for _ in range(n)
+            ]
+            sequence = np.array(
+                [draw(st.integers(0, 0xFFFF)) if c else RTP_NONE for c in carried]
+            )
+            rtp_clock = np.array(
+                [90_000 * (start + tick) // 8 if c else RTP_NONE
+                 for c, tick in zip(carried, ticks)]
+            )
+            ssrc = np.where(carried, 77, RTP_NONE)
+        batches.append(
+            PacketColumns(
+                timestamps=_BASE_S + _GRID_S * (start + np.array(ticks)),
+                payload_sizes=np.array(
+                    draw(st.lists(st.integers(40, 1400), min_size=n, max_size=n)),
+                    dtype=float,
+                ),
+                directions=np.where(down, DOWNSTREAM_CODE, 1 - DOWNSTREAM_CODE),
+                rtp_payload_type=None if ssrc is None else np.where(carried, 96, RTP_NONE),
+                rtp_ssrc=ssrc,
+                rtp_sequence=sequence,
+                rtp_timestamp=rtp_clock,
+            )
+        )
+    return batches
+
+
+def _state_bytes(cascade) -> bytes:
+    """The cascade's snapshot, pickled, minus never-written reservoir slots
+    (the approx tier's samplers start from ``np.empty``)."""
+    import pickle
+
+    def written(node):
+        if isinstance(node, dict):
+            if "rng_state" in node:  # a _ReservoirSampler snapshot
+                node = dict(node, samples=node["samples"][: node["seen"]])
+            return {key: written(value) for key, value in node.items()}
+        return node
+
+    return pickle.dumps(written(cascade.snapshot()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batches=_sub_batches(),
+    tier=st.sampled_from(["bounded", "approx", "full"]),
+    qoe_interval_seconds=st.sampled_from([float("inf"), 10.0, 1.5]),
+)
+def test_fold_shortcuts_equal_general_reducers(
+    fitted_pipeline, batches, tier, qoe_interval_seconds
+):
+    geometry = dict(
+        slot_duration=fitted_pipeline.activity_classifier.slot_duration,
+        alpha=fitted_pipeline.activity_classifier.alpha,
+        window_seconds=fitted_pipeline.title_classifier.window_seconds,
+        qoe_interval_seconds=qoe_interval_seconds,
+        keep_history=tier == "full",
+        qoe_mode="approx" if tier == "approx" else "exact",
+    )
+    cascade = SessionReducerCascade(**geometry)
+    reference = GeneralFoldCascade(**geometry)
+    for batch in batches:
+        assert cascade.absorb(batch) == reference.absorb(batch)
+        # the provisional gates move the slot cursor and the seal watermark
+        clock = float(batch.timestamps.max())
+        for folded in (cascade, reference):
+            folded.advance_slots(clock)
+            folded.advance_qoe(clock)
+        assert _state_bytes(cascade) == _state_bytes(reference)
+    (got,) = fitted_pipeline.finalize_cascades([cascade])
+    (expected,) = fitted_pipeline.finalize_cascades([reference])
+    assert_report_identical(got, expected)

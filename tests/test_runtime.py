@@ -312,6 +312,9 @@ def test_demux_partitions_by_canonical_flow(rng):
         addresses=addresses,
     )
     parts = dict(FlowDemux().split(columns))
+    # split_indices hands every flow its batch positions in ascending order
+    for _key, rows in FlowDemux().split_indices(columns):
+        assert np.all(np.diff(rows) > 0)
     key_a = canonical_flow_key(address_a_down, DOWNSTREAM_CODE)
     key_b = canonical_flow_key(address_b_down, DOWNSTREAM_CODE)
     # both directions of flow A canonicalise to one key
@@ -326,6 +329,36 @@ def test_demux_partitions_by_canonical_flow(rng):
         assert np.array_equal(parts[key].timestamps, expected_rows)
     # client/server orientation
     assert key_a.client_ip == "10.9.9.1" and key_a.server_port == 49004
+
+
+def test_demux_key_cache_stays_bounded_over_many_flows():
+    """100 k flows through one demux: the cache resets, the answers do not."""
+    from repro.runtime import demux as demux_module
+
+    long_lived = FlowDemux()
+    per_batch = 500
+    for batch_index in range(200):
+        base = batch_index * per_batch
+        addresses = np.empty(2 * per_batch, dtype=object)
+        for flow in range(per_batch):
+            number = base + flow
+            client = f"10.{number >> 16 & 255}.{number >> 8 & 255}.{number & 255}"
+            addresses[2 * flow] = ("198.51.100.7", client, 49004, 50000, "udp")
+            addresses[2 * flow + 1] = (client, "198.51.100.7", 50000, 49004, "udp")
+        columns = PacketColumns(
+            timestamps=np.arange(2 * per_batch, dtype=float),
+            payload_sizes=np.full(2 * per_batch, 100.0),
+            directions=np.tile([DOWNSTREAM_CODE, UPSTREAM_CODE], per_batch),
+            addresses=addresses,
+        )
+        got = long_lived.split_indices(columns)
+        assert len(long_lived._canonical) <= demux_module._CANONICAL_CACHE_ENTRIES
+        if batch_index % 10 == 9:
+            fresh = FlowDemux().split_indices(columns)
+            assert [key for key, _ in got] == [key for key, _ in fresh]
+            for (_, got_rows), (_, fresh_rows) in zip(got, fresh):
+                assert np.array_equal(got_rows, fresh_rows)
+
 
 
 # ---------------------------------------------------------------------------
