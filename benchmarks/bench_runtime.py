@@ -17,9 +17,9 @@ Plus two memory workloads: bounded-vs-full peak session state
 (:func:`run_memory_benchmark`) and the approximate QoE tier with its
 O(intervals) scaling gate (:func:`run_memory_approx_benchmark`); the
 worker-kill recovery protocol (:func:`run_recovery_benchmark`); the
-shared-memory data plane vs the legacy pickle-over-pipe plane
+fork backend's shared-memory data plane
 (:func:`run_sharded_shm_benchmark`, reports asserted identical to serial
-on both planes first); and the fleet analytics tier's offline fold
+first); and the fleet analytics tier's offline fold
 throughput and per-rollup-key state size
 (:func:`run_fleet_rollup_benchmark`, digests asserted identical to the
 live streaming path first).
@@ -434,21 +434,19 @@ def run_recovery_benchmark(corpus=None, pipeline=None) -> dict:
 
 
 def run_sharded_shm_benchmark(corpus=None, pipeline=None) -> dict:
-    """Shared-memory data plane vs pickle-over-pipe: throughput and volume.
+    """Shared-memory data plane: live-feed throughput and transport volume.
 
     Replays ``N_FEED_SESSIONS`` concurrent sessions through the fork
-    backend twice — once on the shared-memory column rings
-    (``data_plane="shm"``, DESIGN.md §12) and once on the legacy
-    pickle-over-pipe plane — asserting both runs' close reports are
-    identical to the serial backend before reporting any number.  The
-    regression-gated headlines are ``packets_per_s`` /
-    ``packets_per_s_per_core`` (shm-plane live-feed throughput; per-core
-    divides by the cores the parent and workers can actually occupy),
+    backend's shared-memory column rings (DESIGN.md §12), asserting the
+    close reports are identical to the serial backend before reporting any
+    number.  The regression-gated headlines are ``packets_per_s`` /
+    ``packets_per_s_per_core`` (live-feed throughput; per-core divides by
+    the cores the parent and workers can actually occupy),
     ``shm_ring_peak_bytes`` (un-pruned slot footprint — bounded by the §8
-    checkpoint cadence) and ``payload_reduction_ratio`` (pipe-plane pickle
-    volume over shm-plane control-message volume: the "pipes carry control
-    messages only" claim as a number).  ``shm_fallback_ticks`` must be 0 —
-    a correctly sized ring never degrades to inline pickles.
+    checkpoint cadence) and ``control_payload_total_bytes`` (what crossed
+    the pipes: the "pipes carry control messages only" claim as a number).
+    ``shm_fallback_ticks`` must be 0 — a correctly sized ring never
+    degrades to inline pickles.
     """
     if corpus is None:
         corpus = build_deployment_corpus()
@@ -460,10 +458,8 @@ def run_sharded_shm_benchmark(corpus=None, pipeline=None) -> dict:
     def feed():
         return SessionFeed(sessions, batch_seconds=FEED_BATCH_SECONDS)
 
-    def engine(backend, data_plane="auto"):
-        return ShardedEngine(
-            pipeline, n_workers=n_workers, backend=backend, data_plane=data_plane
-        )
+    def engine(backend):
+        return ShardedEngine(pipeline, n_workers=n_workers, backend=backend)
 
     def drive(sharded):
         start = time.perf_counter()
@@ -487,46 +483,32 @@ def run_sharded_shm_benchmark(corpus=None, pipeline=None) -> dict:
             [reports[key] for key in ordered],
         )
 
-    # best-of-2 per plane: fork feeds on a loaded box can catch a stall that
-    # dwarfs the data plane being measured
-    plane_stats = {}
-    plane_best = {}
-    for plane in ("shm", "pipe"):
-        best = float("inf")
-        for _ in range(2):
-            sharded = engine("fork", data_plane=plane)
-            elapsed, reports, _packets = drive(sharded)
-            check(reports)
-            best = min(best, elapsed)
-        plane_best[plane] = best
-        plane_stats[plane] = sharded.last_feed_stats
-
-    shm_stats, pipe_stats = plane_stats["shm"], plane_stats["pipe"]
-    assert shm_stats["data_plane"] == "shm"
-    assert shm_stats["shm_fallback_ticks"] == 0
-    assert shm_stats["shm_ring_peak_bytes"] > 0
-    assert pipe_stats["shm_ring_peak_bytes"] == 0
+    # best-of-2: fork feeds on a loaded box can catch a stall that dwarfs
+    # the data plane being measured
+    best = float("inf")
+    for _ in range(2):
+        sharded = engine("fork")
+        elapsed, reports, _packets = drive(sharded)
+        check(reports)
+        best = min(best, elapsed)
+    stats = sharded.last_feed_stats
+    assert stats["shm_fallback_ticks"] == 0
+    assert stats["shm_ring_peak_bytes"] > 0
 
     busy_cores = min(n_workers + 1, _usable_cpus())
-    packets_per_s = n_packets / plane_best["shm"]
+    packets_per_s = n_packets / best
     return {
         "n_sessions": len(sessions),
         "n_cpus": _usable_cpus(),
         "n_workers": n_workers,
         "n_ticks": n_ticks,
         "n_packets": n_packets,
-        "shm_feed_s": plane_best["shm"],
-        "pipe_feed_s": plane_best["pipe"],
+        "shm_feed_s": best,
         "packets_per_s": packets_per_s,
         "packets_per_s_per_core": packets_per_s / busy_cores,
-        "shm_ring_peak_bytes": shm_stats["shm_ring_peak_bytes"],
-        "shm_fallback_ticks": shm_stats["shm_fallback_ticks"],
-        "control_payload_total_bytes": shm_stats["pipe_payload_bytes_total"],
-        "pipe_payload_total_bytes": pipe_stats["pipe_payload_bytes_total"],
-        "payload_reduction_ratio": (
-            pipe_stats["pipe_payload_bytes_total"]
-            / shm_stats["pipe_payload_bytes_total"]
-        ),
+        "shm_ring_peak_bytes": stats["shm_ring_peak_bytes"],
+        "shm_fallback_ticks": stats["shm_fallback_ticks"],
+        "control_payload_total_bytes": stats["pipe_payload_bytes_total"],
         "reports_identical": True,
     }
 
@@ -663,11 +645,10 @@ def main() -> None:
     shm = results["sharded_shm"]
     print(
         f"shm data plane: {shm['packets_per_s']:,.0f} packets/s "
-        f"({shm['packets_per_s_per_core']:,.0f}/core), pipe payload "
-        f"{shm['pipe_payload_total_bytes']:,} B -> {shm['control_payload_total_bytes']:,} B "
-        f"control messages ({shm['payload_reduction_ratio']:.0f}x less), shm ring "
-        f"peak {shm['shm_ring_peak_bytes']:,} B, {shm['shm_fallback_ticks']} fallback "
-        "ticks; reports identical on both planes"
+        f"({shm['packets_per_s_per_core']:,.0f}/core), "
+        f"{shm['control_payload_total_bytes']:,} B of control messages on the "
+        f"pipes, shm ring peak {shm['shm_ring_peak_bytes']:,} B, "
+        f"{shm['shm_fallback_ticks']} fallback ticks; reports identical to serial"
     )
     fleet = results["fleet_rollup"]
     print(

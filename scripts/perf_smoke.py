@@ -34,11 +34,11 @@ gate: approx QoE state flat under a 4x packets-per-session step.  The
 checkpoint-restore + ring-replay latency and the replay ring's peak bytes
 (close reports asserted identical to the serial backend first); both are
 regression-gated like the timings.  The ``sharded_shm`` section replays
-the live feed on the shared-memory column rings (DESIGN.md §12) and on
-the legacy pickle-over-pipe plane — close reports asserted identical to
-the serial backend on both planes first — and regression-gates the
-shm-plane throughput, the ring's peak un-pruned slot bytes and the
-pipe-vs-control payload reduction ratio.  The ``fleet_rollup`` section times the
+the live feed through the fork backend's shared-memory column rings
+(DESIGN.md §12) — close reports asserted identical to the serial backend
+first — and regression-gates the throughput, the ring's peak un-pruned
+slot bytes and the control-message bytes that crossed the pipes.  The
+``fleet_rollup`` section times the
 fleet analytics tier's offline fold (QoE windows folded per second) and
 records its retained state per rollup key, asserting the fold's aggregator
 digest is bit-identical to the live streaming engine's first; the fold
@@ -322,7 +322,7 @@ def memory_benchmarks(
     the offline-equality of streaming approx reports before returning; the
     recovery section asserts the killed-worker run's close reports are
     identical to the serial backend before reporting its latency; the
-    shm section asserts both data planes' close reports are identical to
+    shm section asserts the fork feed's close reports are identical to
     the serial backend before reporting throughput or payload volume; the fleet
     section asserts the offline fold's aggregator digest is bit-identical to
     the live streaming engine's before reporting its fold throughput.

@@ -49,7 +49,7 @@ from repro.runtime.persistence import (
     save_pipeline,
 )
 from repro.runtime.shard import ShardedEngine, default_worker_count
-from repro.runtime.shm import ShmColumnRing, resolve_data_plane
+from repro.runtime.shm import ShmColumnRing
 from repro.runtime.state import FlowContext, SessionState
 from repro.runtime.supervisor import ShardSupervisor
 
@@ -90,6 +90,5 @@ __all__ = [
     "load_pipeline",
     "pcap_feed",
     "pipeline_digest",
-    "resolve_data_plane",
     "save_pipeline",
 ]

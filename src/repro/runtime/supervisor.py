@@ -49,7 +49,7 @@ array its structure names, so it starts a new chain; otherwise it extends
 the current one.  A restore sends the whole chain (empty before the first
 checkpoint), and the worker's first checkpoint after it is full again.
 
-A tick's ``payload`` names its data plane (DESIGN.md §12):
+A tick's ``payload`` says where its rows are (DESIGN.md §12):
 
 * ``("shm", slot, n_rows, spans, flags)`` — the batch rows live in the
   shard's shared-memory column ring
@@ -57,10 +57,10 @@ A tick's ``payload`` names its data plane (DESIGN.md §12):
   crosses the pipe.  The slot is reusable exactly when the tick leaves the
   replay ring (``seq <= snapshot_seq``), so a replayed control message
   always finds its slot data intact.
-* ``("inline", pairs)`` — the demuxed ``(FlowKey, PacketColumns)`` pairs
-  pickled inline, as before: the ``data_plane="pipe"`` configuration and
-  the per-tick fallback of the shm plane (tick larger than a slot, or no
-  checkpoint-pruned slot free — ``shm_fallback_ticks`` counts these).
+* ``("inline", pairs)`` — the per-tick fallback: the demuxed
+  ``(FlowKey, PacketColumns)`` pairs pickled inline, when the tick is
+  larger than a slot or no checkpoint-pruned slot is free
+  (``shm_fallback_ticks`` counts these).
 
 ``("swap", ...)`` is a hot model swap (:meth:`ShardSupervisor.swap_all`):
 it shares the tick sequence space, so every shard applies it at the same
@@ -112,7 +112,7 @@ from repro.runtime.faults import (
     KillWorker,
     StallWorker,
 )
-from repro.runtime.shm import ShmColumnRing, resolve_data_plane
+from repro.runtime.shm import ShmColumnRing
 from repro.runtime.state import FlowContext
 
 __all__ = ["ShardSupervisor"]
@@ -203,16 +203,30 @@ def _decode_checkpoints(chain: List[bytes]) -> dict:
 
 
 def _supervised_worker(connection) -> None:
+    """Fork target of one shard worker: fd hygiene, then the fold loop."""
+    # the fork copied the parent-side end of every shard's pipe (this
+    # shard's included); while any copy stays open, closing the parent's —
+    # stop(), or the parent dying — never reads as EOF here
+    for inherited in _FORK_STATE["parent_connections"]:
+        inherited.close()
+    try:
+        _serve_shard(connection)
+    except (EOFError, ConnectionError):
+        # the parent closed its end or vanished: nothing left to answer
+        return
+
+
+def _serve_shard(connection) -> None:
     """Shard worker loop: sequence-numbered folds over one shard engine."""
     config = {
         "pipeline": _FORK_STATE["pipeline"],
         "engine_kwargs": dict(_FORK_STATE["engine_kwargs"]),
         "contexts": dict(_FORK_STATE["contexts"]),
-        "shard_index": _FORK_STATE.get("shard_index"),
-        # this shard's shared-memory column ring (None on the pipe plane);
-        # the fork inherited the parent's MAP_SHARED mapping, so slot reads
-        # observe parent writes directly — nothing to attach or pickle
-        "ring": _FORK_STATE.get("ring"),
+        "shard_index": _FORK_STATE["shard_index"],
+        # this shard's shared-memory column ring; the fork inherited the
+        # parent's MAP_SHARED mapping, so slot reads observe parent writes
+        # directly — nothing to attach or pickle
+        "ring": _FORK_STATE["ring"],
     }
 
     def fresh_engine() -> StreamingEngine:
@@ -242,12 +256,7 @@ def _supervised_worker(connection) -> None:
         return [dataclasses_replace(swapped, shard=config["shard_index"])], want_snapshot
 
     while True:
-        try:
-            message = connection.recv()
-        except (EOFError, OSError):
-            # the parent vanished without closing us; exit rather than spin
-            # (workers are daemonic as a second line of defence)
-            return
+        message = connection.recv()
         kind = message[0]
         if kind in ("tick", "swap"):
             seq = message[1]
@@ -331,7 +340,7 @@ class _ShardRecord:
         self.ring: deque = deque()
         self.ring_nbytes = 0
         # shared-memory bytes pinned by un-pruned shm ticks, and the slots
-        # currently reusable (checkpoint-pruned); empty on the pipe plane
+        # currently reusable (checkpoint-pruned)
         self.shm_nbytes = 0
         self.free_slots: deque = deque()
         # the opaque checkpoint blobs since the last full one, oldest first
@@ -348,7 +357,7 @@ class ShardSupervisor:
 
     Created (and owned) by :meth:`ShardedEngine.run_feed`; usable directly
     for custom feed loops.  The caller partitions each feed batch, then per
-    tick: :meth:`begin_tick`, :meth:`drain` + :meth:`send_tick` per shard
+    tick: :meth:`begin_tick`, :meth:`drain` + :meth:`send_tick_indexed` per shard
     (double-buffered), and finally :meth:`close_all` / :meth:`stop`.
     All methods returning events may include recovery events
     (:class:`WorkerRestarted` / :class:`SessionRecovered`) when a worker had
@@ -364,7 +373,6 @@ class ShardSupervisor:
         snapshot_every_ticks: int = 16,
         recv_timeout_s: float = 30.0,
         fault_plan: Optional[FaultPlan] = None,
-        data_plane: str = "auto",
         ring_slots: Optional[int] = None,
         ring_slot_rows: int = 65536,
     ) -> None:
@@ -387,14 +395,13 @@ class ShardSupervisor:
         self.snapshot_every_ticks = snapshot_every_ticks
         self.recv_timeout_s = recv_timeout_s
         self.fault_plan = fault_plan
-        self.data_plane = resolve_data_plane(data_plane)
         # a ring must cover every simultaneously un-checkpointed tick: up to
         # snapshot_every_ticks before a prune, plus the in-flight margin
         # (double buffering keeps one outstanding; delay/duplicate faults
         # can add another) — undersizing degrades to inline fallback
         self.ring_slots = ring_slots or (snapshot_every_ticks + 2)
         self.ring_slot_rows = ring_slot_rows
-        self._rings: Optional[List[ShmColumnRing]] = None
+        self._rings: List[ShmColumnRing] = []  # one per shard once started
         self._context = mp.get_context("fork")
         self._records = [_ShardRecord(index) for index in range(n_shards)]
         self._seq = -1
@@ -422,37 +429,43 @@ class ShardSupervisor:
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Allocate the data plane and fork one worker per shard (idempotent)."""
+        """Allocate the column rings and fork one worker per shard (idempotent)."""
         if self._started:
             return
         self._started = True
-        if self.data_plane == "shm":
-            # segments are allocated before the first fork so every worker
-            # (initial spawn and respawns alike) inherits the live mapping
-            self._rings = [
+        # segments are allocated before the first fork so every worker
+        # (initial spawn and respawns alike) inherits the live mapping
+        for record in self._records:
+            self._rings.append(
                 ShmColumnRing(
                     n_slots=self.ring_slots,
                     slot_rows=self.ring_slot_rows,
-                    shard=index,
+                    shard=record.index,
                 )
-                for index in range(self.n_shards)
-            ]
-            for record, ring in zip(self._records, self._rings):
-                record.free_slots = deque(range(ring.n_slots))
+            )
+            record.free_slots = deque(range(self.ring_slots))
         for record in self._records:
             self._spawn(record)
 
     def _spawn(self, record: _ShardRecord) -> None:
         """Fork one worker (initial start and respawns share this path)."""
+        parent_end, child_end = self._context.Pipe()
         _FORK_STATE.update(
             pipeline=self.pipeline,
             engine_kwargs=self.engine_kwargs,
             contexts=self.contexts,
             shard_index=record.index,
-            ring=self._rings[record.index] if self._rings else None,
+            ring=self._rings[record.index],
+            # every parent-side pipe end open at the fork, for the worker
+            # to close (a respawned record's own old end is already closed)
+            parent_connections=[parent_end]
+            + [
+                other.connection
+                for other in self._records
+                if other is not record and other.connection is not None
+            ],
         )
         try:
-            parent_end, child_end = self._context.Pipe()
             worker = self._context.Process(
                 target=_supervised_worker, args=(child_end,), daemon=True
             )
@@ -479,12 +492,11 @@ class ShardSupervisor:
                 self._reap(worker, timeout=5)
             record.connection = None
             record.worker = None
-        if self._rings is not None:
-            # after every worker is reaped: no mapping outlives the unlink,
-            # so /dev/shm is clean the moment stop() returns (the lifecycle
-            # tests assert exactly this)
-            for ring in self._rings:
-                ring.destroy()
+        # after every worker is reaped: no mapping outlives the unlink, so
+        # /dev/shm is clean the moment stop() returns (the lifecycle tests
+        # assert exactly this)
+        for ring in self._rings:
+            ring.destroy()
 
     @staticmethod
     def _reap(worker, timeout: float) -> None:
@@ -509,19 +521,6 @@ class ShardSupervisor:
         self._clock = max(self._clock, clock)
         return self._seq
 
-    def send_tick(
-        self, shard: int, pairs: List[Tuple[FlowKey, PacketColumns]]
-    ) -> List[ContextEvent]:
-        """Send the current tick to one shard as materialised flow pairs.
-
-        The pairs cross the pipe inline (pickled) whatever the configured
-        data plane — callers holding already-materialised sub-batches keep
-        working unchanged; :meth:`send_tick_indexed` is the shm fast path.
-        Normally returns no events; when the transmission itself reveals a
-        dead worker, recovery happens inline and its events are returned.
-        """
-        return self._send_tick_payload(shard, ("inline", list(pairs)))
-
     def send_tick_indexed(
         self,
         shard: int,
@@ -530,33 +529,27 @@ class ShardSupervisor:
     ) -> List[ContextEvent]:
         """Send the current tick as row indices into the source batch.
 
-        On the shm plane the rows of every flow are gathered straight into
-        a free ring slot (one vectorised copy per column) and only the
-        control tuple crosses the pipe; the tick falls back to inline
-        pickling — counted in ``shm_fallback_ticks``, never wrong — when it
-        exceeds ``ring_slot_rows`` or no checkpoint-pruned slot is free.
-        On the pipe plane this materialises ``batch.take(rows)`` per flow
-        and behaves exactly like :meth:`send_tick`.
+        The rows of every flow are gathered straight into a free ring slot
+        (one vectorised copy per column) and only the control tuple crosses
+        the pipe; the tick falls back to inline pickling of
+        ``batch.take(rows)`` per flow — counted in ``shm_fallback_ticks``,
+        never wrong — when it exceeds ``ring_slot_rows`` or no
+        checkpoint-pruned slot is free.
 
-        Returns recovery events when the transmission reveals a dead
-        worker, like :meth:`send_tick`.
+        Normally returns no events; when the transmission itself reveals a
+        dead worker, recovery happens inline and its events are returned.
         """
         record = self._records[shard]
-        ring = self._rings[shard] if self._rings is not None else None
-        payload = None
-        if ring is not None and index_pairs:
-            n_rows = sum(int(rows.size) for _key, rows in index_pairs)
-            if record.free_slots and n_rows <= ring.slot_rows:
-                slot = record.free_slots.popleft()
-                n_rows, spans, flags = ring.write_slot(slot, batch, index_pairs)
-                payload = ("shm", slot, n_rows, spans, flags)
-            else:
+        ring = self._rings[shard]
+        n_rows = sum(int(rows.size) for _key, rows in index_pairs)
+        if index_pairs and record.free_slots and n_rows <= ring.slot_rows:
+            slot = record.free_slots.popleft()
+            n_rows, spans, flags = ring.write_slot(slot, batch, index_pairs)
+            payload = ("shm", slot, n_rows, spans, flags)
+        else:
+            if index_pairs:  # an empty tick needs no slot: not a fallback
                 self.shm_fallback_ticks += 1
-        if payload is None:
-            payload = (
-                "inline",
-                [(key, batch.take(rows)) for key, rows in index_pairs],
-            )
+            payload = ("inline", [(key, batch.take(rows)) for key, rows in index_pairs])
         return self._send_tick_payload(shard, payload)
 
     def _send_tick_payload(self, shard: int, payload: tuple) -> List[ContextEvent]:
@@ -683,7 +676,7 @@ class ShardSupervisor:
         replies, recovery events if a send reveals a dead worker); the
         ``ModelSwapped`` events themselves arrive with each shard's next
         drained reply.  Call between ticks, i.e. not between
-        :meth:`begin_tick` and its :meth:`send_tick`\\ s.
+        :meth:`begin_tick` and its :meth:`send_tick_indexed` calls.
         """
         _check_swap_geometry(self.pipeline, pipeline)
         blob = _encode_snapshot(pipeline)
@@ -908,7 +901,6 @@ class ShardSupervisor:
             "n_full_checkpoints": self.n_full_checkpoints,
             "n_delta_checkpoints": self.n_delta_checkpoints,
             "n_swaps": len(self._swap_history),
-            "data_plane": self.data_plane,
             "shm_ring_peak_bytes": self.shm_ring_peak_bytes,
             "shm_fallback_ticks": self.shm_fallback_ticks,
             "pipe_payload_bytes_total": self.pipe_payload_bytes_total,

@@ -16,6 +16,9 @@ import multiprocessing as mp
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -41,9 +44,12 @@ from repro.runtime import (
     TruncateBatch,
     WorkerRestarted,
     apply_feed_faults,
+    save_pipeline,
 )
 from repro.runtime.shm import SHM_NAME_PREFIX
 from repro.simulation.session import SessionConfig, SessionGenerator
+
+from test_runtime import assert_report_identical, reports_by_client_port
 
 SESSION_MODES = ("bounded", "full", "approx")
 
@@ -58,26 +64,6 @@ def shm_segments():
         }
     except FileNotFoundError:
         return set()
-
-
-def assert_report_identical(got, expected):
-    """Field-for-field bit equality of two session context reports."""
-    assert got.platform == expected.platform
-    assert got.title == expected.title
-    assert got.stage_timeline == expected.stage_timeline
-    assert got.stage_fractions == expected.stage_fractions
-    assert got.pattern == expected.pattern
-    assert got.objective_metrics == expected.objective_metrics
-    assert got.objective_qoe is expected.objective_qoe
-    assert got.effective_qoe is expected.effective_qoe
-
-
-def reports_by_client_port(events):
-    return {
-        event.flow.client_port: event.report
-        for event in events
-        if isinstance(event, SessionReport)
-    }
 
 
 def event_fingerprints(events):
@@ -616,8 +602,7 @@ def test_seeded_kill_matrix_is_bit_identical(
     stats = engine.last_feed_stats
     assert stats["n_restarts"] == len(incidents)
     assert stats["ring_peak_bytes"] > 0
-    if stats["data_plane"] == "shm":  # the CI pipe-plane leg re-runs this test
-        assert stats["shm_ring_peak_bytes"] > 0
+    assert stats["shm_ring_peak_bytes"] > 0
     assert mp.active_children() == []
     assert shm_segments() == set()
 
@@ -681,7 +666,7 @@ def test_worker_dead_before_the_close_message_is_recovered(fitted_pipeline):
     supervisor.start()
     try:
         supervisor.begin_tick(0.0)
-        supervisor.send_tick(0, [])
+        supervisor.send_tick_indexed(0, _columns([]), [])
         supervisor.drain(0)
         worker = supervisor._records[0].worker
         os.kill(worker.pid, signal.SIGKILL)
@@ -725,3 +710,70 @@ def test_exception_in_feed_reaps_workers(fitted_pipeline, runtime_sessions):
     assert shm_segments() <= segments_before
     engine.close()
     assert mp.active_children() == []
+
+
+def _process_running(pid):
+    """Whether a pid is still executing (a zombie awaiting its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_LIVE_FEED_THEN_SLEEP = """
+import sys, time
+from repro.runtime import SessionFeed, ShardedEngine, load_pipeline
+from repro.simulation.session import SessionConfig, SessionGenerator
+
+config = SessionConfig(gameplay_duration_s=60.0, rate_scale=0.05)
+sessions = [SessionGenerator(random_state=5).generate("Fortnite", config)]
+engine = ShardedEngine(load_pipeline(sys.argv[1]), n_workers=2, backend="fork")
+events = engine.run_feed(SessionFeed(sessions, batch_seconds=4.0))
+next(events)
+print(*(record.worker.pid for record in engine._supervisor._records), flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.faults
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_sigkilled_parent_leaves_no_workers_behind(fitted_pipeline, tmp_path):
+    """Workers of a parent that dies without stop() see EOF and exit.
+
+    Nothing else holds the parent-side pipe ends once the workers closed
+    their inherited copies (DESIGN.md §8), so they are not left blocked in
+    ``recv()``; with the last of them gone, multiprocessing's resource
+    tracker unlinks the ring segments the parent never got to destroy.
+    """
+    save_pipeline(fitted_pipeline, tmp_path / "model")
+    pids = []
+
+    def leftovers():
+        return [pid for pid in pids if _process_running(pid)] + [
+            name for name in shm_segments() if name.startswith(prefix)
+        ]
+
+    with subprocess.Popen(
+        [sys.executable, "-c", _LIVE_FEED_THEN_SLEEP, str(tmp_path / "model")],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))},
+    ) as parent:
+        prefix = f"{SHM_NAME_PREFIX}{parent.pid}_"
+        try:
+            pids.extend(int(pid) for pid in parent.stdout.readline().split())
+            assert len(leftovers()) == 4  # two live workers, one ring segment each
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 2.0
+            while leftovers() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert leftovers() == []
+        finally:
+            parent.kill()
+            for leftover in leftovers():
+                if isinstance(leftover, int):
+                    os.kill(leftover, signal.SIGKILL)
+                else:
+                    os.unlink(f"/dev/shm/{leftover}")

@@ -259,6 +259,15 @@ def test_sharded_engine_rejects_unknown_session_mode(fitted_pipeline, bad_mode):
         ShardedEngine(fitted_pipeline, n_workers=2, session_mode=bad_mode)
 
 
+@pytest.mark.parametrize("bad_count", [0, -1])
+def test_sharded_engine_rejects_non_positive_worker_counts(fitted_pipeline, bad_count):
+    """0 is a mistake like -1, not a request for the default core count."""
+    from repro.runtime import ShardedEngine
+
+    with pytest.raises(ValueError, match="n_workers"):
+        ShardedEngine(fitted_pipeline, n_workers=bad_count)
+
+
 @pytest.mark.parametrize("mode", ["bounded", "full", "approx"])
 def test_every_session_mode_constructs(fitted_pipeline, mode):
     from repro.runtime import ShardedEngine

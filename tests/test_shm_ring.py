@@ -4,19 +4,21 @@ The data-plane guarantees under test:
 
 * a slot round-trip is **value-identical** to ``demux.split`` — dtypes,
   RTP/address presence, reconstructed address tuples, ``nbytes`` — so the
-  worker-side fold cannot observe which plane delivered its tick;
+  worker-side fold cannot observe whether a slot or the inline fallback
+  delivered its tick;
 * slot reuse is gated by §8 checkpoint pruning, so an undersized ring (or
   an oversized tick) degrades to the inline-pickle **fallback**, never to
   corruption — output stays bit-identical to the serial reference;
 * **lifecycle**: no ring segment outlives its supervisor, whether the feed
-  finishes, raises mid-run, or its generator is abandoned, and a worker
-  respawn (kill + restore + replay) reads replayed slots intact.
+  finishes, raises mid-run, or its generator is abandoned (workers see pipe
+  EOF and exit on their own, DESIGN.md §8), and a worker respawn (kill +
+  restore + replay) reads replayed slots and inline payloads intact.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
+import time
 
 import numpy as np
 import pytest
@@ -27,33 +29,14 @@ from repro.runtime import (
     FlowDemux,
     KillWorker,
     SessionFeed,
-    SessionReport,
     ShardedEngine,
+    ShardSupervisor,
     ShmColumnRing,
     WorkerRestarted,
-    resolve_data_plane,
 )
-from repro.runtime.shm import SHM_NAME_PREFIX
 
-
-def shm_segments():
-    """Names of live ring segments under /dev/shm (empty off-Linux)."""
-    try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(SHM_NAME_PREFIX)
-        }
-    except FileNotFoundError:
-        return set()
-
-
-def reports_by_client_port(events):
-    return {
-        event.flow.client_port: event.report
-        for event in events
-        if isinstance(event, SessionReport)
-    }
+from test_fault_tolerance import event_fingerprints, shm_segments
+from test_runtime import assert_report_identical, reports_by_client_port
 
 
 def assert_columns_identical(got: PacketColumns, expected: PacketColumns):
@@ -172,27 +155,12 @@ def test_ring_validation_and_explicit_destroy():
     assert shm_segments() <= before
 
 
-def test_resolve_data_plane(monkeypatch):
-    assert resolve_data_plane("shm") == "shm"
-    assert resolve_data_plane("pipe") == "pipe"
-    monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    assert resolve_data_plane("auto") == "shm"
-    monkeypatch.setenv("REPRO_DATA_PLANE", "pipe")
-    assert resolve_data_plane("auto") == "pipe"
-    assert resolve_data_plane("shm") == "shm"  # explicit beats environment
-    monkeypatch.setenv("REPRO_DATA_PLANE", "bogus")
-    with pytest.raises(ValueError):
-        resolve_data_plane("auto")
-    with pytest.raises(ValueError):
-        resolve_data_plane("zero-copy")
-
-
 # ---------------------------------------------------------------------------
 # feed-level: wraparound, fallback, lifecycle, replay
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def shm_reference(fitted_pipeline, runtime_sessions):
-    """Serial-backend reports every shm-plane run below must equal."""
+    """Serial-backend reports every fork-backend run below must equal."""
     engine = ShardedEngine(fitted_pipeline, n_workers=2, backend="serial")
     return reports_by_client_port(
         engine.run_feed(SessionFeed(runtime_sessions, batch_seconds=4.0))
@@ -212,37 +180,26 @@ def _run_fork_feed(fitted_pipeline, runtime_sessions, **kwargs):
 def _assert_reports_equal(got, reference):
     assert set(got) == set(reference)
     for port, report in got.items():
-        expected = reference[port]
-        assert report.platform == expected.platform
-        assert report.title == expected.title
-        assert report.stage_timeline == expected.stage_timeline
-        assert report.pattern == expected.pattern
-        assert report.objective_metrics == expected.objective_metrics
+        assert_report_identical(report, reference[port])
 
 
 def test_shm_feed_identical_and_pipe_volume_reduced(
     fitted_pipeline, runtime_sessions, shm_reference
 ):
-    """The shm plane pins serial output; only control messages hit the pipe."""
+    """The fork feed pins serial output; only control messages hit the pipe."""
     before = shm_segments()
-    engine, events = _run_fork_feed(
-        fitted_pipeline, runtime_sessions, data_plane="shm"
-    )
+    engine, events = _run_fork_feed(fitted_pipeline, runtime_sessions)
     _assert_reports_equal(reports_by_client_port(events), shm_reference)
     stats = engine.last_feed_stats
-    assert stats["data_plane"] == "shm"
     assert stats["shm_fallback_ticks"] == 0
     assert stats["shm_ring_peak_bytes"] > 0
-    pipe_engine, pipe_events = _run_fork_feed(
-        fitted_pipeline, runtime_sessions, data_plane="pipe"
+    # the acceptance number: what crosses the pipe is control messages, a
+    # small fraction of the batch arrays the feed carried (which is what
+    # pickling every tick inline would have cost)
+    feed_nbytes = sum(
+        batch.nbytes() for batch in SessionFeed(runtime_sessions, batch_seconds=4.0)
     )
-    _assert_reports_equal(reports_by_client_port(pipe_events), shm_reference)
-    pipe_stats = pipe_engine.last_feed_stats
-    assert pipe_stats["data_plane"] == "pipe"
-    assert pipe_stats["shm_ring_peak_bytes"] == 0
-    # the acceptance number: per-tick pickle volume collapses to control
-    # messages once batch arrays travel through shared memory
-    assert stats["pipe_payload_bytes_total"] < pipe_stats["pipe_payload_bytes_total"] / 10
+    assert stats["pipe_payload_bytes_total"] < feed_nbytes / 10
     assert mp.active_children() == []
     assert shm_segments() <= before
 
@@ -254,7 +211,6 @@ def test_undersized_ring_wraps_to_inline_fallback(
     engine, events = _run_fork_feed(
         fitted_pipeline,
         runtime_sessions,
-        data_plane="shm",
         ring_slots=1,  # < snapshot_every_ticks: slots starve before a prune
         snapshot_every_ticks=8,
     )
@@ -271,7 +227,6 @@ def test_tick_larger_than_slot_falls_back_inline(
     engine, events = _run_fork_feed(
         fitted_pipeline,
         runtime_sessions,
-        data_plane="shm",
         ring_slot_rows=64,  # far below a 4-second batch of three sessions
     )
     stats = engine.last_feed_stats
@@ -284,7 +239,7 @@ def test_segments_cleaned_after_completed_feed(
     fitted_pipeline, runtime_sessions, shm_reference
 ):
     before = shm_segments()
-    _run_fork_feed(fitted_pipeline, runtime_sessions, data_plane="shm")
+    _run_fork_feed(fitted_pipeline, runtime_sessions)
     assert shm_segments() <= before
     assert mp.active_children() == []
 
@@ -294,9 +249,7 @@ def test_segments_cleaned_after_abandoned_generator(
 ):
     """An abandoned mid-feed generator leaves no worker and no segment."""
     before = shm_segments()
-    engine = ShardedEngine(
-        fitted_pipeline, n_workers=2, backend="fork", data_plane="shm"
-    )
+    engine = ShardedEngine(fitted_pipeline, n_workers=2, backend="fork")
     generator = engine.run_feed(SessionFeed(runtime_sessions, batch_seconds=4.0))
     next(generator)  # segments exist while the feed is live
     assert len(shm_segments() - before) == 2  # one ring per shard
@@ -320,25 +273,55 @@ def test_segments_cleaned_after_midfeed_exception(
             yield batch
 
     before = shm_segments()
-    engine = ShardedEngine(
-        fitted_pipeline, n_workers=2, backend="fork", data_plane="shm"
-    )
+    engine = ShardedEngine(fitted_pipeline, n_workers=2, backend="fork")
     with pytest.raises(RuntimeError, match="capture card unplugged"):
         list(engine.run_feed(exploding_feed()))
     assert mp.active_children() == []
     assert shm_segments() <= before
 
 
-@pytest.mark.faults
-def test_restore_then_replay_reuses_slots_across_respawn(
-    fitted_pipeline, runtime_sessions, shm_reference
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_abandoned_generator_closes_fast_with_clean_worker_exits(
+    fitted_pipeline, runtime_sessions, monkeypatch, n_workers
 ):
-    """A killed worker replays shm ticks from still-pinned slots exactly.
+    """Workers see pipe EOF at stop(): no join timeout, no SIGTERM.
 
-    The §12 reuse rule is what makes this safe: every un-checkpointed tick
-    keeps its slot pinned until pruned, so the respawned worker re-reads
-    the replayed control messages against intact slot data, and the feed's
-    reports stay bit-identical to the serial reference.
+    Every worker closes the parent-side pipe ends it inherited across the
+    fork, so the parent closing its end reads as EOF and the worker returns
+    on its own (exit code 0) instead of waiting out ``join(timeout=5)``.
+    """
+    exitcodes = []
+    reap = ShardSupervisor._reap
+
+    def recording_reap(worker, timeout):
+        worker.join(timeout=timeout)  # _reap's own first step; it closes the handle
+        exitcodes.append(worker.exitcode)
+        reap(worker, timeout)
+
+    monkeypatch.setattr(ShardSupervisor, "_reap", staticmethod(recording_reap))
+    engine = ShardedEngine(fitted_pipeline, n_workers=n_workers, backend="fork")
+    generator = engine.run_feed(SessionFeed(runtime_sessions, batch_seconds=4.0))
+    next(generator)
+    started = time.monotonic()
+    generator.close()
+    assert time.monotonic() - started < 1.0
+    assert exitcodes == [0] * n_workers
+    assert mp.active_children() == []
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("ring_slot_rows", [65536, 1], ids=["slots", "inline"])
+def test_restore_then_replay_is_exact_across_respawn(
+    fitted_pipeline, runtime_sessions, shm_reference, ring_slot_rows
+):
+    """A killed worker replays un-checkpointed ticks exactly, exactly once.
+
+    ``slots``: the §12 reuse rule keeps every un-checkpointed tick's slot
+    pinned until pruned, so the respawned worker re-reads the replayed
+    control messages against intact slot data.  ``inline``: one-row slots
+    make every tick take the fallback, so the replay ring holds (and
+    resends) pickled pairs.  Either way the feed's reports stay
+    bit-identical to the serial reference and no event is delivered twice.
     """
     n_ticks = sum(1 for _ in SessionFeed(runtime_sessions, batch_seconds=4.0))
     plan = FaultPlan(
@@ -352,9 +335,9 @@ def test_restore_then_replay_reuses_slots_across_respawn(
         fitted_pipeline,
         n_workers=2,
         backend="fork",
-        data_plane="shm",
         snapshot_every_ticks=3,
         recv_timeout_s=60.0,
+        ring_slot_rows=ring_slot_rows,
     )
     events = list(
         engine.run_feed(
@@ -363,11 +346,15 @@ def test_restore_then_replay_reuses_slots_across_respawn(
     )
     restarts = [e for e in events if isinstance(e, WorkerRestarted)]
     assert len(restarts) == 2
+    assert not {k: c for k, c in event_fingerprints(events).items() if c > 1}
     stats = engine.last_feed_stats
-    assert stats["data_plane"] == "shm"
     assert stats["n_restarts"] == 2
     assert stats["replayed_ticks_total"] > 0
-    assert stats["shm_ring_peak_bytes"] > 0
+    if ring_slot_rows == 1:
+        assert stats["shm_fallback_ticks"] >= n_ticks
+    else:
+        assert stats["shm_fallback_ticks"] == 0
+        assert stats["shm_ring_peak_bytes"] > 0
     _assert_reports_equal(reports_by_client_port(events), shm_reference)
     assert mp.active_children() == []
     assert shm_segments() <= before
