@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.features import launch_feature_matrix
-from repro.net.packet import Direction, Packet, PacketStream
+from repro.net.packet import Direction, PacketStream
 
 N_PACKETS = 100_000
 
@@ -22,19 +22,6 @@ def _random_arrays(n=N_PACKETS, seed=7):
     sizes = rng.integers(40, 1432, n).astype(float)
     directions = np.where(rng.random(n) < 0.8, 0, 1).astype(np.int8)
     return timestamps, sizes, directions
-
-
-@pytest.fixture(scope="module")
-def packet_objects():
-    timestamps, sizes, directions = _random_arrays()
-    return [
-        Packet(
-            timestamp=float(t),
-            direction=Direction.DOWNSTREAM if d == 0 else Direction.UPSTREAM,
-            payload_size=int(s),
-        )
-        for t, s, d in zip(timestamps, sizes, directions)
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +36,6 @@ def test_bench_construction_from_arrays(benchmark):
     stream = benchmark(
         PacketStream.from_arrays, timestamps, sizes, directions, assume_sorted=True
     )
-    assert len(stream) == N_PACKETS
-
-
-@pytest.mark.benchmark(group="packet-stream")
-def test_bench_construction_from_packets(benchmark, packet_objects):
-    stream = benchmark(PacketStream, packet_objects)
     assert len(stream) == N_PACKETS
 
 

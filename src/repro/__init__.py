@@ -45,11 +45,9 @@ from repro.core import (
 from repro.net import (
     CloudGamingFlowDetector,
     Direction,
-    Flow,
     NetworkConditions,
     Packet,
     PacketStream,
-    read_pcap,
     read_pcap_columns,
     read_pcap_stream,
     write_pcap,
@@ -94,10 +92,8 @@ __all__ = [
     "Packet",
     "PacketStream",
     "Direction",
-    "Flow",
     "CloudGamingFlowDetector",
     "NetworkConditions",
-    "read_pcap",
     "read_pcap_columns",
     "read_pcap_stream",
     "write_pcap",

@@ -14,7 +14,8 @@ The pipeline chains every component of the paper's methodology:
 
 Training uses a labeled corpus of sessions (:class:`~repro.simulation.
 lab_dataset.LabDataset` or any list of :class:`GameSession`); inference
-accepts raw packets, a flow, or a generated session.
+accepts a generated session or a capture's packets (see
+:meth:`ContextClassificationPipeline._as_stream`).
 """
 
 from __future__ import annotations
@@ -193,20 +194,28 @@ class ContextClassificationPipeline:
     def _as_stream(self, source) -> tuple[Optional[str], PacketStream, float]:
         """Normalise the input into (platform, PacketStream, rate_scale).
 
+        The one input contract of :meth:`process` / :meth:`process_many`:
+
+        * a :class:`GameSession` is a trusted single flow — its packets are
+          classified as they are, on the platform the generator emulates;
+        * anything else (a :class:`PacketStream`, a
+          :class:`~repro.net.packet.PacketColumns` batch or an iterable of
+          :class:`~repro.net.packet.Packet` records) is a capture: the
+          cloud-gaming flow detector splits it into flows on the columns and
+          the largest matching flow is classified; when nothing matches, the
+          whole stream is classified with ``platform=None``.
+
         ``rate_scale`` records the fidelity a synthetic session was generated
         at so that absolute QoE metrics (throughput) can be reported at
-        physical scale; real captures always use 1.0.
+        physical scale; captures always use 1.0.
         """
         if isinstance(source, GameSession):
             return "GeForce NOW", source.packets, source.rate_scale
-        if isinstance(source, PacketStream):
-            stream = source
-        else:
-            stream = PacketStream(source)
-        sessions = self.detector.detect(stream.to_list())
+        stream = source if isinstance(source, PacketStream) else PacketStream(source)
+        sessions = self.detector.detect(stream)
         if sessions:
-            largest = max(sessions, key=lambda s: s.flow.bytes())
-            return largest.platform, largest.flow.packets, 1.0
+            largest = max(sessions, key=lambda s: s.packets.total_bytes())
+            return largest.platform, largest.packets, 1.0
         return None, stream, 1.0
 
     def process(
@@ -220,9 +229,8 @@ class ContextClassificationPipeline:
         Parameters
         ----------
         source:
-            A :class:`GameSession`, a :class:`PacketStream` or an iterable of
-            :class:`Packet` objects (in which case the cloud-gaming flow
-            detector selects the streaming flow first).
+            A :class:`GameSession` or a capture's packets (the contract is
+            stated once, in :meth:`_as_stream`).
         latency_ms:
             Optional out-of-band access latency for the QoE metrics.
         qoe_mode:
@@ -454,8 +462,7 @@ class ContextClassificationPipeline:
         ----------
         sources:
             Iterable of sessions; each element accepts the same forms as
-            :meth:`process` (a :class:`GameSession`, a :class:`PacketStream`
-            or an iterable of :class:`Packet` objects).
+            :meth:`process`.
         latency_ms:
             Optional out-of-band access latency applied to every session.
         qoe_mode:

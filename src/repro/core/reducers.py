@@ -744,7 +744,9 @@ class _ReservoirSampler:
     __slots__ = ("samples", "seen", "_rng")
 
     def __init__(self, capacity: int, seed: int) -> None:
-        self.samples = np.empty(capacity, dtype=float)
+        # initialised: snapshots copy the whole array, and checkpoints of
+        # equal states must be equal bytes
+        self.samples = np.zeros(capacity, dtype=float)
         self.seen = 0
         self._rng = np.random.default_rng(seed)
 
@@ -1612,7 +1614,7 @@ class SessionReducerCascade:
     def flow_summary(self, server_port: int) -> dict:
         """The flow-metadata fields the platform signatures read.
 
-        Matches :meth:`repro.net.flow.Flow.summary` bit for bit: byte totals
+        Matches :func:`repro.net.flow.flow_summary` bit for bit: byte totals
         are integral, so the mean-throughput and byte-ratio arithmetic below
         reproduces the stream-backed computation exactly.
         """

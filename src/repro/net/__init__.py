@@ -1,28 +1,26 @@
 """Packet, flow and capture substrate.
 
 Everything the classification pipeline consumes is expressed in terms of this
-subpackage: individual :class:`~repro.net.packet.Packet` records, bidirectional
-:class:`~repro.net.flow.Flow` objects keyed by 5-tuples, RTP header handling,
-classic-libpcap file I/O, cloud-gaming flow detection signatures, slotted
-time-series helpers, and a network-impairment model used to emulate degraded
-access links.
+subpackage: columnar :class:`~repro.net.packet.PacketColumns` batches and the
+sorted :class:`~repro.net.packet.PacketStream` view over them
+(:class:`~repro.net.packet.Packet` is only the row record a stream ingests
+and hands out), flow demultiplexing by canonical 5-tuple
+(:class:`~repro.net.flow.FlowDemux` / :class:`~repro.net.flow.FlowKey`), RTP
+header handling, classic-libpcap file I/O, cloud-gaming flow detection
+signatures, slotted time-series helpers, and a network-impairment model used
+to emulate degraded access links.
 """
 
-from repro.net.conditions import (
-    NetworkConditions,
-    apply_conditions,
-    apply_conditions_columns,
-)
+from repro.net.conditions import NetworkConditions, apply_conditions_columns
 from repro.net.filter import (
     CLOUD_GAMING_PLATFORMS,
     CloudGamingFlowDetector,
     FlowSignature,
 )
-from repro.net.flow import Flow, FlowKey, FlowTable, build_flows
+from repro.net.flow import FlowDemux, FlowKey
 from repro.net.packet import Direction, Packet, PacketColumns, PacketStream
 from repro.net.pcap import (
     ParseStats,
-    read_pcap,
     read_pcap_columns,
     read_pcap_stream,
     write_pcap,
@@ -35,15 +33,12 @@ __all__ = [
     "PacketColumns",
     "PacketStream",
     "Direction",
-    "Flow",
+    "FlowDemux",
     "FlowKey",
-    "FlowTable",
-    "build_flows",
     "RTPHeader",
     "build_rtp_packet",
     "parse_rtp_payload",
     "ParseStats",
-    "read_pcap",
     "read_pcap_columns",
     "read_pcap_stream",
     "write_pcap",
@@ -51,7 +46,6 @@ __all__ = [
     "FlowSignature",
     "CLOUD_GAMING_PLATFORMS",
     "NetworkConditions",
-    "apply_conditions",
     "apply_conditions_columns",
     "SlotSeries",
     "slot_aggregate",

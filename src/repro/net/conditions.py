@@ -3,19 +3,19 @@
 Used to emulate degraded access links: the paper's lab network is near-ideal
 (<10 ms latency, <0.1% loss, ~1 Gbps), while a fraction of ISP sessions
 suffer genuinely poor network conditions that the effective-QoE calibration
-must still flag as bad (§5.3).  Applying :func:`apply_conditions` to a
-synthetic session produces the degraded packet timings/loss that drive the
+must still flag as bad (§5.3).  Applying :func:`apply_conditions_columns`
+to a synthetic session produces the degraded packet timings/loss that drive the
 objective-QoE estimator toward "bad" labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.net.packet import DOWNSTREAM_CODE, Direction, Packet, PacketColumns
+from repro.net.packet import DOWNSTREAM_CODE, PacketColumns
 
 
 @dataclass(frozen=True)
@@ -71,63 +71,23 @@ class NetworkConditions:
         return self.latency_ms > latency_threshold_ms or self.loss_rate > loss_threshold
 
 
-def apply_conditions(
-    packets: Iterable[Packet],
-    conditions: NetworkConditions,
-    rng: Optional[np.random.Generator] = None,
-) -> List[Packet]:
-    """Apply latency, jitter, loss and an optional bottleneck to packets.
-
-    The bottleneck only shapes downstream packets (the video feed); upstream
-    input packets are tiny and never queue in practice.
-
-    Returns a new timestamp-sorted list of surviving packets.
-    """
-    rng = rng or np.random.default_rng()
-    packets = sorted(packets, key=lambda p: p.timestamp)
-    if not packets:
-        return []
-
-    survivors: List[Packet] = []
-    # drops are i.i.d. per packet
-    keep = rng.random(len(packets)) >= conditions.loss_rate
-    jitter = np.abs(rng.normal(0.0, conditions.jitter_ms / 1000.0, size=len(packets)))
-    base_delay = conditions.latency_ms / 1000.0
-
-    bottleneck_busy_until = 0.0
-    bytes_per_second = (
-        conditions.bandwidth_mbps * 1e6 / 8.0 if conditions.bandwidth_mbps else None
-    )
-
-    for index, packet in enumerate(packets):
-        if not keep[index]:
-            continue
-        delay = base_delay + jitter[index]
-        arrival = packet.timestamp + delay
-        if bytes_per_second is not None and packet.direction is Direction.DOWNSTREAM:
-            transmit_time = packet.payload_size / bytes_per_second
-            start = max(arrival, bottleneck_busy_until)
-            bottleneck_busy_until = start + transmit_time
-            arrival = bottleneck_busy_until
-        survivors.append(packet.shifted(arrival - packet.timestamp))
-
-    survivors.sort(key=lambda p: p.timestamp)
-    return survivors
-
-
 def apply_conditions_columns(
     columns: PacketColumns,
     conditions: NetworkConditions,
     rng: Optional[np.random.Generator] = None,
 ) -> PacketColumns:
-    """Columnar (vectorised) version of :func:`apply_conditions`.
+    """Apply latency, jitter, loss and an optional bottleneck to a batch.
 
-    Operates directly on a :class:`PacketColumns` batch: loss and jitter are
-    drawn for all packets at once (in the same order as the object-based
-    implementation, so identical RNG states produce identical sessions when
-    no bottleneck is configured) and the bottleneck queue recursion
-    ``busy_i = max(arrival_i, busy_{i-1}) + transmit_i`` is solved in closed
-    form with a cumulative sum + running maximum.
+    Loss (i.i.d. per packet) and jitter are drawn for all packets at once —
+    one ``rng.random(n)`` then one ``rng.normal(size=n)`` over the
+    time-sorted rows, the draw order every seeded corpus depends on.  The
+    bottleneck only shapes surviving downstream packets (the video feed;
+    upstream input packets are tiny and never queue in practice): its queue
+    recursion ``busy_i = max(arrival_i, busy_{i-1}) + transmit_i`` is solved
+    in closed form with a cumulative sum + running maximum, which agrees
+    with the scalar recursion to floating-point roundoff, not bit for bit.
+
+    Returns a new timestamp-sorted batch of the surviving packets.
     """
     rng = rng or np.random.default_rng()
     columns = columns.sorted_by_time()

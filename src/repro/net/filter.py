@@ -12,10 +12,10 @@ a heavily downstream-dominated byte ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.net.flow import Flow, build_flows
-from repro.net.packet import Packet
+from repro.net.flow import FlowDemux, FlowKey, flow_summary
+from repro.net.packet import PacketColumns, PacketStream
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,14 @@ class FlowSignature:
     requires_rtp: bool = True
     min_duration_s: float = 2.0
 
-    def matches(self, flow: Flow) -> bool:
-        """Return True when the flow satisfies every predicate."""
-        return self.matches_summary(flow.summary())
-
     def matches_summary(self, summary: dict) -> bool:
-        """Evaluate the predicates on flow-metadata fields directly.
+        """Return True when the flow metadata satisfies every predicate.
 
         ``summary`` needs ``duration_s``, ``is_rtp``, ``downstream_mbps``,
-        ``downstream_fraction`` and ``server_port`` — either a
-        :meth:`Flow.summary` dict or the equivalent aggregates a bounded
-        session state tracks without retaining packets
+        ``downstream_fraction`` and ``server_port`` — either
+        :func:`~repro.net.flow.flow_summary` of an assembled flow or the
+        equivalent aggregates a bounded session state tracks without
+        retaining packets
         (:meth:`~repro.core.reducers.SessionReducerCascade.flow_summary`).
         """
         if summary["duration_s"] < self.min_duration_s:
@@ -100,12 +97,9 @@ CLOUD_GAMING_PLATFORMS: Dict[str, FlowSignature] = {
 class DetectedSession:
     """A streaming flow identified as a cloud gaming session."""
 
-    flow: Flow
+    key: FlowKey
     platform: str
-
-    @property
-    def packets(self):
-        return self.flow.packets
+    packets: PacketStream
 
 
 class CloudGamingFlowDetector:
@@ -123,36 +117,32 @@ class CloudGamingFlowDetector:
             CLOUD_GAMING_PLATFORMS.values()
         )
 
-    def classify_flow(self, flow: Flow) -> Optional[str]:
-        """Return the matching platform name, or ``None`` when no match."""
-        return self.classify_summary(flow.summary())
-
     def classify_summary(self, summary: dict) -> Optional[str]:
-        """Classify from flow-metadata aggregates (no packets required).
+        """Return the matching platform name, or ``None`` when no match.
 
-        Signatures are evaluated in the same order as :meth:`classify_flow`,
-        so for a summary equal to ``flow.summary()`` the verdict is
-        identical — this is how bounded session states detect the platform
-        at close time without packet history.
+        Works on flow-metadata aggregates alone (no packets required), which
+        is how bounded session states detect the platform at close time
+        without packet history; the first matching signature wins.
         """
         for signature in self.signatures:
             if signature.matches_summary(summary):
                 return signature.platform
         return None
 
-    def detect(self, packets: Iterable[Packet]) -> List[DetectedSession]:
-        """Assemble packets into flows and return the gaming sessions found."""
-        sessions: List[DetectedSession] = []
-        for flow in build_flows(packets):
-            platform = self.classify_flow(flow)
-            if platform is not None:
-                sessions.append(DetectedSession(flow=flow, platform=platform))
-        return sessions
+    def detect(
+        self, packets: Union[PacketStream, PacketColumns]
+    ) -> List[DetectedSession]:
+        """Split a capture into flows and return the gaming sessions found.
 
-    def filter_packets(self, packets: Iterable[Packet]) -> List[Packet]:
-        """Return only the packets belonging to detected gaming sessions."""
-        selected: List[Packet] = []
-        for session in self.detect(packets):
-            selected.extend(session.packets)
-        selected.sort(key=lambda p: p.timestamp)
-        return selected
+        Sessions come back in first-packet order, each carrying its own
+        time-sorted :class:`PacketStream`.
+        """
+        if not isinstance(packets, PacketStream):
+            packets = PacketStream(packets)
+        sessions: List[DetectedSession] = []
+        for key, columns in FlowDemux().split(packets.columns()):
+            stream = PacketStream.from_columns(columns, assume_sorted=True)
+            platform = self.classify_summary(flow_summary(key, stream))
+            if platform is not None:
+                sessions.append(DetectedSession(key, platform, stream))
+        return sessions

@@ -10,8 +10,10 @@ DESIGN.md §2).
 §3): timestamps, payload sizes and directions live in contiguous numpy
 arrays, per-direction index views are computed lazily and cached, and time
 windows (:meth:`PacketStream.between` / :meth:`PacketStream.first_seconds`)
-are zero-copy slices over the parent arrays.  :class:`Packet` objects are
-materialised on demand only when callers iterate or index the stream.
+are zero-copy slices over the parent arrays.  A stream is an immutable
+sorted view: to add rows, build columns and :meth:`PacketColumns.concat`.
+:class:`Packet` is the row record — ``PacketStream(packets)`` ingests it and
+iterating or indexing a stream hands it out; no algorithm runs on it.
 """
 
 from __future__ import annotations
@@ -320,7 +322,11 @@ class PacketColumns:
 
 
 def _columns_from_packets(packets: Iterable[Packet]) -> PacketColumns:
-    """Extract columns from packet objects (the only per-packet loop)."""
+    """Extract columns from packet objects (the only per-packet loop).
+
+    Address tuples are interned one object per distinct 5-tuple, the layout
+    the generators and the PCAP reader produce and flow demux groups by.
+    """
     ts: List[float] = []
     sz: List[int] = []
     dirs: List[int] = []
@@ -329,6 +335,7 @@ def _columns_from_packets(packets: Iterable[Packet]) -> PacketColumns:
     rtp_seq: List[int] = []
     rtp_ts: List[int] = []
     addrs: List[tuple] = []
+    interned: dict = {}
     any_rtp = False
     any_addr = False
     for p in packets:
@@ -345,7 +352,7 @@ def _columns_from_packets(packets: Iterable[Packet]) -> PacketColumns:
         addr = (p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol)
         if addr != DEFAULT_ADDRESS:
             any_addr = True
-        addrs.append(addr)
+        addrs.append(interned.setdefault(addr, addr))
     n = len(ts)
     address_column: Optional[np.ndarray] = None
     if any_addr:
@@ -370,14 +377,11 @@ class PacketStream:
     exposes the vectorised views (timestamp / payload-size arrays per
     direction) used heavily by the feature extraction code.  Object access
     (:meth:`__iter__` / :meth:`__getitem__`) materialises :class:`Packet`
-    instances lazily from the columns.
-
-    Appends are buffered and merged into the columns on the next read, so an
-    out-of-order feed costs one stable sort per read burst rather than a full
-    ``list.sort`` per packet.
+    instances lazily from the columns.  The stream never changes after
+    construction.
     """
 
-    __slots__ = ("_columns", "_pending", "_dir_cache")
+    __slots__ = ("_columns", "_dir_cache")
 
     def __init__(self, packets: Optional[Iterable[Packet]] = None) -> None:
         if isinstance(packets, PacketColumns):
@@ -386,16 +390,10 @@ class PacketStream:
             self._columns = PacketColumns.empty()
         else:
             self._columns = _columns_from_packets(packets).sorted_by_time()
-        self._pending: List[Packet] = []
         self._dir_cache: Optional[dict] = None
         self._freeze()
 
     # ---------------------------------------------------------- constructors
-    @classmethod
-    def from_packets(cls, packets: Iterable[Packet]) -> "PacketStream":
-        """Build a stream from packet objects."""
-        return cls(packets)
-
     @classmethod
     def from_columns(
         cls, columns: PacketColumns, assume_sorted: bool = False
@@ -407,7 +405,6 @@ class PacketStream:
         """
         stream = cls.__new__(cls)
         stream._columns = columns if assume_sorted else columns.sorted_by_time()
-        stream._pending = []
         stream._dir_cache = None
         stream._freeze()
         return stream
@@ -461,23 +458,8 @@ class PacketStream:
             if column.base is None and column.flags.owndata:
                 column.setflags(write=False)
 
-    def _materialize(self) -> None:
-        """Merge buffered appends into the sorted columns."""
-        if not self._pending:
-            return
-        pending = _columns_from_packets(self._pending)
-        self._pending = []
-        merged = PacketColumns.concat([self._columns, pending])
-        self._columns = merged.sorted_by_time()
-        self._dir_cache = None
-        self._freeze()
-
-    def _invalidate(self) -> None:
-        self._dir_cache = None
-
     def _dir_select(self, direction: Direction):
         """Cached (indices, timestamps, payload_sizes) of one direction."""
-        self._materialize()
         code = _DIRECTION_CODES[direction]
         if self._dir_cache is None:
             self._dir_cache = {}
@@ -519,15 +501,13 @@ class PacketStream:
 
     # ------------------------------------------------------------ container
     def __len__(self) -> int:
-        return len(self._columns) + len(self._pending)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[Packet]:
-        self._materialize()
         for row in range(len(self._columns)):
             yield self._packet_at(row)
 
     def __getitem__(self, index):
-        self._materialize()
         if isinstance(index, slice):
             return [self._packet_at(row) for row in range(*index.indices(len(self._columns)))]
         n = len(self._columns)
@@ -536,22 +516,6 @@ class PacketStream:
         if not 0 <= index < n:
             raise IndexError("packet index out of range")
         return self._packet_at(index)
-
-    def append(self, packet: Packet) -> None:
-        """Append a packet, keeping timestamp order.
-
-        Out-of-order appends no longer trigger a per-packet ``list.sort``:
-        packets are buffered and merged with one stable sort at the next
-        read, so a fully reversed feed costs O(n log n) total instead of
-        O(n^2 log n).
-        """
-        self._pending.append(packet)
-        self._invalidate()
-
-    def extend(self, packets: Iterable[Packet]) -> None:
-        """Append many packets; they are merged (and sorted) on next read."""
-        self._pending.extend(packets)
-        self._invalidate()
 
     # ------------------------------------------------------------- filtering
     def filter_direction(self, direction: Direction) -> "PacketStream":
@@ -574,7 +538,6 @@ class PacketStream:
         """Return packets with ``start <= timestamp < end`` (zero-copy views)."""
         if end < start:
             raise ValueError(f"end ({end}) must not precede start ({start})")
-        self._materialize()
         ts = self._columns.timestamps
         lo = int(np.searchsorted(ts, start, side="left"))
         hi = int(np.searchsorted(ts, end, side="left"))
@@ -583,7 +546,6 @@ class PacketStream:
 
     def first_seconds(self, seconds: float) -> "PacketStream":
         """Return packets from the first ``seconds`` of the stream."""
-        self._materialize()
         if not len(self._columns):
             return PacketStream()
         origin = float(self._columns.timestamps[0])
@@ -596,21 +558,18 @@ class PacketStream:
         Returns a (read-only) view over the columnar storage — no per-packet
         work.  Copy before mutating.
         """
-        self._materialize()
         if direction is None:
             return self._columns.timestamps
         return self._dir_select(direction)[1]
 
     def payload_sizes(self, direction: Optional[Direction] = None) -> np.ndarray:
         """Payload sizes as a float array, optionally filtered by direction."""
-        self._materialize()
         if direction is None:
             return self._columns.payload_sizes
         return self._dir_select(direction)[2]
 
     def direction_codes(self) -> np.ndarray:
         """The int8 direction column (0=downstream, 1=upstream)."""
-        self._materialize()
         return self._columns.directions
 
     def direction_indices(self, direction: Direction) -> np.ndarray:
@@ -619,12 +578,10 @@ class PacketStream:
 
     def columns(self) -> PacketColumns:
         """The underlying (sorted) columnar batch."""
-        self._materialize()
         return self._columns
 
     def rtp_sequences(self, direction: Optional[Direction] = None) -> np.ndarray:
         """RTP sequence numbers of RTP packets, in arrival order."""
-        self._materialize()
         column = self._columns.rtp_sequence
         if column is None:
             return np.array([], dtype=np.int64)
@@ -634,7 +591,6 @@ class PacketStream:
 
     def rtp_timestamps(self, direction: Optional[Direction] = None) -> np.ndarray:
         """RTP timestamps of RTP packets, in arrival order."""
-        self._materialize()
         column = self._columns.rtp_timestamp
         if column is None:
             return np.array([], dtype=np.int64)
@@ -645,7 +601,6 @@ class PacketStream:
     @property
     def has_rtp(self) -> bool:
         """Whether any packet carries an RTP SSRC."""
-        self._materialize()
         column = self._columns.rtp_ssrc
         return column is not None and bool(np.any(column != RTP_NONE))
 
@@ -653,7 +608,6 @@ class PacketStream:
     @property
     def duration(self) -> float:
         """Span between the first and last packet, in seconds."""
-        self._materialize()
         ts = self._columns.timestamps
         if ts.size < 2:
             return 0.0
@@ -662,7 +616,6 @@ class PacketStream:
     @property
     def start_time(self) -> float:
         """Timestamp of the first packet (0.0 for an empty stream)."""
-        self._materialize()
         ts = self._columns.timestamps
         return float(ts[0]) if ts.size else 0.0
 

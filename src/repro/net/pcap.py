@@ -7,17 +7,14 @@ encapsulation so that synthetic sessions can be round-tripped through real
 PCAP bytes and, conversely, real captures of RTP/UDP traffic can be loaded
 into :class:`~repro.net.packet.PacketStream` objects.
 
-Two read paths are provided:
+There is one reader: :func:`read_pcap_columns` (whole file),
+:func:`iter_pcap_column_batches` (live-feed batches) and the
+:func:`read_pcap_stream` wrapper decode capture records into
+:class:`~repro.net.packet.PacketColumns` with vectorised header field
+extraction (no per-packet :class:`Packet` objects), which keeps real-capture
+ingestion on the same batch substrate as the synthetic generators.
 
-* :func:`read_pcap` — the object path, returning ``List[Packet]``;
-* :func:`read_pcap_columns` / :func:`read_pcap_stream` — the columnar fast
-  path, decoding all capture records into one
-  :class:`~repro.net.packet.PacketColumns` batch with vectorised header
-  field extraction (no per-packet :class:`Packet` objects), which keeps
-  real-capture ingestion on the same batch substrate as the synthetic
-  generators.
-
-Both paths tolerate hostile input — truncated records, short frames, wrong
+The reader tolerates hostile input — truncated records, short frames, wrong
 link-layer/IP lengths, mangled RTP — by skipping (or, for RTP, demoting to
 non-RTP columns) rather than raising; pass a :class:`ParseStats` to account
 every skipped record by reason.
@@ -35,14 +32,13 @@ import numpy as np
 from repro.net.packet import (
     DEFAULT_ADDRESS,
     DOWNSTREAM_CODE,
-    Direction,
     Packet,
     PacketColumns,
     PacketStream,
     RTP_NONE,
     UPSTREAM_CODE,
 )
-from repro.net.rtp import RTPHeader, RTP_VERSION, looks_like_rtp, parse_rtp_payload
+from repro.net.rtp import RTPHeader, RTP_VERSION
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -121,10 +117,6 @@ def _ip_to_bytes(ip: str) -> bytes:
     if any(not 0 <= value <= 255 for value in values):
         raise ValueError(f"invalid IPv4 address {ip!r}")
     return bytes(values)
-
-
-def _bytes_to_ip(data: bytes) -> str:
-    return ".".join(str(b) for b in data)
 
 
 def _checksum(data: bytes) -> int:
@@ -217,140 +209,14 @@ def write_pcap(
     return len(ordered)
 
 
-def read_pcap(
-    path: Union[str, Path],
-    client_ip: Optional[str] = None,
-) -> List[Packet]:
-    """Read a classic PCAP file back into :class:`Packet` records.
-
-    Parameters
-    ----------
-    client_ip:
-        IP address of the game client; packets sourced from it are labeled
-        upstream, everything else downstream.  When omitted, the most common
-        destination address of large packets is assumed to be the client.
-
-    Notes
-    -----
-    Only Ethernet/IPv4/UDP frames are decoded; other frames are skipped.
-    """
-    path = Path(path)
-    raw_records: List[tuple[float, bytes]] = []
-    with path.open("rb") as handle:
-        header = handle.read(_GLOBAL_HEADER.size)
-        if len(header) < _GLOBAL_HEADER.size:
-            raise ValueError(f"{path} is not a valid pcap file (truncated header)")
-        magic = struct.unpack("<I", header[:4])[0]
-        if magic == PCAP_MAGIC:
-            record_struct = _RECORD_HEADER
-        elif magic == PCAP_MAGIC_SWAPPED:
-            record_struct = struct.Struct(">IIII")
-        else:
-            raise ValueError(f"{path} is not a classic pcap file (magic {magic:#x})")
-        while True:
-            record_header = handle.read(record_struct.size)
-            if len(record_header) < record_struct.size:
-                break
-            seconds, microseconds, captured_len, _original_len = record_struct.unpack(
-                record_header
-            )
-            data = handle.read(captured_len)
-            if len(data) < captured_len:
-                break
-            raw_records.append((seconds + microseconds / 1_000_000, data))
-
-    decoded: List[tuple[float, str, str, int, int, int, Optional[RTPHeader]]] = []
-    for timestamp, frame in raw_records:
-        parsed = _decode_frame(frame)
-        if parsed is not None:
-            decoded.append((timestamp,) + parsed)
-
-    if client_ip is None:
-        client_ip = _infer_client_ip(decoded)
-
-    packets: List[Packet] = []
-    for timestamp, src_ip, dst_ip, src_port, dst_port, payload_len, rtp in decoded:
-        direction = (
-            Direction.UPSTREAM if src_ip == client_ip else Direction.DOWNSTREAM
-        )
-        packets.append(
-            Packet(
-                timestamp=timestamp,
-                direction=direction,
-                payload_size=payload_len,
-                src_ip=src_ip,
-                dst_ip=dst_ip,
-                src_port=src_port,
-                dst_port=dst_port,
-                protocol="udp",
-                rtp_payload_type=rtp.payload_type if rtp else None,
-                rtp_ssrc=rtp.ssrc if rtp else None,
-                rtp_sequence=rtp.sequence_number if rtp else None,
-                rtp_timestamp=rtp.timestamp if rtp else None,
-            )
-        )
-    return packets
-
-
-def _decode_frame(frame: bytes):
-    """Decode one Ethernet/IPv4/UDP frame; return None when not decodable."""
-    if len(frame) < _ETH_HEADER_LEN + _IPV4_MIN_HEADER_LEN + _UDP_HEADER_LEN:
-        return None
-    ethertype = struct.unpack("!H", frame[12:14])[0]
-    if ethertype != _ETHERTYPE_IPV4:
-        return None
-    ip_start = _ETH_HEADER_LEN
-    version_ihl = frame[ip_start]
-    ihl = (version_ihl & 0x0F) * 4
-    protocol = frame[ip_start + 9]
-    if protocol != _IPPROTO_UDP:
-        return None
-    if ihl < _IPV4_MIN_HEADER_LEN:
-        # a corrupt IHL would misplace every later field (columnar parity)
-        return None
-    src_ip = _bytes_to_ip(frame[ip_start + 12 : ip_start + 16])
-    dst_ip = _bytes_to_ip(frame[ip_start + 16 : ip_start + 20])
-    udp_start = ip_start + ihl
-    if len(frame) < udp_start + _UDP_HEADER_LEN:
-        return None
-    src_port, dst_port, udp_length, _checksum_field = struct.unpack(
-        "!HHHH", frame[udp_start : udp_start + _UDP_HEADER_LEN]
-    )
-    if udp_length < _UDP_HEADER_LEN:
-        # mangled datagram, not an empty one (columnar parity)
-        return None
-    payload = frame[udp_start + _UDP_HEADER_LEN :]
-    payload_len = udp_length - _UDP_HEADER_LEN
-    rtp = None
-    if looks_like_rtp(payload):
-        try:
-            rtp, _body = parse_rtp_payload(payload)
-        except ValueError:
-            rtp = None
-    return src_ip, dst_ip, src_port, dst_port, payload_len, rtp
-
-
-def _infer_client_ip(decoded) -> str:
-    """Guess the client address: the endpoint receiving the most bytes."""
-    received: dict[str, int] = {}
-    for _ts, _src, dst_ip, _sp, _dp, payload_len, _rtp in decoded:
-        received[dst_ip] = received.get(dst_ip, 0) + payload_len
-    if not received:
-        return "0.0.0.0"
-    return max(received, key=received.get)
-
-
-# ---------------------------------------------------------------------------
-# columnar fast path
-# ---------------------------------------------------------------------------
 def _scan_records(data: bytes, source: str = "buffer", stats: Optional[ParseStats] = None):
     """Walk the record headers of a classic pcap byte buffer.
 
     Returns ``(timestamps, frame_offsets, frame_lengths)`` as numpy arrays
     (float64 seconds and int64 byte offsets/lengths into ``data``).  Only the
     16-byte record headers are touched — frame decoding happens vectorised
-    afterwards.  Truncated trailing records are dropped, exactly like
-    :func:`read_pcap`; ``stats`` (when given) counts them.
+    afterwards.  A trailing record cut off mid-header or mid-frame is
+    dropped; ``stats`` (when given) counts it.
     """
     if len(data) < _GLOBAL_HEADER.size:
         raise ValueError(f"{source} is not a valid pcap file (truncated header)")
@@ -407,11 +273,10 @@ def read_pcap_columns(
 ) -> PacketColumns:
     """Read a classic PCAP file straight into a :class:`PacketColumns` batch.
 
-    The columnar counterpart of :func:`read_pcap`: every Ethernet/IPv4/UDP
-    header field of every record is extracted with vectorised byte gathers
-    over the capture buffer — no per-packet :class:`Packet` (or RTP header)
-    objects are built.  Field values, record order, RTP columns and the
-    inferred client address match :func:`read_pcap` exactly.
+    Every Ethernet/IPv4/UDP header field of every record is extracted with
+    vectorised byte gathers over the capture buffer — no per-packet
+    :class:`Packet` (or RTP header) objects are built.  Only
+    Ethernet/IPv4/UDP frames are decoded; other frames are skipped.
 
     Parameters
     ----------
@@ -419,7 +284,7 @@ def read_pcap_columns(
         IP address of the game client; packets sourced from it are labeled
         upstream, everything else downstream.  When omitted, the endpoint
         receiving the most payload bytes is assumed to be the client (ties
-        break toward the address seen earliest, as in :func:`read_pcap`).
+        break toward the address seen earliest).
     stats:
         Optional :class:`ParseStats` accumulating skip/repair counters; on a
         well-formed capture of UDP traffic it ends with
@@ -695,11 +560,10 @@ def iter_pcap_column_batches(
 
 
 def _infer_client_u32(dst_u32: np.ndarray, payload_sizes: np.ndarray) -> int:
-    """Vectorised :func:`_infer_client_ip` on integer-coded addresses.
+    """Guess the client address (integer-coded): the busiest receiver.
 
     The endpoint receiving the most payload bytes wins; ties break toward
-    the destination seen earliest in the capture, matching the dict
-    insertion-order semantics of the object path.
+    the destination seen earliest in the capture.
     """
     if dst_u32.size == 0:
         return 0
@@ -724,7 +588,7 @@ def _address_tuples(
     combination (a handful of flows in a capture), then rows are assigned by
     inverse indices.  Returns ``(addresses, addressed)``; ``addressed`` marks
     the rows that carry anything but the default address (a batch with none
-    has no address column, matching the object-path column layout).
+    has no address column, the layout ``PacketStream(packets)`` produces).
     """
     if src_u32.size == 0:
         return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
@@ -756,11 +620,9 @@ def read_pcap_stream(
     client_ip: Optional[str] = None,
     stats: Optional[ParseStats] = None,
 ) -> PacketStream:
-    """Read a PCAP file into a :class:`PacketStream` on the columnar path.
+    """Read a PCAP file into a time-sorted :class:`PacketStream`.
 
-    Convenience wrapper over :func:`read_pcap_columns`; equivalent to
-    ``PacketStream(read_pcap(path, client_ip))`` without ever materialising
-    :class:`Packet` objects.
+    Convenience wrapper over :func:`read_pcap_columns` (same parameters).
     """
     return PacketStream.from_columns(
         read_pcap_columns(path, client_ip=client_ip, stats=stats)

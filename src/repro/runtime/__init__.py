@@ -15,7 +15,7 @@ Everything between a live packet feed and the paper's Fig. 6 cascade:
 * the typed :mod:`~repro.runtime.events` the engine emits.
 """
 
-from repro.runtime.demux import FlowDemux, canonical_flow_key, flow_addresses
+from repro.net.flow import FlowDemux, canonical_flow_key, flow_addresses
 from repro.runtime.engine import OverloadPolicy, StreamingEngine
 from repro.runtime.events import (
     ContextEvent,

@@ -51,10 +51,9 @@ import numpy as np
 from repro.core.pattern_classifier import PatternPrediction
 from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.reducers import SealedApproxQoEInterval, SealedQoEInterval
-from repro.net.flow import FlowKey
+from repro.net.flow import FlowDemux, FlowKey
 from repro.simulation.catalog import ActivityPattern
 from repro.net.packet import PacketColumns
-from repro.runtime.demux import FlowDemux
 from repro.runtime.events import (
     ContextEvent,
     FlowShed,

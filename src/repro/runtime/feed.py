@@ -23,14 +23,13 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.net.flow import FlowKey
+from repro.net.flow import FlowKey, canonical_flow_key
 from repro.net.packet import (
     DOWNSTREAM_CODE,
     PacketColumns,
     UPSTREAM_CODE,
 )
 from repro.net.pcap import iter_pcap_column_batches
-from repro.runtime.demux import canonical_flow_key
 from repro.runtime.state import FlowContext
 from repro.simulation.session import GameSession
 

@@ -47,9 +47,8 @@ from pathlib import Path
 from typing import Union
 
 from repro.core.pipeline import ContextClassificationPipeline, SessionContextReport
-from repro.net.flow import FlowKey
+from repro.net.flow import FlowDemux, FlowKey
 from repro.net.packet import PacketColumns
-from repro.runtime.demux import FlowDemux
 from repro.runtime.engine import OverloadPolicy, StreamingEngine, _check_swap_geometry
 from repro.runtime.events import ContextEvent
 from repro.runtime.faults import FaultPlan, apply_feed_faults

@@ -17,7 +17,7 @@ value-exactly worker-side:
 
 * **addresses** (object dtype) — rebuilt from each span's
   :class:`~repro.net.flow.FlowKey` plus the direction column via
-  :func:`~repro.runtime.demux.flow_addresses` (the exact inverse of the
+  :func:`~repro.net.flow.flow_addresses` (the exact inverse of the
   demux canonicalisation), one interned tuple per flow and direction;
 * **absent optional columns** — presence flags ride the control message so
   an absent RTP/address column stays absent (``None``), keeping
@@ -44,9 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.flow import FlowKey
+from repro.net.flow import FlowKey, flow_addresses
 from repro.net.packet import UPSTREAM_CODE, PacketColumns
-from repro.runtime.demux import flow_addresses
 
 __all__ = ["SHM_NAME_PREFIX", "ShmColumnRing"]
 
@@ -164,7 +163,7 @@ class ShmColumnRing:
 
         ``index_pairs`` is this shard's partition — ``(key, row_indices)``
         in flow order, indices into ``batch`` — as produced by
-        :meth:`~repro.runtime.demux.FlowDemux.split_indices`.  Each present
+        :meth:`~repro.net.flow.FlowDemux.split_indices`.  Each present
         column is written with a single vectorised ``np.take`` into the
         slot's row window; absent optional columns write nothing and are
         flagged absent instead.
@@ -224,7 +223,7 @@ class ShmColumnRing:
         decoded tick must not alias the reusable slot — then hands each
         span a zero-copy :meth:`PacketColumns.slice_view` of the local
         copy.  Addresses are rebuilt from span keys + directions
-        (:func:`~repro.runtime.demux.flow_addresses`), one interned tuple
+        (:func:`~repro.net.flow.flow_addresses`), one interned tuple
         per flow and direction, exactly like generator/PCAP batches.
 
         The result is value-identical to the ``(key, batch.take(rows))``

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.net.packet import Direction, Packet, PacketColumns, PacketStream
+from repro.net.packet import Direction, PacketColumns
 from repro.net.rtp import PAYLOAD_TYPE_VIDEO
 from repro.simulation.catalog import GameTitle
 from repro.simulation.devices import FULL_PACKET_PAYLOAD
@@ -258,13 +258,3 @@ def generate_launch_columns(
         rtp_sequence=sequences,
         rtp_timestamp=(times * 90_000).astype(np.int64) & 0xFFFFFFFF,
     )
-
-
-def generate_launch_packets(
-    profile: LaunchProfile,
-    rng: Optional[np.random.Generator] = None,
-    **kwargs,
-) -> List[Packet]:
-    """Synthesise launch packets as objects (see :func:`generate_launch_columns`)."""
-    columns = generate_launch_columns(profile, rng=rng, **kwargs)
-    return PacketStream.from_columns(columns, assume_sorted=True).to_list()

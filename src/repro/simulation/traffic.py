@@ -21,11 +21,11 @@ a remainder, and upstream input packets at a stage-dependent rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.net.packet import Direction, Packet, PacketColumns, PacketStream
+from repro.net.packet import Direction, PacketColumns
 from repro.net.rtp import PAYLOAD_TYPE_INPUT, PAYLOAD_TYPE_VIDEO
 from repro.simulation.catalog import GameTitle, PlayerStage
 from repro.simulation.devices import (
@@ -147,17 +147,6 @@ class StageTrafficModel:
             stage, start, end, dst_ip, src_ip, dst_port, src_port, ssrc
         )
         return PacketColumns.concat([downstream, upstream]).sorted_by_time()
-
-    def generate_stage_packets(
-        self,
-        stage: PlayerStage,
-        start: float,
-        end: float,
-        **kwargs,
-    ) -> List[Packet]:
-        """Generate one stage interval as packet objects (compat wrapper)."""
-        columns = self.generate_stage_columns(stage, start, end, **kwargs)
-        return PacketStream.from_columns(columns, assume_sorted=True).to_list()
 
     def _downstream_columns(
         self,

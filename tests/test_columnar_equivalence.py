@@ -421,29 +421,6 @@ class TestColumnarStreamEquivalence:
         )
         assert stream.packet_rate() == pytest.approx(len(packets) / stream.duration)
 
-    def test_out_of_order_appends_sort_lazily(self):
-        packets = [
-            Packet(timestamp=float(t), direction=Direction.DOWNSTREAM, payload_size=100)
-            for t in range(10)
-        ]
-        stream = PacketStream()
-        for packet in reversed(packets):
-            stream.append(packet)
-        times = stream.timestamps()
-        np.testing.assert_array_equal(times, np.arange(10, dtype=float))
-
-    def test_interleaved_append_and_read(self):
-        stream = PacketStream()
-        expected = []
-        rng = np.random.default_rng(3)
-        for t in rng.uniform(0, 10, 50):
-            stream.append(
-                Packet(timestamp=float(t), direction=Direction.UPSTREAM, payload_size=50)
-            )
-            expected.append(float(t))
-            assert stream.timestamps()[-1] == pytest.approx(max(expected))
-        np.testing.assert_allclose(stream.timestamps(), np.sort(expected))
-
     def test_packet_metadata_roundtrip(self):
         original = Packet(
             timestamp=1.5,

@@ -63,17 +63,17 @@ class TestObjectiveQoEEstimator:
         assert 0.0 <= result.loss_rate < 0.05
 
     def test_loss_detected_from_sequence_gaps(self, cyberpunk_session):
-        from repro.net.conditions import NetworkConditions, apply_conditions
+        from repro.net.conditions import NetworkConditions, apply_conditions_columns
         from repro.net.packet import PacketStream
 
-        lossy = apply_conditions(
-            cyberpunk_session.packets.to_list(),
+        lossy = apply_conditions_columns(
+            cyberpunk_session.packets.columns(),
             NetworkConditions(latency_ms=5, jitter_ms=1, loss_rate=0.05),
             rng=np.random.default_rng(0),
         )
         estimator = ObjectiveQoEEstimator()
         clean = estimator.estimate(cyberpunk_session.packets)
-        degraded = estimator.estimate(PacketStream(lossy))
+        degraded = estimator.estimate(PacketStream.from_columns(lossy))
         assert degraded.loss_rate > clean.loss_rate
 
     def test_invalid_slot_duration(self):
@@ -283,6 +283,89 @@ class TestPipelineIntegration:
         assert report.platform in (None, "GeForce NOW")
         assert report.title.title
         assert report.stage_timeline
+
+    @pytest.fixture(scope="class")
+    def tap_flows(self):
+        """Two physical-scale GeForce NOW flows of different size + UDP noise."""
+        import dataclasses
+
+        from repro.net.flow import FlowKey, flow_addresses
+        from repro.net.packet import UPSTREAM_CODE, Direction, PacketColumns
+        from repro.simulation.session import SessionConfig, SessionGenerator
+
+        def flow(title, seconds, client_port):
+            session = SessionGenerator(random_state=client_port).generate(
+                title,
+                SessionConfig(launch_only=True, launch_duration_s=seconds, rate_scale=1.0),
+            )
+            columns = session.packets.columns()
+            up, down = flow_addresses(
+                FlowKey(session.client_ip, client_port, session.server_ip, 49004)
+            )
+            addresses = np.empty(len(columns), dtype=object)
+            addresses[:] = [
+                up if code == UPSTREAM_CODE else down for code in columns.directions
+            ]
+            return dataclasses.replace(columns, addresses=addresses)
+
+        noise = PacketColumns.uniform(
+            timestamps=np.arange(0.0, 12.0, 0.05),
+            payload_sizes=np.full(240, 300.0),
+            direction=Direction.DOWNSTREAM,
+            address=("8.8.8.8", "192.168.1.10", 443, 40000, "udp"),
+        )
+        return flow("Dota 2", 6.0, 51001), flow("CS:GO/CS2", 14.0, 51002), noise
+
+    def test_capture_selects_largest_gaming_flow_on_columns(
+        self, fitted_pipeline, tap_flows, tmp_path, monkeypatch
+    ):
+        from repro.net import packet as packet_module
+        from repro.net.packet import PacketColumns, PacketStream
+        from repro.net.pcap import read_pcap_stream, write_pcap
+        from test_runtime import assert_report_identical
+
+        small, large, noise = tap_flows
+        assert small.payload_sizes.sum() < large.payload_sizes.sum()
+        capture, alone = tmp_path / "tap.pcap", tmp_path / "large.pcap"
+        write_pcap(capture, PacketStream(PacketColumns.concat([small, noise, large])))
+        write_pcap(alone, PacketStream(large))
+        tap = read_pcap_stream(capture, client_ip="192.168.1.10")
+        assert len(tap) == len(small) + len(large) + len(noise)
+        detected = fitted_pipeline.detector.detect(tap)
+        assert [session.key.client_port for session in detected] == [51001, 51002]
+
+        expected = fitted_pipeline.classify_stream(
+            read_pcap_stream(alone, client_ip="192.168.1.10"), platform="GeForce NOW"
+        )
+        assert expected.platform == "GeForce NOW"
+
+        def no_row_records(*args, **kwargs):
+            raise AssertionError("flow selection materialised a Packet")
+
+        monkeypatch.setattr(packet_module, "Packet", no_row_records)
+        assert_report_identical(fitted_pipeline.process(tap), expected)
+        # a bare columnar batch takes the same route
+        assert_report_identical(fitted_pipeline.process(tap.columns()), expected)
+        batched = fitted_pipeline.process_many([tap, PacketStream(noise), tap])
+        assert_report_identical(batched[0], expected)
+        assert_report_identical(batched[2], expected)
+        assert batched[1].platform is None
+
+    def test_noise_only_capture_falls_back_to_whole_stream(
+        self, fitted_pipeline, tap_flows, tmp_path
+    ):
+        from repro.net.packet import PacketStream
+        from repro.net.pcap import read_pcap_stream, write_pcap
+        from test_runtime import assert_report_identical
+
+        noise = tap_flows[2]
+        path = tmp_path / "noise.pcap"
+        write_pcap(path, PacketStream(noise))
+        tap = read_pcap_stream(path, client_ip="192.168.1.10")
+        assert fitted_pipeline.detector.detect(tap) == []
+        report = fitted_pipeline.process(tap)
+        assert report.platform is None
+        assert_report_identical(report, fitted_pipeline.classify_stream(tap))
 
     def test_context_label_for_known_title(self, fitted_pipeline, small_gameplay_corpus):
         report = fitted_pipeline.process(small_gameplay_corpus.sessions[0])

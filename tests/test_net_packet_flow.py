@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Direction, FlowKey, Packet, PacketStream, build_flows
-from repro.net.flow import FlowTable, interarrival_times
+from repro.net import Direction, FlowDemux, Packet, PacketColumns, PacketStream
+from repro.net.flow import flow_summary, interarrival_times
 from repro.net.rtp import (
     RTP_HEADER_LEN,
     RTPHeader,
@@ -68,9 +68,12 @@ class TestPacketStream:
         assert list(times) == sorted(times)
 
     def test_append_out_of_order_resorts(self):
+        # streams are immutable: appending is concat + a new sorted view
         stream = PacketStream([packet(1.0)])
-        stream.append(packet(0.5))
+        late = PacketStream([packet(0.5)])
+        stream = PacketStream(PacketColumns.concat([stream.columns(), late.columns()]))
         assert stream.timestamps()[0] == pytest.approx(0.5)
+        assert not hasattr(stream, "append")
 
     def test_filter_direction(self):
         stream = PacketStream(
@@ -100,22 +103,32 @@ class TestPacketStream:
         assert stream.mean_throughput_mbps() == 0.0
 
 
+def split_flows(packets):
+    """``FlowDemux().split`` of a time-sorted stream of packet records."""
+    return FlowDemux().split(PacketStream(packets).columns())
+
+
 class TestFlows:
     def test_flow_key_canonical_across_directions(self):
         down = packet(0.0, Direction.DOWNSTREAM, src_ip="1.1.1.1", dst_ip="2.2.2.2",
                       src_port=49004, dst_port=50000)
         up = packet(0.1, Direction.UPSTREAM, src_ip="2.2.2.2", dst_ip="1.1.1.1",
                     src_port=50000, dst_port=49004)
-        assert FlowKey.from_packet(down) == FlowKey.from_packet(up)
+        ((key, rows),) = split_flows([down, up])
+        assert (key.client_ip, key.client_port) == ("2.2.2.2", 50000)
+        assert (key.server_ip, key.server_port) == ("1.1.1.1", 49004)
+        assert len(rows) == 2
 
     def test_build_flows_groups_by_five_tuple(self):
         packets = [
-            packet(0.0, dst_port=50000),
-            packet(0.1, dst_port=50000),
             packet(0.2, dst_port=50001),
+            packet(0.1, dst_port=50000),
+            packet(0.0, dst_port=50000),
         ]
-        flows = build_flows(packets)
+        flows = split_flows(packets)
         assert len(flows) == 2
+        # flows come back ordered by their first packet
+        assert [key.client_port for key, _ in flows] == [50000, 50001]
 
     def test_flow_direction_stats(self):
         packets = [
@@ -124,16 +137,17 @@ class TestFlows:
             packet(0.5, Direction.UPSTREAM, size=100,
                    src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=50000, dst_port=49004),
         ]
-        flow = build_flows(packets)[0]
-        assert flow.bytes(Direction.DOWNSTREAM) == 2000
-        assert flow.bytes(Direction.UPSTREAM) == 100
-        assert flow.downstream_fraction() == pytest.approx(2000 / 2100)
+        ((key, rows),) = split_flows(packets)
+        flow = PacketStream(rows)
+        assert flow.total_bytes(Direction.DOWNSTREAM) == 2000
+        assert flow.total_bytes(Direction.UPSTREAM) == 100
+        assert flow_summary(key, flow)["downstream_fraction"] == pytest.approx(2000 / 2100)
 
     def test_largest_flow(self):
-        table = FlowTable()
-        table.add_all([packet(0.0, dst_port=50000, size=10),
-                       packet(0.1, dst_port=50001, size=9000)])
-        assert table.largest_flow().key.client_port == 50001
+        flows = split_flows([packet(0.0, dst_port=50000, size=10),
+                             packet(0.1, dst_port=50001, size=9000)])
+        key, _ = max(flows, key=lambda flow: flow[1].payload_sizes.sum())
+        assert key.client_port == 50001
 
     def test_interarrival_times(self):
         stream = PacketStream([packet(0.0), packet(0.5), packet(1.5)])

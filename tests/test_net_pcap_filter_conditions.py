@@ -1,5 +1,9 @@
 """Tests for PCAP I/O, the cloud-gaming flow detector and network conditions."""
 
+import struct
+from pathlib import Path
+from typing import List, Optional, Union
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +14,159 @@ from repro.net import (
     Direction,
     NetworkConditions,
     Packet,
+    PacketColumns,
     PacketStream,
-    apply_conditions,
-    read_pcap,
+    apply_conditions_columns,
     read_pcap_columns,
     read_pcap_stream,
     write_pcap,
 )
 from repro.net.filter import CLOUD_GAMING_PLATFORMS, FlowSignature
+from repro.net.packet import DOWNSTREAM_CODE, merge_streams
+from repro.net.pcap import (
+    _ETH_HEADER_LEN,
+    _ETHERTYPE_IPV4,
+    _GLOBAL_HEADER,
+    _IPPROTO_UDP,
+    _IPV4_MIN_HEADER_LEN,
+    _RECORD_HEADER,
+    _UDP_HEADER_LEN,
+    PCAP_MAGIC,
+    PCAP_MAGIC_SWAPPED,
+)
+from repro.net.rtp import RTPHeader, looks_like_rtp, parse_rtp_payload
+
+
+# ---------------------------------------------------------------------------
+# scalar frame decoder: the differential oracle of the columnar reader
+# (the per-packet reader ``repro.net.pcap`` shipped before the columnar one
+# became the only path, kept verbatim)
+# ---------------------------------------------------------------------------
+def _bytes_to_ip(data: bytes) -> str:
+    return ".".join(str(b) for b in data)
+
+
+def read_pcap(
+    path: Union[str, Path],
+    client_ip: Optional[str] = None,
+) -> List[Packet]:
+    """Read a classic PCAP file back into :class:`Packet` records.
+
+    Parameters
+    ----------
+    client_ip:
+        IP address of the game client; packets sourced from it are labeled
+        upstream, everything else downstream.  When omitted, the most common
+        destination address of large packets is assumed to be the client.
+
+    Notes
+    -----
+    Only Ethernet/IPv4/UDP frames are decoded; other frames are skipped.
+    """
+    path = Path(path)
+    raw_records: List[tuple[float, bytes]] = []
+    with path.open("rb") as handle:
+        header = handle.read(_GLOBAL_HEADER.size)
+        if len(header) < _GLOBAL_HEADER.size:
+            raise ValueError(f"{path} is not a valid pcap file (truncated header)")
+        magic = struct.unpack("<I", header[:4])[0]
+        if magic == PCAP_MAGIC:
+            record_struct = _RECORD_HEADER
+        elif magic == PCAP_MAGIC_SWAPPED:
+            record_struct = struct.Struct(">IIII")
+        else:
+            raise ValueError(f"{path} is not a classic pcap file (magic {magic:#x})")
+        while True:
+            record_header = handle.read(record_struct.size)
+            if len(record_header) < record_struct.size:
+                break
+            seconds, microseconds, captured_len, _original_len = record_struct.unpack(
+                record_header
+            )
+            data = handle.read(captured_len)
+            if len(data) < captured_len:
+                break
+            raw_records.append((seconds + microseconds / 1_000_000, data))
+
+    decoded: List[tuple[float, str, str, int, int, int, Optional[RTPHeader]]] = []
+    for timestamp, frame in raw_records:
+        parsed = _decode_frame(frame)
+        if parsed is not None:
+            decoded.append((timestamp,) + parsed)
+
+    if client_ip is None:
+        client_ip = _infer_client_ip(decoded)
+
+    packets: List[Packet] = []
+    for timestamp, src_ip, dst_ip, src_port, dst_port, payload_len, rtp in decoded:
+        direction = (
+            Direction.UPSTREAM if src_ip == client_ip else Direction.DOWNSTREAM
+        )
+        packets.append(
+            Packet(
+                timestamp=timestamp,
+                direction=direction,
+                payload_size=payload_len,
+                src_ip=src_ip,
+                dst_ip=dst_ip,
+                src_port=src_port,
+                dst_port=dst_port,
+                protocol="udp",
+                rtp_payload_type=rtp.payload_type if rtp else None,
+                rtp_ssrc=rtp.ssrc if rtp else None,
+                rtp_sequence=rtp.sequence_number if rtp else None,
+                rtp_timestamp=rtp.timestamp if rtp else None,
+            )
+        )
+    return packets
+
+
+def _decode_frame(frame: bytes):
+    """Decode one Ethernet/IPv4/UDP frame; return None when not decodable."""
+    if len(frame) < _ETH_HEADER_LEN + _IPV4_MIN_HEADER_LEN + _UDP_HEADER_LEN:
+        return None
+    ethertype = struct.unpack("!H", frame[12:14])[0]
+    if ethertype != _ETHERTYPE_IPV4:
+        return None
+    ip_start = _ETH_HEADER_LEN
+    version_ihl = frame[ip_start]
+    ihl = (version_ihl & 0x0F) * 4
+    protocol = frame[ip_start + 9]
+    if protocol != _IPPROTO_UDP:
+        return None
+    if ihl < _IPV4_MIN_HEADER_LEN:
+        # a corrupt IHL would misplace every later field (columnar parity)
+        return None
+    src_ip = _bytes_to_ip(frame[ip_start + 12 : ip_start + 16])
+    dst_ip = _bytes_to_ip(frame[ip_start + 16 : ip_start + 20])
+    udp_start = ip_start + ihl
+    if len(frame) < udp_start + _UDP_HEADER_LEN:
+        return None
+    src_port, dst_port, udp_length, _checksum_field = struct.unpack(
+        "!HHHH", frame[udp_start : udp_start + _UDP_HEADER_LEN]
+    )
+    if udp_length < _UDP_HEADER_LEN:
+        # mangled datagram, not an empty one (columnar parity)
+        return None
+    payload = frame[udp_start + _UDP_HEADER_LEN :]
+    payload_len = udp_length - _UDP_HEADER_LEN
+    rtp = None
+    if looks_like_rtp(payload):
+        try:
+            rtp, _body = parse_rtp_payload(payload)
+        except ValueError:
+            rtp = None
+    return src_ip, dst_ip, src_port, dst_port, payload_len, rtp
+
+
+def _infer_client_ip(decoded) -> str:
+    """Guess the client address: the endpoint receiving the most bytes."""
+    received: dict[str, int] = {}
+    for _ts, _src, dst_ip, _sp, _dp, payload_len, _rtp in decoded:
+        received[dst_ip] = received.get(dst_ip, 0) + payload_len
+    if not received:
+        return "0.0.0.0"
+    return max(received, key=received.get)
 
 
 def streaming_packets(n=2500, server_port=49004, rtp=True, rate_mbps=8.0):
@@ -62,39 +211,36 @@ class TestPcapRoundtrip:
         packets = streaming_packets(200)
         path = tmp_path / "session.pcap"
         written = write_pcap(path, packets)
-        restored = read_pcap(path, client_ip="192.168.0.9")
+        restored = read_pcap_stream(path, client_ip="192.168.0.9")
         assert written == len(packets) == len(restored)
         assert restored[0].payload_size == packets[0].payload_size
         assert restored[0].rtp_ssrc == packets[0].rtp_ssrc
-        down = [p for p in restored if p.direction is Direction.DOWNSTREAM]
-        assert len(down) == 200
+        assert len(restored.timestamps(Direction.DOWNSTREAM)) == 200
 
     def test_client_ip_inference(self, tmp_path):
         packets = streaming_packets(120)
         path = tmp_path / "x.pcap"
         write_pcap(path, packets)
-        restored = read_pcap(path)  # infer client from byte counts
-        down = sum(1 for p in restored if p.direction is Direction.DOWNSTREAM)
-        assert down == 120
+        restored = read_pcap_stream(path)  # infer client from byte counts
+        assert len(restored.timestamps(Direction.DOWNSTREAM)) == 120
 
     def test_timestamps_preserved_to_microseconds(self, tmp_path):
         packets = streaming_packets(50)
         path = tmp_path / "t.pcap"
         write_pcap(path, packets)
-        restored = read_pcap(path, client_ip="192.168.0.9")
+        restored = read_pcap_stream(path, client_ip="192.168.0.9")
         original_ts = sorted(p.timestamp for p in packets)
-        restored_ts = sorted(p.timestamp for p in restored)
-        np.testing.assert_allclose(restored_ts, original_ts, atol=2e-6)
+        np.testing.assert_allclose(restored.timestamps(), original_ts, atol=2e-6)
 
     def test_read_rejects_non_pcap(self, tmp_path):
         path = tmp_path / "bogus.pcap"
         path.write_bytes(b"this is definitely not a capture file")
         with pytest.raises(ValueError):
-            read_pcap(path)
+            read_pcap_stream(path)
 
 
 class TestPcapColumnarPath:
-    """``read_pcap_columns`` must equal the object path field-for-field."""
+    """``read_pcap_columns`` must equal the scalar oracle field-for-field."""
 
     @staticmethod
     def assert_columns_equal(reference, got):
@@ -202,24 +348,36 @@ class TestPcapColumnarPath:
 class TestFlowDetector:
     def test_detects_geforce_now_flow(self):
         detector = CloudGamingFlowDetector()
-        sessions = detector.detect(streaming_packets())
+        sessions = detector.detect(PacketStream(streaming_packets()))
         assert len(sessions) == 1
         assert sessions[0].platform == "GeForce NOW"
+        assert sessions[0].key.server_port == 49004
 
     def test_rejects_low_bitrate_flow(self):
         detector = CloudGamingFlowDetector()
-        packets = streaming_packets(rate_mbps=0.5)
+        packets = PacketStream(streaming_packets(rate_mbps=0.5))
         assert detector.detect(packets) == []
 
     def test_rejects_non_rtp_when_required(self):
         detector = CloudGamingFlowDetector()
-        packets = streaming_packets(rtp=False)
+        packets = PacketStream(streaming_packets(rtp=False))
         assert detector.detect(packets) == []
 
     def test_rejects_wrong_port(self):
         detector = CloudGamingFlowDetector()
-        packets = streaming_packets(server_port=12345)
+        packets = PacketStream(streaming_packets(server_port=12345))
         assert detector.detect(packets) == []
+
+    def test_rejects_short_flow(self):
+        detector = CloudGamingFlowDetector()
+        packets = PacketStream(streaming_packets(n=1000))  # ~1.2 s < 2 s minimum
+        assert detector.detect(packets) == []
+
+    def test_accepts_unsorted_columns(self):
+        columns = PacketStream(streaming_packets()).columns()
+        shuffled = columns.take(np.random.default_rng(0).permutation(len(columns)))
+        (session,) = CloudGamingFlowDetector().detect(shuffled)
+        np.testing.assert_array_equal(session.packets.timestamps(), columns.timestamps)
 
     def test_filter_packets_returns_only_gaming_traffic(self):
         gaming = streaming_packets()
@@ -229,8 +387,12 @@ class TestFlowDetector:
             for i in range(30)
         ]
         detector = CloudGamingFlowDetector()
-        kept = detector.filter_packets(gaming + noise)
+        sessions = detector.detect(PacketStream(gaming + noise))
+        kept = merge_streams([session.packets for session in sessions])
         assert len(kept) == len(gaming)
+        np.testing.assert_array_equal(
+            kept.timestamps(), PacketStream(gaming).timestamps()
+        )
 
     def test_all_platform_signatures_present(self):
         assert set(CLOUD_GAMING_PLATFORMS) == {
@@ -245,12 +407,14 @@ class TestFlowDetector:
             platform="TestCloud", server_port_ranges=((12345, 12345),), requires_rtp=False
         )
         detector = CloudGamingFlowDetector([signature])
-        sessions = detector.detect(streaming_packets(server_port=12345, rtp=False))
+        sessions = detector.detect(
+            PacketStream(streaming_packets(server_port=12345, rtp=False))
+        )
         assert sessions and sessions[0].platform == "TestCloud"
 
     def test_xbox_signature_matches(self):
         detector = CloudGamingFlowDetector()
-        sessions = detector.detect(streaming_packets(server_port=9002))
+        sessions = detector.detect(PacketStream(streaming_packets(server_port=9002)))
         assert sessions and sessions[0].platform == "Xbox Cloud Gaming"
 
 
@@ -270,41 +434,108 @@ class TestNetworkConditions:
         assert NetworkConditions.congested().is_degraded()
 
     def test_latency_shifts_timestamps(self):
-        packets = streaming_packets(100)
+        columns = PacketStream(streaming_packets(100)).columns()
         conditions = NetworkConditions(latency_ms=100.0, jitter_ms=0.0, loss_rate=0.0)
-        shifted = apply_conditions(packets, conditions, rng=np.random.default_rng(0))
-        assert len(shifted) == len(packets)
-        original_first = min(p.timestamp for p in packets)
-        assert min(p.timestamp for p in shifted) == pytest.approx(original_first + 0.1, abs=1e-6)
+        shifted = apply_conditions_columns(
+            columns, conditions, rng=np.random.default_rng(0)
+        )
+        assert len(shifted) == len(columns)
+        assert shifted.timestamps.min() == pytest.approx(
+            columns.timestamps.min() + 0.1, abs=1e-6
+        )
 
     def test_loss_drops_packets(self):
-        packets = streaming_packets(1000)
+        columns = PacketStream(streaming_packets(1000)).columns()
         conditions = NetworkConditions(latency_ms=1.0, jitter_ms=0.0, loss_rate=0.2)
-        survivors = apply_conditions(packets, conditions, rng=np.random.default_rng(1))
-        drop_fraction = 1 - len(survivors) / len(packets)
+        survivors = apply_conditions_columns(
+            columns, conditions, rng=np.random.default_rng(1)
+        )
+        drop_fraction = 1 - len(survivors) / len(columns)
         assert 0.1 < drop_fraction < 0.3
 
     def test_bottleneck_stretches_delivery(self):
-        packets = streaming_packets(500, rate_mbps=20.0)
+        columns = PacketStream(streaming_packets(500, rate_mbps=20.0)).columns()
         conditions = NetworkConditions(
             latency_ms=1.0, jitter_ms=0.0, loss_rate=0.0, bandwidth_mbps=5.0
         )
-        shaped = apply_conditions(packets, conditions, rng=np.random.default_rng(2))
-        original_span = max(p.timestamp for p in packets) - min(p.timestamp for p in packets)
-        shaped_span = max(p.timestamp for p in shaped) - min(p.timestamp for p in shaped)
-        assert shaped_span > original_span * 2
+        shaped = apply_conditions_columns(
+            columns, conditions, rng=np.random.default_rng(2)
+        )
+        assert np.ptp(shaped.timestamps) > np.ptp(columns.timestamps) * 2
 
     def test_empty_input(self):
-        assert apply_conditions([], NetworkConditions.ideal()) == []
+        shaped = apply_conditions_columns(PacketColumns.empty(), NetworkConditions.ideal())
+        assert len(shaped) == 0
 
     def test_output_sorted(self):
-        packets = streaming_packets(300)
-        shaped = apply_conditions(
-            packets, NetworkConditions(latency_ms=5, jitter_ms=20, loss_rate=0.0),
+        columns = PacketStream(streaming_packets(300)).columns()
+        shaped = apply_conditions_columns(
+            columns,
+            NetworkConditions(latency_ms=5, jitter_ms=20, loss_rate=0.0),
             rng=np.random.default_rng(3),
         )
-        times = [p.timestamp for p in shaped]
-        assert times == sorted(times)
+        assert len(shaped) == len(columns)
+        assert np.all(np.diff(shaped.timestamps) >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(0.0, 5.0),  # arrival gap (zero: back-to-back ties)
+                st.integers(1, 1500),  # payload bytes
+                st.booleans(),  # downstream (only those queue)
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        loss_rate=st.sampled_from([0.0, 0.3]),
+        bandwidth_mbps=st.sampled_from([0.05, 1.0, 40.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_closed_form_queue_equals_scalar_recursion(
+        self, rows, loss_rate, bandwidth_mbps, seed
+    ):
+        """``served + maximum.accumulate(...)`` solves the bottleneck recursion."""
+        gaps, sizes, down = (np.array(column) for column in zip(*rows))
+        columns = PacketColumns(
+            timestamps=np.cumsum(gaps),
+            payload_sizes=sizes,
+            directions=np.where(down, DOWNSTREAM_CODE, 1),
+        )
+        conditions = NetworkConditions(
+            latency_ms=20.0, jitter_ms=5.0, loss_rate=loss_rate,
+            bandwidth_mbps=bandwidth_mbps,
+        )
+        got = apply_conditions_columns(
+            columns, conditions, rng=np.random.default_rng(seed)
+        )
+
+        # the same draws, then the recursion written out packet by packet
+        rng = np.random.default_rng(seed)
+        keep = rng.random(len(columns)) >= loss_rate
+        jitter = np.abs(rng.normal(0.0, 0.005, size=len(columns)))
+        bytes_per_second = bandwidth_mbps * 1e6 / 8.0
+        busy_until = 0.0
+        expected = []
+        for index in np.flatnonzero(keep):
+            arrival = columns.timestamps[index] + 0.02 + jitter[index]
+            if columns.directions[index] == DOWNSTREAM_CODE:
+                busy_until = (
+                    max(arrival, busy_until)
+                    + columns.payload_sizes[index] / bytes_per_second
+                )
+                arrival = busy_until
+            expected.append((arrival, columns.payload_sizes[index]))
+        expected.sort(key=lambda row: row[0])
+
+        assert len(got) == len(expected)
+        np.testing.assert_allclose(
+            got.timestamps, [arrival for arrival, _ in expected], rtol=1e-9, atol=0
+        )
+        if len({arrival for arrival, _ in expected}) == len(expected):
+            np.testing.assert_array_equal(
+                got.payload_sizes, [size for _, size in expected]
+            )
 
 
 class TestHostileCaptures:
@@ -312,8 +543,8 @@ class TestHostileCaptures:
 
     Each malformed record lands under exactly one :class:`ParseStats`
     counter, decoded rows equal the capture with the hostile records
-    removed, and the object path (:func:`read_pcap`) skips the same frames
-    as the columnar path.
+    removed, and the scalar oracle (:func:`read_pcap` above) skips the same
+    frames as the columnar reader.
     """
 
     CLIENT = "192.168.0.9"

@@ -141,7 +141,7 @@ def test_raw_packet_feed_matches_offline_process(fitted_pipeline, runtime_sessio
     fidelity session streams below the signatures' bitrate floor).
     """
     session = runtime_sessions[0]
-    expected = fitted_pipeline.process(session.packets.to_list())
+    expected = fitted_pipeline.process(session.packets)
     engine = StreamingEngine(fitted_pipeline)
     columns = session.packets.columns()
     events = []
@@ -175,7 +175,7 @@ def test_platform_detection_on_full_rate_flow(fitted_pipeline):
         address=address_up,
     )
     columns = PacketColumns.concat([down, up]).sorted_by_time()
-    expected = fitted_pipeline.process(PacketStream.from_columns(columns).to_list())
+    expected = fitted_pipeline.process(columns)
     assert expected.platform == "GeForce NOW"
 
     engine = StreamingEngine(fitted_pipeline)
@@ -342,7 +342,7 @@ def test_demux_partitions_by_canonical_flow(rng):
 
 def test_demux_key_cache_stays_bounded_over_many_flows():
     """100 k flows through one demux: the cache resets, the answers do not."""
-    from repro.runtime import demux as demux_module
+    from repro.net import flow as demux_module
 
     long_lived = FlowDemux()
     per_batch = 500

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.packet import Direction
+from repro.net.packet import DOWNSTREAM_CODE, UPSTREAM_CODE, Direction
 from repro.simulation import (
     ActivityPattern,
     ActivityPatternModel,
@@ -42,7 +42,7 @@ from repro.simulation.devices import (
     total_lab_sessions,
 )
 from repro.simulation.isp import records_by_pattern, records_by_title
-from repro.simulation.launch_profiles import generate_launch_packets
+from repro.simulation.launch_profiles import generate_launch_columns
 from repro.simulation.traffic import StageTrafficModel, resolution_cluster_index
 
 
@@ -135,29 +135,29 @@ class TestLaunchProfiles:
 
     def test_generated_packets_downstream_and_bounded(self):
         profile = launch_profile_for(get_title("Dota 2"))
-        packets = generate_launch_packets(profile, rng=np.random.default_rng(0), rate_scale=0.1)
-        assert packets
-        assert all(p.direction is Direction.DOWNSTREAM for p in packets)
-        assert all(40 <= p.payload_size <= FULL_PACKET_PAYLOAD for p in packets)
-        assert all(p.timestamp <= profile.duration_s + 1 for p in packets)
+        packets = generate_launch_columns(profile, rng=np.random.default_rng(0), rate_scale=0.1)
+        assert len(packets)
+        assert np.all(packets.directions == DOWNSTREAM_CODE)
+        assert np.all((packets.payload_sizes >= 40) & (packets.payload_sizes <= FULL_PACKET_PAYLOAD))
+        assert np.all(packets.timestamps <= profile.duration_s + 1)
 
     def test_full_packets_present(self):
         profile = launch_profile_for(get_title("Hearthstone"))
-        packets = generate_launch_packets(profile, rng=np.random.default_rng(1), rate_scale=0.2)
-        full = [p for p in packets if p.payload_size == FULL_PACKET_PAYLOAD]
-        assert len(full) > len(packets) * 0.2
+        packets = generate_launch_columns(profile, rng=np.random.default_rng(1), rate_scale=0.2)
+        full = np.count_nonzero(packets.payload_sizes == FULL_PACKET_PAYLOAD)
+        assert full > len(packets) * 0.2
 
     def test_duration_truncation(self):
         profile = launch_profile_for(get_title("Fortnite"))
-        packets = generate_launch_packets(
+        packets = generate_launch_columns(
             profile, rng=np.random.default_rng(2), rate_scale=0.2, duration_s=5.0
         )
-        assert max(p.timestamp for p in packets) < 5.0
+        assert packets.timestamps.max() < 5.0
 
     def test_invalid_rate_scale(self):
         profile = launch_profile_for(get_title("Fortnite"))
         with pytest.raises(ValueError):
-            generate_launch_packets(profile, rate_scale=0.0)
+            generate_launch_columns(profile, rate_scale=0.0)
 
 
 class TestActivityModel:
@@ -217,15 +217,15 @@ class TestTrafficModel:
         title = get_title("Fortnite")
         model = StageTrafficModel(title=title, settings=StreamingSettings(),
                                   rate_scale=0.1, rng=np.random.default_rng(0))
-        active = model.generate_stage_packets(PlayerStage.ACTIVE, 0.0, 20.0)
-        idle = model.generate_stage_packets(PlayerStage.IDLE, 0.0, 20.0)
-        passive = model.generate_stage_packets(PlayerStage.PASSIVE, 0.0, 20.0)
+        active = model.generate_stage_columns(PlayerStage.ACTIVE, 0.0, 20.0)
+        idle = model.generate_stage_columns(PlayerStage.IDLE, 0.0, 20.0)
+        passive = model.generate_stage_columns(PlayerStage.PASSIVE, 0.0, 20.0)
 
         def down_bytes(packets):
-            return sum(p.payload_size for p in packets if p.direction is Direction.DOWNSTREAM)
+            return packets.payload_sizes[packets.directions == DOWNSTREAM_CODE].sum()
 
         def up_count(packets):
-            return sum(1 for p in packets if p.direction is Direction.UPSTREAM)
+            return np.count_nonzero(packets.directions == UPSTREAM_CODE)
 
         assert down_bytes(active) > down_bytes(passive) > down_bytes(idle)
         assert up_count(active) > up_count(passive) > up_count(idle)
@@ -245,7 +245,7 @@ class TestTrafficModel:
         model = StageTrafficModel(title=get_title("Dota 2"), settings=StreamingSettings(),
                                   rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model.generate_stage_packets(PlayerStage.ACTIVE, 10.0, 5.0)
+            model.generate_stage_columns(PlayerStage.ACTIVE, 10.0, 5.0)
 
 
 class TestSessionGenerator:
