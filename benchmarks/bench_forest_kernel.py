@@ -1,10 +1,10 @@
-"""Benchmark: compiled forest kernel vs the legacy blocked tree-walk.
+"""Benchmark: the compiled forest kernel on the corpus's real workload.
 
 Replays the *real* forest workload of the shared >=100-session deployment
 corpus (``benchmarks/conftest.py``): the three fitted forests' input
 matrices are captured by spying on ``RandomForestClassifier.predict_proba``
-during an actual ``pipeline.process_many`` run, then each component is
-timed on both implementations:
+during an actual ``pipeline.process_many`` run, then each shape the runtime
+produces is timed on :class:`~repro.ml.kernel.ForestKernel`:
 
 * **batch** — every forest's full stacked corpus matrix in one call (the
   offline ``process_many`` shape);
@@ -12,16 +12,12 @@ timed on both implementations:
   one close-time call (the :class:`~repro.runtime.engine.StreamingEngine`
   shape);
 * **single-row** — per-session one-row calls against all three forests
-  (the per-flow gate shape, where the legacy path falls back to Python
-  tree walks).
+  (the per-flow gate shape).
 
-Every component asserts **bit-identical** probabilities between the
-kernel and ``predict_proba_legacy`` before any timing is recorded, plus a
-randomized input sweep; the headline ``kernel_speedup`` (total legacy
-time / total kernel time over all components) is regression-gated in
-``BENCH_packet_stream.json``.  When the optional numba backend is
-importable the same workload is repeated on it (and asserted identical);
-otherwise ``numba_available`` records ``false``.
+Timings only: that the kernel's probabilities equal a node-by-node walk of
+the state arrays to the last bit is pinned by ``tests/test_forest_kernel.py``.
+``compile_s`` times the one builder (validation included) on all three
+forests, ``kernel_state_bytes`` is what the compiled tables retain.
 
 Run standalone::
 
@@ -49,7 +45,7 @@ if BENCH_DIR not in sys.path:
 
 from conftest import build_deployment_corpus, fit_deployment_pipeline  # noqa: E402
 from repro.ml.forest import RandomForestClassifier  # noqa: E402
-from repro.ml.kernel import ForestKernel, available_backends  # noqa: E402
+from repro.ml.kernel import ForestKernel  # noqa: E402
 
 #: Rows per chunk of the streaming-shaped stage trace (the live feed ticks
 #: classify the newly completed slots of ~24 concurrent sessions per batch).
@@ -102,40 +98,18 @@ def _forests(pipeline):
     }
 
 
-def _assert_randomized_equivalence(forest, kernel, seed=42):
-    """Kernel == legacy on randomized matrices (beyond the corpus inputs)."""
-    rng = np.random.default_rng(seed)
-    for n_rows in (1, 7, 256):
-        X = rng.normal(size=(n_rows, forest.n_features_)) * rng.uniform(0.1, 100)
-        assert np.array_equal(
-            forest.predict_proba_legacy(X), kernel.predict_proba(X)
-        ), f"kernel/legacy mismatch on randomized {n_rows}-row input"
-
-
 def _workload_times(forests, kernels, matrices):
-    """(per_forest, totals) of the three-component workload, bit-checked."""
+    """(per_forest, totals) of the three-component workload."""
     per_forest = {}
-    total_legacy = 0.0
-    total_kernel = 0.0
 
     # batch: each forest's full corpus matrix in one call
     for name, forest in forests.items():
         X = matrices[name]
-        kernel = kernels[name]
-        assert np.array_equal(
-            forest.predict_proba_legacy(X), kernel.predict_proba(X)
-        ), f"kernel/legacy mismatch on the {name} corpus matrix"
-        legacy_s = _timeit(lambda f=forest, X=X: f.predict_proba_legacy(X))
-        kernel_s = _timeit(lambda k=kernel, X=X: k.predict_proba(X))
-        total_legacy += legacy_s
-        total_kernel += kernel_s
         per_forest[name] = {
             "n_rows": int(X.shape[0]),
             "n_features": int(forest.n_features_),
             "n_trees": int(forest.n_estimators),
-            "batch_legacy_s": legacy_s,
-            "batch_kernel_s": kernel_s,
-            "batch_speedup": legacy_s / kernel_s,
+            "batch_kernel_s": _timeit(lambda k=kernels[name], X=X: k.predict_proba(X)),
         }
 
     # stream: the stage forest in feed-tick chunks + one close-time call
@@ -146,60 +120,36 @@ def _workload_times(forests, kernels, matrices):
         if start < stage_X.shape[0]
     ]
     chunks.append(stage_X[:STREAM_CLOSE_ROWS])
-    stage_forest, stage_kernel = forests["stage"], kernels["stage"]
-    for chunk in chunks[:: max(1, len(chunks) // 8)]:  # spot-check equality
-        assert np.array_equal(
-            stage_forest.predict_proba_legacy(chunk),
-            stage_kernel.predict_proba(chunk),
-        )
-    stream_legacy_s = _timeit(
-        lambda: [stage_forest.predict_proba_legacy(c) for c in chunks], repeats=3
-    )
+    stage_kernel = kernels["stage"]
     stream_kernel_s = _timeit(
         lambda: [stage_kernel.predict_proba(c) for c in chunks], repeats=3
     )
-    total_legacy += stream_legacy_s
-    total_kernel += stream_kernel_s
 
     # single-row: per-session gate calls against every forest
-    single_legacy_s = 0.0
     single_kernel_s = 0.0
-    for name, forest in forests.items():
+    for name, kernel in kernels.items():
         X = matrices[name]
-        kernel = kernels[name]
         rows = [
             X[index % X.shape[0] : index % X.shape[0] + 1]
             for index in range(N_SINGLE_ROW_CALLS)
         ]
-        for row in rows[:8]:
-            assert np.array_equal(
-                forest.predict_proba_legacy(row), kernel.predict_proba(row)
-            )
-        single_legacy_s += _timeit(
-            lambda f=forest, rows=rows: [f.predict_proba_legacy(r) for r in rows],
-            repeats=3,
-        )
         single_kernel_s += _timeit(
             lambda k=kernel, rows=rows: [k.predict_proba(r) for r in rows],
             repeats=3,
         )
-    total_legacy += single_legacy_s
-    total_kernel += single_kernel_s
 
     totals = {
-        "stream_legacy_s": stream_legacy_s,
         "stream_kernel_s": stream_kernel_s,
-        "single_row_legacy_s": single_legacy_s,
         "single_row_kernel_s": single_kernel_s,
-        "workload_legacy_s": total_legacy,
-        "workload_kernel_s": total_kernel,
-        "kernel_speedup": total_legacy / total_kernel,
+        "workload_kernel_s": stream_kernel_s
+        + single_kernel_s
+        + sum(row["batch_kernel_s"] for row in per_forest.values()),
     }
     return per_forest, totals
 
 
 def run_benchmark(corpus=None, pipeline=None) -> dict:
-    """Time the compiled kernel against the legacy traversal (bit-checked)."""
+    """Time the compiled kernel on the corpus's captured forest inputs."""
     if corpus is None:
         corpus = build_deployment_corpus()
     if pipeline is None:
@@ -209,37 +159,21 @@ def run_benchmark(corpus=None, pipeline=None) -> dict:
 
     kernels = {}
     compile_s = 0.0
-    kernel_nbytes = 0
     for name, forest in forests.items():
         start = time.perf_counter()
-        kernel = ForestKernel.from_forest(forest)
+        kernels[name] = ForestKernel.from_arrays(
+            forest.export_state(), forest.classes_, forest.n_features_
+        )
         compile_s += time.perf_counter() - start
-        kernel_nbytes += kernel.nbytes()
-        kernels[name] = kernel
-        _assert_randomized_equivalence(forest, kernel)
 
     per_forest, totals = _workload_times(forests, kernels, matrices)
-
-    results = {
+    return {
         "n_sessions": len(corpus),
-        "numba_available": "numba" in available_backends(),
         "compile_s": compile_s,
-        "kernel_state_bytes": int(kernel_nbytes),
+        "kernel_state_bytes": sum(kernel.nbytes() for kernel in kernels.values()),
         "per_forest": per_forest,
-        "bit_identical": True,
         **totals,
     }
-    if results["numba_available"]:
-        numba_kernels = {
-            name: ForestKernel.from_forest(forest, backend="numba")
-            for name, forest in forests.items()
-        }
-        _, numba_totals = _workload_times(forests, numba_kernels, matrices)
-        results["workload_numba_s"] = numba_totals["workload_kernel_s"]
-        results["kernel_speedup_numba"] = (
-            numba_totals["workload_legacy_s"] / numba_totals["workload_kernel_s"]
-        )
-    return results
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Docs checker: intra-repo markdown links and DESIGN.md section references.
+"""Docs checker: markdown links, DESIGN.md section references, CI job lists.
 
 CI's ``docs`` job runs this over every ``*.md`` and ``*.py`` file in the
 repository and fails on:
@@ -13,7 +13,13 @@ repository and fails on:
   ``§A–§B`` range) in markdown or Python whose section has no matching
   ``## §N`` heading in DESIGN.md, plus plain ``§N`` references *inside*
   DESIGN.md itself.  Dotted references (``§5.3``) and ``paper's §N`` are
-  the source paper's sections, not DESIGN.md's, and are ignored.
+  the source paper's sections, not DESIGN.md's, and are ignored;
+* **CI job lists out of step with the workflow** — the jobs under ``jobs:``
+  in ``.github/workflows/ci.yml`` are listed by hand twice more, in that
+  file's header comment and in README's "What CI runs" bullets, each with
+  a spelled-out count ("six required jobs").  Either list naming a job
+  that does not exist, missing one that does, or stating another count
+  fails (three consecutive PRs hand-edited all three).
 
 Usage::
 
@@ -109,14 +115,59 @@ def check_design_references() -> list[str]:
     return problems
 
 
+#: the spelled-out job counts the two hand-written lists may state
+_COUNT_WORDS = {
+    word: number
+    for number, word in enumerate(
+        "one two three four five six seven eight nine ten eleven twelve".split(), start=1
+    )
+}
+COUNT_RE = re.compile(r"(\w+)\s+required\s+jobs")
+
+
+def check_ci_job_lists() -> list[str]:
+    """README's and the workflow header's job lists must match ``jobs:``."""
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    header, _, body = workflow.partition("\njobs:\n")
+    jobs = re.findall(r"^  ([\w-]+):\s*$", body, flags=re.MULTILINE)
+    if not jobs:
+        return ["ci.yml: no jobs found under 'jobs:' (checker misconfigured?)"]
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = re.search(r"^### What CI runs\n(.*?)(?=^#{1,6} )", readme, re.MULTILINE | re.DOTALL)
+    lists = {
+        "ci.yml header comment": (header, r"^#   ([\w-]+)\s"),
+        'README.md "What CI runs"': (section.group(1) if section else "", r"^\* \*\*([\w-]+)\*\*"),
+    }
+    problems = []
+    for where, (text, entry_re) in lists.items():
+        named = re.findall(entry_re, text, flags=re.MULTILINE)
+        for job in sorted(set(named) - set(jobs)):
+            problems.append(f"{where}: names job '{job}', which ci.yml does not define")
+        for job in sorted(set(jobs) - set(named)):
+            problems.append(f"{where}: does not list job '{job}'")
+        count = COUNT_RE.search(text)
+        stated = _COUNT_WORDS.get(count.group(1).lower()) if count else None
+        if stated != len(jobs):
+            problems.append(
+                f"{where}: states {count.group(1) if count else 'no'} required jobs, "
+                f"ci.yml defines {len(jobs)}"
+            )
+    return problems
+
+
 def main() -> int:
-    problems = check_markdown_links() + check_design_references()
+    problems = (
+        check_markdown_links() + check_design_references() + check_ci_job_lists()
+    )
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"\n{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
-    print("docs check passed (links resolve, DESIGN.md §-references exist)")
+    print(
+        "docs check passed (links resolve, DESIGN.md §-references exist, "
+        "CI job lists match the workflow)"
+    )
     return 0
 
 

@@ -34,6 +34,7 @@ from repro.core.qoe import (
 )
 from repro.core.reducers import SessionReducerCascade
 from repro.core.title_classifier import GameTitleClassifier, TitlePrediction
+from repro.ml.forest import RandomForestClassifier
 from repro.net.filter import CloudGamingFlowDetector
 from repro.net.packet import PacketStream
 from repro.simulation.catalog import (
@@ -173,7 +174,8 @@ class ContextClassificationPipeline:
         Touching :attr:`RandomForestClassifier.kernel` builds the
         rank-quantised level tables eagerly, so the first session processed
         after :meth:`fit` (or after :func:`repro.runtime.persistence.load_pipeline`)
-        pays no compilation latency.  Idempotent; unfitted forests are
+        pays no compilation latency.  Idempotent; unfitted forests and the
+        paper's other model families (SVM, kNN — nothing to compile) are
         skipped.
         """
         for classifier in (
@@ -182,7 +184,7 @@ class ContextClassificationPipeline:
             self.pattern_classifier,
         ):
             model = classifier.model
-            if hasattr(model, "classes_"):
+            if isinstance(model, RandomForestClassifier) and hasattr(model, "classes_"):
                 model.kernel  # noqa: B018 - force eager compilation
         return self
 

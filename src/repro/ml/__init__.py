@@ -7,9 +7,10 @@ environment, so this subpackage implements the required algorithms and
 utilities from scratch on top of numpy:
 
 * :mod:`repro.ml.tree` — CART decision tree classifier.
-* :mod:`repro.ml.forest` — bootstrap-aggregated random forest.
-* :mod:`repro.ml.kernel` — compiled single-pass forest inference kernel
-  (bit-identical probabilities, optional numba backend).
+* :mod:`repro.ml.forest` — bootstrap-aggregated random forest; once fitted
+  (or loaded) it *is* its ``export_state()`` node arrays.
+* :mod:`repro.ml.kernel` — the one forest walk: rank-quantised level tables
+  compiled from those arrays (validated there, bit-identical probabilities).
 * :mod:`repro.ml.svm` — one-vs-rest kernel SVM trained with a simplified SMO.
 * :mod:`repro.ml.knn` — k-nearest-neighbour classifier.
 * :mod:`repro.ml.scaling` — standard/min-max feature scalers.
@@ -24,7 +25,7 @@ utilities from scratch on top of numpy:
 from repro.ml.base import BaseClassifier, check_Xy
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.importance import permutation_importance
-from repro.ml.kernel import ForestKernel, available_backends
+from repro.ml.kernel import ForestKernel
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.metrics import (
     accuracy_score,
@@ -52,7 +53,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "ForestKernel",
-    "available_backends",
     "SVMClassifier",
     "KNeighborsClassifier",
     "StandardScaler",

@@ -21,6 +21,10 @@ from repro.ml.tree import DecisionTreeClassifier
 class RandomForestClassifier(BaseClassifier):
     """Ensemble of CART trees trained on bootstrap samples.
 
+    Once fitted (or restored with :meth:`from_state`) the forest *is* the
+    :meth:`export_state` node arrays — the trees are dropped after
+    training — and :attr:`kernel`, compiled from them, is its only walk.
+
     Parameters
     ----------
     n_estimators:
@@ -62,61 +66,8 @@ class RandomForestClassifier(BaseClassifier):
         self.bootstrap = bootstrap
         self.oob_score = oob_score
         self.random_state = random_state
-        self._forest_flat = None
+        self._state = None
         self._kernel = None
-        self._estimators = None
-        self._state_arrays = None
-
-    # ------------------------------------------------------------ estimators
-    @property
-    def estimators_(self):
-        """The fitted per-tree estimators (materialised lazily after load).
-
-        A forest restored with :meth:`from_state` predicts from its flat
-        arrays alone — tree objects are only rebuilt if something actually
-        asks for them (per-tree inspection, the legacy single-row walk),
-        keeping the model-loading cold path free of per-node Python work.
-        """
-        if self._estimators is None:
-            if self._state_arrays is None:
-                raise AttributeError(
-                    "estimators_ is not set; the forest is not fitted"
-                )
-            self._estimators = self._materialize_estimators()
-        return self._estimators
-
-    @estimators_.setter
-    def estimators_(self, value) -> None:
-        self._estimators = value
-
-    def _materialize_estimators(self):
-        """Rebuild tree objects from the stored :meth:`export_state` arrays."""
-        arrays = self._state_arrays
-        offsets = np.asarray(arrays["offsets"], dtype=np.int64)
-        tree_params = {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-        }
-        tree_importances = np.asarray(arrays["tree_importances"], dtype=float)
-        estimators = []
-        for index in range(offsets.size - 1):
-            span = slice(int(offsets[index]), int(offsets[index + 1]))
-            estimators.append(
-                DecisionTreeClassifier.from_arrays(
-                    arrays["feature"][span],
-                    arrays["threshold"][span],
-                    arrays["left"][span],
-                    arrays["right"][span],
-                    arrays["proba"][span],
-                    self.classes_,
-                    self.n_features_,
-                    feature_importances=tree_importances[index],
-                    **tree_params,
-                )
-            )
-        return estimators
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X, y = check_Xy(X, y)
@@ -125,7 +76,7 @@ class RandomForestClassifier(BaseClassifier):
         self.n_features_ = n_features
         rng = np.random.default_rng(self.random_state)
 
-        self.estimators_ = []
+        trees = []
         n_classes = len(self.classes_)
         oob_votes = np.zeros((n_samples, n_classes)) if self.oob_score else None
 
@@ -142,17 +93,13 @@ class RandomForestClassifier(BaseClassifier):
             else:
                 indices = np.arange(n_samples)
             tree.fit(X[indices], self.classes_[encoded[indices]])
-            self.estimators_.append(tree)
+            trees.append(tree)
 
             if self.oob_score and self.bootstrap:
                 mask = np.ones(n_samples, dtype=bool)
                 mask[np.unique(indices)] = False
                 if mask.any():
-                    oob_votes[mask] += self._align_proba(tree, X[mask])
-
-        self.feature_importances_ = np.mean(
-            [self._align_importances(tree) for tree in self.estimators_], axis=0
-        )
+                    oob_votes[mask] += self._align(tree, tree.predict_proba(X[mask]))
 
         if self.oob_score:
             covered = oob_votes.sum(axis=1) > 0
@@ -161,271 +108,96 @@ class RandomForestClassifier(BaseClassifier):
                 self.oob_score_ = float(np.mean(oob_pred == encoded[covered]))
             else:
                 self.oob_score_ = float("nan")
-        self._forest_flat = None
+
+        # the trees were scaffolding: the concatenated preorder arrays below
+        # are the fitted model (and the ``pipeline.npz`` layout, byte for byte)
+        flat = [tree.export_arrays() for tree in trees]
+        importances = np.vstack([tree.feature_importances_ for tree in trees])
+        self.feature_importances_ = np.mean(importances, axis=0)
+        self._state = {
+            **{
+                key: np.concatenate([arrays[key] for arrays in flat])
+                for key in ("feature", "threshold", "left", "right")
+            },
+            "proba": np.vstack(
+                [self._align(tree, arrays["proba"]) for tree, arrays in zip(trees, flat)]
+            ),
+            "offsets": np.cumsum(
+                [0] + [arrays["feature"].size for arrays in flat], dtype=np.int64
+            ),
+            "tree_importances": importances,
+            "forest_importances": self.feature_importances_,
+        }
         self._kernel = None
-        self._state_arrays = None
         return self
 
-    def _align_proba(self, tree: DecisionTreeClassifier, X: np.ndarray) -> np.ndarray:
+    def _align(self, tree: DecisionTreeClassifier, proba: np.ndarray) -> np.ndarray:
         """Map a tree's probability columns onto the forest's class order."""
-        proba = tree.predict_proba(X)
-        if tree.classes_.shape == self.classes_.shape and np.array_equal(
-            tree.classes_, self.classes_
-        ):
+        if np.array_equal(tree.classes_, self.classes_):
             # bootstrap sample saw every class: columns already line up
             return proba
-        aligned = np.zeros((X.shape[0], len(self.classes_)))
-        forest_index = {label: i for i, label in enumerate(self.classes_.tolist())}
-        for tree_col, label in enumerate(tree.classes_.tolist()):
-            aligned[:, forest_index[label]] = proba[:, tree_col]
+        aligned = np.zeros((proba.shape[0], len(self.classes_)))
+        aligned[:, np.searchsorted(self.classes_, tree.classes_)] = proba
         return aligned
-
-    def _align_importances(self, tree: DecisionTreeClassifier) -> np.ndarray:
-        return tree.feature_importances_
-
-    def _flatten_forest(self):
-        """Concatenate every tree's flat node arrays for whole-forest traversal.
-
-        Node indices are offset per tree so one set of
-        ``(feature, threshold, left, right, proba)`` arrays describes the
-        whole ensemble; leaf probability rows are pre-aligned to the forest's
-        class order.  Returns those arrays plus the per-tree root indices and
-        the maximum tree depth (the number of traversal iterations needed).
-        """
-        features, thresholds, rights, probas, roots = [], [], [], [], []
-        offset = 0
-        n_classes = len(self.classes_)
-        forest_index = {label: i for i, label in enumerate(self.classes_.tolist())}
-        max_depth = 0
-        for tree in self.estimators_:
-            if tree._flat is None:
-                tree._flat = tree._flatten()
-            feature, threshold, left, right, proba = tree._flat
-            del left  # preorder guarantees left child == index + 1
-            if not np.array_equal(tree.classes_, self.classes_):
-                aligned = np.zeros((proba.shape[0], n_classes))
-                for tree_col, label in enumerate(tree.classes_.tolist()):
-                    aligned[:, forest_index[label]] = proba[:, tree_col]
-                proba = aligned
-            # leaves: feature 0 / threshold -inf makes the left test always
-            # false (check_Xy rejects non-finite X before traversal), so
-            # they self-route through `right`
-            leaf = feature < 0
-            features.append(np.where(leaf, 0, feature))
-            thresholds.append(np.where(leaf, -np.inf, threshold))
-            rights.append(right + offset)
-            probas.append(proba)
-            roots.append(offset)
-            offset += feature.size
-            max_depth = max(max_depth, tree.depth())
-        # int32 node/feature indices halve the memory traffic of the
-        # per-level gathers (node counts are far below 2**31)
-        return (
-            np.concatenate(features).astype(np.int32),
-            np.concatenate(thresholds),
-            np.concatenate(rights).astype(np.int32),
-            np.vstack(probas),
-            np.asarray(roots, dtype=np.int32),
-            max_depth,
-        )
-
-    def _flatten_from_state(self):
-        """Build the traversal arena straight from :meth:`export_state` arrays.
-
-        Vectorised counterpart of :meth:`_flatten_forest` for restored
-        forests: child indices shift by per-tree offsets, leaves flip to
-        the self-routing ``feature 0 / -inf`` convention, and the maximum
-        depth falls out of a frontier walk over the level sets (the same
-        walk the kernel's BFS re-layout performs) — no tree objects, no
-        per-node Python.
-        """
-        arrays = self._state_arrays
-        feature = np.asarray(arrays["feature"], dtype=np.int64)
-        threshold = np.asarray(arrays["threshold"], dtype=float)
-        right = np.asarray(arrays["right"], dtype=np.int64)
-        proba = np.asarray(arrays["proba"], dtype=float)
-        offsets = np.asarray(arrays["offsets"], dtype=np.int64)
-        leaf = feature < 0
-        shift = np.repeat(offsets[:-1], np.diff(offsets))
-        arena_threshold = np.where(leaf, -np.inf, threshold)
-        arena_right = (right + shift).astype(np.int32)
-        roots = offsets[:-1].astype(np.int32)
-        internal = ~leaf
-        frontier = offsets[:-1]
-        max_depth = 0
-        while frontier.size:
-            is_internal = internal[frontier]
-            parents = frontier[is_internal]
-            if not parents.size:
-                break
-            frontier = np.concatenate((parents + 1, right[parents] + shift[parents]))
-            max_depth += 1
-        return (
-            np.where(leaf, 0, feature).astype(np.int32),
-            arena_threshold,
-            arena_right,
-            proba,
-            roots,
-            max_depth,
-        )
-
-    def _ensure_flat(self):
-        """The cached whole-forest arena, built from whichever source exists."""
-        if self._forest_flat is None:
-            if self._estimators is not None:
-                self._forest_flat = self._flatten_forest()
-            else:
-                self._forest_flat = self._flatten_from_state()
-        return self._forest_flat
 
     @property
     def kernel(self) -> ForestKernel:
         """The compiled inference kernel (built lazily, cached until refit)."""
         self._check_fitted()
         if self._kernel is None:
-            self._kernel = ForestKernel.from_forest(self)
+            self._kernel = ForestKernel.from_arrays(
+                self._state, self.classes_, self.n_features_
+            )
         return self._kernel
 
     # --------------------------------------------------------- persistence
     def export_state(self) -> dict:
-        """Serialisable node arrays of the whole fitted ensemble.
+        """The fitted ensemble: a handful of dense, read-only numpy arrays.
 
-        Every tree's preorder arrays are concatenated (child indices stay
-        tree-local; ``offsets`` delimits trees) and leaf probability rows are
-        pre-aligned to the forest's class order, so the state is a handful of
-        dense numpy arrays that drop straight into ``np.savez``.  Class
-        labels themselves are not included — the caller persists them
-        alongside (they may be strings).
+        Every tree's preorder arrays concatenated (child indices stay
+        tree-local; ``offsets`` delimits trees; leaves carry ``feature ==
+        -1`` and index themselves), leaf probability rows pre-aligned to the
+        forest's class order, plus the per-tree and mean importances — the
+        arrays drop straight into ``np.savez``.  They are the model itself,
+        not a copy, hence read-only.  Class labels are not included — the
+        caller persists them alongside (they may be strings).
         """
         self._check_fitted()
-        if self._state_arrays is not None:
-            # restored forest: the stored arrays ARE the state (round-trips
-            # byte-identically without materialising any tree objects)
-            return dict(self._state_arrays)
-        n_classes = len(self.classes_)
-        forest_index = {label: i for i, label in enumerate(self.classes_.tolist())}
-        features, thresholds, lefts, rights, probas, importances = [], [], [], [], [], []
-        offsets = [0]
-        for tree in self.estimators_:
-            arrays = tree.export_arrays()
-            proba = arrays["proba"]
-            if not np.array_equal(tree.classes_, self.classes_):
-                aligned = np.zeros((proba.shape[0], n_classes))
-                for tree_col, label in enumerate(tree.classes_.tolist()):
-                    aligned[:, forest_index[label]] = proba[:, tree_col]
-                proba = aligned
-            features.append(arrays["feature"])
-            thresholds.append(arrays["threshold"])
-            lefts.append(arrays["left"])
-            rights.append(arrays["right"])
-            probas.append(proba)
-            importances.append(tree.feature_importances_)
-            offsets.append(offsets[-1] + arrays["feature"].size)
-        return {
-            "feature": np.concatenate(features),
-            "threshold": np.concatenate(thresholds),
-            "left": np.concatenate(lefts),
-            "right": np.concatenate(rights),
-            "proba": np.vstack(probas),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "tree_importances": np.vstack(importances),
-            "forest_importances": np.asarray(self.feature_importances_, dtype=float),
-        }
+        views = {key: value.view() for key, value in self._state.items()}
+        for view in views.values():
+            view.setflags(write=False)
+        return views
 
     @classmethod
     def from_state(
         cls, arrays: dict, classes, n_features: int, params: Optional[dict] = None
     ) -> "RandomForestClassifier":
-        """Rebuild a fitted forest from :meth:`export_state` arrays.
+        """Adopt :meth:`export_state` arrays as a fitted forest.
 
-        Predictions are bit-identical to the exported forest's on every
-        path: the whole-forest arena (and the compiled kernel) is built
-        straight from the stored arrays — the same concatenated layout the
-        original flattens to — and per-tree estimator objects are only
-        materialised lazily if something asks for ``estimators_``.  The
-        model-loading cold path therefore costs a few vectorised array
-        passes instead of one Python ``_Node`` per node.  Training-only
-        diagnostics (per-tree bootstrap RNG state, OOB score) are not
-        restored.
+        The result is the same kind of object :meth:`fit` leaves behind and
+        predicts bit-identically to the exported forest.  The kernel is
+        compiled here rather than on first use, so arrays no forest could
+        have exported (a corrupt ``pipeline.npz``) raise ``ValueError``
+        now.  Training-only diagnostics (OOB score) are not restored.
         """
-        params = dict(params or {})
-        offsets = np.asarray(arrays["offsets"], dtype=np.int64)
-        n_trees = offsets.size - 1
-        params.setdefault("n_estimators", n_trees)
-        forest = cls(**params)
-        forest.n_estimators = n_trees
+        forest = cls(**(params or {}))
+        forest.n_estimators = np.asarray(arrays["offsets"]).size - 1
         forest.classes_ = np.asarray(classes)
         forest.n_features_ = int(n_features)
+        forest._state = {key: np.asarray(value) for key, value in arrays.items()}
         forest.feature_importances_ = np.asarray(
-            arrays["forest_importances"], dtype=float
+            forest._state["forest_importances"], dtype=float
         )
-        forest._state_arrays = {
-            key: np.asarray(value) for key, value in arrays.items()
-        }
+        forest.kernel  # noqa: B018 - validate + compile
         return forest
-
-    #: target cell count of one traversal block: the (rows, trees) index
-    #: matrix and its per-level gathers stay cache-resident instead of
-    #: streaming through memory on corpus-scale inputs (~2x on 20k rows)
-    _TRAVERSAL_BLOCK_CELLS = 65536
 
     def predict_proba(self, X) -> np.ndarray:
         """Mean class probabilities over all trees.
 
-        Inference runs on the compiled :class:`~repro.ml.kernel.
-        ForestKernel` (rank-quantized level-packed decision tables): the
-        kernel's probabilities are **bit-identical** to the reference
-        per-level traversal — which remains available as
-        :meth:`predict_proba_legacy` and pins the equivalence in
-        ``tests/test_forest_kernel.py`` and the ``forest_kernel`` bench.
+        Inference runs on the compiled :class:`~repro.ml.kernel.ForestKernel`
+        (rank-quantized level-packed decision tables), whose probabilities
+        are **bit-identical** to walking :meth:`export_state` node by node
+        with float ``x <= threshold`` tests and adding the leaf rows in tree
+        order — the oracle ``tests/test_forest_kernel.py`` compares against.
         """
-        self._check_fitted()
         return self.kernel.predict_proba(X)
-
-    def predict_proba_legacy(self, X) -> np.ndarray:
-        """Reference traversal: mean class probabilities without the kernel.
-
-        Multi-row inputs traverse the whole flattened forest level-by-level:
-        an ``(n_rows, n_trees)`` node-index matrix descends all trees of all
-        rows with one vectorised comparison per level (leaves self-loop, so
-        ``max_depth`` iterations settle every row).  Rows are processed in
-        cache-sized blocks — each row's traversal is independent, so
-        blocking cannot change a result — and per-tree contributions are
-        accumulated in tree order, making the result bit-identical to the
-        sequential per-tree loop that single-row calls take here (and to
-        the compiled kernel :meth:`predict_proba` runs on).
-        """
-        self._check_fitted()
-        X, _ = check_Xy(X)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {X.shape[1]}"
-            )
-        n_rows = X.shape[0]
-        total = np.zeros((n_rows, len(self.classes_)))
-        if n_rows == 1:
-            for tree in self.estimators_:
-                total += self._align_proba(tree, X)
-            return total / len(self.estimators_)
-        feature, threshold, right, proba, roots, max_depth = self._ensure_flat()
-        n_trees = roots.size
-        block = max(128, self._TRAVERSAL_BLOCK_CELLS // max(1, n_trees))
-        n_features = X.shape[1]
-        for start in range(0, n_rows, block):
-            sub = X[start : start + block]
-            m = sub.shape[0]
-            current = np.broadcast_to(roots, (m, n_trees)).copy()
-            row_base = (np.arange(m, dtype=np.int32) * n_features)[:, None]
-            for _ in range(max_depth):
-                # internal nodes: descend left (next preorder index) when
-                # the split test passes, else to the stored right child.
-                # Leaves carry a -inf threshold and self-looping right, so
-                # they stay put without per-level settling bookkeeping.
-                go_left = sub.take(feature.take(current) + row_base) <= threshold.take(
-                    current
-                )
-                current = np.where(go_left, current + 1, right.take(current))
-            block_total = total[start : start + block]
-            for tree_index in range(n_trees):
-                block_total += proba[current[:, tree_index]]
-        return total / n_trees

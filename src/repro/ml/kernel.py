@@ -1,11 +1,12 @@
-"""Single-kernel compiled forest inference (bit-identical, ~3x faster).
+"""The forest walk: rank-quantised level tables compiled from the state arrays.
 
-A fitted :class:`~repro.ml.forest.RandomForestClassifier` predicts by
-walking every tree level-synchronously over one concatenated node arena.
-That traversal gathers from three parallel float64/int32 arrays per level
-and re-derives the same comparisons on every call.  :class:`ForestKernel`
-compiles the fitted ensemble **once** into a fused structure that answers
-the same ``predict_proba`` contract with bit-identical probabilities:
+A fitted :class:`~repro.ml.forest.RandomForestClassifier` *is* its
+:meth:`~repro.ml.forest.RandomForestClassifier.export_state` arrays
+(concatenated preorder nodes, the ``pipeline.npz`` layout).  Walking those
+directly means one float comparison and three gathers from parallel
+float64/int64 arrays per node.  :class:`ForestKernel` compiles them **once**
+into a fused structure that gives the probabilities of that node-by-node
+walk to the last bit:
 
 * **rank quantization** — per feature ``j``, the sorted unique split
   thresholds ``S_j`` of the whole forest are extracted at compile time.
@@ -19,7 +20,7 @@ the same ``predict_proba`` contract with bit-identical probabilities:
   depth ``d`` of every tree lives in one contiguous int16 table whose
   entries pack ``(threshold_rank << fbits) | feature``.  Children of slot
   ``i`` are adjacent (``lchild[i]`` and ``lchild[i] + 1``), collapsing the
-  legacy ``where(go_left, cur + 1, right.take(cur))`` select into a single
+  ``where(go_left, cur + 1, right.take(cur))`` select into a single
   integer add.  A leaf/chain slot packs the sentinel ``kmax << fbits``
   (feature 0, rank bound ``kmax``): every rank is ``<= kmax``, so the
   test always routes left and the slot self-propagates to depth ``D``,
@@ -34,127 +35,32 @@ the same ``predict_proba`` contract with bit-identical probabilities:
   floats in the same per-element sequence (the 3-D reduce over a strided
   axis is sequential, never pairwise), so the choice affects time only.
 
-Every optimisation is exact, which the equivalence suite
-(``tests/test_forest_kernel.py``) and the ``forest_kernel`` bench section
-pin by asserting byte-equal outputs against the legacy traversal on
-randomized and real fitted forests.
-
-Backends
---------
-The default backend is pure numpy and always available.  Setting
-``REPRO_FOREST_BACKEND=numba`` (or passing ``backend="numba"``) selects an
-optional `numba`_-jitted per-row arena walker instead — the same
-sequential float comparisons the legacy single-row path performs, so its
-outputs are bit-identical too.  Numba is **not** a dependency: when it is
-missing, an explicit ``backend="numba"`` raises ``ImportError`` while the
-environment variable falls back to numpy with a warning (a deployment
-knob must not brick hosts without the optional package).
-
-.. _numba: https://numba.pydata.org/
+Every optimisation is exact: ``tests/test_forest_kernel.py`` asserts
+byte-equal outputs against a node-by-node float walk of the same arrays
+(the oracle at the top of that file) on randomized and real fitted forests.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
-from typing import Optional
 
 import numpy as np
 
 from repro.ml.base import check_Xy
 
-__all__ = ["ForestKernel", "BACKEND_ENV", "available_backends"]
-
-#: environment variable selecting the default inference backend
-BACKEND_ENV = "REPRO_FOREST_BACKEND"
-
-_BACKENDS = ("numpy", "numba")
-
-try:  # optional accelerator: never a hard dependency
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised on hosts without numba
-    _numba = None
-
-#: cache of the jitted walker (compiled once per process, not per kernel)
-_NUMBA_WALKER = None
-
-
-def available_backends() -> tuple:
-    """The backends this host can actually run (``numpy`` always)."""
-    return _BACKENDS if _numba is not None else ("numpy",)
-
-
-def _resolve_backend(backend: Optional[str]) -> str:
-    """Pick the backend: explicit argument beats the environment variable.
-
-    An explicit ``"numba"`` without numba installed is an error; the same
-    request via :data:`BACKEND_ENV` degrades to numpy with a warning so a
-    fleet-wide environment default cannot break hosts missing the
-    optional package.
-    """
-    explicit = backend is not None
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip().lower() or "numpy"
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown forest backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    if backend == "numba" and _numba is None:
-        if explicit:
-            raise ImportError(
-                "backend='numba' requested but numba is not installed"
-            )
-        warnings.warn(
-            f"{BACKEND_ENV}=numba but numba is not installed; "
-            "falling back to the numpy backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        backend = "numpy"
-    return backend
-
-
-def _numba_walker():
-    """Compile (once) the jitted per-row/per-tree arena walker."""
-    global _NUMBA_WALKER
-    if _NUMBA_WALKER is None:
-        @_numba.njit(cache=False, fastmath=False)
-        def walk(feature, threshold, right, proba, roots, X, out):
-            n_rows = X.shape[0]
-            n_trees = roots.shape[0]
-            n_classes = proba.shape[1]
-            for i in range(n_rows):
-                for t in range(n_trees):
-                    node = roots[t]
-                    # leaves carry -inf thresholds (real splits are finite)
-                    while threshold[node] != -np.inf:
-                        if X[i, feature[node]] <= threshold[node]:
-                            node = node + 1
-                        else:
-                            node = right[node]
-                    for c in range(n_classes):
-                        out[i, c] += proba[node, c]
-
-        _NUMBA_WALKER = walk
-    return _NUMBA_WALKER
+__all__ = ["ForestKernel"]
 
 
 class ForestKernel:
-    """Fused inference structure compiled from one fitted forest.
+    """Fused inference structure compiled from one forest's state arrays.
 
-    Construction takes the forest-flat arena (the
-    :meth:`RandomForestClassifier._flatten_forest` layout: preorder nodes,
-    left child at ``index + 1``, leaves self-routing through ``right``
-    with ``-inf`` thresholds and forest-aligned probability rows) and
-    compiles the rank tables and BFS level layout described in the module
-    docstring.  :meth:`predict_proba` then serves the exact
-    ``predict_proba`` contract of the source forest — same validation
-    errors, bit-identical probabilities — at a fraction of the cost.
-
-    Use :meth:`from_forest` for a fitted estimator or :meth:`from_arrays`
-    to build straight from :meth:`RandomForestClassifier.export_state`
-    arrays (the ``pipeline.npz`` layout) without materialising any tree
-    objects — the model-loading cold path.
+    :meth:`from_arrays` is the one builder: it validates the
+    :meth:`RandomForestClassifier.export_state` layout (so a corrupt
+    ``pipeline.npz`` is a ``ValueError`` at load, never a hang or an
+    ``IndexError`` in the first predict) and compiles the rank tables and
+    BFS level layout described in the module docstring.
+    :meth:`predict_proba` then serves the forest's ``predict_proba``
+    contract — same validation errors, probabilities bit-identical to a
+    node-by-node walk of the arrays.  Only the tables and the leaf
+    probability rows are kept; the node arrays stay with the forest.
     """
 
     #: attempt rank-space dedup only inside this row range: below it the
@@ -176,36 +82,94 @@ class ForestKernel:
     #: single-row real-time path: 255 tiny searchsorted calls otherwise)
     BCAST_RANK_MAX_CELLS = 65536
 
+    @classmethod
+    def from_arrays(cls, arrays: dict, classes, n_features: int) -> "ForestKernel":
+        """Validate :meth:`RandomForestClassifier.export_state` arrays and compile.
+
+        ``arrays`` uses the persistence layout: concatenated preorder node
+        arrays with tree-local child indices, ``-1`` features and
+        self-indexing children on leaves, ``offsets`` delimiting trees.
+        Everything is a handful of vectorised passes — no per-node Python,
+        which is what keeps ``load_pipeline`` cold starts cheap.  Raises
+        ``ValueError("corrupt forest state: ...")`` for arrays no fitted
+        forest can export.
+        """
+
+        def require(ok, why: str) -> None:
+            if not ok:
+                raise ValueError(f"corrupt forest state: {why}")
+
+        feature = np.asarray(arrays["feature"], dtype=np.int64)
+        threshold = np.asarray(arrays["threshold"], dtype=float)
+        left = np.asarray(arrays["left"], dtype=np.int64)
+        right = np.asarray(arrays["right"], dtype=np.int64)
+        proba = np.asarray(arrays["proba"], dtype=float)
+        offsets = np.asarray(arrays["offsets"], dtype=np.int64)
+        n_nodes = feature.size
+        require(
+            feature.shape == threshold.shape == left.shape == right.shape == (n_nodes,),
+            "node arrays differ in length",
+        )
+        require(
+            offsets.ndim == 1
+            and offsets.size >= 2
+            and offsets[0] == 0
+            and offsets[-1] == n_nodes
+            and (np.diff(offsets) > 0).all(),
+            f"offsets must rise strictly from 0 to the node count {n_nodes}",
+        )
+        sizes = np.diff(offsets)
+        require(
+            proba.shape == (n_nodes, len(classes)),
+            f"proba has shape {proba.shape}, expected {(n_nodes, len(classes))}",
+        )
+        shift = np.repeat(offsets[:-1], sizes)
+        local = np.arange(n_nodes) - shift  # tree-local, like the child indices
+        leaf = feature < 0
+        internal = ~leaf
+        require(
+            (left == np.where(leaf, local, local + 1)).all(),
+            "left is not the next preorder node (on a leaf: the leaf itself)",
+        )
+        # preorder => both children lie ahead inside the same tree => no cycle
+        ahead = (right > local + 1) & (right < np.repeat(sizes, sizes))
+        require(
+            np.where(leaf, right == local, ahead).all(),
+            "right is outside (index + 1, tree end) (on a leaf: not the leaf itself)",
+        )
+        # ... and one parent each => a tree, not a DAG whose level frontier
+        # (the compile loop below) could double per level
+        splits = np.flatnonzero(internal)
+        right = right + shift  # tree-local -> arena index
+        parents = np.bincount(
+            np.concatenate((splits + 1, right[splits], offsets[:-1])),
+            minlength=n_nodes,
+        )
+        require((parents == 1).all(), "a node hangs off two parents or none")
+        require(
+            (feature < n_features).all(),
+            f"a split feature is outside [0, {n_features})",
+        )
+        require(
+            np.isfinite(threshold[splits]).all(), "a split threshold is not finite"
+        )
+        return cls(feature, threshold, right, internal, proba, offsets[:-1], n_features)
+
     def __init__(
         self,
         feature: np.ndarray,
         threshold: np.ndarray,
         right: np.ndarray,
+        internal: np.ndarray,
         proba: np.ndarray,
         roots: np.ndarray,
-        classes: np.ndarray,
         n_features: int,
-        backend: Optional[str] = None,
     ) -> None:
-        self.classes_ = np.asarray(classes)
-        self.n_features = int(n_features)
+        """Compile a validated arena (global ``right``); use :meth:`from_arrays`."""
+        self.n_features = n_features = int(n_features)
         self.n_trees = int(roots.size)
         self.n_classes = int(proba.shape[1])
-        self.backend = _resolve_backend(backend)
-        # the preorder arena is kept as-is: the numba backend walks it
-        # directly, and it is the layout digests/serialisation hash
-        self._feature = np.ascontiguousarray(feature, dtype=np.int32)
-        self._threshold = np.ascontiguousarray(threshold, dtype=float)
-        self._right = np.ascontiguousarray(right, dtype=np.int32)
         self.proba = np.ascontiguousarray(proba, dtype=float)
-        self._roots = np.ascontiguousarray(roots, dtype=np.int32)
-        self._compile()
-
-    # ------------------------------------------------------------ compile
-    def _compile(self) -> None:
-        feature, threshold, right = self._feature, self._threshold, self._right
-        internal = threshold != -np.inf
-        n_features = self.n_features
 
         # per-feature sorted unique thresholds + per-node rank positions
         cuts = []
@@ -240,7 +204,7 @@ class ForestKernel:
         # BFS re-layout with pass-through chains: iterate level frontiers
         # until every slot is a leaf; depth falls out of the loop count
         packed_levels, lchild_levels = [], []
-        frontier = self._roots.astype(np.int64)
+        frontier = roots.astype(np.int64)
         while internal[frontier].any():
             is_internal = internal[frontier]
             n_children = np.where(is_internal, 2, 1)
@@ -265,56 +229,6 @@ class ForestKernel:
         self._leafmap = frontier  # depth-D slot -> probability row
         self.depth = len(packed_levels)
         self._root_slots = np.arange(self.n_trees, dtype=np.intp)
-
-    # ------------------------------------------------------- constructors
-    @classmethod
-    def from_forest(cls, forest, backend: Optional[str] = None) -> "ForestKernel":
-        """Compile a fitted :class:`RandomForestClassifier`."""
-        feature, threshold, right, proba, roots, _depth = forest._ensure_flat()
-        return cls(
-            feature,
-            threshold,
-            right,
-            proba,
-            roots,
-            forest.classes_,
-            forest.n_features_,
-            backend=backend,
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: dict,
-        classes,
-        n_features: int,
-        backend: Optional[str] = None,
-    ) -> "ForestKernel":
-        """Compile straight from :meth:`RandomForestClassifier.export_state`.
-
-        ``arrays`` uses the persistence layout: concatenated preorder node
-        arrays with tree-local child indices, ``-1`` features on leaves and
-        ``offsets`` delimiting trees.  The arena conversion is a handful of
-        vectorised passes — no tree objects are materialised, which is what
-        makes ``load_pipeline`` cold starts cheap.
-        """
-        feature = np.asarray(arrays["feature"], dtype=np.int64)
-        threshold = np.asarray(arrays["threshold"], dtype=float)
-        right = np.asarray(arrays["right"], dtype=np.int64)
-        proba = np.asarray(arrays["proba"], dtype=float)
-        offsets = np.asarray(arrays["offsets"], dtype=np.int64)
-        leaf = feature < 0
-        shift = np.repeat(offsets[:-1], np.diff(offsets))
-        return cls(
-            np.where(leaf, 0, feature),
-            np.where(leaf, -np.inf, threshold),
-            right + shift,  # leaves self-index locally, so they stay self-routing
-            proba,
-            offsets[:-1],
-            classes,
-            n_features,
-            backend=backend,
-        )
 
     # ------------------------------------------------------------ ranking
     def _rank(self, X: np.ndarray) -> np.ndarray:
@@ -377,14 +291,12 @@ class ForestKernel:
 
     # ----------------------------------------------------------- predict
     def predict_proba(self, X) -> np.ndarray:
-        """Mean class probabilities, bit-identical to the legacy traversal."""
+        """Mean class probabilities over all trees."""
         X, _ = check_Xy(X)
         if X.shape[1] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        if self.backend == "numba":
-            return self._predict_proba_numba(X)
         ranks = self._rank(X)
         if (
             self.DEDUP_MIN_ROWS <= X.shape[0] <= self.DEDUP_MAX_ROWS
@@ -395,26 +307,9 @@ class ForestKernel:
                 return self._accumulate(self._traverse(unique_ranks))[inverse]
         return self._accumulate(self._traverse(ranks))
 
-    def _predict_proba_numba(self, X: np.ndarray) -> np.ndarray:
-        total = np.zeros((X.shape[0], self.n_classes))
-        _numba_walker()(
-            self._feature,
-            self._threshold,
-            self._right,
-            self.proba,
-            self._roots,
-            np.ascontiguousarray(X),
-            total,
-        )
-        return total / self.n_trees
-
-    def predict(self, X) -> np.ndarray:
-        """Most probable class per row (same tie-breaking as the forest)."""
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-
     # ------------------------------------------------------------- sizing
     def nbytes(self) -> int:
-        """Approximate compiled-table footprint (excludes the arena copy)."""
+        """Bytes the kernel reads (``proba`` is the forest's array, not a copy)."""
         tables = sum(level.nbytes for level in self._packed)
         tables += sum(level.nbytes for level in self._lchild)
         return int(

@@ -309,14 +309,6 @@ class DecisionTreeClassifier(BaseClassifier):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.shape[1]}"
             )
-        if X.shape[0] == 1:
-            # single-row calls (the real-time per-session path) are faster
-            # with a direct node walk than with size-1 array arithmetic
-            row = X[0]
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            return node.prediction[None, :].copy()
         if self._flat is None:
             self._flat = self._flatten()
         feature, threshold, left, right, proba = self._flat
@@ -364,58 +356,6 @@ class DecisionTreeClassifier(BaseClassifier):
             "right": right,
             "proba": proba,
         }
-
-    @classmethod
-    def from_arrays(
-        cls,
-        feature,
-        threshold,
-        left,
-        right,
-        proba,
-        classes,
-        n_features: int,
-        feature_importances=None,
-        **params,
-    ) -> "DecisionTreeClassifier":
-        """Rebuild a fitted tree from its :meth:`export_arrays` layout.
-
-        The node structure (including per-node depths, which the batched
-        forest traversal needs for its iteration count) is reconstructed
-        recursively from the preorder arrays; predictions are bit-identical
-        to the exported tree's because every split threshold and leaf
-        probability row round-trips exactly.
-        """
-        tree = cls(**params)
-        feature = np.asarray(feature, dtype=np.int64)
-        threshold = np.asarray(threshold, dtype=float)
-        left = np.asarray(left, dtype=np.int64)
-        right = np.asarray(right, dtype=np.int64)
-        proba = np.asarray(proba, dtype=float)
-        tree.classes_ = np.asarray(classes)
-        tree.n_features_ = int(n_features)
-
-        def build(index: int, depth: int) -> _Node:
-            if feature[index] < 0:
-                return _Node(prediction=proba[index].copy(), depth=depth)
-            node = _Node(
-                feature=int(feature[index]),
-                threshold=float(threshold[index]),
-                depth=depth,
-            )
-            node.left = build(int(left[index]), depth + 1)
-            node.right = build(int(right[index]), depth + 1)
-            return node
-
-        tree.root_ = build(0, 0)
-        tree.n_nodes_ = int(feature.size)
-        tree.feature_importances_ = (
-            np.zeros(tree.n_features_)
-            if feature_importances is None
-            else np.asarray(feature_importances, dtype=float)
-        )
-        tree._flat = (feature, threshold, left, right, proba)
-        return tree
 
     # ------------------------------------------------------------ utilities
     def _count_nodes(self, node: _Node) -> int:

@@ -816,6 +816,7 @@ class StreamingEngine:
                     reason=reason,
                     n_packets=state.n_packets,
                     duration_s=state.duration,
+                    origin_shifts=state.cascade.origin_shifts,
                 )
             )
         self._observe(events)

@@ -150,7 +150,17 @@ class QoEInterval(ContextEvent):
 
 @dataclass(frozen=True)
 class SessionReport(ContextEvent):
-    """The flow closed; ``report`` is bit-identical to offline ``process()``.
+    """The flow closed; ``report`` is what offline ``process()`` returns.
+
+    Bit-identical to the offline call on the same packets in the
+    ``"full"`` tier always, and in ``"bounded"`` / ``"approx"`` whenever
+    ``origin_shifts`` is 0 (``"approx"`` against
+    ``process(qoe_mode="approx")``).  ``origin_shifts`` counts the batches
+    that delivered a packet older than the session's first-seen timestamp:
+    the feed reorders *across* batches.  ``"full"`` refolds its retained
+    history and stays exact; the other tiers keep the late anchor, clip
+    those rows into slot 0 and measure the duration from the late origin,
+    so a non-zero count there marks a report that may differ from offline.
 
     ``reason`` is ``"eof"`` (feed ended / explicit close) or ``"idle"``
     (no packets for the engine's idle timeout).
@@ -160,6 +170,7 @@ class SessionReport(ContextEvent):
     reason: str
     n_packets: int
     duration_s: float
+    origin_shifts: int = 0
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Fitted-pipeline persistence: deployments load models, they don't refit.
 
 A fitted :class:`~repro.core.pipeline.ContextClassificationPipeline` is
-three random forests plus a handful of scalar gate parameters.  After
-training, each forest is fully described by flat node arrays
-(:meth:`RandomForestClassifier.export_state` — the same layout the batched
-traversal flattens to), so the whole pipeline serialises to
+three random forests plus a handful of scalar gate parameters.  A fitted
+forest *is* a handful of flat node arrays
+(:meth:`RandomForestClassifier.export_state`), so the whole pipeline
+serialises to
 
 * ``pipeline.json`` — format version, per-classifier configuration (gate
   thresholds, windows, EMA weight, forest hyperparameters, class labels)
@@ -12,10 +12,11 @@ traversal flattens to), so the whole pipeline serialises to
 * ``pipeline.npz`` — the concatenated node arrays of every fitted forest
   (float64 thresholds and leaf probabilities round-trip exactly).
 
-``load_pipeline(save_pipeline(p))`` predicts **bit-identically** to ``p``
-on every path (single-row real-time walks, whole-matrix traversals, and
-therefore whole ``SessionContextReport``s); training-only state (bootstrap
-RNG, OOB diagnostics, per-node sample counts) is not preserved.  Workers
+``load_pipeline(save_pipeline(p))`` is the same kind of object as ``p`` and
+predicts **bit-identically** (single rows, whole matrices, and therefore
+whole ``SessionContextReport``s); only the OOB score is not preserved.
+Arrays no forest could have exported (a corrupt ``pipeline.npz``) raise
+``ValueError`` at load — :meth:`ForestKernel.from_arrays` validates.  Workers
 (:mod:`repro.runtime.shard`) and deployments share one trained artifact
 instead of refitting per process.
 """
@@ -53,8 +54,14 @@ _ARRAY_KEYS = (
 )
 
 
-def _forest_meta(model: RandomForestClassifier) -> dict:
+def _forest_meta(model: RandomForestClassifier, stage: str) -> dict:
     """JSON-serialisable hyperparameters + class labels of one forest."""
+    if not isinstance(model, RandomForestClassifier):
+        raise TypeError(
+            f"the {stage} stage uses a {type(model).__name__}; only "
+            "RandomForestClassifier models can be saved or digested "
+            f"(format {PIPELINE_FORMAT})"
+        )
     fitted = hasattr(model, "classes_")
     meta = {
         "fitted": fitted,
@@ -118,19 +125,19 @@ def _pipeline_config(pipeline: ContextClassificationPipeline) -> dict:
             "confidence_threshold": title.confidence_threshold,
             "feature_mode": title.feature_mode,
             "feature_aggregate": title.feature_aggregate,
-            "model": _forest_meta(title.model),
+            "model": _forest_meta(title.model, "title"),
         },
         "activity": {
             "slot_duration": activity.slot_duration,
             "alpha": activity.alpha,
             "balance_classes": activity.balance_classes,
-            "model": _forest_meta(activity.model),
+            "model": _forest_meta(activity.model, "activity"),
         },
         "pattern": {
             "confidence_threshold": pattern.confidence_threshold,
             "min_slots": pattern.min_slots,
             "balance_classes": pattern.balance_classes,
-            "model": _forest_meta(pattern.model),
+            "model": _forest_meta(pattern.model, "pattern"),
         },
         "qoe": {
             "estimator_slot_duration": pipeline.qoe_estimator.slot_duration,
@@ -278,8 +285,4 @@ def load_pipeline(path: Union[str, Path]) -> ContextClassificationPipeline:
         reference_demand_mbps=qoe_cfg["reference_demand_mbps"],
     )
     pipeline._fitted = bool(config["fitted"])
-    if pipeline._fitted:
-        # warm the fused kernels directly from the flat npz arrays -- no
-        # recursive _Node tree is ever materialised on the load path
-        pipeline.compile_kernels()
-    return pipeline
+    return pipeline  # inference-ready: from_state compiled (and validated) each kernel

@@ -119,7 +119,11 @@ def test_streaming_reports_equal_offline_across_seed_sweep(
 def test_streaming_reports_equal_offline_with_shuffled_batches(
     fitted_pipeline, runtime_sessions, runtime_offline_reports
 ):
-    """Out-of-order arrivals within a batch do not change the final reports."""
+    """Out-of-order arrivals within a batch do not change the final reports.
+
+    Nor do they shift a session's origin: ``origin_shifts`` counts only
+    packets that arrive a whole batch late (the pre-origin test below).
+    """
     feed = SessionFeed(
         runtime_sessions,
         batch_seconds=2.0,
@@ -127,9 +131,85 @@ def test_streaming_reports_equal_offline_with_shuffled_batches(
         random_state=3,
     )
     engine = StreamingEngine(fitted_pipeline)
-    reports = reports_by_client_port(engine.run(feed))
+    events = list(engine.run(feed))
+    reports = reports_by_client_port(events)
     for index, expected in enumerate(runtime_offline_reports):
         assert_report_identical(reports[52000 + index], expected)
+    assert [e.origin_shifts for e in events if isinstance(e, SessionReport)] == [0] * len(
+        runtime_sessions
+    )
+
+
+@pytest.mark.parametrize("late_seconds", [0.3, 2.5])
+def test_full_tier_is_the_exact_one_under_cross_batch_pre_origin_arrival(
+    fitted_pipeline, sweep_sessions, sweep_offline_reports, late_seconds
+):
+    """The input ``session_mode="full"`` exists for (ROADMAP collapse (d)).
+
+    The first ``late_seconds`` of a 60 s session reach the engine one batch
+    after the packets that follow them.  ``"full"`` refolds its history and
+    closes bit-identical to offline; ``"bounded"`` keeps the late anchor —
+    its report deviates, and ``origin_shifts`` on the close event says so.
+    """
+    session, offline = sweep_sessions[0], sweep_offline_reports["exact"][0]
+    feed = SessionFeed([session], batch_seconds=3.0)
+    first, *later = list(feed)
+    cut = first.timestamps.min() + late_seconds
+    batches = [
+        first.take(np.nonzero(first.timestamps >= cut)[0]),
+        first.take(np.nonzero(first.timestamps < cut)[0]),
+        *later,
+    ]
+    closes = {}
+    for session_mode in ("full", "bounded"):
+        engine = StreamingEngine(fitted_pipeline, session_mode=session_mode)
+        for key, context in feed.flow_contexts.items():
+            engine.set_flow_context(key, context)
+        events = [event for batch in batches for event in engine.ingest(batch)]
+        events += engine.close_all()
+        (closes[session_mode],) = (e for e in events if isinstance(e, SessionReport))
+
+    assert_report_identical(closes["full"].report, offline)
+    assert closes["full"].origin_shifts == 1
+    assert closes["full"].duration_s == session.packets.duration
+
+    bounded = closes["bounded"]
+    assert bounded.origin_shifts >= 1
+    assert bounded.duration_s < closes["full"].duration_s  # anchored late
+    assert bounded.report.objective_metrics != offline.objective_metrics
+    assert bounded.report.stage_timeline != offline.stage_timeline
+
+
+def test_pipeline_with_a_non_forest_title_model(small_gameplay_corpus, tmp_path):
+    """The Fig. 14/15 comparison end to end: a 1-NN title stage fits and runs.
+
+    ``compile_kernels`` used to touch ``model.kernel`` on every fitted
+    model and died in ``fit`` for anything but a forest.
+    """
+    from repro.core.pipeline import ContextClassificationPipeline
+    from repro.core.title_classifier import GameTitleClassifier
+    from repro.ml import KNeighborsClassifier, RandomForestClassifier
+    from repro.runtime import pipeline_digest, save_pipeline
+
+    pipeline = ContextClassificationPipeline(random_state=3)
+    pipeline.title_classifier = GameTitleClassifier(
+        model=KNeighborsClassifier(n_neighbors=1)
+    )
+    for stage in (pipeline.activity_classifier, pipeline.pattern_classifier):
+        stage.model = RandomForestClassifier(n_estimators=10, max_depth=10, random_state=3)
+    sessions = small_gameplay_corpus.sessions
+    pipeline.fit(sessions)
+
+    offline = pipeline.process(sessions[0])
+    assert offline.title.title == sessions[0].title_name  # 1-NN on a training row
+    reports = reports_by_client_port(
+        StreamingEngine(pipeline).run(SessionFeed(sessions[:1], batch_seconds=2.0))
+    )
+    assert_report_identical(reports[52000], offline)
+
+    for persist in (pipeline_digest, lambda p: save_pipeline(p, tmp_path / "model")):
+        with pytest.raises(TypeError, match="title stage uses a KNeighborsClassifier"):
+            persist(pipeline)
 
 
 def test_raw_packet_feed_matches_offline_process(fitted_pipeline, runtime_sessions):
