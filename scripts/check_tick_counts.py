@@ -1,0 +1,79 @@
+#!/usr/bin/env python
+"""Guard the tick fold's cost model on the counts the e2e trace already takes.
+
+The live path folds the *tick*, not every flow's share of it (DESIGN.md §6):
+one demux per tick, at most one forest call per gate that has rows due, and
+no per-flow ``SessionReducerCascade.absorb``.  A traced run of the
+``tap_small_ticks`` workload records exactly those counts —
+
+    python3 benchmarks/e2e/run.py --workload tap_small_ticks --trace 1 --seconds 3
+
+— and this script reads its result file and fails unless they still hold.
+Counts repeat exactly from run to run, so the guard holds on noisy shared
+runners, where a time gate cannot.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_RESULT = (
+    REPO_ROOT / "benchmarks" / "e2e" / "out" / "result-tap_small_ticks-trace1.json"
+)
+
+
+def violations(metrics: Dict[str, dict]) -> List[str]:
+    """The cost-model rules a traced result's per-layer metrics break."""
+
+    def value(name: str) -> float:
+        return metrics[name]["value"]
+
+    ticks = value("runtime.engine.ticks")
+    flows = value("runtime.demux.flows")
+    rules = (
+        (
+            value("ml.kernel.calls") <= ticks,
+            f"ml.kernel.calls {value('ml.kernel.calls'):g} > runtime.engine.ticks "
+            f"{ticks:g}: a gate calls its forest more than once per tick",
+        ),
+        (
+            value("core.reducers.absorb_calls") <= flows / 4,
+            f"core.reducers.absorb_calls {value('core.reducers.absorb_calls'):g} > "
+            f"runtime.demux.flows / 4 ({flows / 4:g}): the live path folds per "
+            "(flow, tick) again",
+        ),
+        (
+            value("runtime.demux.calls") == ticks,
+            f"runtime.demux.calls {value('runtime.demux.calls'):g} != "
+            f"runtime.engine.ticks {ticks:g}: not one demux per tick",
+        ),
+        (
+            value("trace.coverage_frac") >= 0.95,
+            f"trace.coverage_frac {value('trace.coverage_frac'):.3f} < 0.95: the "
+            "spans no longer cover the pass, so the counts above may be partial",
+        ),
+    )
+    return [message for holds, message in rules if not holds]
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    arguments = sys.argv[1:] if argv is None else argv
+    path = Path(arguments[0]) if arguments else DEFAULT_RESULT
+    record = json.loads(path.read_text())
+    if record.get("workload") != "tap_small_ticks" or not record.get("trace"):
+        print(f"{path}: not a traced tap_small_ticks result", file=sys.stderr)
+        return 2
+    broken = violations(record["metrics"])
+    for message in broken:
+        print(f"tick-count guard: {message}", file=sys.stderr)
+    if not broken:
+        print(f"tick-count guard passed ({path.name})")
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

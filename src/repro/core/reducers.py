@@ -43,6 +43,10 @@ over the same four reducers (DESIGN.md §7):
 
 :class:`SessionReducerCascade` bundles the reducers with the shared session
 aggregates (origin, last timestamp, per-direction byte totals, RTP flag).
+Its one fold body reads pre-reduced *facts* (:class:`TickFacts`): the live
+path reduces a whole flow-sorted tick to per-flow facts at once and folds
+each flow on scalars, ``absorb(columns)`` is the same call on a tick of one
+flow, and rows are touched only where rows are needed.
 In the default **bounded** mode the cascade holds no packet history: state
 is O(slots) counters + O(launch-window packets) + the three downstream QoE
 columns (~24 bytes per downstream packet instead of the full columnar
@@ -85,6 +89,7 @@ __all__ = [
     "SealedQoEInterval",
     "SessionReducerCascade",
     "SlotStageReducer",
+    "TickFacts",
 ]
 
 #: Valid values of ``SessionReducerCascade(qoe_mode=...)``.
@@ -94,15 +99,6 @@ _EMPTY_FEATURES = np.zeros((0, 4))
 _EMPTY_SLOTS = np.zeros(0, dtype=np.int64)
 _EMPTY_FLOAT = np.zeros(0, dtype=float)
 _EMPTY_INT = np.zeros(0, dtype=np.int64)
-
-
-def _bucket(timestamp: float, origin: float, width: float) -> int:
-    """Slot / interval index of one timestamp, as the reducers bucket rows.
-
-    The same ``floor((t - origin) / width)`` the array folds compute per row
-    (IEEE double either way), clipped to 0 for pre-origin rows like theirs.
-    """
-    return max(0, math.floor((timestamp - origin) / width))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +150,9 @@ class LaunchWindowReducer:
                 else columns.take(np.flatnonzero(mask))
             )
         if count:
-            self._chunks.append(kept)
+            # retained for the session's lifetime: a view would pin the whole
+            # tick it was cut from, unaccounted by nbytes()
+            self._chunks.append(kept.owned())
             self.n_rows += count
         return count
 
@@ -193,11 +191,12 @@ class SlotStageReducer:
     grown with one pair of ``bincount`` adds per batch and equal
     :meth:`VolumetricAttributeGenerator.raw_slot_matrix` of the packets seen
     so far exactly; :meth:`raw_matrix` converts them to the offline rates.
-    The EMA tracker and slot cursor feed the runtime's *provisional* stage
-    gate (causal running-peak attributes, classified per completed slot).
+    The EMA tracker and slot ``cursor`` (the first slot the gate has not
+    completed yet) feed the runtime's *provisional* stage gate (causal
+    running-peak attributes, classified per completed slot).
     """
 
-    __slots__ = ("slot_duration", "_raw", "_max_slot", "_cursor", "_tracker")
+    __slots__ = ("slot_duration", "_raw", "_max_slot", "cursor", "_tracker")
 
     def __init__(self, slot_duration: float, alpha: float) -> None:
         if slot_duration <= 0:
@@ -205,7 +204,7 @@ class SlotStageReducer:
         self.slot_duration = slot_duration
         self._raw = np.zeros((64, 4))
         self._max_slot = -1
-        self._cursor = 0
+        self.cursor = 0
         self._tracker = OnlineVolumetricTracker(alpha=alpha)
 
     def _ensure_capacity(self, slot: int) -> None:
@@ -243,19 +242,15 @@ class SlotStageReducer:
         self._ensure_capacity(top)
         self._max_slot = max(self._max_slot, top)
         length = top + 1
-        if down.any():
-            idx = indices[down]
-            self._raw[:length, 0] += np.bincount(
-                idx, weights=sizes[down], minlength=length
-            )
-            self._raw[:length, 1] += np.bincount(idx, minlength=length)
-        up = ~down
-        if up.any():
-            idx = indices[up]
-            self._raw[:length, 2] += np.bincount(
-                idx, weights=sizes[up], minlength=length
-            )
-            self._raw[:length, 3] += np.bincount(idx, minlength=length)
+        # one bin per (slot, direction) — the counter matrix's own layout —
+        # so both directions share one pair of bincounts; within a bin the
+        # weights still accumulate in row order
+        bins = indices * 2 + ~down
+        counters = self._raw[:length]
+        counters[:, 0::2] += np.bincount(
+            bins, weights=sizes, minlength=2 * length
+        ).reshape(length, 2)
+        counters[:, 1::2] += np.bincount(bins, minlength=2 * length).reshape(length, 2)
 
     def absorb_slot(
         self,
@@ -319,43 +314,40 @@ class SlotStageReducer:
             )
             self._raw[:length, column + 1] += np.bincount(indices, minlength=length)
 
-    def advance(
-        self, clock: float, origin: Optional[float], total_slots: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Complete every slot the feed clock has passed (provisional gate).
+    def advance(self, complete: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Complete slots ``cursor .. complete - 1`` (provisional gate).
 
         Returns the causal (running-peak, EMA-carried) feature rows and slot
-        indices of the newly completed slots; pass ``clock=inf`` at close
-        time to flush the final partial slot.
+        indices of the newly completed slots.  A flow completes a slot or
+        two per call, so the rows are converted and smoothed as python
+        floats — the same IEEE operations in the same order as the array
+        expressions of :meth:`raw_matrix` and the offline generator.
         """
-        if origin is None:
-            return _EMPTY_FEATURES, _EMPTY_SLOTS
-        if np.isfinite(clock):
-            complete = min(
-                int(np.floor((clock - origin) / self.slot_duration)), total_slots
-            )
-        else:  # close-time flush: every observed slot completes
-            complete = total_slots
-        if complete <= self._cursor:
+        if complete <= self.cursor:
             return _EMPTY_FEATURES, _EMPTY_SLOTS
         self._ensure_capacity(complete - 1)
-        converted = self._convert(self._raw[self._cursor : complete])
-        features = np.empty_like(converted)
-        for row in range(converted.shape[0]):
-            features[row] = self._tracker.update(converted[row])
-        slots = np.arange(self._cursor, complete, dtype=np.int64)
-        self._cursor = complete
+        features = np.array(
+            [
+                self._tracker.step(self._rates(*counters))
+                for counters in self._raw[self.cursor : complete].tolist()
+            ]
+        )
+        slots = np.arange(self.cursor, complete, dtype=np.int64)
+        self.cursor = complete
         return features, slots
 
-    def _convert(self, raw: np.ndarray) -> np.ndarray:
-        """Counters -> offline rate units (same expressions as the generator)."""
+    def _rates(self, down_bytes, down_packets, up_bytes, up_packets) -> tuple:
+        """Counters -> offline rate units (same expressions as the generator).
+
+        Works on four python floats (one slot) and on four columns alike.
+        """
         interval = self.slot_duration
-        converted = np.empty_like(raw)
-        converted[:, 0] = raw[:, 0] * 8 / interval / 1e6  # down Mbps
-        converted[:, 1] = raw[:, 1] / interval            # down pkt/s
-        converted[:, 2] = raw[:, 2] * 8 / interval / 1e3  # up Kbps
-        converted[:, 3] = raw[:, 3] / interval            # up pkt/s
-        return converted
+        return (
+            down_bytes * 8 / interval / 1e6,  # down Mbps
+            down_packets / interval,          # down pkt/s
+            up_bytes * 8 / interval / 1e3,    # up Kbps
+            up_packets / interval,            # up pkt/s
+        )
 
     def raw_matrix(self, total_slots: int) -> np.ndarray:
         """The offline ``raw_slot_matrix`` equivalent of the counters.
@@ -366,7 +358,7 @@ class SlotStageReducer:
         """
         n = max(1, total_slots)
         self._ensure_capacity(n - 1)
-        return self._convert(self._raw[:n])
+        return np.stack(self._rates(*self._raw[:n].T), axis=1)
 
     def nbytes(self) -> int:
         return self._raw.nbytes
@@ -377,7 +369,7 @@ class SlotStageReducer:
             "slot_duration": self.slot_duration,
             "raw": self._raw.copy(),
             "max_slot": self._max_slot,
-            "cursor": self._cursor,
+            "cursor": self.cursor,
             "tracker": self._tracker.snapshot(),
         }
 
@@ -385,7 +377,7 @@ class SlotStageReducer:
         self.slot_duration = snapshot["slot_duration"]
         self._raw = snapshot["raw"].copy()
         self._max_slot = snapshot["max_slot"]
-        self._cursor = snapshot["cursor"]
+        self.cursor = snapshot["cursor"]
         self._tracker.restore(snapshot["tracker"])
 
 
@@ -406,9 +398,9 @@ class _IntervalSealer:
 
     def advance(self, clock: float, origin: Optional[float]) -> list:
         """Seal every interval whose end the feed clock has passed."""
-        if origin is None or not np.isfinite(clock):
+        if origin is None or not math.isfinite(clock):
             return []
-        complete = int(np.floor((clock - origin) / self.interval_seconds))
+        complete = math.floor((clock - origin) / self.interval_seconds)
         if complete <= self._sealed_upto:
             return []
         sealed = [
@@ -1290,6 +1282,93 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
 
 
 # ---------------------------------------------------------------------------
+# pre-reduced facts of a flow-sorted tick
+# ---------------------------------------------------------------------------
+class TickFacts:
+    """What the cascade fold needs to know about every flow of one tick.
+
+    ``columns`` holds the tick's rows flow by flow and ``bounds`` the
+    ``n_flows + 1`` row offsets (:class:`~repro.net.flow.FlowTick`; every
+    span non-empty).  A handful of ``reduceat`` passes over the whole tick
+    give each flow's first / last timestamp, payload total and downstream
+    payload as python scalars, and one gather per column gives the
+    downstream rows of all flows, of which flow ``i`` owns
+    ``down_bounds[i]:down_bounds[i + 1]`` — so the per-flow cost of a tick is
+    scalar arithmetic plus zero-copy spans (DESIGN.md §7).  Payload sizes are
+    integral, so the sums are exact in whatever order ``reduceat`` adds.
+    """
+
+    __slots__ = (
+        "columns",
+        "bounds",
+        "first",
+        "last",
+        "payload",
+        "down_payload",
+        "down",
+        "down_bounds",
+        "down_times",
+        "down_sizes",
+        "down_sequences",
+        "down_rtp_times",
+        "_rtp_seen",
+    )
+
+    def __init__(self, columns: PacketColumns, bounds: np.ndarray) -> None:
+        timestamps = columns.timestamps
+        sizes = columns.payload_sizes
+        starts = bounds[:-1]
+        self.columns = columns
+        self.bounds: List[int] = bounds.tolist()
+        self.first: List[float] = np.minimum.reduceat(timestamps, starts).tolist()
+        self.last: List[float] = np.maximum.reduceat(timestamps, starts).tolist()
+        self.payload: List[float] = np.add.reduceat(sizes, starts).tolist()
+        down = self.down = columns.directions == DOWNSTREAM_CODE
+        # masked, not gathered: a flow without downstream rows would be an
+        # empty span, which reduceat does not reduce to zero
+        self.down_payload: List[float] = np.add.reduceat(
+            np.where(down, sizes, 0.0), starts
+        ).tolist()
+        self._rtp_seen: Optional[List[bool]] = None
+        down_rows = np.flatnonzero(down)
+        self.down_bounds: List[int] = np.searchsorted(down_rows, bounds).tolist()
+        self.down_times = timestamps[down_rows]
+        self.down_sizes = sizes[down_rows]
+        sequences = columns.rtp_sequence
+        rtp_times = columns.rtp_timestamp
+        self.down_sequences = None if sequences is None else sequences[down_rows]
+        self.down_rtp_times = None if rtp_times is None else rtp_times[down_rows]
+
+    @classmethod
+    def of_batch(cls, columns: PacketColumns) -> "TickFacts":
+        """Facts of one non-empty batch taken as a tick of a single flow."""
+        return cls(columns, np.array([0, len(columns)]))
+
+    def rtp_seen(self, flow: int) -> bool:
+        """Whether any row of the flow carries an RTP SSRC.
+
+        Asked only by sessions that have not seen RTP yet, so the per-flow
+        answers are reduced on the first question of a tick, not on every
+        tick.
+        """
+        if self._rtp_seen is None:
+            ssrc = self.columns.rtp_ssrc
+            self._rtp_seen = (
+                [False] * len(self.first)
+                if ssrc is None
+                else np.logical_or.reduceat(ssrc != RTP_NONE, self.bounds[:-1]).tolist()
+            )
+        return self._rtp_seen[flow]
+
+    def rows(self, flow: int) -> PacketColumns:
+        """Zero-copy view of one flow's rows (whoever retains it copies)."""
+        start, stop = self.bounds[flow], self.bounds[flow + 1]
+        if stop - start == len(self.columns):
+            return self.columns
+        return self.columns.slice_view(start, stop)
+
+
+# ---------------------------------------------------------------------------
 # the cascade: shared aggregates + the reducers, one absorb() entry point
 # ---------------------------------------------------------------------------
 class SessionReducerCascade:
@@ -1376,96 +1455,125 @@ class SessionReducerCascade:
     def absorb(self, columns: PacketColumns) -> int:
         """Fold one batch into every reducer; return new launch-window rows.
 
+        The single-batch form of :meth:`fold`: the batch is a tick of one
+        flow.
+        """
+        if not len(columns):
+            return 0
+        return self.fold(TickFacts.of_batch(columns), 0)
+
+    def fold(self, facts: TickFacts, flow: int) -> int:
+        """Fold flow ``flow`` of a tick; return its new launch-window rows.
+
         The return value counts rows that landed inside the title window —
         the runtime uses a non-zero count after the title gate fired as the
         re-classification trigger.
         """
-        if not len(columns):
-            return 0
-        timestamps = columns.timestamps
-        batch_min = float(timestamps.min())
+        first = facts.first[flow]
         if self.origin is None:
-            self.origin = batch_min
-        elif batch_min < self.origin and self._history is not None:
-            # exact refold: an older packet surfaced, so every slot/interval
-            # assignment shifts.  Only possible with retained history.
+            self.origin = first
+        elif first < self.origin:
             self.origin_shifts += 1
-            self._history.append(columns)
-            self._refold(batch_min)
-            mask = timestamps <= self.origin + self._window_seconds
-            return int(np.count_nonzero(mask))
-        elif batch_min < self.origin:
+            if self._history is not None:
+                # exact refold: an older packet surfaced, so every slot and
+                # interval assignment shifts.  Only possible with retained
+                # history.
+                rows = facts.rows(flow).owned()
+                self._history.append(rows)
+                self._refold(first)
+                mask = rows.timestamps <= self.origin + self._window_seconds
+                return int(np.count_nonzero(mask))
             # bounded mode: keep the anchored origin; pre-origin rows clip
             # into slot/interval 0 (the provisional counters absorb the
             # approximation, the final QoE columns stay exact)
-            self.origin_shifts += 1
         if self._history is not None:
-            self._history.append(columns)
-        return self._fold(columns, batch_min)
+            self._history.append(facts.rows(flow).owned())
+        return self._fold(facts, flow)
 
-    def _fold(self, columns: PacketColumns, batch_min: float) -> int:
-        """Fold one non-empty batch against the current origin.
+    def _fold(self, facts: TickFacts, flow: int) -> int:
+        """The one fold body: a flow's rows of a tick against the current origin.
 
         A flow's share of one feed tick usually sits inside one slot, inside
-        one QoE interval and past the title window.  The batch's time span
-        (``batch_min`` .. its max) shows which of the three hold; each one
-        that does replaces a per-row index pass by its known outcome, and
-        every other batch takes the general reducers.
+        one QoE interval and past the title window.  Its time span
+        (``first`` .. ``last``) shows which of the three hold; each one that
+        does is folded from the pre-reduced facts alone, and only the others
+        touch rows: the title-window rows, and a span straddling a slot or
+        QoE boundary (the general reducers).
         """
-        timestamps = columns.timestamps
         origin = self.origin
-        batch_max = float(timestamps.max())
-        self.last_ts = max(self.last_ts, batch_max)
-        self.n_packets += len(columns)
-        down = columns.directions == DOWNSTREAM_CODE
-        sizes = columns.payload_sizes
-        # one downstream gather, shared by the byte totals and the QoE store
-        down_times = timestamps[down]
-        down_sizes = sizes[down]
-        down_sum = 0.0
-        if down_times.size:
-            self.has_downstream = True
-            down_sum = float(down_sizes.sum())
-            self.down_bytes += down_sum
+        first = facts.first[flow]
+        last = facts.last[flow]
+        start, stop = facts.bounds[flow], facts.bounds[flow + 1]
+        down_start, down_stop = facts.down_bounds[flow], facts.down_bounds[flow + 1]
+        n_down = down_stop - down_start
+        if last > self.last_ts:
+            self.last_ts = last
+        self.n_packets += stop - start
+        down_sum = facts.down_payload[flow]
         # integral payload sizes make the subtraction exact
-        up_sum = float(sizes.sum()) - down_sum
+        up_sum = facts.payload[flow] - down_sum
+        if n_down:
+            self.has_downstream = True
+            self.down_bytes += down_sum
         self.up_bytes += up_sum
-        ssrc = columns.rtp_ssrc
-        if not self.has_rtp and ssrc is not None and bool(np.any(ssrc != RTP_NONE)):
+        if not self.has_rtp and facts.rtp_seen(flow):
             self.has_rtp = True
 
-        if batch_min > origin + self._window_seconds:
+        if first > origin + self._window_seconds:
             new_window_rows = 0  # no row can be inside the title window
         else:
-            new_window_rows = self.launch.absorb(columns, origin)
+            new_window_rows = self.launch.absorb(facts.rows(flow), origin)
 
-        # floor((t - origin) / width) never decreases with t, so equal indices
-        # at the batch's min and max are the index of every row
-        slot = _bucket(batch_min, origin, self.slots.slot_duration)
-        if slot == _bucket(batch_max, origin, self.slots.slot_duration):
-            n_down = int(down_times.size)
+        # the reducers bucket a row into floor((t - origin) / width), clipped
+        # to 0 for pre-origin rows; the index never decreases with t, so equal
+        # indices at the span's first and last timestamp are the index of
+        # every row (same IEEE expression as the array folds compute per row)
+        floor = math.floor
+        width = self.slots.slot_duration
+        slot = floor((first - origin) / width)
+        last_slot = floor((last - origin) / width)
+        if slot == last_slot or last_slot <= 0:
             self.slots.absorb_slot(
-                slot, down_sum, n_down, up_sum, len(columns) - n_down
+                slot if slot > 0 else 0, down_sum, n_down, up_sum, stop - start - n_down
             )
         else:
-            self.slots.absorb(timestamps, sizes, down, origin)
+            columns = facts.columns
+            self.slots.absorb(
+                columns.timestamps[start:stop],
+                columns.payload_sizes[start:stop],
+                facts.down[start:stop],
+                origin,
+            )
 
-        if not down_times.size:
+        if not n_down:
             return new_window_rows
-        sequences = columns.rtp_sequence
-        rtp_times = columns.rtp_timestamp
-        down_sequences = sequences[down] if sequences is not None else None
-        down_rtp_times = rtp_times[down] if rtp_times is not None else None
-        interval = _bucket(batch_min, origin, self._qoe_interval_seconds)
-        if self.qoe_mode == "exact" and interval == _bucket(
-            batch_max, origin, self._qoe_interval_seconds
+        down_times = facts.down_times[down_start:down_stop]
+        sequences = facts.down_sequences
+        rtp_times = facts.down_rtp_times
+        if sequences is not None:
+            sequences = sequences[down_start:down_stop]
+        if rtp_times is not None:
+            rtp_times = rtp_times[down_start:down_stop]
+        width = self._qoe_interval_seconds
+        interval = floor((first - origin) / width)
+        last_interval = floor((last - origin) / width)
+        if self.qoe_mode == "exact" and (
+            interval == last_interval or last_interval <= 0
         ):
             self.qoe.absorb_interval(
-                interval, down_times, down_sequences, down_rtp_times, down_sum
+                interval if interval > 0 else 0,
+                down_times,
+                sequences,
+                rtp_times,
+                down_sum,
             )
         else:
             self.qoe.absorb_arrays(
-                down_times, down_sizes, down_sequences, down_rtp_times, origin
+                down_times,
+                facts.down_sizes[down_start:down_stop],
+                sequences,
+                rtp_times,
+                origin,
             )
         return new_window_rows
 
@@ -1537,7 +1645,7 @@ class SessionReducerCascade:
         self.qoe = QoEIntervalReducer(self._qoe_interval_seconds)
         self.qoe._sealed_upto = sealed_upto
         for batch in history:
-            self._fold(batch, float(batch.timestamps.min()))
+            self._fold(TickFacts.of_batch(batch), 0)
 
     # ------------------------------------------------------------ aggregates
     @property
@@ -1552,14 +1660,32 @@ class SessionReducerCascade:
         if self.origin is None:
             return 0
         return max(
-            1,
-            int(np.ceil((self.last_ts - self.origin) / self.slots.slot_duration)),
+            1, math.ceil((self.last_ts - self.origin) / self.slots.slot_duration)
         )
 
     # ------------------------------------------------------------ provisional
     def advance_slots(self, clock: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Provisional stage gate: feature rows of newly completed slots."""
-        return self.slots.advance(clock, self.origin, self.total_slots())
+        """Provisional stage gate: feature rows of newly completed slots.
+
+        Completes every observed slot the feed clock has passed;
+        ``clock=math.inf`` (the close path) completes them all, and a NaN or
+        ``-inf`` clock completes nothing.  The due check is scalar, and it is
+        the reducers' own bucketing expression ``floor((clock - origin) /
+        width)`` — comparing ``clock`` against ``origin + k * width`` instead
+        rounds differently on slot edges and would complete a slot one tick
+        early or late.
+        """
+        origin = self.origin
+        if origin is None:
+            return _EMPTY_FEATURES, _EMPTY_SLOTS
+        if clock == math.inf:
+            return self.slots.advance(self.total_slots())
+        if not math.isfinite(clock):
+            return _EMPTY_FEATURES, _EMPTY_SLOTS
+        complete = math.floor((clock - origin) / self.slots.slot_duration)
+        if complete <= self.slots.cursor:
+            return _EMPTY_FEATURES, _EMPTY_SLOTS
+        return self.slots.advance(min(complete, self.total_slots()))
 
     def advance_qoe(self, clock: float) -> List[SealedQoEInterval]:
         """Provisional QoE gate: seal intervals the clock has passed."""

@@ -171,19 +171,20 @@ def prefix_transition_features(
 class PrefixTransitionTracker:
     """Streaming :func:`prefix_transition_features`: carry counts across batches.
 
-    The streaming runtime receives a session's classified stages a few slots
-    at a time; re-deriving every prefix from the whole sequence would cost
-    O(n) per batch (O(n²) per session).  The tracker carries the transition
-    counts, the previous stage and the gameplay-slot count across calls, so
-    each :meth:`extend` is O(k) in the batch size while the concatenated
-    outputs stay bit-identical to one :func:`prefix_transition_features` call
-    over the full sequence — counts are exact small integers, and each
-    prefix's attribute vector divides the same cumulative counts by the same
-    cumulative total.
+    The streaming runtime receives a session's classified stages a slot or
+    two at a time; re-deriving every prefix from the whole sequence would
+    cost O(n) per batch (O(n²) per session).  The tracker carries the nine
+    transition counts, the previous stage and the gameplay-slot count across
+    calls as python numbers, so each :meth:`extend` is O(k) in the batch size
+    with two array constructions, while the concatenated outputs stay
+    bit-identical to one :func:`prefix_transition_features` call over the
+    full sequence — counts are exact small integers (their total is exact in
+    any order), and each attribute is the same single division of a count by
+    the prefix total.
     """
 
     def __init__(self) -> None:
-        self._counts = np.zeros(9)
+        self._counts: List[float] = [0.0] * 9
         self._prev = -1
         self._gameplay_seen = 0
 
@@ -195,14 +196,14 @@ class PrefixTransitionTracker:
     @property
     def n_transitions(self) -> int:
         """Transitions counted so far."""
-        return int(self._counts.sum())
+        return int(sum(self._counts))
 
     def feature_vector(self) -> np.ndarray:
         """The current nine-attribute prefix vector (all slots so far)."""
-        total = self._counts.sum()
+        total = sum(self._counts)
         if total == 0:
             return np.zeros(9)
-        return self._counts / total
+        return np.array(self._counts) / total
 
     def extend(self, stages: Sequence[PlayerStage]) -> Tuple[np.ndarray, np.ndarray]:
         """Consume the next batch of slots; return their prefix attributes.
@@ -211,37 +212,39 @@ class PrefixTransitionTracker:
         counts for the ``k`` new slots, exactly the rows
         :func:`prefix_transition_features` would produce for those positions.
         """
-        idx = stage_index_codes(stages)
-        n = idx.size
-        if n == 0:
+        if not len(stages):
             return np.zeros((0, 9)), np.zeros(0, dtype=np.int64)
-        previous = np.concatenate(([self._prev], idx[:-1]))
-        valid = (idx >= 0) & (previous >= 0)
-        one_hot = np.zeros((n, 9))
-        rows = np.flatnonzero(valid)
-        if rows.size:
-            one_hot[rows, previous[rows] * 3 + idx[rows]] = 1.0
-        cumulative = self._counts + np.cumsum(one_hot, axis=0)
-        totals = cumulative.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            features = np.where(totals > 0, cumulative / totals, 0.0)
-        gameplay = self._gameplay_seen + np.cumsum(idx >= 0)
-        self._counts = cumulative[-1].copy()
-        self._prev = int(idx[-1])
-        self._gameplay_seen = int(gameplay[-1])
-        return features, gameplay
+        counts = self._counts
+        previous = self._prev
+        total = sum(counts)
+        features: List[List[float]] = []
+        gameplay: List[int] = []
+        for stage in stages:
+            current = _STAGE_INDEX.get(stage, -1)
+            if current >= 0:
+                self._gameplay_seen += 1
+                if previous >= 0:
+                    counts[previous * 3 + current] += 1.0
+                    total += 1.0
+            previous = current
+            features.append(
+                [count / total for count in counts] if total else [0.0] * 9
+            )
+            gameplay.append(self._gameplay_seen)
+        self._prev = previous
+        return np.array(features), np.array(gameplay, dtype=np.int64)
 
     def snapshot(self) -> dict:
         """Copy of the carried counts as a plain dict."""
         return {
-            "counts": self._counts.copy(),
+            "counts": np.array(self._counts),
             "prev": self._prev,
             "gameplay_seen": self._gameplay_seen,
         }
 
     def restore(self, snapshot: dict) -> None:
         """Adopt a :meth:`snapshot`; subsequent extends continue bit-identically."""
-        self._counts = snapshot["counts"].copy()
+        self._counts = snapshot["counts"].tolist()
         self._prev = snapshot["prev"]
         self._gameplay_seen = snapshot["gameplay_seen"]
 

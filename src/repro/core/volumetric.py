@@ -233,7 +233,10 @@ class OnlineVolumetricTracker:
     """Streaming (slot-by-slot) version of the attribute generator.
 
     The real-time pipeline feeds one slot of raw counters at a time; the
-    tracker maintains running peaks and the EMA state.
+    tracker maintains running peaks and the EMA state.  One slot is four
+    numbers, so the state lives in python floats: every step is the same
+    single IEEE operation the generator's array expressions apply per
+    element, without a dozen numpy calls per slot.
     """
 
     def __init__(self, alpha: float = 0.5, peak_floor: float = 1e-6) -> None:
@@ -241,25 +244,36 @@ class OnlineVolumetricTracker:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self.peak_floor = peak_floor
-        self._peaks = np.full(4, peak_floor)
-        self._ema: Optional[np.ndarray] = None
+        self._peaks: List[float] = [peak_floor] * 4
+        self._ema: Optional[List[float]] = None
 
     def update(self, raw_slot: Sequence[float]) -> np.ndarray:
         """Consume one slot of raw attributes and return smoothed relatives."""
         raw = np.asarray(raw_slot, dtype=float)
         if raw.shape != (4,):
             raise ValueError(f"raw_slot must have 4 values, got shape {raw.shape}")
-        self._peaks = np.maximum(self._peaks, raw)
-        relative = np.clip(raw / np.where(self._peaks <= 0, 1.0, self._peaks), 0.0, 1.0)
+        return np.array(self.step(raw.tolist()))
+
+    def step(self, raw: Sequence[float]) -> List[float]:
+        """:meth:`update` on four python floats, returning four."""
+        alpha, decay = self.alpha, 1.0 - self.alpha
+        peaks = self._peaks = [max(peak, value) for peak, value in zip(self._peaks, raw)]
+        relative = [
+            min(max(value / (1.0 if peak <= 0 else peak), 0.0), 1.0)
+            for peak, value in zip(peaks, raw)
+        ]
         if self._ema is None:
             self._ema = relative
         else:
-            self._ema = self.alpha * relative + (1.0 - self.alpha) * self._ema
-        return self._ema.copy()
+            self._ema = [
+                alpha * current + decay * carried
+                for current, carried in zip(relative, self._ema)
+            ]
+        return list(self._ema)
 
     def reset(self) -> None:
         """Clear peaks and EMA state (e.g. at the start of a new session)."""
-        self._peaks = np.full(4, self.peak_floor)
+        self._peaks = [self.peak_floor] * 4
         self._ema = None
 
     def snapshot(self) -> dict:
@@ -267,14 +281,14 @@ class OnlineVolumetricTracker:
         return {
             "alpha": self.alpha,
             "peak_floor": self.peak_floor,
-            "peaks": self._peaks.copy(),
-            "ema": None if self._ema is None else self._ema.copy(),
+            "peaks": np.array(self._peaks),
+            "ema": None if self._ema is None else np.array(self._ema),
         }
 
     def restore(self, snapshot: dict) -> None:
         """Adopt a :meth:`snapshot`; subsequent updates continue bit-identically."""
         self.alpha = snapshot["alpha"]
         self.peak_floor = snapshot["peak_floor"]
-        self._peaks = snapshot["peaks"].copy()
+        self._peaks = snapshot["peaks"].tolist()
         ema = snapshot["ema"]
-        self._ema = None if ema is None else ema.copy()
+        self._ema = None if ema is None else ema.tolist()

@@ -7,21 +7,25 @@ bidirectional UDP/RTP flow between the client and a cloud GPU server.
 The first thing the deployed probe does with a packet batch is route every
 row to its bidirectional flow.  :class:`FlowDemux` does that on the columnar
 substrate: distinct transport addresses are factorised with one vectorised
-``id()`` gather (generator- and PCAP-produced batches intern one tuple
-object per flow and direction, so identity grouping touches Python once per
-*distinct* address, not per packet), each group splits by direction code,
-and both directions of a conversation canonicalise to the same
-:class:`FlowKey`.
+``id()`` gather and one ``np.unique`` (generator- and PCAP-produced batches
+intern one tuple object per flow and direction, so Python is touched once
+per *distinct* address, not per packet), a ``bincount`` presence table over
+``(address, direction)`` says which canonical :class:`FlowKey` each cell
+needs, and one stable sort of the per-row flow number yields every flow's
+rows at once.  Both directions of a conversation canonicalise to the same
+key.
 
-Row order within a flow is preserved (sub-batches keep the original batch
-positions), which is what lets the per-session accumulators reproduce the
-offline stream exactly after one stable time sort.
+Row order within a flow is preserved (a stable sort keeps batch positions
+ascending), which is what lets the per-session accumulators reproduce the
+offline stream exactly after one stable time sort.  :class:`FlowTick` is the
+same partition applied: the batch's rows gathered flow by flow, plus the
+bounds — the unit the streaming engine folds (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,12 +120,11 @@ class FlowDemux:
         return cached
 
     def split(self, columns: PacketColumns) -> List[Tuple[FlowKey, PacketColumns]]:
-        """Partition one batch into per-flow sub-batches.
+        """Partition one batch into materialised per-flow sub-batches.
 
-        Returns ``(key, sub_batch)`` pairs; every row of ``columns`` lands in
-        exactly one sub-batch, and rows of the same flow keep their relative
-        batch order.  Flows first seen in this batch appear in first-packet
-        order.
+        ``[(key, columns.take(rows))]`` over :meth:`split_indices` — the
+        form the offline flow filter and the tests read; the live path folds
+        a :class:`FlowTick` instead.
         """
         return [
             (key, columns.take(rows)) for key, rows in self.split_indices(columns)
@@ -130,52 +133,109 @@ class FlowDemux:
     def split_indices(
         self, columns: PacketColumns
     ) -> List[Tuple[FlowKey, np.ndarray]]:
-        """Per-flow sorted row indices, without materialising sub-batches.
+        """Per-flow ascending row indices of one batch.
 
-        Same contract as :meth:`split` — every row lands in exactly one
-        group, row order within a flow is the batch order, flows first seen
-        in this batch appear in first-packet order — but each flow is
-        returned as ``(key, row_indices)`` instead of a copied sub-batch.
-        ``columns.take(rows)`` of each pair reproduces :meth:`split`
-        exactly; the sharded data plane instead gathers the rows of every
-        flow straight into a shared-memory ring slot (DESIGN.md §12).
+        Every row lands in exactly one ``(key, row_indices)`` pair (any
+        direction code other than downstream counts as upstream, as in the
+        reducers), row order within a flow is the batch order, and flows
+        appear in first-appearance order of their address tuples
+        (downstream-coded key first where one tuple carries both codes).
+        The index arrays are consecutive views of one stable sort, so
+        concatenating them costs one copy (:meth:`FlowTick.gather`, and the
+        sharded data plane's gather into a shared-memory ring slot,
+        DESIGN.md §12).
         """
-        n = len(columns)
-        if n == 0:
+        if not len(columns):
             return []
-        directions = columns.directions
-        groups: Dict[FlowKey, List[np.ndarray]] = {}
+        # cells are numbered 2 * address group + direction code (0 down, 1 up)
+        upstream = columns.directions != DOWNSTREAM_CODE
         addresses = columns.addresses
         if addresses is None:
-            for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
-                rows = np.flatnonzero(directions == code)
-                if rows.size:
-                    groups.setdefault(self._key_for(DEFAULT_ADDRESS, code), []).append(rows)
+            group_addresses = [DEFAULT_ADDRESS]
+            visit = [0]
+            cell = upstream.astype(np.intp)
         else:
             ids = _ID_OF(addresses).astype(np.int64)
-            unique_ids, first_rows = np.unique(ids, return_index=True)
-            order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
-            starts = np.searchsorted(sorted_ids, unique_ids, side="left")
-            ends = np.searchsorted(sorted_ids, unique_ids, side="right")
+            _ids, first_rows, group_of_row = np.unique(
+                ids, return_index=True, return_inverse=True
+            )
+            group_addresses = addresses[first_rows].tolist()
             # visit address groups in first-appearance order so new flows
             # register deterministically
-            for group in np.argsort(first_rows, kind="stable"):
-                # a stable argsort leaves each group's rows ascending
-                rows = order[starts[group] : ends[group]]
-                address = addresses[int(first_rows[group])]
-                codes = directions[rows]
-                for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
-                    selected = rows[codes == code]
-                    if selected.size:
-                        groups.setdefault(self._key_for(address, code), []).append(
-                            selected
-                        )
-        out: List[Tuple[FlowKey, np.ndarray]] = []
-        for key, parts in groups.items():
-            rows = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-            out.append((key, rows))
-        return out
+            visit = np.argsort(first_rows).tolist()
+            cell = group_of_row * 2 + upstream
+        cell_rows = np.bincount(cell, minlength=2 * len(group_addresses)).tolist()
+        numbers: Dict[FlowKey, int] = {}
+        stops: List[int] = []
+        flow_of_cell = [0] * len(cell_rows)
+        for group in visit:
+            for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
+                n_rows = cell_rows[2 * group + code]
+                if not n_rows:
+                    continue
+                key = self._key_for(group_addresses[group], code)
+                number = numbers.setdefault(key, len(numbers))
+                flow_of_cell[2 * group + code] = number
+                if number == len(stops):
+                    stops.append(n_rows)
+                else:
+                    stops[number] += n_rows
+        for number in range(1, len(stops)):
+            stops[number] += stops[number - 1]
+        # 16-bit flow numbers take the radix path of numpy's stable sort
+        dtype = np.int16 if len(stops) <= 0x7FFF else np.intp
+        order = np.argsort(np.array(flow_of_cell, dtype=dtype)[cell], kind="stable")
+        return [
+            (key, order[start:stop])
+            for key, start, stop in zip(numbers, [0] + stops, stops)
+        ]
+
+
+class FlowTick(NamedTuple):
+    """One tick's rows gathered flow by flow: the unit the live path folds.
+
+    ``columns[bounds[i]:bounds[i + 1]]`` are the rows of flow ``keys[i]`` in
+    batch order (never empty); the same flow may appear more than once
+    (materialised pairs handed to ``ingest_demuxed``), in which case its
+    spans fold in order.
+    """
+
+    keys: List[FlowKey]
+    columns: PacketColumns
+    bounds: np.ndarray
+
+    @classmethod
+    def gather(
+        cls,
+        columns: PacketColumns,
+        index_pairs: Sequence[Tuple[FlowKey, np.ndarray]],
+    ) -> "FlowTick":
+        """One ``columns.take`` over the concatenated rows of ``index_pairs``."""
+        rows = [rows for _key, rows in index_pairs]
+        bounds = np.zeros(len(rows) + 1, dtype=np.intp)
+        if not rows:
+            return cls([], PacketColumns.empty(), bounds)
+        np.cumsum([part.size for part in rows], out=bounds[1:])
+        order = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        return cls([key for key, _rows in index_pairs], columns.take(order), bounds)
+
+    @classmethod
+    def concat(
+        cls, pairs: Sequence[Tuple[FlowKey, PacketColumns]]
+    ) -> "FlowTick":
+        """Materialised ``(key, sub_batch)`` pairs as one tick (empty ones dropped).
+
+        An optional column absent from some sub-batches and present in
+        others comes out sentinel-filled (:meth:`PacketColumns.concat`).
+        """
+        pairs = [(key, sub) for key, sub in pairs if len(sub)]
+        bounds = np.zeros(len(pairs) + 1, dtype=np.intp)
+        np.cumsum([len(sub) for _key, sub in pairs], out=bounds[1:])
+        return cls(
+            [key for key, _sub in pairs],
+            PacketColumns.concat([sub for _key, sub in pairs]),
+            bounds,
+        )
 
 
 def flow_summary(key: FlowKey, stream: PacketStream) -> dict:

@@ -257,29 +257,54 @@ class PacketColumns:
         }
 
     def take(self, indices) -> "PacketColumns":
-        """Row-subset / reorder by an index array (or zero-copy by a slice)."""
-        return PacketColumns(
-            timestamps=self.timestamps[indices],
-            payload_sizes=self.payload_sizes[indices],
-            directions=self.directions[indices],
-            **self.take_optional(indices),
-        )
+        """Row-subset / reorder by an index array (or zero-copy by a slice).
+
+        Every column of a validated batch subset by the same index is a
+        valid batch, so the result skips ``__post_init__`` — this runs once
+        or twice per feed tick.
+        """
+        out = object.__new__(PacketColumns)
+        out.timestamps = self.timestamps[indices]
+        out.payload_sizes = self.payload_sizes[indices]
+        out.directions = self.directions[indices]
+        for name, column in self.take_optional(indices).items():
+            setattr(out, name, column)
+        return out
 
     def slice_view(self, start: int, stop: int) -> "PacketColumns":
         """Zero-copy contiguous row window ``[start, stop)`` of this batch.
 
         Every column of the result is a numpy basic-slice *view* over this
         batch's arrays — no data is copied, and writes through either alias
-        are visible in both.  This is the substrate of the shared-memory
-        data plane (DESIGN.md §12): a worker copies one ring slot into a
-        local tick batch, then hands each flow a ``slice_view`` of it.
+        are visible in both.  The PCAP reader hands out its decoded blocks
+        this way, and the tick fold its per-flow rows (DESIGN.md §7); a view
+        keeps the whole block alive, so whoever retains one takes
+        :meth:`owned` of it.
         """
-        window = slice(start, stop)
+        return self.take(slice(start, stop))
+
+    def owned(self) -> "PacketColumns":
+        """This batch with every column owning its memory (self if it does).
+
+        A column that is a view keeps its whole base array alive; whoever
+        retains rows beyond the tick they arrived in (launch-window chunks,
+        full-mode history) retains an owned batch, so the bytes held are
+        the bytes :meth:`nbytes` accounts.
+        """
+        columns = [
+            self.timestamps,
+            self.payload_sizes,
+            self.directions,
+            self.rtp_payload_type,
+            self.rtp_ssrc,
+            self.rtp_sequence,
+            self.rtp_timestamp,
+            self.addresses,
+        ]
+        if all(column is None or column.base is None for column in columns):
+            return self
         return PacketColumns(
-            timestamps=self.timestamps[window],
-            payload_sizes=self.payload_sizes[window],
-            directions=self.directions[window],
-            **self.take_optional(window),
+            *(None if column is None else column.copy() for column in columns)
         )
 
     def column_presence(self) -> Tuple[bool, bool, bool, bool, bool]:

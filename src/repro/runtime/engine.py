@@ -42,6 +42,7 @@ partitions flows across workers for multi-core deployments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dataclasses_replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -50,8 +51,12 @@ import numpy as np
 
 from repro.core.pattern_classifier import PatternPrediction
 from repro.core.pipeline import ContextClassificationPipeline
-from repro.core.reducers import SealedApproxQoEInterval, SealedQoEInterval
-from repro.net.flow import FlowDemux, FlowKey
+from repro.core.reducers import (
+    SealedApproxQoEInterval,
+    SealedQoEInterval,
+    TickFacts,
+)
+from repro.net.flow import FlowDemux, FlowKey, FlowTick
 from repro.simulation.catalog import ActivityPattern
 from repro.net.packet import PacketColumns
 from repro.runtime.events import (
@@ -238,7 +243,7 @@ class StreamingEngine:
         ``"bounded"`` (default) keeps O(slots) counters plus the QoE
         columns per session — no packet history; ``"full"`` additionally
         retains the raw batches (exact under pre-origin reordering, and
-        :meth:`SessionState.assembled_stream` stays available); close
+        :meth:`SessionReducerCascade.assembled_stream` stays available); close
         reports are offline-identical in both.  ``"approx"`` drops the QoE
         columns too (O(intervals) aggregates, state flat in the packet
         rate): close reports carry ``qoe_approximate=True`` and equal
@@ -447,7 +452,8 @@ class StreamingEngine:
         clock = self._clock
         if len(columns):
             clock = max(clock, float(columns.timestamps.max()))
-        return self.ingest_demuxed(self._demux.split(columns), clock)
+        tick = FlowTick.gather(columns, self._demux.split_indices(columns))
+        return self.ingest_tick(tick, clock)
 
     def ingest_demuxed(
         self,
@@ -456,41 +462,24 @@ class StreamingEngine:
     ) -> List[ContextEvent]:
         """Consume already-demultiplexed per-flow sub-batches.
 
-        ``clock`` carries the feed time even when this shard's ``pairs`` are
-        empty, so idle flows keep completing slots; the sharded runner uses
-        this entry point after partitioning one demux pass across workers.
+        The materialised form of :meth:`ingest_tick` (serial sharding, the
+        inline transport fallback): the sub-batches are concatenated into
+        one tick first, so they should agree on which optional columns they
+        carry (:meth:`~repro.net.flow.FlowTick.concat`).
+        """
+        return self.ingest_tick(FlowTick.concat(pairs), clock)
+
+    def ingest_tick(self, tick: FlowTick, clock: float) -> List[ContextEvent]:
+        """Fold one flow-sorted tick and advance every gate the clock passed.
+
+        ``clock`` carries the feed time even when the tick is empty, so idle
+        flows keep completing slots (a shard receives every tick of the
+        feed, with or without rows of its own).
         """
         events: List[ContextEvent] = []
         self._clock = max(self._clock, clock)
-        for key, sub in pairs:
-            if key in self._shed:
-                # accounted, never silently dropped — and never reopened,
-                # which would churn the very state the ceiling bounds
-                self.shed_packets += len(sub)
-                continue
-            state = self._states.get(key)
-            if state is None:
-                mode = self.session_mode
-                if self._soft_active and mode != "approx":
-                    # soft overload: new sessions open in the O(intervals)
-                    # approx tier; existing flows keep their mode
-                    mode = "approx"
-                    self.n_degraded_opens += 1
-                state = SessionState(
-                    key,
-                    slot_duration=self.slot_duration,
-                    alpha=self.alpha,
-                    context=self._contexts.get(key),
-                    window_seconds=self.title_window_seconds,
-                    qoe_interval_s=self.qoe_interval_s,
-                    mode=mode,
-                )
-                self._states[key] = state
-                events.append(
-                    # min, not [0]: sub-batch rows may arrive out of order
-                    SessionStarted(flow=key, time=float(sub.timestamps.min()))
-                )
-            state.absorb(sub)
+        if tick.keys:
+            self._fold_tick(tick, events)
         self._advance(events)
         # fold the tick's own events before the idle closes: close() events
         # are observed inside _close_states, so folding them here too would
@@ -500,13 +489,54 @@ class StreamingEngine:
             for key in [
                 key
                 for key, state in self._states.items()
-                if state.last_ts + self.idle_timeout_s <= self._clock
+                if state.cascade.last_ts + self.idle_timeout_s <= self._clock
             ]:
                 events.extend(self.close(key, reason="idle"))
         shed_from = len(events)
         self._enforce_overload(events)
         self._observe(events[shed_from:])
         return events
+
+    def _fold_tick(self, tick: FlowTick, events: List[ContextEvent]) -> None:
+        """Fold every flow's rows of a non-empty tick into its session.
+
+        The tick is reduced to per-flow facts once
+        (:class:`~repro.core.reducers.TickFacts`); each flow then costs one
+        cascade fold on scalars.  New flows open here, in tick order.
+        """
+        facts = TickFacts(tick.columns, tick.bounds)
+        states, shed = self._states, self._shed
+        for flow, key in enumerate(tick.keys):
+            if shed and key in shed:
+                # accounted, never silently dropped — and never reopened,
+                # which would churn the very state the ceiling bounds
+                self.shed_packets += facts.bounds[flow + 1] - facts.bounds[flow]
+                continue
+            state = states.get(key)
+            if state is None:
+                state = self._open_session(key)
+                # the flow's oldest row, wherever it sits in the batch
+                events.append(SessionStarted(flow=key, time=facts.first[flow]))
+            state.window_rows_pending += state.cascade.fold(facts, flow)
+
+    def _open_session(self, key: FlowKey) -> SessionState:
+        """Register the state of a flow seen for the first time."""
+        mode = self.session_mode
+        if self._soft_active and mode != "approx":
+            # soft overload: new sessions open in the O(intervals) approx
+            # tier; existing flows keep their mode
+            mode = "approx"
+            self.n_degraded_opens += 1
+        state = self._states[key] = SessionState(
+            key,
+            slot_duration=self.slot_duration,
+            alpha=self.alpha,
+            context=self._contexts.get(key),
+            window_seconds=self.title_window_seconds,
+            qoe_interval_s=self.qoe_interval_s,
+            mode=mode,
+        )
+        return state
 
     def _observe(self, events: Sequence[ContextEvent]) -> None:
         """Fold events into the attached fleet aggregator (if any)."""
@@ -562,9 +592,9 @@ class StreamingEngine:
             events.append(
                 FlowShed(
                     flow=key,
-                    time=self._clock if np.isfinite(self._clock) else state.last_ts,
+                    time=self._clock if math.isfinite(self._clock) else state.cascade.last_ts,
                     state_bytes=sizes[key],
-                    n_packets=state.n_packets,
+                    n_packets=state.cascade.n_packets,
                     total_state_bytes=total,
                 )
             )
@@ -572,38 +602,46 @@ class StreamingEngine:
 
     # ------------------------------------------------------------ cascade
     def _advance(self, events: List[ContextEvent]) -> None:
-        """Move every session through the gates the clock has passed."""
-        self._advance_stages(events, self._states.values())
+        """Move every session through the gates the clock has passed.
+
+        Each gate asks the cascade a scalar question first, so a flow with
+        nothing due costs one call per gate (DESIGN.md §6).
+        """
+        clock = self._clock
+        self._advance_stages(events, self._states.values(), clock)
         self._advance_titles(events)
         for state in self._states.values():
-            self._emit_qoe_intervals(events, state, state.advance_qoe(self._clock))
+            sealed = state.cascade.advance_qoe(clock)
+            if sealed:
+                self._emit_qoe_intervals(events, state, sealed)
 
     def _advance_titles(self, events: List[ContextEvent]) -> None:
-        gated = [
-            state
-            for state in self._states.values()
-            if state.title_ready(self._clock, self.title_window_seconds)
-        ]
+        clock, window = self._clock, self.title_window_seconds
+        gated: List[SessionState] = []
         # fired flows that received new window rows re-run the classifier:
         # late window packets (cross-batch reordering) can change the verdict
-        reclassify = [
-            state
-            for state in self._states.values()
-            if state.title_fired and state.take_new_window_rows()
-        ]
+        reclassify: List[SessionState] = []
+        for state in self._states.values():
+            if state.title_fired:
+                if state.window_rows_pending:
+                    state.window_rows_pending = 0
+                    reclassify.append(state)
+            elif state.cascade.has_downstream and clock >= state.cascade.origin + window:
+                # the title window has fully elapsed for this flow
+                gated.append(state)
         if not gated and not reclassify:
             return
         predictions = self.pipeline.title_classifier.predict_streams(
-            [state.launch_stream() for state in gated + reclassify]
+            [state.cascade.launch_stream() for state in gated + reclassify]
         )
         for state, prediction in zip(gated, predictions[: len(gated)]):
             state.title_fired = True
             state.title_prediction = prediction
-            state.take_new_window_rows()  # the gate consumed the window
+            state.window_rows_pending = 0  # the gate consumed the window
             events.append(
                 TitleClassified(
                     flow=state.key,
-                    time=state.origin + self.title_window_seconds,
+                    time=state.cascade.origin + self.title_window_seconds,
                     prediction=prediction,
                 )
             )
@@ -624,12 +662,11 @@ class StreamingEngine:
         self,
         events: List[ContextEvent],
         states: Iterable[SessionState],
-        clock: Optional[float] = None,
+        clock: float,
     ) -> None:
-        clock = self._clock if clock is None else clock
         pending: List[Tuple[SessionState, np.ndarray, np.ndarray]] = []
         for state in states:
-            features, slots = state.advance(clock)
+            features, slots = state.cascade.advance_slots(clock)
             if slots.size:
                 pending.append((state, features, slots))
         if not pending:
@@ -643,12 +680,13 @@ class StreamingEngine:
             new_stages = stages[cursor : cursor + slots.size]
             cursor += slots.size
             state.timeline.extend(new_stages)
-            for slot, stage in zip(slots, new_stages):
+            origin = state.cascade.origin
+            for slot, stage in zip(slots.tolist(), new_stages):
                 events.append(
                     StageUpdate(
                         flow=state.key,
-                        time=state.origin + (int(slot) + 1) * self.slot_duration,
-                        slot_index=int(slot),
+                        time=origin + (slot + 1) * self.slot_duration,
+                        slot_index=slot,
                         stage=stage,
                     )
                 )
@@ -702,7 +740,7 @@ class StreamingEngine:
             events.append(
                 PatternInferred(
                     flow=state.key,
-                    time=state.origin
+                    time=state.cascade.origin
                     + (int(slot_indices[winner]) + 1) * self.slot_duration,
                     prediction=prediction,
                 )
@@ -772,7 +810,8 @@ class StreamingEngine:
             return []
         events: List[ContextEvent] = []
         # flush the trailing partial slot through the online cascade first
-        self._advance_stages(events, states, clock=float("inf"))
+        # (an infinite clock is the only one that completes a partial slot)
+        self._advance_stages(events, states, math.inf)
         platforms = []
         for state in states:
             platform = state.context.platform
@@ -790,8 +829,8 @@ class StreamingEngine:
         close_time = self._clock
         for state, report in zip(states, reports):
             # trailing partial QoE window
-            self._emit_qoe_intervals(events, state, state.flush_qoe())
-            time = close_time if np.isfinite(close_time) else state.last_ts
+            self._emit_qoe_intervals(events, state, state.cascade.flush_qoe())
+            time = close_time if math.isfinite(close_time) else state.cascade.last_ts
             # short sessions classify at close; late window packets that were
             # never re-evaluated surface here too, keeping the event stream
             # consistent with the final report
@@ -814,8 +853,8 @@ class StreamingEngine:
                     time=time,
                     report=report,
                     reason=reason,
-                    n_packets=state.n_packets,
-                    duration_s=state.duration,
+                    n_packets=state.cascade.n_packets,
+                    duration_s=state.cascade.duration,
                     origin_shifts=state.cascade.origin_shifts,
                 )
             )

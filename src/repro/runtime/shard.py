@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.core.pipeline import ContextClassificationPipeline, SessionContextReport
-from repro.net.flow import FlowDemux, FlowKey
+from repro.net.flow import FlowDemux, FlowKey, FlowTick
 from repro.net.packet import PacketColumns
 from repro.runtime.engine import OverloadPolicy, StreamingEngine, _check_swap_geometry
 from repro.runtime.events import ContextEvent
@@ -353,17 +353,6 @@ class ShardedEngine:
         clock = float(batch.timestamps.max()) if len(batch) else float("-inf")
         return shards, clock
 
-    def _partition(
-        self, demux: FlowDemux, batch: PacketColumns
-    ) -> Tuple[List[List[Tuple[FlowKey, PacketColumns]]], float]:
-        """Route one batch to shards as materialised per-flow sub-batches."""
-        index_shards, clock = self._partition_indices(demux, batch)
-        shards = [
-            [(key, batch.take(rows)) for key, rows in pairs]
-            for pairs in index_shards
-        ]
-        return shards, clock
-
     def _run_feed_serial(self, feed, contexts, close_at_end):
         engines = [
             StreamingEngine(self.pipeline, **self._engine_kwargs())
@@ -384,10 +373,12 @@ class ShardedEngine:
         for batch in feed:
             if self._pending_swap is not None:
                 yield from apply_pending_swap()
-            shards, batch_clock = self._partition(demux, batch)
+            shards, batch_clock = self._partition_indices(demux, batch)
             clock = max(clock, batch_clock)
-            for engine, pairs in zip(engines, shards):
-                yield from engine.ingest_demuxed(pairs, clock)
+            for engine, index_pairs in zip(engines, shards):
+                yield from engine.ingest_tick(
+                    FlowTick.gather(batch, index_pairs), clock
+                )
         if self._pending_swap is not None:
             # requested after the last batch: cut over before the close
             # reports so the new model classifies the final cascades

@@ -9,8 +9,8 @@ column.  Per tick the parent gathers every routed row into the next free
 slot with one vectorised ``np.take`` per column and sends only a tiny
 control message — slot index, row count, per-flow spans, presence flags —
 down the shard's control pipe; the worker copies the used rows of the slot
-into a local tick batch once and folds zero-copy
-:meth:`PacketColumns.slice_view` windows of it through its engine.
+into a local tick batch once and folds it whole, as the flow-sorted
+:class:`~repro.net.flow.FlowTick` it already is.
 
 Two columns cannot cross shared memory directly and are reconstructed
 value-exactly worker-side:
@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.flow import FlowKey, flow_addresses
+from repro.net.flow import FlowKey, FlowTick, flow_addresses
 from repro.net.packet import UPSTREAM_CODE, PacketColumns
 
 __all__ = ["SHM_NAME_PREFIX", "ShmColumnRing"]
@@ -215,19 +215,20 @@ class ShmColumnRing:
         n_rows: int,
         spans: Sequence[Tuple[FlowKey, int, int]],
         flags: Tuple[bool, ...],
-    ) -> List[Tuple[FlowKey, PacketColumns]]:
-        """Decode a slot into per-flow sub-batches (one copy, then views).
+    ) -> FlowTick:
+        """Decode a slot into the flow-sorted tick it was written from.
 
         Copies the used rows of each present column out of the slot exactly
-        once — session reducers retain batch arrays across ticks, so the
-        decoded tick must not alias the reusable slot — then hands each
-        span a zero-copy :meth:`PacketColumns.slice_view` of the local
-        copy.  Addresses are rebuilt from span keys + directions
-        (:func:`~repro.net.flow.flow_addresses`), one interned tuple
-        per flow and direction, exactly like generator/PCAP batches.
+        once — the decoded tick must not alias the reusable slot — and hands
+        it over whole, with the spans as bounds: :meth:`write_slot` laid the
+        rows out flow by flow, which is the shape
+        :meth:`StreamingEngine.ingest_tick` folds.  Addresses are rebuilt
+        from span keys + directions (:func:`~repro.net.flow.flow_addresses`),
+        one interned tuple per flow and direction, exactly like
+        generator/PCAP batches.
 
-        The result is value-identical to the ``(key, batch.take(rows))``
-        pairs the inline fallback pickles.
+        Span for span the result is value-identical to the ``(key,
+        batch.take(rows))`` pairs the inline fallback pickles.
         """
         n = int(n_rows)
         local: Dict[str, Optional[np.ndarray]] = {}
@@ -237,26 +238,22 @@ class ShmColumnRing:
             local[name] = (
                 np.array(self._columns[name][slot, :n]) if present else None
             )
+        bounds = np.zeros(len(spans) + 1, dtype=np.intp)
+        bounds[1:] = [stop for _key, _start, stop in spans]
         addresses: Optional[np.ndarray] = None
         if flags[4]:
-            addresses = np.empty(n, dtype=object)
-            directions = local["directions"]
-            for key, start, stop in spans:
+            # one (downstream, upstream) tuple pair per span, picked per row
+            # by span number and direction code
+            table = np.empty(2 * len(spans), dtype=object)
+            for index, (key, _start, _stop) in enumerate(spans):
                 upstream, downstream = flow_addresses(key)
-                window = addresses[start:stop]
-                is_upstream = directions[start:stop] == UPSTREAM_CODE
-                if is_upstream.all():
-                    window.fill(upstream)
-                elif not is_upstream.any():
-                    window.fill(downstream)
-                else:
-                    boxed = np.empty((), dtype=object)
-                    boxed[()] = upstream
-                    window[is_upstream] = boxed
-                    boxed = np.empty((), dtype=object)
-                    boxed[()] = downstream
-                    window[~is_upstream] = boxed
-        tick = PacketColumns(
+                table[2 * index] = downstream
+                table[2 * index + 1] = upstream
+            span_of_row = np.repeat(np.arange(len(spans)), np.diff(bounds))
+            addresses = table[
+                2 * span_of_row + (local["directions"] == UPSTREAM_CODE)
+            ]
+        columns = PacketColumns(
             timestamps=local["timestamps"],
             payload_sizes=local["payload_sizes"],
             directions=local["directions"],
@@ -266,7 +263,7 @@ class ShmColumnRing:
             rtp_timestamp=local["rtp_timestamp"],
             addresses=addresses,
         )
-        return [(key, tick.slice_view(start, stop)) for key, start, stop in spans]
+        return FlowTick([key for key, _start, _stop in spans], columns, bounds)
 
     def slot_flow_ids(self, slot: int, n_rows: int) -> np.ndarray:
         """Copy of a slot's flow-id column (the in-band row→span map).

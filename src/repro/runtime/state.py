@@ -17,7 +17,7 @@ Three memory modes (DESIGN.md §7):
   arriving in a later batch clips into slot/interval 0, so such feeds
   should use full mode.
 * ``"full"`` — additionally retains the raw batches, enabling
-  :meth:`assembled_stream` and an exact refold when the origin shifts.
+  ``cascade.assembled_stream()`` and an exact refold when the origin shifts.
 * ``"approx"`` — no QoE columns either: the QoE stage folds into the
   O(intervals) :class:`~repro.core.reducers.ApproxQoEIntervalReducer`
   (fixed-size aggregates per 10 s window), so per-session state is flat in
@@ -26,7 +26,8 @@ Three memory modes (DESIGN.md §7):
   fields stay exact — only the QoE metrics are approximate, with the error
   bounds documented on the reducer.
 
-The state machine itself never calls a classifier — the engine harvests
+The state itself never calls a classifier and wraps nothing: the engine
+folds ticks into ``state.cascade`` and asks it which gates are due, harvests
 feature rows from many sessions and runs each forest once per tick
 (DESIGN.md §6), and reports come from the shared
 :meth:`ContextClassificationPipeline.finalize_cascades` driver.
@@ -35,15 +36,12 @@ feature rows from many sessions and runs each forest once per tick
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from repro.core.reducers import SealedQoEInterval, SessionReducerCascade
+from repro.core.reducers import SessionReducerCascade
 from repro.core.title_classifier import TitlePrediction
 from repro.core.transition import PrefixTransitionTracker
 from repro.net.flow import FlowKey
-from repro.net.packet import PacketColumns, PacketStream
 from repro.simulation.catalog import PlayerStage
 
 __all__ = ["FlowContext", "SessionState"]
@@ -72,7 +70,12 @@ class FlowContext:
 
 
 class SessionState:
-    """Online cascade state of one live flow."""
+    """Online cascade state of one live flow.
+
+    ``window_rows_pending`` counts launch-window rows folded since the title
+    gate last looked: the engine clears it when the gate fires and treats a
+    non-zero count on a fired state as the re-classification trigger.
+    """
 
     __slots__ = (
         "key",
@@ -85,7 +88,7 @@ class SessionState:
         "title_prediction",
         "pattern_resolved",
         "last_pattern_confidence",
-        "_window_rows_pending",
+        "window_rows_pending",
     )
 
     def __init__(
@@ -117,95 +120,7 @@ class SessionState:
         self.title_prediction: Optional[TitlePrediction] = None
         self.pattern_resolved = False
         self.last_pattern_confidence = 0.0
-        self._window_rows_pending = 0
-
-    # ------------------------------------------------------------ ingestion
-    def absorb(self, columns: PacketColumns) -> None:
-        """Consume one demultiplexed sub-batch of this flow's packets."""
-        self._window_rows_pending += self.cascade.absorb(columns)
-
-    def take_new_window_rows(self) -> int:
-        """Launch-window rows absorbed since the last call (then reset).
-
-        The engine clears the counter when the title gate fires and treats a
-        non-zero count on a fired state as the re-classification trigger.
-        """
-        pending = self._window_rows_pending
-        self._window_rows_pending = 0
-        return pending
-
-    # ------------------------------------------------------------ aggregates
-    @property
-    def slot_duration(self) -> float:
-        return self.cascade.slots.slot_duration
-
-    @property
-    def origin(self) -> Optional[float]:
-        return self.cascade.origin
-
-    @property
-    def last_ts(self) -> float:
-        return self.cascade.last_ts
-
-    @property
-    def n_packets(self) -> int:
-        return self.cascade.n_packets
-
-    @property
-    def duration(self) -> float:
-        """Seconds between the first and last packet observed."""
-        return self.cascade.duration
-
-    @property
-    def has_downstream(self) -> bool:
-        return self.cascade.has_downstream
-
-    def total_slots(self) -> int:
-        """Slot count of the session so far (the offline ``n_slots``)."""
-        return self.cascade.total_slots()
-
-    # ------------------------------------------------------------ gating
-    def title_ready(self, clock: float, window_seconds: float) -> bool:
-        """True once the title window has fully elapsed for this flow."""
-        return (
-            not self.title_fired
-            and self.cascade.origin is not None
-            and self.cascade.has_downstream
-            and clock >= self.cascade.origin + window_seconds
-        )
-
-    def advance(self, clock: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Complete every slot the feed clock has passed (provisional gate).
-
-        Returns the provisional (causal running-peak, EMA-carried) feature
-        rows and slot indices of the newly completed slots; the engine
-        classifies the rows of all sessions in one forest pass.  Pass
-        ``clock=inf`` at close time to flush the final partial slot.
-        """
-        return self.cascade.advance_slots(clock)
-
-    def advance_qoe(self, clock: float) -> List[SealedQoEInterval]:
-        """Seal the QoE measurement windows the feed clock has passed."""
-        return self.cascade.advance_qoe(clock)
-
-    def flush_qoe(self) -> List[SealedQoEInterval]:
-        """Seal the trailing partial QoE window at close time."""
-        return self.cascade.flush_qoe()
-
-    # ------------------------------------------------------------ assembly
-    def launch_stream(self) -> PacketStream:
-        """The title window's packets as a time-sorted stream (both modes)."""
-        return self.cascade.launch_stream()
-
-    def assembled_stream(self) -> PacketStream:
-        """The full packet history as one time-sorted stream (full mode only).
-
-        Values (and, for distinct timestamps, order) are exactly the stream
-        offline ``process()`` would see.  Bounded mode holds no history and
-        raises; the close-time report does not need it — it finalises from
-        the reducers in both modes.
-        """
-        return self.cascade.assembled_stream()
+        self.window_rows_pending = 0
 
     # ------------------------------------------------------------ accounting
     def state_nbytes(self) -> int:
@@ -233,7 +148,7 @@ class SessionState:
             "title_prediction": self.title_prediction,
             "pattern_resolved": self.pattern_resolved,
             "last_pattern_confidence": self.last_pattern_confidence,
-            "window_rows_pending": self._window_rows_pending,
+            "window_rows_pending": self.window_rows_pending,
         }
 
     @classmethod
@@ -251,5 +166,5 @@ class SessionState:
         state.title_prediction = snapshot["title_prediction"]
         state.pattern_resolved = snapshot["pattern_resolved"]
         state.last_pattern_confidence = snapshot["last_pattern_confidence"]
-        state._window_rows_pending = snapshot["window_rows_pending"]
+        state.window_rows_pending = snapshot["window_rows_pending"]
         return state

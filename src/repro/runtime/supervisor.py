@@ -246,10 +246,10 @@ def _serve_shard(connection) -> None:
             _tag, _seq, payload, clock, want_snapshot = message
             if payload[0] == "shm":
                 _kind, slot, n_rows, spans, flags = payload
-                pairs = config["ring"].read_slot(slot, n_rows, spans, flags)
-            else:  # ("inline", pairs)
-                pairs = payload[1]
-            return list(engine.ingest_demuxed(pairs, clock)), want_snapshot
+                tick = config["ring"].read_slot(slot, n_rows, spans, flags)
+                return engine.ingest_tick(tick, clock), want_snapshot
+            # ("inline", pairs)
+            return engine.ingest_demuxed(payload[1], clock), want_snapshot
         # ("swap", seq, pipeline_blob, want_snapshot)
         _tag, _seq, blob, want_snapshot = message
         swapped = engine.swap_pipeline(_decode_snapshot(blob))

@@ -135,3 +135,63 @@ def test_check_against_baseline_directions(key_suffix):
     borderline = {"section": {name: 4.5 if higher_is_better else 25.0}}
     assert mod.check_against_baseline(borderline, baseline, factor=2.0)
     assert not mod.check_against_baseline(borderline, baseline, factor=3.0)
+
+
+# ---------------------------------------------------------------------------
+# the tick-count guard on the traced tap result (scripts/check_tick_counts.py)
+# ---------------------------------------------------------------------------
+def _traced_tap_result(**overrides):
+    """A traced ``tap_small_ticks`` record with the counts of a healthy run."""
+    counts = {
+        "runtime.engine.ticks": 1377,
+        "runtime.demux.calls": 1377,
+        "runtime.demux.flows": 9525,
+        "core.reducers.absorb_calls": 0,
+        "ml.kernel.calls": 896,
+        "trace.coverage_frac": 0.98,
+    }
+    counts.update(overrides)
+    return {
+        "workload": "tap_small_ticks",
+        "trace": 1,
+        "metrics": {name: {"value": value, "unit": "count"} for name, value in counts.items()},
+    }
+
+
+@pytest.mark.parametrize(
+    "overrides, expected_exit, named",
+    [
+        ({}, 0, None),
+        # the parent commit's count: one absorb per (flow, tick)
+        ({"core.reducers.absorb_calls": 9525}, 1, "core.reducers.absorb_calls"),
+        ({"ml.kernel.calls": 1378}, 1, "ml.kernel.calls"),
+        ({"runtime.demux.calls": 2754}, 1, "runtime.demux.calls"),
+        ({"trace.coverage_frac": 0.9}, 1, "trace.coverage_frac"),
+    ],
+)
+def test_tick_count_guard(tmp_path, overrides, expected_exit, named):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(_traced_tap_result(**overrides)))
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "check_tick_counts.py"), str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == expected_exit, result.stdout + result.stderr
+    if named is not None:
+        assert named in result.stderr
+
+
+def test_tick_count_guard_rejects_an_untraced_result(tmp_path):
+    path = tmp_path / "result.json"
+    record = _traced_tap_result()
+    record["trace"] = 0
+    path.write_text(json.dumps(record))
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "check_tick_counts.py"), str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2

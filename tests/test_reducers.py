@@ -115,7 +115,7 @@ def test_bounded_state_holds_no_packet_history(fitted_pipeline, runtime_sessions
 
     assert not bounded_state.cascade.keeps_history
     with pytest.raises(RuntimeError, match="bounded mode"):
-        bounded_state.assembled_stream()
+        bounded_state.cascade.assembled_stream()
     # the bounded state is a small fraction of the full history footprint
     assert bounded_state.state_nbytes() < full_state.state_nbytes() / 2
     # and both close bit-identically
@@ -145,7 +145,7 @@ def test_flow_summary_matches_stream_backed_flow(rng):
                              DOWNSTREAM_CODE)
     state = SessionState(key, slot_duration=1.0, alpha=0.5)
     for start in range(0, n, 900):
-        state.absorb(columns.take(slice(start, start + 900)))
+        state.cascade.absorb(columns.take(slice(start, start + 900)))
 
     expected = flow_summary(key, PacketStream.from_columns(columns))
     assert expected["downstream_mbps"] > 0 and 0 < expected["downstream_fraction"] < 1
@@ -403,12 +403,15 @@ def test_double_buffered_fork_feed_matches_serial(
 class GeneralFoldCascade(SessionReducerCascade):
     """Oracle: every batch through the general reducers, whatever its span —
     ``SlotStageReducer.absorb``, ``absorb_arrays`` and
-    ``LaunchWindowReducer.absorb`` only (the fold before it learnt to spot a
-    batch inside one slot / one QoE interval / past the title window)."""
+    ``LaunchWindowReducer.absorb`` only, with the batch's facts computed from
+    its own rows (the fold before it learnt to spot a batch inside one slot /
+    one QoE interval / past the title window, and before the facts were
+    pre-reduced per tick)."""
 
     __slots__ = ()
 
-    def _fold(self, columns, batch_min):
+    def _fold(self, facts, flow):
+        columns = facts.rows(flow)
         timestamps = columns.timestamps
         self.last_ts = max(self.last_ts, float(timestamps.max()))
         self.n_packets += len(columns)

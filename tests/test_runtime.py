@@ -489,12 +489,12 @@ def test_session_state_slot_accumulator_matches_offline_raw_matrix(rng):
     key = canonical_flow_key(("0.0.0.0", "0.0.0.0", 0, 0, "udp"), DOWNSTREAM_CODE)
     state = SessionState(key, slot_duration=1.0, alpha=0.5)
     for start in range(0, n, 700):
-        state.absorb(columns.take(slice(start, start + 700)))
+        state.cascade.absorb(columns.take(slice(start, start + 700)))
 
     generator = VolumetricAttributeGenerator(slot_duration=1.0)
     expected = generator.raw_slot_matrix(PacketStream.from_columns(columns))
     n_slots = expected.shape[0]
-    assert state.total_slots() == n_slots
+    assert state.cascade.total_slots() == n_slots
     assert np.array_equal(state.cascade.final_raw_matrix(), expected)
 
 

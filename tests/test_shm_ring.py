@@ -3,7 +3,8 @@
 The data-plane guarantees under test:
 
 * a slot round-trip is **value-identical** to ``demux.split`` — dtypes,
-  RTP/address presence, reconstructed address tuples, ``nbytes`` — so the
+  RTP/address presence, reconstructed address tuples, ``nbytes`` — and the
+  decoded tick is the flow-sorted tick a single engine gathers, so the
   worker-side fold cannot observe whether a slot or the inline fallback
   delivered its tick;
 * slot reuse is gated by §8 checkpoint pruning, so an undersized ring (or
@@ -23,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.net.flow import FlowTick
 from repro.net.packet import PacketColumns
 from repro.runtime import (
     FaultPlan,
@@ -54,6 +56,15 @@ def assert_columns_identical(got: PacketColumns, expected: PacketColumns):
     if expected.addresses is not None:
         assert all(a == b for a, b in zip(got.addresses, expected.addresses))
     assert got.nbytes() == expected.nbytes()
+
+
+def tick_pairs(tick: FlowTick):
+    """A flow-sorted tick cut back into ``(key, sub_batch)`` pairs."""
+    bounds = tick.bounds.tolist()
+    return [
+        (key, tick.columns.slice_view(start, stop))
+        for key, start, stop in zip(tick.keys, bounds, bounds[1:])
+    ]
 
 
 def _mixed_batch(n=400, n_flows=5, with_rtp=True, with_addresses=True, seed=0):
@@ -102,10 +113,21 @@ def test_slot_roundtrip_matches_demux_split(with_rtp, with_addresses):
     ring = ShmColumnRing(n_slots=2, slot_rows=512, shard=0)
     try:
         n_rows, spans, flags = ring.write_slot(1, batch, index_pairs)
-        got = ring.read_slot(1, n_rows, spans, flags)
+        tick = ring.read_slot(1, n_rows, spans, flags)
+        got = tick_pairs(tick)
         assert [key for key, _ in got] == [key for key, _ in expected]
         for (_, got_sub), (_, exp_sub) in zip(got, expected):
             assert_columns_identical(got_sub, exp_sub)
+        # ... which is the tick a single engine gathers from the same batch
+        gathered = FlowTick.gather(batch, index_pairs)
+        assert tick.keys == gathered.keys
+        assert np.array_equal(tick.bounds, gathered.bounds)
+        assert_columns_identical(tick.columns, gathered.columns)
+        # one interned address tuple per flow and direction
+        if with_addresses:
+            assert len({id(a) for a in tick.columns.addresses}) == len(
+                set(tick.columns.addresses)
+            )
         # the in-band flow-id column agrees with the control-message spans
         flow_ids = ring.slot_flow_ids(1, n_rows)
         for span_index, (_key, start, stop) in enumerate(spans):
@@ -126,7 +148,7 @@ def test_slot_views_survive_slot_reuse():
         decoded = ring.read_slot(0, n_rows, spans, flags)
         expected = [(key, batch_a.take(rows)) for key, rows in pairs_a]
         ring.write_slot(0, batch_b, demux.split_indices(batch_b))  # reuse
-        for (_, got_sub), (_, exp_sub) in zip(decoded, expected):
+        for (_, got_sub), (_, exp_sub) in zip(tick_pairs(decoded), expected):
             assert_columns_identical(got_sub, exp_sub)
     finally:
         ring.destroy()
