@@ -3,8 +3,9 @@
 
 The live path folds the *tick*, not every flow's share of it (DESIGN.md §6):
 one demux per tick, at most one forest call per gate that has rows due, and
-no per-flow ``SessionReducerCascade.absorb``.  A traced run of the
-``tap_small_ticks`` workload records exactly those counts —
+no per-flow ``SessionReducerCascade.absorb`` — and every record the capture
+scan found reaches that demux.  A traced run of the ``tap_small_ticks``
+workload records exactly those counts —
 
     python3 benchmarks/e2e/run.py --workload tap_small_ticks --trace 1 --seconds 3
 
@@ -50,6 +51,14 @@ def violations(metrics: Dict[str, dict]) -> List[str]:
             value("runtime.demux.calls") == ticks,
             f"runtime.demux.calls {value('runtime.demux.calls'):g} != "
             f"runtime.engine.ticks {ticks:g}: not one demux per tick",
+        ),
+        (
+            value("net.pcap.records") == value("runtime.demux.rows")
+            and value("net.pcap.skipped") == 0,
+            f"net.pcap.records {value('net.pcap.records'):g} != runtime.demux.rows "
+            f"{value('runtime.demux.rows'):g} or net.pcap.skipped "
+            f"{value('net.pcap.skipped'):g} != 0: the capture scan or decode "
+            "dropped records of a well-formed capture",
         ),
         (
             value("trace.coverage_frac") >= 0.95,

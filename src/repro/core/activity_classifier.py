@@ -145,16 +145,25 @@ class PlayerActivityClassifier:
         return np.vstack(X_parts), np.concatenate(y_parts)
 
     # ----------------------------------------------------------- inference
+    def _stages(self, X: np.ndarray) -> List[PlayerStage]:
+        """Most probable stage of every feature row.
+
+        Shared by the public predictors below, which do not call each other:
+        each is a layer boundary the e2e tracer times under one span name.
+        """
+        # one enum lookup per class, not per row: the live stage gate comes
+        # here with one or two rows a tick
+        stages = [PlayerStage(value) for value in self.model.classes_.tolist()]
+        winners = self.model.predict_proba(X).argmax(axis=1)
+        return [stages[index] for index in winners.tolist()]
+
     def predict_slots(self, stream: PacketStream) -> List[PlayerStage]:
         """Predict the stage of every slot of a session."""
-        features = self.generator.transform(stream)
-        predicted = self.model.predict(features)
-        return [PlayerStage(value) for value in predicted]
+        return self._stages(self.generator.transform(stream))
 
     def predict_features(self, X: np.ndarray) -> List[PlayerStage]:
-        """Predict stages for precomputed slot features."""
-        predicted = self.model.predict(np.atleast_2d(X))
-        return [PlayerStage(value) for value in predicted]
+        """Predict stages for precomputed slot features (one row or a matrix)."""
+        return self._stages(X)
 
     def predict_raw_slots(
         self, raw_matrix: np.ndarray, causal: bool = True
@@ -225,14 +234,11 @@ class PlayerActivityClassifier:
         lengths = [block.shape[0] for block in blocks]
         if sum(lengths) == 0:
             return [[] for _ in lengths]
-        predicted = self.model.predict(np.vstack([b for b in blocks if b.shape[0]]))
-        stages = {value: PlayerStage(value) for value in np.unique(predicted)}
+        stages = self._stages(np.vstack([b for b in blocks if b.shape[0]]))
         timelines: List[List[PlayerStage]] = []
         cursor = 0
         for length in lengths:
-            timelines.append(
-                [stages[value] for value in predicted[cursor : cursor + length]]
-            )
+            timelines.append(stages[cursor : cursor + length])
             cursor += length
         return timelines
 

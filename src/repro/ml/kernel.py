@@ -13,18 +13,25 @@ walk to the last bit:
   For any sample value ``x`` and threshold ``t ∈ S_j``,
   ``x <= t  ⇔  searchsorted(S_j, x, 'left') <= searchsorted(S_j, t,
   'left')`` — an exact integer equivalence, so traversal never touches a
-  float again.  Ranks and packed node words fit int16 for every realistic
-  forest, quartering the memory traffic of the per-level gathers;
-* **level-packed decision tables** — the arena is re-laid out
-  breadth-first with *pass-through chains* padding shallow leaves, so
-  depth ``d`` of every tree lives in one contiguous int16 table whose
-  entries pack ``(threshold_rank << fbits) | feature``.  Children of slot
-  ``i`` are adjacent (``lchild[i]`` and ``lchild[i] + 1``), collapsing the
+  float again.  Ranks, features and rank bounds fit int16 for every
+  realistic forest, quartering the memory traffic of the per-level gathers;
+* **level decision tables** — the arena is re-laid out breadth-first with
+  *pass-through chains* padding shallow leaves, so depth ``d`` of every
+  tree lives in three contiguous tables indexed by slot: ``feat`` and
+  ``thr`` (the split feature and its threshold's rank, int16) and
+  ``lchild`` (intp).  Children of slot ``i`` are adjacent (``lchild[i]``
+  and ``lchild[i] + 1``), collapsing the
   ``where(go_left, cur + 1, right.take(cur))`` select into a single
-  integer add.  A leaf/chain slot packs the sentinel ``kmax << fbits``
-  (feature 0, rank bound ``kmax``): every rank is ``<= kmax``, so the
-  test always routes left and the slot self-propagates to depth ``D``,
-  where ``leafmap`` resolves the surviving slot to its probability row;
+  integer add.  A leaf/chain slot holds feature 0 with rank bound
+  ``kmax``: every rank is ``<= kmax``, so the test always routes left and
+  the slot self-propagates to depth ``D``, where ``leafmap`` resolves the
+  surviving slot to its probability row;
+* **one flat walk** — the cursor is a flat ``(rows x trees,)`` intp vector,
+  so a level is five calls whatever the matrix: ``feat.take(cur)``, the
+  row offset into the flattened ranks (skipped for a single row),
+  ``ranks.take(feat) > thr.take(cur)``, ``lchild.take(cur)`` and the add.
+  A one-row stage-gate call and a 20 000-row corpus call run the same
+  lines; only the vector length differs;
 * **rank-space memoization** — rows with equal rank vectors traverse
   every tree identically, so low-dimensional batches (the stage/pattern
   forests see 4- and 9-feature matrices) deduplicate via ``np.unique``
@@ -77,10 +84,11 @@ class ForestKernel:
     #: traversal block target (rows x trees cells): keeps the per-level
     #: gather working set cache-resident on corpus-scale inputs
     BLOCK_CELLS = 65536
-    #: rank-matrix cells (rows x features x kmax) below which one fused
-    #: broadcast comparison beats per-feature searchsorted calls (the
-    #: single-row real-time path: 255 tiny searchsorted calls otherwise)
-    BCAST_RANK_MAX_CELLS = 65536
+    #: rows x kmax below which one fused broadcast comparison beats
+    #: per-feature searchsorted calls, whatever the width: the broadcast
+    #: costs ~0.85 ns per (row, cut) per feature, a searchsorted call
+    #: ~0.85 us per feature
+    BCAST_RANK_MAX_ROW_CUTS = 1024
 
     @classmethod
     def from_arrays(cls, arrays: dict, classes, n_features: int) -> "ForestKernel":
@@ -190,57 +198,63 @@ class ForestKernel:
             pad[j, : unique_cuts.size] = unique_cuts
         self._cuts_pad = pad
 
+        # int16 tables and ranks while kmax x n_features (rounded up to a
+        # power of two) stays under 2**15: both fit with room to spare, and
+        # the int16 row offsets of _traverse still span blocks of >= kmax rows
         fbits = max(1, int(np.ceil(np.log2(max(2, n_features)))))
-        # leaf/chain sentinel: feature 0 with rank bound kmax — every rank
-        # is <= kmax, so the slot always routes left (self-propagates)
-        sentinel = kmax << fbits
         pdtype = (
             np.int16
             if (kmax << fbits) | (n_features - 1) < 2**15
             else np.int32
         )
-        self._fbits, self._fmask, self._pdtype = fbits, (1 << fbits) - 1, pdtype
+        self._pdtype = pdtype
 
         # BFS re-layout with pass-through chains: iterate level frontiers
         # until every slot is a leaf; depth falls out of the loop count
-        packed_levels, lchild_levels = [], []
+        levels = []
         frontier = roots.astype(np.int64)
         while internal[frontier].any():
             is_internal = internal[frontier]
             n_children = np.where(is_internal, 2, 1)
             child_pos = np.concatenate(([0], np.cumsum(n_children)))[:-1]
-            packed_levels.append(
-                np.where(
-                    is_internal,
-                    (tpos[frontier] << fbits) | feature[frontier],
-                    sentinel,
-                ).astype(pdtype)
+            levels.append(
+                (
+                    # leaf/chain slot: feature 0 with rank bound kmax — every
+                    # rank is <= kmax, so it always routes left (self-propagates)
+                    np.where(is_internal, feature[frontier], 0).astype(pdtype),
+                    np.where(is_internal, tpos[frontier], kmax).astype(pdtype),
+                    # children adjacent: gather stays intp end-to-end (np.take
+                    # converts any other index dtype on every call)
+                    child_pos.astype(np.intp),
+                )
             )
-            # children adjacent: gather stays intp end-to-end (np.take
-            # converts any other index dtype on every call)
-            lchild_levels.append(child_pos.astype(np.intp))
             nxt = np.empty(int(n_children.sum()), dtype=np.int64)
             nxt[child_pos[is_internal]] = frontier[is_internal] + 1
             nxt[child_pos[is_internal] + 1] = right[frontier[is_internal]]
             nxt[child_pos[~is_internal]] = frontier[~is_internal]
             frontier = nxt
-        self._packed = packed_levels
-        self._lchild = lchild_levels
+        self._levels = levels  # per depth: (feat, thr, lchild) by slot
         self._leafmap = frontier  # depth-D slot -> probability row
-        self.depth = len(packed_levels)
+        self.depth = len(levels)
         self._root_slots = np.arange(self.n_trees, dtype=np.intp)
+        # rows per traversal block: a cache-sized cursor ...
+        block = max(64, self.BLOCK_CELLS // max(1, self.n_trees))
+        if pdtype == np.int16:
+            # ... whose row_base = row * n_features stays inside int16
+            block = min(block, (2**15 - 1) // max(1, n_features))
+        self._block_rows = block
 
     # ------------------------------------------------------------ ranking
     def _rank(self, X: np.ndarray) -> np.ndarray:
-        n_rows, n_features = X.shape
-        if n_rows * n_features * max(1, self._kmax) <= self.BCAST_RANK_MAX_CELLS:
+        if X.shape[0] * self._kmax <= self.BCAST_RANK_MAX_ROW_CUTS:
             # rank = #{cut < x}; +inf padding never counts for finite x
             return np.add.reduce(
-                self._cuts_pad[None, :, :] < X[:, :, None], axis=2
-            ).astype(self._pdtype)
+                self._cuts_pad[None, :, :] < X[:, :, None], axis=2, dtype=self._pdtype
+            )
         ranks = np.empty(X.shape, dtype=self._pdtype)
-        for j in range(n_features):
-            ranks[:, j] = np.searchsorted(self._cuts[j], X[:, j], side="left")
+        for j, cuts in enumerate(self._cuts):
+            # the method: np.searchsorted's wrapper doubles a call this small
+            ranks[:, j] = cuts.searchsorted(X[:, j])  # side="left"
         return ranks
 
     # ---------------------------------------------------------- traversal
@@ -249,29 +263,24 @@ class ForestKernel:
         n_rows, n_features = ranks.shape
         n_trees = self.n_trees
         out = np.empty((n_rows, n_trees), dtype=np.intp)
-        block = max(64, self.BLOCK_CELLS // max(1, n_trees))
-        if self._pdtype == np.int16:
-            # row_base = row * n_features must stay inside int16
-            block = min(block, (2**15 - 1) // max(1, n_features))
+        block = self._block_rows
         for start in range(0, n_rows, block):
             sub = ranks[start : start + block]
             m = sub.shape[0]
             rank_flat = sub.ravel()
-            row_base = (np.arange(m, dtype=self._pdtype) * n_features)[:, None]
-            cur = np.broadcast_to(self._root_slots, (m, n_trees)).astype(np.intp)
-            for depth in range(self.depth):
-                packed = self._packed[depth].take(cur)
-                feat = packed & self._fmask
-                np.add(feat, row_base, out=feat)
-                rank_value = rank_flat.take(feat)
-                go_right = rank_value > (packed >> self._fbits)
-                cur = self._lchild[depth].take(cur)
-                np.add(cur, go_right, out=cur, casting="unsafe")
-            out[start : start + m] = (
-                self._leafmap.take(cur)
-                if self.depth
-                else np.broadcast_to(self._leafmap, (m, n_trees))
-            )
+            cur = np.tile(self._root_slots, m)
+            if m > 1:
+                row_base = np.repeat(
+                    np.arange(m, dtype=self._pdtype) * n_features, n_trees
+                )
+            for feat_of, thr_of, lchild_of in self._levels:
+                feat = feat_of.take(cur)
+                if m > 1:
+                    feat += row_base
+                go_right = rank_flat.take(feat) > thr_of.take(cur)
+                cur = lchild_of.take(cur)
+                cur += go_right
+            out[start : start + m] = self._leafmap.take(cur).reshape(m, n_trees)
         return out
 
     # ------------------------------------------------------- accumulation
@@ -282,11 +291,11 @@ class ForestKernel:
             # 3-D reduce over a strided axis is a sequential per-element
             # sum — the same addition order as the loop below (a 2-D
             # reduce would be pairwise and would NOT be bit-identical)
-            total = np.add.reduce(proba[leaves], axis=1)
+            total = np.add.reduce(proba.take(leaves, axis=0), axis=1)
         else:
             total = np.zeros((n_rows, self.n_classes))
             for tree in range(n_trees):
-                total += proba[leaves[:, tree]]
+                total += proba.take(leaves[:, tree], axis=0)
         return total / n_trees
 
     # ----------------------------------------------------------- predict
@@ -310,8 +319,7 @@ class ForestKernel:
     # ------------------------------------------------------------- sizing
     def nbytes(self) -> int:
         """Bytes the kernel reads (``proba`` is the forest's array, not a copy)."""
-        tables = sum(level.nbytes for level in self._packed)
-        tables += sum(level.nbytes for level in self._lchild)
+        tables = sum(table.nbytes for level in self._levels for table in level)
         return int(
             tables
             + self._leafmap.nbytes

@@ -671,9 +671,9 @@ class StreamingEngine:
                 pending.append((state, features, slots))
         if not pending:
             return
-        stages = self.pipeline.activity_classifier.predict_features(
-            np.vstack([features for _, features, _ in pending])
-        )
+        blocks = [features for _, features, _ in pending]
+        matrix = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        stages = self.pipeline.activity_classifier.predict_features(matrix)
         cursor = 0
         gate_rows: List[Tuple[SessionState, np.ndarray, np.ndarray]] = []
         for state, features, slots in pending:

@@ -35,6 +35,32 @@ def rng():
 
 
 @pytest.fixture(scope="session")
+def profile_events():
+    """Counter of the Python and C function calls a callable makes.
+
+    Cost as a count: it repeats exactly on any box, where a timing does not.
+    Array operators (``+=``, ``>``, slicing) raise no profile event; method
+    and function calls (``take``, ``searchsorted``, ``list.append``) do.
+    """
+
+    def count_events(fn) -> int:
+        count = 0
+
+        def hook(_frame, event, _arg):
+            nonlocal count
+            count += event in ("call", "c_call")
+
+        sys.setprofile(hook)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return count
+
+    return count_events
+
+
+@pytest.fixture(scope="session")
 def session_generator():
     return SessionGenerator(random_state=77)
 

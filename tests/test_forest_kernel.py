@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pickle
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -170,6 +171,183 @@ def test_forest_predict_proba_delegates_to_kernel(small_forest):
     finally:
         del forest.kernel.predict_proba
     assert calls == [5]
+
+
+# ---------------------------------------------------------------------------
+# the shapes the live path sends: one or two stage rows a tick, a handful of
+# title rows, block edges — on forests built straight from state arrays
+# ---------------------------------------------------------------------------
+def synthetic_forest(n_trees, n_features, max_depth, seed, n_classes=3):
+    """A forest written down as ``export_state()`` arrays, not fitted.
+
+    Preorder trees that split everywhere above depth 3 and with probability
+    0.9 below it, down to ``max_depth`` (so shallow leaves and pass-through
+    chains occur); split features go round-robin over the forest and every
+    threshold is its own float, which makes each feature's cut count
+    ``kmax`` about ``internal nodes / n_features`` — the one number the
+    rank rule turns on and a fitted toy forest cannot be steered to.
+    """
+    rng = np.random.default_rng(seed)
+    feature, threshold, left, right, offsets = [], [], [], [], [0]
+    n_internal = 0
+    for _ in range(n_trees):
+        base = len(feature)
+        pending = [(0, None)]  # (depth, parent whose right child comes next)
+        while pending:
+            depth, parent = pending.pop()
+            local = len(feature) - base
+            if parent is not None:
+                right[base + parent] = local
+            if depth < max_depth and (depth < 3 or rng.random() < 0.9):
+                feature.append(n_internal % n_features)
+                threshold.append(rng.normal() * 4.0)
+                left.append(local + 1)
+                right.append(-1)  # set when the left subtree is written
+                n_internal += 1
+                pending.append((depth + 1, local))  # right, after ...
+                pending.append((depth + 1, None))  # ... the whole left subtree
+            else:
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(local)
+                right.append(local)
+        offsets.append(len(feature))
+    proba = rng.dirichlet(np.ones(n_classes), size=len(feature))
+    state = {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=float),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "proba": proba,
+        "offsets": np.array(offsets, dtype=np.int64),
+    }
+    kernel = ForestKernel.from_arrays(state, np.arange(n_classes), n_features)
+    return kernel, state
+
+
+@pytest.fixture(scope="module")
+def narrow_forest():
+    """4 features, thousands of cuts each: the stage forest's shape."""
+    kernel, state = synthetic_forest(n_trees=40, n_features=4, max_depth=9, seed=5)
+    assert kernel.BCAST_RANK_MAX_ROW_CUTS < kernel._kmax < 2**13
+    assert kernel._pdtype == np.int16
+    return kernel, state
+
+
+@pytest.fixture(scope="module")
+def wide_forest():
+    """255 features, some tens of cuts each: the title forest's shape."""
+    kernel, state = synthetic_forest(n_trees=100, n_features=255, max_depth=9, seed=6)
+    # three rows sit on the broadcast side of the rank rule here, and on the
+    # searchsorted side of the rows x features x kmax rule it replaced
+    assert 65536 // (3 * 255) < kernel._kmax <= kernel.BCAST_RANK_MAX_ROW_CUTS // 3
+    assert kernel._pdtype == np.int16
+    return kernel, state
+
+
+def _shape_cases(fitted_pipeline, narrow_forest, wide_forest):
+    yield ("narrow",) + narrow_forest
+    yield ("wide",) + wide_forest
+    for name in ("title_classifier", "activity_classifier", "pattern_classifier"):
+        forest = getattr(fitted_pipeline, name).model
+        yield name, forest.kernel, forest.export_state()
+
+
+def test_kernel_is_bit_identical_at_live_path_shapes(
+    fitted_pipeline, narrow_forest, wide_forest
+):
+    """1–3 gate rows, both sides of every rank bound, both sides of a block."""
+    rng = np.random.default_rng(19)
+    for name, kernel, state in _shape_cases(fitted_pipeline, narrow_forest, wide_forest):
+        block = kernel._block_rows
+        bound = kernel.BCAST_RANK_MAX_ROW_CUTS // max(1, kernel._kmax)
+        sizes = {1, 2, 3, 15, 16, 22, 23, 24, 64, block - 1, block, block + 1}
+        sizes |= {max(1, bound), bound + 1}
+        for n_rows in sorted(sizes):
+            Q = rng.normal(size=(n_rows, kernel.n_features)) * 5.0
+            got = kernel.predict_proba(Q)
+            assert got.tobytes() == oracle_predict_proba(state, Q).tobytes(), (
+                name, n_rows,
+            )
+
+
+def test_kernel_accepts_any_input_layout(fitted_pipeline, narrow_forest, wide_forest):
+    """Strided, Fortran-ordered and 1-D inputs walk like a C-ordered copy."""
+    rng = np.random.default_rng(23)
+    for name, kernel, state in _shape_cases(fitted_pipeline, narrow_forest, wide_forest):
+        base = rng.normal(size=(2 * 30, 2 * kernel.n_features)) * 5.0
+        layouts = {
+            "every other row and column": base[::2, ::2],
+            "fortran": np.asfortranarray(base[:30, : kernel.n_features]),
+            "reversed rows": base[:3, : kernel.n_features][::-1],
+            "one strided row": base[7:8, ::2],
+        }
+        for layout, Q in layouts.items():
+            expected = oracle_predict_proba(state, np.ascontiguousarray(Q))
+            assert kernel.predict_proba(Q).tobytes() == expected.tobytes(), (name, layout)
+        row = base[0, : kernel.n_features]
+        assert (
+            kernel.predict_proba(row).tobytes()
+            == oracle_predict_proba(state, row[None, :]).tobytes()
+        ), name
+
+
+def test_rank_routines_agree_across_the_rows_by_cuts_bound(
+    fitted_pipeline, narrow_forest, wide_forest
+):
+    """Broadcast and ``searchsorted`` ranks are the same bytes at the switch.
+
+    Values on a cut, below every cut and above every cut are where a count
+    of ``cut < x`` and a left bisection could part ways.
+    """
+    rng = np.random.default_rng(29)
+    for name, kernel, _state in _shape_cases(fitted_pipeline, narrow_forest, wide_forest):
+        bound = kernel.BCAST_RANK_MAX_ROW_CUTS // max(1, kernel._kmax)
+        for n_rows in {1, 2, 3, max(1, bound), bound + 1, bound + 2}:
+            X = rng.normal(size=(n_rows, kernel.n_features)) * 5.0
+            for j, cuts in enumerate(kernel._cuts):
+                if cuts.size:
+                    special = np.concatenate((cuts, [cuts[0] - 1.0, cuts[-1] + 1.0]))
+                    pick = rng.random(n_rows) < 0.7
+                    X[pick, j] = rng.choice(special, size=int(pick.sum()))
+            natural = kernel._rank(X)
+            try:
+                kernel.BCAST_RANK_MAX_ROW_CUTS = 2**62  # instance shadow: broadcast
+                broadcast = kernel._rank(X)
+                kernel.BCAST_RANK_MAX_ROW_CUTS = -1  # ... searchsorted
+                bisected = kernel._rank(X)
+            finally:
+                del kernel.BCAST_RANK_MAX_ROW_CUTS
+            assert natural.dtype == broadcast.dtype == bisected.dtype == kernel._pdtype
+            assert natural.tobytes() == broadcast.tobytes() == bisected.tobytes(), (
+                name, n_rows,
+            )
+
+
+# ---------------------------------------------------------------------------
+# cost as a count: each repeats exactly, where a timing would not
+# ---------------------------------------------------------------------------
+def test_three_wide_rows_rank_in_one_comparison(wide_forest, profile_events):
+    """A title-gate matrix must not pay one ``searchsorted`` call per feature."""
+    kernel, _state = wide_forest
+    Q = np.random.default_rng(31).normal(size=(3, kernel.n_features))
+    assert profile_events(lambda: kernel.predict_proba(Q)) < kernel.n_features
+
+
+def test_one_narrow_row_allocates_no_comparison_cube(narrow_forest):
+    """A stage-gate row must not be compared against every padded cut."""
+    kernel, _state = narrow_forest
+    Q = np.random.default_rng(37).normal(size=(1, kernel.n_features))
+    kernel.predict_proba(Q)  # anything lazy is allocated before the measurement
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        kernel.predict_proba(Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < kernel.n_features * kernel._kmax
 
 
 # ---------------------------------------------------------------------------

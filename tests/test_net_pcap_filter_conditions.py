@@ -6,7 +6,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
@@ -30,6 +30,8 @@ from repro.net.pcap import (
     _IPPROTO_UDP,
     _IPV4_MIN_HEADER_LEN,
     _RECORD_HEADER,
+    _RUN_RECORDS,
+    _RUN_WINDOW,
     _UDP_HEADER_LEN,
     PCAP_MAGIC,
     PCAP_MAGIC_SWAPPED,
@@ -877,3 +879,289 @@ def test_block_decoded_batches_equal_per_span_decode(
     for reference, batch in zip(expected, got):
         TestPcapColumnarPath.assert_columns_equal(reference, batch)
     assert got_stats == expected_stats
+
+
+# ---------------------------------------------------------------------------
+# stride-run header scan vs the per-record loop it replaced
+# ---------------------------------------------------------------------------
+def scan_records_loop(data, stats=None):
+    """Oracle: the header walk ``_scan_records`` was before it scanned by
+    stride runs — every field of every record header unpacked one by one
+    (kept verbatim, minus the magic checks that raise)."""
+    magic = struct.unpack("<I", data[:4])[0]
+    record_struct = _RECORD_HEADER if magic == PCAP_MAGIC else struct.Struct(">IIII")
+    seconds: List[int] = []
+    microseconds: List[int] = []
+    offsets: List[int] = []
+    lengths: List[int] = []
+    header_size = record_struct.size
+    position = _GLOBAL_HEADER.size
+    end = len(data)
+    while position + header_size <= end:
+        secs, usecs, captured_len, _original_len = record_struct.unpack_from(
+            data, position
+        )
+        frame_start = position + header_size
+        if frame_start + captured_len > end:
+            break
+        seconds.append(secs)
+        microseconds.append(usecs)
+        offsets.append(frame_start)
+        lengths.append(captured_len)
+        position = frame_start + captured_len
+    if stats is not None:
+        stats.n_records += len(offsets)
+        if position < end:
+            stats.truncated_records += 1
+    timestamps = np.asarray(seconds, dtype=float) + np.asarray(
+        microseconds, dtype=float
+    ) / 1_000_000
+    return (
+        timestamps,
+        np.asarray(offsets, dtype=np.int64),
+        np.asarray(lengths, dtype=np.int64),
+    )
+
+
+def _global_header(magic=PCAP_MAGIC):
+    return _GLOBAL_HEADER.pack(magic, 2, 4, 0, 0, 65535, 1)
+
+
+def raw_capture(lengths, order="<", seed=0):
+    """A pcap buffer of zero-filled frames of ``lengths`` with arbitrary clocks."""
+    rng = np.random.default_rng(seed)
+    clocks = rng.integers(0, 2**32, size=(len(lengths), 2)).tolist()
+    parts = [_global_header(PCAP_MAGIC if order == "<" else PCAP_MAGIC_SWAPPED)]
+    for (secs, usecs), length in zip(clocks, lengths):
+        parts.append(struct.pack(order + "IIII", secs, usecs, length, length))
+        parts.append(bytes(length))
+    return b"".join(parts)
+
+
+def assert_scan_equals_loop(data):
+    from repro.net import ParseStats
+    from repro.net.pcap import _scan_records
+
+    expected_stats, got_stats = ParseStats(), ParseStats()
+    expected = scan_records_loop(data, expected_stats)
+    got = _scan_records(data, stats=got_stats)
+    for reference, array in zip(expected, got):
+        assert array.dtype == reference.dtype
+        assert np.array_equal(array, reference)
+    assert got_stats == expected_stats
+    return got
+
+
+# runs of one captured length (what a snaplen capture is), two alternating
+# lengths (a run that never starts), unrelated lengths, zero-length frames
+_LENGTH_RUNS = st.lists(
+    st.one_of(
+        st.tuples(st.just("constant"), st.sampled_from([0, 1, 48, 64]), st.integers(1, 420)),
+        st.tuples(st.just("alternating"), st.sampled_from([1, 60]), st.integers(1, 40)),
+        st.tuples(st.just("random"), st.integers(0, 2**31), st.integers(1, 25)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _lengths_of(runs):
+    lengths = []
+    for kind, value, count in runs:
+        if kind == "constant":
+            lengths += [value] * count
+        elif kind == "alternating":
+            lengths += [value, value + 4] * count
+        else:
+            lengths += np.random.default_rng(value).integers(0, 1501, size=count).tolist()
+    return lengths
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=_LENGTH_RUNS,
+    order=st.sampled_from(["<", ">"]),
+    cut=st.one_of(st.just(0), st.integers(1, 90), st.integers(91, 40_000)),
+    poke=st.one_of(
+        st.none(),
+        st.tuples(st.floats(0, 1), st.sampled_from([0xFFFFFFFF, 0, 1, 63, 65, 80])),
+    ),
+)
+def test_stride_run_scan_equals_record_loop(runs, order, cut, poke):
+    """Same arrays and stats on any buffer: cut anywhere, lengths overwritten."""
+    lengths = _lengths_of(runs)
+    data = bytearray(raw_capture(lengths, order, seed=len(lengths)))
+    if poke is not None:
+        # overwrite one record's captured length (the walk derails from there:
+        # what follows is read as whatever headers the new stride lands on)
+        where, value = poke
+        index = min(int(where * len(lengths)), len(lengths) - 1)
+        position = _GLOBAL_HEADER.size + 16 * index + sum(lengths[:index]) + 8
+        data[position : position + 4] = struct.pack(order + "I", value)
+    keep = max(_GLOBAL_HEADER.size, len(data) - cut)
+    assert_scan_equals_loop(bytes(data[:keep]))
+
+
+# the walk reads _RUN_RECORDS headers one by one, compares the next
+# _RUN_WINDOW at once, reads one more, compares 4 x _RUN_WINDOW, ...
+_FIRST_WINDOW_END = _RUN_RECORDS + _RUN_WINDOW
+_SECOND_WINDOW_END = _FIRST_WINDOW_END + 1 + 4 * _RUN_WINDOW
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize(
+    "n_records,cut",
+    [
+        (_FIRST_WINDOW_END, 1),  # one byte short of the first window
+        (_FIRST_WINDOW_END, 80),  # ... one whole record short
+        (_FIRST_WINDOW_END, 80 + 70),  # tail cut mid-frame inside the window
+        (_FIRST_WINDOW_END, 80 + 75),  # ... mid-header
+        (_FIRST_WINDOW_END + 1, 0),  # the window exactly, one loose record after
+        (_SECOND_WINDOW_END, 1),  # one byte short of the grown window
+        (_SECOND_WINDOW_END + 5, 0),  # loose records after two full windows
+        (_RUN_RECORDS, 0),  # the buffer ends where speculation would start
+        (_RUN_RECORDS + 1, 3),  # ... with a cut record in the first window
+        (_RUN_RECORDS - 1, 0),
+    ],
+)
+def test_stride_run_scan_at_window_edges(order, n_records, cut):
+    data = raw_capture([64] * n_records, order)
+    timestamps, _, _ = assert_scan_equals_loop(data[: len(data) - cut])
+    assert timestamps.size == n_records - (cut + 79) // 80
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize("index", [3, 7, 8, 9, 40, 71, 72, 73, 74, 200])
+def test_stride_run_scan_stops_at_an_impossible_length(order, index):
+    """0xFFFFFFFF mid-file: the records before it, one truncation, no read past."""
+    from repro.net import ParseStats
+    from repro.net.pcap import _scan_records
+
+    lengths = [64] * 300
+    data = bytearray(raw_capture(lengths, order))
+    position = _GLOBAL_HEADER.size + 80 * index + 8
+    data[position : position + 4] = b"\xff" * 4
+    assert_scan_equals_loop(bytes(data))
+    stats = ParseStats()
+    timestamps, _, _ = _scan_records(bytes(data), stats=stats)
+    assert (timestamps.size, stats.n_records, stats.truncated_records) == (index, index, 1)
+
+
+def test_scan_cost_is_per_run_not_per_record(profile_events):
+    """Counts, not times: a fixed-length capture is a handful of windows."""
+    from repro.net.pcap import _scan_records
+
+    fixed = raw_capture([64] * 4000)
+    assert profile_events(lambda: _scan_records(fixed)) <= 4000 // 4
+    # no two neighbours alike: no run, no speculation, one header read and
+    # one position kept per record
+    ragged = raw_capture([40 + index % 7 for index in range(4000)])
+    assert profile_events(lambda: _scan_records(ragged)) <= 3 * 4000
+
+
+# ---------------------------------------------------------------------------
+# batch_seconds bounds come from the records, not from the capture's time span
+# ---------------------------------------------------------------------------
+def _clock_capture(path, clock_us):
+    """One valid frame per entry of ``clock_us`` (integer microseconds)."""
+    frame = TestHostileCaptures.frame(payload=TestHostileCaptures.rtp_payload(1))
+    with open(path, "wb") as handle:
+        handle.write(_global_header())
+        for clock in clock_us:
+            handle.write(
+                _RECORD_HEADER.pack(clock // 1_000_000, clock % 1_000_000, len(frame), len(frame))
+            )
+            handle.write(frame)
+
+
+def test_one_wild_timestamp_costs_one_batch_boundary(tmp_path):
+    """51 records, the last 3e9 s after the first: 51 rows, inside 4 GiB.
+
+    The bounds used to come from one edge per elapsed ``batch_seconds`` —
+    3e10 of them here, a 224 GiB allocation before the first batch.  Runs in
+    a child process so the address-space limit binds nothing else.
+    """
+    import subprocess
+    import sys
+    import textwrap
+
+    path = tmp_path / "wild.pcap"
+    _clock_capture(path, [index * 20_000 for index in range(50)] + [3_000_000_000 * 1_000_000])
+    script = textwrap.dedent(
+        f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        from repro.net.pcap import iter_pcap_column_batches
+        batches = list(iter_pcap_column_batches({str(path)!r}, batch_seconds=0.1,
+                                                client_ip={TestHostileCaptures.CLIENT!r}))
+        print([len(batch) for batch in batches])
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    # ten 0.1 s buckets of 20 ms records, then the wild one on its own
+    sizes = [int(size) for size in done.stdout.strip("[]\n").split(",")]
+    assert (len(sizes), sum(sizes), sizes[-1]) == (11, 51, 1)
+
+
+def edge_formula_bounds(timestamps, batch_seconds):
+    """Oracle: the bounds ``iter_pcap_column_batches`` searched for before —
+    one edge per ``batch_seconds`` of the capture's whole span, bisected into
+    the timestamps (their running maximum: batches never move backwards)."""
+    furthest = np.maximum.accumulate(timestamps)
+    origin, last = float(furthest[0]), float(furthest[-1])
+    edges = origin + batch_seconds * np.arange(
+        1, int(np.ceil(max(last - origin, 0.0) / batch_seconds)) + 1
+    )
+    bounds = np.searchsorted(furthest, edges, side="left")
+    return np.unique(np.concatenate(([0], bounds, [timestamps.size])))
+
+
+# gaps that land records exactly on batch edges, just before and just after
+# them, in the same bucket, and buckets apart; negative ones step the clock back
+_GAPS_US = st.sampled_from(
+    [0, 1, 999, 10_000, 49_999, 50_000, 99_999, 100_000, 100_001, 150_000,
+     300_000, 1_200_000, 7_000_000, -1, -30_000, -100_000, -450_000]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    origin_s=st.sampled_from([0, 1, 1_700_000_000, 4_294_000_000]),
+    gaps=st.lists(_GAPS_US, min_size=1, max_size=60),
+    decreasing=st.booleans(),
+    batch_seconds=st.sampled_from([0.01, 0.05, 0.1, 0.15, 0.3, 0.5, 3.0]),
+)
+# shrunk from runs without the bucket's -1 / +1 settling against the edge
+@example(origin_s=1_700_000_000, gaps=[0, 10_000], decreasing=False, batch_seconds=0.01)
+@example(
+    origin_s=0,
+    gaps=[1, 1, 10_000, 10_000, 10_000, 49_999, 150_000, 150_000, 150_000, 150_000, 10_000],
+    decreasing=False,
+    batch_seconds=0.01,
+)
+def test_record_derived_bounds_equal_the_edge_formula(
+    tmp_path_factory, origin_s, gaps, decreasing, batch_seconds
+):
+    from repro.net.pcap import iter_pcap_column_batches
+
+    clock, clocks = origin_s * 1_000_000 + 600_000, []
+    for gap in gaps:
+        clock = max(0, clock + (gap if decreasing else abs(gap)))
+        clocks.append(clock)
+    path = tmp_path_factory.mktemp("bounds") / "capture.pcap"
+    _clock_capture(path, clocks)
+    whole = read_pcap_columns(path, client_ip=TestHostileCaptures.CLIENT)
+    assert len(whole) == len(clocks)
+    batches = list(
+        iter_pcap_column_batches(
+            path, batch_seconds=batch_seconds, client_ip=TestHostileCaptures.CLIENT
+        )
+    )
+    TestPcapColumnarPath.assert_columns_equal(whole, PacketColumns.concat(batches))
+    bounds = np.concatenate(([0], np.cumsum([len(batch) for batch in batches])))
+    assert np.array_equal(bounds, edge_formula_bounds(whole.timestamps, batch_seconds))

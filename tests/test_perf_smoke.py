@@ -146,6 +146,9 @@ def _traced_tap_result(**overrides):
         "runtime.engine.ticks": 1377,
         "runtime.demux.calls": 1377,
         "runtime.demux.flows": 9525,
+        "runtime.demux.rows": 70829,
+        "net.pcap.records": 70829,
+        "net.pcap.skipped": 0,
         "core.reducers.absorb_calls": 0,
         "ml.kernel.calls": 896,
         "trace.coverage_frac": 0.98,
@@ -167,6 +170,10 @@ def _traced_tap_result(**overrides):
         ({"ml.kernel.calls": 1378}, 1, "ml.kernel.calls"),
         ({"runtime.demux.calls": 2754}, 1, "runtime.demux.calls"),
         ({"trace.coverage_frac": 0.9}, 1, "trace.coverage_frac"),
+        # batch bounds that lose records between the scan and the demux
+        ({"runtime.demux.rows": 70765}, 1, "net.pcap.records"),
+        # a scan that stops short of the buffer's end counts a truncation
+        ({"net.pcap.skipped": 1}, 1, "net.pcap.skipped"),
     ],
 )
 def test_tick_count_guard(tmp_path, overrides, expected_exit, named):
