@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Guard the tick fold's cost model on the counts the e2e trace already takes.
+"""Guard the live and offline cost models on the counts the e2e trace already takes.
 
 The live path folds the *tick*, not every flow's share of it (DESIGN.md §6):
 one demux per tick, at most one forest call per gate that has rows due, and
@@ -10,6 +10,11 @@ workload records exactly those counts —
     python3 benchmarks/e2e/run.py --workload tap_small_ticks --trace 1 --seconds 3
 
 — and this script reads its result file and fails unless they still hold.
+Given a traced ``corpus_batch`` result instead
+(``benchmarks/e2e/out/result-corpus_batch-trace1.json``) it holds the offline
+window chain (DESIGN.md §10) to its counts: every estimated window and every
+session is folded into the fleet rollup exactly once, and every report costs
+one whole-session fold.  The rules follow the record's ``workload``.
 Counts repeat exactly from run to run, so the guard holds on noisy shared
 runners, where a time gate cannot.
 """
@@ -27,15 +32,11 @@ DEFAULT_RESULT = (
 )
 
 
-def violations(metrics: Dict[str, dict]) -> List[str]:
-    """The cost-model rules a traced result's per-layer metrics break."""
-
-    def value(name: str) -> float:
-        return metrics[name]["value"]
-
+def _tick_rules(value) -> tuple:
+    """``tap_small_ticks``: the tick is the unit that is folded."""
     ticks = value("runtime.engine.ticks")
     flows = value("runtime.demux.flows")
-    rules = (
+    return (
         (
             value("ml.kernel.calls") <= ticks,
             f"ml.kernel.calls {value('ml.kernel.calls'):g} > runtime.engine.ticks "
@@ -60,6 +61,39 @@ def violations(metrics: Dict[str, dict]) -> List[str]:
             f"{value('net.pcap.skipped'):g} != 0: the capture scan or decode "
             "dropped records of a well-formed capture",
         ),
+    )
+
+
+def _window_rules(value) -> tuple:
+    """``corpus_batch``: every window is estimated once and folded once."""
+    return (
+        (
+            value("core.qoe.intervals") == value("analytics.fleet.events"),
+            f"core.qoe.intervals {value('core.qoe.intervals'):g} != "
+            f"analytics.fleet.events {value('analytics.fleet.events'):g}: a window "
+            "or a session was estimated but not folded, or folded twice",
+        ),
+        (
+            value("core.reducers.absorb_calls")
+            == value("core.pipeline.finalize_sessions"),
+            f"core.reducers.absorb_calls {value('core.reducers.absorb_calls'):g} != "
+            f"core.pipeline.finalize_sessions "
+            f"{value('core.pipeline.finalize_sessions'):g}: a report costs more "
+            "(or less) than one whole-session fold",
+        ),
+    )
+
+
+RULES = {"tap_small_ticks": _tick_rules, "corpus_batch": _window_rules}
+
+
+def violations(workload: str, metrics: Dict[str, dict]) -> List[str]:
+    """The cost-model rules a traced result's per-layer metrics break."""
+
+    def value(name: str) -> float:
+        return metrics[name]["value"]
+
+    rules = RULES[workload](value) + (
         (
             value("trace.coverage_frac") >= 0.95,
             f"trace.coverage_frac {value('trace.coverage_frac'):.3f} < 0.95: the "
@@ -73,10 +107,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = sys.argv[1:] if argv is None else argv
     path = Path(arguments[0]) if arguments else DEFAULT_RESULT
     record = json.loads(path.read_text())
-    if record.get("workload") != "tap_small_ticks" or not record.get("trace"):
-        print(f"{path}: not a traced tap_small_ticks result", file=sys.stderr)
+    if record.get("workload") not in RULES or not record.get("trace"):
+        print(f"{path}: not a traced {' / '.join(RULES)} result", file=sys.stderr)
         return 2
-    broken = violations(record["metrics"])
+    broken = violations(record["workload"], record["metrics"])
     for message in broken:
         print(f"tick-count guard: {message}", file=sys.stderr)
     if not broken:

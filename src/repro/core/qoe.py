@@ -23,6 +23,7 @@ This module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
@@ -238,6 +239,29 @@ def _distinct_count(values: np.ndarray) -> int:
     return int(1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def _percentile_95(values: np.ndarray) -> float:
+    """``numpy.percentile(values, 95)`` of a non-empty 1-D float array, spelled out.
+
+    The two order statistics around the virtual index ``(n - 1) * 0.95`` come
+    from one sort, and the interpolation is numpy's own ``_lerp`` in numpy's
+    own order — ``a + (b - a) * w`` under a weight of one half,
+    ``b - (b - a) * (1 - w)`` from one half on — so the result is bit-equal to
+    the general routine at a fraction of its fixed cost.  NaN in, NaN out.
+    """
+    ordered = np.sort(values)
+    last = ordered.size - 1
+    if math.isnan(ordered[last]):  # NaNs sort to the end
+        return math.nan
+    virtual = last * 0.95
+    below = int(virtual)
+    weight = virtual - below
+    low = float(ordered[below])
+    high = float(ordered[min(below + 1, last)])
+    if weight < 0.5:
+        return low + (high - low) * weight
+    return high - (high - low) * (1 - weight)
+
+
 class ObjectiveQoEEstimator:
     """Estimates objective QoE metrics from a game streaming flow.
 
@@ -396,7 +420,7 @@ class ObjectiveQoEEstimator:
         if n_down_packets < 10 or gap_count == 0:
             lag = 0.0
         elif gap_samples.size:
-            lag = float(np.percentile(gap_samples, 95) * 1000.0)
+            lag = _percentile_95(gap_samples) * 1000.0
         else:  # defensive: aggregates from a foreign producer
             lag = float(gap_max_s * 1000.0)
 
@@ -447,13 +471,13 @@ class ObjectiveQoEEstimator:
         """95th-percentile inter-frame gap (ms) from downstream timestamps."""
         if times.size < 10:
             return 0.0
-        gaps = np.diff(times)
+        gaps = times[1:] - times[:-1]
         # inter-frame gaps (larger than intra-burst spacing) indicate pacing;
         # their 95th percentile approximates worst-case frame delivery lag
         frame_gaps = gaps[gaps > FRAME_GAP_SECONDS]
         if frame_gaps.size == 0:
             return 0.0
-        return float(np.percentile(frame_gaps, 95) * 1000.0)
+        return _percentile_95(frame_gaps) * 1000.0
 
     def _resolution_from_bitrate(self, throughput_mbps: float, frame_rate: float) -> str:
         if frame_rate <= 0 or throughput_mbps <= 0:

@@ -237,7 +237,7 @@ class SlotStageReducer:
         # a packet older than the session origin (cross-batch reordering)
         # folds into slot 0; bounded mode accepts the approximation, the
         # full-history mode refolds with the corrected origin instead
-        np.clip(indices, 0, None, out=indices)
+        np.maximum(indices, 0, out=indices)
         top = int(indices.max())
         self._ensure_capacity(top)
         self._max_slot = max(self._max_slot, top)
@@ -295,7 +295,7 @@ class SlotStageReducer:
                 indices = np.floor((times - origin) / self.slot_duration).astype(
                     np.int64
                 )
-                np.clip(indices, 0, None, out=indices)
+                np.maximum(indices, 0, out=indices)
                 top = max(top, int(indices.max()))
                 per_direction.append((indices, sizes))
             else:
@@ -584,7 +584,7 @@ class QoEIntervalReducer(_IntervalSealer):
         indices = np.floor((timestamps - origin) / self.interval_seconds).astype(
             np.int64
         )
-        np.clip(indices, 0, None, out=indices)
+        np.maximum(indices, 0, out=indices)
         if bool(np.all(indices[1:] >= indices[:-1])):
             boundaries = np.flatnonzero(indices[1:] != indices[:-1]) + 1
             starts = np.concatenate(([0], boundaries))
@@ -1098,7 +1098,7 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         indices = np.floor((timestamps - origin) / self.interval_seconds).astype(
             np.int64
         )
-        np.clip(indices, 0, None, out=indices)
+        np.maximum(indices, 0, out=indices)
         boundaries = np.flatnonzero(indices[1:] != indices[:-1]) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [n]))

@@ -8,6 +8,7 @@ read-only.
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,28 @@ def profile_events():
         return count
 
     return count_events
+
+
+@pytest.fixture(scope="session")
+def alloc_peak():
+    """Peak bytes a callable allocates above what was live when it started.
+
+    The memory twin of ``profile_events``: a ``tracemalloc`` reading repeats
+    where a timing does not.
+    """
+
+    def peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    return peak_bytes
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,13 @@
 """Tests for QoE estimation, effective-QoE calibration and the full pipeline."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import qoe as qoe_module
 from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.qoe import (
     EffectiveQoECalibrator,
@@ -373,3 +378,80 @@ class TestPipelineIntegration:
             assert report.context_label == report.title.title
         else:
             assert "unknown title" in report.context_label
+
+
+# ---------------------------------------------------------------------------
+# the lag percentile spelled out (DESIGN.md §7 "What a sealed window costs")
+# ---------------------------------------------------------------------------
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+#: sizes where the virtual index ``(n - 1) * 0.95`` is integral (1, 21, 41,
+#: 101) or the weight is exactly one half (11), then anything up to 2 000
+_SIZES = st.one_of(st.sampled_from([1, 11, 21, 41, 101]), st.integers(1, 2000))
+
+
+@st.composite
+def _percentile_inputs(draw):
+    size = draw(_SIZES)
+    element = draw(
+        st.sampled_from(
+            [
+                # few distinct values: ties
+                st.sampled_from(draw(st.lists(_FINITE, min_size=1, max_size=8))),
+                st.sampled_from([1e300, -1e300, 1e-300, 5e-324, 0.0, 1.0]),
+                st.floats(0.002, 5.0),  # what a window's frame gaps look like
+            ]
+        )
+    )
+    values = draw(st.lists(element, min_size=size, max_size=size))
+    # -0.0 and 0.0 compare equal, so which of them a sort or a partition
+    # leaves at an index is not defined; adding 0.0 leaves only +0.0
+    return np.array(values, dtype=float) + 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_percentile_inputs())
+def test_percentile_95_is_numpys_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.percentile(values, 95))
+    assert qoe_module._percentile_95(values).hex() == expected.hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=_percentile_inputs(), where=st.integers(0, 1999))
+def test_percentile_95_of_a_nan_anywhere_is_nan(values, where):
+    values[where % values.size] = np.nan
+    assert math.isnan(qoe_module._percentile_95(values))
+
+
+def _window(n_gaps=500, seed=3):
+    """Downstream columns of one captured-size window: ``n_gaps`` frame gaps."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum(rng.uniform(0.012, 0.022, size=n_gaps + 1))
+    times = np.repeat(starts, 2)
+    times[1::2] += 0.0002  # two packets per frame burst
+    frames = np.repeat(np.arange(n_gaps + 1, dtype=np.int64) * 1500, 2)
+    sequences = np.arange(times.size, dtype=np.int64)
+    # three second-of-burst packets lost: sequence gaps, same frame gaps
+    keep = np.ones(times.size, dtype=bool)
+    keep[[41, 43, 301]] = False
+    return times[keep], frames[keep], sequences[keep]
+
+
+def test_window_estimate_costs_its_arithmetic(profile_events):
+    """Cost as a count: the general-purpose percentile alone raised 93 events."""
+    estimator = ObjectiveQoEEstimator()
+    times, frames, sequences = _window()
+    assert np.count_nonzero(np.diff(times) > 0.002) == 500
+    assert profile_events(lambda: estimator._lag_from_bursts(times)) <= 15
+    assert (
+        profile_events(
+            lambda: estimator.estimate_arrays(
+                duration_s=10.0,
+                down_times=times,
+                down_payload_bytes=1200.0 * times.size,
+                rtp_timestamps=frames,
+                rtp_sequences=sequences,
+            )
+        )
+        <= 80
+    )

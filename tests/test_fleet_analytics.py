@@ -11,10 +11,13 @@ pins exactly-once folding through SIGKILLed workers.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytics import (
     DEFAULT_REGION,
@@ -24,6 +27,7 @@ from repro.analytics import (
     StatsAccumulator,
     fold_corpus,
 )
+from repro.analytics.fleet import _LAG_SKETCH, _LOSS_SKETCH, _THROUGHPUT_SKETCH
 from repro.core.reducers import ApproxQoEIntervalReducer
 from repro.runtime import (
     FaultPlan,
@@ -130,6 +134,128 @@ def test_sketch_merge_rejects_layout_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# the scalar fold against the bulk one (DESIGN.md §10 "One value at a time")
+# ---------------------------------------------------------------------------
+#: the three layouts production folds into, and the constructors' defaults
+LAYOUTS = {
+    "lag": _LAG_SKETCH,
+    "throughput": _THROUGHPUT_SKETCH,
+    "loss": _LOSS_SKETCH,
+    "default": (1e-3, 1e6, 1.08),
+}
+N_BINS = {name: CentroidSketch(*layout).layout.n_bins for name, layout in LAYOUTS.items()}
+_TIE = 2.0**-21  # half of one fixed-point step: where ``rint`` breaks ties
+
+
+@st.composite
+def _edge_values(draw, min_size=1, max_size=40):
+    """A layout and values on, and one float either side of, what decides a slot."""
+    name = draw(st.sampled_from(sorted(LAYOUTS)))
+    min_value, max_value, growth = LAYOUTS[name]
+    edge = st.integers(0, N_BINS[name] + 2).map(lambda k: min_value * growth**k)
+    value = st.one_of(
+        edge,
+        edge.map(lambda v: float(np.nextafter(v, np.inf))),
+        edge.map(lambda v: float(np.nextafter(v, -np.inf))),
+        st.floats(0.0, min_value),
+        # no -0.0: min / max keep whichever zero they met first, so the sign
+        # bit of a zero extreme (and nothing else) depends on fold order
+        st.floats(-1e6, 0.0).map(lambda v: v + 0.0),
+        st.floats(max_value, 1e12),
+        st.integers(-8, 2**24).map(lambda k: k * _TIE),
+        st.floats(min_value, max_value),
+    )
+    return name, draw(st.lists(value, min_size=min_size, max_size=max_size))
+
+
+def _sketches(name):
+    layout = LAYOUTS[name]
+    return [StatsAccumulator, lambda: LogBucketHistogram(*layout), lambda: CentroidSketch(*layout)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_values(max_size=1))
+def test_scalar_add_leaves_the_state_bulk_add_leaves(case):
+    name, (value,) = case
+    for make in _sketches(name):
+        one, many = make(), make()
+        one.add(value)
+        many.add_many([value])
+        assert one.state() == many.state(), value.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_edge_values(min_size=2), data=st.data())
+def test_any_fold_order_and_any_merge_tree_have_one_digest(case, data):
+    name, values = case
+    shuffled = data.draw(st.permutations(values))
+    # a random merge tree: leaves are the runs between drawn cuts, folded one
+    # value at a time; then random pairs merge, either way round, until one is left
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(values) - 1), max_size=6)))
+    runs = [values[a:b] for a, b in zip([0] + cuts, cuts + [len(values)])]
+    for make in _sketches(name):
+        bulk = make()
+        bulk.add_many(values)
+        serial = make()
+        for value in shuffled:
+            serial.add(value)
+        assert serial.digest() == bulk.digest()
+        leaves = []
+        for run in runs:
+            leaf = make()
+            for value in run:
+                leaf.add(value)
+            leaves.append(leaf)
+        while len(leaves) > 1:
+            a = leaves.pop(data.draw(st.integers(0, len(leaves) - 1)))
+            b = leaves.pop(data.draw(st.integers(0, len(leaves) - 1)))
+            a.merge(b)
+            leaves.append(a)
+        assert leaves[0].digest() == bulk.digest()
+
+
+# a value the fixed point cannot hold used to be *added* as INT64_MIN
+@pytest.mark.parametrize("kind", sorted(SKETCHES))
+@pytest.mark.parametrize("value", [1e300, -1e300, np.inf, -np.inf, np.nan, 2.0**43])
+def test_sketch_refuses_what_its_fixed_point_cannot_hold(kind, value):
+    sketch = SKETCHES[kind](0.1, 1e5, 1.05) if kind != "stats" else SKETCHES[kind]()
+    sketch.add(5.0)
+    before = sketch.state()
+    with np.errstate(all="raise"):  # the refusal is a check, not a caught warning
+        with pytest.raises(ValueError, match="cannot fold"):
+            sketch.add(value)
+        assert sketch.state() == before
+        with pytest.raises(ValueError, match="cannot fold"):
+            sketch.add_many([1.0, value, 2.0])
+    assert sketch.state() == before
+    sketch.add(7.0)  # and it keeps folding
+    assert sketch.count == 2
+
+
+@pytest.mark.parametrize("kind", sorted(SKETCHES))
+def test_largest_holdable_value_folds_exactly(kind):
+    top = 2.0**43 - 1.0
+    one, many = SKETCHES[kind](), SKETCHES[kind]()
+    for value in (top, -top, 1.0):
+        one.add(value)
+    many.add_many([top, -top, 1.0])
+    assert one.state() == many.state()
+    stats = one if kind == "stats" else one.stats
+    assert (stats.scaled_sum, stats.min, stats.max) == (1 << 20, -top, top)
+    if kind == "centroid":  # +top in the overflow cell, -top in the underflow
+        assert one.scaled_sums[-1] == (2**43 - 1) << 20
+        assert one.scaled_sums[0] == -((2**43 - 1) << 20)
+
+
+def test_scalar_add_costs_its_arithmetic(profile_events, alloc_peak):
+    """Cost as a count: through the one-element-array wrapper, 43 events and 5.8 KB."""
+    sketch = CentroidSketch(*_LAG_SKETCH)
+    sketch.add(17.25)  # anything lazy is allocated before the measurement
+    assert profile_events(lambda: sketch.add(23.5)) <= 20
+    assert alloc_peak(lambda: sketch.add(31.75)) < 1024
+
+
+# ---------------------------------------------------------------------------
 # quantile error bounds vs numpy percentiles
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ["histogram", "centroid"])
@@ -210,6 +336,56 @@ def test_rollups_bit_identical_across_fold_paths(
     assert "eu-central" in regions_seen and "us-east" in regions_seen
     assert DEFAULT_REGION in regions_seen  # the untagged session
     assert {mode for _r, _t, mode in offline.keys()} == {qoe_mode}
+
+
+#: read at the commit before the window chain was re-spelled (PR 20) and
+#: committed: one bit of one window's metrics, of one report or of one sketch
+#: cell moves a hash.  The fold paths above are pinned to each other; this
+#: pins them to what they produced before.
+GOLDEN = {
+    "exact": {
+        "digest": "7080ece34aa6a6e1fc06b2be32f5165e5686c6787592d5a67b0570f5d759072a",
+        "windows": "eded03d1439593ccaf2ab8a63c78171f8f79ecd34f7290d6ac58cdd631c5029f",
+        "reports": "873a60611a079ece57b36be3cf2602bbb9455f77e2c030273f545b5b404b099d",
+    },
+    "approx": {
+        "digest": "8e0771e4c07eee1aaee73e5dc483ef7cc92ebdbf91115fd0262ff0b935dbce3a",
+        "windows": "1adb1c0a3830fe113f1bff36b384c51327a09aa7cbd4d878822a0de2676e39a2",
+        "reports": "c14c5a95e2c5e2b8f396e4a1840232775b2fdab133cdaeb6c7bdf8f4afd97c37",
+    },
+}
+
+
+class _WindowRecorder(FleetAggregator):
+    """A fleet aggregator that also hashes the ``repr`` of every window event."""
+
+    def __init__(self):
+        super().__init__()
+        self.windows = hashlib.sha256()
+
+    def observe(self, event, contexts=None):
+        if not hasattr(event, "report"):
+            self.windows.update(repr(event).encode())
+        super().observe(event, contexts)
+
+
+@pytest.mark.parametrize("qoe_mode", ["exact", "approx"])
+def test_window_chain_golden(fitted_pipeline, runtime_sessions, qoe_mode):
+    reports = fitted_pipeline.process_many(runtime_sessions, qoe_mode=qoe_mode)
+    fleet = fold_corpus(
+        fitted_pipeline,
+        runtime_sessions,
+        reports=reports,
+        regions=REGIONS,
+        qoe_mode=qoe_mode,
+        aggregator=_WindowRecorder(),
+    )
+    got = {
+        "digest": fleet.digest(),
+        "windows": fleet.windows.hexdigest(),
+        "reports": hashlib.sha256(repr(reports).encode()).hexdigest(),
+    }
+    assert got == GOLDEN[qoe_mode]
 
 
 def test_rollups_are_independent_of_batch_granularity(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pickle
 import signal
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -334,20 +333,12 @@ def test_three_wide_rows_rank_in_one_comparison(wide_forest, profile_events):
     assert profile_events(lambda: kernel.predict_proba(Q)) < kernel.n_features
 
 
-def test_one_narrow_row_allocates_no_comparison_cube(narrow_forest):
+def test_one_narrow_row_allocates_no_comparison_cube(narrow_forest, alloc_peak):
     """A stage-gate row must not be compared against every padded cut."""
     kernel, _state = narrow_forest
     Q = np.random.default_rng(37).normal(size=(1, kernel.n_features))
     kernel.predict_proba(Q)  # anything lazy is allocated before the measurement
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        kernel.predict_proba(Q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before < kernel.n_features * kernel._kmax
+    assert alloc_peak(lambda: kernel.predict_proba(Q)) < kernel.n_features * kernel._kmax
 
 
 # ---------------------------------------------------------------------------

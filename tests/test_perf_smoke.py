@@ -140,6 +140,18 @@ def test_check_against_baseline_directions(key_suffix):
 # ---------------------------------------------------------------------------
 # the tick-count guard on the traced tap result (scripts/check_tick_counts.py)
 # ---------------------------------------------------------------------------
+def _run_count_guard(tmp_path, record):
+    """``scripts/check_tick_counts.py`` on ``record`` written out as a result file."""
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(record))
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "check_tick_counts.py"), str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def _traced_tap_result(**overrides):
     """A traced ``tap_small_ticks`` record with the counts of a healthy run."""
     counts = {
@@ -177,28 +189,55 @@ def _traced_tap_result(**overrides):
     ],
 )
 def test_tick_count_guard(tmp_path, overrides, expected_exit, named):
-    path = tmp_path / "result.json"
-    path.write_text(json.dumps(_traced_tap_result(**overrides)))
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "check_tick_counts.py"), str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = _run_count_guard(tmp_path, _traced_tap_result(**overrides))
+    assert result.returncode == expected_exit, result.stdout + result.stderr
+    if named is not None:
+        assert named in result.stderr
+
+
+def _traced_corpus_result(**overrides):
+    """A traced ``corpus_batch`` record with the counts of a healthy run."""
+    counts = {
+        "core.qoe.intervals": 2248,
+        "analytics.fleet.events": 2248,
+        "core.reducers.absorb_calls": 104,
+        "core.pipeline.finalize_sessions": 104,
+        "trace.coverage_frac": 0.999,
+    }
+    counts.update(overrides)
+    return {
+        "workload": "corpus_batch",
+        "trace": 1,
+        "metrics": {name: {"value": value, "unit": "count"} for name, value in counts.items()},
+    }
+
+
+@pytest.mark.parametrize(
+    "overrides, expected_exit, named",
+    [
+        ({}, 0, None),
+        # a window estimated but never folded (or a fold that skips sessions)
+        ({"analytics.fleet.events": 2144}, 1, "analytics.fleet.events"),
+        # a second cascade fold per report
+        ({"core.reducers.absorb_calls": 208}, 1, "core.reducers.absorb_calls"),
+        ({"trace.coverage_frac": 0.9}, 1, "trace.coverage_frac"),
+    ],
+)
+def test_window_count_guard(tmp_path, overrides, expected_exit, named):
+    """The same script picks the window chain's rules from the record's workload."""
+    result = _run_count_guard(tmp_path, _traced_corpus_result(**overrides))
     assert result.returncode == expected_exit, result.stdout + result.stderr
     if named is not None:
         assert named in result.stderr
 
 
 def test_tick_count_guard_rejects_an_untraced_result(tmp_path):
-    path = tmp_path / "result.json"
     record = _traced_tap_result()
     record["trace"] = 0
-    path.write_text(json.dumps(record))
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "check_tick_counts.py"), str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 2
+    assert _run_count_guard(tmp_path, record).returncode == 2
+
+
+def test_tick_count_guard_rejects_a_workload_it_has_no_rules_for(tmp_path):
+    record = _traced_tap_result()
+    record["workload"] = "live_single"
+    assert _run_count_guard(tmp_path, record).returncode == 2
