@@ -14,7 +14,12 @@ Given a traced ``corpus_batch`` result instead
 (``benchmarks/e2e/out/result-corpus_batch-trace1.json``) it holds the offline
 window chain (DESIGN.md §10) to its counts: every estimated window and every
 session is folded into the fleet rollup exactly once, and every report costs
-one whole-session fold.  The rules follow the record's ``workload``.
+one whole-session fold.  Given a traced ``live_single`` result
+(``benchmarks/e2e/out/result-live_single-trace1.json``) it holds the
+single-engine live feed to one demux per tick over every packet of the
+record, at most one stage-forest call per tick (plus the close), no
+per-(flow, batch) cascade fold, and every estimated window folded into the
+rollup once.  The rules follow the record's ``workload``.
 Counts repeat exactly from run to run, so the guard holds on noisy shared
 runners, where a time gate cannot.
 """
@@ -84,16 +89,61 @@ def _window_rules(value) -> tuple:
     )
 
 
-RULES = {"tap_small_ticks": _tick_rules, "corpus_batch": _window_rules}
+def _live_rules(value) -> tuple:
+    """``live_single``: 1 s ticks of 24 sessions through one engine."""
+    ticks = value("runtime.engine.ticks")
+    bound = ticks + value("core.pipeline.finalize_sessions")
+    return (
+        (
+            value("runtime.demux.calls") == ticks,
+            f"runtime.demux.calls {value('runtime.demux.calls'):g} != "
+            f"runtime.engine.ticks {ticks:g}: not one demux per tick",
+        ),
+        (
+            value("runtime.demux.rows") == value("packets"),
+            f"runtime.demux.rows {value('runtime.demux.rows'):g} != packets "
+            f"{value('packets'):g}: the feed's batches lost or repeated rows",
+        ),
+        (
+            value("core.activity_classifier.calls") <= bound,
+            f"core.activity_classifier.calls "
+            f"{value('core.activity_classifier.calls'):g} > runtime.engine.ticks + "
+            f"core.pipeline.finalize_sessions ({bound:g}): the stage gate calls "
+            "its forest more than once per tick",
+        ),
+        (
+            value("core.reducers.absorb_calls") == 0,
+            f"core.reducers.absorb_calls {value('core.reducers.absorb_calls'):g} "
+            "!= 0: the live path folds per (flow, batch) again",
+        ),
+        (
+            value("core.qoe.intervals") == value("analytics.fleet.events"),
+            f"core.qoe.intervals {value('core.qoe.intervals'):g} != "
+            f"analytics.fleet.events {value('analytics.fleet.events'):g}: a window "
+            "or a session was estimated but not folded, or folded twice",
+        ),
+    )
 
 
-def violations(workload: str, metrics: Dict[str, dict]) -> List[str]:
-    """The cost-model rules a traced result's per-layer metrics break."""
+RULES = {
+    "tap_small_ticks": _tick_rules,
+    "corpus_batch": _window_rules,
+    "live_single": _live_rules,
+}
+
+
+def violations(record: dict) -> List[str]:
+    """The cost-model rules a traced result breaks.
+
+    Names are per-layer metrics, or fields of the record itself
+    (``packets``).
+    """
+    metrics: Dict[str, dict] = record["metrics"]
 
     def value(name: str) -> float:
-        return metrics[name]["value"]
+        return metrics[name]["value"] if name in metrics else record[name]
 
-    rules = RULES[workload](value) + (
+    rules = RULES[record["workload"]](value) + (
         (
             value("trace.coverage_frac") >= 0.95,
             f"trace.coverage_frac {value('trace.coverage_frac'):.3f} < 0.95: the "
@@ -110,7 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if record.get("workload") not in RULES or not record.get("trace"):
         print(f"{path}: not a traced {' / '.join(RULES)} result", file=sys.stderr)
         return 2
-    broken = violations(record["workload"], record["metrics"])
+    broken = violations(record)
     for message in broken:
         print(f"tick-count guard: {message}", file=sys.stderr)
     if not broken:

@@ -240,7 +240,11 @@ class StatsAccumulator(MergeableSketch):
         self._fold(value, _scaled_one(value))
 
     def _fold(self, value: float, fixed: int) -> None:
-        """Fold one value whose fixed point the caller already holds."""
+        """Fold one value whose fixed point the caller already holds.
+
+        ``-0.0`` enters as ``+0.0``: no extreme keeps whichever zero came first.
+        """
+        value += 0.0
         self.count += 1
         self.scaled_sum += fixed
         if value < self._min:
@@ -256,8 +260,8 @@ class StatsAccumulator(MergeableSketch):
         self.count += int(values.size)
         # sum the int64 fixed-point values under Python ints: exact
         self.scaled_sum += int(fixed.sum(dtype=object))
-        self._min = min(self._min, float(values.min()))
-        self._max = max(self._max, float(values.max()))
+        self._min = min(self._min, float(values.min()) + 0.0)
+        self._max = max(self._max, float(values.max()) + 0.0)
 
     def merge(self, other: "StatsAccumulator") -> None:
         self._require_same_layout(other, ())

@@ -14,7 +14,7 @@ over the same four reducers (DESIGN.md §7):
   launch features identical to extracting them from the full session,
   because the packet-group labeler never reads past the window;
 * :class:`SlotStageReducer` — integer-exact per-slot payload/packet counters
-  per direction (one pair of ``bincount`` adds per batch) plus the causal
+  per direction (one pair of ``bincount`` adds per tick) plus the causal
   :class:`~repro.core.volumetric.OnlineVolumetricTracker` EMA for the
   provisional per-slot stage gate;
 * the **transition prefix** state
@@ -95,8 +95,6 @@ __all__ = [
 #: Valid values of ``SessionReducerCascade(qoe_mode=...)``.
 QOE_MODES = ("exact", "approx")
 
-_EMPTY_FEATURES = np.zeros((0, 4))
-_EMPTY_SLOTS = np.zeros(0, dtype=np.int64)
 _EMPTY_FLOAT = np.zeros(0, dtype=float)
 _EMPTY_INT = np.zeros(0, dtype=np.int64)
 
@@ -187,8 +185,10 @@ class SlotStageReducer:
     """Integer-exact per-slot volumetric counters plus the online EMA state.
 
     Columns of the counter matrix are (down payload bytes, down packets,
-    up payload bytes, up packets) per ``I``-second slot.  The counts are
-    grown with one pair of ``bincount`` adds per batch and equal
+    up payload bytes, up packets) per ``I``-second slot.  A span inside one
+    slot adds its four totals (:meth:`absorb_slot`); spans across a slot
+    edge share one pair of ``bincount`` calls per tick
+    (:meth:`TickFacts.flush` → :meth:`absorb_span`).  The counts equal
     :meth:`VolumetricAttributeGenerator.raw_slot_matrix` of the packets seen
     so far exactly; :meth:`raw_matrix` converts them to the offline rates.
     The EMA tracker and slot ``cursor`` (the first slot the gate has not
@@ -225,32 +225,16 @@ class SlotStageReducer:
         self._raw = np.zeros((64, 4))
         self._max_slot = -1
 
-    def absorb(
-        self,
-        timestamps: np.ndarray,
-        sizes: np.ndarray,
-        down: np.ndarray,
-        origin: float,
-    ) -> None:
-        """Fold one batch's rows into the per-slot counters."""
-        indices = np.floor((timestamps - origin) / self.slot_duration).astype(np.int64)
-        # a packet older than the session origin (cross-batch reordering)
-        # folds into slot 0; bounded mode accepts the approximation, the
-        # full-history mode refolds with the corrected origin instead
-        np.maximum(indices, 0, out=indices)
-        top = int(indices.max())
-        self._ensure_capacity(top)
-        self._max_slot = max(self._max_slot, top)
-        length = top + 1
-        # one bin per (slot, direction) — the counter matrix's own layout —
-        # so both directions share one pair of bincounts; within a bin the
-        # weights still accumulate in row order
-        bins = indices * 2 + ~down
-        counters = self._raw[:length]
-        counters[:, 0::2] += np.bincount(
-            bins, weights=sizes, minlength=2 * length
-        ).reshape(length, 2)
-        counters[:, 1::2] += np.bincount(bins, minlength=2 * length).reshape(length, 2)
+    def absorb_span(self, first: int, last: int, cells: np.ndarray) -> None:
+        """Add the counter rows of slots ``first .. last`` (one straddling span).
+
+        ``cells`` is the span's share of the tick-wide bincount
+        (:meth:`TickFacts.flush`); slots outside the span received no row.
+        """
+        self._ensure_capacity(last)
+        if last > self._max_slot:
+            self._max_slot = last
+        self._raw[first : last + 1] += cells
 
     def absorb_slot(
         self,
@@ -262,9 +246,10 @@ class SlotStageReducer:
     ) -> None:
         """Fold a batch whose rows all fall into ``slot``, given its totals.
 
-        Counter-identical to :meth:`absorb` on those rows: ``bincount`` would
-        add the same four totals to this one row and zeros elsewhere (payload
-        sizes are integral, so the caller's sums are exact in any order).
+        Counter-identical to bucketing those rows one by one: ``bincount``
+        would add the same four totals to this one row and zeros elsewhere
+        (payload sizes are integral, so the caller's sums are exact in any
+        order).
         """
         self._ensure_capacity(slot)
         self._max_slot = max(self._max_slot, slot)
@@ -284,7 +269,7 @@ class SlotStageReducer:
     ) -> None:
         """Fold pre-split per-direction rows (offline whole-session path).
 
-        Counter-identical to :meth:`absorb` on the interleaved batch: each
+        Counter-identical to one ``bincount`` over the interleaved batch: each
         direction's rows keep their relative order, so every ``bincount``
         accumulates the same weights in the same order.
         """
@@ -314,27 +299,23 @@ class SlotStageReducer:
             )
             self._raw[:length, column + 1] += np.bincount(indices, minlength=length)
 
-    def advance(self, complete: int) -> Tuple[np.ndarray, np.ndarray]:
+    def advance(self, complete: int) -> Tuple[List[List[float]], int]:
         """Complete slots ``cursor .. complete - 1`` (provisional gate).
 
-        Returns the causal (running-peak, EMA-carried) feature rows and slot
-        indices of the newly completed slots.  A flow completes a slot or
-        two per call, so the rows are converted and smoothed as python
-        floats — the same IEEE operations in the same order as the array
-        expressions of :meth:`raw_matrix` and the offline generator.
+        Returns the causal (running-peak, EMA-carried) feature rows of the
+        newly completed slots, as lists of four python floats, and the index
+        of the first.  A flow completes a slot or two per call: the same
+        IEEE operations in the same order as the array expressions of
+        :meth:`raw_matrix` and the offline generator, no array per flow.
         """
-        if complete <= self.cursor:
-            return _EMPTY_FEATURES, _EMPTY_SLOTS
+        first = self.cursor
+        if complete <= first:
+            return [], first
         self._ensure_capacity(complete - 1)
-        features = np.array(
-            [
-                self._tracker.step(self._rates(*counters))
-                for counters in self._raw[self.cursor : complete].tolist()
-            ]
-        )
-        slots = np.arange(self.cursor, complete, dtype=np.int64)
+        step, rates = self._tracker.step, self._rates
+        rows = [step(rates(*counters)) for counters in self._raw[first:complete].tolist()]
         self.cursor = complete
-        return features, slots
+        return rows, first
 
     def _rates(self, down_bytes, down_packets, up_bytes, up_packets) -> tuple:
         """Counters -> offline rate units (same expressions as the generator).
@@ -1296,6 +1277,7 @@ class TickFacts:
     ``down_bounds[i]:down_bounds[i + 1]`` — so the per-flow cost of a tick is
     scalar arithmetic plus zero-copy spans (DESIGN.md §7).  Payload sizes are
     integral, so the sums are exact in whatever order ``reduceat`` adds.
+    :meth:`flush` buckets the rows of every flow across a slot edge at once.
     """
 
     __slots__ = (
@@ -1311,6 +1293,7 @@ class TickFacts:
         "down_sizes",
         "down_sequences",
         "down_rtp_times",
+        "straddles",
         "_rtp_seen",
     )
 
@@ -1319,6 +1302,7 @@ class TickFacts:
         sizes = columns.payload_sizes
         starts = bounds[:-1]
         self.columns = columns
+        self.straddles: List[tuple] = []
         self.bounds: List[int] = bounds.tolist()
         self.first: List[float] = np.minimum.reduceat(timestamps, starts).tolist()
         self.last: List[float] = np.maximum.reduceat(timestamps, starts).tolist()
@@ -1366,6 +1350,56 @@ class TickFacts:
         if stop - start == len(self.columns):
             return self.columns
         return self.columns.slice_view(start, stop)
+
+    def flush(self) -> None:
+        """Bucket the rows of every queued straddling span in one pass.
+
+        The fold queues ``(flow, slots, origin, first_slot, last_slot)`` for
+        a flow whose rows cross a slot edge.  Every queued row gets the
+        reducers' own index ``floor((t - origin) / width)`` (clipped at 0)
+        shifted into its flow's run of ``(slot, direction)`` cells; one pair
+        of ``bincount`` calls fills all runs and each reducer adds its own.
+        Runs are disjoint, ``bincount`` adds in row order and the sums are
+        integral: the counters equal a per-flow ``bincount`` to the bit.
+        Run after the tick's folds, and before a refold resets the counters.
+        """
+        queued = self.straddles
+        if not queued:
+            return
+        self.straddles = []
+        width = queued[0][1].slot_duration
+        assert all(item[1].slot_duration == width for item in queued), "one slot width"
+        bounds = self.bounds
+        row_shifts, lengths, origins, cell_shifts = [], [], [], []
+        n_rows = n_cells = 0
+        for flow, _slots, origin, first, last in queued:
+            start, stop = bounds[flow], bounds[flow + 1]
+            row_shifts.append(start - n_rows)
+            lengths.append(stop - start)
+            origins.append(origin)
+            cell_shifts.append(n_cells - 2 * first)
+            n_rows += stop - start
+            n_cells += 2 * (last - first + 1)
+        if len(queued) == 1:
+            # a fine-grained tap's usual tick: one span, its scalars broadcast
+            rows = slice(row_shifts[0], n_rows + row_shifts[0])
+            origin, shift = origins[0], cell_shifts[0]
+        else:
+            repeat = np.repeat
+            rows = repeat(row_shifts, lengths) + np.arange(n_rows)
+            origin, shift = repeat(origins, lengths), repeat(cell_shifts, lengths)
+        columns = self.columns
+        index = np.floor((columns.timestamps[rows] - origin) / width).astype(np.int64)
+        np.maximum(index, 0, out=index)
+        bins = index * 2 + ~self.down[rows] + shift
+        cells = np.empty((n_cells // 2, 4))
+        sizes = columns.payload_sizes[rows]
+        cells[:, 0::2] = np.bincount(bins, weights=sizes, minlength=n_cells).reshape(-1, 2)
+        cells[:, 1::2] = np.bincount(bins, minlength=n_cells).reshape(-1, 2)
+        at = 0
+        for _flow, slots, _origin, first, last in queued:
+            slots.absorb_span(first, last, cells[at : at + last - first + 1])
+            at += last - first + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1460,14 +1494,18 @@ class SessionReducerCascade:
         """
         if not len(columns):
             return 0
-        return self.fold(TickFacts.of_batch(columns), 0)
+        facts = TickFacts.of_batch(columns)
+        new_window_rows = self.fold(facts, 0)
+        facts.flush()
+        return new_window_rows
 
     def fold(self, facts: TickFacts, flow: int) -> int:
         """Fold flow ``flow`` of a tick; return its new launch-window rows.
 
         The return value counts rows that landed inside the title window —
         the runtime uses a non-zero count after the title gate fired as the
-        re-classification trigger.
+        re-classification trigger.  Slot rows across an edge land at
+        ``facts.flush()``, which the caller runs after the tick's folds.
         """
         first = facts.first[flow]
         if self.origin is None:
@@ -1477,7 +1515,10 @@ class SessionReducerCascade:
             if self._history is not None:
                 # exact refold: an older packet surfaced, so every slot and
                 # interval assignment shifts.  Only possible with retained
-                # history.
+                # history.  Spans of this tick queued before it (the same
+                # flow earlier in the tick) land first: the refold rebuilds
+                # the counters from the history, which already holds them.
+                facts.flush()
                 rows = facts.rows(flow).owned()
                 self._history.append(rows)
                 self._refold(first)
@@ -1497,8 +1538,9 @@ class SessionReducerCascade:
         one QoE interval and past the title window.  Its time span
         (``first`` .. ``last``) shows which of the three hold; each one that
         does is folded from the pre-reduced facts alone, and only the others
-        touch rows: the title-window rows, and a span straddling a slot or
-        QoE boundary (the general reducers).
+        touch rows: the title-window rows, a span straddling a QoE boundary
+        (the general reducer), and a span straddling a slot edge — queued on
+        the facts and bucketed with every other such span of the tick.
         """
         origin = self.origin
         first = facts.first[flow]
@@ -1537,12 +1579,8 @@ class SessionReducerCascade:
                 slot if slot > 0 else 0, down_sum, n_down, up_sum, stop - start - n_down
             )
         else:
-            columns = facts.columns
-            self.slots.absorb(
-                columns.timestamps[start:stop],
-                columns.payload_sizes[start:stop],
-                facts.down[start:stop],
-                origin,
+            facts.straddles.append(
+                (flow, self.slots, origin, slot if slot > 0 else 0, last_slot)
             )
 
         if not n_down:
@@ -1645,7 +1683,9 @@ class SessionReducerCascade:
         self.qoe = QoEIntervalReducer(self._qoe_interval_seconds)
         self.qoe._sealed_upto = sealed_upto
         for batch in history:
-            self._fold(TickFacts.of_batch(batch), 0)
+            facts = TickFacts.of_batch(batch)
+            self._fold(facts, 0)
+            facts.flush()
 
     # ------------------------------------------------------------ aggregates
     @property
@@ -1664,7 +1704,7 @@ class SessionReducerCascade:
         )
 
     # ------------------------------------------------------------ provisional
-    def advance_slots(self, clock: float) -> Tuple[np.ndarray, np.ndarray]:
+    def advance_slots(self, clock: float) -> Tuple[List[List[float]], int]:
         """Provisional stage gate: feature rows of newly completed slots.
 
         Completes every observed slot the feed clock has passed;
@@ -1673,18 +1713,19 @@ class SessionReducerCascade:
         the reducers' own bucketing expression ``floor((clock - origin) /
         width)`` — comparing ``clock`` against ``origin + k * width`` instead
         rounds differently on slot edges and would complete a slot one tick
-        early or late.
+        early or late.  Returns ``(rows, first_slot)`` as
+        :meth:`SlotStageReducer.advance` does; no rows when nothing is due.
         """
         origin = self.origin
         if origin is None:
-            return _EMPTY_FEATURES, _EMPTY_SLOTS
+            return [], 0
         if clock == math.inf:
             return self.slots.advance(self.total_slots())
         if not math.isfinite(clock):
-            return _EMPTY_FEATURES, _EMPTY_SLOTS
+            return [], 0
         complete = math.floor((clock - origin) / self.slots.slot_duration)
         if complete <= self.slots.cursor:
-            return _EMPTY_FEATURES, _EMPTY_SLOTS
+            return [], 0
         return self.slots.advance(min(complete, self.total_slots()))
 
     def advance_qoe(self, clock: float) -> List[SealedQoEInterval]:

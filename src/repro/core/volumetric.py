@@ -255,21 +255,26 @@ class OnlineVolumetricTracker:
         return np.array(self.step(raw.tolist()))
 
     def step(self, raw: Sequence[float]) -> List[float]:
-        """:meth:`update` on four python floats, returning four."""
-        alpha, decay = self.alpha, 1.0 - self.alpha
-        peaks = self._peaks = [max(peak, value) for peak, value in zip(self._peaks, raw)]
-        relative = [
-            min(max(value / (1.0 if peak <= 0 else peak), 0.0), 1.0)
-            for peak, value in zip(peaks, raw)
-        ]
-        if self._ema is None:
-            self._ema = relative
-        else:
-            self._ema = [
-                alpha * current + decay * carried
-                for current, carried in zip(relative, self._ema)
-            ]
-        return list(self._ema)
+        """:meth:`update` on four python floats, returning four.
+
+        Unrolled over the four lanes: each line is the per-element IEEE
+        operation of the generator's array expressions, in the same order.
+        """
+        r0, r1, r2, r3 = raw
+        p0, p1, p2, p3 = self._peaks
+        p0, p1, p2, p3 = max(p0, r0), max(p1, r1), max(p2, r2), max(p3, r3)
+        self._peaks = [p0, p1, p2, p3]
+        c0 = min(max(r0 / (1.0 if p0 <= 0 else p0), 0.0), 1.0)
+        c1 = min(max(r1 / (1.0 if p1 <= 0 else p1), 0.0), 1.0)
+        c2 = min(max(r2 / (1.0 if p2 <= 0 else p2), 0.0), 1.0)
+        c3 = min(max(r3 / (1.0 if p3 <= 0 else p3), 0.0), 1.0)
+        if self._ema is not None:
+            alpha, decay = self.alpha, 1.0 - self.alpha
+            e0, e1, e2, e3 = self._ema
+            c0, c1 = alpha * c0 + decay * e0, alpha * c1 + decay * e1
+            c2, c3 = alpha * c2 + decay * e2, alpha * c3 + decay * e3
+        self._ema = [c0, c1, c2, c3]
+        return [c0, c1, c2, c3]
 
     def reset(self) -> None:
         """Clear peaks and EMA state (e.g. at the start of a new session)."""

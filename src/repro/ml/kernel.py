@@ -26,21 +26,22 @@ walk to the last bit:
   ``kmax``: every rank is ``<= kmax``, so the test always routes left and
   the slot self-propagates to depth ``D``, where ``leafmap`` resolves the
   surviving slot to its probability row;
-* **one flat walk** — the cursor is a flat ``(rows x trees,)`` intp vector,
-  so a level is five calls whatever the matrix: ``feat.take(cur)``, the
-  row offset into the flattened ranks (skipped for a single row),
-  ``ranks.take(feat) > thr.take(cur)``, ``lchild.take(cur)`` and the add.
-  A one-row stage-gate call and a 20 000-row corpus call run the same
-  lines; only the vector length differs;
+* **one flat walk** — the cursor is a flat tree-major ``(trees x rows,)``
+  intp vector, so a level is five calls whatever the matrix:
+  ``feat.take(cur)``, the row offset into the flattened ranks (skipped for
+  a single row), ``ranks.take(feat) > thr.take(cur)``, ``lchild.take(cur)``
+  and the add.  A one-row stage-gate call and a 20 000-row corpus call run
+  the same lines; only the vector length differs;
 * **rank-space memoization** — rows with equal rank vectors traverse
   every tree identically, so low-dimensional batches (the stage/pattern
   forests see 4- and 9-feature matrices) deduplicate via ``np.unique``
   before traversal and scatter the unique results back;
 * **adaptive accumulation** — the per-tree probability sum uses the fused
-  3-D ``np.add.reduce(proba[leaves], axis=1)`` for small outputs and the
-  full-width per-tree loop for large ones.  Both orders add the same
-  floats in the same per-element sequence (the 3-D reduce over a strided
-  axis is sequential, never pairwise), so the choice affects time only.
+  3-D ``np.add.reduce(proba[leaves], axis=0)`` for small outputs and the
+  full-width per-tree loop for large ones.  Both add the same floats in
+  the same per-element sequence, tree 0 first (a reduce over the outer
+  axis adds whole rows one after another, never pairwise), so the choice
+  affects time only.
 
 Every optimisation is exact: ``tests/test_forest_kernel.py`` asserts
 byte-equal outputs against a node-by-node float walk of the same arrays
@@ -259,20 +260,18 @@ class ForestKernel:
 
     # ---------------------------------------------------------- traversal
     def _traverse(self, ranks: np.ndarray) -> np.ndarray:
-        """Leaf probability-row ids, shape ``(n_rows, n_trees)``."""
+        """Leaf probability-row ids, tree-major: shape ``(n_trees, n_rows)``."""
         n_rows, n_features = ranks.shape
         n_trees = self.n_trees
-        out = np.empty((n_rows, n_trees), dtype=np.intp)
+        out = np.empty((n_trees, n_rows), dtype=np.intp)
         block = self._block_rows
         for start in range(0, n_rows, block):
             sub = ranks[start : start + block]
             m = sub.shape[0]
             rank_flat = sub.ravel()
-            cur = np.tile(self._root_slots, m)
+            cur = np.repeat(self._root_slots, m)
             if m > 1:
-                row_base = np.repeat(
-                    np.arange(m, dtype=self._pdtype) * n_features, n_trees
-                )
+                row_base = np.tile(np.arange(m, dtype=self._pdtype) * n_features, n_trees)
             for feat_of, thr_of, lchild_of in self._levels:
                 feat = feat_of.take(cur)
                 if m > 1:
@@ -280,22 +279,22 @@ class ForestKernel:
                 go_right = rank_flat.take(feat) > thr_of.take(cur)
                 cur = lchild_of.take(cur)
                 cur += go_right
-            out[start : start + m] = self._leafmap.take(cur).reshape(m, n_trees)
+            out[:, start : start + m] = self._leafmap.take(cur).reshape(n_trees, m)
         return out
 
     # ------------------------------------------------------- accumulation
     def _accumulate(self, leaves: np.ndarray) -> np.ndarray:
-        n_rows, n_trees = leaves.shape
+        n_trees, n_rows = leaves.shape
         proba = self.proba
         if n_rows * n_trees * self.n_classes <= self.FUSED_ACCUM_MAX_CELLS:
-            # 3-D reduce over a strided axis is a sequential per-element
-            # sum — the same addition order as the loop below (a 2-D
-            # reduce would be pairwise and would NOT be bit-identical)
-            total = np.add.reduce(proba.take(leaves, axis=0), axis=1)
+            # a reduce over the outer axis adds whole rows in tree order —
+            # the same per-element sequence as the loop below (a reduce over
+            # the contiguous axis would be pairwise, NOT bit-identical)
+            total = np.add.reduce(proba.take(leaves, axis=0), axis=0)
         else:
-            total = np.zeros((n_rows, self.n_classes))
-            for tree in range(n_trees):
-                total += proba.take(leaves[:, tree], axis=0)
+            total = proba.take(leaves[0], axis=0)
+            for tree in range(1, n_trees):
+                total += proba.take(leaves[tree], axis=0)
         return total / n_trees
 
     # ----------------------------------------------------------- predict

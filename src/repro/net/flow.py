@@ -6,14 +6,14 @@ bidirectional UDP/RTP flow between the client and a cloud GPU server.
 
 The first thing the deployed probe does with a packet batch is route every
 row to its bidirectional flow.  :class:`FlowDemux` does that on the columnar
-substrate: distinct transport addresses are factorised with one vectorised
-``id()`` gather and one ``np.unique`` (generator- and PCAP-produced batches
-intern one tuple object per flow and direction, so Python is touched once
-per *distinct* address, not per packet), a ``bincount`` presence table over
-``(address, direction)`` says which canonical :class:`FlowKey` each cell
-needs, and one stable sort of the per-row flow number yields every flow's
-rows at once.  Both directions of a conversation canonicalise to the same
-key.
+substrate: distinct transport addresses are factorised by one ``np.unique``
+over the address column's own object pointers, their ``id()`` (generator-
+and PCAP-produced batches intern one tuple object per flow and direction, so
+Python is touched once per *distinct* address, not per packet), a
+``bincount`` presence table over ``(address, direction)`` says which
+canonical :class:`FlowKey` each cell needs, and one stable sort of the
+per-row flow number yields every flow's rows at once.  Both directions of a
+conversation canonicalise to the same key.
 
 Row order within a flow is preserved (a stable sort keeps batch positions
 ascending), which is what lets the per-session accumulators reproduce the
@@ -38,7 +38,6 @@ from repro.net.packet import (
     PacketStream,
 )
 
-_ID_OF = np.frompyfunc(id, 1, 1)
 #: Entries (two per flow) at which the canonical-key cache starts over; a
 #: probe that runs for hours sees far more flows than are ever live at once.
 _CANONICAL_CACHE_ENTRIES = 1 << 16
@@ -77,6 +76,17 @@ def flow_addresses(key: FlowKey) -> Tuple[tuple, tuple]:
         key.server_ip, key.client_ip, key.server_port, key.client_port, key.protocol,
     )
     return upstream, downstream
+
+
+def _object_ids(column: np.ndarray) -> np.ndarray:
+    """``id()`` of every element of an object column, without a call per row.
+
+    An object array's buffer is its vector of ``PyObject*``, and in CPython
+    ``id(x)`` is that address, so reading the buffer as ``intp`` gives the
+    ids element for element.  The view keeps the (contiguous) array, and
+    with it every referenced object, alive for as long as it is used.
+    """
+    return np.frombuffer(memoryview(np.ascontiguousarray(column)), dtype=np.intp)
 
 
 def canonical_flow_key(address: tuple, direction_code: int) -> FlowKey:
@@ -155,9 +165,8 @@ class FlowDemux:
             visit = [0]
             cell = upstream.astype(np.intp)
         else:
-            ids = _ID_OF(addresses).astype(np.int64)
             _ids, first_rows, group_of_row = np.unique(
-                ids, return_index=True, return_inverse=True
+                _object_ids(addresses), return_index=True, return_inverse=True
             )
             group_addresses = addresses[first_rows].tolist()
             # visit address groups in first-appearance order so new flows

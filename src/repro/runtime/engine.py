@@ -502,7 +502,9 @@ class StreamingEngine:
 
         The tick is reduced to per-flow facts once
         (:class:`~repro.core.reducers.TickFacts`); each flow then costs one
-        cascade fold on scalars.  New flows open here, in tick order.
+        cascade fold on scalars, and the flows whose rows cross a slot edge
+        are bucketed together after the loop.  New flows open here, in tick
+        order.
         """
         facts = TickFacts(tick.columns, tick.bounds)
         states, shed = self._states, self._shed
@@ -518,6 +520,7 @@ class StreamingEngine:
                 # the flow's oldest row, wherever it sits in the batch
                 events.append(SessionStarted(flow=key, time=facts.first[flow]))
             state.window_rows_pending += state.cascade.fold(facts, flow)
+        facts.flush()
 
     def _open_session(self, key: FlowKey) -> SessionState:
         """Register the state of a flow seen for the first time."""
@@ -664,24 +667,25 @@ class StreamingEngine:
         states: Iterable[SessionState],
         clock: float,
     ) -> None:
-        pending: List[Tuple[SessionState, np.ndarray, np.ndarray]] = []
+        # the due flows' rows stay python floats until this tick's one matrix
+        rows: List[List[float]] = []
+        pending: List[Tuple[SessionState, int, int]] = []
         for state in states:
-            features, slots = state.cascade.advance_slots(clock)
-            if slots.size:
-                pending.append((state, features, slots))
+            new_rows, first = state.cascade.advance_slots(clock)
+            if new_rows:
+                pending.append((state, first, len(new_rows)))
+                rows += new_rows
         if not pending:
             return
-        blocks = [features for _, features, _ in pending]
-        matrix = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        stages = self.pipeline.activity_classifier.predict_features(matrix)
+        stages = self.pipeline.activity_classifier.predict_features(np.array(rows))
         cursor = 0
-        gate_rows: List[Tuple[SessionState, np.ndarray, np.ndarray]] = []
-        for state, features, slots in pending:
-            new_stages = stages[cursor : cursor + slots.size]
-            cursor += slots.size
+        gate_rows: List[Tuple[SessionState, np.ndarray, np.ndarray, np.ndarray]] = []
+        for state, first, count in pending:
+            new_stages = stages[cursor : cursor + count]
+            cursor += count
             state.timeline.extend(new_stages)
             origin = state.cascade.origin
-            for slot, stage in zip(slots.tolist(), new_stages):
+            for slot, stage in zip(range(first, first + count), new_stages):
                 events.append(
                     StageUpdate(
                         flow=state.key,
@@ -690,18 +694,14 @@ class StreamingEngine:
                         stage=stage,
                     )
                 )
+            if state.pattern_resolved:
+                continue  # only the pattern gate reads the transition prefix
             prefix_features, gameplay_seen = state.transitions.extend(new_stages)
-            if not state.pattern_resolved:
-                eligible = np.flatnonzero(gameplay_seen >= self.min_pattern_slots)
-                if eligible.size:
-                    gate_rows.append(
-                        (
-                            state,
-                            prefix_features[eligible],
-                            gameplay_seen[eligible],
-                            slots[eligible],
-                        )
-                    )
+            eligible = np.flatnonzero(gameplay_seen >= self.min_pattern_slots)
+            if eligible.size:
+                gate_rows.append(
+                    (state, prefix_features[eligible], gameplay_seen[eligible], eligible + first)
+                )
         self._advance_patterns(events, gate_rows)
 
     def _advance_patterns(self, events: List[ContextEvent], gate_rows: List) -> None:

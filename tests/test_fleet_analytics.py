@@ -158,9 +158,9 @@ def _edge_values(draw, min_size=1, max_size=40):
         edge.map(lambda v: float(np.nextafter(v, np.inf))),
         edge.map(lambda v: float(np.nextafter(v, -np.inf))),
         st.floats(0.0, min_value),
-        # no -0.0: min / max keep whichever zero they met first, so the sign
-        # bit of a zero extreme (and nothing else) depends on fold order
-        st.floats(-1e6, 0.0).map(lambda v: v + 0.0),
+        # both zeros: the extremes must not keep whichever one came first
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e6, 0.0),
         st.floats(max_value, 1e12),
         st.integers(-8, 2**24).map(lambda k: k * _TIE),
         st.floats(min_value, max_value),
@@ -182,6 +182,7 @@ def test_scalar_add_leaves_the_state_bulk_add_leaves(case):
         one.add(value)
         many.add_many([value])
         assert one.state() == many.state(), value.hex()
+        assert one.digest() == many.digest(), value.hex()
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,6 +213,30 @@ def test_any_fold_order_and_any_merge_tree_have_one_digest(case, data):
             a.merge(b)
             leaves.append(a)
         assert leaves[0].digest() == bulk.digest()
+
+
+@pytest.mark.parametrize("kind", sorted(SKETCHES))
+def test_a_signed_zero_does_not_make_the_digest_depend_on_fold_order(kind):
+    """``0.0 == -0.0``, so an extreme used to keep whichever zero came first:
+    equal states, different digests."""
+    make = SKETCHES[kind]
+    up, down, bulk = make(), make(), make()
+    for value in (0.0, -0.0):
+        up.add(value)
+    for value in (-0.0, 0.0):
+        down.add(value)
+    bulk.add_many([-0.0, 0.0])
+    assert up.digest() == down.digest() == bulk.digest()
+    merged = []
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        into, other = make(), make()
+        into.add(first)
+        other.add(second)
+        into.merge(other)
+        merged.append(into.digest())
+    assert merged == [up.digest(), up.digest()]
+    stats = up if kind == "stats" else up.stats
+    assert stats.min.hex() == stats.max.hex() == (0.0).hex()
 
 
 # a value the fixed point cannot hold used to be *added* as INT64_MIN

@@ -323,6 +323,35 @@ def test_rank_routines_agree_across_the_rows_by_cuts_bound(
             )
 
 
+def test_tree_major_accumulation_adds_in_tree_order(
+    fitted_pipeline, narrow_forest, wide_forest
+):
+    """The tree-major sum is the bytes of the row-major fused reduce and of
+    the per-tree loop, on both sides of the fused / loop switch."""
+    rng = np.random.default_rng(41)
+    for name, kernel, _state in _shape_cases(fitted_pipeline, narrow_forest, wide_forest):
+        for n_rows in (1, 3, 97):
+            Q = rng.normal(size=(n_rows, kernel.n_features)) * 5.0
+            leaves = kernel._traverse(kernel._rank(Q))
+            assert leaves.shape == (kernel.n_trees, n_rows)
+            proba, n_trees = kernel.proba, kernel.n_trees
+            # row-major: (rows, trees, classes) reduced over its strided axis
+            row_major = np.add.reduce(proba.take(leaves.T, axis=0), axis=1) / n_trees
+            loop = np.zeros((n_rows, kernel.n_classes))
+            for tree in range(n_trees):
+                loop += proba[leaves[tree]]
+            loop /= n_trees
+            assert row_major.tobytes() == loop.tobytes(), (name, n_rows)
+            cells = leaves.size * kernel.n_classes
+            try:
+                for bound in (cells - 1, cells, cells + 1):
+                    kernel.FUSED_ACCUM_MAX_CELLS = bound  # instance shadow
+                    got = kernel._accumulate(leaves)
+                    assert got.tobytes() == loop.tobytes(), (name, n_rows, bound - cells)
+            finally:
+                del kernel.FUSED_ACCUM_MAX_CELLS
+
+
 # ---------------------------------------------------------------------------
 # cost as a count: each repeats exactly, where a timing would not
 # ---------------------------------------------------------------------------

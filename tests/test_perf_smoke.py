@@ -231,6 +231,50 @@ def test_window_count_guard(tmp_path, overrides, expected_exit, named):
         assert named in result.stderr
 
 
+def _traced_live_result(packets=518397, **overrides):
+    """A traced ``live_single`` record with the counts of a healthy run."""
+    counts = {
+        "runtime.engine.ticks": 236,
+        "runtime.demux.calls": 236,
+        "runtime.demux.rows": 518397,
+        "core.activity_classifier.calls": 240,
+        "core.pipeline.finalize_sessions": 24,
+        "core.reducers.absorb_calls": 0,
+        "core.qoe.intervals": 539,
+        "analytics.fleet.events": 539,
+        "trace.coverage_frac": 0.97,
+    }
+    counts.update(overrides)
+    return {
+        "workload": "live_single",
+        "trace": 1,
+        "packets": packets,
+        "metrics": {name: {"value": value, "unit": "count"} for name, value in counts.items()},
+    }
+
+
+@pytest.mark.parametrize(
+    "packets, overrides, expected_exit, named",
+    [
+        (518397, {}, 0, None),
+        (518397, {"runtime.demux.calls": 472}, 1, "runtime.demux.calls"),
+        # rows the feed's batches dropped on the way to the demux
+        (518400, {}, 1, "runtime.demux.rows"),
+        (518397, {"core.activity_classifier.calls": 261}, 1, "core.activity_classifier"),
+        # one absorb per (flow, batch): the live path before the tick fold
+        (518397, {"core.reducers.absorb_calls": 4878}, 1, "core.reducers.absorb_calls"),
+        (518397, {"analytics.fleet.events": 538}, 1, "analytics.fleet.events"),
+        (518397, {"trace.coverage_frac": 0.9}, 1, "trace.coverage_frac"),
+    ],
+)
+def test_live_count_guard(tmp_path, packets, overrides, expected_exit, named):
+    """The same script holds a traced ``live_single`` run to its own rules."""
+    result = _run_count_guard(tmp_path, _traced_live_result(packets, **overrides))
+    assert result.returncode == expected_exit, result.stdout + result.stderr
+    if named is not None:
+        assert named in result.stderr
+
+
 def test_tick_count_guard_rejects_an_untraced_result(tmp_path):
     record = _traced_tap_result()
     record["trace"] = 0
@@ -239,5 +283,5 @@ def test_tick_count_guard_rejects_an_untraced_result(tmp_path):
 
 def test_tick_count_guard_rejects_a_workload_it_has_no_rules_for(tmp_path):
     record = _traced_tap_result()
-    record["workload"] = "live_single"
+    record["workload"] = "live_sharded"
     assert _run_count_guard(tmp_path, record).returncode == 2

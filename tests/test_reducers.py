@@ -400,9 +400,26 @@ def test_double_buffered_fork_feed_matches_serial(
 # ---------------------------------------------------------------------------
 # the fold's shortcuts vs the general reducers (property test)
 # ---------------------------------------------------------------------------
+def bincount_slots(slots, timestamps, sizes, down, origin) -> None:
+    """Oracle: ``SlotStageReducer.absorb`` as it ran before straddling spans
+    were bucketed once per tick — one pair of ``bincount`` adds per batch."""
+    indices = np.floor((timestamps - origin) / slots.slot_duration).astype(np.int64)
+    np.maximum(indices, 0, out=indices)
+    top = int(indices.max())
+    slots._ensure_capacity(top)
+    slots._max_slot = max(slots._max_slot, top)
+    length = top + 1
+    bins = indices * 2 + ~down
+    counters = slots._raw[:length]
+    counters[:, 0::2] += np.bincount(bins, weights=sizes, minlength=2 * length).reshape(
+        length, 2
+    )
+    counters[:, 1::2] += np.bincount(bins, minlength=2 * length).reshape(length, 2)
+
+
 class GeneralFoldCascade(SessionReducerCascade):
     """Oracle: every batch through the general reducers, whatever its span —
-    ``SlotStageReducer.absorb``, ``absorb_arrays`` and
+    :func:`bincount_slots`, ``absorb_arrays`` and
     ``LaunchWindowReducer.absorb`` only, with the batch's facts computed from
     its own rows (the fold before it learnt to spot a batch inside one slot /
     one QoE interval / past the title window, and before the facts were
@@ -430,7 +447,7 @@ class GeneralFoldCascade(SessionReducerCascade):
         if not self.has_rtp and ssrc is not None and bool(np.any(ssrc != RTP_NONE)):
             self.has_rtp = True
         new_window_rows = self.launch.absorb(columns, self.origin)
-        self.slots.absorb(timestamps, sizes, down, self.origin)
+        bincount_slots(self.slots, timestamps, sizes, down, self.origin)
         sequences = columns.rtp_sequence
         rtp_times = columns.rtp_timestamp
         self.qoe.absorb_arrays(

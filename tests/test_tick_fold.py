@@ -7,7 +7,11 @@ replaced is kept here as the oracle:
 * the address-group loop ``FlowDemux.split_indices`` ran before
   (:class:`LoopDemux`), pair for pair equal to the one-``unique`` demux on
   random batches, and the flow-sorted tick equal to the concatenated
-  per-flow ``take``;
+  per-flow ``take``; the ``frompyfunc(id)`` gather, equal to the address
+  column's pointer buffer;
+* one ``bincount`` per straddling flow (:class:`PerFlowBincountCascade`),
+  counter for counter equal to the tick-wide bucketing of every straddling
+  span at once, and the refold that must not count a queued span twice;
 * an engine that folds every flow's share of a tick on its own through the
   single-batch ``SessionReducerCascade.absorb`` (:class:`PerFlowEngine`, the
   engine loop before): equal events, array-equal snapshots after every tick
@@ -35,10 +39,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.reducers import SessionReducerCascade, SlotStageReducer
+from repro.core.reducers import SessionReducerCascade, SlotStageReducer, TickFacts
 from repro.core.transition import PrefixTransitionTracker, prefix_transition_features
 from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
-from repro.net.flow import FlowDemux, FlowKey, FlowTick
+from repro.net.flow import FlowDemux, FlowKey, FlowTick, _object_ids
 from repro.net.packet import (
     DEFAULT_ADDRESS,
     DOWNSTREAM_CODE,
@@ -58,6 +62,7 @@ from repro.runtime import (
 from repro.simulation.catalog import PlayerStage
 from repro.simulation.session import SessionConfig, SessionGenerator
 
+from test_reducers import bincount_slots
 from test_runtime import assert_report_identical
 from test_shm_ring import assert_columns_identical
 
@@ -192,6 +197,25 @@ def test_split_indices_equals_address_group_loop(data):
 )
 def test_split_indices_pinned_cases(flows, ups, crossed, addressing):
     _check_demux(_demux_batch(flows, ups, crossed, addressing))
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed", "single", "empty"])
+def test_object_ids_are_the_address_column_pointers(layout):
+    interned = _flow_addresses(3)[0]
+    base = np.empty(9, dtype=object)
+    for row in range(9):
+        base[row] = interned if row % 3 else _flow_addresses(row)[1]
+    column = {
+        "contiguous": base,
+        "strided": base[::2],
+        "reversed": base[::-1],
+        "single": base[4:5],
+        "empty": base[:0],
+    }[layout]
+    ids = _object_ids(column)
+    assert ids.dtype == np.intp
+    assert ids.tolist() == [id(x) for x in column]
+    assert ids.tolist() == _ID_OF(column).astype(np.int64).tolist()
 
 
 def test_any_non_downstream_code_is_upstream():
@@ -382,6 +406,122 @@ def test_ingest_demuxed_pairs_fold_like_the_batch(fitted_pipeline, tick_rows):
 
 
 # ---------------------------------------------------------------------------
+# straddling spans: bucketed once per tick vs one bincount per flow
+# ---------------------------------------------------------------------------
+class PerFlowBincountCascade(SessionReducerCascade):
+    """Oracle: a span across a slot edge bucketed on its own as it folds —
+    the per-flow ``SlotStageReducer.absorb`` the tick-wide pass replaced."""
+
+    __slots__ = ()
+
+    def _fold(self, facts, flow):
+        queued = len(facts.straddles)
+        new_window_rows = super()._fold(facts, flow)
+        if len(facts.straddles) > queued:
+            _flow, slots, origin, _first, _last = facts.straddles.pop()
+            rows = slice(facts.bounds[flow], facts.bounds[flow + 1])
+            columns = facts.columns
+            bincount_slots(
+                slots, columns.timestamps[rows], columns.payload_sizes[rows],
+                facts.down[rows], origin,
+            )
+        return new_window_rows
+
+
+@st.composite
+def _straddling_ticks(draw):
+    """Ticks of 1–30 flows on a quarter-slot grid: spans of one to four
+    slots, rows in random order, later spans reaching before a flow's
+    origin, and a flow given more than once in one tick."""
+    width = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    n_flows = draw(st.integers(1, 30))
+    ticks = []
+    for _ in range(draw(st.integers(1, 4))):
+        flows = draw(st.lists(st.integers(0, n_flows - 1), min_size=1, max_size=40))
+        pairs = []
+        for flow in flows:
+            lo = draw(st.integers(-8, 48))  # quarter slots from the flow's base
+            n_slots = draw(st.integers(1, 4))
+            n = draw(st.integers(1, 8))
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            quarters = lo + rng.integers(0, 4 * n_slots + 1, n)
+            pairs.append(
+                (
+                    flow,
+                    PacketColumns(
+                        timestamps=1000.0 + 0.125 * flow + width * quarters / 4,
+                        payload_sizes=rng.integers(40, 1400, n).astype(float),
+                        directions=rng.integers(0, 2, n).astype(np.int8),
+                    ),
+                )
+            )
+        ticks.append(pairs)
+    return width, ticks
+
+
+def _slot_counters(cls, mode, width, ticks):
+    """Fold the ticks as the engine does; every flow's counters after each."""
+    cascades, after = {}, []
+    for pairs in ticks:
+        tick = FlowTick.concat(pairs)
+        facts = TickFacts(tick.columns, tick.bounds)
+        for index, flow in enumerate(tick.keys):
+            if flow not in cascades:
+                cascades[flow] = cls(
+                    slot_duration=width, alpha=0.5, window_seconds=5.0,
+                    keep_history=mode == "full",
+                )
+            cascades[flow].fold(facts, index)
+        facts.flush()
+        after.append(
+            {
+                flow: (c.slots._raw.shape, c.slots._raw.tobytes(), c.slots._max_slot)
+                for flow, c in cascades.items()
+            }
+        )
+    return after
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_straddling_ticks(), mode=st.sampled_from(["bounded", "full"]))
+def test_tick_wide_bucketing_equals_a_bincount_per_flow(case, mode):
+    width, ticks = case
+    got = _slot_counters(SessionReducerCascade, mode, width, ticks)
+    assert got == _slot_counters(PerFlowBincountCascade, mode, width, ticks)
+
+
+def test_a_refold_counts_a_queued_straddling_span_once(fitted_pipeline):
+    """Full mode, one flow twice in one tick: its first span crosses a slot
+    edge and is queued, its second reaches before the origin and refolds
+    the counters from history, which already holds the first span.  The
+    queued span lands before the refold; landing after it counts it twice."""
+    width = fitted_pipeline.activity_classifier.slot_duration
+    key = FlowKey("10.0.0.1", 50000, "198.51.100.7", 443)
+
+    def span(start: float, n: int) -> PacketColumns:
+        return PacketColumns(
+            timestamps=start + 0.1 * width * np.arange(n),
+            payload_sizes=np.full(n, 1000.0),
+            directions=np.where(np.arange(n) % 2, UPSTREAM_CODE, DOWNSTREAM_CODE),
+        )
+
+    opening = span(100.0, 4)  # inside slot 0: the origin
+    straddling = span(100.0 + 0.45 * width, 10)  # across the edge of slot 1
+    older = span(100.0 - 0.35 * width, 3)  # before the origin
+    engine = StreamingEngine(fitted_pipeline, session_mode="full")
+    engine.ingest_demuxed([(key, opening)], float(opening.timestamps.max()))
+    engine.ingest_demuxed([(key, straddling), (key, older)], float(straddling.timestamps.max()))
+    cascade = engine._states[key].cascade
+    assert cascade.origin_shifts == 1
+    raw = cascade.slots._raw
+    # 9 downstream and 8 upstream rows of 1000 B, each counted once
+    assert raw.sum(axis=0).tolist() == [9000.0, 9.0, 8000.0, 8.0]
+    reference = SessionReducerCascade(slot_duration=width, alpha=0.5, window_seconds=5.0)
+    reference.absorb(PacketColumns.concat([opening, straddling, older]))
+    assert np.array_equal(raw[:8], reference.slots._raw[:8])
+
+
+# ---------------------------------------------------------------------------
 # per-slot updates on python floats vs the array expressions they replaced
 # ---------------------------------------------------------------------------
 _STAGES = (
@@ -452,8 +592,10 @@ def test_scalar_update_rows_equal_generator(counters, alpha, slot_duration):
     for slot, (down_bytes, down_packets, up_bytes, up_packets) in enumerate(counters):
         reducer.absorb_slot(slot, float(down_bytes), down_packets, float(up_bytes), up_packets)
     raw = reducer.raw_matrix(len(counters))
-    features, slots = reducer.advance(len(counters))
-    assert slots.tolist() == list(range(len(counters)))
+    rows, first = reducer.advance(len(counters))
+    assert first == 0 and len(rows) == len(counters)
+    assert all(type(value) is float for row in rows for value in row)
+    features = np.array(rows)
     # (a) the offline generator: causal running peaks (no launch floor), EMA
     generator = VolumetricAttributeGenerator(
         slot_duration=slot_duration, alpha=alpha, peak_floor_fraction=0.0
