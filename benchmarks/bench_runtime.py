@@ -1,13 +1,10 @@
-"""Benchmark: streaming runtime throughput and sharded corpus classification.
+"""Benchmark: streaming runtime throughput, single-process and sharded.
 
 Three workloads over the shared >=100-session deployment corpus
 (``benchmarks/conftest.py``):
 
-* **sharded corpus classification** — ``ShardedEngine.process_many``
-  (forked workers) against single-process ``pipeline.process_many``;
-  reports are asserted identical before any timing is recorded.  The
-  speedup scales with usable cores (``n_cpus`` is recorded alongside —
-  on a single-core box the fork backend only measures its own overhead).
+* **corpus classification** — single-process ``pipeline.process_many``
+  (``ShardedEngine.process_many`` runs the same call in-process).
 * **live-feed throughput** — a :class:`SessionFeed` of concurrent sessions
   pushed through one :class:`StreamingEngine` (packets/s and sessions/s of
   the full online cascade including the offline-identical close reports).
@@ -120,18 +117,12 @@ def run_benchmark(corpus=None, pipeline=None, repeats: int = 3) -> dict:
     if pipeline is None:
         pipeline = fit_deployment_pipeline(corpus)
     n_workers = max(2, default_worker_count())
-    sharded = ShardedEngine(pipeline, n_workers=n_workers, backend="fork")
 
     single_best = float("inf")
-    sharded_best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        sequential = pipeline.process_many(corpus)
+        pipeline.process_many(corpus)
         single_best = min(single_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        parallel = sharded.process_many(corpus)
-        sharded_best = min(sharded_best, time.perf_counter() - start)
-        _assert_reports_identical(sequential, parallel)
 
     feed_sessions = corpus[:N_FEED_SESSIONS]
     live_single = _drain_feed(
@@ -148,8 +139,6 @@ def run_benchmark(corpus=None, pipeline=None, repeats: int = 3) -> dict:
         "n_cpus": _usable_cpus(),
         "n_workers": n_workers,
         "single_process_many_s": single_best,
-        "sharded_process_many_s": sharded_best,
-        "sharded_speedup": single_best / sharded_best,
         "live_feed": {
             "batch_seconds": FEED_BATCH_SECONDS,
             "single_worker": live_single,
@@ -576,15 +565,6 @@ def run_fleet_rollup_benchmark(corpus=None, pipeline=None, repeats: int = 3) -> 
 # pytest-benchmark wrappers (share the session-scoped corpus cache)
 # ---------------------------------------------------------------------------
 @pytest.mark.benchmark(group="runtime")
-def test_bench_sharded_process_many(benchmark, deployment_corpus, deployment_pipeline):
-    sharded = ShardedEngine(deployment_pipeline, n_workers=2, backend="fork")
-    reports = benchmark.pedantic(
-        sharded.process_many, args=(deployment_corpus,), rounds=1, iterations=1
-    )
-    assert len(reports) == len(deployment_corpus)
-
-
-@pytest.mark.benchmark(group="runtime")
 def test_bench_streaming_feed(benchmark, deployment_corpus, deployment_pipeline):
     def drive():
         feed = SessionFeed(
@@ -624,15 +604,9 @@ def main() -> None:
         f"{approx['scaling']['approx_qoe_state_growth']:.2f}x vs bounded "
         f"{approx['scaling']['bounded_state_growth']:.2f}x)"
     )
-    print(
-        f"\nsharded process_many: {results['sharded_speedup']:.2f}x vs single process "
-        f"on {results['n_sessions']} sessions "
-        f"({results['n_workers']} workers, {results['n_cpus']} usable cores; "
-        "reports identical)"
-    )
     live = results["live_feed"]["single_worker"]
     print(
-        f"live feed: {live['packets_per_s']:,.0f} packets/s, "
+        f"\nlive feed: {live['packets_per_s']:,.0f} packets/s, "
         f"{live['sessions_per_s']:.1f} sessions/s over the full online cascade"
     )
     recovery = results["recovery"]

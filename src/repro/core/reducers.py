@@ -99,6 +99,14 @@ _EMPTY_FLOAT = np.zeros(0, dtype=float)
 _EMPTY_INT = np.zeros(0, dtype=np.int64)
 
 
+class FrozenSnapshot(dict):
+    """A snapshot its owner returns again, by identity, until the state it
+    captures changes — a checkpoint ships it once and never walks it again
+    (DESIGN.md §8)."""
+
+    __slots__ = ()
+
+
 # ---------------------------------------------------------------------------
 # launch window (title stage)
 # ---------------------------------------------------------------------------
@@ -118,7 +126,7 @@ class LaunchWindowReducer:
     re-classify the title when the window fills retroactively.
     """
 
-    __slots__ = ("window_seconds", "_chunks", "n_rows")
+    __slots__ = ("window_seconds", "_chunks", "n_rows", "_frozen")
 
     def __init__(self, window_seconds: float) -> None:
         if window_seconds <= 0:
@@ -126,6 +134,7 @@ class LaunchWindowReducer:
         self.window_seconds = window_seconds
         self._chunks: List[PacketColumns] = []
         self.n_rows = 0
+        self._frozen: Optional[FrozenSnapshot] = None
 
     def absorb(self, columns: PacketColumns, origin: float) -> int:
         """Keep the batch's window rows; return how many were kept."""
@@ -152,6 +161,7 @@ class LaunchWindowReducer:
             # tick it was cut from, unaccounted by nbytes()
             self._chunks.append(kept.owned())
             self.n_rows += count
+            self._frozen = None
         return count
 
     def stream(self) -> PacketStream:
@@ -165,17 +175,19 @@ class LaunchWindowReducer:
 
     def snapshot(self) -> dict:
         # absorbed chunks are append-only and their arrays never mutate in
-        # place, so a shallow list copy captures the buffer exactly
-        return {
-            "window_seconds": self.window_seconds,
-            "chunks": list(self._chunks),
-            "n_rows": self.n_rows,
-        }
+        # place, so a shallow list copy captures the buffer exactly — until the
+        # next kept row (the window fills once)
+        if self._frozen is None:
+            self._frozen = FrozenSnapshot(
+                window_seconds=self.window_seconds, chunks=list(self._chunks), n_rows=self.n_rows
+            )
+        return self._frozen
 
     def restore(self, snapshot: dict) -> None:
         self.window_seconds = snapshot["window_seconds"]
         self._chunks = list(snapshot["chunks"])
         self.n_rows = snapshot["n_rows"]
+        self._frozen = None
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +443,7 @@ class SealedQoEInterval:
 class _IntervalStore:
     """Downstream (timestamp, rtp_seq, rtp_ts) columns of one interval."""
 
-    __slots__ = ("chunks", "payload_bytes", "n_packets", "_ts", "_seq", "_rts")
+    __slots__ = ("chunks", "payload_bytes", "n_packets", "_ts", "_seq", "_rts", "_frozen")
 
     def __init__(self) -> None:
         self.chunks: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]] = []
@@ -440,6 +452,7 @@ class _IntervalStore:
         self._ts: Optional[np.ndarray] = None
         self._seq: Optional[np.ndarray] = None
         self._rts: Optional[np.ndarray] = None
+        self._frozen: Optional[FrozenSnapshot] = None
 
     def append(
         self,
@@ -451,6 +464,7 @@ class _IntervalStore:
         self.chunks.append((timestamps, sequences, rtp_timestamps))
         self.payload_bytes += payload_sum
         self.n_packets += int(timestamps.size)
+        self._frozen = None
 
     def consolidate(self) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Merge pending chunks into one stably time-sorted column triple.
@@ -503,13 +517,19 @@ class _IntervalStore:
 
     def snapshot(self) -> dict:
         # chunk arrays and consolidated columns are replaced, never mutated
-        # in place, so shallow references capture the store exactly
-        return {
+        # in place, so shallow references capture the store exactly; without
+        # pending chunks (sealed) it stays exact until the next append
+        if self._frozen is not None:
+            return self._frozen
+        snapshot = {
             "chunks": list(self.chunks),
             "payload_bytes": self.payload_bytes,
             "n_packets": self.n_packets,
             "columns": (self._ts, self._seq, self._rts),
         }
+        if not self.chunks:
+            self._frozen = snapshot = FrozenSnapshot(snapshot)
+        return snapshot
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "_IntervalStore":

@@ -4,12 +4,8 @@ Sessions are embarrassingly parallel — every pipeline stage is per-session
 once flows are demultiplexed — so the runtime scales across cores by
 partitioning *sessions*, not stages:
 
-* **corpus sharding** (:meth:`ShardedEngine.process_many`) — the source
-  list splits into contiguous chunks, one worker per chunk runs the batch
-  engine (``pipeline.process_many``) and the parent reassembles reports in
-  input order.  Workers are forked, so the fitted pipeline and the corpus
-  transfer by copy-on-write page sharing instead of pickling; only the
-  (small) reports cross process boundaries.
+* **corpora** (:meth:`ShardedEngine.process_many`) run in-process through
+  the batch engine on every backend (a forked pool never beat one process);
 * **feed sharding** (:meth:`ShardedEngine.run_feed`) — the parent demuxes
   each batch once and routes every flow to a shard by a deterministic key
   hash; each shard runs its own
@@ -81,23 +77,6 @@ def shard_of(key: FlowKey, n_shards: int) -> int:
     return zlib.crc32(endpoint.encode()) % n_shards
 
 
-# --------------------------------------------------------------------------
-# fork-inherited worker state (set in the parent immediately before forking;
-# workers read it via copy-on-write memory, nothing is pickled)
-# --------------------------------------------------------------------------
-_FORK_STATE: dict = {}
-
-
-def _process_chunk(span: Tuple[int, int]) -> List[SessionContextReport]:
-    pipeline = _FORK_STATE["pipeline"]
-    sources = _FORK_STATE["sources"]
-    return pipeline.process_many(
-        sources[span[0] : span[1]],
-        latency_ms=_FORK_STATE["latency_ms"],
-        qoe_mode=_FORK_STATE["qoe_mode"],
-    )
-
-
 class ShardedEngine:
     """Multi-core front end over a fitted pipeline.
 
@@ -109,9 +88,10 @@ class ShardedEngine:
         Shard count; defaults to the usable core count
         (:func:`default_worker_count`).
     backend:
-        ``"fork"`` runs shards as forked worker processes; ``"serial"``
+        ``"fork"`` runs feed shards as forked worker processes; ``"serial"``
         runs the identical partitioning in-process (reference/fallback);
-        ``"auto"`` picks ``"fork"`` where available and useful.
+        ``"auto"`` picks ``"fork"`` where available and useful.  Corpora
+        (:meth:`process_many`) run in-process on every backend.
     idle_timeout_s / latency_ms / session_mode / qoe_interval_s / overload:
         Forwarded to every shard's :class:`StreamingEngine`.
     snapshot_every_ticks:
@@ -214,12 +194,10 @@ class ShardedEngine:
         qoe_mode: str = "exact",
         regions: Optional[List[Optional[str]]] = None,
     ) -> List[SessionContextReport]:
-        """Sharded ``pipeline.process_many``: identical reports, many cores.
+        """``pipeline.process_many`` behind the sharded front end.
 
-        The sources are classified in contiguous chunks, one worker per
-        chunk; every report is identical to single-process
-        ``pipeline.process_many`` (each session's classification is
-        independent of its batch).  With ``analytics`` enabled the offline
+        Runs in-process on every backend, so every report is identical to
+        ``pipeline.process_many``.  With ``analytics`` enabled the offline
         fleet fold (:func:`~repro.analytics.fleet.fold_corpus`) runs over
         the corpus and its reports, landing rollups on :attr:`analytics`
         that are bit-identical to streaming the same sessions
@@ -228,26 +206,9 @@ class ShardedEngine:
         """
         sources = list(sources)
         latency = latency_ms if latency_ms is not None else self.latency_ms
-        n_chunks = min(self.n_workers, len(sources))
-        if self.backend == "serial" or n_chunks <= 1:
-            reports = self.pipeline.process_many(
-                sources, latency_ms=latency, qoe_mode=qoe_mode
-            )
-        else:
-            spans = _even_spans(len(sources), n_chunks)
-            _FORK_STATE.update(
-                pipeline=self.pipeline,
-                sources=sources,
-                latency_ms=latency,
-                qoe_mode=qoe_mode,
-            )
-            try:
-                context = mp.get_context("fork")
-                with context.Pool(processes=n_chunks) as pool:
-                    chunks = pool.map(_process_chunk, spans)
-            finally:
-                _FORK_STATE.clear()
-            reports = [report for chunk in chunks for report in chunk]
+        reports = self.pipeline.process_many(
+            sources, latency_ms=latency, qoe_mode=qoe_mode
+        )
         if self.analytics_enabled:
             from repro.analytics.fleet import fold_corpus
 
@@ -453,15 +414,3 @@ class ShardedEngine:
             supervisor.stop()
             if self._supervisor is supervisor:
                 self._supervisor = None
-
-
-def _even_spans(total: int, n_chunks: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ``n_chunks`` near-equal contiguous spans."""
-    base, extra = divmod(total, n_chunks)
-    spans = []
-    start = 0
-    for index in range(n_chunks):
-        end = start + base + (1 if index < extra else 0)
-        spans.append((start, end))
-        start = end
-    return spans

@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.reducers import SessionReducerCascade
 from repro.core.title_classifier import TitlePrediction
 from repro.core.transition import PrefixTransitionTracker
@@ -48,6 +50,9 @@ __all__ = ["FlowContext", "SessionState"]
 
 #: Valid values of ``SessionState(mode=...)``.
 SESSION_MODES = ("bounded", "full", "approx")
+
+_STAGES = tuple(PlayerStage)  # a snapshot's timeline is one int8 code per slot
+_STAGE_CODE = {stage: code for code, stage in enumerate(_STAGES)}
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ class SessionState:
             "context": self.context,
             "mode": self.mode,
             "cascade": self.cascade.snapshot(),
-            "timeline": list(self.timeline),
+            "timeline": np.array([_STAGE_CODE[stage] for stage in self.timeline], np.int8),
             "transitions": self.transitions.snapshot(),
             "title_fired": self.title_fired,
             "title_prediction": self.title_prediction,
@@ -159,7 +164,7 @@ class SessionState:
         state.context = snapshot["context"]
         state.mode = snapshot["mode"]
         state.cascade = SessionReducerCascade.from_snapshot(snapshot["cascade"])
-        state.timeline = list(snapshot["timeline"])
+        state.timeline = [_STAGES[code] for code in snapshot["timeline"].tolist()]
         state.transitions = PrefixTransitionTracker()
         state.transitions.restore(snapshot["transitions"])
         state.title_fired = snapshot["title_fired"]

@@ -10,8 +10,8 @@ backend survive worker death without losing a flow (DESIGN.md §8):
   after ``recv_timeout_s`` instead of deadlocking the parent;
 * **checkpoints** — on every ``snapshot_every_ticks``-th tick reply a worker
   piggybacks an *incremental* checkpoint of its engine snapshot
-  (:meth:`StreamingEngine.snapshot`): the snapshot's structure plus only the
-  arrays it has not shipped before (:class:`_CheckpointEncoder`).  The
+  (:meth:`StreamingEngine.snapshot`): its structure plus only the arrays
+  and sealed parts not shipped before (:class:`_CheckpointEncoder`).  The
   parent keeps the opaque blobs as a per-shard chain, drops the chain when a
   reply is flagged full, and never unpickles any of it;
 * **replay ring** — the parent retains each tick it sent since the last
@@ -41,13 +41,14 @@ Wire protocol (parent → worker / worker → parent)::
                             -> ("restored", [flow keys])
     ("close",)              -> ("closed", events, analytics | None)
 
-A ``checkpoint`` is ``(full, blob)``: ``blob`` is the zlib-pickled pair
-``(structure, {token: array})`` — the snapshot pickled with every large
-numeric array replaced by an integer token, and the arrays behind the
-tokens this chain has not carried yet.  ``full`` says the blob carries every
-array its structure names, so it starts a new chain; otherwise it extends
-the current one.  A restore sends the whole chain (empty before the first
-checkpoint), and the worker's first checkpoint after it is full again.
+A ``checkpoint`` is ``(full, blob)``: ``blob`` pickles the pair
+``(structure, {token: payload})`` — the deflated snapshot pickle with every
+large array and never-mutated object replaced by an integer token, and the
+raw payloads (an array, else a pickle) of the tokens this chain has not
+carried yet.  ``full`` says the blob carries every payload its structure
+names, so it starts a new chain; otherwise it extends the current one.  A
+restore sends the whole chain (empty before the first checkpoint), and the
+worker's first checkpoint after it is full again.
 
 A tick's ``payload`` says where its rows are (DESIGN.md §12):
 
@@ -101,6 +102,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.reducers import FrozenSnapshot
+from repro.core.title_classifier import TitlePrediction
 from repro.net.flow import FlowKey
 from repro.net.packet import PacketColumns
 from repro.runtime.engine import StreamingEngine, _check_swap_geometry
@@ -131,15 +134,26 @@ def _decode_snapshot(payload: bytes) -> dict:
     return pickle.loads(zlib.decompress(payload))
 
 
+#: what travels by token beside large arrays: objects replaced, never mutated
+_BY_IDENTITY = frozenset((FrozenSnapshot, TitlePrediction, FlowKey, FlowContext))
+
+
+def _shipped_form(obj) -> Tuple["np.ndarray | bytes", int]:
+    """What a token's object travels as, and its uncompressed bytes."""
+    if type(obj) is np.ndarray:
+        return obj, obj.nbytes
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return data, len(data)
+
+
 class _CheckpointEncoder:
     """Worker-side incremental encoding of successive engine snapshots.
 
-    ``snapshot()`` copies whatever the engine mutates in place and shares by
-    reference only arrays that are never written again (DESIGN.md §8), so an
-    array object met again in a later snapshot still has the bytes it was
-    shipped with.  The encoder keeps a strong reference to every array the
-    latest snapshot named (an ``id`` cannot be reused while it is held), and
-    ships an array once per chain.
+    ``snapshot()`` shares by reference only what is never written again —
+    arrays and the :data:`_BY_IDENTITY` objects (DESIGN.md §8) — so one met
+    again still has the bytes it was shipped with.  The encoder holds a
+    strong reference to each one the latest snapshot named (an ``id`` cannot
+    be reused while held), ships it once per chain and never walks it again.
     """
 
     #: numeric arrays at least this large travel by token; smaller ones stay
@@ -147,27 +161,28 @@ class _CheckpointEncoder:
     TOKEN_MIN_NBYTES = 256
 
     def __init__(self) -> None:
-        self._shipped: Dict[int, Tuple[int, np.ndarray]] = {}  # id -> (token, array)
+        # id -> (token, object, uncompressed bytes it travels as)
+        self._shipped: Dict[int, Tuple[int, object, int]] = {}
         self._next_token = 0
         self._chain_nbytes = 0  # uncompressed bytes of the chain the parent holds
 
     def encode(self, snapshot: dict) -> Tuple[bool, bytes]:
         """One ``(full, blob)`` checkpoint; ``full`` starts a new chain."""
-        live: Dict[int, Tuple[int, np.ndarray]] = {}
-        fresh: Dict[int, np.ndarray] = {}
+        live: Dict[int, Tuple[int, object, int]] = {}
+        fresh: Dict[int, "np.ndarray | bytes"] = {}
 
         def persistent_id(obj):
-            if (
-                type(obj) is not np.ndarray
-                or obj.nbytes < self.TOKEN_MIN_NBYTES
-                or obj.dtype.hasobject
-            ):
+            kind = type(obj)
+            if kind is np.ndarray:
+                if obj.nbytes < self.TOKEN_MIN_NBYTES or obj.dtype.hasobject:
+                    return None
+            elif kind not in _BY_IDENTITY:
                 return None
             entry = live.get(id(obj)) or self._shipped.get(id(obj))
             if entry is None:
-                entry = (self._next_token, obj)
+                fresh[self._next_token], nbytes = _shipped_form(obj)
+                entry = (self._next_token, obj, nbytes)
                 self._next_token += 1
-                fresh[entry[0]] = obj
             live[id(obj)] = entry
             return entry[0]
 
@@ -176,29 +191,38 @@ class _CheckpointEncoder:
         pickler.persistent_id = persistent_id
         pickler.dump(snapshot)
         structure = buffer.getvalue()
-        live_nbytes = len(structure) + sum(a.nbytes for _token, a in live.values())
-        fresh_nbytes = len(structure) + sum(a.nbytes for a in fresh.values())
+        live_nbytes = len(structure) + sum(entry[2] for entry in live.values())
+        fresh_nbytes = len(structure) + sum(n for t, _obj, n in live.values() if t in fresh)
         if self._chain_nbytes + fresh_nbytes > 2 * live_nbytes:
             # re-base: the chain would hold over twice what a checkpoint of
             # the current state needs (closed sessions, superseded copies) —
-            # ship every live array and let the parent drop the chain
-            fresh = dict(live.values())
+            # ship every live object and let the parent drop the chain
+            fresh = {token: _shipped_form(obj)[0] for token, obj, _n in live.values()}
             fresh_nbytes = live_nbytes
             self._chain_nbytes = 0
         full = self._chain_nbytes == 0
         self._chain_nbytes += fresh_nbytes
         self._shipped = live
-        return full, _encode_snapshot((structure, fresh))
+        # only the structure is deflated: the fresh payloads are new float /
+        # int columns, which deflate little at a high price (DESIGN.md §8)
+        return full, pickle.dumps((zlib.compress(structure, 1), fresh), pickle.HIGHEST_PROTOCOL)
 
 
 def _decode_checkpoints(chain: List[bytes]) -> dict:
     """Fold a checkpoint chain back into the snapshot its last blob names."""
-    arrays: Dict[int, np.ndarray] = {}
+    shipped: Dict[int, "np.ndarray | bytes"] = {}
     for blob in chain:
-        structure, fresh = _decode_snapshot(blob)
-        arrays.update(fresh)
-    unpickler = pickle.Unpickler(io.BytesIO(structure))
-    unpickler.persistent_load = arrays.__getitem__
+        structure, fresh = pickle.loads(blob)
+        shipped.update(fresh)
+
+    def load(token: int):  # a pickled payload is unpickled once, when first named
+        value = shipped[token]
+        if type(value) is bytes:
+            value = shipped[token] = pickle.loads(value)
+        return value
+
+    unpickler = pickle.Unpickler(io.BytesIO(zlib.decompress(structure)))
+    unpickler.persistent_load = load
     return unpickler.load()
 
 

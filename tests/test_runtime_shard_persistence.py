@@ -14,7 +14,7 @@ from repro.runtime import (
     load_pipeline,
     save_pipeline,
 )
-from repro.runtime.shard import _even_spans, shard_of
+from repro.runtime.shard import shard_of
 
 from test_runtime import assert_report_identical, reports_by_client_port
 
@@ -22,16 +22,6 @@ from test_runtime import assert_report_identical, reports_by_client_port
 # ---------------------------------------------------------------------------
 # sharded corpora
 # ---------------------------------------------------------------------------
-def test_sharded_process_many_identical_fork(fitted_pipeline, small_gameplay_corpus):
-    corpus = small_gameplay_corpus.sessions
-    sequential = fitted_pipeline.process_many(corpus)
-    sharded = ShardedEngine(fitted_pipeline, n_workers=3, backend="fork")
-    parallel = sharded.process_many(corpus)
-    assert len(parallel) == len(sequential)
-    for got, expected in zip(parallel, sequential):
-        assert_report_identical(got, expected)
-
-
 def test_sharded_process_many_serial_fallback(fitted_pipeline, small_gameplay_corpus):
     corpus = small_gameplay_corpus.sessions[:5]
     sequential = fitted_pipeline.process_many(corpus)
@@ -85,8 +75,6 @@ def test_sharded_run_feed_matches_single_engine_events(
 
 
 def test_shard_partitioning_helpers():
-    assert _even_spans(10, 3) == [(0, 4), (4, 7), (7, 10)]
-    assert _even_spans(2, 2) == [(0, 1), (1, 2)]
     from repro.net.flow import FlowKey
 
     keys = [
