@@ -13,8 +13,9 @@ workload records exactly those counts —
 Given a traced ``corpus_batch`` result instead
 (``benchmarks/e2e/out/result-corpus_batch-trace1.json``) it holds the offline
 window chain (DESIGN.md §10) to its counts: every estimated window and every
-session is folded into the fleet rollup exactly once, and every report costs
-one whole-session fold.  Given a traced ``live_single`` result
+session is folded into the fleet rollup exactly once, every report costs
+one whole-session fold, and every corpus packet is folded exactly once.
+Given a traced ``live_single`` result
 (``benchmarks/e2e/out/result-live_single-trace1.json``) it holds the
 single-engine live feed to one demux per tick over every packet of the
 record, at most one stage-forest call per tick (plus the close), no
@@ -85,6 +86,11 @@ def _window_rules(value) -> tuple:
             f"core.pipeline.finalize_sessions "
             f"{value('core.pipeline.finalize_sessions'):g}: a report costs more "
             "(or less) than one whole-session fold",
+        ),
+        (
+            value("core.reducers.rows") == value("packets"),
+            f"core.reducers.rows {value('core.reducers.rows'):g} != packets "
+            f"{value('packets'):g}: a corpus packet was folded twice or not at all",
         ),
     )
 

@@ -244,18 +244,11 @@ class ContextClassificationPipeline:
         Returns
         -------
         SessionContextReport
-            The classified context and QoE labels.  Single-session wrapper
-            over the reducer cascade; :meth:`process_many` produces
-            identical reports for whole corpora several times faster.
+            The classified context and QoE labels: the one-element call of
+            :meth:`process_many`, which classifies whole corpora several
+            times faster per session.
         """
-        platform, stream, rate_scale = self._as_stream(source)
-        return self.classify_stream(
-            stream,
-            platform=platform,
-            rate_scale=rate_scale,
-            latency_ms=latency_ms,
-            qoe_mode=qoe_mode,
-        )
+        return self.process_many([source], latency_ms=latency_ms, qoe_mode=qoe_mode)[0]
 
     def new_cascade(
         self,
@@ -283,47 +276,6 @@ class ContextClassificationPipeline:
             qoe_mode=qoe_mode,
         )
 
-    def classify_stream(
-        self,
-        stream: PacketStream,
-        platform: Optional[str] = None,
-        rate_scale: float = 1.0,
-        latency_ms: Optional[float] = None,
-        qoe_mode: str = "exact",
-    ) -> SessionContextReport:
-        """Classify one already-demultiplexed session stream (Fig. 6 cascade).
-
-        The body of :meth:`process` after flow selection: the stream's
-        columns are folded through a :class:`SessionReducerCascade` in one
-        batch and finalised — the *same* reducer implementations the
-        streaming runtime folds live batches through, which is what makes
-        runtime close-time reports bit-identical to offline :meth:`process`
-        without replaying packet history.
-
-        Parameters
-        ----------
-        stream:
-            The session's packet stream (one streaming flow).
-        platform:
-            Detected platform name carried into the report (``None`` when
-            unknown).
-        rate_scale:
-            Packet-count fidelity the stream was generated at (1.0 for real
-            captures); throughput is rescaled to physical scale before the
-            QoE expectations apply.
-        latency_ms:
-            Optional out-of-band access latency for the QoE metrics.
-        qoe_mode:
-            ``"exact"`` (default) or ``"approx"`` (the O(intervals) QoE
-            tier; the report carries ``qoe_approximate=True``).
-        """
-        self._require_fitted()
-        cascade = self.new_cascade(qoe_mode=qoe_mode)
-        cascade.absorb_stream(stream)
-        return self.finalize_cascades(
-            [cascade], [platform], [rate_scale], latency_ms=latency_ms
-        )[0]
-
     def finalize_cascades(
         self,
         cascades: Sequence[SessionReducerCascade],
@@ -333,9 +285,9 @@ class ContextClassificationPipeline:
     ) -> List[SessionContextReport]:
         """Finalise folded session cascades into offline-identical reports.
 
-        The single driver behind :meth:`process`, :meth:`process_many` and
-        the streaming runtime's close path.  Every stage finalises batched
-        across the given sessions:
+        The single driver behind :meth:`process_many` (and so
+        :meth:`process`) and the streaming runtime's close path.  Every
+        stage finalises batched across the given sessions:
 
         1. **title** — launch attributes of all window buffers in one
            grouped reduction + one forest pass (the window buffer produces
@@ -451,20 +403,25 @@ class ContextClassificationPipeline:
     ) -> List[SessionContextReport]:
         """Classify a whole corpus of sessions through the batched engine.
 
-        Produces reports identical to ``[process(s) for s in sources]``:
-        every session's columns fold through a
-        :class:`~repro.core.reducers.SessionReducerCascade` and the whole
-        batch finalises together (:meth:`finalize_cascades`) — launch
-        attributes in one grouped reduction + one forest pass, stage
-        timelines from the slot counters with lockstep EMA in one forest
-        pass, pattern inference through the chunked early-exit incremental
-        replay, and QoE levels in one vectorised calibration pass.
+        The one offline entry point (:meth:`process` is its one-element
+        call).  Every session's stream folds once through its own
+        :class:`~repro.core.reducers.SessionReducerCascade`
+        (``absorb_stream``: the live tick's fold body, on the facts of the
+        whole session), which is what makes the streaming runtime's close
+        reports bit-identical to these without replaying packet history.
+        The whole batch then finalises together (:meth:`finalize_cascades`)
+        — launch attributes in one grouped reduction + one forest pass,
+        stage timelines from the slot counters with lockstep EMA in one
+        forest pass, pattern inference through the chunked early-exit
+        incremental replay, and QoE levels in one vectorised calibration
+        pass.
 
         Parameters
         ----------
         sources:
-            Iterable of sessions; each element accepts the same forms as
-            :meth:`process`.
+            Iterable of sessions; each element is a :class:`GameSession` or
+            a capture's packets (the contract is stated once, in
+            :meth:`_as_stream`).
         latency_ms:
             Optional out-of-band access latency applied to every session.
         qoe_mode:

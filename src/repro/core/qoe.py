@@ -347,20 +347,6 @@ class ObjectiveQoEEstimator:
             resolution_estimate=resolution,
         )
 
-    def estimate_many(
-        self,
-        streams: Sequence[PacketStream],
-        latency_ms: Optional[float] = None,
-    ) -> List[QoEMetrics]:
-        """Estimate metrics for a corpus of sessions.
-
-        Each session's estimate is already fully vectorised (unique RTP
-        timestamps, sequence-gap expansion and burst percentiles run on the
-        columnar arrays), so the batch form simply maps over sessions;
-        results equal per-session :meth:`estimate` calls.
-        """
-        return [self.estimate(stream, latency_ms=latency_ms) for stream in streams]
-
     def estimate_approx(
         self,
         duration_s: float,

@@ -5,9 +5,9 @@ stage classification with a carried EMA, confidence-gated pattern inference
 over transition prefixes, and windowed QoE measurement.  This module makes
 the *code* incremental too: every stage declares the bounded state it folds
 packet batches into, plus the finalisation view that yields exactly the
-offline report.  Offline ``process()`` / ``process_many()``, the streaming
-runtime's per-flow session states and the sharded workers are all drivers
-over the same four reducers (DESIGN.md §7):
+offline report.  Offline ``process_many()`` (``process()`` is its
+one-element call), the streaming runtime's per-flow session states and the
+sharded workers are all drivers over the same four reducers (DESIGN.md §7):
 
 * :class:`LaunchWindowReducer` — keeps only the packets of the title window
   (``timestamp <= origin + N``); the window stream it assembles produces
@@ -29,7 +29,7 @@ over the same four reducers (DESIGN.md §7):
   the close-time QoE metrics stay bit-identical to offline ``estimate()``;
 * :class:`ApproxQoEIntervalReducer` — the **approximate** QoE tier
   (``qoe_mode="approx"``): no downstream columns at all.  Packets fold into
-  fixed-size aggregates — streaming count/sum/max of inter-frame gaps plus
+  fixed-size aggregates — streaming count/max of inter-frame gaps plus
   a deterministic reservoir sample for the p95 lag estimate, strict record
   highs of the RTP timestamp for the frame count (the last-seen RTP
   timestamp carried across windows doubles as freeze detection), and
@@ -46,7 +46,9 @@ aggregates (origin, last timestamp, per-direction byte totals, RTP flag).
 Its one fold body reads pre-reduced *facts* (:class:`TickFacts`): the live
 path reduces a whole flow-sorted tick to per-flow facts at once and folds
 each flow on scalars, ``absorb(columns)`` is the same call on a tick of one
-flow, and rows are touched only where rows are needed.
+flow, ``absorb_stream(stream)`` on a whole sorted session read from the
+stream's cached per-direction views, and rows are touched only where rows
+are needed.
 In the default **bounded** mode the cascade holds no packet history: state
 is O(slots) counters + O(launch-window packets) + the three downstream QoE
 columns (~24 bytes per downstream packet instead of the full columnar
@@ -76,6 +78,7 @@ from repro.core.volumetric import OnlineVolumetricTracker
 from repro.net.packet import (
     DOWNSTREAM_CODE,
     RTP_NONE,
+    Direction,
     PacketColumns,
     PacketStream,
 )
@@ -270,46 +273,6 @@ class SlotStageReducer:
         row[1] += down_packets
         row[2] += up_bytes
         row[3] += up_packets
-
-    def absorb_directional(
-        self,
-        down_times: np.ndarray,
-        down_sizes: np.ndarray,
-        up_times: np.ndarray,
-        up_sizes: np.ndarray,
-        origin: float,
-    ) -> None:
-        """Fold pre-split per-direction rows (offline whole-session path).
-
-        Counter-identical to one ``bincount`` over the interleaved batch: each
-        direction's rows keep their relative order, so every ``bincount``
-        accumulates the same weights in the same order.
-        """
-        top = -1
-        per_direction = []
-        for times, sizes in ((down_times, down_sizes), (up_times, up_sizes)):
-            if times.size:
-                indices = np.floor((times - origin) / self.slot_duration).astype(
-                    np.int64
-                )
-                np.maximum(indices, 0, out=indices)
-                top = max(top, int(indices.max()))
-                per_direction.append((indices, sizes))
-            else:
-                per_direction.append(None)
-        if top < 0:
-            return
-        self._ensure_capacity(top)
-        self._max_slot = max(self._max_slot, top)
-        length = top + 1
-        for column, entry in ((0, per_direction[0]), (2, per_direction[1])):
-            if entry is None:
-                continue
-            indices, sizes = entry
-            self._raw[:length, column] += np.bincount(
-                indices, weights=sizes, minlength=length
-            )
-            self._raw[:length, column + 1] += np.bincount(indices, minlength=length)
 
     def advance(self, complete: int) -> Tuple[List[List[float]], int]:
         """Complete slots ``cursor .. complete - 1`` (provisional gate).
@@ -840,7 +803,6 @@ class _ApproxIntervalStore:
         "n_rtp",
         "n_new_frames",
         "gap_count",
-        "gap_sum",
         "gap_max",
         "burst_gap_count",
         "reservoir",
@@ -854,7 +816,6 @@ class _ApproxIntervalStore:
         self.n_rtp = 0
         self.n_new_frames = 0
         self.gap_count = 0
-        self.gap_sum = 0.0
         self.gap_max = 0.0
         self.burst_gap_count = 0
         # seeded by the interval index: deterministic per window
@@ -872,7 +833,6 @@ class _ApproxIntervalStore:
             "n_rtp": self.n_rtp,
             "n_new_frames": self.n_new_frames,
             "gap_count": self.gap_count,
-            "gap_sum": self.gap_sum,
             "gap_max": self.gap_max,
             "burst_gap_count": self.burst_gap_count,
             "reservoir": self.reservoir.snapshot(),
@@ -888,7 +848,6 @@ class _ApproxIntervalStore:
         store.n_rtp = snapshot["n_rtp"]
         store.n_new_frames = snapshot["n_new_frames"]
         store.gap_count = snapshot["gap_count"]
-        store.gap_sum = snapshot["gap_sum"]
         store.gap_max = snapshot["gap_max"]
         store.burst_gap_count = snapshot["burst_gap_count"]
         store.reservoir.restore(snapshot["reservoir"])
@@ -913,7 +872,7 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
     **Error model** (each bound asserted by ``tests/test_approx_qoe.py``):
 
     * throughput and duration are exact (integral byte sums);
-    * the inter-frame gap population (count, sum, max — gaps above
+    * the inter-frame gap population (count, max — gaps above
       :data:`~repro.core.qoe.FRAME_GAP_SECONDS`) is exact whenever batches
       are time-ordered across arrivals (feeds are time-sliced; each batch
       is sorted on fold, so within-batch shuffling is invisible); the p95
@@ -951,7 +910,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         "_n_rtp",
         "_n_down",
         "_gap_count",
-        "_gap_sum",
         "_gap_max",
         "_burst_gap_count",
         "_gap_reservoir",
@@ -980,7 +938,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         self._n_rtp = 0
         self._n_down = 0
         self._gap_count = 0
-        self._gap_sum = 0.0
         self._gap_max = 0.0
         self._burst_gap_count = 0
         self._gap_reservoir = _ReservoirSampler(self.session_reservoir, seed=0x95)
@@ -1025,7 +982,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         frame_gaps = gap_at[gap_at > FRAME_GAP_SECONDS]
         if frame_gaps.size:
             self._gap_count += int(frame_gaps.size)
-            self._gap_sum += float(frame_gaps.sum())
             self._gap_max = max(self._gap_max, float(frame_gaps.max()))
             self._gap_reservoir.add(frame_gaps)
         self._burst_gap_count += int(np.count_nonzero(gap_at > BURST_GAP_SECONDS))
@@ -1115,7 +1071,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
             run_frame_gaps = run_gaps[run_gaps > FRAME_GAP_SECONDS]
             if run_frame_gaps.size:
                 store.gap_count += int(run_frame_gaps.size)
-                store.gap_sum += float(run_frame_gaps.sum())
                 store.gap_max = max(store.gap_max, float(run_frame_gaps.max()))
                 store.reservoir.add(run_frame_gaps)
             store.burst_gap_count += int(
@@ -1219,11 +1174,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
             "seq_lost": lost,
         }
 
-    @property
-    def gap_sum_s(self) -> float:
-        """Total inter-frame gap seconds (exact; diagnostics and tests)."""
-        return self._gap_sum
-
     def nbytes(self) -> int:
         total = self._gap_reservoir.nbytes()
         if self._seen is not None:
@@ -1243,7 +1193,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
             "n_rtp": self._n_rtp,
             "n_down": self._n_down,
             "gap_count": self._gap_count,
-            "gap_sum": self._gap_sum,
             "gap_max": self._gap_max,
             "burst_gap_count": self._burst_gap_count,
             "gap_reservoir": self._gap_reservoir.snapshot(),
@@ -1270,7 +1219,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         self._n_rtp = snapshot["n_rtp"]
         self._n_down = snapshot["n_down"]
         self._gap_count = snapshot["gap_count"]
-        self._gap_sum = snapshot["gap_sum"]
         self._gap_max = snapshot["gap_max"]
         self._burst_gap_count = snapshot["burst_gap_count"]
         self._gap_reservoir.restore(snapshot["gap_reservoir"])
@@ -1347,6 +1295,38 @@ class TickFacts:
     def of_batch(cls, columns: PacketColumns) -> "TickFacts":
         """Facts of one non-empty batch taken as a tick of a single flow."""
         return cls(columns, np.array([0, len(columns)]))
+
+    @classmethod
+    def of_stream(cls, stream: PacketStream) -> "TickFacts":
+        """Facts of one non-empty sorted stream taken as a tick of a single flow.
+
+        Equal to ``of_batch(stream.columns())`` field by field, but the
+        downstream rows come from the stream's cached per-direction views, so
+        repeated offline passes over one corpus split the directions once per
+        stream, not once per fold.  The stream is sorted, so its span is its
+        first and last row.
+        """
+        columns = stream.columns()
+        timestamps = columns.timestamps
+        down_rows = stream.direction_indices(Direction.DOWNSTREAM)
+        facts = cls.__new__(cls)
+        facts.columns = columns
+        facts.straddles = []
+        facts.bounds = [0, len(columns)]
+        facts.first = [float(timestamps[0])]
+        facts.last = [float(timestamps[-1])]
+        facts.payload = [float(columns.payload_sizes.sum())]
+        facts.down = columns.directions == DOWNSTREAM_CODE
+        facts.down_sizes = stream.payload_sizes(Direction.DOWNSTREAM)
+        facts.down_payload = [float(facts.down_sizes.sum())]
+        facts._rtp_seen = None
+        facts.down_bounds = [0, int(down_rows.size)]
+        facts.down_times = stream.timestamps(Direction.DOWNSTREAM)
+        sequences = columns.rtp_sequence
+        rtp_times = columns.rtp_timestamp
+        facts.down_sequences = None if sequences is None else sequences[down_rows]
+        facts.down_rtp_times = None if rtp_times is None else rtp_times[down_rows]
+        return facts
 
     def rtp_seen(self, flow: int) -> bool:
         """Whether any row of the flow carries an RTP SSRC.
@@ -1636,52 +1616,16 @@ class SessionReducerCascade:
         return new_window_rows
 
     def absorb_stream(self, stream: PacketStream) -> int:
-        """Fold a whole sorted session stream (the offline one-shot path).
+        """Fold a whole sorted session stream; return new launch-window rows.
 
-        Fold-identical to ``absorb(stream.columns())`` but reads the
-        stream's cached per-direction views instead of re-deriving them, so
-        repeated offline classification of the same corpus pays the
-        direction split once per stream, not once per fold.  Only valid as
-        the first fold of the cascade; later folds fall back to
-        :meth:`absorb`.
+        The offline form of :meth:`absorb`: the same :meth:`fold`, with the
+        facts read from the stream's cached views (:meth:`TickFacts.of_stream`).
         """
-        columns = stream.columns()
-        if not len(columns) or self.origin is not None:
-            return self.absorb(columns)
-        from repro.net.packet import Direction  # local: avoid cycle at import
-
-        timestamps = columns.timestamps
-        self.origin = float(timestamps[0])  # sorted stream
-        self.last_ts = float(timestamps[-1])
-        self.n_packets = len(columns)
-        if self._history is not None:
-            self._history.append(columns)
-        down_times = stream.timestamps(Direction.DOWNSTREAM)
-        down_sizes = stream.payload_sizes(Direction.DOWNSTREAM)
-        up_times = stream.timestamps(Direction.UPSTREAM)
-        up_sizes = stream.payload_sizes(Direction.UPSTREAM)
-        if down_times.size:
-            self.has_downstream = True
-            self.down_bytes += float(down_sizes.sum())
-        self.up_bytes += float(up_sizes.sum())
-        ssrc = columns.rtp_ssrc
-        if ssrc is not None and bool(np.any(ssrc != RTP_NONE)):
-            self.has_rtp = True
-        new_window_rows = self.launch.absorb(columns, self.origin)
-        self.slots.absorb_directional(
-            down_times, down_sizes, up_times, up_sizes, self.origin
-        )
-        sequences = columns.rtp_sequence
-        rtp_times = columns.rtp_timestamp
-        if sequences is not None or rtp_times is not None:
-            down_rows = stream.direction_indices(Direction.DOWNSTREAM)
-        self.qoe.absorb_arrays(
-            down_times,
-            down_sizes,
-            sequences[down_rows] if sequences is not None else None,
-            rtp_times[down_rows] if rtp_times is not None else None,
-            self.origin,
-        )
+        if not len(stream):
+            return 0
+        facts = TickFacts.of_stream(stream)
+        new_window_rows = self.fold(facts, 0)
+        facts.flush()
         return new_window_rows
 
     def _refold(self, new_origin: float) -> None:

@@ -225,10 +225,6 @@ class GameTitleClassifier:
             return []
         return self._predict_features(self.feature_matrix(streams))
 
-    def predict_titles(self, streams: Sequence[PacketStream]) -> List[str]:
-        """Convenience wrapper returning only the predicted titles."""
-        return [p.title for p in self.predict_streams(streams)]
-
     def evaluate(
         self, streams: Sequence[PacketStream], titles: Sequence[str]
     ) -> Tuple[float, List[TitlePrediction]]:

@@ -593,10 +593,6 @@ class PacketStream:
             return self._columns.payload_sizes
         return self._dir_select(direction)[2]
 
-    def direction_codes(self) -> np.ndarray:
-        """The int8 direction column (0=downstream, 1=upstream)."""
-        return self._columns.directions
-
     def direction_indices(self, direction: Direction) -> np.ndarray:
         """Row indices of one direction (cached alongside the views)."""
         return self._dir_select(direction)[0]

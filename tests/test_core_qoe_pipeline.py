@@ -339,8 +339,10 @@ class TestPipelineIntegration:
         detected = fitted_pipeline.detector.detect(tap)
         assert [session.key.client_port for session in detected] == [51001, 51002]
 
-        expected = fitted_pipeline.classify_stream(
-            read_pcap_stream(alone, client_ip="192.168.1.10"), platform="GeForce NOW"
+        cascade = fitted_pipeline.new_cascade()
+        cascade.absorb_stream(read_pcap_stream(alone, client_ip="192.168.1.10"))
+        (expected,) = fitted_pipeline.finalize_cascades(
+            [cascade], platforms=["GeForce NOW"]
         )
         assert expected.platform == "GeForce NOW"
 
@@ -370,7 +372,10 @@ class TestPipelineIntegration:
         assert fitted_pipeline.detector.detect(tap) == []
         report = fitted_pipeline.process(tap)
         assert report.platform is None
-        assert_report_identical(report, fitted_pipeline.classify_stream(tap))
+        cascade = fitted_pipeline.new_cascade()
+        cascade.absorb_stream(tap)
+        (whole,) = fitted_pipeline.finalize_cascades([cascade], platforms=[None])
+        assert_report_identical(report, whole)
 
     def test_context_label_for_known_title(self, fitted_pipeline, small_gameplay_corpus):
         report = fitted_pipeline.process(small_gameplay_corpus.sessions[0])

@@ -201,6 +201,7 @@ def _traced_corpus_result(**overrides):
         "core.qoe.intervals": 2248,
         "analytics.fleet.events": 2248,
         "core.reducers.absorb_calls": 104,
+        "core.reducers.rows": 2172285,
         "core.pipeline.finalize_sessions": 104,
         "trace.coverage_frac": 0.999,
     }
@@ -208,6 +209,7 @@ def _traced_corpus_result(**overrides):
     return {
         "workload": "corpus_batch",
         "trace": 1,
+        "packets": 2172285,
         "metrics": {name: {"value": value, "unit": "count"} for name, value in counts.items()},
     }
 
@@ -221,6 +223,8 @@ def _traced_corpus_result(**overrides):
         # a second cascade fold per report
         ({"core.reducers.absorb_calls": 208}, 1, "core.reducers.absorb_calls"),
         ({"trace.coverage_frac": 0.9}, 1, "trace.coverage_frac"),
+        # one session's rows folded a second time by the same fold count
+        ({"core.reducers.rows": 2194081}, 1, "core.reducers.rows"),
     ],
 )
 def test_window_count_guard(tmp_path, overrides, expected_exit, named):

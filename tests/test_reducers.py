@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.qoe import ObjectiveQoEEstimator
-from repro.core.reducers import SessionReducerCascade
+from repro.core.reducers import SessionReducerCascade, TickFacts
 from repro.net.flow import flow_summary
 from repro.net.packet import (
     DOWNSTREAM_CODE,
@@ -460,6 +460,81 @@ class GeneralFoldCascade(SessionReducerCascade):
         return new_window_rows
 
 
+def directional_slots(slots, down_times, down_sizes, up_times, up_sizes, origin) -> None:
+    """Oracle: ``SlotStageReducer.absorb_directional`` — pre-split per-direction
+    rows bucketed with one ``bincount`` pair per direction (the offline
+    whole-session slot fold before it went through ``TickFacts.flush``)."""
+    top = -1
+    per_direction = []
+    for times, sizes in ((down_times, down_sizes), (up_times, up_sizes)):
+        if times.size:
+            indices = np.floor((times - origin) / slots.slot_duration).astype(np.int64)
+            np.maximum(indices, 0, out=indices)
+            top = max(top, int(indices.max()))
+            per_direction.append((indices, sizes))
+        else:
+            per_direction.append(None)
+    if top < 0:
+        return
+    slots._ensure_capacity(top)
+    slots._max_slot = max(slots._max_slot, top)
+    length = top + 1
+    for column, entry in ((0, per_direction[0]), (2, per_direction[1])):
+        if entry is None:
+            continue
+        indices, sizes = entry
+        slots._raw[:length, column] += np.bincount(indices, weights=sizes, minlength=length)
+        slots._raw[:length, column + 1] += np.bincount(indices, minlength=length)
+
+
+class StreamFoldCascade(SessionReducerCascade):
+    """Oracle: ``absorb_stream`` as its own fold body — session aggregates,
+    launch window, :func:`directional_slots` and ``absorb_arrays`` read
+    straight from the stream's per-direction views (the offline path before
+    it folded through ``fold`` / ``TickFacts.of_stream``).  Valid as the
+    first fold of the cascade only."""
+
+    __slots__ = ()
+
+    def absorb_stream(self, stream):
+        columns = stream.columns()
+        if not len(columns):
+            return 0
+        assert self.origin is None, "the oracle folds a whole session once"
+        timestamps = columns.timestamps
+        self.origin = float(timestamps[0])  # sorted stream
+        self.last_ts = float(timestamps[-1])
+        self.n_packets = len(columns)
+        if self._history is not None:
+            self._history.append(columns)
+        down_times = stream.timestamps(Direction.DOWNSTREAM)
+        down_sizes = stream.payload_sizes(Direction.DOWNSTREAM)
+        up_times = stream.timestamps(Direction.UPSTREAM)
+        up_sizes = stream.payload_sizes(Direction.UPSTREAM)
+        if down_times.size:
+            self.has_downstream = True
+            self.down_bytes += float(down_sizes.sum())
+        self.up_bytes += float(up_sizes.sum())
+        ssrc = columns.rtp_ssrc
+        if ssrc is not None and bool(np.any(ssrc != RTP_NONE)):
+            self.has_rtp = True
+        new_window_rows = self.launch.absorb(columns, self.origin)
+        directional_slots(
+            self.slots, down_times, down_sizes, up_times, up_sizes, self.origin
+        )
+        down_rows = stream.direction_indices(Direction.DOWNSTREAM)
+        sequences = columns.rtp_sequence
+        rtp_times = columns.rtp_timestamp
+        self.qoe.absorb_arrays(
+            down_times,
+            down_sizes,
+            sequences[down_rows] if sequences is not None else None,
+            rtp_times[down_rows] if rtp_times is not None else None,
+            self.origin,
+        )
+        return new_window_rows
+
+
 #: Timestamps sit on a 1/8 s grid from a base that is exact in binary, so
 #: rows land exactly on slot, QoE-interval and title-window edges all the time.
 _GRID_S = 0.125
@@ -524,23 +599,28 @@ def _state_bytes(cascade) -> bytes:
     return pickle.dumps(cascade.snapshot())
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    batches=_sub_batches(),
-    tier=st.sampled_from(["bounded", "approx", "full"]),
-    qoe_interval_seconds=st.sampled_from([float("inf"), 10.0, 1.5]),
-)
-def test_fold_shortcuts_equal_general_reducers(
-    fitted_pipeline, batches, tier, qoe_interval_seconds
-):
-    geometry = dict(
-        slot_duration=fitted_pipeline.activity_classifier.slot_duration,
-        alpha=fitted_pipeline.activity_classifier.alpha,
-        window_seconds=fitted_pipeline.title_classifier.window_seconds,
+def _geometry(pipeline, tier="bounded", qoe_interval_seconds=float("inf")) -> dict:
+    """Cascade arguments in the pipeline's geometry, for one tier."""
+    return dict(
+        slot_duration=pipeline.activity_classifier.slot_duration,
+        alpha=pipeline.activity_classifier.alpha,
+        window_seconds=pipeline.title_classifier.window_seconds,
         qoe_interval_seconds=qoe_interval_seconds,
         keep_history=tier == "full",
         qoe_mode="approx" if tier == "approx" else "exact",
     )
+
+
+_TIERS = st.sampled_from(["bounded", "approx", "full"])
+_QOE_WIDTHS = st.sampled_from([float("inf"), 10.0, 1.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches=_sub_batches(), tier=_TIERS, qoe_interval_seconds=_QOE_WIDTHS)
+def test_fold_shortcuts_equal_general_reducers(
+    fitted_pipeline, batches, tier, qoe_interval_seconds
+):
+    geometry = _geometry(fitted_pipeline, tier, qoe_interval_seconds)
     cascade = SessionReducerCascade(**geometry)
     reference = GeneralFoldCascade(**geometry)
     for batch in batches:
@@ -554,6 +634,66 @@ def test_fold_shortcuts_equal_general_reducers(
     (got,) = fitted_pipeline.finalize_cascades([cascade])
     (expected,) = fitted_pipeline.finalize_cascades([reference])
     assert_report_identical(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# the offline whole-session fold vs its own former body (property test)
+# ---------------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(batches=_sub_batches(), tier=_TIERS, qoe_interval_seconds=_QOE_WIDTHS)
+def test_absorb_stream_equals_stream_fold_oracle(
+    fitted_pipeline, batches, tier, qoe_interval_seconds
+):
+    stream = PacketStream.from_columns(PacketColumns.concat(batches))
+    geometry = _geometry(fitted_pipeline, tier, qoe_interval_seconds)
+    cascade = SessionReducerCascade(**geometry)
+    reference = StreamFoldCascade(**geometry)
+    assert cascade.absorb_stream(stream) == reference.absorb_stream(stream)
+    assert _state_bytes(cascade) == _state_bytes(reference)
+    got, expected = fitted_pipeline.finalize_cascades([cascade, reference])
+    assert_report_identical(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=_sub_batches())
+def test_stream_facts_equal_batch_facts(batches):
+    stream = PacketStream.from_columns(PacketColumns.concat(batches))
+    got = TickFacts.of_stream(stream)
+    expected = TickFacts.of_batch(stream.columns())
+    for name in TickFacts.__slots__:
+        value, wanted = getattr(got, name), getattr(expected, name)
+        if isinstance(wanted, np.ndarray):
+            assert value.dtype == wanted.dtype and np.array_equal(value, wanted), name
+        else:
+            assert value == wanted, name
+
+
+def _edge_stream(case) -> PacketStream:
+    """A capture the flow detector matches nothing in (so it is classified
+    whole): no rows, upstream rows only, or rows without RTP columns."""
+    if case == "empty":
+        return PacketStream()
+    n = 400
+    timestamps = _BASE_S + np.linspace(0.0, 30.0, n)
+    sizes = np.full(n, 700.0)
+    if case == "upstream_only":
+        return PacketStream.from_arrays(timestamps, sizes, Direction.UPSTREAM)
+    directions = np.where(np.arange(n) % 5, DOWNSTREAM_CODE, 1 - DOWNSTREAM_CODE)
+    return PacketStream.from_arrays(timestamps, sizes, directions)
+
+
+@pytest.mark.parametrize("case", ["empty", "upstream_only", "no_rtp"])
+@pytest.mark.parametrize("tier", ["bounded", "approx"])
+def test_offline_entry_points_equal_stream_fold_oracle(fitted_pipeline, case, tier):
+    stream = _edge_stream(case)
+    qoe_mode = "approx" if tier == "approx" else "exact"
+    reference = StreamFoldCascade(**_geometry(fitted_pipeline, tier))
+    reference.absorb_stream(stream)
+    (expected,) = fitted_pipeline.finalize_cascades([reference])
+    assert expected.platform is None
+    assert_report_identical(fitted_pipeline.process(stream, qoe_mode=qoe_mode), expected)
+    for report in fitted_pipeline.process_many([stream, stream], qoe_mode=qoe_mode):
+        assert_report_identical(report, expected)
 
 
 def test_equal_approx_states_pickle_to_equal_bytes(fitted_pipeline, runtime_sessions):
