@@ -19,9 +19,20 @@ the state arrays to the last bit is pinned by ``tests/test_forest_kernel.py``.
 ``compile_s`` times the one builder (validation included) on all three
 forests, ``kernel_state_bytes`` is what the compiled tables retain.
 
+``--frontier`` sweeps each gate's forest over the paper's tuning grid
+(Fig. 14/15) and the smaller points below it: for every (trees, depth) the
+held-out ``title_acc`` / ``stage_acc`` of the ``benchmarks/e2e`` workloads,
+the kernel µs per call at the workloads' rows per call and
+``kernel_state_bytes``; then, per gate, the smallest point inside the
+accuracy bounds.  A default must also keep the scenario matrix inside its
+bands (``python -m repro.experiments.scenario_matrix --quick --check
+SCENARIO_MATRIX.json``) and the pattern gate's time to first inference,
+which this sweep does not measure (DESIGN.md §11 "Forest sizes").
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_forest_kernel.py
+    PYTHONPATH=src python benchmarks/bench_forest_kernel.py --frontier  # ~15 min
 
 ``scripts/perf_smoke.py`` imports :func:`run_benchmark` to record the
 results (full runs and the ``--quick`` tier-2 gate).
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -55,6 +67,20 @@ STREAM_N_CHUNKS = 195
 STREAM_CLOSE_ROWS = 4816
 #: Single-row gate calls per forest (one per corpus session).
 N_SINGLE_ROW_CALLS = 104
+
+#: The paper's grid (``n_estimators`` 50-500 x ``max_depth`` 5/10/30/None)
+#: and the smaller points below it.
+FRONTIER_TREES = (20, 30, 50, 100, 300, 500)
+FRONTIER_DEPTHS = (5, 6, 8, 10, 30, None)
+#: Rows per forest call of tap_small_ticks, live_single and corpus_batch.
+FRONTIER_CALL_ROWS = (1, 36, 238)
+#: live_sharded's reports are live_single's (the sharded identity contract).
+FRONTIER_WORKLOADS = ("corpus_batch", "live_single", "tap_small_ticks")
+FRONTIER_SEEDS = (7, 13)
+#: A point is inside the bounds when, on every workload and seed, its
+#: title_acc is no lower than the default's and its stage_acc (and the
+#: corpus pattern accuracy) at most this much lower.
+FRONTIER_SLACK = 0.005
 
 
 def _timeit(fn, repeats=5):
@@ -176,5 +202,144 @@ def run_benchmark(corpus=None, pipeline=None) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# the accuracy / cost frontier
+# ---------------------------------------------------------------------------
+def _fit_keeping_training_sets(corpus):
+    """The deployment pipeline, plus the ``(X, y)`` each forest was fitted on."""
+    captured = {}
+    original = RandomForestClassifier.fit
+
+    def spy(self, X, y):
+        captured[id(self)] = (X, y)
+        return original(self, X, y)
+
+    RandomForestClassifier.fit = spy
+    try:
+        pipeline = fit_deployment_pipeline(corpus)
+    finally:
+        RandomForestClassifier.fit = original
+    return pipeline, {name: captured[id(f)] for name, f in _forests(pipeline).items()}
+
+
+def _first_trees(forest, n_trees):
+    """The forest's first ``n_trees`` trees, as a fitted forest.
+
+    Bit for bit what ``fit`` grows with ``n_estimators=n_trees``: tree ``i``
+    draws its seed and bootstrap from the forest's generator in turn, so a
+    larger forest extends every smaller one.
+    """
+    state = forest.export_state()
+    offsets = state["offsets"][: n_trees + 1]
+    importances = state["tree_importances"][:n_trees]
+    arrays = {
+        **{key: state[key][: offsets[-1]] for key in ("feature", "threshold", "left", "right")},
+        "proba": state["proba"][: offsets[-1]],
+        "offsets": offsets,
+        "tree_importances": importances,
+        "forest_importances": np.mean(importances, axis=0),
+    }
+    params = {
+        "n_estimators": n_trees, "max_depth": forest.max_depth, "random_state": forest.random_state,
+    }
+    return RandomForestClassifier.from_state(arrays, forest.classes_, forest.n_features_, params)
+
+
+def _frontier_point(pipeline, forest, X, inputs) -> dict:
+    """Cost and held-out accuracy of the pipeline with one gate's forest swapped."""
+    import oracle
+
+    kernel, call_us = forest.kernel, {}
+    for rows in FRONTIER_CALL_ROWS:
+        block, calls = X[:rows], max(10, 200 // rows)
+        best = _timeit(lambda: [kernel.predict_proba(block) for _ in range(calls)], repeats=3)
+        call_us[str(rows)] = round(best / calls * 1e6, 1)
+    point = {
+        "trees": forest.n_estimators,
+        "depth": forest.max_depth,
+        "kernel_state_bytes": kernel.nbytes(),
+        "call_us": call_us,
+        "title_acc": {},
+        "stage_acc": {},
+    }
+    slot_s = pipeline.activity_classifier.slot_duration
+    for (name, seed), workload in inputs.items():
+        reports = pipeline.process_many(workload.sessions)
+        key = f"{name}@{seed}"
+        point["title_acc"][key], point["stage_acc"][key] = oracle.accuracy(
+            workload.labels, reports, slot_s
+        )
+        if name == "corpus_batch" and seed == FRONTIER_SEEDS[0]:
+            point["pattern_acc"] = float(np.mean([
+                report.pattern.pattern is label.pattern
+                for report, label in zip(reports, workload.labels)
+            ]))
+    return point
+
+
+def _inside_bounds(point: dict, default: dict) -> bool:
+    return point["pattern_acc"] >= default["pattern_acc"] - FRONTIER_SLACK and all(
+        point["title_acc"][key] >= default["title_acc"][key]
+        and point["stage_acc"][key] >= default["stage_acc"][key] - FRONTIER_SLACK
+        for key in default["title_acc"]
+    )
+
+
+def run_frontier(corpus=None) -> dict:
+    """Sweep every gate's forest over the grid; the smallest point inside the bounds.
+
+    One gate moves at a time, the other two keep the forests the pipeline's
+    defaults fit; the default point itself is one of the grid's rows.
+    """
+    e2e_dir = str(Path(BENCH_DIR) / "e2e")  # the workloads' inputs and oracle
+    if e2e_dir not in sys.path:
+        sys.path.insert(0, e2e_dir)
+    import workloads
+
+    if corpus is None:
+        corpus = build_deployment_corpus()
+    pipeline, training = _fit_keeping_training_sets(corpus)
+    matrices = _capture_forest_inputs(pipeline, corpus)
+    classifiers = {
+        "title": pipeline.title_classifier,
+        "stage": pipeline.activity_classifier,
+        "pattern": pipeline.pattern_classifier,
+    }
+    gates = {}
+    with tempfile.TemporaryDirectory() as out:
+        inputs = {
+            (name, seed): workloads.prepare(name, seed, Path(out))
+            for name in FRONTIER_WORKLOADS
+            for seed in FRONTIER_SEEDS
+        }
+        for gate, classifier in classifiers.items():
+            deployed = classifier.model
+            points = []
+            for depth in FRONTIER_DEPTHS:
+                grown = RandomForestClassifier(
+                    n_estimators=max(FRONTIER_TREES), max_depth=depth,
+                    random_state=deployed.random_state,
+                ).fit(*training[gate])
+                for n_trees in FRONTIER_TREES:
+                    forest = classifier.model = _first_trees(grown, n_trees)
+                    points.append(_frontier_point(pipeline, forest, matrices[gate], inputs))
+            classifier.model = deployed
+            default = next(
+                p for p in points
+                if (p["trees"], p["depth"]) == (deployed.n_estimators, deployed.max_depth)
+            )
+            smallest = min(
+                (p for p in points if _inside_bounds(p, default)),
+                key=lambda p: p["kernel_state_bytes"],
+            )
+            gates[gate] = {
+                "default": [default["trees"], default["depth"]],
+                "smallest_inside_bounds": [smallest["trees"], smallest["depth"]],
+                "points": points,
+            }
+    return {"n_sessions": len(corpus), "slack": FRONTIER_SLACK, "gates": gates}
+
+
 if __name__ == "__main__":
-    print(json.dumps(run_benchmark(), indent=2))
+    run = run_frontier if "--frontier" in sys.argv[1:] else run_benchmark
+    print(json.dumps(run(), indent=2))

@@ -138,7 +138,6 @@ def main() -> None:
         sessions_per_title=2, gameplay_duration_s=150.0, rate_scale=0.05, random_state=11
     )
     trained = ContextClassificationPipeline(random_state=11)
-    trained.title_classifier.model.n_estimators = 80
     trained.fit(lab.sessions)
 
     with tempfile.TemporaryDirectory() as tmp:

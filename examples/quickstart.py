@@ -39,7 +39,6 @@ def main() -> None:
 
     print("training the context classification pipeline (Fig. 6)...")
     pipeline = ContextClassificationPipeline(random_state=7)
-    pipeline.title_classifier.model.n_estimators = 80
     pipeline.fit(lab.sessions)
 
     print("classifying a fresh, unseen session of Hearthstone...")

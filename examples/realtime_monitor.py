@@ -61,7 +61,6 @@ def main() -> None:
         sessions_per_title=2, gameplay_duration_s=150.0, rate_scale=0.05, random_state=11
     )
     pipeline = ContextClassificationPipeline(random_state=11)
-    pipeline.title_classifier.model.n_estimators = 80
     pipeline.fit(lab.sessions)
 
     print("generating live sessions to monitor...")

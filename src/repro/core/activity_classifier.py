@@ -30,8 +30,8 @@ class PlayerActivityClassifier:
     alpha:
         EMA weight of the current slot (0.5 in deployment).
     model:
-        Underlying classifier; defaults to a Random Forest (the paper's
-        best performer for this task).
+        Underlying classifier; defaults to a Random Forest of 20 trees of
+        depth 8 (DESIGN.md §11 "Forest sizes").
     """
 
     def __init__(
@@ -49,7 +49,7 @@ class PlayerActivityClassifier:
             slot_duration=slot_duration, alpha=alpha
         )
         self.model = model or RandomForestClassifier(
-            n_estimators=100, max_depth=10, random_state=random_state
+            n_estimators=20, max_depth=8, random_state=random_state
         )
         self._random_state = random_state
 

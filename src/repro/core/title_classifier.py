@@ -58,8 +58,8 @@ class GameTitleClassifier:
         Predictions below this confidence are labeled ``"unknown"``
         (default 0.4, per §4.4.1).
     model:
-        Underlying classifier; defaults to the paper's best performer, a
-        random forest with 500 trees and maximum depth 10.
+        Underlying classifier; defaults to a random forest of 30 trees of
+        depth 8 (DESIGN.md §11 "Forest sizes"; the paper deploys 500 x 10).
     feature_mode:
         ``"packet-group"`` (the paper's 51 attributes) or ``"flow-volumetric"``
         (the Table 3 baseline).
@@ -98,7 +98,7 @@ class GameTitleClassifier:
         self.confidence_threshold = confidence_threshold
         self.feature_mode = feature_mode
         self.model = model or RandomForestClassifier(
-            n_estimators=500, max_depth=10, random_state=random_state
+            n_estimators=30, max_depth=8, random_state=random_state
         )
         self._labeler = PacketGroupLabeler(
             slot_duration=slot_duration, size_variation=size_variation

@@ -157,9 +157,8 @@ def scenario_pipeline():
     """The fitted deployment-configuration pipeline shared by runtime tests
     and the scenario matrix.
 
-    Identical (bit-for-bit) to the test suite's historical
-    ``fitted_pipeline`` fixture: ``random_state=11``, the title forest
-    trimmed to 60 trees, fitted on the 6-title × 2-session gameplay corpus
+    The test suite's ``fitted_pipeline`` fixture: ``random_state=11`` and
+    the default forests, fitted on the 6-title × 2-session gameplay corpus
     (seed 13).  Every scenario-matrix number is measured with this model, so
     the committed matrix and the in-process tests can never disagree about
     which classifier they describe.
@@ -174,7 +173,6 @@ def scenario_pipeline():
         title_names=SCENARIO_TITLE_NAMES,
     )
     pipeline = ContextClassificationPipeline(random_state=11)
-    pipeline.title_classifier.model.n_estimators = 60
     pipeline.fit(list(corpus))
     return pipeline
 

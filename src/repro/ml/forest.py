@@ -1,8 +1,6 @@
 """Random-forest classifier (bagged CART ensemble).
 
-The paper selects a random forest for both of its classification tasks: game
-title classification (500 trees, max depth 10 in deployment) and gameplay
-activity pattern inference (100 trees, max depth 10).  This implementation
+The paper's model for both of its classification tasks.  This implementation
 supports the hyperparameters tuned in Fig. 14/15 (number of trees and maximum
 tree depth) plus bootstrap sampling and out-of-bag scoring.
 """

@@ -57,6 +57,10 @@ class FlowKey:
     server_port: int
     protocol: str = "udp"
 
+    def __reduce__(self):  # one call, not a state pair that walks fields() per key
+        return FlowKey, (self.client_ip, self.client_port, self.server_ip, self.server_port,
+                         self.protocol)
+
 
 def flow_addresses(key: FlowKey) -> Tuple[tuple, tuple]:
     """The ``(upstream, downstream)`` address tuples of a canonical key.

@@ -153,12 +153,11 @@ def isp_record_pool():
 def fitted_pipeline():
     """A deployment-configuration pipeline fitted once for runtime tests.
 
-    The title forest is trimmed to 60 trees (instead of 500) to keep the
-    fit fast; every equivalence test compares runtime output against
-    *this* pipeline's offline output, so the trim cannot mask differences.
-    Served from the process-wide :func:`scenario_pipeline` cache — the same
-    fitted model the scenario matrix measures, so the committed matrix
-    describes exactly the classifier these tests pin.
+    Every equivalence test compares runtime output against *this*
+    pipeline's offline output.  Served from the process-wide
+    :func:`scenario_pipeline` cache — the same fitted model the scenario
+    matrix measures, so the committed matrix describes exactly the
+    classifier these tests pin.
     """
     return scenario_pipeline()
 

@@ -266,6 +266,26 @@ def test_encoder_round_trips_any_layout(first, second, kept):
     assert _full or pickle.loads(unchanged)[1] == {}
 
 
+def test_flow_key_pickles_as_its_five_fields(monkeypatch):
+    """A key is one constructor call on the shard wire, and one object per chain."""
+    key = FlowKey("10.0.0.7", 52001, "192.0.2.9", 49003)
+    data = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
+    copy = pickle.loads(data)
+    assert type(copy) is FlowKey and copy == key and hash(copy) == hash(key)
+    with monkeypatch.context() as patched:  # the slots dataclass's own state pair
+        patched.delattr(FlowKey, "__reduce__")
+        assert len(data) < len(pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL))
+
+    encoder = _CheckpointEncoder()
+    _full, first = encoder.encode({"flows": {key: 1}, "keys": [key]})
+    full, second = encoder.encode({"flows": {key: 2}, "keys": [key, key]})
+    assert not full and pickle.loads(second)[1] == {}  # shipped once, then by token
+    decoded = _decode_checkpoints([first, second])
+    (restored,) = decoded["flows"]
+    assert restored == key and decoded["flows"][restored] == 2
+    assert all(each is restored for each in decoded["keys"])
+
+
 def test_restored_state_that_folds_in_place_is_writeable(
     fitted_pipeline, runtime_sessions
 ):

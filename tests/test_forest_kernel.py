@@ -424,6 +424,16 @@ def test_kernel_nbytes_counts_tables(small_forest):
     assert forest.kernel.nbytes() > 0
 
 
+#: The stage forest's compiled bytes on the scenario pipeline: the default 20
+#: trees x depth 8 take 78 860, the 100 x 10 before them 525 896.  Growing the
+#: default is a decision for the frontier (DESIGN.md §11 "Forest sizes").
+STAGE_KERNEL_BUDGET_BYTES = 100_000
+
+
+def test_stage_forest_stays_inside_its_byte_budget(fitted_pipeline):
+    assert fitted_pipeline.activity_classifier.model.kernel.nbytes() <= STAGE_KERNEL_BUDGET_BYTES
+
+
 # ---------------------------------------------------------------------------
 # the state arrays are the model
 # ---------------------------------------------------------------------------
