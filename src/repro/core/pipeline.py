@@ -286,8 +286,8 @@ class ContextClassificationPipeline:
         """Finalise folded session cascades into offline-identical reports.
 
         The single driver behind :meth:`process_many` (and so
-        :meth:`process`) and the streaming runtime's close path.  Every
-        stage finalises batched across the given sessions:
+        :meth:`process`) and the streaming runtime's close path.  The
+        classifier stages finalise batched across the given sessions:
 
         1. **title** — launch attributes of all window buffers in one
            grouped reduction + one forest pass (the window buffer produces
@@ -306,8 +306,9 @@ class ContextClassificationPipeline:
            ``estimate``; approx cascades (``qoe_mode="approx"``) finalise
            their O(1) session aggregates through
            :meth:`ObjectiveQoEEstimator.estimate_approx` and the report
-           carries ``qoe_approximate=True``.  Objective and calibrated
-           levels map in one vectorised pass either way.
+           carries ``qoe_approximate=True``.  Either way each session's
+           objective and calibrated levels map through the calibrator's
+           per-session ``objective_level`` / ``effective_level``.
         """
         self._require_fitted()
         cascades = list(cascades)
@@ -355,21 +356,7 @@ class ContextClassificationPipeline:
             )
             for metrics, rate_scale in zip(metrics_list, rate_scales)
         ]
-        objective_levels = self.qoe_calibrator.objective_levels(metrics_list)
-        resolved_patterns = [
-            self._resolve_pattern(title, pattern)
-            for title, pattern in zip(title_predictions, pattern_predictions)
-        ]
-        effective_levels = self.qoe_calibrator.effective_levels(
-            metrics_list,
-            title_names=[
-                None if title.is_unknown else title.title
-                for title in title_predictions
-            ],
-            patterns=resolved_patterns,
-            stage_fractions=stage_fractions,
-        )
-
+        calibrator = self.qoe_calibrator
         return [
             SessionContextReport(
                 platform=platform,
@@ -378,19 +365,22 @@ class ContextClassificationPipeline:
                 stage_fractions=fractions,
                 pattern=pattern,
                 objective_metrics=metrics,
-                objective_qoe=objective,
-                effective_qoe=effective,
+                objective_qoe=calibrator.objective_level(metrics),
+                effective_qoe=calibrator.effective_level(
+                    metrics,
+                    title_name=None if title.is_unknown else title.title,
+                    pattern=self._resolve_pattern(title, pattern),
+                    stage_fractions=fractions,
+                ),
                 qoe_approximate=cascade.qoe_mode == "approx",
             )
-            for platform, title, timeline, fractions, pattern, metrics, objective, effective, cascade in zip(
+            for platform, title, timeline, fractions, pattern, metrics, cascade in zip(
                 platforms,
                 title_predictions,
                 stage_timelines,
                 stage_fractions,
                 pattern_predictions,
                 metrics_list,
-                objective_levels,
-                effective_levels,
                 cascades,
             )
         ]
@@ -413,8 +403,7 @@ class ContextClassificationPipeline:
         — launch attributes in one grouped reduction + one forest pass,
         stage timelines from the slot counters with lockstep EMA in one
         forest pass, pattern inference through the chunked early-exit
-        incremental replay, and QoE levels in one vectorised calibration
-        pass.
+        incremental replay, and QoE levels per session.
 
         Parameters
         ----------

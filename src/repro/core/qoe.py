@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -121,92 +121,6 @@ def _level_high_is_bad(value: float, good: float, bad: float) -> QoELevel:
 
 
 _LEVEL_RANK = {QoELevel.GOOD: 0, QoELevel.MEDIUM: 1, QoELevel.BAD: 2}
-_LEVELS_BY_RANK = (QoELevel.GOOD, QoELevel.MEDIUM, QoELevel.BAD)
-
-
-def _rank_levels(
-    frame_rate: np.ndarray,
-    throughput: np.ndarray,
-    latency: np.ndarray,
-    loss: np.ndarray,
-    frame_rate_good,
-    frame_rate_bad,
-    throughput_good,
-    throughput_bad,
-    latency_good,
-    latency_bad,
-    loss_good,
-    loss_bad,
-) -> np.ndarray:
-    """Worst-verdict QoE rank (0=good, 1=medium, 2=bad) per session.
-
-    Thresholds may be scalars (shared expectations) or per-session arrays
-    (calibrated expectations).  Comparisons are the same strict ones as the
-    scalar mapping (value < bad ⇒ bad, value < good ⇒ medium, else good;
-    flipped for latency/loss), so ranks match per-session calls exactly.
-    """
-
-    def low_is_bad(value, good, bad):
-        return np.where(value < bad, 2, np.where(value < good, 1, 0))
-
-    def high_is_bad(value, good, bad):
-        return np.where(value > bad, 2, np.where(value > good, 1, 0))
-
-    return np.maximum.reduce(
-        [
-            low_is_bad(frame_rate, frame_rate_good, frame_rate_bad),
-            low_is_bad(throughput, throughput_good, throughput_bad),
-            high_is_bad(latency, latency_good, latency_bad),
-            high_is_bad(loss, loss_good, loss_bad),
-        ]
-    )
-
-
-def _metric_arrays(metrics: Sequence[QoEMetrics]) -> tuple:
-    """The four gated metrics of a batch as stacked arrays."""
-    return (
-        np.array([m.frame_rate for m in metrics]),
-        np.array([m.throughput_mbps for m in metrics]),
-        np.array([m.latency_ms for m in metrics]),
-        np.array([m.loss_rate for m in metrics]),
-    )
-
-
-def qoe_levels_from_metrics_batch(
-    metrics: Sequence[QoEMetrics],
-    thresholds: Sequence[QoEThresholds],
-) -> List[QoELevel]:
-    """Vectorised :func:`qoe_level_from_metrics` over many sessions.
-
-    ``thresholds`` supplies one (possibly calibrated) expected-range set per
-    session.  The four per-metric verdicts of every session are computed on
-    stacked arrays with the same strict comparisons as the scalar mapping
-    (value < bad ⇒ bad, value < good ⇒ medium, else good; flipped for
-    latency/loss) and the worst verdict wins, so results match per-session
-    calls exactly.
-    """
-    if len(metrics) != len(thresholds):
-        raise ValueError(
-            f"{len(metrics)} metric sets but {len(thresholds)} threshold sets"
-        )
-    if not metrics:
-        return []
-    frame_rate, throughput, latency, loss = _metric_arrays(metrics)
-    ranks = _rank_levels(
-        frame_rate,
-        throughput,
-        latency,
-        loss,
-        np.array([t.frame_rate_good for t in thresholds]),
-        np.array([t.frame_rate_bad for t in thresholds]),
-        np.array([t.throughput_good_mbps for t in thresholds]),
-        np.array([t.throughput_bad_mbps for t in thresholds]),
-        np.array([t.latency_good_ms for t in thresholds]),
-        np.array([t.latency_bad_ms for t in thresholds]),
-        np.array([t.loss_good for t in thresholds]),
-        np.array([t.loss_bad for t in thresholds]),
-    )
-    return [_LEVELS_BY_RANK[rank] for rank in ranks]
 
 
 def qoe_level_from_metrics(
@@ -540,120 +454,6 @@ class EffectiveQoECalibrator:
             "frame_rate": float(np.clip(frame_scale, self.min_scale, 1.0)),
         }
 
-    def _calibration_scales_batch(
-        self,
-        title_names: Sequence[Optional[str]],
-        patterns: Sequence[Optional[ActivityPattern]],
-        stage_fractions: Sequence[Optional[Dict[PlayerStage, float]]],
-        fps_settings: Sequence[Optional[int]],
-    ) -> tuple:
-        """Per-session (frame_scale, throughput_scale) arrays, vectorised.
-
-        The context-demand derivation of :meth:`calibrated_thresholds` for a
-        whole batch at once: the demand of each *distinct* title/pattern is
-        derived once (the catalog lookup and clip run per unique context, not
-        per session), the stage-mix scaling runs on one stacked fraction
-        matrix, and the final clips/caps are elementwise array ops.  Every
-        arithmetic step applies the same float64 operations in the same
-        association order as the scalar path, so the scales are bit-identical
-        to per-session :meth:`calibrated_thresholds` calls.
-        """
-        n = len(title_names)
-        # ---- intrinsic demand per distinct context (title beats pattern)
-        tokens: List[str] = []
-        for name, pattern in zip(title_names, patterns):
-            title = CATALOG.get(name) if name and name != UNKNOWN_TITLE else None
-            if title is not None:
-                tokens.append(f"t:{name}")
-            elif pattern is not None:
-                tokens.append(f"p:{pattern.value}")
-            else:
-                tokens.append("-")
-        unique_tokens, inverse = np.unique(np.asarray(tokens, dtype=object), return_inverse=True)
-        unique_demand = np.empty(unique_tokens.size)
-        for index, token in enumerate(unique_tokens.tolist()):
-            if token.startswith("t:"):
-                unique_demand[index] = self._title_demand_scale(CATALOG[token[2:]])
-            elif token.startswith("p:"):
-                unique_demand[index] = self.pattern_demand.get(
-                    ActivityPattern(token[2:]), 1.0
-                )
-            else:
-                unique_demand[index] = 1.0
-        demand = unique_demand[inverse]
-
-        # ---- stage-mix scaling on one stacked fraction matrix
-        stages = PlayerStage.gameplay_stages()
-        fractions = np.zeros((n, len(stages)))
-        for row, mix in enumerate(stage_fractions):
-            if mix:
-                fractions[row] = [mix.get(stage, 0.0) for stage in stages]
-        # accumulate in stage order, matching the scalar loop's association
-        totals = np.zeros(n)
-        for column in range(len(stages)):
-            totals = totals + fractions[:, column]
-        scaled_mix = totals > 0
-        safe_totals = np.where(scaled_mix, totals, 1.0)
-        weights = fractions / safe_totals[:, None]
-        throughput_stage = np.zeros(n)
-        frame_stage = np.zeros(n)
-        for column, stage in enumerate(stages):
-            throughput_stage = throughput_stage + weights[:, column] * DOWNSTREAM_STAGE_LEVELS[stage]
-            frame_stage = frame_stage + weights[:, column] * FRAME_RATE_STAGE_LEVELS[stage]
-        throughput_stage = np.where(
-            scaled_mix, np.clip(throughput_stage, self.min_scale, 1.0), 1.0
-        )
-        frame_stage = np.where(
-            scaled_mix, np.clip(frame_stage, self.min_scale, 1.0), 1.0
-        )
-
-        throughput_scale = np.maximum(self.min_scale, demand * throughput_stage)
-        frame_scale = np.maximum(self.min_scale, demand * frame_stage)
-        # None means "no cap"; the mask must come from None-ness, not a
-        # numeric sentinel, to match the scalar path for any fps value
-        capped = np.array(
-            [value is not None and value < 60 for value in fps_settings], dtype=bool
-        )
-        if capped.any():
-            fps = np.array(
-                [60.0 if value is None else float(value) for value in fps_settings]
-            )
-            frame_scale = np.where(
-                capped, np.minimum(frame_scale, fps / 60.0), frame_scale
-            )
-        return frame_scale, throughput_scale
-
-    def calibrated_thresholds_batch(
-        self,
-        title_names: Sequence[Optional[str]],
-        patterns: Sequence[Optional[ActivityPattern]],
-        stage_fractions: Sequence[Optional[Dict[PlayerStage, float]]],
-        fps_settings: Optional[Sequence[Optional[int]]] = None,
-    ) -> List[QoEThresholds]:
-        """Batched :meth:`calibrated_thresholds`: one threshold set per session.
-
-        The numeric derivation runs once on stacked arrays
-        (:meth:`_calibration_scales_batch`); only the final
-        :class:`QoEThresholds` construction remains per session.  Results are
-        identical to per-session :meth:`calibrated_thresholds` calls.
-        """
-        if fps_settings is None:
-            fps_settings = [None] * len(title_names)
-        frame_scale, throughput_scale = self._calibration_scales_batch(
-            title_names, patterns, stage_fractions, fps_settings
-        )
-        base = self.base_thresholds
-        return [
-            replace(
-                base,
-                frame_rate_good=base.frame_rate_good * fs,
-                frame_rate_bad=base.frame_rate_bad * fs,
-                throughput_good_mbps=base.throughput_good_mbps * ts,
-                throughput_bad_mbps=base.throughput_bad_mbps * ts,
-            )
-            for fs, ts in zip(frame_scale, throughput_scale)
-        ]
-
     def calibrated_thresholds(
         self,
         title_name: Optional[str] = None,
@@ -698,77 +498,6 @@ class EffectiveQoECalibrator:
     def objective_level(self, metrics: QoEMetrics) -> QoELevel:
         """Uncalibrated (objective) QoE level."""
         return qoe_level_from_metrics(metrics, self.base_thresholds)
-
-    def objective_levels(self, metrics: Sequence[QoEMetrics]) -> List[QoELevel]:
-        """Uncalibrated QoE levels for a batch of sessions (vectorised).
-
-        The shared base expectations broadcast against the stacked metric
-        arrays, so no per-session threshold objects are materialised.
-        """
-        if not metrics:
-            return []
-        base = self.base_thresholds
-        frame_rate, throughput, latency, loss = _metric_arrays(metrics)
-        ranks = _rank_levels(
-            frame_rate,
-            throughput,
-            latency,
-            loss,
-            base.frame_rate_good,
-            base.frame_rate_bad,
-            base.throughput_good_mbps,
-            base.throughput_bad_mbps,
-            base.latency_good_ms,
-            base.latency_bad_ms,
-            base.loss_good,
-            base.loss_bad,
-        )
-        return [_LEVELS_BY_RANK[rank] for rank in ranks]
-
-    def effective_levels(
-        self,
-        metrics: Sequence[QoEMetrics],
-        title_names: Sequence[Optional[str]],
-        patterns: Sequence[Optional[ActivityPattern]],
-        stage_fractions: Sequence[Optional[Dict[PlayerStage, float]]],
-        fps_settings: Optional[Sequence[Optional[int]]] = None,
-    ) -> List[QoELevel]:
-        """Context-calibrated QoE levels for a batch of sessions.
-
-        Per-session calibrated expectations are derived from the classified
-        context in one vectorised pass (:meth:`_calibration_scales_batch` —
-        no per-session ``QoEThresholds`` objects are built), then the
-        metric-to-level mapping runs once over the stacked arrays.  Levels
-        equal per-session :meth:`effective_level` calls exactly.
-        ``title_names`` / ``patterns`` / ``stage_fractions`` (and optional
-        ``fps_settings``) must align index-wise with ``metrics``.
-        """
-        if not (len(metrics) == len(title_names) == len(patterns) == len(stage_fractions)):
-            raise ValueError("batch calibration inputs must have equal lengths")
-        if not metrics:
-            return []
-        if fps_settings is None:
-            fps_settings = [None] * len(metrics)
-        frame_scale, throughput_scale = self._calibration_scales_batch(
-            title_names, patterns, stage_fractions, fps_settings
-        )
-        base = self.base_thresholds
-        frame_rate, throughput, latency, loss = _metric_arrays(metrics)
-        ranks = _rank_levels(
-            frame_rate,
-            throughput,
-            latency,
-            loss,
-            base.frame_rate_good * frame_scale,
-            base.frame_rate_bad * frame_scale,
-            base.throughput_good_mbps * throughput_scale,
-            base.throughput_bad_mbps * throughput_scale,
-            base.latency_good_ms,
-            base.latency_bad_ms,
-            base.loss_good,
-            base.loss_bad,
-        )
-        return [_LEVELS_BY_RANK[rank] for rank in ranks]
 
     def effective_level(
         self,

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -341,16 +341,62 @@ class SlotStageReducer:
 # per-interval QoE stores (exact and approximate tiers)
 # ---------------------------------------------------------------------------
 class _IntervalSealer:
-    """Seal-watermark logic shared by the exact and approx QoE reducers.
+    """Interval bucketing and the seal watermark, shared by both QoE reducers.
 
-    Subclasses provide ``interval_seconds``, ``_sealed_upto`` and
-    ``_sealed_view(index, origin, end_s, partial)``; the watermark ensures
-    every interval seals exactly once (late rows landing in an
-    already-sealed interval still fold, but the provisional event for that
-    window is never re-emitted).
+    Holds the window width, the per-window stores keyed by interval index
+    (``_stores``) and the watermark ``_sealed_upto``, the first index not yet
+    sealed.  :meth:`_runs` stably sorts a batch and cuts it into one run per
+    window; :meth:`advance` / :meth:`flush` move the watermark
+    and hand each window's start, end and duration to the subclass's
+    ``_sealed_view(index, start_s, end_s, duration_s, partial)``.  Every
+    window seals exactly once: rows landing behind the watermark still fold
+    (into the exact tier's close-time columns, into the approx tier's
+    session aggregates), but the provisional event for that window is never
+    re-emitted.
     """
 
-    __slots__ = ()
+    __slots__ = ("interval_seconds", "_stores", "_sealed_upto")
+
+    def __init__(self, interval_seconds: float = 10.0) -> None:
+        if interval_seconds <= 0:
+            raise ValueError(
+                f"interval_seconds must be positive, got {interval_seconds}"
+            )
+        self.interval_seconds = interval_seconds
+        self._stores: dict = {}
+        self._sealed_upto = 0  # first interval index not yet sealed
+
+    def _runs(self, origin: float, timestamps: np.ndarray, columns: tuple, by_time: bool) -> tuple:
+        """A non-empty batch stably sorted and cut into per-window runs.
+
+        ``by_time`` sorts the rows by timestamp; otherwise only by window
+        index, which keeps every window's rows in arrival order.  Returns
+        the sorted ``timestamps``, the ``columns`` in the same order
+        (``None`` stays ``None``) and the ``(interval, start, end)`` row
+        runs.  A batch already in order is returned as is, so runs slice it
+        zero-copy.
+        """
+        indices = np.floor((timestamps - origin) / self.interval_seconds).astype(np.int64)
+        np.maximum(indices, 0, out=indices)
+        key = timestamps if by_time else indices
+        if key.size > 1 and not bool(np.all(key[1:] >= key[:-1])):
+            order = np.argsort(key, kind="stable")
+            timestamps, indices = timestamps[order], indices[order]
+            columns = tuple(None if column is None else column[order] for column in columns)
+        edges = (np.flatnonzero(indices[1:] != indices[:-1]) + 1).tolist()
+        starts = [0] + edges
+        ends = edges + [int(timestamps.size)]
+        runs = [(int(indices[start]), start, end) for start, end in zip(starts, ends)]
+        return timestamps, columns, runs
+
+    def _seal(self, index: int, origin: float, end_s: float, partial: bool):
+        # index 0 starts at the origin directly: with the infinite-interval
+        # sentinel (one window spanning the whole session) 0 * inf is NaN
+        start = origin if index == 0 else origin + index * self.interval_seconds
+        # floor at 1 ms: a close-flushed partial window whose last packet
+        # sits exactly on the interval boundary has zero span, and rates
+        # over a sub-millisecond window would be monitoring noise
+        return self._sealed_view(index, start, end_s, max(end_s - start, 1e-3), partial)
 
     def advance(self, clock: float, origin: Optional[float]) -> list:
         """Seal every interval whose end the feed clock has passed."""
@@ -360,12 +406,7 @@ class _IntervalSealer:
         if complete <= self._sealed_upto:
             return []
         sealed = [
-            self._sealed_view(
-                index,
-                origin,
-                end_s=origin + (index + 1) * self.interval_seconds,
-                partial=False,
-            )
+            self._seal(index, origin, origin + (index + 1) * self.interval_seconds, False)
             for index in range(self._sealed_upto, complete)
         ]
         self._sealed_upto = complete
@@ -382,9 +423,44 @@ class _IntervalSealer:
         for index in range(self._sealed_upto, k_last + 1):
             partial = index == k_last
             end = last_ts if partial else origin + (index + 1) * self.interval_seconds
-            sealed.append(self._sealed_view(index, origin, end_s=end, partial=partial))
+            sealed.append(self._seal(index, origin, end, partial))
         self._sealed_upto = k_last + 1
         return sealed
+
+    def snapshot(self) -> dict:
+        return {
+            "interval_seconds": self.interval_seconds,
+            "stores": {key: store.snapshot() for key, store in self._stores.items()},
+            "sealed_upto": self._sealed_upto,
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        self.interval_seconds = snapshot["interval_seconds"]
+        self._stores = {
+            key: self._store_from_snapshot(key, state)
+            for key, state in snapshot["stores"].items()
+        }
+        self._sealed_upto = snapshot["sealed_upto"]
+
+
+def _concat_rtp(columns: list, sizes: list) -> Optional[np.ndarray]:
+    """Concatenate optional RTP columns, absent ones as ``RTP_NONE`` runs.
+
+    ``None`` when every column is absent; ``sizes`` gives each part's rows.
+    """
+    if all(column is None for column in columns):
+        return None
+    return np.concatenate(
+        [
+            np.full(size, RTP_NONE, dtype=np.int64) if column is None else column
+            for column, size in zip(columns, sizes)
+        ]
+    )
+
+
+def _rtp_values(column: Optional[np.ndarray]) -> np.ndarray:
+    """The RTP values of an optional column (rows without RTP dropped)."""
+    return _EMPTY_INT if column is None else column[column != RTP_NONE]
 
 
 @dataclass(frozen=True)
@@ -445,20 +521,9 @@ class _IntervalStore:
                 ts, seq, rts = parts[0]
             else:
                 ts = np.concatenate([part[0] for part in parts])
-
-                def optional(slot: int) -> Optional[np.ndarray]:
-                    if all(part[slot] is None for part in parts):
-                        return None
-                    return np.concatenate(
-                        [
-                            part[slot]
-                            if part[slot] is not None
-                            else np.full(part[0].size, RTP_NONE, dtype=np.int64)
-                            for part in parts
-                        ]
-                    )
-
-                seq, rts = optional(1), optional(2)
+                sizes = [part[0].size for part in parts]
+                seq = _concat_rtp([part[1] for part in parts], sizes)
+                rts = _concat_rtp([part[2] for part in parts], sizes)
             if ts.size > 1 and not bool(np.all(ts[1:] >= ts[:-1])):
                 order = np.argsort(ts, kind="stable")
                 ts = ts[order]
@@ -511,21 +576,12 @@ class QoEIntervalReducer(_IntervalSealer):
     reads — downstream arrival timestamps, RTP sequence numbers and RTP
     timestamps — consolidated and stably time-sorted when the interval
     seals.  Sealed intervals drive the provisional :class:`QoEInterval`
-    events; :meth:`final_arrays` concatenates them (interval order equals
+    events; :meth:`final_columns` concatenates them (interval order equals
     global time order) into exactly the downstream views offline
     ``ObjectiveQoEEstimator.estimate`` reads from the sorted stream.
     """
 
-    __slots__ = ("interval_seconds", "_stores", "_sealed_upto")
-
-    def __init__(self, interval_seconds: float = 10.0) -> None:
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"interval_seconds must be positive, got {interval_seconds}"
-            )
-        self.interval_seconds = interval_seconds
-        self._stores: Dict[int, _IntervalStore] = {}
-        self._sealed_upto = 0  # first interval index not yet sealed
+    __slots__ = ()
 
     def absorb_arrays(
         self,
@@ -537,40 +593,27 @@ class QoEIntervalReducer(_IntervalSealer):
     ) -> None:
         """Bucket pre-selected downstream rows by interval index.
 
-        The common case — time-sorted rows (offline full-session folds and
-        time-sliced feed batches) — partitions into contiguous runs with one
-        boundary scan, storing zero-copy views; unsorted batches fall back
-        to per-interval masks (arrival order within an interval is preserved
-        either way, which is what keeps finalisation stable-sort exact).
+        The batch is stably sorted by window first (:meth:`_runs`; a batch
+        whose windows do not interleave — offline full-session folds,
+        time-sliced feed batches — as is), so each interval's rows are one
+        contiguous run in arrival order, queued as a view.  Arrival order
+        within a window is what keeps finalisation exact:
+        :meth:`_IntervalStore.consolidate` stable-sorts every window by time,
+        and the fold's one-window shortcut queues its rows the same way.
         """
         if not timestamps.size:
             return
-        indices = np.floor((timestamps - origin) / self.interval_seconds).astype(
-            np.int64
+        timestamps, (sizes, sequences, rtp_times), runs = self._runs(
+            origin, timestamps, (sizes, sequences, rtp_times), by_time=False
         )
-        np.maximum(indices, 0, out=indices)
-        if bool(np.all(indices[1:] >= indices[:-1])):
-            boundaries = np.flatnonzero(indices[1:] != indices[:-1]) + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [indices.size]))
-            for start, end in zip(starts, ends):
-                self.absorb_interval(
-                    int(indices[start]),
-                    timestamps[start:end],
-                    sequences[start:end] if sequences is not None else None,
-                    rtp_times[start:end] if rtp_times is not None else None,
-                    float(sizes[start:end].sum()),
-                )
-        else:
-            for interval in np.unique(indices):
-                mask = indices == interval
-                self.absorb_interval(
-                    int(interval),
-                    timestamps[mask],
-                    sequences[mask] if sequences is not None else None,
-                    rtp_times[mask] if rtp_times is not None else None,
-                    float(sizes[mask].sum()),
-                )
+        for interval, start, end in runs:
+            self.absorb_interval(
+                interval,
+                timestamps[start:end],
+                sequences[start:end] if sequences is not None else None,
+                rtp_times[start:end] if rtp_times is not None else None,
+                float(sizes[start:end].sum()),
+            )
 
     def absorb_interval(
         self,
@@ -592,31 +635,20 @@ class QoEIntervalReducer(_IntervalSealer):
 
     # ------------------------------------------------------------ sealing
     def _sealed_view(
-        self, index: int, origin: float, end_s: float, partial: bool
+        self, index: int, start_s: float, end_s: float, duration_s: float, partial: bool
     ) -> SealedQoEInterval:
-        # index 0 starts at the origin directly: with the infinite-interval
-        # sentinel (one window spanning the whole session) 0 * inf is NaN
-        start = origin if index == 0 else origin + index * self.interval_seconds
-        store = self._stores.get(index)
-        if store is None:
-            ts, seq, rts = _EMPTY_FLOAT, None, None
-            payload, count = 0.0, 0
-        else:
-            ts, seq, rts = store.consolidate()
-            payload, count = store.payload_bytes, store.n_packets
+        store = self._stores.get(index, _NO_ROWS)
+        ts, seq, rts = store.consolidate()
         return SealedQoEInterval(
             index=index,
-            start_s=start,
+            start_s=start_s,
             end_s=end_s,
-            # floor at 1 ms: a close-flushed partial window whose last packet
-            # sits exactly on the interval boundary has zero span, and rates
-            # over a sub-millisecond window would be monitoring noise
-            duration_s=max(end_s - start, 1e-3),
+            duration_s=duration_s,
             down_times=ts,
-            rtp_timestamps=rts[rts != RTP_NONE] if rts is not None else _EMPTY_INT,
-            rtp_sequences=seq[seq != RTP_NONE] if seq is not None else _EMPTY_INT,
-            payload_bytes=payload,
-            n_packets=count,
+            rtp_timestamps=_rtp_values(rts),
+            rtp_sequences=_rtp_values(seq),
+            payload_bytes=store.payload_bytes,
+            n_packets=store.n_packets,
             partial=partial,
         )
 
@@ -634,55 +666,22 @@ class QoEIntervalReducer(_IntervalSealer):
         triples = [self._stores[key].consolidate() for key in sorted(self._stores)]
         if len(triples) == 1:
             times, seq, rts = triples[0]
-            return (
-                times,
-                rts[rts != RTP_NONE] if rts is not None else _EMPTY_INT,
-                seq[seq != RTP_NONE] if seq is not None else _EMPTY_INT,
-            )
-        times = np.concatenate([ts for ts, _, _ in triples])
-        any_seq = any(seq is not None for _, seq, _ in triples)
-        any_rts = any(rts is not None for _, _, rts in triples)
-        if any_seq:
-            seq = np.concatenate(
-                [
-                    seq if seq is not None else np.full(ts.size, RTP_NONE, np.int64)
-                    for ts, seq, _ in triples
-                ]
-            )
-            seq = seq[seq != RTP_NONE]
         else:
-            seq = _EMPTY_INT
-        if any_rts:
-            rts = np.concatenate(
-                [
-                    rts if rts is not None else np.full(ts.size, RTP_NONE, np.int64)
-                    for ts, _, rts in triples
-                ]
-            )
-            rts = rts[rts != RTP_NONE]
-        else:
-            rts = _EMPTY_INT
-        return times, rts, seq
+            times = np.concatenate([ts for ts, _, _ in triples])
+            sizes = [ts.size for ts, _, _ in triples]
+            seq = _concat_rtp([seq for _, seq, _ in triples], sizes)
+            rts = _concat_rtp([rts for _, _, rts in triples], sizes)
+        return times, _rtp_values(rts), _rtp_values(seq)
 
     def nbytes(self) -> int:
         return sum(store.nbytes() for store in self._stores.values())
 
-    def snapshot(self) -> dict:
-        return {
-            "interval_seconds": self.interval_seconds,
-            "stores": {
-                key: store.snapshot() for key, store in self._stores.items()
-            },
-            "sealed_upto": self._sealed_upto,
-        }
+    def _store_from_snapshot(self, key: int, state: dict) -> _IntervalStore:
+        return _IntervalStore.from_snapshot(state)
 
-    def restore(self, snapshot: dict) -> None:
-        self.interval_seconds = snapshot["interval_seconds"]
-        self._stores = {
-            key: _IntervalStore.from_snapshot(state)
-            for key, state in snapshot["stores"].items()
-        }
-        self._sealed_upto = snapshot["sealed_upto"]
+
+#: The store an interval without rows reads as (never written to).
+_NO_ROWS = _IntervalStore()
 
 
 # ---------------------------------------------------------------------------
@@ -828,32 +827,23 @@ class _ApproxIntervalStore:
 
     def snapshot(self) -> dict:
         return {
-            "n_packets": self.n_packets,
-            "payload_bytes": self.payload_bytes,
-            "n_rtp": self.n_rtp,
-            "n_new_frames": self.n_new_frames,
-            "gap_count": self.gap_count,
-            "gap_max": self.gap_max,
-            "burst_gap_count": self.burst_gap_count,
-            "reservoir": self.reservoir.snapshot(),
-            "seq_received": self.seq_received,
-            "candidate_gap_packets": self.candidate_gap_packets,
+            name: self.reservoir.snapshot() if name == "reservoir" else getattr(self, name)
+            for name in self.__slots__
         }
 
     @classmethod
     def from_snapshot(cls, index: int, capacity: int, snapshot: dict):
         store = cls(index, capacity)
-        store.n_packets = snapshot["n_packets"]
-        store.payload_bytes = snapshot["payload_bytes"]
-        store.n_rtp = snapshot["n_rtp"]
-        store.n_new_frames = snapshot["n_new_frames"]
-        store.gap_count = snapshot["gap_count"]
-        store.gap_max = snapshot["gap_max"]
-        store.burst_gap_count = snapshot["burst_gap_count"]
-        store.reservoir.restore(snapshot["reservoir"])
-        store.seq_received = snapshot["seq_received"]
-        store.candidate_gap_packets = snapshot.get("candidate_gap_packets", 0)
+        for name in cls.__slots__:
+            if name == "reservoir":
+                store.reservoir.restore(snapshot[name])
+            elif name in snapshot:  # a field the snapshot predates keeps its initial value
+                setattr(store, name, snapshot[name])
         return store
+
+
+#: The store a window without rows reads as (never written to).
+_NO_APPROX_ROWS = _ApproxIntervalStore(0, 0)
 
 
 class ApproxQoEIntervalReducer(_IntervalSealer):
@@ -901,9 +891,6 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
     session_reservoir = 4096
 
     __slots__ = (
-        "interval_seconds",
-        "_stores",
-        "_sealed_upto",
         "_last_down_ts",
         "_frame_max_rts",
         "_n_frames",
@@ -925,13 +912,7 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
     _RESET_GAP = 200
 
     def __init__(self, interval_seconds: float = 10.0) -> None:
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"interval_seconds must be positive, got {interval_seconds}"
-            )
-        self.interval_seconds = interval_seconds
-        self._stores: Dict[int, _ApproxIntervalStore] = {}
-        self._sealed_upto = 0
+        super().__init__(interval_seconds)
         self._last_down_ts = float("-inf")
         self._frame_max_rts = -1
         self._n_frames = 0
@@ -957,17 +938,17 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         rtp_times: Optional[np.ndarray],
         origin: float,
     ) -> None:
-        """Fold pre-selected downstream rows into the fixed-size aggregates."""
+        """Fold pre-selected downstream rows into the fixed-size aggregates.
+
+        Rows behind the seal watermark fold into the session aggregates
+        only: their window's event is out, and a store made for it would
+        never seal again.
+        """
         if not timestamps.size:
             return
-        if timestamps.size > 1 and not bool(
-            np.all(timestamps[1:] >= timestamps[:-1])
-        ):
-            order = np.argsort(timestamps, kind="stable")
-            timestamps = timestamps[order]
-            sizes = sizes[order]
-            sequences = sequences[order] if sequences is not None else None
-            rtp_times = rtp_times[order] if rtp_times is not None else None
+        timestamps, (sizes, sequences, rtp_times), runs = self._runs(
+            origin, timestamps, (sizes, sequences, rtp_times), by_time=True
+        )
         n = int(timestamps.size)
 
         # --- inter-frame gap stream (diffs against the carried last arrival)
@@ -1051,19 +1032,14 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
             else:
                 seq_valid = None
 
-        # --- per-interval aggregates (sorted rows => contiguous runs)
-        indices = np.floor((timestamps - origin) / self.interval_seconds).astype(
-            np.int64
-        )
-        np.maximum(indices, 0, out=indices)
-        boundaries = np.flatnonzero(indices[1:] != indices[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [n]))
-        for start, end in zip(starts, ends):
-            store = self._stores.get(int(indices[start]))
+        # --- per-interval aggregates of the open windows
+        for interval, start, end in runs:
+            if interval < self._sealed_upto:
+                continue
+            store = self._stores.get(interval)
             if store is None:
-                store = self._stores[int(indices[start])] = _ApproxIntervalStore(
-                    int(indices[start]), self.interval_reservoir
+                store = self._stores[interval] = _ApproxIntervalStore(
+                    interval, self.interval_reservoir
                 )
             store.n_packets += int(end - start)
             store.payload_bytes += float(sizes[start:end].sum())
@@ -1087,48 +1063,29 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
 
     # ------------------------------------------------------------ sealing
     def _sealed_view(
-        self, index: int, origin: float, end_s: float, partial: bool
+        self, index: int, start_s: float, end_s: float, duration_s: float, partial: bool
     ) -> SealedApproxQoEInterval:
-        # index 0 starts at the origin directly (inf-interval sentinel: 0*inf
-        # is NaN), exactly like the exact reducer
-        start = origin if index == 0 else origin + index * self.interval_seconds
         # pop, don't get: nothing reads a sealed store again (close metrics
-        # come from the session-level aggregates), so live per-interval state
-        # is bounded by the *open* windows, not the session's lifetime.  Late
-        # rows landing in a sealed interval re-create a store that is never
-        # re-sealed — dead weight bounded by the feed's reordering span.
+        # come from the session-level aggregates), and rows arriving behind
+        # the watermark never make a new one, so live per-interval state is
+        # bounded by the *open* windows, not the session's lifetime
         store = self._stores.pop(index, None)
+        lost = 0
         if store is None:
-            return SealedApproxQoEInterval(
-                index=index,
-                start_s=start,
-                end_s=end_s,
-                duration_s=max(end_s - start, 1e-3),
-                n_packets=0,
-                payload_bytes=0.0,
-                n_rtp=0,
-                n_new_frames=0,
-                burst_gap_count=0,
-                gap_count=0,
-                gap_max_s=0.0,
-                gap_samples=_EMPTY_FLOAT,
-                seq_received=0,
-                seq_lost=0,
-                partial=partial,
-                frozen=False,
-            )
-        # attribute the growth of the session-wide lost count since the last
-        # seal to this window (a skipped value resolved by a later arrival
-        # silently drops out of the session total — provisional verdicts are
-        # not retracted, exactly like the other gates)
-        lost_now = self._lost_so_far()
-        lost = max(0, lost_now - self._lost_reported)
-        self._lost_reported = lost_now
+            store = _NO_APPROX_ROWS
+        else:
+            # attribute the growth of the session-wide lost count since the
+            # last seal to this window (a skipped value resolved by a later
+            # arrival silently drops out of the session total — provisional
+            # verdicts are not retracted, exactly like the other gates)
+            lost_now = self._lost_so_far()
+            lost = max(0, lost_now - self._lost_reported)
+            self._lost_reported = lost_now
         return SealedApproxQoEInterval(
             index=index,
-            start_s=start,
+            start_s=start_s,
             end_s=end_s,
-            duration_s=max(end_s - start, 1e-3),
+            duration_s=duration_s,
             n_packets=store.n_packets,
             payload_bytes=store.payload_bytes,
             n_rtp=store.n_rtp,
@@ -1182,11 +1139,7 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
 
     def snapshot(self) -> dict:
         return {
-            "interval_seconds": self.interval_seconds,
-            "stores": {
-                key: store.snapshot() for key, store in self._stores.items()
-            },
-            "sealed_upto": self._sealed_upto,
+            **super().snapshot(),
             "last_down_ts": self._last_down_ts,
             "frame_max_rts": self._frame_max_rts,
             "n_frames": self._n_frames,
@@ -1205,14 +1158,7 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         }
 
     def restore(self, snapshot: dict) -> None:
-        self.interval_seconds = snapshot["interval_seconds"]
-        self._stores = {
-            key: _ApproxIntervalStore.from_snapshot(
-                key, self.interval_reservoir, state
-            )
-            for key, state in snapshot["stores"].items()
-        }
-        self._sealed_upto = snapshot["sealed_upto"]
+        super().restore(snapshot)
         self._last_down_ts = snapshot["last_down_ts"]
         self._frame_max_rts = snapshot["frame_max_rts"]
         self._n_frames = snapshot["n_frames"]
@@ -1228,6 +1174,9 @@ class ApproxQoEIntervalReducer(_IntervalSealer):
         self._seen = None if seen is None else seen.copy()
         self._skipped = None if skipped is None else skipped.copy()
         self._lost_reported = snapshot["lost_reported"]
+
+    def _store_from_snapshot(self, key: int, state: dict) -> _ApproxIntervalStore:
+        return _ApproxIntervalStore.from_snapshot(key, self.interval_reservoir, state)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.features import launch_features, volumetric_launch_features
 from repro.core.packet_groups import PacketGroupLabeler
 from repro.simulation.augmentation import augment_session
-from repro.simulation.catalog import GAME_TITLES, PlayerStage
+from repro.simulation.catalog import GAME_TITLES
 from repro.simulation.isp import ISPDeploymentSimulator, SessionRecord
 from repro.simulation.lab_dataset import LabDataset, generate_lab_dataset
 from repro.simulation.session import GameSession
@@ -238,28 +237,6 @@ def title_features(
     )
 
 
-def stage_slot_dataset(
-    sessions: Sequence[GameSession],
-    slot_duration: float = 1.0,
-    alpha: float = 0.5,
-) -> Tuple[np.ndarray, np.ndarray, List[List[PlayerStage]]]:
-    """Per-slot volumetric features, stage labels and per-session sequences."""
-    classifier = PlayerActivityClassifier(slot_duration=slot_duration, alpha=alpha)
-    feature_blocks = []
-    label_blocks = []
-    sequences: List[List[PlayerStage]] = []
-    for session in sessions:
-        slot_labels = session.slot_ground_truth(slot_duration)
-        sequences.append(slot_labels)
-        X, y = classifier.session_features_and_labels(session.packets, slot_labels)
-        if X.shape[0]:
-            feature_blocks.append(X)
-            label_blocks.append(y)
-    if not feature_blocks:
-        raise ValueError("no gameplay slots found in the corpus")
-    return np.vstack(feature_blocks), np.concatenate(label_blocks), sequences
-
-
 def session_split(
     sessions: Sequence[GameSession],
     test_fraction: float = 0.3,
@@ -282,12 +259,3 @@ def session_split(
         for position, index in enumerate(indices):
             (test if position < n_test else train).append(group[index])
     return train, test
-
-
-def clear_caches() -> None:
-    """Drop all cached corpora (mainly for tests of the cache itself)."""
-    launch_corpus.cache_clear()
-    gameplay_corpus.cache_clear()
-    isp_records.cache_clear()
-    deployment_corpus.cache_clear()
-    scenario_pipeline.cache_clear()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -121,19 +119,3 @@ def validate_fraction(value: float, name: str, *, inclusive: bool = False) -> fl
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must be within (0, 1), got {value}")
     return value
-
-
-def encode_labels(y: Sequence, classes: np.ndarray) -> np.ndarray:
-    """Encode labels ``y`` as indices into ``classes``.
-
-    Raises
-    ------
-    ValueError
-        If ``y`` contains a label not present in ``classes``.
-    """
-    y = np.asarray(y)
-    lookup = {label: index for index, label in enumerate(classes.tolist())}
-    try:
-        return np.array([lookup[label] for label in y.tolist()], dtype=int)
-    except KeyError as exc:  # pragma: no cover - defensive
-        raise ValueError(f"unknown label {exc.args[0]!r}") from exc

@@ -89,12 +89,6 @@ def f1_score(y_true, y_pred, labels: Optional[Sequence] = None) -> Dict:
     return out
 
 
-def macro_f1(y_true, y_pred) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    scores = f1_score(y_true, y_pred)
-    return float(np.mean(list(scores.values()))) if scores else 0.0
-
-
 @dataclass
 class ClassificationReport:
     """Structured summary of a classification run."""

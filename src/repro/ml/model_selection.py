@@ -139,14 +139,6 @@ class GridSearchResult:
     best_score: float
     results: List[Dict] = field(default_factory=list)
 
-    def scores_for(self, **fixed) -> List[Dict]:
-        """Return result rows whose parameters match all ``fixed`` values."""
-        rows = []
-        for row in self.results:
-            if all(row["params"].get(key) == value for key, value in fixed.items()):
-                rows.append(row)
-        return rows
-
 
 def iter_param_grid(param_grid: Dict[str, Sequence]) -> Iterator[Dict]:
     """Yield every combination of the parameter grid as a dict."""

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.simulation.catalog import ActivityPattern, GameTitle, PlayerStage
+from repro.simulation.catalog import ActivityPattern, PlayerStage
 
 #: Stage transition probabilities per gameplay activity pattern (Fig. 5).
 #: ``TRANSITIONS[pattern][from_stage][to_stage]`` = probability of moving to
@@ -223,8 +223,3 @@ def gameplay_fractions(timeline: List[StageInterval]) -> Dict[PlayerStage, float
         stage: totals[stage] / gameplay_total
         for stage in PlayerStage.gameplay_stages()
     }
-
-
-def model_for_title(title: GameTitle, **kwargs) -> ActivityPatternModel:
-    """Convenience constructor: the activity model of a catalog title."""
-    return ActivityPatternModel(pattern=title.pattern, **kwargs)

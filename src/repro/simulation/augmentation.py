@@ -9,7 +9,7 @@ implements that technique on packet streams and whole sessions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,22 +85,3 @@ def augment_session(
         server_ip=session.server_ip,
         session_id=session.session_id,
     )
-
-
-def augment_sessions(
-    sessions: List[GameSession],
-    copies_per_session: int = 1,
-    rng: Optional[np.random.Generator] = None,
-    **kwargs,
-) -> List[GameSession]:
-    """Augment a corpus with ``copies_per_session`` perturbed copies each."""
-    if copies_per_session < 0:
-        raise ValueError(
-            f"copies_per_session must be non-negative, got {copies_per_session}"
-        )
-    rng = rng or np.random.default_rng()
-    augmented: List[GameSession] = []
-    for session in sessions:
-        for _ in range(copies_per_session):
-            augmented.append(augment_session(session, rng=rng, **kwargs))
-    return augmented

@@ -99,11 +99,6 @@ class GameTitle:
                     f"invalid bitrate cluster ({low}, {high}) for {self.name}"
                 )
 
-    @property
-    def max_bitrate_mbps(self) -> float:
-        """Upper edge of the highest bitrate cluster."""
-        return max(high for _low, high in self.bitrate_clusters_mbps)
-
     def stage_fraction(self, stage: PlayerStage) -> float:
         """Fraction of gameplay time spent in ``stage`` (0 when unknown)."""
         return self.stage_fractions.get(stage, 0.0)

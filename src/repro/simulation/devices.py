@@ -28,16 +28,6 @@ class Resolution(Enum):
     UHD = "UHD"      # 3840x2160
 
     @property
-    def pixels(self) -> int:
-        return {
-            Resolution.SD: 854 * 480,
-            Resolution.HD: 1280 * 720,
-            Resolution.FHD: 1920 * 1080,
-            Resolution.QHD: 2560 * 1440,
-            Resolution.UHD: 3840 * 2160,
-        }[self]
-
-    @property
     def bitrate_scale(self) -> float:
         """Relative encoder bitrate versus FHD for the same content."""
         return {

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.simulation.catalog import GAME_TITLES, GameTitle, PlayerStage
+from repro.simulation.catalog import GAME_TITLES, GameTitle
 from repro.simulation.devices import LAB_CONFIGURATIONS, DeviceConfiguration
 from repro.simulation.session import GameSession, SessionConfig, SessionGenerator
 
@@ -36,10 +36,6 @@ class LabDataset:
         """Distinct title names present in the corpus."""
         return sorted({session.title_name for session in self.sessions})
 
-    def sessions_for(self, title_name: str) -> List[GameSession]:
-        """All sessions of one title."""
-        return [s for s in self.sessions if s.title_name == title_name]
-
     def total_playtime_hours(self) -> float:
         """Total session duration across the corpus in hours."""
         return sum(session.duration for session in self.sessions) / 3600.0
@@ -53,33 +49,6 @@ class LabDataset:
             entry["sessions"] += 1
             entry["playtime_hours"] += session.duration / 3600.0
         return summary
-
-    def summary_by_title(self) -> Dict[str, Dict[str, float]]:
-        """Session count, playtime and mean throughput per title."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for session in self.sessions:
-            entry = summary.setdefault(
-                session.title_name,
-                {"sessions": 0, "playtime_hours": 0.0, "mean_mbps": 0.0},
-            )
-            entry["sessions"] += 1
-            entry["playtime_hours"] += session.duration / 3600.0
-            entry["mean_mbps"] += session.mean_downstream_mbps()
-        for entry in summary.values():
-            if entry["sessions"]:
-                entry["mean_mbps"] /= entry["sessions"]
-        return summary
-
-    def stage_fraction_means(self) -> Dict[PlayerStage, float]:
-        """Mean ground-truth stage fractions across the corpus."""
-        stages = PlayerStage.gameplay_stages()
-        totals = {stage: 0.0 for stage in stages}
-        for session in self.sessions:
-            fractions = session.stage_fractions()
-            for stage in stages:
-                totals[stage] += fractions[stage]
-        count = max(1, len(self.sessions))
-        return {stage: totals[stage] / count for stage in stages}
 
 
 def _lab_device_cycle() -> List[DeviceConfiguration]:

@@ -77,17 +77,6 @@ class LaunchProfile:
         index = min(max(second, 0), len(self.slots) - 1)
         return self.slots[index]
 
-    def mean_bitrate_mbps(self) -> float:
-        """Approximate mean downstream bitrate of the launch animation."""
-        total_bytes = 0.0
-        for slot in self.slots:
-            total_bytes += slot.full_rate * FULL_PACKET_PAYLOAD
-            total_bytes += slot.steady_rate * slot.steady_center
-            total_bytes += slot.sparse_rate * (slot.sparse_low + slot.sparse_high) / 2
-        if not self.slots:
-            return 0.0
-        return total_bytes * 8 / len(self.slots) / 1e6
-
 
 @lru_cache(maxsize=64)
 def _build_profile(title_name: str, launch_seed: int, launch_bitrate_mbps: float) -> LaunchProfile:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.net.conditions import NetworkConditions, apply_conditions_columns
-from repro.net.packet import Direction, PacketColumns, PacketStream
+from repro.net.packet import PacketColumns, PacketStream
 from repro.simulation.activity_model import (
     ActivityPatternModel,
     StageInterval,
@@ -131,17 +131,6 @@ class GameSession:
     def stage_fractions(self) -> Dict[PlayerStage, float]:
         """Fraction of gameplay time per stage (ground truth)."""
         return gameplay_fractions(self.timeline)
-
-    def launch_packets(self) -> PacketStream:
-        """Downstream packets of the launch stage only."""
-        launch_end = self.gameplay_start() or self.duration
-        return self.packets.between(0.0, launch_end).filter_direction(
-            Direction.DOWNSTREAM
-        )
-
-    def mean_downstream_mbps(self) -> float:
-        """Session-average downstream payload throughput in Mbps."""
-        return self.packets.mean_throughput_mbps(Direction.DOWNSTREAM)
 
     def slot_ground_truth(self, slot_duration: float = 1.0) -> List[PlayerStage]:
         """Ground-truth stage per slot over the whole session."""

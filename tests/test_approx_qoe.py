@@ -22,6 +22,7 @@ from repro.core.reducers import (
 )
 from repro.net.packet import (
     DOWNSTREAM_CODE,
+    RTP_NONE,
     Direction,
     PacketColumns,
 )
@@ -239,6 +240,52 @@ def test_approx_sealed_interval_stores_are_freed():
     sealed = reducer.flush(origin=0.0, last_ts=600.0)
     assert sealed[-1].partial
     assert reducer.nbytes() <= baseline
+
+
+def test_approx_late_rows_do_not_reopen_sealed_windows():
+    """A row arriving after its window sealed folds into the session
+    aggregates only: no store comes back for a window that never seals
+    again, so state stays bounded by the open windows."""
+    import pickle
+
+    width, n_windows = 10.0, 60
+    rng = np.random.default_rng(5)
+    on_time = [np.sort(rng.uniform(k * width, (k + 1) * width, 100)) for k in range(n_windows)]
+
+    def batch(k, late):
+        timestamps = on_time[k]
+        sequences = (np.arange(100, dtype=np.int64) + 100 * k) & 0xFFFF
+        rtp_times = (timestamps * 90_000).astype(np.int64)
+        if late and k:
+            # a duplicate of the previous window's last row, without RTP:
+            # the gap stream, frames and loss are those of the feed without it
+            timestamps = np.concatenate(([on_time[k - 1][-1]], timestamps))
+            sequences = np.concatenate(([RTP_NONE], sequences))
+            rtp_times = np.concatenate(([RTP_NONE], rtp_times))
+        return timestamps, np.full(timestamps.size, 900.0), sequences, rtp_times
+
+    def feed(late, seal):
+        reducer, sealed, sizes = ApproxQoEIntervalReducer(width), [], []
+        for k in range(n_windows):
+            reducer.absorb_arrays(*batch(k, late), 0.0)
+            if seal:
+                sealed += reducer.advance(clock=(k + 1) * width, origin=0.0)
+                assert len(reducer._stores) <= 1  # the open window at most
+                sizes.append(reducer.nbytes())
+        return reducer, sealed, sizes
+
+    reducer, sealed, sizes = feed(late=True, seal=True)
+    assert len(sealed) == n_windows
+    assert sizes == [sizes[0]] * n_windows  # flat: late rows add no store
+    # sealed windows are those of the same feed without the late rows ...
+    _, expected, _ = feed(late=False, seal=True)
+    assert pickle.dumps(sealed) == pickle.dumps(expected)
+    # ... and the late rows still count in the session aggregates, which
+    # do not depend on when windows seal
+    unsealed, _, _ = feed(late=True, seal=False)
+    aggregates = reducer.final_aggregates()
+    assert aggregates["n_down_packets"] == n_windows * 100 + n_windows - 1
+    assert pickle.dumps(aggregates) == pickle.dumps(unsealed.final_aggregates())
 
 
 def test_approx_cascade_rejects_history_and_bad_mode():

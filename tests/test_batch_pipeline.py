@@ -13,19 +13,12 @@ from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.features import launch_feature_matrix, launch_features
 from repro.core.pattern_classifier import GameplayPatternClassifier
 from repro.core.pipeline import ContextClassificationPipeline
-from repro.core.qoe import (
-    EffectiveQoECalibrator,
-    QoEMetrics,
-    QoEThresholds,
-    qoe_level_from_metrics,
-    qoe_levels_from_metrics_batch,
-)
 from repro.core.transition import (
     StageTransitionModeler,
     prefix_transition_features,
 )
 from repro.ml.forest import RandomForestClassifier
-from repro.simulation.catalog import ActivityPattern, PlayerStage
+from repro.simulation.catalog import PlayerStage
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +58,21 @@ class TestProcessManyEquivalence:
 
     def test_empty_batch(self, fitted_pipeline):
         assert fitted_pipeline.process_many([]) == []
+
+    def test_report_levels_are_the_per_session_calibration(
+        self, fitted_pipeline, small_gameplay_corpus
+    ):
+        calibrator = fitted_pipeline.qoe_calibrator
+        reports = fitted_pipeline.process_many(small_gameplay_corpus.sessions)
+        for report in reports:
+            metrics = report.objective_metrics
+            assert report.objective_qoe is calibrator.objective_level(metrics)
+            assert report.effective_qoe is calibrator.effective_level(
+                metrics,
+                title_name=None if report.title.is_unknown else report.title.title,
+                pattern=fitted_pipeline._resolve_pattern(report.title, report.pattern),
+                stage_fractions=report.stage_fractions,
+            )
 
     def test_respects_latency_override(self, fitted_pipeline, small_gameplay_corpus):
         session = small_gameplay_corpus.sessions[0]
@@ -159,52 +167,6 @@ class TestPrefixTransitionFeatures:
                     features[slot], modeler.feature_vector()
                 )
                 assert gameplay_seen[slot] == seen
-
-
-class TestBatchedQoELevels:
-    def test_vectorised_levels_match_scalar_mapping(self):
-        rng = np.random.default_rng(11)
-        metrics = [
-            QoEMetrics(
-                frame_rate=float(fr),
-                throughput_mbps=float(tp),
-                latency_ms=float(lat),
-                loss_rate=float(loss),
-            )
-            for fr, tp, lat, loss in zip(
-                rng.uniform(10, 70, 60),
-                rng.uniform(2, 25, 60),
-                rng.uniform(5, 150, 60),
-                rng.uniform(0, 0.05, 60),
-            )
-        ]
-        thresholds = [QoEThresholds()] * len(metrics)
-        batched = qoe_levels_from_metrics_batch(metrics, thresholds)
-        for m, got in zip(metrics, batched):
-            assert got is qoe_level_from_metrics(m)
-
-    def test_batch_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            qoe_levels_from_metrics_batch([], [QoEThresholds()])
-
-    def test_calibrator_batch_levels_match_scalar(self):
-        calibrator = EffectiveQoECalibrator()
-        metrics = [
-            QoEMetrics(frame_rate=28.0, throughput_mbps=6.0, latency_ms=10.0, loss_rate=0.001),
-            QoEMetrics(frame_rate=55.0, throughput_mbps=15.0, latency_ms=10.0, loss_rate=0.001),
-            QoEMetrics(frame_rate=45.0, throughput_mbps=10.0, latency_ms=10.0, loss_rate=0.001),
-        ]
-        titles = ["Hearthstone", "Fortnite", None]
-        patterns = [None, None, ActivityPattern.CONTINUOUS_PLAY]
-        fractions = [None, {PlayerStage.IDLE: 0.8, PlayerStage.ACTIVE: 0.2}, None]
-        batched = calibrator.effective_levels(metrics, titles, patterns, fractions)
-        for m, title, pattern, mix, got in zip(metrics, titles, patterns, fractions, batched):
-            assert got is calibrator.effective_level(
-                m, title_name=title, pattern=pattern, stage_fractions=mix
-            )
-        objective = calibrator.objective_levels(metrics)
-        for m, got in zip(metrics, objective):
-            assert got is calibrator.objective_level(m)
 
 
 class TestBatchForestTraversal:

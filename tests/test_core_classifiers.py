@@ -7,7 +7,6 @@ from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.pattern_classifier import GameplayPatternClassifier
 from repro.core.title_classifier import GameTitleClassifier
 from repro.core.transition import (
-    STAGE_ORDER,
     StageTransitionModeler,
     TRANSITION_FEATURE_NAMES,
     stage_occupancy,
@@ -15,7 +14,7 @@ from repro.core.transition import (
 )
 from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
 from repro.ml.forest import RandomForestClassifier
-from repro.simulation.catalog import ActivityPattern, PlayerStage, UNKNOWN_TITLE
+from repro.simulation.catalog import PlayerStage, UNKNOWN_TITLE
 
 
 class TestVolumetricGenerator:

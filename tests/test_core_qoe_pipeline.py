@@ -157,85 +157,6 @@ class TestEffectiveQoECalibrator:
         assert calibrated.loss_bad == base.loss_bad
 
 
-class TestBatchCalibration:
-    """The vectorised cross-session calibration must equal the scalar path."""
-
-    def _random_contexts(self, n=200, seed=0):
-        from repro.simulation.catalog import CATALOG
-
-        rng = np.random.default_rng(seed)
-        names = list(CATALOG) + [None, "unknown", "NotACatalogTitle"]
-        patterns = [None, ActivityPattern.CONTINUOUS_PLAY, ActivityPattern.SPECTATE_AND_PLAY]
-        contexts = []
-        for _ in range(n):
-            if rng.random() < 0.2:
-                mix = None
-            elif rng.random() < 0.1:
-                mix = {stage: 0.0 for stage in PlayerStage.gameplay_stages()}
-            else:
-                mix = dict(zip(PlayerStage.gameplay_stages(), rng.random(3)))
-            contexts.append(
-                (
-                    names[rng.integers(len(names))],
-                    patterns[rng.integers(len(patterns))],
-                    mix,
-                    # 0 pins the None-vs-numeric cap mask (0 < 60 must cap)
-                    [None, 30, 60, 120, 0][rng.integers(5)],
-                    metrics(
-                        frame_rate=float(rng.uniform(5, 70)),
-                        throughput=float(rng.uniform(0.5, 30)),
-                        latency=float(rng.uniform(5, 120)),
-                        loss=float(rng.uniform(0, 0.05)),
-                    ),
-                )
-            )
-        return contexts
-
-    def test_calibrated_thresholds_batch_equals_scalar(self):
-        calibrator = EffectiveQoECalibrator()
-        contexts = self._random_contexts()
-        titles, patterns, mixes, fps, _ = zip(*contexts)
-        batch = calibrator.calibrated_thresholds_batch(titles, patterns, mixes, fps)
-        for (title, pattern, mix, fps_setting, _), got in zip(contexts, batch):
-            expected = calibrator.calibrated_thresholds(
-                title_name=title,
-                pattern=pattern,
-                stage_fractions=mix,
-                fps_setting=fps_setting,
-            )
-            assert got == expected
-
-    def test_effective_levels_equal_scalar(self):
-        calibrator = EffectiveQoECalibrator()
-        contexts = self._random_contexts(seed=1)
-        titles, patterns, mixes, fps, metric_list = zip(*contexts)
-        levels = calibrator.effective_levels(
-            metric_list, titles, patterns, mixes, fps
-        )
-        for (title, pattern, mix, fps_setting, m), level in zip(contexts, levels):
-            assert (
-                calibrator.effective_level(
-                    m,
-                    title_name=title,
-                    pattern=pattern,
-                    stage_fractions=mix,
-                    fps_setting=fps_setting,
-                )
-                is level
-            )
-
-    def test_objective_levels_equal_scalar(self):
-        calibrator = EffectiveQoECalibrator()
-        metric_list = [context[4] for context in self._random_contexts(seed=2)]
-        for m, level in zip(metric_list, calibrator.objective_levels(metric_list)):
-            assert calibrator.objective_level(m) is level
-
-    def test_empty_batch(self):
-        calibrator = EffectiveQoECalibrator()
-        assert calibrator.effective_levels([], [], [], []) == []
-        assert calibrator.objective_levels([]) == []
-
-
 class TestPipelineIntegration:
     @pytest.fixture(scope="class")
     def fitted_pipeline(self, small_gameplay_corpus):

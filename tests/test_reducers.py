@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.qoe import ObjectiveQoEEstimator
-from repro.core.reducers import SessionReducerCascade, TickFacts
+from repro.core.reducers import QoEIntervalReducer, SessionReducerCascade, TickFacts
 from repro.net.flow import flow_summary
 from repro.net.packet import (
     DOWNSTREAM_CODE,
@@ -726,3 +726,82 @@ def test_equal_approx_states_pickle_to_equal_bytes(fitted_pipeline, runtime_sess
     for sampler in found:
         assert not sampler["samples"][sampler["seen"]:].any()
 
+
+
+# ---------------------------------------------------------------------------
+# the exact QoE reducer: sorted by window first, the offline views exactly
+# ---------------------------------------------------------------------------
+@st.composite
+def _downstream_batches(draw):
+    """Shuffled downstream rows with duplicate timestamps, cut at random points.
+
+    Each batch carries its RTP columns, lacks them, or carries them on some
+    rows only; rows without RTP read as ``RTP_NONE``.
+    """
+    n = draw(st.integers(1, 60))
+    ticks = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=6, unique=True)))
+    timestamps = _BASE_S + 0.25 * np.array(ticks, dtype=float)[order]
+    sizes = np.array(draw(st.lists(st.integers(40, 1400), min_size=n, max_size=n)), dtype=float)
+    sequences = np.array(draw(st.lists(st.integers(0, 0xFFFF), min_size=n, max_size=n)))
+    rtp_times = np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)))
+    batches = []
+    for start, stop in zip([0] + cuts, cuts + [n]):
+        if start >= stop:
+            continue
+        rows = slice(start, stop)
+        seq, rts = sequences[rows].copy(), rtp_times[rows].copy()
+        rtp = draw(st.sampled_from(["all", "none", "some"]))
+        if rtp == "some":
+            absent = np.array(draw(st.lists(st.booleans(), min_size=stop - start, max_size=stop - start)))
+            seq[absent] = RTP_NONE
+            rts[absent] = RTP_NONE
+        batches.append(
+            (timestamps[rows], sizes[rows], None if rtp == "none" else seq, None if rtp == "none" else rts)
+        )
+    return batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=_downstream_batches(), width=st.sampled_from([float("inf"), 10.0, 2.5, 0.75]))
+def test_exact_interval_reducer_equals_sorted_offline_views(batches, width):
+    """Every sealed window and the close-time columns are the stably
+    time-sorted downstream views of the rows that arrived by then, whatever
+    the batch order, cut points and RTP columns."""
+    origin = min(float(ts.min()) for ts, _, _, _ in batches)
+    reducer = QoEIntervalReducer(width)
+    arrived = []
+
+    def offline(rows):
+        """Stable time sort of the concatenation in arrival order."""
+        times = np.concatenate([ts for ts, _, _, _ in rows])
+        fill = [np.full(ts.size, RTP_NONE, dtype=np.int64) for ts, _, _, _ in rows]
+        seq = np.concatenate([f if s is None else s for (_, _, s, _), f in zip(rows, fill)])
+        rts = np.concatenate([f if r is None else r for (_, _, _, r), f in zip(rows, fill)])
+        order = np.argsort(times, kind="stable")
+        times, seq, rts = times[order], seq[order], rts[order]
+        window = np.maximum(np.floor((times - origin) / width), 0)
+        return times, seq, rts, window
+
+    def check(sealed):
+        times, seq, rts, window = offline(arrived)
+        for view in sealed:
+            mine = window == view.index
+            np.testing.assert_array_equal(view.down_times, times[mine])
+            np.testing.assert_array_equal(view.rtp_sequences, seq[mine][seq[mine] != RTP_NONE])
+            np.testing.assert_array_equal(view.rtp_timestamps, rts[mine][rts[mine] != RTP_NONE])
+            assert view.n_packets == int(np.count_nonzero(mine))
+
+    for batch in batches:
+        timestamps, sizes, sequences, rtp_times = batch
+        reducer.absorb_arrays(timestamps, sizes, sequences, rtp_times, origin)
+        arrived.append(batch)
+        check(reducer.advance(float(timestamps.max()), origin))
+    last_ts = max(float(ts.max()) for ts, _, _, _ in batches)
+    check(reducer.flush(origin, last_ts))
+    times, seq, rts, _ = offline(arrived)
+    down_times, rtp_timestamps, rtp_sequences = reducer.final_columns()
+    np.testing.assert_array_equal(down_times, times)
+    np.testing.assert_array_equal(rtp_sequences, seq[seq != RTP_NONE])
+    np.testing.assert_array_equal(rtp_timestamps, rts[rts != RTP_NONE])

@@ -9,7 +9,6 @@ from repro.net.packet import DOWNSTREAM_CODE, UPSTREAM_CODE, Direction
 from repro.simulation import (
     ActivityPattern,
     ActivityPatternModel,
-    GameSession,
     Genre,
     ISPDeploymentSimulator,
     PlayerStage,
@@ -27,7 +26,6 @@ from repro.simulation.activity_model import (
     stage_durations,
 )
 from repro.simulation.catalog import (
-    CATALOG,
     GAME_TITLES,
     get_title,
     popularity_weights,
