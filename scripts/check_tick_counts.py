@@ -20,7 +20,11 @@ Given a traced ``live_single`` result
 single-engine live feed to one demux per tick over every packet of the
 record, at most one stage-forest call per tick (plus the close), no
 per-(flow, batch) cascade fold, and every estimated window folded into the
-rollup once.  The rules follow the record's ``workload``.
+rollup once.  Given a traced ``live_sharded`` result
+(``benchmarks/e2e/out/result-live_sharded-trace1.json``) it holds the
+parent of the sharded feed to one demux per tick over every packet of the
+record, and every tick to the shared-memory ring (no inline fallback,
+DESIGN.md §12).  The rules follow the record's ``workload``.
 Counts repeat exactly from run to run, so the guard holds on noisy shared
 runners, where a time gate cannot.
 """
@@ -131,10 +135,35 @@ def _live_rules(value) -> tuple:
     )
 
 
+def _sharded_rules(value) -> tuple:
+    """``live_sharded``: the same feed partitioned by the parent's one demux."""
+    ticks = value("runtime.engine.ticks")
+    return (
+        (
+            value("runtime.demux.calls") == ticks,
+            f"runtime.demux.calls {value('runtime.demux.calls'):g} != "
+            f"runtime.engine.ticks {ticks:g}: the parent does not partition "
+            "each tick with exactly one demux",
+        ),
+        (
+            value("runtime.demux.rows") == value("packets"),
+            f"runtime.demux.rows {value('runtime.demux.rows'):g} != packets "
+            f"{value('packets'):g}: the feed's batches lost or repeated rows",
+        ),
+        (
+            value("runtime.shm.fallback_ticks") == 0,
+            f"runtime.shm.fallback_ticks {value('runtime.shm.fallback_ticks'):g} "
+            "!= 0: a tick of the benchmark feed missed the shared-memory ring "
+            "and was pickled inline",
+        ),
+    )
+
+
 RULES = {
     "tap_small_ticks": _tick_rules,
     "corpus_batch": _window_rules,
     "live_single": _live_rules,
+    "live_sharded": _sharded_rules,
 }
 
 
@@ -149,13 +178,18 @@ def violations(record: dict) -> List[str]:
     def value(name: str) -> float:
         return metrics[name]["value"] if name in metrics else record[name]
 
-    rules = RULES[record["workload"]](value) + (
-        (
-            value("trace.coverage_frac") >= 0.95,
-            f"trace.coverage_frac {value('trace.coverage_frac'):.3f} < 0.95: the "
-            "spans no longer cover the pass, so the counts above may be partial",
-        ),
-    )
+    rules = RULES[record["workload"]](value)
+    if record["workload"] != "live_sharded":
+        # the sharded parent also waits on its workers, time no parent span
+        # claims; its three counts are whole tallies whatever the coverage
+        rules += (
+            (
+                value("trace.coverage_frac") >= 0.95,
+                f"trace.coverage_frac {value('trace.coverage_frac'):.3f} < 0.95: "
+                "the spans no longer cover the pass, so the counts above may be "
+                "partial",
+            ),
+        )
     return [message for holds, message in rules if not holds]
 
 

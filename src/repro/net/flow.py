@@ -6,14 +6,18 @@ bidirectional UDP/RTP flow between the client and a cloud GPU server.
 
 The first thing the deployed probe does with a packet batch is route every
 row to its bidirectional flow.  :class:`FlowDemux` does that on the columnar
-substrate: distinct transport addresses are factorised by one ``np.unique``
-over the address column's own object pointers, their ``id()`` (generator-
-and PCAP-produced batches intern one tuple object per flow and direction, so
-Python is touched once per *distinct* address, not per packet), a
+substrate with one stable sort of the batch's integer flow ids.  Producers
+that already know flow identity emit the ids with the batch: the PCAP
+decoder interns the canonical :class:`FlowKey` of every distinct address
+tuple of a decoded block, :class:`~repro.runtime.feed.SessionFeed` one per
+session, and both hand the table of keys along (``PacketColumns.flow_ids`` /
+``flow_keys``).  A batch without them — hand-built columns, ``Packet``
+records — gets them once, from its addresses: distinct tuples factorise by
+one ``np.unique`` over the address column's own object pointers (``id()``;
+Python is touched once per *distinct* address, not per packet), and a
 ``bincount`` presence table over ``(address, direction)`` says which
-canonical :class:`FlowKey` each cell needs, and one stable sort of the
-per-row flow number yields every flow's rows at once.  Both directions of a
-conversation canonicalise to the same key.
+canonical key each cell needs.  Both directions of a conversation
+canonicalise to the same key, and no state is kept between batches.
 
 Row order within a flow is preserved (a stable sort keeps batch positions
 ascending), which is what lets the per-session accumulators reproduce the
@@ -36,12 +40,8 @@ from repro.net.packet import (
     Direction,
     PacketColumns,
     PacketStream,
+    flow_id_column,
 )
-
-#: Entries (two per flow) at which the canonical-key cache starts over; a
-#: probe that runs for hours sees far more flows than are ever live at once.
-_CANONICAL_CACHE_ENTRIES = 1 << 16
-
 
 @dataclass(frozen=True, slots=True)
 class FlowKey:
@@ -116,22 +116,43 @@ def canonical_flow_key(address: tuple, direction_code: int) -> FlowKey:
     )
 
 
+def _address_flow_ids(columns: PacketColumns) -> Tuple[np.ndarray, List[FlowKey]]:
+    """Flow ids and keys of a batch that arrived without them, from its addresses.
+
+    Walking the address groups in first-appearance order, downstream code
+    first, numbers the keys in the documented flow order: no ranking needed.
+    """
+    # cells are numbered 2 * address group + direction code (0 down, 1 up)
+    upstream = columns.directions != DOWNSTREAM_CODE
+    addresses = columns.addresses
+    if addresses is None:
+        group_addresses = [DEFAULT_ADDRESS]
+        visit = [0]
+        cell = upstream.astype(np.intp)
+    else:
+        _ids, first_rows, group_of_row = np.unique(
+            _object_ids(addresses), return_index=True, return_inverse=True
+        )
+        group_addresses = addresses[first_rows].tolist()
+        visit = np.argsort(first_rows).tolist()
+        cell = group_of_row * 2 + upstream
+    cell_rows = np.bincount(cell, minlength=2 * len(group_addresses)).tolist()
+    numbers: Dict[FlowKey, int] = {}
+    flow_of_cell = [0] * len(cell_rows)
+    for group in visit:
+        for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
+            if cell_rows[2 * group + code]:
+                key = canonical_flow_key(group_addresses[group], code)
+                flow_of_cell[2 * group + code] = numbers.setdefault(key, len(numbers))
+    return flow_id_column(flow_of_cell, len(numbers))[cell], list(numbers)
+
+
 class FlowDemux:
-    """Stateful batch demultiplexer (a bounded canonical-key cache persists)."""
+    """Batch demultiplexer: one stable sort of the batch's flow ids.
 
-    def __init__(self) -> None:
-        self._canonical: Dict[Tuple[tuple, int], FlowKey] = {}
-
-    def _key_for(self, address: tuple, direction_code: int) -> FlowKey:
-        cached = self._canonical.get((address, direction_code))
-        if cached is None:
-            if len(self._canonical) >= _CANONICAL_CACHE_ENTRIES:
-                # a pure cache of value-equal keys: dropping it costs one
-                # rebuild per live flow, never a different answer
-                self._canonical.clear()
-            cached = canonical_flow_key(address, direction_code)
-            self._canonical[(address, direction_code)] = cached
-        return cached
+    Keeps no state between batches — flow identity arrives with the batch
+    (or is derived from it once), never from a cache.
+    """
 
     def split(self, columns: PacketColumns) -> List[Tuple[FlowKey, PacketColumns]]:
         """Partition one batch into materialised per-flow sub-batches.
@@ -154,53 +175,32 @@ class FlowDemux:
         reducers), row order within a flow is the batch order, and flows
         appear in first-appearance order of their address tuples
         (downstream-coded key first where one tuple carries both codes).
-        The index arrays are consecutive views of one stable sort, so
+        The index arrays are views of one stable sort of the flow ids —
+        the producer's ``flow_ids`` when the batch carries them (flows then
+        ordered by first row, which is the same order wherever no tuple
+        carries both codes), else ids factorised from the addresses — so
         concatenating them costs one copy (:meth:`FlowTick.gather`, and the
         sharded data plane's gather into a shared-memory ring slot,
         DESIGN.md §12).
         """
         if not len(columns):
             return []
-        # cells are numbered 2 * address group + direction code (0 down, 1 up)
-        upstream = columns.directions != DOWNSTREAM_CODE
-        addresses = columns.addresses
-        if addresses is None:
-            group_addresses = [DEFAULT_ADDRESS]
-            visit = [0]
-            cell = upstream.astype(np.intp)
-        else:
-            _ids, first_rows, group_of_row = np.unique(
-                _object_ids(addresses), return_index=True, return_inverse=True
-            )
-            group_addresses = addresses[first_rows].tolist()
-            # visit address groups in first-appearance order so new flows
-            # register deterministically
-            visit = np.argsort(first_rows).tolist()
-            cell = group_of_row * 2 + upstream
-        cell_rows = np.bincount(cell, minlength=2 * len(group_addresses)).tolist()
-        numbers: Dict[FlowKey, int] = {}
-        stops: List[int] = []
-        flow_of_cell = [0] * len(cell_rows)
-        for group in visit:
-            for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
-                n_rows = cell_rows[2 * group + code]
-                if not n_rows:
-                    continue
-                key = self._key_for(group_addresses[group], code)
-                number = numbers.setdefault(key, len(numbers))
-                flow_of_cell[2 * group + code] = number
-                if number == len(stops):
-                    stops.append(n_rows)
-                else:
-                    stops[number] += n_rows
-        for number in range(1, len(stops)):
-            stops[number] += stops[number - 1]
-        # 16-bit flow numbers take the radix path of numpy's stable sort
-        dtype = np.int16 if len(stops) <= 0x7FFF else np.intp
-        order = np.argsort(np.array(flow_of_cell, dtype=dtype)[cell], kind="stable")
+        ids, keys = columns.flow_ids, columns.flow_keys
+        if ids is None:
+            ids, keys = _address_flow_ids(columns)
+        order = np.argsort(ids, kind="stable")
+        counts = np.bincount(ids, minlength=len(keys))
+        stops = counts.cumsum()
+        flows = np.flatnonzero(counts)
+        starts = stops[flows] - counts[flows]
+        if columns.flow_ids is not None:
+            by_first_row = np.argsort(order[starts])
+            flows, starts = flows[by_first_row], starts[by_first_row]
         return [
-            (key, order[start:stop])
-            for key, start, stop in zip(numbers, [0] + stops, stops)
+            (keys[flow], order[start:stop])
+            for flow, start, stop in zip(
+                flows.tolist(), starts.tolist(), stops[flows].tolist()
+            )
         ]
 
 
@@ -223,14 +223,18 @@ class FlowTick(NamedTuple):
         columns: PacketColumns,
         index_pairs: Sequence[Tuple[FlowKey, np.ndarray]],
     ) -> "FlowTick":
-        """One ``columns.take`` over the concatenated rows of ``index_pairs``."""
+        """One ``columns.take`` over the concatenated rows of ``index_pairs``.
+
+        The tick's columns carry no flow ids: the ids stop at the demux.
+        """
         rows = [rows for _key, rows in index_pairs]
         bounds = np.zeros(len(rows) + 1, dtype=np.intp)
         if not rows:
             return cls([], PacketColumns.empty(), bounds)
         np.cumsum([part.size for part in rows], out=bounds[1:])
         order = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        return cls([key for key, _rows in index_pairs], columns.take(order), bounds)
+        keys = [key for key, _rows in index_pairs]
+        return cls(keys, columns.without_flow_ids().take(order), bounds)
 
     @classmethod
     def concat(
@@ -246,7 +250,7 @@ class FlowTick(NamedTuple):
         np.cumsum([len(sub) for _key, sub in pairs], out=bounds[1:])
         return cls(
             [key for key, _sub in pairs],
-            PacketColumns.concat([sub for _key, sub in pairs]),
+            PacketColumns.concat([sub for _key, sub in pairs]).without_flow_ids(),
             bounds,
         )
 

@@ -52,6 +52,11 @@ RTP_NONE = -1
 DEFAULT_ADDRESS = ("0.0.0.0", "0.0.0.0", 0, 0, "udp")
 
 
+def flow_id_column(ids, n_keys: int) -> np.ndarray:
+    """``ids`` as a flow-id column: 16-bit (numpy's radix sort) while ``n_keys`` fits."""
+    return np.asarray(ids, dtype=np.int16 if n_keys <= 0x7FFF else np.intp)
+
+
 @dataclass(frozen=True, slots=True)
 class Packet:
     """A single observed packet.
@@ -145,6 +150,14 @@ class PacketColumns:
     :data:`RTP_NONE` for absent header fields; ``addresses`` holds
     ``(src_ip, dst_ip, src_port, dst_port, protocol)`` tuples (``None``
     means every row uses :data:`DEFAULT_ADDRESS`).
+
+    A producer that knows each row's flow (the PCAP decoder, ``SessionFeed``)
+    sets ``flow_ids``, integers indexing ``flow_keys`` (distinct canonical
+    :class:`~repro.net.flow.FlowKey` objects), for the demux to sort.  The
+    pair is no dataclass field: constructors and ``replace`` never set it,
+    so an id-less batch pickles as it always did.  :meth:`take`,
+    :meth:`slice_view` and :meth:`concat` carry it; :meth:`owned` and
+    :meth:`without_flow_ids` drop it (DESIGN.md §6).
     """
 
     timestamps: np.ndarray
@@ -155,6 +168,8 @@ class PacketColumns:
     rtp_sequence: Optional[np.ndarray] = None
     rtp_timestamp: Optional[np.ndarray] = None
     addresses: Optional[np.ndarray] = None
+    flow_ids = None  # type: Optional[np.ndarray]
+    flow_keys = None  # type: Optional[tuple]
 
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype=float)
@@ -232,7 +247,7 @@ class PacketColumns:
                     parts.append(column)
             return np.concatenate(parts)
 
-        return cls(
+        out = cls(
             timestamps=np.concatenate([batch.timestamps for batch in batches]),
             payload_sizes=np.concatenate([batch.payload_sizes for batch in batches]),
             directions=np.concatenate([batch.directions for batch in batches]),
@@ -242,6 +257,20 @@ class PacketColumns:
             rtp_timestamp=cat_optional("rtp_timestamp", RTP_NONE, np.int64),
             addresses=cat_optional("addresses", DEFAULT_ADDRESS, object),
         )
+        if all(batch.flow_ids is not None for batch in batches):
+            keys = batches[0].flow_keys
+            if all(batch.flow_keys == keys for batch in batches):
+                ids = [batch.flow_ids for batch in batches]
+            else:  # one table of distinct keys, each batch's ids remapped onto it
+                number: dict = {}
+                ids = []
+                for batch in batches:
+                    remap = [number.setdefault(key, len(number)) for key in batch.flow_keys]
+                    ids.append(np.array(remap)[batch.flow_ids])
+                keys = tuple(number)
+            out.flow_ids = flow_id_column(np.concatenate(ids), len(keys))
+            out.flow_keys = keys
+        return out
 
     def take_optional(self, indices) -> dict:
         """The five optional columns row-subset by ``indices`` (as kwargs)."""
@@ -269,6 +298,19 @@ class PacketColumns:
         out.directions = self.directions[indices]
         for name, column in self.take_optional(indices).items():
             setattr(out, name, column)
+        if self.flow_ids is not None:
+            out.flow_ids = self.flow_ids[indices]
+            out.flow_keys = self.flow_keys
+        return out
+
+    def without_flow_ids(self) -> "PacketColumns":
+        """This batch minus its flow ids and key table (self when it has none)."""
+        if self.flow_ids is None:
+            return self
+        out = object.__new__(PacketColumns)
+        state = vars(out)
+        state.update(vars(self))
+        del state["flow_ids"], state["flow_keys"]
         return out
 
     def slice_view(self, start: int, stop: int) -> "PacketColumns":
@@ -284,7 +326,7 @@ class PacketColumns:
         return self.take(slice(start, stop))
 
     def owned(self) -> "PacketColumns":
-        """This batch with every column owning its memory (self if it does).
+        """This batch with every column owning its memory and no flow ids.
 
         A column that is a view keeps its whole base array alive; whoever
         retains rows beyond the tick they arrived in (launch-window chunks,
@@ -302,7 +344,7 @@ class PacketColumns:
             self.addresses,
         ]
         if all(column is None or column.base is None for column in columns):
-            return self
+            return self.without_flow_ids()
         return PacketColumns(
             *(None if column is None else column.copy() for column in columns)
         )

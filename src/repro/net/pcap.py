@@ -25,10 +25,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.net.flow import FlowKey, canonical_flow_key
 from repro.net.packet import (
     DEFAULT_ADDRESS,
     DOWNSTREAM_CODE,
@@ -37,6 +38,7 @@ from repro.net.packet import (
     PacketStream,
     RTP_NONE,
     UPSTREAM_CODE,
+    flow_id_column,
 )
 from repro.net.rtp import RTPHeader, RTP_VERSION
 
@@ -457,7 +459,9 @@ def _decode_records(
         np.int8
     )
 
-    addresses, addressed = _address_tuples(src_u32, dst_u32, src_ports, dst_ports)
+    addresses, addressed, flow_ids, flow_keys = _address_tuples(
+        src_u32, dst_u32, src_ports, dst_ports, directions
+    )
     columns = PacketColumns(
         timestamps=timestamps,
         payload_sizes=payload_sizes,
@@ -468,6 +472,7 @@ def _decode_records(
         rtp_timestamp=rtp_timestamp[keep],
         addresses=addresses,
     )
+    columns.flow_ids, columns.flow_keys = flow_ids, flow_keys
     return _DecodedBlock(columns, keep, is_rtp, addressed), client_u32
 
 
@@ -620,17 +625,22 @@ def _address_tuples(
     dst_u32: np.ndarray,
     src_ports: np.ndarray,
     dst_ports: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row transport 5-tuples, interned per distinct flow.
+    directions: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Per-row transport 5-tuples, interned per distinct flow, and flow ids.
 
     String formatting happens once per distinct ``(src, dst, sport, dport)``
     combination (a handful of flows in a capture), then rows are assigned by
-    inverse indices.  Returns ``(addresses, addressed)``; ``addressed`` marks
-    the rows that carry anything but the default address (a batch with none
-    has no address column, the layout ``PacketStream(packets)`` produces).
+    inverse indices.  Returns ``(addresses, addressed, flow_ids,
+    flow_keys)``; ``addressed`` marks the rows that carry anything but the
+    default address (a batch with none has no address column, the layout
+    ``PacketStream(packets)`` produces), and ``flow_ids`` index
+    ``flow_keys``, the distinct canonical keys of the tuples.  A tuple's
+    direction follows from its source address, so no tuple carries both
+    codes and the demux may order flows by first row.
     """
     if src_u32.size == 0:
-        return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
+        return np.empty(0, dtype=object), np.zeros(0, dtype=bool), flow_id_column([], 0), ()
     # two 1-D sorts instead of one row-wise sort over four columns: rank the
     # address pairs first (the shift wraps into the sign bit, which keeps
     # distinct pairs distinct), then the rank fits one int64 with the ports
@@ -642,6 +652,8 @@ def _address_tuples(
     )
     tuples = np.empty(first_rows.size, dtype=object)
     addressed = np.ones(first_rows.size, dtype=bool)
+    numbers: Dict[FlowKey, int] = {}
+    flow_of_tuple = []
     for index, row in enumerate(first_rows.tolist()):
         tuples[index] = (
             _u32_to_ip(int(src_u32[row])),
@@ -651,7 +663,10 @@ def _address_tuples(
             "udp",
         )
         addressed[index] = tuples[index] != DEFAULT_ADDRESS
-    return tuples[inverse], addressed[inverse]
+        key = canonical_flow_key(tuples[index], int(directions[row]))
+        flow_of_tuple.append(numbers.setdefault(key, len(numbers)))
+    flow_ids = flow_id_column(flow_of_tuple, len(numbers))[inverse]
+    return tuples[inverse], addressed[inverse], flow_ids, tuple(numbers)
 
 
 def read_pcap_stream(

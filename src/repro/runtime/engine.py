@@ -365,8 +365,7 @@ class StreamingEngine:
 
         Session insertion order is preserved, so per-tick iteration over the
         restored sessions — and therefore event ordering — matches the
-        engine the snapshot was taken from.  The demux canonical-key cache
-        is a pure cache and restarts empty.
+        engine the snapshot was taken from.
         """
         states = [SessionState.from_snapshot(item) for item in snapshot["states"]]
         self._states = {state.key: state for state in states}
@@ -378,7 +377,6 @@ class StreamingEngine:
         self.n_degraded_opens = snapshot["n_degraded_opens"]
         self._tick_count = snapshot["tick_count"]
         self._soft_active = snapshot["soft_active"]
-        self._demux = FlowDemux()
         if self.analytics is not None:
             from repro.analytics.fleet import FleetAggregator
 

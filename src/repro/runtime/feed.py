@@ -28,6 +28,7 @@ from repro.net.packet import (
     DOWNSTREAM_CODE,
     PacketColumns,
     UPSTREAM_CODE,
+    flow_id_column,
 )
 from repro.net.pcap import iter_pcap_column_batches
 from repro.runtime.state import FlowContext
@@ -98,6 +99,8 @@ class SessionFeed:
         self._rng = np.random.default_rng(random_state)
         self.flow_contexts: Dict[FlowKey, FlowContext] = {}
         self._columns: List[PacketColumns] = []
+        numbers: Dict[FlowKey, int] = {}
+        flows: List[int] = []
 
         for index, session in enumerate(sessions):
             offset = float(start_offsets[index]) if start_offsets is not None else 0.0
@@ -141,11 +144,17 @@ class SessionFeed:
                 )
             )
             key = canonical_flow_key(down_address, DOWNSTREAM_CODE)
+            flows.append(numbers.setdefault(key, len(numbers)))
             self.flow_contexts[key] = FlowContext(
                 platform=_SESSION_PLATFORM,
                 rate_scale=session.rate_scale,
                 region=regions[index] if regions is not None else None,
             )
+        # every session's flow id, interned once here rather than per tick
+        keys = tuple(numbers)
+        for columns, flow in zip(self._columns, flows):
+            columns.flow_ids = flow_id_column(np.full(len(columns), flow), len(keys))
+            columns.flow_keys = keys
 
     def __iter__(self) -> Iterator[PacketColumns]:
         starts = [float(c.timestamps[0]) for c in self._columns if len(c)]

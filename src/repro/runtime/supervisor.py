@@ -573,6 +573,7 @@ class ShardSupervisor:
         else:
             if index_pairs:  # an empty tick needs no slot: not a fallback
                 self.shm_fallback_ticks += 1
+            batch = batch.without_flow_ids()  # the ids stop at the demux
             payload = ("inline", [(key, batch.take(rows)) for key, rows in index_pairs])
         return self._send_tick_payload(shard, payload)
 

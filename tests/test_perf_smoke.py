@@ -279,6 +279,44 @@ def test_live_count_guard(tmp_path, packets, overrides, expected_exit, named):
         assert named in result.stderr
 
 
+def _traced_sharded_result(packets=518397, **overrides):
+    """A traced ``live_sharded`` record with the counts of a healthy run."""
+    counts = {
+        "runtime.engine.ticks": 236,
+        "runtime.demux.calls": 236,
+        "runtime.demux.rows": 518397,
+        "runtime.shm.fallback_ticks": 0,
+        # the parent waits on its workers: below the 0.95 the others need
+        "trace.coverage_frac": 0.93,
+    }
+    counts.update(overrides)
+    return {
+        "workload": "live_sharded",
+        "trace": 1,
+        "packets": packets,
+        "metrics": {name: {"value": value, "unit": "count"} for name, value in counts.items()},
+    }
+
+
+@pytest.mark.parametrize(
+    "packets, overrides, expected_exit, named",
+    [
+        (518397, {}, 0, None),
+        # a second partition per tick in the parent
+        (518397, {"runtime.demux.calls": 472}, 1, "runtime.demux.calls"),
+        (518400, {}, 1, "runtime.demux.rows"),
+        # ticks that missed the ring and crossed the pipe as pickles
+        (518397, {"runtime.shm.fallback_ticks": 3}, 1, "runtime.shm.fallback_ticks"),
+    ],
+)
+def test_sharded_count_guard(tmp_path, packets, overrides, expected_exit, named):
+    """The same script holds a traced ``live_sharded`` run to its own rules."""
+    result = _run_count_guard(tmp_path, _traced_sharded_result(packets, **overrides))
+    assert result.returncode == expected_exit, result.stdout + result.stderr
+    if named is not None:
+        assert named in result.stderr
+
+
 def test_tick_count_guard_rejects_an_untraced_result(tmp_path):
     record = _traced_tap_result()
     record["trace"] = 0
@@ -287,5 +325,5 @@ def test_tick_count_guard_rejects_an_untraced_result(tmp_path):
 
 def test_tick_count_guard_rejects_a_workload_it_has_no_rules_for(tmp_path):
     record = _traced_tap_result()
-    record["workload"] = "live_sharded"
+    record["workload"] = "many_flows"
     assert _run_count_guard(tmp_path, record).returncode == 2

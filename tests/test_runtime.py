@@ -420,10 +420,9 @@ def test_demux_partitions_by_canonical_flow(rng):
     assert key_a.client_ip == "10.9.9.1" and key_a.server_port == 49004
 
 
-def test_demux_key_cache_stays_bounded_over_many_flows():
-    """100 k flows through one demux: the cache resets, the answers do not."""
-    from repro.net import flow as demux_module
-
+def test_demux_keeps_no_per_flow_state_over_many_flows():
+    """100 k flows through one long-lived demux: nothing is kept between
+    batches, and every answer equals a fresh demux's."""
     long_lived = FlowDemux()
     per_batch = 500
     for batch_index in range(200):
@@ -441,13 +440,13 @@ def test_demux_key_cache_stays_bounded_over_many_flows():
             addresses=addresses,
         )
         got = long_lived.split_indices(columns)
-        assert len(long_lived._canonical) <= demux_module._CANONICAL_CACHE_ENTRIES
+        assert vars(long_lived) == {}
+        assert len(got) == per_batch
         if batch_index % 10 == 9:
             fresh = FlowDemux().split_indices(columns)
             assert [key for key, _ in got] == [key for key, _ in fresh]
             for (_, got_rows), (_, fresh_rows) in zip(got, fresh):
                 assert np.array_equal(got_rows, fresh_rows)
-
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ replaced is kept here as the oracle:
 * the array bodies of ``OnlineVolumetricTracker.update`` and the prefix
   transition rows, against their python-float replacements.
 
+Producer flow ids (the pcap decoder's, ``SessionFeed``'s) are checked the
+same way: every batch they emit, and every ``take`` / ``slice_view`` /
+``concat`` of one, splits exactly like its addresses say, and a feed with
+ids leaves state, snapshots, checkpoints and the wire byte-identical to the
+same feed without them.
+
 Plus the cost model as a count (work per tick must not scale with flows that
 have nothing due), and the two defects fixed on the way: retained rows pin
 only what ``state_nbytes()`` accounts, and a non-finite clock completes no
@@ -31,7 +37,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import pickle
 import sys
+import tempfile
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -42,19 +51,22 @@ from hypothesis import strategies as st
 from repro.core.reducers import SessionReducerCascade, SlotStageReducer, TickFacts
 from repro.core.transition import PrefixTransitionTracker, prefix_transition_features
 from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
-from repro.net.flow import FlowDemux, FlowKey, FlowTick, _object_ids
+from repro.net.flow import FlowDemux, FlowKey, FlowTick, _object_ids, canonical_flow_key
 from repro.net.packet import (
     DEFAULT_ADDRESS,
     DOWNSTREAM_CODE,
     UPSTREAM_CODE,
     Direction,
+    Packet,
     PacketColumns,
 )
+from repro.net.pcap import iter_pcap_column_batches, write_pcap
 from repro.runtime import (
     SessionFeed,
     SessionReport,
     SessionStarted,
     ShardedEngine,
+    ShardSupervisor,
     ShmColumnRing,
     StageUpdate,
     StreamingEngine,
@@ -88,7 +100,7 @@ class LoopDemux(FlowDemux):
             for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
                 rows = np.flatnonzero(directions == code)
                 if rows.size:
-                    groups.setdefault(self._key_for(DEFAULT_ADDRESS, code), []).append(rows)
+                    groups.setdefault(canonical_flow_key(DEFAULT_ADDRESS, code), []).append(rows)
         else:
             ids = _ID_OF(addresses).astype(np.int64)
             unique_ids, first_rows = np.unique(ids, return_index=True)
@@ -103,7 +115,7 @@ class LoopDemux(FlowDemux):
                 for code in (DOWNSTREAM_CODE, UPSTREAM_CODE):
                     selected = rows[codes == code]
                     if selected.size:
-                        groups.setdefault(self._key_for(address, code), []).append(
+                        groups.setdefault(canonical_flow_key(address, code), []).append(
                             selected
                         )
         out = []
@@ -197,6 +209,169 @@ def test_split_indices_equals_address_group_loop(data):
 )
 def test_split_indices_pinned_cases(flows, ups, crossed, addressing):
     _check_demux(_demux_batch(flows, ups, crossed, addressing))
+
+
+# ---------------------------------------------------------------------------
+# producer flow ids: every batch splits exactly like its ids stripped
+# ---------------------------------------------------------------------------
+def _check_producer_ids(batch: PacketColumns) -> None:
+    """The ids path and the derived path both equal the address oracle."""
+    assert batch.flow_ids is not None
+    assert len(set(batch.flow_keys)) == len(batch.flow_keys)  # canonical table
+    stripped = batch.without_flow_ids()
+    assert stripped.flow_ids is None and batch.flow_ids is not None  # a copy
+    _check_demux(batch)
+    _check_demux(stripped)
+    # the ids stop at the demux: no tick and no retained copy carries them
+    assert FlowTick.gather(batch, FlowDemux().split_indices(batch)).columns.flow_ids is None
+    assert batch.owned().flow_ids is None
+
+
+def _reshaped(batches, data) -> List[PacketColumns]:
+    """``take``, ``slice_view`` and ``concat`` of the batches, as drawn."""
+    out = []
+    for batch in batches:
+        n = len(batch)
+        rows = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n if n else 0))
+        out.append(batch.take(np.array(rows, dtype=np.intp)))
+        start = data.draw(st.integers(0, n))
+        out.append(batch.slice_view(start, data.draw(st.integers(start, n))))
+    for _ in range(3):
+        picked = data.draw(st.lists(st.sampled_from(batches), min_size=1, max_size=4))
+        out.append(PacketColumns.concat(picked))
+    return [batch for batch in out if len(batch)]
+
+
+_CLIENTS = ("10.0.0.1", "10.0.0.2")
+_SERVERS = ("198.51.100.7", "203.0.113.4")
+
+
+@st.composite
+def _capture_packets(draw):
+    """Records of a few conversations in both directions, rows of the
+    default address, and traffic between two servers (no client at all)."""
+    n = draw(st.integers(1, 120))
+    gaps = draw(st.lists(st.floats(0.0, 0.3), min_size=n, max_size=n))
+    packets = []
+    for when in np.cumsum(gaps).tolist():
+        kind = draw(st.sampled_from(["up", "down", "down", "default", "servers"]))
+        client, server = draw(st.sampled_from(_CLIENTS)), draw(st.sampled_from(_SERVERS))
+        port = 50000 + draw(st.integers(0, 2))
+        size = draw(st.integers(20, 400))
+        if kind == "default":
+            packets.append(Packet(when, Direction.DOWNSTREAM, size))
+        elif kind == "servers":
+            packets.append(Packet(when, Direction.DOWNSTREAM, size, *_SERVERS, 49004, port))
+        elif kind == "up":
+            packets.append(Packet(when, Direction.UPSTREAM, size, client, server, port, 49004))
+        else:
+            packets.append(Packet(when, Direction.DOWNSTREAM, size, server, client, 49004, port))
+    return packets
+
+
+@settings(max_examples=60, deadline=None)
+@given(packets=_capture_packets(), data=st.data())
+def test_pcap_flow_ids_split_like_their_addresses(packets, data):
+    client_ip = data.draw(st.sampled_from([None, _CLIENTS[0]]), label="client_ip")
+    by_seconds = data.draw(st.one_of(st.none(), st.sampled_from([0.05, 0.5, 3.0])))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "capture.pcap"
+        write_pcap(path, packets)
+        batches = list(
+            iter_pcap_column_batches(
+                path,
+                batch_packets=data.draw(st.integers(1, 50), label="batch_packets"),
+                batch_seconds=by_seconds,
+                client_ip=client_ip,
+            )
+        )
+    for batch in batches + _reshaped(batches, data):
+        _check_producer_ids(batch)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    batch_seconds=st.sampled_from([0.25, 1.0, 4.0]),
+    offsets=st.lists(st.floats(0.0, 6.0), min_size=3, max_size=3),
+    shuffle=st.booleans(),
+    data=st.data(),
+)
+def test_session_feed_flow_ids_split_like_their_addresses(
+    tick_sessions, batch_seconds, offsets, shuffle, data
+):
+    feed = SessionFeed(
+        tick_sessions, batch_seconds=batch_seconds, start_offsets=offsets,
+        shuffle_within_batch=shuffle, random_state=5,
+    )
+    batches = list(feed)
+    assert all(batch.flow_keys == tuple(feed.flow_contexts) for batch in batches)
+    for batch in batches + _reshaped(batches, data):
+        _check_producer_ids(batch)
+
+
+def test_concat_remaps_ids_only_across_different_key_tables(tick_sessions, tmp_path):
+    feed = SessionFeed(tick_sessions, batch_seconds=2.0)
+    first, second = list(feed)[:2]
+    same = PacketColumns.concat([first, second])
+    assert same.flow_keys is first.flow_keys  # one table: ids concatenated as they are
+    packets = [
+        Packet(0.01 * row, Direction.UPSTREAM, 100, "10.0.0.9", "198.51.100.7", 50000, 443)
+        for row in range(5)
+    ]
+    write_pcap(tmp_path / "capture.pcap", packets)
+    (other,) = iter_pcap_column_batches(tmp_path / "capture.pcap", client_ip="10.0.0.9")
+    mixed = PacketColumns.concat([first, other, second])
+    assert mixed.flow_keys == first.flow_keys + other.flow_keys
+    _check_producer_ids(mixed)
+    # a part without ids leaves the whole batch to the derived path
+    assert PacketColumns.concat([first, other.without_flow_ids()]).flow_ids is None
+
+
+def test_flow_ids_never_reach_state_or_the_wire(fitted_pipeline, tick_sessions, monkeypatch):
+    """One feed twice, with its producer ids and with them stripped: every
+    byte of engine state, snapshot, worker checkpoint and tick payload agrees."""
+    feed = SessionFeed(
+        tick_sessions, batch_seconds=1.0, start_offsets=[0.0, 3.7, 8.25],
+        shuffle_within_batch=True, random_state=2,
+    )
+    with_ids = list(feed)
+    assert all(batch.flow_ids is not None for batch in with_ids)
+    recorded: List[list] = []
+
+    def record(name, value):
+        recorded[-1].append((name, value))
+
+    send, absorb = ShardSupervisor._send_tick_payload, ShardSupervisor._absorb_reply
+
+    def send_recorded(self, shard, payload):
+        record("payload", pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        return send(self, shard, payload)
+
+    def absorb_recorded(self, shard_record, reply):
+        record("checkpoint", reply[3])
+        return absorb(self, shard_record, reply)
+
+    monkeypatch.setattr(ShardSupervisor, "_send_tick_payload", send_recorded)
+    monkeypatch.setattr(ShardSupervisor, "_absorb_reply", absorb_recorded)
+    for batches in (with_ids, [batch.without_flow_ids() for batch in with_ids]):
+        recorded.append([])
+        engine = StreamingEngine(fitted_pipeline, idle_timeout_s=6.0, analytics=True)
+        for batch in batches:
+            record("events", pickle.dumps(engine.ingest(batch)))
+            record("state", engine.state_nbytes())
+            record("snapshot", pickle.dumps(engine.snapshot()))
+        record("close", pickle.dumps(engine.close_all()))
+        sharded = ShardedEngine(
+            fitted_pipeline, n_workers=2, backend="fork", snapshot_every_ticks=3,
+            ring_slots=2,  # below the checkpoint cadence: some ticks go inline
+        )
+        record("sharded", pickle.dumps(list(sharded.run_feed(batches))))
+        assert sharded.last_feed_stats["shm_fallback_ticks"] > 0
+    with_ids_run, stripped_run = recorded
+    assert [name for name, _ in with_ids_run] == [name for name, _ in stripped_run]
+    for (name, got), (_, expected) in zip(with_ids_run, stripped_run):
+        assert got == expected, name
+    assert sum(name == "checkpoint" and blob is not None for name, blob in with_ids_run)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed", "single", "empty"])
