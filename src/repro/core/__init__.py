@@ -20,6 +20,13 @@ objective/effective QoE modules they calibrate:
 * :mod:`repro.core.qoe` — objective QoE estimation and context-calibrated
   effective QoE (§5.3).
 * :mod:`repro.core.pipeline` — the end-to-end real-time pipeline of Fig. 6.
+
+Each classifier verdict has one entry point, the batched form:
+``launch_feature_matrix`` / ``GameTitleClassifier.predict_streams`` for the
+title, ``PlayerActivityClassifier.predict_slots_many`` /
+``predict_raw_slots_many`` for the stage timeline and
+``GameplayPatternClassifier.predict_incremental_many`` for the pattern.  One
+session is a one-element call, e.g. ``predict_slots_many([stream])[0]``.
 """
 
 from repro.core.activity_classifier import PlayerActivityClassifier
@@ -27,7 +34,6 @@ from repro.core.features import (
     PACKET_GROUP_FEATURE_NAMES,
     launch_feature_matrix,
     launch_feature_names,
-    launch_features,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
@@ -41,19 +47,17 @@ from repro.core.qoe import (
 )
 from repro.core.title_classifier import GameTitleClassifier
 from repro.core.transition import StageTransitionModeler, TRANSITION_FEATURE_NAMES
-from repro.core.volumetric import VolumetricAttributeGenerator, VolumetricSlot
+from repro.core.volumetric import VolumetricAttributeGenerator
 
 __all__ = [
     "PacketGroup",
     "PacketGroupLabeler",
     "PACKET_GROUP_FEATURE_NAMES",
-    "launch_features",
     "launch_feature_matrix",
     "launch_feature_names",
     "volumetric_launch_features",
     "GameTitleClassifier",
     "VolumetricAttributeGenerator",
-    "VolumetricSlot",
     "PlayerActivityClassifier",
     "StageTransitionModeler",
     "TRANSITION_FEATURE_NAMES",

@@ -20,6 +20,32 @@ from repro.net.packet import PacketStream
 from repro.simulation.catalog import PlayerStage
 
 
+def balanced_resample(
+    X: np.ndarray, y: np.ndarray, random_state: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Oversample every minority class to the majority class size.
+
+    Shared by the stage and pattern classifiers' ``balance_classes``: the
+    deficit of each class (in sorted label order) is drawn with replacement
+    from that class's rows by one ``default_rng(random_state)``, and the
+    draws are appended after the original rows.
+    """
+    rng = np.random.default_rng(random_state)
+    classes, counts = np.unique(y, return_counts=True)
+    target = counts.max()
+    X_parts = [X]
+    y_parts = [y]
+    for label, count in zip(classes, counts):
+        deficit = int(target - count)
+        if deficit <= 0:
+            continue
+        indices = np.flatnonzero(y == label)
+        resampled = rng.choice(indices, size=deficit, replace=True)
+        X_parts.append(X[resampled])
+        y_parts.append(y[resampled])
+    return np.vstack(X_parts), np.concatenate(y_parts)
+
+
 class PlayerActivityClassifier:
     """Classifies per-slot player activity stages from volumetric attributes.
 
@@ -58,47 +84,34 @@ class PlayerActivityClassifier:
         """Names of the four volumetric attributes."""
         return list(VOLUMETRIC_FEATURE_NAMES)
 
-    def session_features_and_labels(
-        self,
-        stream: PacketStream,
-        slot_labels: Sequence[PlayerStage],
-        skip_launch: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-slot feature matrix and aligned stage labels for one session.
-
-        ``slot_labels`` must provide the ground-truth stage of every slot
-        (as produced by :meth:`GameSession.slot_ground_truth`); slots beyond
-        the provided labels are dropped, and launch slots are excluded when
-        ``skip_launch`` is set.
-        """
-        features = self.generator.transform(stream)
-        n = min(features.shape[0], len(slot_labels))
-        features = features[:n]
-        labels = list(slot_labels[:n])
-        if skip_launch:
-            keep = [label is not PlayerStage.LAUNCH for label in labels]
-            features = features[np.array(keep, dtype=bool)]
-            labels = [label for label in labels if label is not PlayerStage.LAUNCH]
-        return features, np.array([label.value for label in labels])
-
     def corpus_features_and_labels(
         self,
         streams: Sequence[PacketStream],
         slot_labels: Sequence[Sequence[PlayerStage]],
         skip_launch: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenate per-slot features/labels over a corpus of sessions."""
+        """Per-slot features and aligned stage labels of a corpus, concatenated.
+
+        ``slot_labels`` must provide the ground-truth stage of every slot of
+        each session (as produced by :meth:`GameSession.slot_ground_truth`);
+        slots beyond the provided labels are dropped, and launch slots are
+        excluded when ``skip_launch`` is set.
+        """
         if len(streams) != len(slot_labels):
             raise ValueError(
                 f"{len(streams)} streams but {len(slot_labels)} label sequences"
             )
         feature_blocks = []
         label_blocks = []
-        for stream, labels in zip(streams, slot_labels):
-            X, y = self.session_features_and_labels(stream, labels, skip_launch)
-            if X.shape[0]:
-                feature_blocks.append(X)
-                label_blocks.append(y)
+        for features, labels in zip(self.generator.transform_many(streams), slot_labels):
+            n = min(features.shape[0], len(labels))
+            labels = list(labels[:n])
+            keep = [not (skip_launch and label is PlayerStage.LAUNCH) for label in labels]
+            if any(keep):
+                feature_blocks.append(features[:n][np.array(keep, dtype=bool)])
+                label_blocks.append(
+                    np.array([label.value for label, kept in zip(labels, keep) if kept])
+                )
         if not feature_blocks:
             raise ValueError("no labeled slots available for training")
         return np.vstack(feature_blocks), np.concatenate(label_blocks)
@@ -122,27 +135,9 @@ class PlayerActivityClassifier:
         not biased toward the frequent stages.
         """
         if self.balance_classes:
-            X, y = self._balanced_resample(X, y)
+            X, y = balanced_resample(X, y, self._random_state)
         self.model.fit(X, y)
         return self
-
-    def _balanced_resample(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(self._random_state)
-        classes, counts = np.unique(y, return_counts=True)
-        target = counts.max()
-        X_parts = [X]
-        y_parts = [y]
-        for label, count in zip(classes, counts):
-            deficit = int(target - count)
-            if deficit <= 0:
-                continue
-            indices = np.flatnonzero(y == label)
-            resampled = rng.choice(indices, size=deficit, replace=True)
-            X_parts.append(X[resampled])
-            y_parts.append(y[resampled])
-        return np.vstack(X_parts), np.concatenate(y_parts)
 
     # ----------------------------------------------------------- inference
     def _stages(self, X: np.ndarray) -> List[PlayerStage]:
@@ -157,55 +152,30 @@ class PlayerActivityClassifier:
         winners = self.model.predict_proba(X).argmax(axis=1)
         return [stages[index] for index in winners.tolist()]
 
-    def predict_slots(self, stream: PacketStream) -> List[PlayerStage]:
-        """Predict the stage of every slot of a session."""
-        return self._stages(self.generator.transform(stream))
-
     def predict_features(self, X: np.ndarray) -> List[PlayerStage]:
         """Predict stages for precomputed slot features (one row or a matrix)."""
         return self._stages(X)
 
-    def predict_raw_slots(
-        self, raw_matrix: np.ndarray, causal: bool = True
-    ) -> List[PlayerStage]:
-        """Predict the stage timeline from a raw per-slot counter matrix.
-
-        ``raw_matrix`` holds the four raw volumetric attributes per slot
-        (down Mbps, down pps, up Kbps, up pps) — the public entry point for
-        deployment probes that retain only per-slot counters instead of
-        packets.  The relative conversion and EMA smoothing run identically
-        to :meth:`predict_slots`, so for a matrix equal to
-        :meth:`VolumetricAttributeGenerator.raw_slot_matrix` of a stream the
-        timeline is bit-identical (pinned by ``tests/test_runtime.py``).
-        """
-        raw = np.asarray(raw_matrix, dtype=float)
-        if raw.shape[0] == 0:
-            return []
-        features = self.generator.smooth(
-            self.generator.relative_matrix(raw, causal=causal)
-        )
-        return self.predict_features(features)
-
     def predict_slots_many(
         self, streams: Sequence[PacketStream]
     ) -> List[List[PlayerStage]]:
-        """Batched :meth:`predict_slots`: one forest pass for a whole corpus.
+        """The stage of every slot of every session, in one forest pass.
 
         The per-slot volumetric attributes of every session are stacked into
-        one matrix (the per-session extraction is already vectorised) and
-        classified with a single ``model.predict`` call, then split back into
-        per-session stage timelines.  Tree traversal is row-independent, so
-        the timelines are identical to per-session :meth:`predict_slots`
-        calls.
+        one matrix (:meth:`VolumetricAttributeGenerator.transform_many`),
+        classified together and split back into per-session stage
+        timelines.  Tree traversal is row-independent, so a session's
+        timeline does not depend on its batch; one session is
+        ``predict_slots_many([stream])[0]``.
         """
         if not streams:
             return []
         return self._predict_feature_blocks(self.generator.transform_many(streams))
 
     def predict_raw_slots_many(
-        self, raw_matrices: Sequence[np.ndarray], causal: bool = True
+        self, raw_matrices: Sequence[np.ndarray]
     ) -> List[List[PlayerStage]]:
-        """Batched :meth:`predict_raw_slots`: timelines from counter matrices.
+        """Stage timelines from raw per-slot counter matrices.
 
         Each ``(n_slots_i, 4)`` raw matrix holds the four raw volumetric
         attributes per slot (down Mbps, down pps, up Kbps, up pps) — the
@@ -215,12 +185,12 @@ class PlayerActivityClassifier:
         (:meth:`VolumetricAttributeGenerator.smooth_many`) and one forest
         pass classifies every slot, so for matrices equal to
         ``raw_slot_matrix`` of the streams the timelines are bit-identical
-        to :meth:`predict_slots_many` (and :meth:`predict_slots`).
+        to :meth:`predict_slots_many` (pinned by ``tests/test_reducers.py``).
         """
         if not len(raw_matrices):
             return []
         relatives = [
-            self.generator.relative_matrix(np.asarray(raw, dtype=float), causal=causal)
+            self.generator.relative_matrix(np.asarray(raw, dtype=float))
             if np.asarray(raw).shape[0]
             else np.zeros((0, 4))
             for raw in raw_matrices

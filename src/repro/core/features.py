@@ -203,47 +203,6 @@ def slot_feature_matrix(slots: Sequence[LabeledSlot]) -> np.ndarray:
     return features
 
 
-def slot_features(slot: LabeledSlot) -> np.ndarray:
-    """The 51 attributes of a single labeled time slot."""
-    return slot_feature_matrix([slot])[0]
-
-
-def launch_features(
-    stream: PacketStream,
-    window_seconds: float = 5.0,
-    labeler: Optional[PacketGroupLabeler] = None,
-    aggregate: str = "mean",
-) -> np.ndarray:
-    """51-dimensional launch feature vector of one streaming session.
-
-    Parameters
-    ----------
-    stream:
-        The session's packet stream; only downstream packets of the first
-        ``window_seconds`` are used.
-    window_seconds:
-        The classification window ``N`` (5 seconds in the deployed system).
-    labeler:
-        Packet-group labeler; defaults to the paper's configuration
-        (``T`` = 1 s, ``V`` = 10%).
-    aggregate:
-        How per-slot attribute vectors are combined: ``"mean"`` (default) or
-        ``"concat"`` (concatenation over slots, giving ``51 * n_slots``
-        attributes).
-    """
-    if aggregate not in ("mean", "concat"):
-        raise ValueError(f"aggregate must be 'mean' or 'concat', got {aggregate!r}")
-    labeler = labeler or PacketGroupLabeler()
-    slots = labeler.label_window(stream, window_seconds=window_seconds)
-    if not slots:
-        size = len(PACKET_GROUP_FEATURE_NAMES)
-        return np.zeros(size if aggregate == "mean" else size)
-    per_slot = slot_feature_matrix(slots)
-    if aggregate == "mean":
-        return per_slot.mean(axis=0)
-    return per_slot.reshape(-1)
-
-
 def volumetric_launch_features(
     stream: PacketStream,
     window_seconds: float = 5.0,
@@ -309,39 +268,29 @@ def launch_feature_matrix(
         labels the same number of slots (``ceil(window / T)``, empty slots
         included), so concatenated rows always align.
 
-    Rows are identical to per-session :func:`launch_features` calls with the
-    same ``aggregate``: each slot's statistics depend only on its own
-    packets, and the grouped reductions accumulate per-segment values in the
-    same order regardless of how slots are batched.
+    A single session is the one-element call
+    ``launch_feature_matrix([stream])[0]``: each slot's statistics depend
+    only on its own packets, and the grouped reductions accumulate
+    per-segment values in the same order regardless of how slots are
+    batched.
     """
     if not streams:
         raise ValueError("streams must not be empty")
     if aggregate not in ("mean", "concat"):
         raise ValueError(f"aggregate must be 'mean' or 'concat', got {aggregate!r}")
     labeler = labeler or PacketGroupLabeler()
+    # label_window always returns ceil(window / T) >= 1 slots
     per_stream_slots = [
         labeler.label_window(stream, window_seconds=window_seconds)
         for stream in streams
     ]
-    flat_slots = [slot for slots in per_stream_slots for slot in slots]
-    per_slot = slot_feature_matrix(flat_slots)
-    width = len(PACKET_GROUP_FEATURE_NAMES)
-    expected_slots = max(
-        1, int(np.ceil(window_seconds / labeler.slot_duration))
-    )
+    per_slot = slot_feature_matrix([slot for slots in per_stream_slots for slot in slots])
     rows = []
     cursor = 0
     for slots in per_stream_slots:
-        n = len(slots)
-        if n == 0:
-            rows.append(
-                np.zeros(width if aggregate == "mean" else width * expected_slots)
-            )
-        elif aggregate == "mean":
-            rows.append(per_slot[cursor : cursor + n].mean(axis=0))
-        else:
-            rows.append(per_slot[cursor : cursor + n].reshape(-1))
-        cursor += n
+        block = per_slot[cursor : cursor + len(slots)]
+        rows.append(block.mean(axis=0) if aggregate == "mean" else block.reshape(-1))
+        cursor += len(slots)
     return np.stack(rows)
 
 

@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.activity_classifier import balanced_resample
 from repro.core.transition import (
-    StageTransitionModeler,
     TRANSITION_FEATURE_NAMES,
     prefix_transition_features,
     transition_features_from_stages,
@@ -85,10 +85,6 @@ class GameplayPatternClassifier:
         """Names of the nine transition attributes."""
         return list(TRANSITION_FEATURE_NAMES)
 
-    def features_from_stages(self, stages: Sequence[PlayerStage]) -> np.ndarray:
-        """Nine transition attributes of a per-slot stage sequence."""
-        return transition_features_from_stages(stages)
-
     # ------------------------------------------------------------ training
     def fit_stage_sequences(
         self,
@@ -100,7 +96,7 @@ class GameplayPatternClassifier:
             raise ValueError(
                 f"{len(stage_sequences)} sequences but {len(patterns)} pattern labels"
             )
-        X = np.stack([self.features_from_stages(seq) for seq in stage_sequences])
+        X = np.stack([transition_features_from_stages(seq) for seq in stage_sequences])
         return self.fit_features(X, patterns)
 
     def fit_features(self, X: np.ndarray, y: Sequence) -> "GameplayPatternClassifier":
@@ -116,79 +112,11 @@ class GameplayPatternClassifier:
             [p.value if isinstance(p, ActivityPattern) else p for p in y]
         )
         if self.balance_classes:
-            rng = np.random.default_rng(self._random_state)
-            classes, counts = np.unique(labels, return_counts=True)
-            target = counts.max()
-            X_parts, y_parts = [X], [labels]
-            for label, count in zip(classes, counts):
-                deficit = int(target - count)
-                if deficit <= 0:
-                    continue
-                indices = np.flatnonzero(labels == label)
-                resampled = rng.choice(indices, size=deficit, replace=True)
-                X_parts.append(X[resampled])
-                y_parts.append(labels[resampled])
-            X = np.vstack(X_parts)
-            labels = np.concatenate(y_parts)
+            X, labels = balanced_resample(X, labels, self._random_state)
         self.model.fit(X, labels)
         return self
 
     # ----------------------------------------------------------- inference
-    def predict_features(self, features: np.ndarray) -> PatternPrediction:
-        """Predict from a nine-attribute vector (confidence-gated)."""
-        proba = self.model.predict_proba(features.reshape(1, -1))[0]
-        best = int(np.argmax(proba))
-        confidence = float(proba[best])
-        pattern = ActivityPattern(str(self.model.classes_[best]))
-        confident = confidence >= self.confidence_threshold
-        return PatternPrediction(
-            pattern=pattern if confident else None,
-            confidence=confidence,
-            confident=confident,
-            slots_observed=0,
-        )
-
-    def predict_stages(self, stages: Sequence[PlayerStage]) -> PatternPrediction:
-        """Predict from a full per-slot stage sequence."""
-        gameplay_slots = [s for s in stages if s in PlayerStage.gameplay_stages()]
-        if len(gameplay_slots) < self.min_slots:
-            return PatternPrediction(
-                pattern=None,
-                confidence=0.0,
-                confident=False,
-                slots_observed=len(gameplay_slots),
-            )
-        prediction = self.predict_features(self.features_from_stages(stages))
-        prediction.slots_observed = len(gameplay_slots)
-        return prediction
-
-    def predict_incremental(
-        self, stages: Sequence[PlayerStage]
-    ) -> Tuple[PatternPrediction, int]:
-        """Replay a stage sequence slot-by-slot until the confidence gate opens.
-
-        Returns the first confident prediction and the number of gameplay
-        slots that were needed (the paper's "time to confident inference",
-        about five minutes on average at the 75% threshold).  When no
-        confident prediction is reached, the final undecided prediction and
-        the total slot count are returned.
-        """
-        modeler = StageTransitionModeler()
-        gameplay_seen = 0
-        last = PatternPrediction(pattern=None, confidence=0.0, confident=False, slots_observed=0)
-        for stage in stages:
-            modeler.update(stage)
-            if stage in PlayerStage.gameplay_stages():
-                gameplay_seen += 1
-            if gameplay_seen < self.min_slots:
-                continue
-            prediction = self.predict_features(modeler.feature_vector())
-            prediction.slots_observed = gameplay_seen
-            last = prediction
-            if prediction.confident:
-                return prediction, gameplay_seen
-        return last, gameplay_seen
-
     #: first chunk size (eligible slots per session per round) of the
     #: batched incremental replay; later rounds grow geometrically
     _BATCH_CHUNK = 16
@@ -196,18 +124,28 @@ class GameplayPatternClassifier:
     def predict_incremental_many(
         self, stage_sequences: Sequence[Sequence[PlayerStage]]
     ) -> List[Tuple[PatternPrediction, int]]:
-        """Batched :meth:`predict_incremental` over many stage sequences.
+        """The first slot at which each stage sequence's confidence gate opens.
 
-        Semantically identical to calling :meth:`predict_incremental` per
-        sequence, but vectorised on both axes: the per-slot replay of the
-        transition modeler becomes one cumulative prefix-attribute matrix
-        per session (:func:`~repro.core.transition.
-        prefix_transition_features`), and the forest evaluates the eligible
-        slots of *all* unresolved sessions together, a growing chunk per
-        round.  Chunking preserves the sequential early exit — a session
-        whose confidence gate opens in its first few eligible slots never
-        pays for the rest of its timeline — while keeping the number of
-        ``predict_proba`` calls logarithmic instead of one per slot.
+        Per sequence, returns the first confident prediction and the number
+        of gameplay slots that were needed (the paper's "time to confident
+        inference", about five minutes on average at the 75% threshold).
+        Slots before ``min_slots`` gameplay slots are never evaluated.  When
+        no confident prediction is reached, the prediction of the final
+        eligible slot (undecided) and the total gameplay-slot count are
+        returned; with no eligible slot at all, a zero-confidence undecided
+        prediction.
+
+        Vectorised on both axes: the per-slot transition-modeler replay
+        becomes one cumulative prefix-attribute matrix per session
+        (:func:`~repro.core.transition.prefix_transition_features`), and the
+        forest evaluates the eligible slots of *all* unresolved sessions
+        together, a growing chunk per round.  Chunking preserves the
+        sequential early exit — a session whose gate opens in its first few
+        eligible slots never pays for the rest of its timeline — while
+        keeping the number of ``predict_proba`` calls logarithmic instead of
+        one per slot.  One sequence is ``predict_incremental_many([s])[0]``;
+        the slot-by-slot replay is the oracle in
+        ``tests/test_batch_pipeline.py``.
         """
         prefixes = [prefix_transition_features(seq) for seq in stage_sequences]
         n_sessions = len(prefixes)
@@ -288,18 +226,21 @@ class GameplayPatternClassifier:
         stage_sequences: Sequence[Sequence[PlayerStage]],
         patterns: Sequence[ActivityPattern],
     ) -> dict:
-        """Accuracy per pattern over labeled sequences (confidence gate off)."""
+        """Accuracy per pattern over labeled sequences (confidence gate off).
+
+        Every sequence's full transition attributes are classified in one
+        ``predict_proba`` pass and the most probable pattern is compared to
+        the truth, whatever its confidence and slot count.
+        """
         correct = {pattern: 0 for pattern in ActivityPattern}
         totals = {pattern: 0 for pattern in ActivityPattern}
-        for stages, truth in zip(stage_sequences, patterns):
-            features = self.features_from_stages(stages)
-            proba = self.model.predict_proba(features.reshape(1, -1))[0]
-            predicted = ActivityPattern(
-                str(self.model.classes_[int(np.argmax(proba))])
-            )
-            totals[truth] += 1
-            if predicted is truth:
-                correct[truth] += 1
+        if len(stage_sequences):
+            X = np.stack([transition_features_from_stages(seq) for seq in stage_sequences])
+            classes = self.model.classes_
+            winners = self.model.predict_proba(X).argmax(axis=1)
+            for winner, truth in zip(winners.tolist(), patterns):
+                totals[truth] += 1
+                correct[truth] += ActivityPattern(str(classes[winner])) is truth
         per_pattern = {
             pattern: (correct[pattern] / totals[pattern]) if totals[pattern] else float("nan")
             for pattern in ActivityPattern

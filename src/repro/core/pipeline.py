@@ -121,12 +121,15 @@ class ContextClassificationPipeline:
     def fit(self, sessions: Sequence[GameSession]) -> "ContextClassificationPipeline":
         """Train all three classifiers from a labeled session corpus.
 
-        Feature extraction runs on the batch paths: the title classifier's
-        launch attributes come from one grouped reduction over the whole
-        corpus, and the stage sequences feeding the pattern classifier are
-        classified with one forest pass
-        (:meth:`PlayerActivityClassifier.predict_slots_many`) so training
-        matches the deployed cascade including its classification noise.
+        Feature extraction runs through each classifier's one (batched)
+        entry point: the title classifier's launch attributes come from one
+        grouped reduction over the whole corpus, the stage classifier's
+        training rows from one
+        :meth:`VolumetricAttributeGenerator.transform_many`, and the stage
+        sequences feeding the pattern classifier are classified with one
+        forest pass (:meth:`PlayerActivityClassifier.predict_slots_many`) so
+        training matches the deployed cascade including its classification
+        noise.
         """
         if not sessions:
             raise ValueError("cannot fit the pipeline on an empty corpus")
@@ -287,7 +290,9 @@ class ContextClassificationPipeline:
 
         The single driver behind :meth:`process_many` (and so
         :meth:`process`) and the streaming runtime's close path.  The
-        classifier stages finalise batched across the given sessions:
+        classifier stages finalise batched across the given sessions, each
+        through its verdict's one entry point (there is no per-session
+        twin; one session is a one-element call):
 
         1. **title** — launch attributes of all window buffers in one
            grouped reduction + one forest pass (the window buffer produces

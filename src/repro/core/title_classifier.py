@@ -17,9 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.features import (
+    FLOW_VOLUMETRIC_FEATURE_NAMES,
     PACKET_GROUP_FEATURE_NAMES,
     launch_feature_matrix,
-    launch_features,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import PacketGroupLabeler
@@ -105,21 +105,6 @@ class GameTitleClassifier:
         )
 
     # ------------------------------------------------------------ features
-    def extract_features(self, stream: PacketStream) -> np.ndarray:
-        """Feature vector for one session according to ``feature_mode``."""
-        if self.feature_mode == "packet-group":
-            return launch_features(
-                stream,
-                window_seconds=self.window_seconds,
-                labeler=self._labeler,
-                aggregate=self.feature_aggregate,
-            )
-        return volumetric_launch_features(
-            stream,
-            window_seconds=self.window_seconds,
-            slot_duration=self.slot_duration,
-        )
-
     def feature_names(self) -> List[str]:
         """Names of the attributes consumed by the model.
 
@@ -136,20 +121,15 @@ class GameTitleClassifier:
                 for slot in range(n_slots)
                 for name in PACKET_GROUP_FEATURE_NAMES
             ]
-        return [
-            "down_packet_rate_mean",
-            "down_packet_rate_std",
-            "down_throughput_mean",
-            "down_throughput_std",
-        ]
+        return list(FLOW_VOLUMETRIC_FEATURE_NAMES)
 
     def feature_matrix(self, streams: Sequence[PacketStream]) -> np.ndarray:
-        """Stack feature vectors for many sessions (batched extraction).
+        """Feature rows of many sessions according to ``feature_mode``.
 
         In ``"packet-group"`` mode the 51 per-slot attributes of the whole
         corpus are computed in one grouped reduction
-        (:func:`~repro.core.features.launch_feature_matrix`); rows are
-        identical to per-session :meth:`extract_features` calls.
+        (:func:`~repro.core.features.launch_feature_matrix`); one session is
+        ``feature_matrix([stream])[0]``.
         """
         if not streams:
             raise ValueError("streams must not be empty")
@@ -160,7 +140,16 @@ class GameTitleClassifier:
                 labeler=self._labeler,
                 aggregate=self.feature_aggregate,
             )
-        return np.stack([self.extract_features(stream) for stream in streams])
+        return np.stack(
+            [
+                volumetric_launch_features(
+                    stream,
+                    window_seconds=self.window_seconds,
+                    slot_duration=self.slot_duration,
+                )
+                for stream in streams
+            ]
+        )
 
     # ------------------------------------------------------------ training
     def fit(
@@ -183,17 +172,9 @@ class GameTitleClassifier:
         return self
 
     # ----------------------------------------------------------- inference
-    def predict_stream(self, stream: PacketStream) -> TitlePrediction:
-        """Classify one session from its packet stream."""
-        features = self.extract_features(stream).reshape(1, -1)
-        return self._predict_features(features)[0]
-
     def predict_features(self, X: np.ndarray) -> List[TitlePrediction]:
-        """Classify sessions from precomputed feature vectors."""
-        return self._predict_features(np.atleast_2d(X))
-
-    def _predict_features(self, X: np.ndarray) -> List[TitlePrediction]:
-        proba = self.model.predict_proba(X)
+        """Classify sessions from precomputed feature rows (one row or a matrix)."""
+        proba = self.model.predict_proba(np.atleast_2d(X))
         classes = self.model.classes_
         predictions: List[TitlePrediction] = []
         for row in proba:
@@ -214,16 +195,15 @@ class GameTitleClassifier:
         return predictions
 
     def predict_streams(self, streams: Sequence[PacketStream]) -> List[TitlePrediction]:
-        """Classify many sessions with one batched extraction + forest pass.
+        """Classify sessions with one batched extraction + forest pass.
 
-        Equivalent to ``[predict_stream(s) for s in streams]`` but the
-        launch attributes of the whole corpus are extracted in one grouped
-        reduction and the forest traverses all rows in a single
-        ``predict_proba`` call.
+        The launch attributes of the whole corpus are extracted in one
+        grouped reduction and the forest traverses all rows in a single
+        ``predict_proba`` call; one session is ``predict_streams([s])[0]``.
         """
         if not streams:
             return []
-        return self._predict_features(self.feature_matrix(streams))
+        return self.predict_features(self.feature_matrix(streams))
 
     def evaluate(
         self, streams: Sequence[PacketStream], titles: Sequence[str]

@@ -10,7 +10,7 @@ importance (transitions from active to idle being the most informative).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,10 +105,6 @@ class StageTransitionModeler:
     def feature_vector(self) -> np.ndarray:
         """The nine-attribute vector consumed by the pattern classifier."""
         return self.probability_matrix().reshape(-1)
-
-    def feature_dict(self) -> Dict[str, float]:
-        """``{attribute name: probability}`` mapping of the nine attributes."""
-        return dict(zip(TRANSITION_FEATURE_NAMES, self.feature_vector().tolist()))
 
 
 def transition_features_from_stages(stages: Sequence[PlayerStage]) -> np.ndarray:
@@ -247,14 +243,3 @@ class PrefixTransitionTracker:
         self._counts = snapshot["counts"].tolist()
         self._prev = snapshot["prev"]
         self._gameplay_seen = snapshot["gameplay_seen"]
-
-
-def stage_occupancy(stages: Sequence[PlayerStage]) -> Dict[PlayerStage, float]:
-    """Fraction of gameplay slots per stage in a stage sequence."""
-    gameplay = [stage for stage in stages if stage in _STAGE_INDEX]
-    if not gameplay:
-        return {stage: 0.0 for stage in STAGE_ORDER}
-    return {
-        stage: sum(1 for s in gameplay if s is stage) / len(gameplay)
-        for stage in STAGE_ORDER
-    }

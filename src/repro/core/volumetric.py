@@ -17,8 +17,7 @@ for training and an online streaming mode used by the real-time pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,28 +31,6 @@ VOLUMETRIC_FEATURE_NAMES = (
     "up_throughput_rel",
     "up_packet_rate_rel",
 )
-
-
-@dataclass
-class VolumetricSlot:
-    """Raw and relative volumetric attributes of one ``I``-second slot."""
-
-    slot_index: int
-    down_throughput_mbps: float
-    down_packet_rate: float
-    up_throughput_kbps: float
-    up_packet_rate: float
-    relative: np.ndarray
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "slot_index": self.slot_index,
-            "down_throughput_mbps": self.down_throughput_mbps,
-            "down_packet_rate": self.down_packet_rate,
-            "up_throughput_kbps": self.up_throughput_kbps,
-            "up_packet_rate": self.up_packet_rate,
-            **dict(zip(VOLUMETRIC_FEATURE_NAMES, self.relative.tolist())),
-        }
 
 
 class VolumetricAttributeGenerator:
@@ -90,17 +67,14 @@ class VolumetricAttributeGenerator:
         self.peak_floor_fraction = peak_floor_fraction
 
     # ------------------------------------------------------------ offline
-    def raw_slot_matrix(
-        self,
-        stream: PacketStream,
-        duration: Optional[float] = None,
-        origin: Optional[float] = None,
-    ) -> np.ndarray:
-        """Raw per-slot attributes: columns are (down Mbps, down pps, up Kbps, up pps)."""
-        origin = stream.start_time if origin is None else origin
+    def raw_slot_matrix(self, stream: PacketStream) -> np.ndarray:
+        """Raw per-slot attributes: columns are (down Mbps, down pps, up Kbps, up pps).
+
+        Slots start at the stream's first packet and cover it to its last.
+        """
+        origin = stream.start_time
         all_times = stream.timestamps()
-        if duration is None:
-            duration = float(all_times.max() - origin) if all_times.size else 0.0
+        duration = float(all_times.max() - origin) if all_times.size else 0.0
         n_slots = max(1, int(np.ceil(duration / self.slot_duration)))
 
         matrix = np.zeros((n_slots, 4))
@@ -123,74 +97,43 @@ class VolumetricAttributeGenerator:
                 matrix[:, 3] = pkt_count / self.slot_duration
         return matrix
 
-    def relative_matrix(self, raw: np.ndarray, causal: bool = True) -> np.ndarray:
-        """Convert raw attributes to fractions of the (running) peak.
+    def relative_matrix(self, raw: np.ndarray) -> np.ndarray:
+        """Convert raw attributes to fractions of the running peak.
 
-        Parameters
-        ----------
-        causal:
-            When ``True`` (default, matching the real-time system) each slot
-            is normalised by the peak observed in slots up to and including
-            itself; when ``False`` the whole-session peak is used.
+        Each slot is normalised by the peak observed in slots up to and
+        including itself (causal, as in the real-time system), floored at
+        ``peak_floor_fraction`` of the whole-session peak.
         """
         if raw.ndim != 2 or raw.shape[1] != 4:
             raise ValueError(f"raw matrix must have 4 columns, got shape {raw.shape}")
-        if causal:
-            peaks = np.maximum.accumulate(raw, axis=0)
-        else:
-            peaks = np.tile(raw.max(axis=0), (raw.shape[0], 1))
-        session_peak = raw.max(axis=0)
-        floor = self.peak_floor_fraction * session_peak
+        peaks = np.maximum.accumulate(raw, axis=0)
+        floor = self.peak_floor_fraction * raw.max(axis=0)
         peaks = np.maximum(peaks, floor[None, :])
         peaks = np.where(peaks <= 0, 1.0, peaks)
         return np.clip(raw / peaks, 0.0, 1.0)
 
-    def smooth(self, relative: np.ndarray) -> np.ndarray:
-        """Apply the EMA of Equation 1 column-wise."""
-        smoothed = np.empty_like(relative)
-        for column in range(relative.shape[1]):
-            smoothed[:, column] = exponential_moving_average(
-                relative[:, column], self.alpha
-            )
-        return smoothed
+    def transform_many(self, streams: Sequence[PacketStream]) -> List[np.ndarray]:
+        """EMA-smoothed relative attributes of every session of a corpus.
 
-    def transform(
-        self,
-        stream: PacketStream,
-        duration: Optional[float] = None,
-        origin: Optional[float] = None,
-        causal: bool = True,
-    ) -> np.ndarray:
-        """Full offline pipeline: raw -> relative -> EMA-smoothed attributes."""
-        raw = self.raw_slot_matrix(stream, duration=duration, origin=origin)
-        return self.smooth(self.relative_matrix(raw, causal=causal))
-
-    def transform_many(
-        self, streams: Sequence[PacketStream], causal: bool = True
-    ) -> List[np.ndarray]:
-        """Batched :meth:`transform` over a corpus of sessions.
-
-        Per-slot counting stays per session (one pair of ``bincount`` calls
-        each), but the EMA recurrences of all sessions advance in lockstep on
-        one zero-padded ``(n_sessions, max_slots, 4)`` stack.  Smoothing is
-        elementwise per session, so each returned ``(n_slots_i, 4)`` matrix
-        is bit-identical to its per-session :meth:`transform`.
+        raw -> relative -> smoothed.  Per-slot counting stays per session
+        (one pair of ``bincount`` calls each); the EMA recurrences of all
+        sessions advance in lockstep (:meth:`smooth_many`).  One session is
+        ``transform_many([stream])[0]``.
         """
         if not streams:
             return []
         return self.smooth_many(
-            [
-                self.relative_matrix(self.raw_slot_matrix(stream), causal=causal)
-                for stream in streams
-            ]
+            [self.relative_matrix(self.raw_slot_matrix(stream)) for stream in streams]
         )
 
     def smooth_many(self, relatives: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Apply :meth:`smooth` to many sessions' relative matrices at once.
+        """Apply the EMA of Equation 1 to many sessions' relative matrices.
 
-        The EMA recurrences of all sessions advance in lockstep on one
-        zero-padded ``(n_sessions, max_slots, 4)`` stack; each returned
-        matrix is bit-identical to its per-session :meth:`smooth`.
+        The recurrences of all sessions and columns advance in lockstep on
+        one zero-padded ``(n_sessions, max_slots, 4)`` stack.  The EMA is
+        elementwise per session, so each returned matrix is bit-identical to
+        smoothing its columns one at a time (pinned by
+        ``tests/test_tick_fold.py``).
         """
         if not relatives:
             return []
@@ -206,27 +149,6 @@ class VolumetricAttributeGenerator:
             stacked.transpose(0, 2, 1), self.alpha
         ).transpose(0, 2, 1)
         return [smoothed[index, :length] for index, length in enumerate(lengths)]
-
-    def slots(
-        self,
-        stream: PacketStream,
-        duration: Optional[float] = None,
-        origin: Optional[float] = None,
-    ) -> List[VolumetricSlot]:
-        """Per-slot records combining raw and processed attributes."""
-        raw = self.raw_slot_matrix(stream, duration=duration, origin=origin)
-        processed = self.smooth(self.relative_matrix(raw))
-        return [
-            VolumetricSlot(
-                slot_index=index,
-                down_throughput_mbps=float(raw[index, 0]),
-                down_packet_rate=float(raw[index, 1]),
-                up_throughput_kbps=float(raw[index, 2]),
-                up_packet_rate=float(raw[index, 3]),
-                relative=processed[index],
-            )
-            for index in range(raw.shape[0])
-        ]
 
 
 class OnlineVolumetricTracker:
@@ -247,15 +169,8 @@ class OnlineVolumetricTracker:
         self._peaks: List[float] = [peak_floor] * 4
         self._ema: Optional[List[float]] = None
 
-    def update(self, raw_slot: Sequence[float]) -> np.ndarray:
-        """Consume one slot of raw attributes and return smoothed relatives."""
-        raw = np.asarray(raw_slot, dtype=float)
-        if raw.shape != (4,):
-            raise ValueError(f"raw_slot must have 4 values, got shape {raw.shape}")
-        return np.array(self.step(raw.tolist()))
-
     def step(self, raw: Sequence[float]) -> List[float]:
-        """:meth:`update` on four python floats, returning four.
+        """Consume one slot of four raw attributes; return four smoothed relatives.
 
         Unrolled over the four lanes: each line is the per-element IEEE
         operation of the generator's array expressions, in the same order.
@@ -276,11 +191,6 @@ class OnlineVolumetricTracker:
         self._ema = [c0, c1, c2, c3]
         return [c0, c1, c2, c3]
 
-    def reset(self) -> None:
-        """Clear peaks and EMA state (e.g. at the start of a new session)."""
-        self._peaks = [self.peak_floor] * 4
-        self._ema = None
-
     def snapshot(self) -> dict:
         """Copy of the carried state (peaks + EMA) as a plain dict."""
         return {
@@ -291,7 +201,7 @@ class OnlineVolumetricTracker:
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Adopt a :meth:`snapshot`; subsequent updates continue bit-identically."""
+        """Adopt a :meth:`snapshot`; subsequent steps continue bit-identically."""
         self.alpha = snapshot["alpha"]
         self.peak_floor = snapshot["peak_floor"]
         self._peaks = snapshot["peaks"].tolist()

@@ -34,6 +34,7 @@ def _stage_eval(
         model=RandomForestClassifier(
             n_estimators=40 if quick else 150, max_depth=10, random_state=seed % 10_000
         ),
+        random_state=seed % 10_000,
     )
     classifier.fit(
         [session.packets for session in train_sessions],
@@ -85,7 +86,8 @@ def run_table4_stage_pattern_accuracy(
     stage_classifier = PlayerActivityClassifier(
         model=RandomForestClassifier(
             n_estimators=60 if quick else 150, max_depth=10, random_state=seed % 10_000
-        )
+        ),
+        random_state=seed % 10_000,
     )
     stage_classifier.fit(
         [session.packets for session in train_sessions],
@@ -95,13 +97,14 @@ def run_table4_stage_pattern_accuracy(
     pattern_classifier = GameplayPatternClassifier(
         model=RandomForestClassifier(
             n_estimators=60 if quick else 100, max_depth=10, random_state=seed % 10_000
-        )
+        ),
+        random_state=seed % 10_000,
     )
     # train on the stage sequences produced by the stage classifier itself so
     # that the pattern model sees the same classification noise it will face
     # in the deployed cascade
     pattern_classifier.fit_stage_sequences(
-        [stage_classifier.predict_slots(session.packets) for session in train_sessions],
+        stage_classifier.predict_slots_many([session.packets for session in train_sessions]),
         [session.pattern for session in train_sessions],
     )
 
@@ -115,21 +118,14 @@ def run_table4_stage_pattern_accuracy(
             [s.slot_ground_truth(1.0) for s in sessions],
         )
         # per-session pattern accuracy from *classified* stage sequences,
-        # mirroring the deployed cascade of the two processes
-        correct = 0
-        for session in sessions:
-            predicted_stages = stage_classifier.predict_slots(session.packets)
-            prediction = pattern_classifier.predict_stages(predicted_stages)
-            predicted = prediction.pattern
-            if predicted is None:
-                features = pattern_classifier.features_from_stages(predicted_stages)
-                proba = pattern_classifier.model.predict_proba(features.reshape(1, -1))[0]
-                predicted = ActivityPattern(
-                    str(pattern_classifier.model.classes_[int(np.argmax(proba))])
-                )
-            correct += predicted is session.pattern
+        # mirroring the deployed cascade of the two processes; a session the
+        # confidence gate leaves undecided counts its most probable pattern
+        pattern_eval = pattern_classifier.evaluate(
+            stage_classifier.predict_slots_many([s.packets for s in sessions]),
+            [s.pattern for s in sessions],
+        )
         output[pattern.value] = {
-            "pattern_accuracy": correct / len(sessions),
+            "pattern_accuracy": pattern_eval["per_pattern"][pattern],
             "stage_accuracy": {
                 stage.value: acc for stage, acc in stage_eval["per_stage"].items()
             },

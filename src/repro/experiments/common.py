@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.features import launch_features, volumetric_launch_features
-from repro.core.packet_groups import PacketGroupLabeler
+from repro.core.title_classifier import GameTitleClassifier
 from repro.simulation.augmentation import augment_session
 from repro.simulation.catalog import GAME_TITLES
 from repro.simulation.isp import ISPDeploymentSimulator, SessionRecord
@@ -204,33 +203,16 @@ def title_features(
     as in Fig. 7; ``"mean"`` averages over slots (used when a fixed set of 51
     named attributes is needed, e.g. the Fig. 9 importance analysis).
     """
-    labeler = PacketGroupLabeler(
-        slot_duration=slot_duration, size_variation=size_variation
+    extractor = GameTitleClassifier(
+        window_seconds=window_seconds,
+        slot_duration=slot_duration,
+        size_variation=size_variation,
+        feature_mode=feature_mode,
+        feature_aggregate=aggregate,
     )
-    rows = []
-    labels = []
-    for session in sessions:
-        if feature_mode == "packet-group":
-            rows.append(
-                launch_features(
-                    session.packets,
-                    window_seconds=window_seconds,
-                    labeler=labeler,
-                    aggregate=aggregate,
-                )
-            )
-        else:
-            rows.append(
-                volumetric_launch_features(
-                    session.packets,
-                    window_seconds=window_seconds,
-                    slot_duration=slot_duration,
-                )
-            )
-        labels.append(session.title_name)
     return TitleFeatureSet(
-        X=np.stack(rows),
-        y=np.array(labels),
+        X=extractor.feature_matrix([session.packets for session in sessions]),
+        y=np.array([session.title_name for session in sessions]),
         feature_mode=feature_mode,
         window_seconds=window_seconds,
         slot_duration=slot_duration,

@@ -45,10 +45,6 @@ class SlotSeries:
         """Return the left edge timestamps of every slot."""
         return self.start_time + np.arange(len(self.values)) * self.slot_duration
 
-    def peak(self) -> float:
-        """Maximum value over all slots (0.0 for an empty series)."""
-        return float(self.values.max()) if self.values.size else 0.0
-
     def mean(self) -> float:
         """Mean value over all slots (0.0 for an empty series)."""
         return float(self.values.mean()) if self.values.size else 0.0

@@ -23,7 +23,7 @@ session through the paper's gates as the feed clock moves:
   :class:`~repro.core.transition.PrefixTransitionTracker`); all eligible
   rows of all unresolved sessions share one forest pass, and the first
   confident row fires :class:`PatternInferred` — the same first-confident-
-  slot semantics as offline ``predict_incremental``;
+  slot semantics as offline ``predict_incremental_many``;
 * **QoE windows** — every completed ``W``-second interval (10 s by
   default) emits a provisional :class:`QoEInterval` verdict from the QoE
   reducer's per-interval downstream columns, so degraded sessions surface
@@ -707,7 +707,7 @@ class StreamingEngine:
 
         One forest pass covers every unresolved session's eligible rows; per
         session the *first* confident row wins, matching the slot-by-slot
-        semantics of offline ``predict_incremental`` on the provisional
+        semantics of offline ``predict_incremental_many`` on the provisional
         timeline.
         """
         if not gate_rows:

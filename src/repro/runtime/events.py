@@ -58,7 +58,7 @@ class TitleClassified(ContextEvent):
     """The title gate opened: ``N`` seconds of the flow have been observed.
 
     ``prediction`` equals what offline :meth:`GameTitleClassifier.
-    predict_stream` reports for the same session (the classifier only reads
+    predict_streams` reports for the same session (the classifier only reads
     the launch window) as long as no window packet arrives after the gate.
     Short sessions whose window never fills are classified at flow close
     instead (``time`` is then the close clock, not ``origin + N``).

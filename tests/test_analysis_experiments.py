@@ -25,7 +25,13 @@ from repro.analysis.stage_durations import (
     stage_minutes_by_title,
 )
 from repro.core.qoe import QoELevel
+from repro.experiments import activity_classification
+from repro.experiments.activity_classification import (
+    run_fig10_stage_parameter_sweep,
+    run_table4_stage_pattern_accuracy,
+)
 from repro.experiments.deployment import run_table1_catalog
+from repro.ml.forest import RandomForestClassifier
 from repro.simulation.catalog import ActivityPattern, PlayerStage
 
 
@@ -150,3 +156,20 @@ class TestExperimentContracts:
         assert result["n_genres"] == 5
         assert 0.67 < result["total_popularity"] < 0.71
         assert result["rows"][0]["title"] == "Fortnite"
+
+    def test_stage_and_pattern_tables_are_deterministic_per_seed(self, monkeypatch):
+        # Fig. 10 and Table 4 oversample minority classes with the stage and
+        # pattern classifiers' random_state; without one, two runs of one
+        # seed trained different forests.  Small forests keep the four runs
+        # cheap; the oversampling draws do not depend on the forest size.
+        monkeypatch.setattr(
+            activity_classification,
+            "RandomForestClassifier",
+            lambda **params: RandomForestClassifier(
+                **{**params, "n_estimators": 4, "max_depth": 6}
+            ),
+        )
+        sweep = run_fig10_stage_parameter_sweep(quick=True, alphas=(0.5,))
+        assert run_fig10_stage_parameter_sweep(quick=True, alphas=(0.5,)) == sweep
+        table = run_table4_stage_pattern_accuracy(quick=True)
+        assert run_table4_stage_pattern_accuracy(quick=True) == table

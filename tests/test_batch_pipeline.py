@@ -1,24 +1,63 @@
 """Equivalence tests for the batched corpus classification engine.
 
 The batch engine (``ContextClassificationPipeline.process_many`` and the
-per-stage ``*_many`` methods underneath it) must produce results identical
-to the sequential per-session path — same titles, same stage timelines,
-same pattern gates, same QoE levels, bit-for-bit equal confidences.
+per-stage ``*_many`` methods underneath it) must produce, for every session,
+exactly what a one-element call produces — same titles, same stage
+timelines, same pattern gates, same QoE levels, bit-for-bit equal
+confidences.  The batched forms are the classifiers' only entry points; the
+slot-by-slot pattern replay they vectorise lives here as the oracle
+:func:`sequential_incremental`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.activity_classifier import PlayerActivityClassifier
-from repro.core.features import launch_feature_matrix, launch_features
-from repro.core.pattern_classifier import GameplayPatternClassifier
+from repro.core.features import launch_feature_matrix
+from repro.core.pattern_classifier import GameplayPatternClassifier, PatternPrediction
 from repro.core.pipeline import ContextClassificationPipeline
+from repro.core.title_classifier import GameTitleClassifier
 from repro.core.transition import (
     StageTransitionModeler,
     prefix_transition_features,
 )
 from repro.ml.forest import RandomForestClassifier
-from repro.simulation.catalog import PlayerStage
+from repro.simulation.catalog import ActivityPattern, PlayerStage
+
+
+def sequential_incremental(classifier, stages):
+    """Oracle: the slot-by-slot replay ``predict_incremental_many`` vectorises.
+
+    The transition modeler consumes one slot at a time; from ``min_slots``
+    gameplay slots on, every slot's attribute vector goes through its own
+    ``predict_proba`` call, and the first confident one is returned with the
+    gameplay slots it needed.  Otherwise the last evaluated (undecided)
+    prediction and the total gameplay-slot count are returned.
+    """
+    modeler = StageTransitionModeler()
+    gameplay_seen = 0
+    last = PatternPrediction(pattern=None, confidence=0.0, confident=False, slots_observed=0)
+    for stage in stages:
+        modeler.update(stage)
+        if stage in PlayerStage.gameplay_stages():
+            gameplay_seen += 1
+        if gameplay_seen < classifier.min_slots:
+            continue
+        proba = classifier.model.predict_proba(modeler.feature_vector().reshape(1, -1))[0]
+        best = int(np.argmax(proba))
+        confidence = float(proba[best])
+        confident = confidence >= classifier.confidence_threshold
+        last = PatternPrediction(
+            pattern=ActivityPattern(str(classifier.model.classes_[best])) if confident else None,
+            confidence=confidence,
+            confident=confident,
+            slots_observed=gameplay_seen,
+        )
+        if confident:
+            return last, gameplay_seen
+    return last, gameplay_seen
 
 
 @pytest.fixture(scope="module")
@@ -93,18 +132,18 @@ class TestBatchedStages:
         classifier = fitted_pipeline.title_classifier
         streams = [s.packets for s in small_gameplay_corpus.sessions[:6]]
         batched = classifier.predict_streams(streams)
+        assert classifier.predict_streams([]) == []
         for stream, got in zip(streams, batched):
-            expected = classifier.predict_stream(stream)
-            assert got == expected
+            assert got == classifier.predict_streams([stream])[0]
 
-    def test_title_feature_matrix_matches_per_stream_extraction(
-        self, fitted_pipeline, small_gameplay_corpus
-    ):
-        classifier = fitted_pipeline.title_classifier
+    def test_title_feature_matrix_matches_per_stream_extraction(self, small_gameplay_corpus):
         streams = [s.packets for s in small_gameplay_corpus.sessions[:4]]
-        matrix = classifier.feature_matrix(streams)
-        for row, stream in zip(matrix, streams):
-            np.testing.assert_array_equal(row, classifier.extract_features(stream))
+        for feature_mode in ("packet-group", "flow-volumetric"):
+            classifier = GameTitleClassifier(feature_mode=feature_mode)
+            matrix = classifier.feature_matrix(streams)
+            assert matrix.shape == (4, len(classifier.feature_names()))
+            for row, stream in zip(matrix, streams):
+                np.testing.assert_array_equal(row, classifier.feature_matrix([stream])[0])
 
     def test_launch_feature_matrix_concat_aggregate(self, small_gameplay_corpus):
         streams = [s.packets for s in small_gameplay_corpus.sessions[:3]]
@@ -112,7 +151,7 @@ class TestBatchedStages:
         assert matrix.shape == (3, 51 * 5)
         for row, stream in zip(matrix, streams):
             np.testing.assert_array_equal(
-                row, launch_features(stream, window_seconds=5.0, aggregate="concat")
+                row, launch_feature_matrix([stream], window_seconds=5.0, aggregate="concat")[0]
             )
 
     def test_activity_predict_slots_many_matches_per_session(
@@ -123,7 +162,7 @@ class TestBatchedStages:
         batched = classifier.predict_slots_many(streams)
         assert classifier.predict_slots_many([]) == []
         for stream, got in zip(streams, batched):
-            assert got == classifier.predict_slots(stream)
+            assert got == classifier.predict_slots_many([stream])[0]
 
     def test_pattern_predict_incremental_many_matches_sequential(
         self, fitted_pipeline, small_gameplay_corpus
@@ -138,8 +177,105 @@ class TestBatchedStages:
         timelines.append([PlayerStage.LAUNCH] * 40)
         batched = classifier.predict_incremental_many(timelines)
         for timeline, got in zip(timelines, batched):
-            expected = classifier.predict_incremental(timeline)
+            assert got == sequential_incremental(classifier, timeline)
+
+
+class _GateStub:
+    """A pattern model whose confidence crosses the gate at a drawn slot.
+
+    It answers from the attribute row alone, as a forest does: each prefix
+    row of the timelines under test is looked up (by value) in a table of
+    the gameplay-slot counts at which it occurs, built with the sequential
+    modeler.  A row is confident when its smallest count reaches
+    ``open_at``; below that its confidence still varies with the count, so
+    the undecided result's confidence is checked too.
+    """
+
+    classes_ = np.array([pattern.value for pattern in ActivityPattern])
+
+    def __init__(self, timelines, open_at):
+        self.open_at = open_at
+        self.calls = 0
+        self.seen = {}
+        for stages in timelines:
+            modeler = StageTransitionModeler()
+            gameplay = 0
+            for stage in stages:
+                modeler.update(stage)
+                gameplay += stage in PlayerStage.gameplay_stages()
+                key = tuple(modeler.feature_vector().tolist())
+                self.seen[key] = min(self.seen.get(key, gameplay), gameplay)
+
+    def predict_proba(self, X):
+        self.calls += 1
+        seen = np.array([self.seen[tuple(row)] for row in np.asarray(X).tolist()])
+        first = np.where(seen >= self.open_at, 0.95, 0.5 + 1e-4 * seen)
+        return np.column_stack([first, 1.0 - first])
+
+
+def _gated(timelines, open_at, min_slots, threshold=0.75):
+    classifier = GameplayPatternClassifier(
+        confidence_threshold=threshold, min_slots=min_slots
+    )
+    classifier.model = _GateStub(timelines, open_at)
+    return classifier
+
+
+_A, _P, _I, _L = PlayerStage.ACTIVE, PlayerStage.PASSIVE, PlayerStage.IDLE, PlayerStage.LAUNCH
+#: a passive slot, then active ones: every prefix row differs from the
+#: others, so the gate opens at exactly the drawn gameplay-slot count
+_DISTINCT = [_P] + [_A] * 99
+
+
+class TestIncrementalGateProperty:
+    """``predict_incremental_many`` equals the sequential oracle field for field."""
+
+    # with min_slots 5, eligible row j of _DISTINCT has 5 + j gameplay slots:
+    # rows 15 / 16 straddle the first 16-row round, 79 / 80 the x4 round
+    @pytest.mark.parametrize("row, calls", [(15, 1), (16, 2), (79, 2), (80, 3)])
+    def test_gate_opens_on_chunk_edges(self, row, calls):
+        classifier = _gated([_DISTINCT], open_at=5 + row, min_slots=5)
+        ((prediction, needed),) = classifier.predict_incremental_many([_DISTINCT])
+        assert prediction.confident and needed == 5 + row
+        assert classifier.model.calls == calls
+        assert (prediction, needed) == sequential_incremental(classifier, _DISTINCT)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        timelines=st.lists(
+            st.lists(st.sampled_from([_A, _A, _A, _P, _I, _L]), max_size=110),
+            min_size=1,
+            max_size=4,
+        ),
+        open_at=st.integers(1, 120),
+        min_slots=st.sampled_from([1, 5, 30]),
+        threshold=st.sampled_from([0.6, 0.75, 0.9]),
+    )
+    # gate on either side of the first and the x4 round edge, in one batch
+    # with a session that never opens and one too short to be eligible
+    @example(
+        timelines=[_DISTINCT, [_I] * 100, [_A] * 4], open_at=20, min_slots=5, threshold=0.75
+    )
+    @example(
+        timelines=[_DISTINCT, [_I] * 100, [_A] * 4], open_at=21, min_slots=5, threshold=0.75
+    )
+    @example(timelines=[_DISTINCT, [_L] * 40], open_at=84, min_slots=5, threshold=0.75)
+    @example(timelines=[_DISTINCT, []], open_at=85, min_slots=5, threshold=0.75)
+    # never opening; launch slots breaking the chain; empty timelines only
+    @example(timelines=[_DISTINCT], open_at=120, min_slots=5, threshold=0.75)
+    @example(
+        timelines=[[_L, _P] + [_A] * 20 + [_L] + [_I, _A] * 20], open_at=30, min_slots=5,
+        threshold=0.6,
+    )
+    @example(timelines=[[], []], open_at=1, min_slots=1, threshold=0.75)
+    def test_equals_sequential_oracle(self, timelines, open_at, min_slots, threshold):
+        classifier = _gated(timelines, open_at, min_slots, threshold)
+        batched = classifier.predict_incremental_many(timelines)
+        assert len(batched) == len(timelines)
+        for stages, got in zip(timelines, batched):
+            expected = sequential_incremental(classifier, stages)
             assert got == expected
+            assert type(got[1]) is int and type(got[0].confidence) is float
 
 
 class TestPrefixTransitionFeatures:

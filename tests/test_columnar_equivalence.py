@@ -21,9 +21,7 @@ from repro.core.features import (
     _STAT_NAMES,
     PACKET_GROUP_FEATURE_NAMES,
     launch_feature_matrix,
-    launch_features,
     slot_feature_matrix,
-    slot_features,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import (
@@ -328,11 +326,11 @@ class TestFeatureEquivalence:
                 for slot in slots
             ]
         )
-        mean_vector = launch_features(stream, window_seconds=5.0)
+        mean_vector = launch_feature_matrix([stream], window_seconds=5.0)[0]
         np.testing.assert_allclose(
             mean_vector, ref_rows.mean(axis=0), rtol=1e-9, atol=1e-9
         )
-        concat_vector = launch_features(stream, window_seconds=5.0, aggregate="concat")
+        concat_vector = launch_feature_matrix([stream], window_seconds=5.0, aggregate="concat")[0]
         np.testing.assert_allclose(
             concat_vector, ref_rows.reshape(-1), rtol=1e-9, atol=1e-9
         )
@@ -341,7 +339,7 @@ class TestFeatureEquivalence:
         streams = [random_stream(seed) for seed in (30, 31, 32, 33)]
         matrix = launch_feature_matrix(streams, window_seconds=5.0)
         per_session = np.stack(
-            [launch_features(stream, window_seconds=5.0) for stream in streams]
+            [launch_feature_matrix([stream], window_seconds=5.0)[0] for stream in streams]
         )
         np.testing.assert_allclose(matrix, per_session, rtol=1e-12, atol=1e-12)
 
@@ -352,7 +350,7 @@ class TestFeatureEquivalence:
             payload_sizes=np.array([]),
             label_codes=np.array([], dtype=np.int8),
         )
-        np.testing.assert_array_equal(slot_features(slot), np.zeros(51))
+        np.testing.assert_array_equal(slot_feature_matrix([slot])[0], np.zeros(51))
 
     def test_single_packet_slot_features(self):
         slot = LabeledSlot(
@@ -361,7 +359,7 @@ class TestFeatureEquivalence:
             payload_sizes=np.array([700.0]),
             label_codes=np.array([GROUP_CODES[PacketGroup.SPARSE]], dtype=np.int8),
         )
-        got = slot_features(slot)
+        got = slot_feature_matrix([slot])[0]
         ref = ref_slot_features(
             np.array([0.5]), np.array([700.0]), [PacketGroup.SPARSE]
         )
@@ -374,7 +372,7 @@ class TestFeatureEquivalence:
         sizes = np.array([500.0, 510.0, 505.0])
         labels = [PacketGroup.STEADY] * 3
         slot = LabeledSlot(0, times, sizes, labels)
-        got = slot_features(slot)
+        got = slot_feature_matrix([slot])[0]
         ref = ref_slot_features(times, sizes, labels)
         assert_features_equivalent(got, ref)
 

@@ -6,10 +6,10 @@ import pytest
 from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.pattern_classifier import GameplayPatternClassifier
 from repro.core.title_classifier import GameTitleClassifier
+from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.transition import (
     StageTransitionModeler,
     TRANSITION_FEATURE_NAMES,
-    stage_occupancy,
     transition_features_from_stages,
 )
 from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
@@ -26,13 +26,13 @@ class TestVolumetricGenerator:
 
     def test_relative_values_within_unit_interval(self, fortnite_session):
         generator = VolumetricAttributeGenerator()
-        processed = generator.transform(fortnite_session.packets)
+        (processed,) = generator.transform_many([fortnite_session.packets])
         assert processed.min() >= 0.0
         assert processed.max() <= 1.0 + 1e-9
 
     def test_active_slots_have_higher_relative_volume_than_idle(self, fortnite_session):
         generator = VolumetricAttributeGenerator()
-        processed = generator.transform(fortnite_session.packets)
+        (processed,) = generator.transform_many([fortnite_session.packets])
         labels = fortnite_session.slot_ground_truth(1.0)
         n = min(len(labels), processed.shape[0])
         active = [i for i in range(n) if labels[i] is PlayerStage.ACTIVE]
@@ -54,20 +54,13 @@ class TestVolumetricGenerator:
     def test_online_tracker_matches_bounds(self):
         tracker = OnlineVolumetricTracker(alpha=0.5)
         for raw in ([10, 100, 5, 50], [20, 200, 10, 100], [2, 20, 1, 10]):
-            smoothed = tracker.update(raw)
-            assert smoothed.shape == (4,)
-            assert (smoothed >= 0).all() and (smoothed <= 1.0).all()
-
-    def test_online_tracker_reset(self):
-        tracker = OnlineVolumetricTracker()
-        tracker.update([1, 1, 1, 1])
-        tracker.reset()
-        first = tracker.update([5, 5, 5, 5])
-        np.testing.assert_allclose(first, 1.0)
+            smoothed = tracker.step(raw)
+            assert len(smoothed) == 4
+            assert all(0.0 <= value <= 1.0 for value in smoothed)
 
     def test_online_tracker_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            OnlineVolumetricTracker().update([1, 2, 3])
+            OnlineVolumetricTracker().step([1, 2, 3])
 
 
 class TestTransitionModeler:
@@ -117,9 +110,13 @@ class TestTransitionModeler:
 
     def test_stage_occupancy(self):
         stages = [PlayerStage.ACTIVE, PlayerStage.ACTIVE, PlayerStage.IDLE, PlayerStage.LAUNCH]
-        occupancy = stage_occupancy(stages)
+        occupancy = ContextClassificationPipeline._stage_fractions(stages)
+        assert tuple(occupancy) == PlayerStage.gameplay_stages()  # the report's key order
         assert occupancy[PlayerStage.ACTIVE] == pytest.approx(2 / 3)
         assert occupancy[PlayerStage.IDLE] == pytest.approx(1 / 3)
+        assert occupancy[PlayerStage.PASSIVE] == 0.0
+        empty = ContextClassificationPipeline._stage_fractions([PlayerStage.LAUNCH])
+        assert empty == {stage: 0.0 for stage in PlayerStage.gameplay_stages()}
 
     def test_transition_features_helper_matches_modeler(self):
         stages = [PlayerStage.IDLE, PlayerStage.ACTIVE, PlayerStage.ACTIVE]
@@ -150,7 +147,7 @@ class TestGameTitleClassifier:
         streams = [s.packets for s in small_launch_corpus.sessions]
         titles = [s.title_name for s in small_launch_corpus.sessions]
         classifier.fit(streams, titles)
-        predictions = [classifier.predict_stream(s) for s in streams[:3]]
+        predictions = classifier.predict_streams(streams[:3])
         # with an extreme threshold nearly everything falls back to unknown
         assert any(p.title == UNKNOWN_TITLE for p in predictions)
 
@@ -209,14 +206,14 @@ class TestPlayerActivityClassifier:
         assert evaluation["overall"] > 0.85
 
     def test_predict_slots_returns_player_stages(self, trained, fortnite_session):
-        stages = trained.predict_slots(fortnite_session.packets)
+        (stages,) = trained.predict_slots_many([fortnite_session.packets])
         assert stages
         assert all(isinstance(stage, PlayerStage) for stage in stages)
         assert all(stage is not PlayerStage.LAUNCH for stage in stages)
 
     def test_label_alignment_skips_launch(self, trained, fortnite_session):
-        X, y = trained.session_features_and_labels(
-            fortnite_session.packets, fortnite_session.slot_ground_truth(1.0)
+        X, y = trained.corpus_features_and_labels(
+            [fortnite_session.packets], [fortnite_session.slot_ground_truth(1.0)]
         )
         assert X.shape[0] == y.shape[0]
         assert "launch" not in set(y.tolist())
@@ -248,9 +245,12 @@ class TestGameplayPatternClassifier:
         stage_sequences, patterns = sequences
         classifier = GameplayPatternClassifier(min_slots=30, random_state=0)
         classifier.fit_stage_sequences(stage_sequences, patterns)
-        prediction = classifier.predict_stages([PlayerStage.ACTIVE] * 5)
+        ((prediction, slots),) = classifier.predict_incremental_many(
+            [[PlayerStage.ACTIVE] * 5]
+        )
         assert prediction.pattern is None
         assert not prediction.confident
+        assert slots == 5
 
     def test_incremental_prediction_reports_slots(self, sequences):
         stage_sequences, patterns = sequences
@@ -260,7 +260,9 @@ class TestGameplayPatternClassifier:
             random_state=0,
         )
         classifier.fit_stage_sequences(stage_sequences, patterns)
-        prediction, slots_needed = classifier.predict_incremental(stage_sequences[0])
+        ((prediction, slots_needed),) = classifier.predict_incremental_many(
+            stage_sequences[:1]
+        )
         assert slots_needed >= classifier.min_slots
         assert prediction.slots_observed == slots_needed or not prediction.confident
 

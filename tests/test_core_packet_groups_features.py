@@ -8,7 +8,6 @@ from repro.core.features import (
     PACKET_GROUP_FEATURE_NAMES,
     feature_dict,
     launch_feature_matrix,
-    launch_features,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
@@ -118,22 +117,22 @@ class TestLaunchFeatures:
             assert sum(1 for n in PACKET_GROUP_FEATURE_NAMES if n.startswith(prefix)) == 17
 
     def test_mean_aggregate_vector_length(self, launch_only_session):
-        vector = launch_features(launch_only_session.packets, window_seconds=5.0)
+        vector = launch_feature_matrix([launch_only_session.packets], window_seconds=5.0)[0]
         assert vector.shape == (51,)
         assert np.isfinite(vector).all()
 
     def test_concat_aggregate_vector_length(self, launch_only_session):
-        vector = launch_features(
-            launch_only_session.packets, window_seconds=5.0, aggregate="concat"
-        )
+        vector = launch_feature_matrix(
+            [launch_only_session.packets], window_seconds=5.0, aggregate="concat"
+        )[0]
         assert vector.shape == (51 * 5,)
 
     def test_invalid_aggregate(self, launch_only_session):
         with pytest.raises(ValueError):
-            launch_features(launch_only_session.packets, aggregate="median")
+            launch_feature_matrix([launch_only_session.packets], aggregate="median")
 
     def test_feature_dict_names(self, launch_only_session):
-        vector = launch_features(launch_only_session.packets, window_seconds=5.0)
+        vector = launch_feature_matrix([launch_only_session.packets], window_seconds=5.0)[0]
         mapping = feature_dict(vector)
         assert set(mapping) == set(PACKET_GROUP_FEATURE_NAMES)
 
@@ -143,14 +142,14 @@ class TestLaunchFeatures:
 
     def test_count_attribute_matches_label_counts(self):
         stream = make_stream([(0, [FULL_PACKET_PAYLOAD] * 4 + [500, 505, 498])])
-        vector = launch_features(stream, window_seconds=1.0)
+        vector = launch_feature_matrix([stream], window_seconds=1.0)[0]
         mapping = feature_dict(vector)
         assert mapping["full_ct_sum"] == pytest.approx(4.0)
         assert mapping["steady_ct_sum"] == pytest.approx(3.0)
 
     def test_full_size_stats_constant(self):
         stream = make_stream([(0, [FULL_PACKET_PAYLOAD] * 6)])
-        mapping = feature_dict(launch_features(stream, window_seconds=1.0))
+        mapping = feature_dict(launch_feature_matrix([stream], window_seconds=1.0)[0])
         assert mapping["full_sz_mean"] == pytest.approx(FULL_PACKET_PAYLOAD)
         assert mapping["full_sz_stddev"] == pytest.approx(0.0)
         assert mapping["full_sz_skew"] == pytest.approx(0.0)
@@ -166,11 +165,13 @@ class TestLaunchFeatures:
 
     def test_same_title_features_closer_than_cross_title(self, small_launch_corpus):
         """Launch fingerprints cluster by title (the basis of §4.2)."""
+        sessions = small_launch_corpus.sessions
+        matrix = launch_feature_matrix(
+            [session.packets for session in sessions], window_seconds=5.0, aggregate="concat"
+        )
         by_title = {}
-        for session in small_launch_corpus.sessions:
-            by_title.setdefault(session.title_name, []).append(
-                launch_features(session.packets, window_seconds=5.0, aggregate="concat")
-            )
+        for session, row in zip(sessions, matrix):
+            by_title.setdefault(session.title_name, []).append(row)
         # compare steady/sparse size structure: distance within Genshin vs
         # Genshin-to-Fortnite
         genshin = by_title["Genshin Impact"]

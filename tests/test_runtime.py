@@ -502,8 +502,9 @@ def test_predict_raw_slots_matches_predict_slots(fitted_pipeline, runtime_sessio
     classifier = fitted_pipeline.activity_classifier
     stream = runtime_sessions[0].packets
     raw = classifier.generator.raw_slot_matrix(stream)
-    assert classifier.predict_raw_slots(raw) == classifier.predict_slots(stream)
-    assert classifier.predict_raw_slots(np.zeros((0, 4))) == []
+    (timeline,) = classifier.predict_raw_slots_many([raw])
+    assert timeline and timeline == classifier.predict_slots_many([stream])[0]
+    assert classifier.predict_raw_slots_many([np.zeros((0, 4))]) == [[]]
 
 
 def test_session_feed_reassembles_to_original_stream(runtime_sessions):

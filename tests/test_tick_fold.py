@@ -17,8 +17,11 @@ replaced is kept here as the oracle:
   engine loop before): equal events, array-equal snapshots after every tick
   and equal close reports, across batch boundaries, in-batch shuffles,
   session tiers and a batch that surfaces rows older than a flow's origin;
-* the array bodies of ``OnlineVolumetricTracker.update`` and the prefix
-  transition rows, against their python-float replacements.
+* the array bodies of ``OnlineVolumetricTracker.step`` and the prefix
+  transition rows, against their python-float replacements, and the
+  per-column EMA (:func:`smooth_columns`) that
+  ``VolumetricAttributeGenerator.smooth_many`` and the tracker rows must
+  equal.
 
 Producer flow ids (the pcap decoder's, ``SessionFeed``'s) are checked the
 same way: every batch they emit, and every ``take`` / ``slice_view`` /
@@ -61,6 +64,7 @@ from repro.net.packet import (
     PacketColumns,
 )
 from repro.net.pcap import iter_pcap_column_batches, write_pcap
+from repro.net.timeseries import exponential_moving_average
 from repro.runtime import (
     SessionFeed,
     SessionReport,
@@ -741,11 +745,19 @@ def test_scalar_extend_rows_equal_prefix_transition_features(codes, steps):
 
 
 def _array_update(peaks, ema, alpha, raw):
-    """Oracle: ``OnlineVolumetricTracker.update`` as array expressions."""
+    """Oracle: ``OnlineVolumetricTracker.step`` as array expressions."""
     peaks = np.maximum(peaks, raw)
     relative = np.clip(raw / np.where(peaks <= 0, 1.0, peaks), 0.0, 1.0)
     ema = relative if ema is None else alpha * relative + (1.0 - alpha) * ema
     return peaks, ema
+
+
+def smooth_columns(relative, alpha):
+    """Oracle: Equation 1's EMA applied to one column at a time."""
+    smoothed = np.empty_like(relative)
+    for column in range(relative.shape[1]):
+        smoothed[:, column] = exponential_moving_average(relative[:, column], alpha)
+    return smoothed
 
 
 @settings(max_examples=200, deadline=None)
@@ -775,14 +787,21 @@ def test_scalar_update_rows_equal_generator(counters, alpha, slot_duration):
     generator = VolumetricAttributeGenerator(
         slot_duration=slot_duration, alpha=alpha, peak_floor_fraction=0.0
     )
-    assert np.array_equal(features, generator.smooth(generator.relative_matrix(raw)))
-    # (b) the array expressions update() ran before, and update() itself
+    relative = generator.relative_matrix(raw)
+    assert np.array_equal(features, smooth_columns(relative, alpha))
+    # (b) the lockstep EMA of the batched generator, alone and in a batch
+    assert np.array_equal(generator.smooth_many([relative])[0], features)
+    shorter = relative[: len(relative) // 2]
+    padded = generator.smooth_many([shorter, relative, np.zeros((0, 4))])
+    assert np.array_equal(padded[0], smooth_columns(shorter, alpha))
+    assert np.array_equal(padded[1], features) and padded[2].shape == (0, 4)
+    # (c) the array expressions the tracker's scalar step replaced, and step
     tracker = OnlineVolumetricTracker(alpha=alpha)
     peaks, ema = np.full(4, tracker.peak_floor), None
     for row, expected in zip(raw, features):
         peaks, ema = _array_update(peaks, ema, alpha, row)
         assert np.array_equal(ema, expected)
-        assert np.array_equal(tracker.update(row), expected)
+        assert np.array_equal(np.array(tracker.step(row.tolist())), expected)
     state = tracker.snapshot()
     assert np.array_equal(state["peaks"], peaks) and np.array_equal(state["ema"], ema)
 

@@ -2,10 +2,13 @@
 
 Every function, method and class defined under ``src/`` must be named
 somewhere besides its own definition: in ``src/``, the tests, the
-benchmarks, the scripts or the examples.  A name counts wherever it appears
-as a word (a call, an attribute, a string, a comment), so the check never
-calls something dead that is only reached by ``getattr`` or a patch table.
-Dunder methods are exempt: the interpreter calls them.
+benchmarks, the scripts or the examples.  A module-level function or a
+class counts wherever its name appears as a word (a call, an attribute, a
+string, a comment).  A method counts only where it can be reached: as an
+attribute (``.name``) or as a quoted string (``"name"``, how ``getattr``
+and the tracer's patch table name it) — a bare word is a module function or
+a local of the same name, not a call of the method.  Dunder methods are
+exempt: the interpreter calls them.
 """
 
 from __future__ import annotations
@@ -18,23 +21,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "benchmarks", "scripts", "examples")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+ATTRIBUTE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_]*)")
+QUOTED = re.compile(r"""["']([A-Za-z_][A-Za-z0-9_]*)["']""")
 
 
 def test_every_definition_in_src_is_referenced():
     words: Counter = Counter()
+    reachable: Counter = Counter()
     for directory in SEARCHED:
         for path in (ROOT / directory).rglob("*.py"):
-            words.update(WORD.findall(path.read_text()))
+            text = path.read_text()
+            words.update(WORD.findall(text))
+            reachable.update(ATTRIBUTE.findall(text))
+            reachable.update(QUOTED.findall(text))
     definitions = []
+    methods = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((node.name, path.relative_to(ROOT), node.lineno))
-    defined = Counter(name for name, _path, _line in definitions)
-    unreferenced = [
-        f"{path}:{line} {name}"
-        for name, path, line in definitions
-        if not (name.startswith("__") and name.endswith("__"))
-        and words[name] <= defined[name]
-    ]
+                definitions.append((node, path.relative_to(ROOT)))
+            if isinstance(node, ast.ClassDef):
+                methods.update(
+                    id(child)
+                    for child in node.body
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+    defined = Counter(node.name for node, _path in definitions)
+    unreferenced = []
+    for node, path in definitions:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if id(node) in methods:
+            referenced = reachable[name] > 0
+        else:
+            referenced = words[name] > defined[name]
+        if not referenced:
+            unreferenced.append(f"{path}:{node.lineno} {name}")
     assert not unreferenced, "defined but never named:\n" + "\n".join(unreferenced)
