@@ -9,14 +9,14 @@ activity pattern (Fig. 5).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
+from repro.core.reducers import raw_slot_matrix
 from repro.core.transition import STAGE_ORDER
-from repro.net.packet import Direction
-from repro.net.timeseries import packet_rate_series, throughput_series
 from repro.simulation.activity_model import gameplay_fractions
 from repro.simulation.catalog import ActivityPattern, PlayerStage
 from repro.simulation.session import GameSession
@@ -47,28 +47,24 @@ def session_volumetric_timeseries(
 ) -> Dict[str, np.ndarray]:
     """Fig. 4 data: per-slot downstream Mbps, upstream Kbps and stage labels.
 
-    Throughput is rescaled by the session's generation ``rate_scale`` so the
-    series is reported at physical scale.
+    The slot grid covers the session's duration from its first packet; the
+    rates are the slot reducer's (:func:`~repro.core.reducers.raw_slot_matrix`,
+    the numbers the stage classifier reads), rescaled by the session's
+    generation ``rate_scale`` so the series is reported at physical scale.
     """
-    downstream = throughput_series(
-        session.packets, slot_duration, Direction.DOWNSTREAM, duration=session.duration
-    )
-    upstream = throughput_series(
-        session.packets, slot_duration, Direction.UPSTREAM, duration=session.duration
-    )
-    upstream_rate = packet_rate_series(
-        session.packets, slot_duration, Direction.UPSTREAM, duration=session.duration
-    )
+    stream = session.packets
+    n_slots = math.ceil(session.duration / slot_duration)
+    raw = raw_slot_matrix(stream, slot_duration, n_slots=n_slots)
     scale = session.rate_scale if session.rate_scale > 0 else 1.0
-    n_slots = len(downstream)
     stages = [
-        session.stage_at((index + 0.5) * slot_duration).value for index in range(n_slots)
+        session.stage_at((index + 0.5) * slot_duration).value
+        for index in range(raw.shape[0])
     ]
     return {
-        "time_s": downstream.slot_edges(),
-        "down_mbps": downstream.values / scale,
-        "up_kbps": upstream.values * 1000.0 / scale,
-        "up_pps": upstream_rate.values / scale,
+        "time_s": stream.start_time + np.arange(raw.shape[0]) * slot_duration,
+        "down_mbps": raw[:, 0] / scale,
+        "up_kbps": raw[:, 2] / scale,
+        "up_pps": raw[:, 3] / scale,
         "stage": np.array(stages),
     }
 

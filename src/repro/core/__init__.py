@@ -23,10 +23,11 @@ objective/effective QoE modules they calibrate:
 
 Each classifier verdict has one entry point, the batched form:
 ``launch_feature_matrix`` / ``GameTitleClassifier.predict_streams`` for the
-title, ``PlayerActivityClassifier.predict_slots_many`` /
-``predict_raw_slots_many`` for the stage timeline and
-``GameplayPatternClassifier.predict_incremental_many`` for the pattern.  One
-session is a one-element call, e.g. ``predict_slots_many([stream])[0]``.
+title, ``PlayerActivityClassifier.predict_raw_slots_many`` for the stage
+timeline (fed the slot reducer's counts, ``repro.core.reducers.raw_slot_matrix``
+for a stream) and ``GameplayPatternClassifier.predict_incremental_many`` for
+the pattern.  One session is a one-element call, e.g.
+``predict_raw_slots_many([raw_slot_matrix(stream, I)])[0]``.
 """
 
 from repro.core.activity_classifier import PlayerActivityClassifier

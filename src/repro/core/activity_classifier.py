@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.reducers import raw_slot_matrix
 from repro.core.volumetric import VOLUMETRIC_FEATURE_NAMES, VolumetricAttributeGenerator
 from repro.ml.base import BaseClassifier
 from repro.ml.forest import RandomForestClassifier
@@ -103,7 +104,8 @@ class PlayerActivityClassifier:
             )
         feature_blocks = []
         label_blocks = []
-        for features, labels in zip(self.generator.transform_many(streams), slot_labels):
+        raw = [raw_slot_matrix(stream, self.slot_duration) for stream in streams]
+        for features, labels in zip(self._slot_features(raw), slot_labels):
             n = min(features.shape[0], len(labels))
             labels = list(labels[:n])
             keep = [not (skip_launch and label is PlayerStage.LAUNCH) for label in labels]
@@ -156,51 +158,21 @@ class PlayerActivityClassifier:
         """Predict stages for precomputed slot features (one row or a matrix)."""
         return self._stages(X)
 
-    def predict_slots_many(
-        self, streams: Sequence[PacketStream]
-    ) -> List[List[PlayerStage]]:
-        """The stage of every slot of every session, in one forest pass.
-
-        The per-slot volumetric attributes of every session are stacked into
-        one matrix (:meth:`VolumetricAttributeGenerator.transform_many`),
-        classified together and split back into per-session stage
-        timelines.  Tree traversal is row-independent, so a session's
-        timeline does not depend on its batch; one session is
-        ``predict_slots_many([stream])[0]``.
-        """
-        if not streams:
-            return []
-        return self._predict_feature_blocks(self.generator.transform_many(streams))
-
     def predict_raw_slots_many(
         self, raw_matrices: Sequence[np.ndarray]
     ) -> List[List[PlayerStage]]:
-        """Stage timelines from raw per-slot counter matrices.
+        """The stage of every slot of every session, in one forest pass.
 
         Each ``(n_slots_i, 4)`` raw matrix holds the four raw volumetric
-        attributes per slot (down Mbps, down pps, up Kbps, up pps) — the
-        entry point for bounded session states and deployment probes that
-        retain only per-slot counters.  The relative conversion runs per
-        session, the EMA recurrences advance in lockstep
-        (:meth:`VolumetricAttributeGenerator.smooth_many`) and one forest
-        pass classifies every slot, so for matrices equal to
-        ``raw_slot_matrix`` of the streams the timelines are bit-identical
-        to :meth:`predict_slots_many` (pinned by ``tests/test_reducers.py``).
+        attributes per slot (down Mbps, down pps, up Kbps, up pps): a
+        session's closing counters, or :func:`~repro.core.reducers.raw_slot_matrix`
+        of its stream.  The slot features of every session are stacked into
+        one matrix, classified together and split back into per-session
+        stage timelines.  Tree traversal is row-independent, so a session's
+        timeline does not depend on its batch; one session is
+        ``predict_raw_slots_many([raw])[0]``.
         """
-        if not len(raw_matrices):
-            return []
-        relatives = [
-            self.generator.relative_matrix(np.asarray(raw, dtype=float))
-            if np.asarray(raw).shape[0]
-            else np.zeros((0, 4))
-            for raw in raw_matrices
-        ]
-        return self._predict_feature_blocks(self.generator.smooth_many(relatives))
-
-    def _predict_feature_blocks(
-        self, blocks: Sequence[np.ndarray]
-    ) -> List[List[PlayerStage]]:
-        """One forest pass over stacked per-session slot features."""
+        blocks = self._slot_features(raw_matrices)
         lengths = [block.shape[0] for block in blocks]
         if sum(lengths) == 0:
             return [[] for _ in lengths]
@@ -211,6 +183,22 @@ class PlayerActivityClassifier:
             timelines.append(stages[cursor : cursor + length])
             cursor += length
         return timelines
+
+    def _slot_features(self, raw_matrices: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """raw -> relative -> smoothed: the slot features of every session.
+
+        The one derivation training and :meth:`predict_raw_slots_many`
+        share.  The relative conversion runs per session and the EMA
+        recurrences of all sessions advance in lockstep
+        (:meth:`VolumetricAttributeGenerator.smooth_many`).
+        """
+        relatives = [
+            self.generator.relative_matrix(np.asarray(raw, dtype=float))
+            if np.asarray(raw).shape[0]
+            else np.zeros((0, 4))
+            for raw in raw_matrices
+        ]
+        return self.generator.smooth_many(relatives)
 
     def evaluate(
         self,

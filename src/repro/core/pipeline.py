@@ -32,7 +32,7 @@ from repro.core.qoe import (
     QoELevel,
     QoEMetrics,
 )
-from repro.core.reducers import SessionReducerCascade
+from repro.core.reducers import SessionReducerCascade, raw_slot_matrix
 from repro.core.title_classifier import GameTitleClassifier, TitlePrediction
 from repro.ml.forest import RandomForestClassifier
 from repro.net.filter import CloudGamingFlowDetector
@@ -124,12 +124,12 @@ class ContextClassificationPipeline:
         Feature extraction runs through each classifier's one (batched)
         entry point: the title classifier's launch attributes come from one
         grouped reduction over the whole corpus, the stage classifier's
-        training rows from one
-        :meth:`VolumetricAttributeGenerator.transform_many`, and the stage
+        training rows from the slot reducer's counts
+        (:func:`~repro.core.reducers.raw_slot_matrix`), and the stage
         sequences feeding the pattern classifier are classified with one
-        forest pass (:meth:`PlayerActivityClassifier.predict_slots_many`) so
-        training matches the deployed cascade including its classification
-        noise.
+        forest pass (:meth:`PlayerActivityClassifier.predict_raw_slots_many`)
+        so training matches the deployed cascade including its
+        classification noise.
         """
         if not sessions:
             raise ValueError("cannot fit the pipeline on an empty corpus")
@@ -159,8 +159,9 @@ class ContextClassificationPipeline:
             #    sequences *as classified* by the previous process so that
             #    training matches the deployed cascade (classification noise
             #    included), labeled by the title's ground-truth pattern
-            classified_sequences = self.activity_classifier.predict_slots_many(
-                [session.packets for session, _ in gameplay_sessions]
+            slot_duration = self.activity_classifier.slot_duration
+            classified_sequences = self.activity_classifier.predict_raw_slots_many(
+                [raw_slot_matrix(s.packets, slot_duration) for s, _ in gameplay_sessions]
             )
             self.pattern_classifier.fit_stage_sequences(
                 classified_sequences,

@@ -93,6 +93,7 @@ __all__ = [
     "SessionReducerCascade",
     "SlotStageReducer",
     "TickFacts",
+    "raw_slot_matrix",
 ]
 
 #: Valid values of ``SessionReducerCascade(qoe_mode=...)``.
@@ -203,9 +204,10 @@ class SlotStageReducer:
     up payload bytes, up packets) per ``I``-second slot.  A span inside one
     slot adds its four totals (:meth:`absorb_slot`); spans across a slot
     edge share one pair of ``bincount`` calls per tick
-    (:meth:`TickFacts.flush` → :meth:`absorb_span`).  The counts equal
-    :meth:`VolumetricAttributeGenerator.raw_slot_matrix` of the packets seen
-    so far exactly; :meth:`raw_matrix` converts them to the offline rates.
+    (:meth:`TickFacts.flush` → :meth:`absorb_span`); :func:`raw_slot_matrix`
+    is a whole stream folded as one such span, so the counts of the packets
+    seen so far are its counts exactly, and :meth:`raw_matrix` converts them
+    to its rates.
     The EMA tracker and slot ``cursor`` (the first slot the gate has not
     completed yet) feed the runtime's *provisional* stage gate (causal
     running-peak attributes, classified per completed slot).
@@ -281,7 +283,8 @@ class SlotStageReducer:
         newly completed slots, as lists of four python floats, and the index
         of the first.  A flow completes a slot or two per call: the same
         IEEE operations in the same order as the array expressions of
-        :meth:`raw_matrix` and the offline generator, no array per flow.
+        :meth:`raw_matrix` and the generator's relative / EMA transforms, no
+        array per flow.
         """
         first = self.cursor
         if complete <= first:
@@ -293,7 +296,7 @@ class SlotStageReducer:
         return rows, first
 
     def _rates(self, down_bytes, down_packets, up_bytes, up_packets) -> tuple:
-        """Counters -> offline rate units (same expressions as the generator).
+        """Counters -> rate units (Mbps, pkt/s, Kbps, pkt/s).
 
         Works on four python floats (one slot) and on four columns alike.
         """
@@ -306,11 +309,11 @@ class SlotStageReducer:
         )
 
     def raw_matrix(self, total_slots: int) -> np.ndarray:
-        """The offline ``raw_slot_matrix`` equivalent of the counters.
+        """The counters as per-slot rates (:func:`raw_slot_matrix`'s columns).
 
-        ``total_slots`` is the offline slot count (``ceil(duration / I)``,
-        at least 1); any counter row past it (a packet exactly on the final
-        slot boundary) is truncated, exactly as the offline matrix drops it.
+        ``total_slots`` is the slot count (``ceil(duration / I)``, at least
+        1); any counter row past it (a packet exactly on the final slot
+        boundary) is truncated.
         """
         n = max(1, total_slots)
         self._ensure_capacity(n - 1)
@@ -1349,6 +1352,29 @@ class TickFacts:
         for _flow, slots, _origin, first, last in queued:
             slots.absorb_span(first, last, cells[at : at + last - first + 1])
             at += last - first + 1
+
+
+def raw_slot_matrix(
+    stream: PacketStream, slot_duration: float, n_slots: Optional[int] = None
+) -> np.ndarray:
+    """Raw per-slot attributes of a stream: (down Mbps, down pps, up Kbps, up pps).
+
+    Slots start at the stream's first packet.  ``n_slots`` defaults to the
+    stream's span, ``ceil(duration / I)`` and at least 1; a row past the
+    last slot (a packet exactly on the final edge) is dropped.  This is the
+    one way a packet becomes a slot count: the whole stream is one
+    straddling span of a fresh :class:`SlotStageReducer`, bucketed by the
+    live tick's own :meth:`TickFacts.flush`.
+    """
+    slots = SlotStageReducer(slot_duration, alpha=1.0)
+    if len(stream):
+        facts = TickFacts.of_stream(stream)
+        origin, last = facts.first[0], facts.last[0]
+        facts.straddles.append((0, slots, origin, 0, math.floor((last - origin) / slot_duration)))
+        facts.flush()
+        if n_slots is None:
+            n_slots = math.ceil((last - origin) / slot_duration)
+    return slots.raw_matrix(1 if n_slots is None else n_slots)
 
 
 # ---------------------------------------------------------------------------

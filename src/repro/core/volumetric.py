@@ -11,8 +11,11 @@ packet rate, upstream throughput and upstream packet rate — then
    with current-slot weight ``alpha``, suppressing spurious one-slot
    behaviours like an accidental mouse movement while spectating.
 
-The generator below supports both offline (whole-session) extraction used
-for training and an online streaming mode used by the real-time pipeline.
+The raw per-slot attributes come from the slot reducer's counters
+(:func:`repro.core.reducers.raw_slot_matrix`); the generator below holds
+the array transforms applied to them offline, and
+:class:`OnlineVolumetricTracker` the slot-by-slot form used by the
+real-time pipeline.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.net.packet import Direction, PacketStream
-from repro.net.timeseries import exponential_moving_average
 
 #: Attribute names in canonical order.
 VOLUMETRIC_FEATURE_NAMES = (
@@ -31,6 +32,29 @@ VOLUMETRIC_FEATURE_NAMES = (
     "up_throughput_rel",
     "up_packet_rate_rel",
 )
+
+
+def exponential_moving_average(values: Sequence[float], alpha: float) -> np.ndarray:
+    """EMA smoothing: ``attr_t = alpha * attr_t + (1 - alpha) * attr_{t-1}``.
+
+    Equation (1) of the paper.  ``alpha`` is the weight of the *current*
+    slot; smaller values smooth more aggressively.  ``values`` may be a 1-D
+    sequence (one series) or a 2-D ``(n_series, n_slots)`` array, in which
+    case every row is smoothed independently in one vectorised recurrence
+    (bit-identical to smoothing each row on its own).
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return values.copy()
+    smoothed = np.empty_like(values)
+    smoothed[..., 0] = values[..., 0]
+    for index in range(1, values.shape[-1]):
+        smoothed[..., index] = (
+            alpha * values[..., index] + (1.0 - alpha) * smoothed[..., index - 1]
+        )
+    return smoothed
 
 
 class VolumetricAttributeGenerator:
@@ -67,36 +91,6 @@ class VolumetricAttributeGenerator:
         self.peak_floor_fraction = peak_floor_fraction
 
     # ------------------------------------------------------------ offline
-    def raw_slot_matrix(self, stream: PacketStream) -> np.ndarray:
-        """Raw per-slot attributes: columns are (down Mbps, down pps, up Kbps, up pps).
-
-        Slots start at the stream's first packet and cover it to its last.
-        """
-        origin = stream.start_time
-        all_times = stream.timestamps()
-        duration = float(all_times.max() - origin) if all_times.size else 0.0
-        n_slots = max(1, int(np.ceil(duration / self.slot_duration)))
-
-        matrix = np.zeros((n_slots, 4))
-        for column, direction in ((0, Direction.DOWNSTREAM), (2, Direction.UPSTREAM)):
-            times = stream.timestamps(direction)
-            sizes = stream.payload_sizes(direction)
-            if not times.size:
-                continue
-            indices = np.floor((times - origin) / self.slot_duration).astype(int)
-            valid = (indices >= 0) & (indices < n_slots)
-            indices = indices[valid]
-            sizes_v = sizes[valid]
-            byte_sum = np.bincount(indices, weights=sizes_v, minlength=n_slots)
-            pkt_count = np.bincount(indices, minlength=n_slots)
-            if direction is Direction.DOWNSTREAM:
-                matrix[:, 0] = byte_sum * 8 / self.slot_duration / 1e6
-                matrix[:, 1] = pkt_count / self.slot_duration
-            else:
-                matrix[:, 2] = byte_sum * 8 / self.slot_duration / 1e3
-                matrix[:, 3] = pkt_count / self.slot_duration
-        return matrix
-
     def relative_matrix(self, raw: np.ndarray) -> np.ndarray:
         """Convert raw attributes to fractions of the running peak.
 
@@ -111,20 +105,6 @@ class VolumetricAttributeGenerator:
         peaks = np.maximum(peaks, floor[None, :])
         peaks = np.where(peaks <= 0, 1.0, peaks)
         return np.clip(raw / peaks, 0.0, 1.0)
-
-    def transform_many(self, streams: Sequence[PacketStream]) -> List[np.ndarray]:
-        """EMA-smoothed relative attributes of every session of a corpus.
-
-        raw -> relative -> smoothed.  Per-slot counting stays per session
-        (one pair of ``bincount`` calls each); the EMA recurrences of all
-        sessions advance in lockstep (:meth:`smooth_many`).  One session is
-        ``transform_many([stream])[0]``.
-        """
-        if not streams:
-            return []
-        return self.smooth_many(
-            [self.relative_matrix(self.raw_slot_matrix(stream)) for stream in streams]
-        )
 
     def smooth_many(self, relatives: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Apply the EMA of Equation 1 to many sessions' relative matrices.

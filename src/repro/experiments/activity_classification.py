@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.pattern_classifier import GameplayPatternClassifier
+from repro.core.reducers import raw_slot_matrix
 from repro.core.transition import TRANSITION_FEATURE_NAMES, transition_features_from_stages
 from repro.experiments import common
 from repro.ml.forest import RandomForestClassifier
@@ -104,7 +105,9 @@ def run_table4_stage_pattern_accuracy(
     # that the pattern model sees the same classification noise it will face
     # in the deployed cascade
     pattern_classifier.fit_stage_sequences(
-        stage_classifier.predict_slots_many([session.packets for session in train_sessions]),
+        stage_classifier.predict_raw_slots_many(
+            [raw_slot_matrix(session.packets, 1.0) for session in train_sessions]
+        ),
         [session.pattern for session in train_sessions],
     )
 
@@ -121,7 +124,9 @@ def run_table4_stage_pattern_accuracy(
         # mirroring the deployed cascade of the two processes; a session the
         # confidence gate leaves undecided counts its most probable pattern
         pattern_eval = pattern_classifier.evaluate(
-            stage_classifier.predict_slots_many([s.packets for s in sessions]),
+            stage_classifier.predict_raw_slots_many(
+                [raw_slot_matrix(s.packets, 1.0) for s in sessions]
+            ),
             [s.pattern for s in sessions],
         )
         output[pattern.value] = {

@@ -7,8 +7,8 @@ sorted :class:`~repro.net.packet.PacketStream` view over them
 and hands out), flow demultiplexing by canonical 5-tuple
 (:class:`~repro.net.flow.FlowDemux` / :class:`~repro.net.flow.FlowKey`), RTP
 header handling, classic-libpcap file I/O, cloud-gaming flow detection
-signatures, slotted time-series helpers, and a network-impairment model used
-to emulate degraded access links.
+signatures, and a network-impairment model used to emulate degraded access
+links.
 """
 
 from repro.net.conditions import NetworkConditions, apply_conditions_columns
@@ -26,7 +26,6 @@ from repro.net.pcap import (
     write_pcap,
 )
 from repro.net.rtp import RTPHeader, build_rtp_packet, parse_rtp_payload
-from repro.net.timeseries import SlotSeries, slot_aggregate, throughput_series
 
 __all__ = [
     "Packet",
@@ -47,7 +46,4 @@ __all__ = [
     "CLOUD_GAMING_PLATFORMS",
     "NetworkConditions",
     "apply_conditions_columns",
-    "SlotSeries",
-    "slot_aggregate",
-    "throughput_series",
 ]

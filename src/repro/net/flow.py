@@ -208,9 +208,9 @@ class FlowTick(NamedTuple):
     """One tick's rows gathered flow by flow: the unit the live path folds.
 
     ``columns[bounds[i]:bounds[i + 1]]`` are the rows of flow ``keys[i]`` in
-    batch order (never empty); the same flow may appear more than once
-    (materialised pairs handed to ``ingest_demuxed``), in which case its
-    spans fold in order.
+    batch order (never empty).  A demuxed tick names each flow once; a tick
+    built by hand may name one flow more than once, and its spans then fold
+    in order.
     """
 
     keys: List[FlowKey]
@@ -235,24 +235,6 @@ class FlowTick(NamedTuple):
         order = rows[0] if len(rows) == 1 else np.concatenate(rows)
         keys = [key for key, _rows in index_pairs]
         return cls(keys, columns.without_flow_ids().take(order), bounds)
-
-    @classmethod
-    def concat(
-        cls, pairs: Sequence[Tuple[FlowKey, PacketColumns]]
-    ) -> "FlowTick":
-        """Materialised ``(key, sub_batch)`` pairs as one tick (empty ones dropped).
-
-        An optional column absent from some sub-batches and present in
-        others comes out sentinel-filled (:meth:`PacketColumns.concat`).
-        """
-        pairs = [(key, sub) for key, sub in pairs if len(sub)]
-        bounds = np.zeros(len(pairs) + 1, dtype=np.intp)
-        np.cumsum([len(sub) for _key, sub in pairs], out=bounds[1:])
-        return cls(
-            [key for key, _sub in pairs],
-            PacketColumns.concat([sub for _key, sub in pairs]).without_flow_ids(),
-            bounds,
-        )
 
 
 def flow_summary(key: FlowKey, stream: PacketStream) -> dict:

@@ -453,20 +453,6 @@ class StreamingEngine:
         tick = FlowTick.gather(columns, self._demux.split_indices(columns))
         return self.ingest_tick(tick, clock)
 
-    def ingest_demuxed(
-        self,
-        pairs: Sequence[Tuple[FlowKey, PacketColumns]],
-        clock: float,
-    ) -> List[ContextEvent]:
-        """Consume already-demultiplexed per-flow sub-batches.
-
-        The materialised form of :meth:`ingest_tick` (serial sharding, the
-        inline transport fallback): the sub-batches are concatenated into
-        one tick first, so they should agree on which optional columns they
-        carry (:meth:`~repro.net.flow.FlowTick.concat`).
-        """
-        return self.ingest_tick(FlowTick.concat(pairs), clock)
-
     def ingest_tick(self, tick: FlowTick, clock: float) -> List[ContextEvent]:
         """Fold one flow-sorted tick and advance every gate the clock passed.
 

@@ -58,8 +58,8 @@ A tick's ``payload`` says where its rows are (DESIGN.md §12):
   crosses the pipe.  The slot is reusable exactly when the tick leaves the
   replay ring (``seq <= snapshot_seq``), so a replayed control message
   always finds its slot data intact.
-* ``("inline", pairs)`` — the per-tick fallback: the demuxed
-  ``(FlowKey, PacketColumns)`` pairs pickled inline, when the tick is
+* ``("inline", tick)`` — the per-tick fallback: the gathered
+  :class:`~repro.net.flow.FlowTick` pickled inline, when the tick is
   larger than a slot or no checkpoint-pruned slot is free
   (``shm_fallback_ticks`` counts these).
 
@@ -104,7 +104,7 @@ import numpy as np
 
 from repro.core.reducers import FrozenSnapshot
 from repro.core.title_classifier import TitlePrediction
-from repro.net.flow import FlowKey
+from repro.net.flow import FlowKey, FlowTick
 from repro.net.packet import PacketColumns
 from repro.runtime.engine import StreamingEngine, _check_swap_geometry
 from repro.runtime.events import ContextEvent, SessionRecovered, WorkerRestarted
@@ -271,9 +271,9 @@ def _serve_shard(connection) -> None:
             if payload[0] == "shm":
                 _kind, slot, n_rows, spans, flags = payload
                 tick = config["ring"].read_slot(slot, n_rows, spans, flags)
-                return engine.ingest_tick(tick, clock), want_snapshot
-            # ("inline", pairs)
-            return engine.ingest_demuxed(payload[1], clock), want_snapshot
+            else:  # ("inline", tick)
+                tick = payload[1]
+            return engine.ingest_tick(tick, clock), want_snapshot
         # ("swap", seq, pipeline_blob, want_snapshot)
         _tag, _seq, blob, want_snapshot = message
         swapped = engine.swap_pipeline(_decode_snapshot(blob))
@@ -555,10 +555,10 @@ class ShardSupervisor:
 
         The rows of every flow are gathered straight into a free ring slot
         (one vectorised copy per column) and only the control tuple crosses
-        the pipe; the tick falls back to inline pickling of
-        ``batch.take(rows)`` per flow — counted in ``shm_fallback_ticks``,
-        never wrong — when it exceeds ``ring_slot_rows`` or no
-        checkpoint-pruned slot is free.
+        the pipe; the tick falls back to inline pickling of the gathered
+        :class:`~repro.net.flow.FlowTick` — counted in
+        ``shm_fallback_ticks``, never wrong — when it exceeds
+        ``ring_slot_rows`` or no checkpoint-pruned slot is free.
 
         Normally returns no events; when the transmission itself reveals a
         dead worker, recovery happens inline and its events are returned.
@@ -573,8 +573,7 @@ class ShardSupervisor:
         else:
             if index_pairs:  # an empty tick needs no slot: not a fallback
                 self.shm_fallback_ticks += 1
-            batch = batch.without_flow_ids()  # the ids stop at the demux
-            payload = ("inline", [(key, batch.take(rows)) for key, rows in index_pairs])
+            payload = ("inline", FlowTick.gather(batch, index_pairs))
         return self._send_tick_payload(shard, payload)
 
     def _send_tick_payload(self, shard: int, payload: tuple) -> List[ContextEvent]:
@@ -644,7 +643,7 @@ class ShardSupervisor:
         if message[0] == "tick":
             payload = message[2]
             if payload[0] == "inline":
-                return sum(sub.nbytes() for _key, sub in payload[1])
+                return payload[1].columns.nbytes()
             # ("shm", slot, n_rows, spans, flags): scalars plus one
             # (FlowKey, start, stop) span per flow cross the pipe
             return 96 + 96 * len(payload[3])

@@ -18,6 +18,7 @@ from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.features import launch_feature_matrix
 from repro.core.pattern_classifier import GameplayPatternClassifier, PatternPrediction
 from repro.core.pipeline import ContextClassificationPipeline
+from repro.core.reducers import raw_slot_matrix
 from repro.core.title_classifier import GameTitleClassifier
 from repro.core.transition import (
     StageTransitionModeler,
@@ -157,19 +158,21 @@ class TestBatchedStages:
     def test_activity_predict_slots_many_matches_per_session(
         self, fitted_pipeline, small_gameplay_corpus
     ):
+        # the stage verdict's one entry point, predict_raw_slots_many: a
+        # session's timeline does not depend on the batch it is classified in
         classifier = fitted_pipeline.activity_classifier
-        streams = [s.packets for s in small_gameplay_corpus.sessions[:6]]
-        batched = classifier.predict_slots_many(streams)
-        assert classifier.predict_slots_many([]) == []
-        for stream, got in zip(streams, batched):
-            assert got == classifier.predict_slots_many([stream])[0]
+        raw = [raw_slot_matrix(s.packets, 1.0) for s in small_gameplay_corpus.sessions[:6]]
+        batched = classifier.predict_raw_slots_many(raw)
+        assert classifier.predict_raw_slots_many([]) == []
+        for matrix, got in zip(raw, batched):
+            assert got == classifier.predict_raw_slots_many([matrix])[0]
 
     def test_pattern_predict_incremental_many_matches_sequential(
         self, fitted_pipeline, small_gameplay_corpus
     ):
         classifier = fitted_pipeline.pattern_classifier
-        timelines = fitted_pipeline.activity_classifier.predict_slots_many(
-            [s.packets for s in small_gameplay_corpus.sessions]
+        timelines = fitted_pipeline.activity_classifier.predict_raw_slots_many(
+            [raw_slot_matrix(s.packets, 1.0) for s in small_gameplay_corpus.sessions]
         )
         # add edge cases: too short to open the gate, empty, launch-only
         timelines.append([PlayerStage.ACTIVE] * (classifier.min_slots - 1))
@@ -351,8 +354,8 @@ class TestBatchForestTraversal:
 class TestGameplayPatternChunking:
     def test_chunk_boundaries_do_not_change_results(self, fitted_pipeline, small_gameplay_corpus):
         classifier = fitted_pipeline.pattern_classifier
-        timelines = fitted_pipeline.activity_classifier.predict_slots_many(
-            [s.packets for s in small_gameplay_corpus.sessions[:4]]
+        timelines = fitted_pipeline.activity_classifier.predict_raw_slots_many(
+            [raw_slot_matrix(s.packets, 1.0) for s in small_gameplay_corpus.sessions[:4]]
         )
         reference = classifier.predict_incremental_many(timelines)
         original = GameplayPatternClassifier._BATCH_CHUNK

@@ -7,6 +7,7 @@ from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.pattern_classifier import GameplayPatternClassifier
 from repro.core.title_classifier import GameTitleClassifier
 from repro.core.pipeline import ContextClassificationPipeline
+from repro.core.reducers import raw_slot_matrix
 from repro.core.transition import (
     StageTransitionModeler,
     TRANSITION_FEATURE_NAMES,
@@ -19,20 +20,21 @@ from repro.simulation.catalog import PlayerStage, UNKNOWN_TITLE
 
 class TestVolumetricGenerator:
     def test_raw_matrix_shape(self, fortnite_session):
-        generator = VolumetricAttributeGenerator()
-        raw = generator.raw_slot_matrix(fortnite_session.packets)
+        raw = raw_slot_matrix(fortnite_session.packets, 1.0)
         assert raw.shape[1] == 4
         assert raw.shape[0] >= int(fortnite_session.duration) - 1
 
     def test_relative_values_within_unit_interval(self, fortnite_session):
         generator = VolumetricAttributeGenerator()
-        (processed,) = generator.transform_many([fortnite_session.packets])
+        raw = raw_slot_matrix(fortnite_session.packets, 1.0)
+        (processed,) = generator.smooth_many([generator.relative_matrix(raw)])
         assert processed.min() >= 0.0
         assert processed.max() <= 1.0 + 1e-9
 
     def test_active_slots_have_higher_relative_volume_than_idle(self, fortnite_session):
         generator = VolumetricAttributeGenerator()
-        (processed,) = generator.transform_many([fortnite_session.packets])
+        raw = raw_slot_matrix(fortnite_session.packets, 1.0)
+        (processed,) = generator.smooth_many([generator.relative_matrix(raw)])
         labels = fortnite_session.slot_ground_truth(1.0)
         n = min(len(labels), processed.shape[0])
         active = [i for i in range(n) if labels[i] is PlayerStage.ACTIVE]
@@ -206,7 +208,9 @@ class TestPlayerActivityClassifier:
         assert evaluation["overall"] > 0.85
 
     def test_predict_slots_returns_player_stages(self, trained, fortnite_session):
-        (stages,) = trained.predict_slots_many([fortnite_session.packets])
+        (stages,) = trained.predict_raw_slots_many(
+            [raw_slot_matrix(fortnite_session.packets, trained.slot_duration)]
+        )
         assert stages
         assert all(isinstance(stage, PlayerStage) for stage in stages)
         assert all(stage is not PlayerStage.LAUNCH for stage in stages)

@@ -1,4 +1,4 @@
-"""Unit tests for the packet/flow substrate, RTP codec and time-series helpers."""
+"""Unit tests for the packet/flow substrate, RTP codec and per-slot series."""
 
 import numpy as np
 import pytest
@@ -15,12 +15,8 @@ from repro.net.rtp import (
     parse_rtp_payload,
     sequence_gap,
 )
-from repro.net.timeseries import (
-    exponential_moving_average,
-    packet_rate_series,
-    slot_aggregate,
-    throughput_series,
-)
+from repro.core.reducers import raw_slot_matrix
+from repro.core.volumetric import exponential_moving_average
 
 
 def packet(ts, direction=Direction.DOWNSTREAM, size=1000, **kw):
@@ -210,64 +206,37 @@ class TestRTP:
 
 
 class TestTimeSeries:
+    # per-slot series come from the slot reducer's count (raw_slot_matrix):
+    # slot 0 starts at the first packet; columns are down Mbps, down pkt/s,
+    # up Kbps, up pkt/s
+
     def test_throughput_series_values(self):
         stream = PacketStream([packet(0.1, size=1000), packet(0.2, size=1000),
                                packet(1.5, size=500)])
-        series = throughput_series(stream, 1.0, Direction.DOWNSTREAM, duration=2.0, origin=0.0)
+        series = raw_slot_matrix(stream, 1.0, n_slots=2)[:, 0]
         assert len(series) == 2
         assert series[0] == pytest.approx(2000 * 8 / 1e6)
         assert series[1] == pytest.approx(500 * 8 / 1e6)
 
     def test_packet_rate_series(self):
         stream = PacketStream([packet(0.1), packet(0.2), packet(0.3)])
-        series = packet_rate_series(stream, 1.0, Direction.DOWNSTREAM, duration=1.0, origin=0.0)
-        assert series[0] == pytest.approx(3.0)
+        series = raw_slot_matrix(stream, 0.5, n_slots=1)[:, 1]
+        assert series[0] == pytest.approx(6.0)
 
     def test_slot_aggregate_includes_empty_slots(self):
         stream = PacketStream([packet(0.5), packet(4.5)])
-        series = slot_aggregate(stream, 1.0, lambda t, s: float(len(t)), duration=5.0, origin=0.0)
+        series = raw_slot_matrix(stream, 1.0, n_slots=5)[:, 1]
         assert len(series) == 5
-        assert series.values[2] == 0.0
+        assert series.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_slot_aggregate_invalid_duration(self):
         with pytest.raises(ValueError):
-            slot_aggregate(PacketStream(), 0.0, lambda t, s: 0.0)
-
-    def test_slot_aggregate_named_aggregators_match_callables(self):
-        packets = [packet(0.1 * i, size=100 + 7 * i) for i in range(30)]
-        packets += [
-            Packet(timestamp=0.15 * i, direction=Direction.UPSTREAM, payload_size=50 + i)
-            for i in range(10)
-        ]
-        stream = PacketStream(packets)
-        for direction in (None, Direction.DOWNSTREAM, Direction.UPSTREAM):
-            count = slot_aggregate(stream, 1.0, "count", direction=direction)
-            looped = slot_aggregate(
-                stream, 1.0, lambda t, s: float(len(t)), direction=direction
-            )
-            np.testing.assert_array_equal(count.values, looped.values)
-            total = slot_aggregate(stream, 1.0, "sum", direction=direction)
-            looped = slot_aggregate(
-                stream, 1.0, lambda t, s: float(s.sum()), direction=direction
-            )
-            np.testing.assert_array_equal(total.values, looped.values)
-            mean = slot_aggregate(stream, 1.0, "mean", direction=direction)
-            looped = slot_aggregate(
-                stream,
-                1.0,
-                lambda t, s: float(s.mean()) if s.size else 0.0,
-                direction=direction,
-            )
-            np.testing.assert_array_equal(mean.values, looped.values)
-
-    def test_slot_aggregate_rejects_unknown_name(self):
-        with pytest.raises(ValueError, match="aggregator"):
-            slot_aggregate(PacketStream([packet(0.0)]), 1.0, "median")
+            raw_slot_matrix(PacketStream(), 0.0)
 
     def test_direction_views_are_index_aligned(self):
-        # the invariant slot aggregation relies on: timestamps(direction)
+        # the invariant TickFacts.of_stream relies on: timestamps(direction)
         # and payload_sizes(direction) subset the same packets in the same
-        # order, so one mask derived from the former applies to the latter
+        # order, so one flow's downstream span indexes both alike
         packets = [
             Packet(
                 timestamp=float(i) / 10,

@@ -11,17 +11,25 @@ is pinned equal to the serial backend.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.qoe import ObjectiveQoEEstimator
-from repro.core.reducers import QoEIntervalReducer, SessionReducerCascade, TickFacts
+from repro.core.reducers import (
+    QoEIntervalReducer,
+    SessionReducerCascade,
+    TickFacts,
+    raw_slot_matrix,
+)
 from repro.net.flow import flow_summary
 from repro.net.packet import (
     DOWNSTREAM_CODE,
     RTP_NONE,
+    UPSTREAM_CODE,
     Direction,
     PacketColumns,
     PacketStream,
@@ -353,12 +361,27 @@ def test_late_window_packets_reclassify_title(
 def test_predict_raw_slots_many_matches_stream_path(
     fitted_pipeline, runtime_sessions
 ):
+    """A stream's ``raw_slot_matrix`` is the bincount oracle's matrix and the
+    closing counters of a cascade fed the stream in random live ticks, so all
+    three classify to one timeline."""
     classifier = fitted_pipeline.activity_classifier
+    width = classifier.slot_duration
     streams = [s.packets for s in runtime_sessions]
-    raw = [classifier.generator.raw_slot_matrix(s) for s in streams]
-    assert classifier.predict_raw_slots_many(raw) == classifier.predict_slots_many(
-        streams
-    )
+    raw = [raw_slot_matrix(s, width) for s in streams]
+    rng = np.random.default_rng(11)
+    live = []
+    for stream, matrix in zip(streams, raw):
+        assert np.array_equal(matrix, bincount_raw_slot_matrix(stream, width))
+        columns = stream.columns()
+        cascade = SessionReducerCascade(slot_duration=width, alpha=0.5, window_seconds=5.0)
+        cuts = np.sort(rng.choice(np.arange(1, len(columns)), 40, replace=False))
+        for rows in np.split(np.arange(len(columns)), cuts):
+            cascade.absorb(columns.take(rows))
+        live.append(cascade.final_raw_matrix())
+        assert np.array_equal(live[-1], matrix)
+    timelines = classifier.predict_raw_slots_many(raw)
+    assert all(timelines)
+    assert classifier.predict_raw_slots_many(live) == timelines
     assert classifier.predict_raw_slots_many([]) == []
     assert classifier.predict_raw_slots_many([np.zeros((0, 4))]) == [[]]
 
@@ -395,6 +418,105 @@ def test_double_buffered_fork_feed_matches_serial(
         ]
         assert isinstance(serial[key][-1], SessionReport)
         assert_report_identical(forked[key][-1].report, serial[key][-1].report)
+
+
+# ---------------------------------------------------------------------------
+# one slot count: raw_slot_matrix vs the generator's bincount (property test)
+# ---------------------------------------------------------------------------
+def bincount_raw_slot_matrix(stream, slot_duration, n_slots=None):
+    """Oracle: ``raw_slot_matrix`` as the volumetric generator computed it
+    before the slot reducer's fold became the one slot count — its own
+    direction split and one ``bincount`` pair per direction."""
+    origin = stream.start_time
+    all_times = stream.timestamps()
+    if n_slots is None:
+        duration = float(all_times.max() - origin) if all_times.size else 0.0
+        n_slots = math.ceil(duration / slot_duration)
+    n_slots = max(1, n_slots)
+
+    matrix = np.zeros((n_slots, 4))
+    for column, direction in ((0, Direction.DOWNSTREAM), (2, Direction.UPSTREAM)):
+        times = stream.timestamps(direction)
+        sizes = stream.payload_sizes(direction)
+        if not times.size:
+            continue
+        indices = np.floor((times - origin) / slot_duration).astype(int)
+        valid = (indices >= 0) & (indices < n_slots)
+        indices = indices[valid]
+        byte_sum = np.bincount(indices, weights=sizes[valid], minlength=n_slots)
+        pkt_count = np.bincount(indices, minlength=n_slots)
+        if direction is Direction.DOWNSTREAM:
+            matrix[:, 0] = byte_sum * 8 / slot_duration / 1e6
+            matrix[:, 1] = pkt_count / slot_duration
+        else:
+            matrix[:, 2] = byte_sum * 8 / slot_duration / 1e3
+            matrix[:, 3] = pkt_count / slot_duration
+    return matrix
+
+
+@st.composite
+def slotted_streams(draw):
+    """A sorted session for the one slot count: ``(width, columns, n_slots,
+    cuts)``.  Timestamps mix quarter-slot multiples (duplicates, rows on
+    ``k * width`` edges, a last row exactly on the final edge) with free
+    offsets; a stream may carry one direction only, or one packet."""
+    width = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    origin = draw(st.sampled_from([0.0, 100.0, 1234.5678]))
+    quarters = draw(st.lists(st.integers(0, 120), min_size=1, max_size=60))
+    offsets = draw(st.lists(st.floats(0.0, 30.0), max_size=20))
+    timestamps = np.sort(
+        np.array([origin + q * width / 4 for q in quarters] + [origin + x for x in offsets])
+    )
+    n = timestamps.size
+    mode = draw(st.sampled_from(["both", "down", "up"]))
+    if mode == "both":
+        down = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        down = np.full(n, mode == "down")
+    sizes = np.array(draw(st.lists(st.integers(0, 1500), min_size=n, max_size=n)), dtype=float)
+    columns = PacketColumns(
+        timestamps=timestamps,
+        payload_sizes=sizes,
+        directions=np.where(down, DOWNSTREAM_CODE, UPSTREAM_CODE).astype(np.int8),
+    )
+    span = math.ceil((timestamps[-1] - timestamps[0]) / width)
+    n_slots = draw(st.sampled_from([None, 0, 1, max(span - 2, 0), span + 3]))
+    cuts = sorted(draw(st.sets(st.integers(1, n), max_size=8))) if n > 1 else []
+    return width, columns, n_slots, cuts
+
+
+def _columns(timestamps, down):
+    timestamps = np.asarray(timestamps, dtype=float)
+    down = np.asarray(down, dtype=bool)
+    return PacketColumns(
+        timestamps=timestamps,
+        payload_sizes=np.full(timestamps.size, 100.0),
+        directions=np.where(down, DOWNSTREAM_CODE, UPSTREAM_CODE).astype(np.int8),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(slotted_streams())
+@example((1.0, _columns([5.0], [True]), None, []))  # one packet
+@example((0.5, _columns([0.0, 0.25, 0.5, 0.5, 1.0], [True] * 5), None, [2]))  # last on the edge
+@example((0.5, _columns([0.0, 0.5, 1.0], [False] * 3), 1, [1]))  # upstream only, cut short
+def test_raw_slot_matrix_is_the_reducer_count(case):
+    """Property: ``raw_slot_matrix`` equals the moved bincount oracle bit for
+    bit on any grid, and a cascade fed the same rows in randomly cut
+    ``absorb`` batches closes on the same matrix."""
+    width, columns, n_slots, cuts = case
+    stream = PacketStream.from_columns(columns)
+    got = raw_slot_matrix(stream, width, n_slots)
+    expected = bincount_raw_slot_matrix(stream, width, n_slots)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+    whole = raw_slot_matrix(stream, width)
+    cascade = SessionReducerCascade(slot_duration=width, alpha=0.5, window_seconds=5.0)
+    ordered = stream.columns()
+    for rows in np.split(np.arange(len(ordered)), cuts):
+        cascade.absorb(ordered.take(rows))
+    assert cascade.final_raw_matrix().tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.transition import PrefixTransitionTracker, prefix_transition_features
-from repro.core.volumetric import VolumetricAttributeGenerator
 from repro.net.packet import (
     DOWNSTREAM_CODE,
     Direction,
@@ -475,7 +474,7 @@ def test_prefix_transition_tracker_matches_batch_prefixes(rng):
 
 
 def test_session_state_slot_accumulator_matches_offline_raw_matrix(rng):
-    """The incremental per-slot counters equal ``raw_slot_matrix`` exactly."""
+    """The incremental per-slot counters equal the bincount oracle exactly."""
     n = 5000
     timestamps = np.sort(rng.uniform(100.0, 187.3, n))
     sizes = rng.integers(40, 1400, n).astype(float)
@@ -490,21 +489,12 @@ def test_session_state_slot_accumulator_matches_offline_raw_matrix(rng):
     for start in range(0, n, 700):
         state.cascade.absorb(columns.take(slice(start, start + 700)))
 
-    generator = VolumetricAttributeGenerator(slot_duration=1.0)
-    expected = generator.raw_slot_matrix(PacketStream.from_columns(columns))
+    from test_reducers import bincount_raw_slot_matrix  # test_reducers imports this module
+
+    expected = bincount_raw_slot_matrix(PacketStream.from_columns(columns), 1.0)
     n_slots = expected.shape[0]
     assert state.cascade.total_slots() == n_slots
     assert np.array_equal(state.cascade.final_raw_matrix(), expected)
-
-
-def test_predict_raw_slots_matches_predict_slots(fitted_pipeline, runtime_sessions):
-    """Counter-retaining probes classify identically to packet streams."""
-    classifier = fitted_pipeline.activity_classifier
-    stream = runtime_sessions[0].packets
-    raw = classifier.generator.raw_slot_matrix(stream)
-    (timeline,) = classifier.predict_raw_slots_many([raw])
-    assert timeline and timeline == classifier.predict_slots_many([stream])[0]
-    assert classifier.predict_raw_slots_many([np.zeros((0, 4))]) == [[]]
 
 
 def test_session_feed_reassembles_to_original_stream(runtime_sessions):

@@ -53,7 +53,11 @@ from hypothesis import strategies as st
 
 from repro.core.reducers import SessionReducerCascade, SlotStageReducer, TickFacts
 from repro.core.transition import PrefixTransitionTracker, prefix_transition_features
-from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
+from repro.core.volumetric import (
+    OnlineVolumetricTracker,
+    VolumetricAttributeGenerator,
+    exponential_moving_average,
+)
 from repro.net.flow import FlowDemux, FlowKey, FlowTick, _object_ids, canonical_flow_key
 from repro.net.packet import (
     DEFAULT_ADDRESS,
@@ -64,7 +68,6 @@ from repro.net.packet import (
     PacketColumns,
 )
 from repro.net.pcap import iter_pcap_column_batches, write_pcap
-from repro.net.timeseries import exponential_moving_average
 from repro.runtime import (
     SessionFeed,
     SessionReport,
@@ -566,8 +569,18 @@ def test_late_rows_shift_the_origin_in_the_side_by_side_feed(fitted_pipeline, ti
     )
 
 
+def tick_of(pairs) -> FlowTick:
+    """A tick built by hand from ``(key, rows)`` pairs, back to back; a key
+    may come more than once."""
+    bounds = np.zeros(len(pairs) + 1, dtype=np.intp)
+    np.cumsum([len(rows) for _key, rows in pairs], out=bounds[1:])
+    columns = PacketColumns.concat([rows for _key, rows in pairs]).without_flow_ids()
+    return FlowTick([key for key, _rows in pairs], columns, bounds)
+
+
 def test_ingest_demuxed_pairs_fold_like_the_batch(fitted_pipeline, tick_rows):
-    """Materialised pairs — a flow given twice included — reach the same fold."""
+    """A hand-built tick of materialised pairs — a flow given twice included —
+    reaches the same fold as the demuxed batch."""
     rows, contexts = tick_rows
     ticks = _feed_ticks(rows, [0.25, 0.5, 0.75], 0, None)
     whole, paired = StreamingEngine(fitted_pipeline), StreamingEngine(fitted_pipeline)
@@ -579,7 +592,7 @@ def test_ingest_demuxed_pairs_fold_like_the_batch(fitted_pipeline, tick_rows):
         half = len(sub) // 2
         pairs[0:1] = [(key, sub.slice_view(0, half)), (key, sub.slice_view(half, len(sub)))]
         expected = whole.ingest(tick)
-        got = paired.ingest_demuxed(pairs, float(tick.timestamps.max()))
+        got = paired.ingest_tick(tick_of(pairs), float(tick.timestamps.max()))
         assert deep_equal(got, expected)
     assert deep_equal(paired.close_all(), whole.close_all())
 
@@ -642,7 +655,7 @@ def _slot_counters(cls, mode, width, ticks):
     """Fold the ticks as the engine does; every flow's counters after each."""
     cascades, after = {}, []
     for pairs in ticks:
-        tick = FlowTick.concat(pairs)
+        tick = tick_of(pairs)
         facts = TickFacts(tick.columns, tick.bounds)
         for index, flow in enumerate(tick.keys):
             if flow not in cascades:
@@ -688,8 +701,10 @@ def test_a_refold_counts_a_queued_straddling_span_once(fitted_pipeline):
     straddling = span(100.0 + 0.45 * width, 10)  # across the edge of slot 1
     older = span(100.0 - 0.35 * width, 3)  # before the origin
     engine = StreamingEngine(fitted_pipeline, session_mode="full")
-    engine.ingest_demuxed([(key, opening)], float(opening.timestamps.max()))
-    engine.ingest_demuxed([(key, straddling), (key, older)], float(straddling.timestamps.max()))
+    engine.ingest_tick(tick_of([(key, opening)]), float(opening.timestamps.max()))
+    engine.ingest_tick(
+        tick_of([(key, straddling), (key, older)]), float(straddling.timestamps.max())
+    )
     cascade = engine._states[key].cascade
     assert cascade.origin_shifts == 1
     raw = cascade.slots._raw
@@ -946,11 +961,11 @@ def test_non_finite_clock_does_not_flush_the_open_slot(fitted_pipeline, tick_row
     expected = StreamingEngine(fitted_pipeline).ingest(batch0)
     assert {type(event) for event in expected} == {SessionStarted}
     engine = StreamingEngine(fitted_pipeline)
-    got = engine.ingest_demuxed(FlowDemux().split(batch0), clock)
+    got = engine.ingest_tick(tick_of(FlowDemux().split(batch0)), clock)
     assert deep_equal(got, expected)
     assert engine.clock == float("-inf")
     # the unfinished slot completes once a real clock passes it, and only once
-    later = engine.ingest_demuxed([], float(batch0.timestamps.max()) + 1.0)
+    later = engine.ingest_tick(tick_of([]), float(batch0.timestamps.max()) + 1.0)
     stage_slots = [e.slot_index for e in later if isinstance(e, StageUpdate)]
     assert stage_slots == sorted(set(stage_slots)) and 0 in stage_slots
 
