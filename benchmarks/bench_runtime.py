@@ -4,7 +4,7 @@ Three workloads over the shared >=100-session deployment corpus
 (``benchmarks/conftest.py``):
 
 * **corpus classification** — single-process ``pipeline.process_many``
-  (``ShardedEngine.process_many`` runs the same call in-process).
+  (corpora are not sharded).
 * **live-feed throughput** — a :class:`SessionFeed` of concurrent sessions
   pushed through one :class:`StreamingEngine` (packets/s and sessions/s of
   the full online cascade including the offline-identical close reports).

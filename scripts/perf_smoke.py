@@ -3,8 +3,8 @@
 
 Runs the columnar PacketStream micro-benchmarks, the batched
 ``process_many`` engine benchmark, the PCAP ingestion benchmark, the
-streaming-runtime workloads (live-feed
-throughput, sharded corpus classification, fitted-pipeline save/load) and
+streaming-runtime workloads (live-feed throughput single and sharded,
+corpus classification, fitted-pipeline save/load) and
 the two end-to-end experiment workloads, and writes a
 ``BENCH_packet_stream.json`` snapshot at the repo root so the perf
 trajectory is tracked per PR.

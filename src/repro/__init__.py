@@ -40,7 +40,6 @@ from repro.core import (
     PlayerActivityClassifier,
     QoELevel,
     SessionContextReport,
-    StageTransitionModeler,
 )
 from repro.net import (
     CloudGamingFlowDetector,
@@ -83,7 +82,6 @@ __all__ = [
     "GameTitleClassifier",
     "PlayerActivityClassifier",
     "GameplayPatternClassifier",
-    "StageTransitionModeler",
     "PacketGroupLabeler",
     "ObjectiveQoEEstimator",
     "EffectiveQoECalibrator",

@@ -28,7 +28,6 @@ from repro.analytics.sketches import (
     MergeableSketch,
     SCALE_BITS,
     StatsAccumulator,
-    scaled,
     state_digest,
     unscaled,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "SCALE_BITS",
     "StatsAccumulator",
     "fold_corpus",
-    "scaled",
     "state_digest",
     "unscaled",
 ]

@@ -7,7 +7,7 @@ the *bit-identical* aggregate.  That rules out two standard ingredients:
 
 * **floating-point accumulation** — float sums depend on fold order, so
   every sum here is an exact integer: values are scaled by ``2**20`` and
-  rounded once on entry (:func:`scaled`), after which addition is
+  rounded once on entry (:func:`_fixed_point`), after which addition is
   arbitrary-precision integer arithmetic and therefore associative and
   commutative;
 * **data-dependent bucket boundaries** — a true t-digest compresses
@@ -23,12 +23,11 @@ sketch instances and merged, yields byte-identical state (pinned by the
 property tests in ``tests/test_fleet_analytics.py``).  All state is O(1) in
 the number of values folded.
 
-Each sketch folds through two bodies that a property test pins equal: the
-scalar :meth:`~MergeableSketch.add` — python arithmetic on one value, the
-form every production caller uses (one window or one session at a time) —
-and the bulk :meth:`~MergeableSketch.add_many`.  Both **refuse** a value the
-fixed point cannot hold (NaN, ±inf, magnitude of ``2**43`` or more) with a
-``ValueError`` before any state changes.
+Each sketch folds through one body, :meth:`~MergeableSketch.add` — python
+arithmetic on one value, the form every caller has (one window or one
+session at a time).  It **refuses** a value the fixed point cannot hold
+(NaN, ±inf, magnitude of ``2**43`` or more) with a ``ValueError`` before any
+state changes.
 
 Three concrete sketches behind one :class:`MergeableSketch` API:
 
@@ -56,7 +55,6 @@ __all__ = [
     "MergeableSketch",
     "SCALE_BITS",
     "StatsAccumulator",
-    "scaled",
     "state_digest",
     "unscaled",
 ]
@@ -79,20 +77,13 @@ def _refuse(value: float) -> NoReturn:
     )
 
 
-def scaled(values: np.ndarray) -> np.ndarray:
-    """Values as fixed-point integers (round-half-even, like ``round``).
+def _fixed_point(value: float) -> int:
+    """One python float as a fixed-point integer (round-half-even).
 
-    Raises ``ValueError`` naming the first value ``int64`` cannot hold once
-    scaled — the cast would otherwise turn it into ``INT64_MIN`` silently.
+    Raises ``ValueError`` for a value ``int64`` cannot hold once scaled (NaN,
+    ±inf, magnitude of ``2**43`` or more) — a cast would otherwise turn it
+    into ``INT64_MIN`` silently.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size and not np.abs(values).max() < _MAGNITUDE_LIMIT:
-        _refuse(float(values[~(np.abs(values) < _MAGNITUDE_LIMIT)][0]))
-    return np.rint(values * _SCALE).astype(np.int64)
-
-
-def _scaled_one(value: float) -> int:
-    """:func:`scaled` of one python float, same rounding, same refusal."""
     if not abs(value) < _MAGNITUDE_LIMIT:
         _refuse(value)
     return round(value * _SCALE)
@@ -134,7 +125,7 @@ def state_digest(state: tuple) -> str:
 class MergeableSketch:
     """API shared by every fleet-tier aggregate.
 
-    Subclasses implement :meth:`add`, :meth:`add_many`, :meth:`merge`,
+    Subclasses implement :meth:`add`, :meth:`merge`,
     :meth:`state`, :meth:`snapshot` / :meth:`restore` and :meth:`nbytes`;
     the base class provides equality (exact state comparison) and the
     digest used by the bit-identity tests.
@@ -143,18 +134,10 @@ class MergeableSketch:
     __slots__ = ()
 
     def add(self, value: float) -> None:
-        """Fold one value; leaves the state :meth:`add_many` of it would.
+        """Fold one value.
 
         Raises ``ValueError`` — before any state changes — for a value the
         fixed point cannot hold (NaN, ±inf, magnitude of ``2**43`` or more).
-        """
-        raise NotImplementedError
-
-    def add_many(self, values: np.ndarray) -> None:
-        """Fold a batch of values (order inside the batch is irrelevant).
-
-        Refuses the whole batch, like :meth:`add`, if any value in it cannot
-        be held.
         """
         raise NotImplementedError
 
@@ -222,7 +205,7 @@ class MergeableSketch:
 class StatsAccumulator(MergeableSketch):
     """Exact count / sum / min / max of a value stream.
 
-    The sum is fixed-point (:func:`scaled`), so accumulation is integer
+    The sum is fixed-point (:func:`_fixed_point`), so accumulation is integer
     arithmetic — associative, commutative and, for every value the fold
     accepts, overflow-free (Python ints).
     """
@@ -237,7 +220,7 @@ class StatsAccumulator(MergeableSketch):
 
     def add(self, value: float) -> None:
         value = float(value)
-        self._fold(value, _scaled_one(value))
+        self._fold(value, _fixed_point(value))
 
     def _fold(self, value: float, fixed: int) -> None:
         """Fold one value whose fixed point the caller already holds.
@@ -251,17 +234,6 @@ class StatsAccumulator(MergeableSketch):
             self._min = value
         if value > self._max:
             self._max = value
-
-    def add_many(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if not values.size:
-            return
-        fixed = scaled(values)  # refuses before any state changes
-        self.count += int(values.size)
-        # sum the int64 fixed-point values under Python ints: exact
-        self.scaled_sum += int(fixed.sum(dtype=object))
-        self._min = min(self._min, float(values.min()) + 0.0)
-        self._max = max(self._max, float(values.max()) + 0.0)
 
     def merge(self, other: "StatsAccumulator") -> None:
         self._require_same_layout(other, ())
@@ -336,28 +308,17 @@ class _LogBinLayout:
         )
 
     def index(self, value: float) -> int:
-        """Slot of one finite value; the scalar body of :meth:`indices`.
+        """Slot of one finite value: 0 = underflow, 1..n_bins, n_bins+1 = overflow.
 
-        The logarithm is ``np.log`` on the scalar, not ``math.log``: numpy's
-        is the one the bulk form applies, and the two differ in the last
-        place often enough (about 3 values in 10 000) to move a value that
-        sits on a bin edge.
+        The logarithm is ``np.log`` on the scalar, not ``math.log``: the two
+        differ in the last place often enough (about 3 values in 10 000) to
+        move a value that sits on a bin edge, and the pinned rollup digests
+        were folded through numpy's.
         """
         if not value > self.min_value:
             return 0
         raw = math.floor((float(np.log(value)) - self._log_min) / self._log_growth)
         return min(max(raw + 1, 1), self.n_bins + 1)
-
-    def indices(self, values: np.ndarray) -> np.ndarray:
-        """Slot index per value: 0 = underflow, 1..n_bins, n_bins+1 = overflow."""
-        out = np.zeros(values.size, dtype=np.int64)
-        positive = values > self.min_value
-        if positive.any():
-            raw = np.floor(
-                (np.log(values[positive]) - self._log_min) / self._log_growth
-            ).astype(np.int64)
-            out[positive] = np.clip(raw + 1, 1, self.n_bins + 1)
-        return out
 
     def representative(self, slot: int) -> float:
         """The value a slot reports: the geometric midpoint of its bin.
@@ -401,16 +362,9 @@ class LogBucketHistogram(MergeableSketch):
 
     def add(self, value: float) -> None:
         value = float(value)
-        fixed = _scaled_one(value)  # refuses before any state changes
+        fixed = _fixed_point(value)  # refuses before any state changes
         self.counts[self.layout.index(value)] += 1
         self.stats._fold(value, fixed)
-
-    def add_many(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if not values.size:
-            return
-        self.stats.add_many(values)  # first: it refuses before any state changes
-        np.add.at(self.counts, self.layout.indices(values), 1)
 
     def merge(self, other: "LogBucketHistogram") -> None:
         self._require_same_layout(other, ("_config",))
@@ -488,21 +442,11 @@ class CentroidSketch(MergeableSketch):
 
     def add(self, value: float) -> None:
         value = float(value)
-        fixed = _scaled_one(value)  # refuses before any state changes
+        fixed = _fixed_point(value)  # refuses before any state changes
         slot = self.layout.index(value)
         self.counts[slot] += 1
         self.scaled_sums[slot] += fixed
         self.stats._fold(value, fixed)
-
-    def add_many(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if not values.size:
-            return
-        fixed = scaled(values)  # refuses before any state changes
-        slots = self.layout.indices(values)
-        np.add.at(self.counts, slots, 1)
-        np.add.at(self.scaled_sums, slots, fixed)
-        self.stats.add_many(values)
 
     def merge(self, other: "CentroidSketch") -> None:
         self._require_same_layout(other, ("_config",))

@@ -47,7 +47,7 @@ from repro.core.qoe import (
     QoEThresholds,
 )
 from repro.core.title_classifier import GameTitleClassifier
-from repro.core.transition import StageTransitionModeler, TRANSITION_FEATURE_NAMES
+from repro.core.transition import TRANSITION_FEATURE_NAMES
 from repro.core.volumetric import VolumetricAttributeGenerator
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "GameTitleClassifier",
     "VolumetricAttributeGenerator",
     "PlayerActivityClassifier",
-    "StageTransitionModeler",
     "TRANSITION_FEATURE_NAMES",
     "GameplayPatternClassifier",
     "ObjectiveQoEEstimator",

@@ -69,12 +69,12 @@ class PlayerActivityClassifier:
         balance_classes: bool = True,
         random_state: Optional[int] = None,
     ) -> None:
+        if slot_duration <= 0:
+            raise ValueError(f"slot_duration must be positive, got {slot_duration}")
         self.slot_duration = slot_duration
         self.alpha = alpha
         self.balance_classes = balance_classes
-        self.generator = VolumetricAttributeGenerator(
-            slot_duration=slot_duration, alpha=alpha
-        )
+        self.generator = VolumetricAttributeGenerator(alpha=alpha)
         self.model = model or RandomForestClassifier(
             n_estimators=20, max_depth=8, random_state=random_state
         )

@@ -28,7 +28,7 @@ rate and throughput per slot) the paper compares against in Table 3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -292,12 +292,3 @@ def launch_feature_matrix(
         rows.append(block.mean(axis=0) if aggregate == "mean" else block.reshape(-1))
         cursor += len(slots)
     return np.stack(rows)
-
-
-def feature_dict(vector: np.ndarray) -> Dict[str, float]:
-    """Map a 51-dimensional feature vector to ``{name: value}``."""
-    if vector.shape[-1] != len(PACKET_GROUP_FEATURE_NAMES):
-        raise ValueError(
-            f"expected {len(PACKET_GROUP_FEATURE_NAMES)} attributes, got {vector.shape[-1]}"
-        )
-    return dict(zip(PACKET_GROUP_FEATURE_NAMES, vector.tolist()))

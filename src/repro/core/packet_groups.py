@@ -102,10 +102,6 @@ class LabeledSlot:
         """Labels as :class:`PacketGroup` objects (materialised on demand)."""
         return [_GROUPS_BY_CODE[code] for code in self.label_codes]
 
-    def group_count(self, group: PacketGroup) -> int:
-        """Number of packets labeled as ``group`` in this slot."""
-        return int(np.count_nonzero(self.label_codes == GROUP_CODES[group]))
-
 
 class PacketGroupLabeler:
     """Labels downstream launch packets into full/steady/sparse groups.

@@ -117,6 +117,36 @@ class GameplayPatternClassifier:
         return self
 
     # ----------------------------------------------------------- inference
+    def first_confident(
+        self, proba: np.ndarray, gameplay_seen: np.ndarray
+    ) -> Tuple[int, PatternPrediction]:
+        """The confidence gate over consecutive eligible slots of one session.
+
+        ``proba`` holds the forest's class probabilities of the slots in
+        order, ``gameplay_seen`` the gameplay-slot count at each.  Returns
+        the index of the first slot whose top probability reaches
+        ``confidence_threshold`` with its confident prediction; when no slot
+        does, ``-1`` with the undecided prediction of the last slot.  The
+        one rule behind the offline replay and the live engine's gate.
+        """
+        best = np.argmax(proba, axis=1)
+        confidences = proba[np.arange(proba.shape[0]), best]
+        confident = confidences >= self.confidence_threshold
+        if not confident.any():
+            return -1, PatternPrediction(
+                pattern=None,
+                confidence=float(confidences[-1]),
+                confident=False,
+                slots_observed=int(gameplay_seen[-1]),
+            )
+        winner = int(np.argmax(confident))
+        return winner, PatternPrediction(
+            pattern=ActivityPattern(str(self.model.classes_[int(best[winner])])),
+            confidence=float(confidences[winner]),
+            confident=True,
+            slots_observed=int(gameplay_seen[winner]),
+        )
+
     #: first chunk size (eligible slots per session per round) of the
     #: batched incremental replay; later rounds grow geometrically
     _BATCH_CHUNK = 16
@@ -177,44 +207,23 @@ class GameplayPatternClassifier:
                 spans.append((index, slots))
                 blocks.append(prefixes[index][0][slots])
             proba = self.model.predict_proba(np.vstack(blocks))
-            classes = self.model.classes_
 
             cursor = 0
             still_pending: List[int] = []
             for index, slots in spans:
-                rows = proba[cursor : cursor + slots.size]
-                cursor += slots.size
-                best = np.argmax(rows, axis=1)
-                confidences = rows[np.arange(slots.size), best]
-                confident = confidences >= self.confidence_threshold
                 gameplay_seen = prefixes[index][1]
-                if confident.any():
-                    winner = int(np.argmax(confident))
-                    observed = int(gameplay_seen[slots[winner]])
-                    results[index] = (
-                        PatternPrediction(
-                            pattern=ActivityPattern(str(classes[int(best[winner])])),
-                            confidence=float(confidences[winner]),
-                            confident=True,
-                            slots_observed=observed,
-                        ),
-                        observed,
-                    )
+                winner, prediction = self.first_confident(
+                    proba[cursor : cursor + slots.size], gameplay_seen[slots]
+                )
+                cursor += slots.size
+                if winner >= 0:
+                    results[index] = (prediction, prediction.slots_observed)
                     continue
                 positions[index] += slots.size
                 if positions[index] >= eligible[index].size:
                     # never confident: the sequential replay reports the
                     # prediction of the final slot (the last eligible one)
-                    total = int(gameplay_seen[-1])
-                    results[index] = (
-                        PatternPrediction(
-                            pattern=None,
-                            confidence=float(confidences[-1]),
-                            confident=False,
-                            slots_observed=int(gameplay_seen[slots[-1]]),
-                        ),
-                        total,
-                    )
+                    results[index] = (prediction, int(gameplay_seen[-1]))
                 else:
                     still_pending.append(index)
             pending = still_pending

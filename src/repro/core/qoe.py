@@ -30,7 +30,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.net.packet import Direction, PacketStream
 from repro.simulation.catalog import (
     CATALOG,
     ActivityPattern,
@@ -191,32 +190,6 @@ class ObjectiveQoEEstimator:
             raise ValueError(f"slot_duration must be positive, got {slot_duration}")
         self.slot_duration = slot_duration
 
-    def estimate(
-        self,
-        stream: PacketStream,
-        latency_ms: Optional[float] = None,
-    ) -> QoEMetrics:
-        """Estimate session-average metrics from packets.
-
-        ``latency_ms`` may be supplied from out-of-band measurements (e.g.
-        TWAMP probes); when omitted a lag-based proxy is used.
-
-        All inputs are read as cached per-direction views of the columnar
-        stream (no per-packet work, no intermediate child stream) and fed
-        through :meth:`estimate_arrays`, the same core the streaming
-        runtime's bounded QoE reducer finalises through.
-        """
-        return self.estimate_arrays(
-            duration_s=stream.duration,
-            down_times=stream.timestamps(Direction.DOWNSTREAM),
-            down_payload_bytes=float(
-                stream.payload_sizes(Direction.DOWNSTREAM).sum()
-            ),
-            rtp_timestamps=stream.rtp_timestamps(Direction.DOWNSTREAM),
-            rtp_sequences=stream.rtp_sequences(Direction.DOWNSTREAM),
-            latency_ms=latency_ms,
-        )
-
     def estimate_arrays(
         self,
         duration_s: float,
@@ -232,9 +205,9 @@ class ObjectiveQoEEstimator:
         stream (time-sorted arrival) order, exactly the per-direction views
         of a sorted :class:`PacketStream`; ``down_payload_bytes`` is the
         downstream payload byte total (integral, so accumulation order
-        cannot change it).  Given equal inputs the result is bit-identical
-        to :meth:`estimate` — this is the entry point for bounded session
-        state that retains columns instead of packets.
+        cannot change it).  The one exact entry point: offline and live
+        sessions both finalise through it from the bounded state's retained
+        columns.
         """
         duration = max(duration_s, 1e-9)
         throughput = down_payload_bytes * 8 / duration / 1e6

@@ -26,7 +26,8 @@ sharded workers are all drivers over the same four reducers (DESIGN.md §7):
   consolidated and time-sorted per sealed interval.  Sealed intervals back
   the provisional per-window ``QoEInterval`` events; their concatenation
   reproduces the downstream views of the offline-sorted stream exactly, so
-  the close-time QoE metrics stay bit-identical to offline ``estimate()``;
+  the close-time QoE metrics stay bit-identical to offline
+  ``estimate_arrays()`` over those views;
 * :class:`ApproxQoEIntervalReducer` — the **approximate** QoE tier
   (``qoe_mode="approx"``): no downstream columns at all.  Packets fold into
   fixed-size aggregates — streaming count/max of inter-frame gaps plus
@@ -45,10 +46,10 @@ sharded workers are all drivers over the same four reducers (DESIGN.md §7):
 aggregates (origin, last timestamp, per-direction byte totals, RTP flag).
 Its one fold body reads pre-reduced *facts* (:class:`TickFacts`): the live
 path reduces a whole flow-sorted tick to per-flow facts at once and folds
-each flow on scalars, ``absorb(columns)`` is the same call on a tick of one
-flow, ``absorb_stream(stream)`` on a whole sorted session read from the
-stream's cached per-direction views, and rows are touched only where rows
-are needed.
+each flow on scalars (:meth:`SessionReducerCascade.fold`), and
+``absorb_stream(stream)`` is the same call on a whole sorted session read
+from the stream's cached per-direction views; rows are touched only where
+rows are needed.
 In the default **bounded** mode the cascade holds no packet history: state
 is O(slots) counters + O(launch-window packets) + the three downstream QoE
 columns (~24 bytes per downstream packet instead of the full columnar
@@ -1378,7 +1379,7 @@ def raw_slot_matrix(
 
 
 # ---------------------------------------------------------------------------
-# the cascade: shared aggregates + the reducers, one absorb() entry point
+# the cascade: shared aggregates + the reducers, one fold() body
 # ---------------------------------------------------------------------------
 class SessionReducerCascade:
     """Bounded fold state of one session across every cascade stage.
@@ -1461,19 +1462,6 @@ class SessionReducerCascade:
         self._history: Optional[List[PacketColumns]] = [] if keep_history else None
 
     # ------------------------------------------------------------ ingestion
-    def absorb(self, columns: PacketColumns) -> int:
-        """Fold one batch into every reducer; return new launch-window rows.
-
-        The single-batch form of :meth:`fold`: the batch is a tick of one
-        flow.
-        """
-        if not len(columns):
-            return 0
-        facts = TickFacts.of_batch(columns)
-        new_window_rows = self.fold(facts, 0)
-        facts.flush()
-        return new_window_rows
-
     def fold(self, facts: TickFacts, flow: int) -> int:
         """Fold flow ``flow`` of a tick; return its new launch-window rows.
 
@@ -1593,8 +1581,9 @@ class SessionReducerCascade:
     def absorb_stream(self, stream: PacketStream) -> int:
         """Fold a whole sorted session stream; return new launch-window rows.
 
-        The offline form of :meth:`absorb`: the same :meth:`fold`, with the
-        facts read from the stream's cached views (:meth:`TickFacts.of_stream`).
+        The offline form of the live tick: the same :meth:`fold` and flush,
+        with the facts read from the stream's cached views
+        (:meth:`TickFacts.of_stream`).
         """
         if not len(stream):
             return 0
@@ -1738,10 +1727,6 @@ class SessionReducerCascade:
         }
 
     # ------------------------------------------------------------ history
-    @property
-    def keeps_history(self) -> bool:
-        return self._history is not None
-
     @property
     def history(self) -> List[PacketColumns]:
         if self._history is None:

@@ -1,16 +1,22 @@
 """Stage-transition modelling (§4.3.2, the "stage transition modeler" of Fig. 6).
 
-For every session the modeler maintains a 3×3 matrix counting, per slot, the
-transition from the previous slot's classified stage to the current one
-(including self-retention).  Normalised to probabilities across the
+For every session the modeler counts, per slot, the transition from the
+previous slot's classified stage to the current one (including
+self-retention) in a 3×3 matrix.  Normalised to probabilities across the
 monitored duration, the nine values form the attribute vector the gameplay
 activity pattern classifier consumes; Table 5 reports their permutation
 importance (transitions from active to idle being the most informative).
+
+The modeler has one body per use: :func:`prefix_transition_features` gives
+the vector after every slot of a whole sequence (offline inference, and
+through its last row, :func:`transition_features_from_stages`, training);
+:class:`PrefixTransitionTracker` gives the same rows a few slots at a time
+(the streaming runtime).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,101 +37,6 @@ TRANSITION_FEATURE_NAMES: List[str] = [
 _STAGE_INDEX = {stage: index for index, stage in enumerate(STAGE_ORDER)}
 
 
-class StageTransitionModeler:
-    """Accumulates per-slot stage transitions for one session.
-
-    The modeler ignores the launch stage and any unknown labels; it counts a
-    transition for every consecutive pair of gameplay-stage slots.
-    """
-
-    def __init__(self) -> None:
-        self._counts = np.zeros((3, 3))
-        self._previous: Optional[PlayerStage] = None
-        self._n_slots = 0
-
-    # ------------------------------------------------------------- updates
-    def update(self, stage: PlayerStage) -> None:
-        """Consume the classified stage of the next slot."""
-        if stage not in _STAGE_INDEX:
-            # launch or unexpected labels break the chain without counting
-            self._previous = None
-            return
-        self._n_slots += 1
-        if self._previous is not None:
-            self._counts[_STAGE_INDEX[self._previous], _STAGE_INDEX[stage]] += 1
-        self._previous = stage
-
-    def update_sequence(self, stages: Sequence[PlayerStage]) -> None:
-        """Consume a whole sequence of per-slot stages."""
-        for stage in stages:
-            self.update(stage)
-
-    def reset(self) -> None:
-        """Clear all state (start of a new session)."""
-        self._counts = np.zeros((3, 3))
-        self._previous = None
-        self._n_slots = 0
-
-    # ------------------------------------------------------------ outputs
-    @property
-    def n_slots(self) -> int:
-        """Number of gameplay-stage slots consumed so far."""
-        return self._n_slots
-
-    @property
-    def n_transitions(self) -> int:
-        """Number of transitions counted so far."""
-        return int(self._counts.sum())
-
-    def counts(self) -> np.ndarray:
-        """Raw 3×3 transition count matrix (copy)."""
-        return self._counts.copy()
-
-    def probability_matrix(self) -> np.ndarray:
-        """Transition counts normalised over all observed transitions.
-
-        The paper normalises the nine cells "to their probabilities across
-        time slots within the monitored duration", i.e. jointly rather than
-        per row, so the attribute vector also encodes how much time is spent
-        in each stage.
-        """
-        total = self._counts.sum()
-        if total == 0:
-            return np.zeros((3, 3))
-        return self._counts / total
-
-    def row_stochastic_matrix(self) -> np.ndarray:
-        """Per-source-stage conditional transition probabilities."""
-        matrix = self._counts.copy()
-        row_sums = matrix.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            normalised = np.where(row_sums > 0, matrix / row_sums, 0.0)
-        return normalised
-
-    def feature_vector(self) -> np.ndarray:
-        """The nine-attribute vector consumed by the pattern classifier."""
-        return self.probability_matrix().reshape(-1)
-
-
-def transition_features_from_stages(stages: Sequence[PlayerStage]) -> np.ndarray:
-    """One-shot helper: nine transition attributes of a stage sequence."""
-    modeler = StageTransitionModeler()
-    modeler.update_sequence(stages)
-    return modeler.feature_vector()
-
-
-def stage_index_codes(stages: Sequence[PlayerStage]) -> np.ndarray:
-    """Map a stage sequence onto :data:`STAGE_ORDER` indices (int64 array).
-
-    Gameplay stages map to 0..2 (active, passive, idle); launch and any
-    unexpected labels map to ``-1``, which breaks the transition chain
-    exactly like :meth:`StageTransitionModeler.update` does.
-    """
-    return np.asarray(
-        [_STAGE_INDEX.get(stage, -1) for stage in stages], dtype=np.int64
-    )
-
-
 def prefix_transition_features(
     stages: Sequence[PlayerStage],
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -133,22 +44,23 @@ def prefix_transition_features(
 
     For a sequence of ``n`` per-slot stages, returns
 
-    * an ``(n, 9)`` float matrix whose row ``t`` equals
-      ``StageTransitionModeler.feature_vector()`` after consuming slots
-      ``0..t`` (inclusive) — the attribute vector the incremental pattern
-      inference evaluates at slot ``t``;
+    * an ``(n, 9)`` float matrix whose row ``t`` holds the nine transition
+      attributes of slots ``0..t`` (inclusive) — the vector the incremental
+      pattern inference evaluates at slot ``t``;
     * an ``(n,)`` int array whose entry ``t`` counts the gameplay-stage slots
       observed up to and including slot ``t``.
 
-    The per-slot replay of :meth:`StageTransitionModeler.update` is replaced
-    by one cumulative sum over a one-hot transition matrix: a transition is
-    counted at slot ``t`` exactly when both slot ``t-1`` and slot ``t`` carry
-    gameplay stages (any launch/unknown slot resets the chain), and each
-    prefix's probability matrix is its cumulative counts normalised by the
-    cumulative total.  Counts are exact small integers, so the resulting
-    rows are bit-identical to the sequential modeler's.
+    A transition is counted at slot ``t`` exactly when both slot ``t-1`` and
+    slot ``t`` carry gameplay stages (launch and unknown labels break the
+    chain without counting), so one cumulative sum over a one-hot transition
+    matrix counts every prefix.  The paper normalises the nine cells "to
+    their probabilities across time slots within the monitored duration",
+    i.e. jointly rather than per row: each row is the prefix's counts over
+    their total, so the vector also encodes how much time is spent in each
+    stage.  Counts are exact small integers, so the rows equal a
+    slot-by-slot replay's bit for bit.
     """
-    idx = stage_index_codes(stages)
+    idx = np.asarray([_STAGE_INDEX.get(stage, -1) for stage in stages], dtype=np.int64)
     n = idx.size
     gameplay_seen = np.cumsum(idx >= 0)
     one_hot = np.zeros((n, 9))
@@ -162,6 +74,17 @@ def prefix_transition_features(
     with np.errstate(invalid="ignore", divide="ignore"):
         features = np.where(totals > 0, cumulative / totals, 0.0)
     return features, gameplay_seen
+
+
+def transition_features_from_stages(stages: Sequence[PlayerStage]) -> np.ndarray:
+    """The nine transition attributes of a whole stage sequence.
+
+    The last row of :func:`prefix_transition_features` (zeros when there
+    are no slots): the vector the pattern forest trains on.
+    """
+    if not len(stages):
+        return np.zeros(9)
+    return prefix_transition_features(stages)[0][-1]
 
 
 class PrefixTransitionTracker:
@@ -183,23 +106,6 @@ class PrefixTransitionTracker:
         self._counts: List[float] = [0.0] * 9
         self._prev = -1
         self._gameplay_seen = 0
-
-    @property
-    def gameplay_seen(self) -> int:
-        """Gameplay-stage slots consumed so far."""
-        return self._gameplay_seen
-
-    @property
-    def n_transitions(self) -> int:
-        """Transitions counted so far."""
-        return int(sum(self._counts))
-
-    def feature_vector(self) -> np.ndarray:
-        """The current nine-attribute prefix vector (all slots so far)."""
-        total = sum(self._counts)
-        if total == 0:
-            return np.zeros(9)
-        return np.array(self._counts) / total
 
     def extend(self, stages: Sequence[PlayerStage]) -> Tuple[np.ndarray, np.ndarray]:
         """Consume the next batch of slots; return their prefix attributes.

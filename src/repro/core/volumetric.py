@@ -62,8 +62,6 @@ class VolumetricAttributeGenerator:
 
     Parameters
     ----------
-    slot_duration:
-        Slot size ``I`` in seconds (1 second in the deployed system).
     alpha:
         EMA weight of the current slot (0.5 in the deployed system;
         evaluated between 0.1 and 1.0 in Fig. 10).
@@ -74,19 +72,15 @@ class VolumetricAttributeGenerator:
 
     def __init__(
         self,
-        slot_duration: float = 1.0,
         alpha: float = 0.5,
         peak_floor_fraction: float = 0.25,
     ) -> None:
-        if slot_duration <= 0:
-            raise ValueError(f"slot_duration must be positive, got {slot_duration}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if not 0.0 <= peak_floor_fraction <= 1.0:
             raise ValueError(
                 f"peak_floor_fraction must be in [0, 1], got {peak_floor_fraction}"
             )
-        self.slot_duration = slot_duration
         self.alpha = alpha
         self.peak_floor_fraction = peak_floor_fraction
 

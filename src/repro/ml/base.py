@@ -81,19 +81,6 @@ class BaseClassifier:
         proba = self.predict_proba(X)
         return self.classes_[np.argmax(proba, axis=1)]
 
-    def score(self, X, y) -> float:
-        """Return mean accuracy of ``predict(X)`` against ``y``."""
-        X, y = check_Xy(X, y)
-        return float(np.mean(self.predict(X) == y))
-
-    def get_params(self) -> dict:
-        """Return constructor parameters (attributes without underscores)."""
-        return {
-            key: value
-            for key, value in vars(self).items()
-            if not key.endswith("_") and not key.startswith("_")
-        }
-
     def confidence(self, X) -> np.ndarray:
         """Return the probability of the predicted class per sample."""
         proba = self.predict_proba(X)

@@ -101,23 +101,6 @@ class ClassificationReport:
     support: Dict
     labels: list
 
-    def as_text(self) -> str:
-        """Render the report as a fixed-width table."""
-        lines = [f"overall accuracy: {self.accuracy:.3f}", ""]
-        header = f"{'class':<24}{'acc':>8}{'prec':>8}{'rec':>8}{'f1':>8}{'n':>8}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for label in self.labels:
-            lines.append(
-                f"{str(label):<24}"
-                f"{self.per_class_accuracy[label]:>8.3f}"
-                f"{self.precision.get(label, float('nan')):>8.3f}"
-                f"{self.recall[label]:>8.3f}"
-                f"{self.f1[label]:>8.3f}"
-                f"{self.support[label]:>8d}"
-            )
-        return "\n".join(lines)
-
 
 def classification_report(y_true, y_pred) -> ClassificationReport:
     """Build a :class:`ClassificationReport` for the given predictions."""

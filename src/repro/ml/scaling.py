@@ -37,12 +37,6 @@ class StandardScaler:
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def inverse_transform(self, X) -> np.ndarray:
-        if not hasattr(self, "mean_"):
-            raise RuntimeError("StandardScaler is not fitted; call fit() first")
-        X, _ = check_Xy(X)
-        return X * self.scale_ + self.mean_
-
 
 class MinMaxScaler:
     """Scale features to the ``[0, 1]`` range.

@@ -6,7 +6,7 @@ sorted :class:`~repro.net.packet.PacketStream` view over them
 (:class:`~repro.net.packet.Packet` is only the row record a stream ingests
 and hands out), flow demultiplexing by canonical 5-tuple
 (:class:`~repro.net.flow.FlowDemux` / :class:`~repro.net.flow.FlowKey`), RTP
-header handling, classic-libpcap file I/O, cloud-gaming flow detection
+header encoding, classic-libpcap file I/O, cloud-gaming flow detection
 signatures, and a network-impairment model used to emulate degraded access
 links.
 """
@@ -25,7 +25,7 @@ from repro.net.pcap import (
     read_pcap_stream,
     write_pcap,
 )
-from repro.net.rtp import RTPHeader, build_rtp_packet, parse_rtp_payload
+from repro.net.rtp import RTPHeader
 
 __all__ = [
     "Packet",
@@ -35,8 +35,6 @@ __all__ = [
     "FlowDemux",
     "FlowKey",
     "RTPHeader",
-    "build_rtp_packet",
-    "parse_rtp_payload",
     "ParseStats",
     "read_pcap_columns",
     "read_pcap_stream",

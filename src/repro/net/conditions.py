@@ -57,19 +57,6 @@ class NetworkConditions:
         """Lab-grade conditions (§3.1): negligible latency, jitter and loss."""
         return cls(latency_ms=5.0, jitter_ms=0.5, loss_rate=0.0005)
 
-    @classmethod
-    def congested(cls) -> "NetworkConditions":
-        """A congested cell/home link producing visibly degraded QoE."""
-        return cls(latency_ms=70.0, jitter_ms=25.0, loss_rate=0.03, bandwidth_mbps=6.0)
-
-    def is_degraded(
-        self,
-        latency_threshold_ms: float = 40.0,
-        loss_threshold: float = 0.01,
-    ) -> bool:
-        """Whether these conditions should be considered network-impaired."""
-        return self.latency_ms > latency_threshold_ms or self.loss_rate > loss_threshold
-
 
 def apply_conditions_columns(
     columns: PacketColumns,

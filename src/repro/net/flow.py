@@ -29,7 +29,7 @@ bounds — the unit the streaming engine folds (DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -255,11 +255,3 @@ def flow_summary(key: FlowKey, stream: PacketStream) -> dict:
         "is_rtp": stream.has_rtp,
         "server_port": key.server_port,
     }
-
-
-def interarrival_times(stream: PacketStream, direction: Optional[Direction] = None) -> np.ndarray:
-    """Inter-arrival times (seconds) between consecutive packets."""
-    times = stream.timestamps(direction)
-    if times.size < 2:
-        return np.array([], dtype=float)
-    return np.diff(times)

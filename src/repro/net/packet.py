@@ -18,7 +18,7 @@ iterating or indexing a stream hands it out; no algorithm runs on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,12 +30,6 @@ class Direction(Enum):
 
     DOWNSTREAM = "downstream"  # cloud server -> client (video/audio)
     UPSTREAM = "upstream"      # client -> cloud server (inputs)
-
-    def flipped(self) -> "Direction":
-        """Return the opposite direction."""
-        if self is Direction.DOWNSTREAM:
-            return Direction.UPSTREAM
-        return Direction.DOWNSTREAM
 
 
 #: Integer codes used by the columnar direction column.
@@ -100,18 +94,6 @@ class Packet:
             raise ValueError(f"src_port out of range: {self.src_port}")
         if not 0 <= self.dst_port <= 65535:
             raise ValueError(f"dst_port out of range: {self.dst_port}")
-
-    @property
-    def wire_size(self) -> int:
-        """Approximate on-wire size (payload + IPv4/UDP/RTP overhead)."""
-        overhead = 20 + 8  # IPv4 + UDP
-        if self.rtp_ssrc is not None:
-            overhead += 12
-        return self.payload_size + overhead
-
-    def shifted(self, offset: float) -> "Packet":
-        """Return a copy with the timestamp shifted by ``offset`` seconds."""
-        return replace(self, timestamp=self.timestamp + offset)
 
 
 def _as_int_column(values, size: int, dtype=np.int64) -> Optional[np.ndarray]:
@@ -643,24 +625,6 @@ class PacketStream:
         """The underlying (sorted) columnar batch."""
         return self._columns
 
-    def rtp_sequences(self, direction: Optional[Direction] = None) -> np.ndarray:
-        """RTP sequence numbers of RTP packets, in arrival order."""
-        column = self._columns.rtp_sequence
-        if column is None:
-            return np.array([], dtype=np.int64)
-        if direction is not None:
-            column = column[self._dir_select(direction)[0]]
-        return column[column != RTP_NONE]
-
-    def rtp_timestamps(self, direction: Optional[Direction] = None) -> np.ndarray:
-        """RTP timestamps of RTP packets, in arrival order."""
-        column = self._columns.rtp_timestamp
-        if column is None:
-            return np.array([], dtype=np.int64)
-        if direction is not None:
-            column = column[self._dir_select(direction)[0]]
-        return column[column != RTP_NONE]
-
     @property
     def has_rtp(self) -> bool:
         """Whether any packet carries an RTP SSRC."""
@@ -685,27 +649,3 @@ class PacketStream:
     def total_bytes(self, direction: Optional[Direction] = None) -> int:
         """Sum of payload sizes, optionally per direction (columnar sum)."""
         return int(self.payload_sizes(direction).sum())
-
-    def mean_throughput_mbps(self, direction: Optional[Direction] = None) -> float:
-        """Mean payload throughput over the stream duration in Mbps."""
-        if self.duration <= 0:
-            return 0.0
-        return self.total_bytes(direction) * 8 / self.duration / 1e6
-
-    def packet_rate(self, direction: Optional[Direction] = None) -> float:
-        """Mean packets per second over the stream duration."""
-        if self.duration <= 0:
-            return 0.0
-        return self.timestamps(direction).size / self.duration
-
-    def to_list(self) -> List[Packet]:
-        """Materialise the stream as a list of :class:`Packet` objects."""
-        return list(self)
-
-
-def merge_streams(streams: Sequence[PacketStream]) -> PacketStream:
-    """Merge several streams into one timestamp-ordered stream."""
-    if not streams:
-        return PacketStream()
-    merged = PacketColumns.concat([stream.columns() for stream in streams])
-    return PacketStream.from_columns(merged)

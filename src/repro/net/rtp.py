@@ -1,16 +1,17 @@
-"""Minimal RTP (RFC 3550) header encoding/decoding.
+"""Minimal RTP (RFC 3550) header encoding.
 
 Cloud gaming platforms stream rendered frames over RTP/UDP; the flow
 detection signatures and the objective-QoE estimator only need header fields
-(version, payload type, sequence number, timestamp, SSRC, marker bit), which
-this module encodes and parses without external dependencies.
+(version, payload type, sequence number, timestamp, SSRC, marker bit).
+:class:`RTPHeader` encodes them for :func:`repro.net.pcap.write_pcap`.
+Decoding happens once per capture block, column-wise, in
+:mod:`repro.net.pcap` (no per-packet decode exists in the library).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 RTP_VERSION = 2
 RTP_HEADER_LEN = 12
@@ -59,78 +60,3 @@ class RTPHeader:
         return struct.pack(
             "!BBHII", first, second, self.sequence_number, self.timestamp, self.ssrc
         )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "RTPHeader":
-        """Parse the fixed header from the start of ``data``.
-
-        Raises
-        ------
-        ValueError
-            If the buffer is too short or the version field is not 2.
-        """
-        if len(data) < RTP_HEADER_LEN:
-            raise ValueError(
-                f"RTP header needs {RTP_HEADER_LEN} bytes, got {len(data)}"
-            )
-        first, second, sequence, timestamp, ssrc = struct.unpack(
-            "!BBHII", data[:RTP_HEADER_LEN]
-        )
-        version = first >> 6
-        if version != RTP_VERSION:
-            raise ValueError(f"unsupported RTP version {version}")
-        return cls(
-            version=version,
-            padding=bool((first >> 5) & 0x1),
-            extension=bool((first >> 4) & 0x1),
-            csrc_count=first & 0x0F,
-            marker=bool(second >> 7),
-            payload_type=second & 0x7F,
-            sequence_number=sequence,
-            timestamp=timestamp,
-            ssrc=ssrc,
-        )
-
-    def next(self, timestamp_increment: int = 0, marker: bool = False) -> "RTPHeader":
-        """Return the header of the following packet in the same stream."""
-        return RTPHeader(
-            version=self.version,
-            padding=self.padding,
-            extension=self.extension,
-            csrc_count=self.csrc_count,
-            marker=marker,
-            payload_type=self.payload_type,
-            sequence_number=(self.sequence_number + 1) & 0xFFFF,
-            timestamp=(self.timestamp + timestamp_increment) & 0xFFFFFFFF,
-            ssrc=self.ssrc,
-        )
-
-
-def build_rtp_packet(header: RTPHeader, payload: bytes) -> bytes:
-    """Concatenate an encoded RTP header with its payload bytes."""
-    return header.encode() + payload
-
-
-def parse_rtp_payload(data: bytes) -> tuple[RTPHeader, bytes]:
-    """Split a datagram into its RTP header and payload."""
-    header = RTPHeader.decode(data)
-    return header, data[RTP_HEADER_LEN + 4 * header.csrc_count :]
-
-
-def looks_like_rtp(data: bytes) -> bool:
-    """Heuristic check whether a UDP payload starts with an RTP header."""
-    if len(data) < RTP_HEADER_LEN:
-        return False
-    try:
-        header = RTPHeader.decode(data)
-    except ValueError:
-        return False
-    return header.version == RTP_VERSION and 0 <= header.payload_type <= 127
-
-
-def sequence_gap(previous: Optional[int], current: int) -> int:
-    """Number of packets lost between two sequence numbers (wrap-aware)."""
-    if previous is None:
-        return 0
-    expected = (previous + 1) & 0xFFFF
-    return (current - expected) & 0xFFFF

@@ -5,8 +5,8 @@ Everything between a live packet feed and the paper's Fig. 6 cascade:
 * :class:`~repro.runtime.engine.StreamingEngine` — flow demux, per-session
   state machines, the online cascade (title / stage / pattern gates) and
   offline-identical close-time reports;
-* :class:`~repro.runtime.shard.ShardedEngine` — multi-core sharding of both
-  corpora (``process_many``) and live feeds;
+* :class:`~repro.runtime.shard.ShardedEngine` — multi-core sharding of
+  live feeds;
 * :class:`~repro.runtime.feed.SessionFeed` / :func:`~repro.runtime.feed.
   pcap_feed` — feed sources over simulated corpora and real captures;
 * :func:`~repro.runtime.persistence.save_pipeline` /

@@ -49,7 +49,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.core.pattern_classifier import PatternPrediction
 from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.reducers import (
     SealedApproxQoEInterval,
@@ -57,7 +56,6 @@ from repro.core.reducers import (
     TickFacts,
 )
 from repro.net.flow import FlowDemux, FlowKey, FlowTick
-from repro.simulation.catalog import ActivityPattern
 from repro.net.packet import PacketColumns
 from repro.runtime.events import (
     ContextEvent,
@@ -292,7 +290,6 @@ class StreamingEngine:
         self.slot_duration = pipeline.activity_classifier.slot_duration
         self.alpha = pipeline.activity_classifier.alpha
         self.min_pattern_slots = pipeline.pattern_classifier.min_slots
-        self.pattern_threshold = pipeline.pattern_classifier.confidence_threshold
         self._demux = FlowDemux()
         self._states: Dict[FlowKey, SessionState] = {}
         self._contexts: Dict[FlowKey, FlowContext] = {}
@@ -428,7 +425,6 @@ class StreamingEngine:
         pipeline.compile_kernels()
         self.pipeline = pipeline
         self.min_pattern_slots = pipeline.pattern_classifier.min_slots
-        self.pattern_threshold = pipeline.pattern_classifier.confidence_threshold
         return ModelSwapped(
             time=self._clock,
             old_digest=old_digest,
@@ -667,7 +663,6 @@ class StreamingEngine:
         for state, first, count in pending:
             new_stages = stages[cursor : cursor + count]
             cursor += count
-            state.timeline.extend(new_stages)
             origin = state.cascade.origin
             for slot, stage in zip(range(first, first + count), new_stages):
                 events.append(
@@ -698,28 +693,18 @@ class StreamingEngine:
         """
         if not gate_rows:
             return
-        model = self.pipeline.pattern_classifier.model
-        proba = model.predict_proba(
+        classifier = self.pipeline.pattern_classifier
+        proba = classifier.model.predict_proba(
             np.vstack([rows for _, rows, _, _ in gate_rows])
         )
-        classes = model.classes_
         cursor = 0
         for state, rows, gameplay_counts, slot_indices in gate_rows:
-            block = proba[cursor : cursor + rows.shape[0]]
-            cursor += rows.shape[0]
-            best = np.argmax(block, axis=1)
-            confidences = block[np.arange(block.shape[0]), best]
-            state.last_pattern_confidence = float(confidences[-1])
-            confident = confidences >= self.pattern_threshold
-            if not confident.any():
-                continue
-            winner = int(np.argmax(confident))
-            prediction = PatternPrediction(
-                pattern=ActivityPattern(str(classes[int(best[winner])])),
-                confidence=float(confidences[winner]),
-                confident=True,
-                slots_observed=int(gameplay_counts[winner]),
+            winner, prediction = classifier.first_confident(
+                proba[cursor : cursor + rows.shape[0]], gameplay_counts
             )
+            cursor += rows.shape[0]
+            if winner < 0:
+                continue
             state.pattern_resolved = True
             events.append(
                 PatternInferred(

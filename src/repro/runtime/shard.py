@@ -4,8 +4,9 @@ Sessions are embarrassingly parallel — every pipeline stage is per-session
 once flows are demultiplexed — so the runtime scales across cores by
 partitioning *sessions*, not stages:
 
-* **corpora** (:meth:`ShardedEngine.process_many`) run in-process through
-  the batch engine on every backend (a forked pool never beat one process);
+* **corpora** are not sharded: ``pipeline.process_many`` runs them
+  in-process (a forked pool never beat one process), and
+  :func:`~repro.analytics.fleet.fold_corpus` folds their rollups;
 * **feed sharding** (:meth:`ShardedEngine.run_feed`) — the parent demuxes
   each batch once and routes every flow to a shard by a deterministic key
   hash; each shard runs its own
@@ -42,7 +43,7 @@ from dataclasses import replace as dataclasses_replace
 from pathlib import Path
 from typing import Union
 
-from repro.core.pipeline import ContextClassificationPipeline, SessionContextReport
+from repro.core.pipeline import ContextClassificationPipeline
 from repro.net.flow import FlowDemux, FlowKey, FlowTick
 from repro.net.packet import PacketColumns
 from repro.runtime.engine import OverloadPolicy, StreamingEngine, _check_swap_geometry
@@ -90,8 +91,7 @@ class ShardedEngine:
     backend:
         ``"fork"`` runs feed shards as forked worker processes; ``"serial"``
         runs the identical partitioning in-process (reference/fallback);
-        ``"auto"`` picks ``"fork"`` where available and useful.  Corpora
-        (:meth:`process_many`) run in-process on every backend.
+        ``"auto"`` picks ``"fork"`` where available and useful.
     idle_timeout_s / latency_ms / session_mode / qoe_interval_s / overload:
         Forwarded to every shard's :class:`StreamingEngine`.
     snapshot_every_ticks:
@@ -114,7 +114,7 @@ class ShardedEngine:
         ``last_feed_stats["shm_fallback_ticks"]``).
     analytics:
         Attach a :class:`~repro.analytics.fleet.FleetAggregator` to every
-        shard engine; after a feed (or ``process_many``) the merged fleet
+        shard engine; after a feed the merged fleet
         rollups land on :attr:`analytics`.  Shard-local aggregator state
         rides the checkpoint protocol, so the merged rollups are
         bit-identical to a single-process run even through worker crashes.
@@ -167,7 +167,7 @@ class ShardedEngine:
         self.ring_slots = ring_slots
         self.ring_slot_rows = ring_slot_rows
         self.analytics_enabled = bool(analytics)
-        #: merged fleet rollups of the most recent feed / corpus run
+        #: merged fleet rollups of the most recent feed
         #: (``None`` until a run completes with ``analytics=True``)
         self.analytics = None
         self._supervisor: Optional[ShardSupervisor] = None
@@ -185,43 +185,6 @@ class ShardedEngine:
             "overload": self.overload,
             "analytics": self.analytics_enabled,
         }
-
-    # ------------------------------------------------------------ corpora
-    def process_many(
-        self,
-        sources: Iterable,
-        latency_ms: Optional[float] = None,
-        qoe_mode: str = "exact",
-        regions: Optional[List[Optional[str]]] = None,
-    ) -> List[SessionContextReport]:
-        """``pipeline.process_many`` behind the sharded front end.
-
-        Runs in-process on every backend, so every report is identical to
-        ``pipeline.process_many``.  With ``analytics`` enabled the offline
-        fleet fold (:func:`~repro.analytics.fleet.fold_corpus`) runs over
-        the corpus and its reports, landing rollups on :attr:`analytics`
-        that are bit-identical to streaming the same sessions
-        (``regions`` tags sessions positionally, like
-        :class:`~repro.runtime.feed.SessionFeed`).
-        """
-        sources = list(sources)
-        latency = latency_ms if latency_ms is not None else self.latency_ms
-        reports = self.pipeline.process_many(
-            sources, latency_ms=latency, qoe_mode=qoe_mode
-        )
-        if self.analytics_enabled:
-            from repro.analytics.fleet import fold_corpus
-
-            self.analytics = fold_corpus(
-                self.pipeline,
-                sources,
-                reports=reports,
-                regions=regions,
-                latency_ms=latency,
-                qoe_mode=qoe_mode,
-                qoe_interval_s=self.qoe_interval_s,
-            )
-        return reports
 
     # ------------------------------------------------------------ live feeds
     def run_feed(

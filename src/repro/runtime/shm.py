@@ -4,11 +4,12 @@ A partitioned tick batch reaches its fork worker through a
 :class:`ShmColumnRing`: one ``multiprocessing.shared_memory`` segment per
 shard, laid out as a ring of fixed-capacity *slots* whose columns mirror
 :class:`~repro.net.packet.PacketColumns` dtype-for-dtype (f8 timestamps,
-f8 payload sizes, i1 directions, 4×i8 RTP fields) plus an i4 flow-id
-column.  Per tick the parent gathers every routed row into the next free
-slot with one vectorised ``np.take`` per column and sends only a tiny
-control message — slot index, row count, per-flow spans, presence flags —
-down the shard's control pipe; the worker copies the used rows of the slot
+f8 payload sizes, i1 directions, 4×i8 RTP fields).  Per tick the parent
+gathers every routed row into the next free slot with one vectorised
+``np.take`` per column and sends only a tiny control message — slot
+index, row count, per-flow spans, presence flags — down the shard's
+control pipe (the spans are the one row → flow map; no column repeats
+them); the worker copies the used rows of the slot
 into a local tick batch once and folds it whole, as the flow-sorted
 :class:`~repro.net.flow.FlowTick` it already is.
 
@@ -69,8 +70,6 @@ RTP_COLUMNS = (
     ("rtp_timestamp", np.dtype(np.int64)),
 )
 
-_FLOW_ID_DTYPE = np.dtype(np.int32)
-
 # rings created by this process and not yet destroyed; the atexit hook is a
 # backstop for parents that drop a supervisor without calling stop()
 _LIVE_RINGS: List["ShmColumnRing"] = []
@@ -115,7 +114,7 @@ class ShmColumnRing:
         self.shard = int(shard)
         self._owner_pid = os.getpid()
         self._destroyed = False
-        spec = (*FIXED_COLUMNS, *RTP_COLUMNS, ("flow_id", _FLOW_ID_DTYPE))
+        spec = (*FIXED_COLUMNS, *RTP_COLUMNS)
         self.bytes_per_row = int(sum(dtype.itemsize for _name, dtype in spec))
         layout = []
         offset = 0
@@ -201,11 +200,6 @@ class ShmColumnRing:
             if present:
                 source = getattr(batch, name).astype(dtype, copy=False)
                 np.take(source, gather, out=self._columns[name][slot, :n])
-        if spans:
-            counts = [rows.size for rows in rows_per_flow]
-            self._columns["flow_id"][slot, :n] = np.repeat(
-                np.arange(len(spans), dtype=_FLOW_ID_DTYPE), counts
-            )
         return n, spans, flags
 
     # ------------------------------------------------------------ worker side
@@ -264,16 +258,6 @@ class ShmColumnRing:
             addresses=addresses,
         )
         return FlowTick([key for key, _start, _stop in spans], columns, bounds)
-
-    def slot_flow_ids(self, slot: int, n_rows: int) -> np.ndarray:
-        """Copy of a slot's flow-id column (the in-band row→span map).
-
-        Written by :meth:`write_slot` as the span index of every row;
-        redundant with the control message's spans by construction, which
-        makes it a cheap cross-check for tests and post-mortem inspection
-        of a ring segment.
-        """
-        return np.array(self._columns["flow_id"][slot, : int(n_rows)])
 
     # ------------------------------------------------------------ lifecycle
     def destroy(self) -> None:

@@ -4,8 +4,9 @@ A :class:`SessionState` is everything the runtime holds for one live flow:
 the per-stage reducer cascade
 (:class:`~repro.core.reducers.SessionReducerCascade` — launch-window buffer,
 integer-exact slot counters with the carried EMA, per-interval QoE columns)
-plus the online gate bookkeeping (provisional stage timeline, transition
-prefix counts for the pattern gate, title-gate flags).
+plus the online gate bookkeeping (transition prefix counts for the pattern
+gate, title-gate flags).  The provisional stages themselves leave as
+``StageUpdate`` events; the state keeps none of them.
 
 Three memory modes (DESIGN.md §7):
 
@@ -36,23 +37,17 @@ feature rows from many sessions and runs each forest once per tick
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.core.reducers import SessionReducerCascade
 from repro.core.title_classifier import TitlePrediction
 from repro.core.transition import PrefixTransitionTracker
 from repro.net.flow import FlowKey
-from repro.simulation.catalog import PlayerStage
 
 __all__ = ["FlowContext", "SessionState"]
 
 #: Valid values of ``SessionState(mode=...)``.
 SESSION_MODES = ("bounded", "full", "approx")
-
-_STAGES = tuple(PlayerStage)  # a snapshot's timeline is one int8 code per slot
-_STAGE_CODE = {stage: code for code, stage in enumerate(_STAGES)}
 
 
 @dataclass(frozen=True)
@@ -87,12 +82,10 @@ class SessionState:
         "context",
         "cascade",
         "mode",
-        "timeline",
         "transitions",
         "title_fired",
         "title_prediction",
         "pattern_resolved",
-        "last_pattern_confidence",
         "window_rows_pending",
     )
 
@@ -119,12 +112,10 @@ class SessionState:
             keep_history=(mode == "full"),
             qoe_mode="approx" if mode == "approx" else "exact",
         )
-        self.timeline: List[PlayerStage] = []
         self.transitions = PrefixTransitionTracker()
         self.title_fired = False
         self.title_prediction: Optional[TitlePrediction] = None
         self.pattern_resolved = False
-        self.last_pattern_confidence = 0.0
         self.window_rows_pending = 0
 
     # ------------------------------------------------------------ accounting
@@ -147,12 +138,10 @@ class SessionState:
             "context": self.context,
             "mode": self.mode,
             "cascade": self.cascade.snapshot(),
-            "timeline": np.array([_STAGE_CODE[stage] for stage in self.timeline], np.int8),
             "transitions": self.transitions.snapshot(),
             "title_fired": self.title_fired,
             "title_prediction": self.title_prediction,
             "pattern_resolved": self.pattern_resolved,
-            "last_pattern_confidence": self.last_pattern_confidence,
             "window_rows_pending": self.window_rows_pending,
         }
 
@@ -164,12 +153,10 @@ class SessionState:
         state.context = snapshot["context"]
         state.mode = snapshot["mode"]
         state.cascade = SessionReducerCascade.from_snapshot(snapshot["cascade"])
-        state.timeline = [_STAGES[code] for code in snapshot["timeline"].tolist()]
         state.transitions = PrefixTransitionTracker()
         state.transitions.restore(snapshot["transitions"])
         state.title_fired = snapshot["title_fired"]
         state.title_prediction = snapshot["title_prediction"]
         state.pattern_resolved = snapshot["pattern_resolved"]
-        state.last_pattern_confidence = snapshot["last_pattern_confidence"]
         state.window_rows_pending = snapshot["window_rows_pending"]
         return state

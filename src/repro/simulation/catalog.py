@@ -289,11 +289,6 @@ def titles_by_pattern(pattern: ActivityPattern) -> List[GameTitle]:
     return [title for title in GAME_TITLES if title.pattern is pattern]
 
 
-def titles_by_genre(genre: Genre) -> List[GameTitle]:
-    """All catalog titles of the given genre."""
-    return [title for title in GAME_TITLES if title.genre is genre]
-
-
 def popularity_weights() -> Dict[str, float]:
     """Normalised popularity distribution over the 13 titles.
 

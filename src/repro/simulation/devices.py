@@ -27,18 +27,6 @@ class Resolution(Enum):
     QHD = "QHD"      # 2560x1440
     UHD = "UHD"      # 3840x2160
 
-    @property
-    def bitrate_scale(self) -> float:
-        """Relative encoder bitrate versus FHD for the same content."""
-        return {
-            Resolution.SD: 0.35,
-            Resolution.HD: 0.6,
-            Resolution.FHD: 1.0,
-            Resolution.QHD: 1.6,
-            Resolution.UHD: 2.4,
-        }[self]
-
-
 #: Maximum UDP payload of a full video packet on the GeForce NOW path
 #: (observed as a fixed maximum payload size in Fig. 3).
 FULL_PACKET_PAYLOAD = 1432
@@ -75,12 +63,6 @@ class StreamingSettings:
             raise ValueError(
                 f"base_bitrate_mbps must be positive, got {self.base_bitrate_mbps}"
             )
-
-    @property
-    def target_bitrate_mbps(self) -> float:
-        """Encoder target bitrate for active gameplay under these settings."""
-        fps_scale = 0.6 + 0.4 * (self.fps / 60.0)
-        return self.base_bitrate_mbps * self.resolution.bitrate_scale * fps_scale
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ of sessions experience genuinely degraded access links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -322,21 +322,3 @@ class ISPDeploymentSimulator:
         if n_sessions <= 0:
             raise ValueError(f"n_sessions must be positive, got {n_sessions}")
         return [self.generate_record() for _ in range(n_sessions)]
-
-
-def records_by_title(records: Sequence[SessionRecord]) -> Dict[str, List[SessionRecord]]:
-    """Group records by ground-truth title (unknown titles grouped together)."""
-    grouped: Dict[str, List[SessionRecord]] = {}
-    for record in records:
-        grouped.setdefault(record.title_name, []).append(record)
-    return grouped
-
-
-def records_by_pattern(
-    records: Sequence[SessionRecord],
-) -> Dict[ActivityPattern, List[SessionRecord]]:
-    """Group records by gameplay activity pattern."""
-    grouped: Dict[ActivityPattern, List[SessionRecord]] = {}
-    for record in records:
-        grouped.setdefault(record.pattern, []).append(record)
-    return grouped

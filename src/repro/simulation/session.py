@@ -245,19 +245,3 @@ class SessionGenerator:
             session_id=self._session_counter,
             rate_scale=config.rate_scale,
         )
-
-    def generate_many(
-        self,
-        title,
-        count: int,
-        config: Optional[SessionConfig] = None,
-        settings: Optional[StreamingSettings] = None,
-        device: Optional[DeviceConfiguration] = None,
-    ) -> List[GameSession]:
-        """Generate ``count`` independent sessions of the same title."""
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        return [
-            self.generate(title, config=config, settings=settings, device=device)
-            for _ in range(count)
-        ]

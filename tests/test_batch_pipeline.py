@@ -5,7 +5,8 @@ per-stage ``*_many`` methods underneath it) must produce, for every session,
 exactly what a one-element call produces — same titles, same stage
 timelines, same pattern gates, same QoE levels, bit-for-bit equal
 confidences.  The batched forms are the classifiers' only entry points; the
-slot-by-slot pattern replay they vectorise lives here as the oracle
+slot-by-slot replays they vectorise live here as oracles: the transition
+modeler :func:`transition_replay` and the pattern gate
 :func:`sequential_incremental`.
 """
 
@@ -21,11 +22,38 @@ from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.reducers import raw_slot_matrix
 from repro.core.title_classifier import GameTitleClassifier
 from repro.core.transition import (
-    StageTransitionModeler,
+    STAGE_ORDER,
     prefix_transition_features,
+    transition_features_from_stages,
 )
 from repro.ml.forest import RandomForestClassifier
 from repro.simulation.catalog import ActivityPattern, PlayerStage
+
+
+_STAGE_ROW = {stage: index for index, stage in enumerate(STAGE_ORDER)}
+
+
+def transition_replay(stages):
+    """Oracle: the §4.3.2 stage transition modeler, one slot at a time.
+
+    Yields, after each slot, the nine transition attributes so far (the 3×3
+    counts over their total; zeros before the first transition) and the
+    gameplay slots seen.  A launch or unknown slot breaks the chain without
+    counting.
+    """
+    counts = np.zeros((3, 3))
+    previous = None
+    seen = 0
+    for stage in stages:
+        if stage in _STAGE_ROW:
+            seen += 1
+            if previous is not None:
+                counts[_STAGE_ROW[previous], _STAGE_ROW[stage]] += 1
+            previous = stage
+        else:
+            previous = None
+        total = counts.sum()
+        yield (counts / total if total else np.zeros((3, 3))).reshape(-1), seen
 
 
 def sequential_incremental(classifier, stages):
@@ -37,16 +65,12 @@ def sequential_incremental(classifier, stages):
     gameplay slots it needed.  Otherwise the last evaluated (undecided)
     prediction and the total gameplay-slot count are returned.
     """
-    modeler = StageTransitionModeler()
     gameplay_seen = 0
     last = PatternPrediction(pattern=None, confidence=0.0, confident=False, slots_observed=0)
-    for stage in stages:
-        modeler.update(stage)
-        if stage in PlayerStage.gameplay_stages():
-            gameplay_seen += 1
+    for features, gameplay_seen in transition_replay(stages):
         if gameplay_seen < classifier.min_slots:
             continue
-        proba = classifier.model.predict_proba(modeler.feature_vector().reshape(1, -1))[0]
+        proba = classifier.model.predict_proba(features.reshape(1, -1))[0]
         best = int(np.argmax(proba))
         confidence = float(proba[best])
         confident = confidence >= classifier.confidence_threshold
@@ -201,12 +225,8 @@ class _GateStub:
         self.calls = 0
         self.seen = {}
         for stages in timelines:
-            modeler = StageTransitionModeler()
-            gameplay = 0
-            for stage in stages:
-                modeler.update(stage)
-                gameplay += stage in PlayerStage.gameplay_stages()
-                key = tuple(modeler.feature_vector().tolist())
+            for features, gameplay in transition_replay(stages):
+                key = tuple(features.tolist())
                 self.seen[key] = min(self.seen.get(key, gameplay), gameplay)
 
     def predict_proba(self, X):
@@ -296,16 +316,32 @@ class TestPrefixTransitionFeatures:
         for sequence in stages:
             features, gameplay_seen = prefix_transition_features(sequence)
             assert features.shape == (len(sequence), 9)
-            modeler = StageTransitionModeler()
-            seen = 0
-            for slot, stage in enumerate(sequence):
-                modeler.update(stage)
-                if stage in PlayerStage.gameplay_stages():
-                    seen += 1
-                np.testing.assert_array_equal(
-                    features[slot], modeler.feature_vector()
-                )
+            for slot, (expected, seen) in enumerate(transition_replay(sequence)):
+                np.testing.assert_array_equal(features[slot], expected)
                 assert gameplay_seen[slot] == seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stages=st.lists(
+            st.sampled_from([_A, _A, _P, _I, _I, _L, None]), max_size=400
+        )
+    )
+    @example(stages=[])
+    @example(stages=[_L] * 30)
+    @example(stages=[_A])
+    @example(stages=[_L, _A, _A, _L, _I, _P, _L, _L, _A])
+    def test_whole_sequence_attributes_equal_the_replay(self, stages):
+        """``transition_features_from_stages`` is the replay's final vector.
+
+        ``None`` stands for an unknown label, which breaks the chain like a
+        launch slot.
+        """
+        got = transition_features_from_stages(stages)
+        expected = np.zeros(9)
+        for expected, _seen in transition_replay(stages):
+            pass
+        assert got.shape == (9,) and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestBatchForestTraversal:

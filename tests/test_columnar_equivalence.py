@@ -30,7 +30,7 @@ from repro.core.packet_groups import (
     PacketGroup,
     PacketGroupLabeler,
 )
-from repro.net.packet import Direction, Packet, PacketStream
+from repro.net.packet import RTP_NONE, Direction, Packet, PacketStream
 
 FULL_SIZE = 1432
 
@@ -292,9 +292,9 @@ class TestLabelerEquivalence:
         ]
         labeler = PacketGroupLabeler()
         slots = labeler.label_window(PacketStream(packets), window_seconds=1.0)
-        assert slots[0].group_count(PacketGroup.FULL) == 8
-        assert slots[0].group_count(PacketGroup.STEADY) == 0
-        assert slots[0].group_count(PacketGroup.SPARSE) == 0
+        assert labeler.group_counts(slots[:1]) == {
+            PacketGroup.FULL: 8, PacketGroup.STEADY: 0, PacketGroup.SPARSE: 0
+        }
 
 
 # --------------------------------------------------------------------------
@@ -412,12 +412,11 @@ class TestColumnarStreamEquivalence:
 
     def test_aggregates_match_object_loop(self):
         stream = random_stream(52)
-        packets = stream.to_list()
+        packets = list(stream)
         assert stream.total_bytes() == sum(p.payload_size for p in packets)
         assert stream.total_bytes(Direction.UPSTREAM) == sum(
             p.payload_size for p in packets if p.direction is Direction.UPSTREAM
         )
-        assert stream.packet_rate() == pytest.approx(len(packets) / stream.duration)
 
     def test_packet_metadata_roundtrip(self):
         original = Packet(
@@ -436,7 +435,7 @@ class TestColumnarStreamEquivalence:
         )
         plain = Packet(timestamp=0.5, direction=Direction.DOWNSTREAM, payload_size=10)
         stream = PacketStream([original, plain])
-        assert stream.to_list() == [plain, original]
+        assert list(stream) == [plain, original]
 
     def test_misaligned_optional_columns_rejected(self):
         from repro.net.packet import PacketColumns
@@ -458,7 +457,8 @@ class TestColumnarStreamEquivalence:
                    rtp_sequence=9, rtp_timestamp=901, rtp_ssrc=1),
         ]
         stream = PacketStream(packets)
-        np.testing.assert_array_equal(stream.rtp_sequences(), [7, 9])
-        np.testing.assert_array_equal(stream.rtp_timestamps(), [900, 901])
+        columns = stream.columns()
+        np.testing.assert_array_equal(columns.rtp_sequence, [7, RTP_NONE, 9])
+        np.testing.assert_array_equal(columns.rtp_timestamp, [900, RTP_NONE, 901])
         assert stream.has_rtp
         assert not PacketStream([packets[1]]).has_rtp

@@ -9,13 +9,15 @@ from repro.core.title_classifier import GameTitleClassifier
 from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.reducers import raw_slot_matrix
 from repro.core.transition import (
-    StageTransitionModeler,
     TRANSITION_FEATURE_NAMES,
+    prefix_transition_features,
     transition_features_from_stages,
 )
 from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
 from repro.ml.forest import RandomForestClassifier
 from repro.simulation.catalog import PlayerStage, UNKNOWN_TITLE
+
+from test_batch_pipeline import transition_replay
 
 
 class TestVolumetricGenerator:
@@ -48,8 +50,8 @@ class TestVolumetricGenerator:
             generator.relative_matrix(np.zeros((5, 3)))
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            VolumetricAttributeGenerator(slot_duration=0)
+        with pytest.raises(ValueError, match="slot_duration"):
+            PlayerActivityClassifier(slot_duration=0)
         with pytest.raises(ValueError):
             VolumetricAttributeGenerator(alpha=0)
 
@@ -70,45 +72,26 @@ class TestTransitionModeler:
         assert len(TRANSITION_FEATURE_NAMES) == 9
 
     def test_counts_self_retention(self):
-        modeler = StageTransitionModeler()
-        modeler.update_sequence([PlayerStage.ACTIVE] * 5)
-        assert modeler.n_transitions == 4
-        assert modeler.probability_matrix()[0, 0] == pytest.approx(1.0)
+        features, gameplay_seen = prefix_transition_features([PlayerStage.ACTIVE] * 5)
+        # the first slot has no predecessor; the other four are active -> active
+        assert features[0].sum() == 0.0 and gameplay_seen.tolist() == [1, 2, 3, 4, 5]
+        assert transition_features_from_stages([PlayerStage.ACTIVE] * 5)[0] == 1.0
 
     def test_launch_breaks_chain(self):
-        modeler = StageTransitionModeler()
-        modeler.update_sequence(
+        features = transition_features_from_stages(
             [PlayerStage.ACTIVE, PlayerStage.LAUNCH, PlayerStage.IDLE]
         )
         # no transition counted across the launch slot
-        assert modeler.n_transitions == 0
+        assert features.sum() == 0.0
 
     def test_probability_matrix_sums_to_one(self):
-        modeler = StageTransitionModeler()
-        modeler.update_sequence(
+        features = transition_features_from_stages(
             [PlayerStage.IDLE, PlayerStage.ACTIVE, PlayerStage.PASSIVE, PlayerStage.ACTIVE]
         )
-        assert modeler.probability_matrix().sum() == pytest.approx(1.0)
-
-    def test_row_stochastic_matrix(self):
-        modeler = StageTransitionModeler()
-        modeler.update_sequence(
-            [PlayerStage.ACTIVE, PlayerStage.IDLE, PlayerStage.ACTIVE, PlayerStage.PASSIVE]
-        )
-        rows = modeler.row_stochastic_matrix().sum(axis=1)
-        for value in rows:
-            assert value == pytest.approx(1.0) or value == pytest.approx(0.0)
+        assert features.sum() == pytest.approx(1.0)
 
     def test_empty_modeler_all_zero(self):
-        modeler = StageTransitionModeler()
-        assert modeler.feature_vector().sum() == 0.0
-
-    def test_reset(self):
-        modeler = StageTransitionModeler()
-        modeler.update_sequence([PlayerStage.ACTIVE, PlayerStage.IDLE])
-        modeler.reset()
-        assert modeler.n_slots == 0
-        assert modeler.n_transitions == 0
+        assert transition_features_from_stages([]).tolist() == [0.0] * 9
 
     def test_stage_occupancy(self):
         stages = [PlayerStage.ACTIVE, PlayerStage.ACTIVE, PlayerStage.IDLE, PlayerStage.LAUNCH]
@@ -122,11 +105,8 @@ class TestTransitionModeler:
 
     def test_transition_features_helper_matches_modeler(self):
         stages = [PlayerStage.IDLE, PlayerStage.ACTIVE, PlayerStage.ACTIVE]
-        modeler = StageTransitionModeler()
-        modeler.update_sequence(stages)
-        np.testing.assert_allclose(
-            transition_features_from_stages(stages), modeler.feature_vector()
-        )
+        *_, (expected, _seen) = transition_replay(stages)
+        np.testing.assert_array_equal(transition_features_from_stages(stages), expected)
 
 
 class TestGameTitleClassifier:

@@ -6,13 +6,17 @@ import pytest
 from repro.core.features import (
     FLOW_VOLUMETRIC_FEATURE_NAMES,
     PACKET_GROUP_FEATURE_NAMES,
-    feature_dict,
     launch_feature_matrix,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
 from repro.net.packet import Direction, Packet, PacketStream
 from repro.simulation.devices import FULL_PACKET_PAYLOAD
+
+
+def named(vector):
+    """A 51-attribute launch vector as ``{name: value}``."""
+    return dict(zip(PACKET_GROUP_FEATURE_NAMES, vector.tolist()))
 
 
 def make_stream(slots):
@@ -133,23 +137,18 @@ class TestLaunchFeatures:
 
     def test_feature_dict_names(self, launch_only_session):
         vector = launch_feature_matrix([launch_only_session.packets], window_seconds=5.0)[0]
-        mapping = feature_dict(vector)
-        assert set(mapping) == set(PACKET_GROUP_FEATURE_NAMES)
-
-    def test_feature_dict_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            feature_dict(np.zeros(10))
+        assert vector.shape == (len(PACKET_GROUP_FEATURE_NAMES),)
+        assert len(set(PACKET_GROUP_FEATURE_NAMES)) == len(PACKET_GROUP_FEATURE_NAMES)
 
     def test_count_attribute_matches_label_counts(self):
         stream = make_stream([(0, [FULL_PACKET_PAYLOAD] * 4 + [500, 505, 498])])
-        vector = launch_feature_matrix([stream], window_seconds=1.0)[0]
-        mapping = feature_dict(vector)
+        mapping = named(launch_feature_matrix([stream], window_seconds=1.0)[0])
         assert mapping["full_ct_sum"] == pytest.approx(4.0)
         assert mapping["steady_ct_sum"] == pytest.approx(3.0)
 
     def test_full_size_stats_constant(self):
         stream = make_stream([(0, [FULL_PACKET_PAYLOAD] * 6)])
-        mapping = feature_dict(launch_feature_matrix([stream], window_seconds=1.0)[0])
+        mapping = named(launch_feature_matrix([stream], window_seconds=1.0)[0])
         assert mapping["full_sz_mean"] == pytest.approx(FULL_PACKET_PAYLOAD)
         assert mapping["full_sz_stddev"] == pytest.approx(0.0)
         assert mapping["full_sz_skew"] == pytest.approx(0.0)

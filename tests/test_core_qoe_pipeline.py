@@ -18,7 +18,33 @@ from repro.core.qoe import (
     qoe_level_from_metrics,
 )
 from repro.ml.forest import RandomForestClassifier
+from repro.net.packet import RTP_NONE, Direction
 from repro.simulation.catalog import ActivityPattern, PlayerStage
+
+
+def estimate_stream(estimator, stream, latency_ms=None):
+    """Session-average QoE of a sorted stream: ``estimate_arrays`` over its views.
+
+    The downstream views of a time-sorted stream are exactly the columns the
+    cascade's QoE reducer retains, so this is what a report's metrics are.
+    """
+    down = stream.direction_indices(Direction.DOWNSTREAM)
+    columns = stream.columns()
+
+    def rtp(column):
+        if column is None:
+            return np.array([], dtype=np.int64)
+        values = column[down]
+        return values[values != RTP_NONE]
+
+    return estimator.estimate_arrays(
+        duration_s=stream.duration,
+        down_times=columns.timestamps[down],
+        down_payload_bytes=float(columns.payload_sizes[down].sum()),
+        rtp_timestamps=rtp(columns.rtp_timestamp),
+        rtp_sequences=rtp(columns.rtp_sequence),
+        latency_ms=latency_ms,
+    )
 
 
 def metrics(frame_rate=60.0, throughput=20.0, latency=10.0, loss=0.001):
@@ -61,7 +87,7 @@ class TestObjectiveQoELevels:
 class TestObjectiveQoEEstimator:
     def test_estimates_on_synthetic_session(self, fortnite_session):
         estimator = ObjectiveQoEEstimator()
-        result = estimator.estimate(fortnite_session.packets, latency_ms=8.0)
+        result = estimate_stream(estimator, fortnite_session.packets, latency_ms=8.0)
         assert result.throughput_mbps > 0
         assert result.frame_rate > 0
         assert result.latency_ms == pytest.approx(8.0)
@@ -77,8 +103,8 @@ class TestObjectiveQoEEstimator:
             rng=np.random.default_rng(0),
         )
         estimator = ObjectiveQoEEstimator()
-        clean = estimator.estimate(cyberpunk_session.packets)
-        degraded = estimator.estimate(PacketStream.from_columns(lossy))
+        clean = estimate_stream(estimator, cyberpunk_session.packets)
+        degraded = estimate_stream(estimator, PacketStream.from_columns(lossy))
         assert degraded.loss_rate > clean.loss_rate
 
     def test_invalid_slot_duration(self):
@@ -205,7 +231,7 @@ class TestPipelineIntegration:
         # reduced-fidelity synthetic sessions fall below the physical-scale
         # bitrate signature, so the detector may not tag a platform; the
         # pipeline must still produce a full report from raw packets
-        report = fitted_pipeline.process(fortnite_session.packets.to_list())
+        report = fitted_pipeline.process(list(fortnite_session.packets))
         assert report.platform in (None, "GeForce NOW")
         assert report.title.title
         assert report.stage_timeline

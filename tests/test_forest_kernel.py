@@ -22,7 +22,13 @@ import pytest
 
 from repro.ml import RandomForestClassifier
 from repro.ml.kernel import ForestKernel
-from repro.runtime.persistence import load_pipeline, pipeline_digest, save_pipeline
+from repro.runtime.persistence import (
+    _forest_meta,
+    _forest_params,
+    load_pipeline,
+    pipeline_digest,
+    save_pipeline,
+)
 
 
 def oracle_predict_proba(state: dict, X) -> np.ndarray:
@@ -444,11 +450,11 @@ def test_fitted_and_restored_forests_are_the_same_kind_of_object(small_forest):
         forest.export_state(),
         forest.classes_,
         forest.n_features_,
-        params=forest.get_params(),
+        params=_forest_params(_forest_meta(forest, "test")),
     )
     forest.kernel  # noqa: B018 - from_state compiles eagerly; compare like with like
     assert set(vars(twin)) == set(vars(forest))
-    assert twin.get_params() == forest.get_params()
+    assert _forest_meta(twin, "test") == _forest_meta(forest, "test")
     assert not any("estimator" in name and name != "n_estimators" for name in vars(forest))
     fitted_bytes, twin_bytes = len(pickle.dumps(forest)), len(pickle.dumps(twin))
     assert abs(fitted_bytes - twin_bytes) <= 0.01 * fitted_bytes

@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Direction, FlowDemux, Packet, PacketColumns, PacketStream
-from repro.net.flow import flow_summary, interarrival_times
-from repro.net.rtp import (
-    RTP_HEADER_LEN,
-    RTPHeader,
-    build_rtp_packet,
-    looks_like_rtp,
-    parse_rtp_payload,
-    sequence_gap,
-)
+from repro.net.flow import flow_summary
+from repro.net.rtp import RTP_HEADER_LEN, RTPHeader
+from repro.core.qoe import ObjectiveQoEEstimator
 from repro.core.reducers import raw_slot_matrix
 from repro.core.volumetric import exponential_moving_average
+
+from test_net_pcap_filter_conditions import decode_rtp_header
 
 
 def packet(ts, direction=Direction.DOWNSTREAM, size=1000, **kw):
@@ -39,22 +35,6 @@ class TestPacket:
     def test_invalid_port_rejected(self):
         with pytest.raises(ValueError):
             packet(0.0, src_port=70000)
-
-    def test_wire_size_includes_headers(self):
-        plain = packet(0.0, size=100)
-        rtp = packet(0.0, size=100, rtp_ssrc=1)
-        assert plain.wire_size == 128
-        assert rtp.wire_size == 140
-
-    def test_shifted_preserves_other_fields(self):
-        original = packet(1.0, size=77)
-        moved = original.shifted(2.5)
-        assert moved.timestamp == pytest.approx(3.5)
-        assert moved.payload_size == 77
-
-    def test_direction_flip(self):
-        assert Direction.DOWNSTREAM.flipped() is Direction.UPSTREAM
-        assert Direction.UPSTREAM.flipped() is Direction.DOWNSTREAM
 
 
 class TestPacketStream:
@@ -89,14 +69,15 @@ class TestPacketStream:
     def test_throughput_and_rate(self):
         stream = PacketStream([packet(float(i), size=1250) for i in range(11)])
         # 10 seconds span, 11 packets of 1250 bytes
-        assert stream.mean_throughput_mbps() == pytest.approx(11 * 1250 * 8 / 10 / 1e6)
-        assert stream.packet_rate() == pytest.approx(1.1)
+        ((key, _rows),) = split_flows(list(stream))
+        summary = flow_summary(key, stream)
+        assert summary["downstream_mbps"] == pytest.approx(11 * 1250 * 8 / 10 / 1e6)
+        assert len(stream) / stream.duration == pytest.approx(1.1)
 
     def test_empty_stream_defaults(self):
         stream = PacketStream()
         assert stream.duration == 0.0
         assert stream.total_bytes() == 0
-        assert stream.mean_throughput_mbps() == 0.0
 
 
 def split_flows(packets):
@@ -146,50 +127,53 @@ class TestFlows:
         assert key.client_port == 50001
 
     def test_interarrival_times(self):
-        stream = PacketStream([packet(0.0), packet(0.5), packet(1.5)])
-        np.testing.assert_allclose(interarrival_times(stream), [0.5, 1.0])
+        # a stream sorts on construction, so its gaps are the inter-arrival times
+        stream = PacketStream([packet(1.5), packet(0.0), packet(0.5)])
+        np.testing.assert_allclose(np.diff(stream.timestamps()), [0.5, 1.0])
 
 
 class TestRTP:
     def test_encode_decode_roundtrip(self):
         header = RTPHeader(payload_type=96, sequence_number=1234, timestamp=567890, ssrc=42,
                            marker=True)
-        decoded = RTPHeader.decode(header.encode())
+        decoded = decode_rtp_header(header.encode())
         assert decoded == header
 
     def test_decode_rejects_short_buffer(self):
-        with pytest.raises(ValueError):
-            RTPHeader.decode(b"\x80\x60")
+        assert decode_rtp_header(b"\x80\x60") is None
 
     def test_decode_rejects_wrong_version(self):
         data = bytearray(RTPHeader().encode())
         data[0] = 0x00  # version 0
-        with pytest.raises(ValueError, match="version"):
-            RTPHeader.decode(bytes(data))
-
-    def test_next_increments_and_wraps(self):
-        header = RTPHeader(sequence_number=0xFFFF, timestamp=10)
-        nxt = header.next(timestamp_increment=3000)
-        assert nxt.sequence_number == 0
-        assert nxt.timestamp == 3010
+        assert decode_rtp_header(bytes(data)) is None
 
     def test_build_and_parse_packet(self):
-        header = RTPHeader(ssrc=7)
-        datagram = build_rtp_packet(header, b"payload-bytes")
-        parsed, body = parse_rtp_payload(datagram)
-        assert parsed.ssrc == 7
-        assert body == b"payload-bytes"
+        datagram = RTPHeader(ssrc=7).encode() + b"payload-bytes"
+        assert decode_rtp_header(datagram).ssrc == 7
+        assert datagram[RTP_HEADER_LEN:] == b"payload-bytes"
 
     def test_looks_like_rtp(self):
-        assert looks_like_rtp(RTPHeader().encode() + b"x" * 50)
-        assert not looks_like_rtp(b"\x00" * 20)
-        assert not looks_like_rtp(b"ab")
+        assert decode_rtp_header(RTPHeader().encode() + b"x" * 50) is not None
+        assert decode_rtp_header(b"\x00" * 20) is None
+        assert decode_rtp_header(b"ab") is None
 
     def test_sequence_gap(self):
-        assert sequence_gap(None, 5) == 0
-        assert sequence_gap(5, 6) == 0
-        assert sequence_gap(5, 8) == 2
-        assert sequence_gap(0xFFFF, 0) == 0
+        """Loss counts the numbers skipped between neighbours, across the wrap."""
+
+        def loss(sequences):
+            return ObjectiveQoEEstimator().estimate_arrays(
+                duration_s=1.0,
+                down_times=np.linspace(0.0, 1.0, len(sequences)),
+                down_payload_bytes=1000.0,
+                rtp_timestamps=np.array([], dtype=np.int64),
+                rtp_sequences=np.array(sequences, dtype=np.int64),
+            ).loss_rate
+
+        assert loss([5]) == 0.0
+        assert loss([5, 6]) == 0.0
+        assert loss([5, 8]) == 2 / 4
+        assert loss([0xFFFF, 0]) == 0.0
+        assert loss([0xFFFE, 1]) == 2 / 4
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -199,7 +183,7 @@ class TestRTP:
     )
     def test_roundtrip_property(self, seq, ts, pt):
         header = RTPHeader(sequence_number=seq, timestamp=ts, payload_type=pt)
-        assert RTPHeader.decode(header.encode()) == header
+        assert decode_rtp_header(header.encode()) == header
 
     def test_header_length_constant(self):
         assert len(RTPHeader().encode()) == RTP_HEADER_LEN

@@ -49,6 +49,20 @@ from repro.runtime.state import SessionState
 from test_runtime import assert_report_identical, reports_by_client_port
 
 
+def absorb(cascade, columns):
+    """Fold one batch as a tick of a single flow; return its new window rows.
+
+    What the live engine does per flow of a tick (``fold``, then the tick's
+    ``flush``), for a tick that holds one flow.
+    """
+    if not len(columns):
+        return 0
+    facts = TickFacts.of_batch(columns)
+    new_window_rows = cascade.fold(facts, 0)
+    facts.flush()
+    return new_window_rows
+
+
 def title_events(events, kinds=(TitleClassified, TitleReclassified)):
     return [event for event in events if isinstance(event, kinds)]
 
@@ -121,7 +135,6 @@ def test_bounded_state_holds_no_packet_history(fitted_pipeline, runtime_sessions
     (bounded_state,) = [bounded._states[k] for k in bounded.live_flows]
     (full_state,) = [full._states[k] for k in full.live_flows]
 
-    assert not bounded_state.cascade.keeps_history
     with pytest.raises(RuntimeError, match="bounded mode"):
         bounded_state.cascade.assembled_stream()
     # the bounded state is a small fraction of the full history footprint
@@ -153,7 +166,7 @@ def test_flow_summary_matches_stream_backed_flow(rng):
                              DOWNSTREAM_CODE)
     state = SessionState(key, slot_duration=1.0, alpha=0.5)
     for start in range(0, n, 900):
-        state.cascade.absorb(columns.take(slice(start, start + 900)))
+        absorb(state.cascade, columns.take(slice(start, start + 900)))
 
     expected = flow_summary(key, PacketStream.from_columns(columns))
     assert expected["downstream_mbps"] > 0 and 0 < expected["downstream_fraction"] < 1
@@ -376,7 +389,7 @@ def test_predict_raw_slots_many_matches_stream_path(
         cascade = SessionReducerCascade(slot_duration=width, alpha=0.5, window_seconds=5.0)
         cuts = np.sort(rng.choice(np.arange(1, len(columns)), 40, replace=False))
         for rows in np.split(np.arange(len(columns)), cuts):
-            cascade.absorb(columns.take(rows))
+            absorb(cascade, columns.take(rows))
         live.append(cascade.final_raw_matrix())
         assert np.array_equal(live[-1], matrix)
     timelines = classifier.predict_raw_slots_many(raw)
@@ -515,7 +528,7 @@ def test_raw_slot_matrix_is_the_reducer_count(case):
     cascade = SessionReducerCascade(slot_duration=width, alpha=0.5, window_seconds=5.0)
     ordered = stream.columns()
     for rows in np.split(np.arange(len(ordered)), cuts):
-        cascade.absorb(ordered.take(rows))
+        absorb(cascade, ordered.take(rows))
     assert cascade.final_raw_matrix().tobytes() == whole.tobytes()
 
 
@@ -746,7 +759,7 @@ def test_fold_shortcuts_equal_general_reducers(
     cascade = SessionReducerCascade(**geometry)
     reference = GeneralFoldCascade(**geometry)
     for batch in batches:
-        assert cascade.absorb(batch) == reference.absorb(batch)
+        assert absorb(cascade, batch) == absorb(reference, batch)
         # the provisional gates move the slot cursor and the seal watermark
         clock = float(batch.timestamps.max())
         for folded in (cascade, reference):
@@ -828,7 +841,7 @@ def test_equal_approx_states_pickle_to_equal_bytes(fitted_pipeline, runtime_sess
             qoe_interval_seconds=10.0, qoe_mode="approx"
         )
         for start in range(0, len(columns), 5000):
-            cascade.absorb(columns.take(slice(start, start + 5000)))
+            absorb(cascade, columns.take(slice(start, start + 5000)))
         return cascade
 
     first, second = folded(), folded()

@@ -470,7 +470,7 @@ def test_prefix_transition_tracker_matches_batch_prefixes(rng):
         position += step
     assert np.array_equal(np.vstack(features), expected_features)
     assert np.array_equal(np.concatenate(seen), expected_seen)
-    assert tracker.gameplay_seen == int(expected_seen[-1])
+    assert tracker.snapshot()["gameplay_seen"] == int(expected_seen[-1])
 
 
 def test_session_state_slot_accumulator_matches_offline_raw_matrix(rng):
@@ -485,11 +485,11 @@ def test_session_state_slot_accumulator_matches_offline_raw_matrix(rng):
         timestamps=timestamps, payload_sizes=sizes, directions=directions
     )
     key = canonical_flow_key(("0.0.0.0", "0.0.0.0", 0, 0, "udp"), DOWNSTREAM_CODE)
+    from test_reducers import absorb, bincount_raw_slot_matrix  # it imports this module
+
     state = SessionState(key, slot_duration=1.0, alpha=0.5)
     for start in range(0, n, 700):
-        state.cascade.absorb(columns.take(slice(start, start + 700)))
-
-    from test_reducers import bincount_raw_slot_matrix  # test_reducers imports this module
+        absorb(state.cascade, columns.take(slice(start, start + 700)))
 
     expected = bincount_raw_slot_matrix(PacketStream.from_columns(columns), 1.0)
     n_slots = expected.shape[0]

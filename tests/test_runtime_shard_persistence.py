@@ -20,17 +20,6 @@ from test_runtime import assert_report_identical, reports_by_client_port
 
 
 # ---------------------------------------------------------------------------
-# sharded corpora
-# ---------------------------------------------------------------------------
-def test_sharded_process_many_serial_fallback(fitted_pipeline, small_gameplay_corpus):
-    corpus = small_gameplay_corpus.sessions[:5]
-    sequential = fitted_pipeline.process_many(corpus)
-    sharded = ShardedEngine(fitted_pipeline, n_workers=4, backend="serial")
-    for got, expected in zip(sharded.process_many(corpus), sequential):
-        assert_report_identical(got, expected)
-
-
-# ---------------------------------------------------------------------------
 # sharded live feeds
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("backend,n_workers", [("serial", 3), ("fork", 2)])

@@ -128,10 +128,10 @@ def test_slot_roundtrip_matches_demux_split(with_rtp, with_addresses):
             assert len({id(a) for a in tick.columns.addresses}) == len(
                 set(tick.columns.addresses)
             )
-        # the in-band flow-id column agrees with the control-message spans
-        flow_ids = ring.slot_flow_ids(1, n_rows)
-        for span_index, (_key, start, stop) in enumerate(spans):
-            assert (flow_ids[start:stop] == span_index).all()
+        # the control-message spans are the slot's one row -> flow map
+        assert [(start, stop) for _key, start, stop in spans] == list(
+            zip(tick.bounds[:-1].tolist(), tick.bounds[1:].tolist())
+        )
     finally:
         ring.destroy()
 

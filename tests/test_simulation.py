@@ -1,5 +1,7 @@
 """Tests for the traffic simulation substrate (catalog, launch, activity, sessions, ISP)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from repro.simulation.catalog import (
     GAME_TITLES,
     get_title,
     popularity_weights,
-    titles_by_genre,
     titles_by_pattern,
 )
 from repro.simulation.devices import (
@@ -39,7 +40,6 @@ from repro.simulation.devices import (
     total_lab_playtime_hours,
     total_lab_sessions,
 )
-from repro.simulation.isp import records_by_pattern, records_by_title
 from repro.simulation.launch_profiles import generate_launch_columns
 from repro.simulation.traffic import StageTrafficModel, resolution_cluster_index
 
@@ -59,11 +59,11 @@ class TestCatalog:
         assert ranked[-1].name == "Hearthstone"
 
     def test_all_role_playing_titles_are_continuous_play(self):
-        for title in titles_by_genre(Genre.ROLE_PLAYING):
+        for title in (t for t in GAME_TITLES if t.genre is Genre.ROLE_PLAYING):
             assert title.pattern is ActivityPattern.CONTINUOUS_PLAY
 
     def test_all_shooters_are_spectate_and_play(self):
-        for title in titles_by_genre(Genre.SHOOTER):
+        for title in (t for t in GAME_TITLES if t.genre is Genre.SHOOTER):
             assert title.pattern is ActivityPattern.SPECTATE_AND_PLAY
 
     def test_get_title_unknown_raises(self):
@@ -93,9 +93,15 @@ class TestDevices:
         assert len(LAB_CONFIGURATIONS) == 8
 
     def test_streaming_settings_bitrate_scales_with_resolution(self):
-        low = StreamingSettings(Resolution.SD, 60).target_bitrate_mbps
-        high = StreamingSettings(Resolution.UHD, 60).target_bitrate_mbps
-        assert high > low * 3
+        def active_bitrate(resolution):
+            return StageTrafficModel(
+                title=get_title("Fortnite"),
+                settings=StreamingSettings(resolution, 60),
+                rng=np.random.default_rng(0),
+            ).active_bitrate_mbps
+
+        # SD draws from the title's lowest bitrate cluster, UHD from its highest
+        assert active_bitrate(Resolution.UHD) > active_bitrate(Resolution.SD) * 2
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -270,9 +276,8 @@ class TestSessionGenerator:
 
     def test_generate_many(self):
         generator = SessionGenerator(random_state=3)
-        sessions = generator.generate_many(
-            "Hearthstone", 2, SessionConfig(launch_only=True, rate_scale=0.1)
-        )
+        config = SessionConfig(launch_only=True, rate_scale=0.1)
+        sessions = [generator.generate("Hearthstone", config=config) for _ in range(2)]
         assert len(sessions) == 2
         assert sessions[0].session_id != sessions[1].session_id
 
@@ -315,9 +320,9 @@ class TestISPSimulator:
             assert record.gameplay_minutes <= record.duration_minutes + 1e-6
 
     def test_popularity_ordering_respected(self, isp_record_pool):
-        by_title = records_by_title(isp_record_pool)
-        fortnite = len(by_title.get("Fortnite", []))
-        hearthstone = len(by_title.get("Hearthstone", []))
+        by_title = Counter(record.title_name for record in isp_record_pool)
+        fortnite = by_title["Fortnite"]
+        hearthstone = by_title["Hearthstone"]
         assert fortnite > hearthstone
 
     def test_unknown_fraction_close_to_configured(self, isp_record_pool):
@@ -336,8 +341,7 @@ class TestISPSimulator:
         )
 
     def test_patterns_present(self, isp_record_pool):
-        by_pattern = records_by_pattern(isp_record_pool)
-        assert set(by_pattern) == set(ActivityPattern)
+        assert {record.pattern for record in isp_record_pool} == set(ActivityPattern)
 
     def test_classifier_accuracy_parameter(self):
         simulator = ISPDeploymentSimulator(

@@ -11,8 +11,8 @@ a local of the same name, not a call of the method.  Dunder methods are
 exempt: the interpreter calls them.
 
 A second check applies the same rules without ``tests/``: a definition that
-only the tests name is test code living in ``src/``.  Those that exist are
-pinned in :data:`TEST_ONLY`, and no new one may join them.
+only the tests name is test code living in ``src/``, and there is none.  A
+reference body a test needs lives in ``tests/`` as an oracle.
 """
 
 from __future__ import annotations
@@ -28,43 +28,6 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 ATTRIBUTE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_]*)")
 QUOTED = re.compile(r"""["']([A-Za-z_][A-Za-z0-9_]*)["']""")
 
-#: ``src/`` definitions that only ``tests/`` name (same rules as above).  The
-#: set may only shrink.
-TEST_ONLY = frozenset(
-    {
-        "src/repro/core/features.py::feature_dict",
-        "src/repro/core/packet_groups.py::group_count",
-        "src/repro/core/reducers.py::keeps_history",
-        "src/repro/core/transition.py::n_transitions",
-        "src/repro/core/transition.py::reset",
-        "src/repro/core/transition.py::row_stochastic_matrix",
-        "src/repro/ml/base.py::get_params",
-        "src/repro/ml/base.py::score",
-        "src/repro/ml/metrics.py::as_text",
-        "src/repro/ml/scaling.py::inverse_transform",
-        "src/repro/net/conditions.py::congested",
-        "src/repro/net/conditions.py::is_degraded",
-        "src/repro/net/flow.py::interarrival_times",
-        "src/repro/net/packet.py::flipped",
-        "src/repro/net/packet.py::mean_throughput_mbps",
-        "src/repro/net/packet.py::merge_streams",
-        "src/repro/net/packet.py::packet_rate",
-        "src/repro/net/packet.py::shifted",
-        "src/repro/net/packet.py::to_list",
-        "src/repro/net/packet.py::wire_size",
-        "src/repro/net/rtp.py::looks_like_rtp",
-        "src/repro/net/rtp.py::next",
-        "src/repro/net/rtp.py::sequence_gap",
-        "src/repro/runtime/shm.py::slot_flow_ids",
-        "src/repro/simulation/catalog.py::titles_by_genre",
-        "src/repro/simulation/devices.py::target_bitrate_mbps",
-        "src/repro/simulation/isp.py::records_by_pattern",
-        "src/repro/simulation/isp.py::records_by_title",
-        "src/repro/simulation/session.py::generate_many",
-    }
-)
-
-
 def unreferenced_definitions(searched) -> list:
     """``path::name`` of every ``src/`` definition not named in ``searched``."""
     words: Counter = Counter()
@@ -72,7 +35,7 @@ def unreferenced_definitions(searched) -> list:
     for directory in searched:
         for path in (ROOT / directory).rglob("*.py"):
             if path == Path(__file__).resolve():
-                continue  # TEST_ONLY names every pinned definition
+                continue  # the guard's own words are no reference
             text = path.read_text()
             words.update(WORD.findall(text))
             reachable.update(ATTRIBUTE.findall(text))
@@ -110,15 +73,13 @@ def test_every_definition_in_src_is_referenced():
 
 
 def test_no_new_definition_in_src_serves_only_the_tests():
-    """The ``src/`` definitions that only ``tests/`` name are pinned below.
+    """No ``src/`` definition is named only from ``tests/``.
 
-    Code kept for the tests alone belongs in ``tests/``: the set may shrink
-    (delete the entry with the code, or once the program names it), never
-    grow.
+    Code kept for the tests alone belongs in ``tests/``: delete it with its
+    tests, or move it there as the oracle a test compares against.
     """
     program = tuple(directory for directory in SEARCHED if directory != "tests")
-    test_only = set(unreferenced_definitions(program)) - set(
-        unreferenced_definitions(SEARCHED)
+    test_only = sorted(
+        set(unreferenced_definitions(program)) - set(unreferenced_definitions(SEARCHED))
     )
-    new = sorted(test_only - TEST_ONLY)
-    assert not new, "src/ definitions named only from tests/:\n" + "\n".join(new)
+    assert not test_only, "src/ definitions named only from tests/:\n" + "\n".join(test_only)
