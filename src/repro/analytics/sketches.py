@@ -311,9 +311,9 @@ class _LogBinLayout:
         """Slot of one finite value: 0 = underflow, 1..n_bins, n_bins+1 = overflow.
 
         The logarithm is ``np.log`` on the scalar, not ``math.log``: the two
-        differ in the last place often enough (about 3 values in 10 000) to
-        move a value that sits on a bin edge, and the pinned rollup digests
-        were folded through numpy's.
+        differ in the last place for about 3 values in 10 000, which moves a
+        value that sits on a bin edge, and the pinned rollup digests were
+        folded through numpy's.
         """
         if not value > self.min_value:
             return 0

@@ -174,8 +174,8 @@ def _sketches(name):
 @given(case=_edge_values(max_size=1))
 def test_add_bins_a_value_where_numpys_log_puts_it(case):
     """A value's cell is ``floor((log v - log min) / log growth) + 1``, clipped,
-    with numpy's logarithm: ``math.log`` differs in the last place often
-    enough to move a value on a bin edge, and the pinned digests used numpy's."""
+    with numpy's logarithm: ``math.log`` can differ from it in the last place,
+    which moves a value on a bin edge, and the pinned digests used numpy's."""
     name, (value,) = case
     for make in _sketches(name)[1:]:
         sketch = make()
