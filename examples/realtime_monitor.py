@@ -19,7 +19,9 @@ retained per session after it closes.  The closing summary pane below is
 printed straight from the aggregator; at ISP scale the identical rollups
 come out of the sharded runtime (``ShardedEngine(analytics=True)``) or an
 offline fold (:func:`repro.analytics.fleet.fold_corpus`), bit-identical
-across all three paths.
+across all three paths.  Only the live paths emit the per-window
+``QoEInterval`` events printed here; the offline fold folds the same
+window facts straight from each sealed window without building them.
 
 Run with::
 

@@ -12,9 +12,11 @@ workload records exactly those counts —
 — and this script reads its result file and fails unless they still hold.
 Given a traced ``corpus_batch`` result instead
 (``benchmarks/e2e/out/result-corpus_batch-trace1.json``) it holds the offline
-window chain (DESIGN.md §10) to its counts: every estimated window and every
-session is folded into the fleet rollup exactly once, every report costs
-one whole-session fold, and every corpus packet is folded exactly once.
+window chain (DESIGN.md §10) to its counts: one QoE estimate per report and
+none per window (the rollup folds a window's facts, not its verdict; that
+each window folds exactly once is the tier-1 oracle test's to check), every
+report costs one whole-session fold, and every corpus packet is folded
+exactly once.
 Given a traced ``live_single`` result
 (``benchmarks/e2e/out/result-live_single-trace1.json``) it holds the
 single-engine live feed to one demux per tick over every packet of the
@@ -75,13 +77,15 @@ def _tick_rules(value) -> tuple:
 
 
 def _window_rules(value) -> tuple:
-    """``corpus_batch``: every window is estimated once and folded once."""
+    """``corpus_batch``: one estimate per report, none per window."""
     return (
         (
-            value("core.qoe.intervals") == value("analytics.fleet.events"),
+            value("core.qoe.intervals") == value("core.pipeline.finalize_sessions"),
             f"core.qoe.intervals {value('core.qoe.intervals'):g} != "
-            f"analytics.fleet.events {value('analytics.fleet.events'):g}: a window "
-            "or a session was estimated but not folded, or folded twice",
+            f"core.pipeline.finalize_sessions "
+            f"{value('core.pipeline.finalize_sessions'):g}: the corpus fold "
+            "estimates whole window verdicts again, or a report skipped its "
+            "estimate",
         ),
         (
             value("core.reducers.absorb_calls")

@@ -8,7 +8,8 @@
   runtime's context event stream into per-``(region, title, qoe_mode)``
   rollups (p50/p95 frame lag, freeze rate, loss, throughput, shed and
   degrade counts) with zero per-session retention, plus the offline
-  :func:`fold_corpus` reference producing bit-identical rollups.
+  :func:`fold_corpus`, which folds each sealed window's rollup facts
+  without building its event and produces bit-identical rollups.
 
 This package sits *above* :mod:`repro.runtime`: the runtime never imports
 it at module level (engines attach an aggregator lazily), so either import

@@ -21,8 +21,11 @@ properties (DESIGN.md §10):
 
 What folds at which granularity is deliberate. Window-level metrics
 (frame lag, throughput, freeze/zero/partial counts, the candidate-gap
-ledger) are chunking-invariant per sealed window, so they fold from
-``QoEInterval`` events.  Loss rate is *not* chunking-invariant per window
+ledger) are chunking-invariant per sealed window, so they fold per window
+through one body (:meth:`FleetRollup.fold_window`): live, from the
+``QoEInterval`` event (:func:`event_window_facts`); offline, straight from
+the sealed window (:func:`sealed_window_facts`), without the provisional
+verdict nobody reads there.  Loss rate is *not* chunking-invariant per window
 in the approx tier (the counting-set delta depends on seal timing), so it
 folds once per session from the close report's ``objective_metrics`` —
 as do the objective/effective QoE level tallies, which derive from it.
@@ -34,7 +37,7 @@ modes produce bit-identical reports and are indistinguishable by design).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analytics.sketches import (
     CentroidSketch,
@@ -42,7 +45,18 @@ from repro.analytics.sketches import (
     StatsAccumulator,
     state_digest,
 )
-from repro.core.reducers import ApproxQoEIntervalReducer, QoEIntervalReducer
+from repro.core.qoe import (
+    has_frame_evidence,
+    lag_from_bursts,
+    lag_from_gap_samples,
+    window_throughput_mbps,
+)
+from repro.core.reducers import (
+    ApproxQoEIntervalReducer,
+    QoEIntervalReducer,
+    SealedApproxQoEInterval,
+    SealedQoEInterval,
+)
 from repro.core.title_classifier import UNKNOWN_TITLE
 from repro.net.flow import FlowKey
 from repro.net.packet import Direction
@@ -78,6 +92,61 @@ _LEVELS = ("good", "medium", "bad")
 _LAG_SKETCH = (0.1, 1.0e5, 1.05)
 _THROUGHPUT_SKETCH = (1.0e-3, 1.0e4, 1.05)
 _LOSS_SKETCH = (1.0e-6, 1.0, 1.1)
+
+
+#: ``(lag_ms, throughput_mbps, n_packets, partial, frozen,
+#: candidate_gap_packets)`` — everything :meth:`FleetRollup.fold_window` reads
+#: of one sealed window.
+WindowFacts = Tuple[Optional[float], float, int, bool, bool, int]
+
+
+def event_window_facts(event: QoEInterval) -> WindowFacts:
+    """The rollup facts a live :class:`QoEInterval` event carries."""
+    metrics = event.metrics
+    return (
+        metrics.streaming_lag_ms,
+        metrics.throughput_mbps,
+        event.n_packets,
+        event.partial,
+        # the approx tier flags freezes explicitly; the exact tier can only
+        # infer one from a window that carried packets but advanced no frame
+        event.frozen
+        or (
+            not event.approximate
+            and event.n_packets > 0
+            and metrics.frame_rate == 0.0
+        ),
+        event.candidate_gap_packets,
+    )
+
+
+def sealed_window_facts(
+    interval: Union[SealedApproxQoEInterval, SealedQoEInterval], rate_scale: float
+) -> WindowFacts:
+    """The same facts read straight off a sealed window, no verdict computed.
+
+    Equal to :func:`event_window_facts` of the event the engine builds from
+    ``interval`` (:func:`~repro.runtime.engine.build_qoe_interval_event`)
+    for a flow of this ``rate_scale``, at any ``latency_ms``: lag and
+    throughput go through the estimator's own rules, and an exact window's
+    zero frame rate is :func:`~repro.core.qoe.has_frame_evidence` failing.
+    Loss, frame rate, resolution and objective level are never computed.
+    """
+    throughput = window_throughput_mbps(interval.payload_bytes, interval.duration_s)
+    if rate_scale != 1.0:
+        throughput = throughput / rate_scale
+    if isinstance(interval, SealedApproxQoEInterval):
+        lag = lag_from_gap_samples(
+            interval.n_packets, interval.gap_count, interval.gap_max_s, interval.gap_samples
+        )
+        frozen, gaps = interval.frozen, interval.candidate_gap_packets
+    else:
+        lag = lag_from_bursts(interval.down_times)
+        frozen = interval.n_packets > 0 and not has_frame_evidence(
+            interval.rtp_timestamps.size, interval.down_times.size
+        )
+        gaps = 0
+    return lag, throughput, interval.n_packets, interval.partial, frozen, gaps
 
 
 class FleetRollup:
@@ -124,25 +193,27 @@ class FleetRollup:
         self.effective_levels = {level: 0 for level in _LEVELS}
 
     # ------------------------------------------------------------ folding
-    def fold_interval(self, event: QoEInterval) -> None:
-        """Fold one sealed measurement window (chunking-invariant fields)."""
+    def fold_window(
+        self,
+        lag_ms: Optional[float],
+        throughput_mbps: float,
+        n_packets: int,
+        partial: bool,
+        frozen: bool,
+        candidate_gap_packets: int,
+    ) -> None:
+        """Fold the facts of one sealed measurement window (:data:`WindowFacts`)."""
         self.n_windows += 1
-        if event.n_packets == 0:
+        if n_packets == 0:
             self.n_zero_windows += 1
-        if event.partial:
+        if partial:
             self.n_partial_windows += 1
-        # the approx tier flags freezes explicitly; the exact tier can only
-        # infer one from a window that carried packets but advanced no frame
-        if event.frozen or (
-            not event.approximate
-            and event.n_packets > 0
-            and event.metrics.frame_rate == 0.0
-        ):
+        if frozen:
             self.n_frozen_windows += 1
-        if event.metrics.streaming_lag_ms is not None:
-            self.lag_ms.add(event.metrics.streaming_lag_ms)
-        self.throughput_mbps.add(event.metrics.throughput_mbps)
-        self.candidate_gap_packets += event.candidate_gap_packets
+        if lag_ms is not None:
+            self.lag_ms.add(lag_ms)
+        self.throughput_mbps.add(throughput_mbps)
+        self.candidate_gap_packets += candidate_gap_packets
 
     def fold_report(self, event: SessionReport) -> None:
         """Fold one close report (session-granularity fields)."""
@@ -338,7 +409,7 @@ class FleetAggregator:
         """Fold one runtime event; ``contexts`` supplies region tags."""
         if isinstance(event, QoEInterval):
             pending = self._pend(event.flow)
-            pending.rollup.fold_interval(event)
+            pending.rollup.fold_window(*event_window_facts(event))
             pending.approximate = event.approximate
             self.n_intervals += 1
         elif isinstance(event, SessionReport):
@@ -503,16 +574,17 @@ def fold_corpus(
     client_port_base: int = 52000,
     aggregator: Optional[FleetAggregator] = None,
 ) -> FleetAggregator:
-    """Offline batch fold: the serial reference for the streaming rollups.
+    """Offline batch fold of stored sessions into a :class:`FleetAggregator`.
 
     Replays what the runtime does per session — seal measurement windows
     against the *corpus-wide* clock (so zero-traffic windows of short
     sessions seal exactly as they would in a live feed where other flows
-    keep the clock running), build each window's :class:`QoEInterval` via
-    the engine's shared :func:`~repro.runtime.engine.
-    build_qoe_interval_event`, and close with the batched
-    ``process_many`` report — then folds the resulting event stream into a
-    :class:`FleetAggregator`.  The result is bit-identical
+    keep the clock running), fold each sealed window, and close with the
+    batched ``process_many`` report.  A window folds only the facts the
+    rollup reads (:func:`sealed_window_facts`: lag, rate-scaled throughput,
+    packet count, partial flag, freeze verdict, candidate-gap ledger); the
+    full provisional verdict the engine emits as a :class:`QoEInterval` is
+    never computed.  The result is bit-identical
     (:meth:`FleetAggregator.digest`) to running the same sessions through a
     :class:`~repro.runtime.engine.StreamingEngine` over a
     :class:`~repro.runtime.feed.SessionFeed` (no start offsets, no idle
@@ -522,10 +594,9 @@ def fold_corpus(
     ``client_port_base`` re-addresses each session to a distinct flow.
     ``reports`` short-circuits classification when the caller already has
     the ``process_many`` output for these sessions (same order and
-    ``qoe_mode``).
+    ``qoe_mode``).  ``latency_ms`` reaches only the reports: no rollup
+    fact of a window depends on it.
     """
-    from repro.runtime.engine import build_qoe_interval_event
-
     sessions = list(sessions)
     if regions is not None and len(regions) != len(sessions):
         raise ValueError(f"{len(sessions)} sessions but {len(regions)} regions")
@@ -565,14 +636,17 @@ def fold_corpus(
             rate_scale=session.rate_scale,
             region=regions[index] if regions is not None else None,
         )
-        if qoe_mode == "approx":
-            reducer = ApproxQoEIntervalReducer(qoe_interval_s)
-        else:
-            reducer = QoEIntervalReducer(qoe_interval_s)
         down_times = stream.timestamps(Direction.DOWNSTREAM)
         down_sizes = stream.payload_sizes(Direction.DOWNSTREAM)
         sequences = columns.rtp_sequence
         rtp_times = columns.rtp_timestamp
+        if qoe_mode == "approx":
+            reducer = ApproxQoEIntervalReducer(qoe_interval_s)
+        else:
+            reducer = QoEIntervalReducer(qoe_interval_s)
+            # no fact of an exact window reads a sequence number (loss
+            # folds per session, from the report)
+            sequences = None
         if sequences is not None or rtp_times is not None:
             down_rows = stream.direction_indices(Direction.DOWNSTREAM)
         reducer.absorb_arrays(
@@ -584,14 +658,16 @@ def fold_corpus(
         )
         sealed = reducer.advance(clock_end, origin)
         sealed.extend(reducer.flush(origin, last_ts))
+        if sealed:
+            # what observe() does with each window's QoEInterval event
+            pending = aggregator._pend(key)
+            for interval in sealed:
+                pending.rollup.fold_window(
+                    *sealed_window_facts(interval, context.rate_scale)
+                )
+            pending.approximate = qoe_mode == "approx"
+            aggregator.n_intervals += len(sealed)
         contexts = {key: context}
-        for interval in sealed:
-            aggregator.observe(
-                build_qoe_interval_event(
-                    pipeline, key, context, interval, latency_ms=latency_ms
-                ),
-                contexts,
-            )
         aggregator.observe(
             SessionReport(
                 flow=key,

@@ -175,6 +175,55 @@ def _percentile_95(values: np.ndarray) -> float:
     return high - (high - low) * (1 - weight)
 
 
+def window_throughput_mbps(payload_bytes: float, duration_s: float) -> float:
+    """Downstream throughput (Mbps) of ``payload_bytes`` over ``duration_s``.
+
+    The duration is floored at 1 ns, so an instantaneous window divides by
+    that instead of zero.
+    """
+    return float(payload_bytes * 8 / max(duration_s, 1e-9) / 1e6)
+
+
+def has_frame_evidence(n_rtp_timestamps: int, n_down_packets: int) -> bool:
+    """Whether a window carries anything a frame rate can be read from.
+
+    That is an RTP timestamp, or two downstream rows whose spacing can mark
+    a burst.  Without either the frame rate is 0.0; with either an exact
+    window's frame rate is positive, so for the exact tier this predicate
+    *is* ``frame_rate != 0.0`` (what the fleet tier's exact freeze verdict
+    reads).
+    """
+    return n_rtp_timestamps > 0 or n_down_packets > 1
+
+
+def lag_from_bursts(times: np.ndarray) -> float:
+    """95th-percentile inter-frame gap (ms) from downstream timestamps."""
+    if times.size < 10:
+        return 0.0
+    gaps = times[1:] - times[:-1]
+    # inter-frame gaps (larger than intra-burst spacing) indicate pacing;
+    # their 95th percentile approximates worst-case frame delivery lag
+    frame_gaps = gaps[gaps > FRAME_GAP_SECONDS]
+    if frame_gaps.size == 0:
+        return 0.0
+    return _percentile_95(frame_gaps) * 1000.0
+
+
+def lag_from_gap_samples(
+    n_down_packets: int, gap_count: int, gap_max_s: float, gap_samples: np.ndarray
+) -> float:
+    """:func:`lag_from_bursts` on the approx tier's inter-frame gap aggregates.
+
+    The percentile runs over the reservoir of sampled gaps; below 10
+    packets it is noise, exactly as in the exact rule.
+    """
+    if n_down_packets < 10 or gap_count == 0:
+        return 0.0
+    if gap_samples.size:
+        return _percentile_95(gap_samples) * 1000.0
+    return float(gap_max_s * 1000.0)  # defensive: aggregates from a foreign producer
+
+
 class ObjectiveQoEEstimator:
     """Estimates objective QoE metrics from a game streaming flow.
 
@@ -210,20 +259,20 @@ class ObjectiveQoEEstimator:
         columns.
         """
         duration = max(duration_s, 1e-9)
-        throughput = down_payload_bytes * 8 / duration / 1e6
+        throughput = window_throughput_mbps(down_payload_bytes, duration_s)
 
-        if rtp_timestamps.size:
+        if not has_frame_evidence(rtp_timestamps.size, down_times.size):
+            frame_rate = 0.0
+        elif rtp_timestamps.size:
             frame_rate = _distinct_count(rtp_timestamps) / duration
         else:
             # fall back to burst detection on arrival times
             frame_rate = (
                 float(np.sum(np.diff(down_times) > BURST_GAP_SECONDS) + 1) / duration
-                if down_times.size > 1
-                else 0.0
             )
 
         loss = self._loss_from_sequences(rtp_sequences)
-        lag = self._lag_from_bursts(down_times)
+        lag = lag_from_bursts(down_times)
         resolution = self._resolution_from_bitrate(throughput, frame_rate)
         return QoEMetrics(
             frame_rate=float(frame_rate),
@@ -273,14 +322,14 @@ class ObjectiveQoEEstimator:
           unbiased sample estimate beyond it.
         """
         duration = max(duration_s, 1e-9)
-        throughput = down_payload_bytes * 8 / duration / 1e6
+        throughput = window_throughput_mbps(down_payload_bytes, duration_s)
 
-        if n_rtp:
+        if not has_frame_evidence(n_rtp, n_down_packets):
+            frame_rate = 0.0
+        elif n_rtp:
             frame_rate = n_frames / duration
         else:
-            frame_rate = (
-                float(burst_gap_count + 1) / duration if n_down_packets > 1 else 0.0
-            )
+            frame_rate = float(burst_gap_count + 1) / duration
 
         # mirror _loss_from_sequences: fewer than two observed sequence
         # numbers cannot witness a gap
@@ -289,13 +338,7 @@ class ObjectiveQoEEstimator:
         else:
             loss = 0.0
 
-        # mirror _lag_from_bursts: below 10 packets the percentile is noise
-        if n_down_packets < 10 or gap_count == 0:
-            lag = 0.0
-        elif gap_samples.size:
-            lag = _percentile_95(gap_samples) * 1000.0
-        else:  # defensive: aggregates from a foreign producer
-            lag = float(gap_max_s * 1000.0)
+        lag = lag_from_gap_samples(n_down_packets, gap_count, gap_max_s, gap_samples)
 
         resolution = self._resolution_from_bitrate(throughput, frame_rate)
         return QoEMetrics(
@@ -339,18 +382,6 @@ class ObjectiveQoEEstimator:
                 )
         total = received + lost
         return lost / total if total else 0.0
-
-    def _lag_from_bursts(self, times: np.ndarray) -> float:
-        """95th-percentile inter-frame gap (ms) from downstream timestamps."""
-        if times.size < 10:
-            return 0.0
-        gaps = times[1:] - times[:-1]
-        # inter-frame gaps (larger than intra-burst spacing) indicate pacing;
-        # their 95th percentile approximates worst-case frame delivery lag
-        frame_gaps = gaps[gaps > FRAME_GAP_SECONDS]
-        if frame_gaps.size == 0:
-            return 0.0
-        return _percentile_95(frame_gaps) * 1000.0
 
     def _resolution_from_bitrate(self, throughput_mbps: float, frame_rate: float) -> str:
         if frame_rate <= 0 or throughput_mbps <= 0:

@@ -87,10 +87,11 @@ def build_qoe_interval_event(
     → ``estimate_arrays``); approx windows carry fixed-size aggregates
     (:class:`SealedApproxQoEInterval` → ``estimate_approx``), and the event
     is flagged ``approximate`` with the reducer's freeze verdict and
-    candidate-gap ledger attached.  Shared by the streaming engine and the
-    fleet tier's offline corpus fold (:func:`repro.analytics.fleet.
-    fold_corpus`), so both paths compute bit-identical events from equal
-    sealed windows.
+    candidate-gap ledger attached.  Only the streaming engine builds these
+    events; the fleet tier's offline corpus fold
+    (:func:`repro.analytics.fleet.fold_corpus`) folds the rollup facts of
+    each sealed window instead (:func:`repro.analytics.fleet.
+    sealed_window_facts`), equal to what the rollup reads off this event.
     """
     approximate = isinstance(interval, SealedApproxQoEInterval)
     if approximate:

@@ -848,11 +848,53 @@ class ShardSupervisor:
             ) from failure
 
     # ------------------------------------------------------------ closing
-    def close_shard(self, shard: int) -> List[ContextEvent]:
-        """Flush, drain and close one shard, recovering through failures."""
-        record = self._records[shard]
-        if record.closed:
-            return []
+    def close_all(self) -> List[ContextEvent]:
+        """Close every shard at once; events come back in shard order.
+
+        First every shard's held tick is flushed and its replies drained,
+        then every worker is sent ``("close",)``, so all of them finalise
+        their flows at the same time; the close replies are collected in
+        shard index order.  Each shard's events (flush, drain, recovery,
+        close) stay together and in that order, so the stream is the one a
+        shard-by-shard close yields.  A worker that dies before or during
+        its close is recovered (restore + replay) and its replacement
+        closed, while the other shards' closes stay in flight.
+        """
+        records = [record for record in self._records if not record.closed]
+        events = {record.index: self._flush_and_drain(record) for record in records}
+        failures = {}
+        for record in records:
+            try:
+                # a worker that died after its last reply fails the send itself
+                self._send(record, ("close",))
+            except _WorkerFailure as failure:
+                failures[record.index] = failure.reason
+        for record in records:
+            shard_events = events[record.index]
+            reason = failures.get(record.index)
+            if reason is None:
+                try:
+                    reply = self._recv(record)
+                except _WorkerFailure as failure:
+                    reason = failure.reason
+            if reason is not None:
+                # the worker died holding un-reported close state: recover
+                # it, then close the replacement
+                shard_events.extend(self._recover(record, reason))
+                record.connection.send(("close",))
+                reply = self._recv_or_die(record, "close after recovery")
+            if reply[0] != "closed":
+                raise RuntimeError(
+                    f"shard {record.index}: unexpected close reply {reply[0]!r}"
+                )
+            shard_events.extend(reply[1])
+            if len(reply) > 2 and reply[2] is not None:
+                self._analytics_payloads[record.index] = reply[2]
+            record.closed = True
+        return [event for record in records for event in events[record.index]]
+
+    def _flush_and_drain(self, record: _ShardRecord) -> List[ContextEvent]:
+        """Deliver a held tick late, then receive every outstanding reply."""
         events: List[ContextEvent] = []
         if record.held is not None:
             # a delayed last tick: degrade to late delivery before closing
@@ -861,32 +903,7 @@ class ShardSupervisor:
                 self._transmit(record, held, events)
             except _WorkerFailure as failure:
                 events.extend(self._recover(record, failure.reason))
-        events.extend(self.drain(shard))
-        try:
-            # a worker that died after its last reply fails the send itself
-            self._send(record, ("close",))
-            reply = self._recv(record)
-        except _WorkerFailure as failure:
-            # the worker died holding un-reported close state: recover it
-            # (restore + replay), then close the replacement
-            events.extend(self._recover(record, failure.reason))
-            record.connection.send(("close",))
-            reply = self._recv_or_die(record, "close after recovery")
-        if reply[0] != "closed":
-            raise RuntimeError(
-                f"shard {shard}: unexpected close reply {reply[0]!r}"
-            )
-        events.extend(reply[1])
-        if len(reply) > 2 and reply[2] is not None:
-            self._analytics_payloads[shard] = reply[2]
-        record.closed = True
-        return events
-
-    def close_all(self) -> List[ContextEvent]:
-        """Close every shard in index order (deterministic event order)."""
-        events: List[ContextEvent] = []
-        for shard in range(self.n_shards):
-            events.extend(self.close_shard(shard))
+        events.extend(self.drain(record.index))
         return events
 
     def merged_analytics(self):

@@ -46,23 +46,14 @@ class StreamingSettings:
         Encoder output resolution tier.
     fps:
         Target streaming frame rate (30–120 in Table 2).
-    base_bitrate_mbps:
-        Encoder target bitrate for *active* gameplay at FHD/60fps before
-        resolution and frame-rate scaling; per-title differences are applied
-        by the traffic model on top of this.
     """
 
     resolution: Resolution = Resolution.FHD
     fps: int = 60
-    base_bitrate_mbps: float = 22.0
 
     def __post_init__(self) -> None:
         if not 10 <= self.fps <= 240:
             raise ValueError(f"fps out of range: {self.fps}")
-        if self.base_bitrate_mbps <= 0:
-            raise ValueError(
-                f"base_bitrate_mbps must be positive, got {self.base_bitrate_mbps}"
-            )
 
 
 @dataclass(frozen=True)

@@ -394,7 +394,7 @@ def test_window_estimate_costs_its_arithmetic(profile_events):
     estimator = ObjectiveQoEEstimator()
     times, frames, sequences = _window()
     assert np.count_nonzero(np.diff(times) > 0.002) == 500
-    assert profile_events(lambda: estimator._lag_from_bursts(times)) <= 15
+    assert profile_events(lambda: qoe_module.lag_from_bursts(times)) <= 15
     assert (
         profile_events(
             lambda: estimator.estimate_arrays(

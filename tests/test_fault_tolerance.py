@@ -679,6 +679,55 @@ def test_worker_dead_before_the_close_message_is_recovered(fitted_pipeline):
 
 
 @pytest.mark.faults
+def test_worker_killed_while_the_other_close_is_in_flight(
+    fitted_pipeline, runtime_sessions, runtime_offline_reports, monkeypatch
+):
+    """Shard 0 dies after its last reply; it is recovered and closed while
+    shard 1's close is already in flight, and the feed's events, reports and
+    rollup are those of an unfaulted run."""
+    from repro.analytics import fold_corpus
+
+    log = []
+    send, recover = ShardSupervisor._send, ShardSupervisor._recover
+    close_all = ShardSupervisor.close_all
+
+    def logged_send(record, message):
+        log.append((message[0], record.index))
+        return send(record, message)
+
+    def logged_recover(self, record, reason):
+        log.append(("recover", record.index))
+        return recover(self, record, reason)
+
+    def kill_then_close_all(self):
+        worker = self._records[0].worker
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=5)
+        return close_all(self)
+
+    monkeypatch.setattr(ShardSupervisor, "_send", staticmethod(logged_send))
+    monkeypatch.setattr(ShardSupervisor, "_recover", logged_recover)
+    monkeypatch.setattr(ShardSupervisor, "close_all", kill_then_close_all)
+    engine = ShardedEngine(
+        fitted_pipeline, n_workers=2, backend="fork", analytics=True
+    )
+    events = list(engine.run_feed(SessionFeed(runtime_sessions, batch_seconds=4.0)))
+
+    assert log.index(("close", 1)) < log.index(("recover", 0))
+    restarts = [event for event in events if isinstance(event, WorkerRestarted)]
+    assert [restart.shard for restart in restarts] == [0]
+    assert restarts[0].n_flows > 0  # the dead worker held flows to close
+    reports = reports_by_client_port(events)
+    assert set(reports) == {52000, 52001, 52002}
+    for port, report in reports.items():
+        assert_report_identical(report, runtime_offline_reports[port - 52000])
+    assert engine.analytics.digest() == fold_corpus(
+        fitted_pipeline, runtime_sessions
+    ).digest()
+    assert mp.active_children() == []
+
+
+@pytest.mark.faults
 def test_abandoned_feed_generator_reaps_workers(fitted_pipeline, runtime_sessions):
     """Closing the feed generator mid-run leaves no worker *or segment* behind."""
     segments_before = shm_segments()

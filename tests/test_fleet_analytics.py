@@ -5,12 +5,15 @@ folded offline, through a single-process streaming engine, or across a
 sharded fleet — with or without seeded worker crashes — yields
 byte-identical rollup state.  The sketch algebra tests pin the substrate
 (order/chunking-invariant merges), the identity tests pin the three fold
-paths against each other, and the fault-matrix test (``pytest -m faults``)
-pins exactly-once folding through SIGKILLed workers.
+paths against each other and the offline fold, which folds window facts,
+to the oracle that folds every window's full event, and the fault-matrix
+test (``pytest -m faults``) pins exactly-once folding through SIGKILLed
+workers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import pickle
 
@@ -27,8 +30,17 @@ from repro.analytics import (
     StatsAccumulator,
     fold_corpus,
 )
-from repro.analytics.fleet import _LAG_SKETCH, _LOSS_SKETCH, _THROUGHPUT_SKETCH
-from repro.core.reducers import ApproxQoEIntervalReducer
+from repro.analytics.fleet import (
+    _LAG_SKETCH,
+    _LOSS_SKETCH,
+    _THROUGHPUT_SKETCH,
+    event_window_facts,
+    sealed_window_facts,
+)
+from repro.core.qoe import has_frame_evidence
+from repro.core.reducers import ApproxQoEIntervalReducer, QoEIntervalReducer
+from repro.net.flow import FlowKey
+from repro.net.packet import RTP_NONE, Direction
 from repro.runtime import (
     FaultPlan,
     KillWorker,
@@ -36,6 +48,9 @@ from repro.runtime import (
     ShardedEngine,
     StreamingEngine,
 )
+from repro.runtime.engine import build_qoe_interval_event
+from repro.runtime.events import SessionReport
+from repro.runtime.state import FlowContext
 from repro.simulation.isp import _REGION_MIX, ISPDeploymentSimulator
 
 SKETCHES = {
@@ -315,6 +330,218 @@ def test_stats_accumulator_exact_moments():
 REGIONS = ["eu-central", None, "us-east"]
 
 
+def fold_corpus_events(
+    pipeline,
+    sessions,
+    *,
+    reports=None,
+    regions=None,
+    latency_ms=None,
+    qoe_mode="exact",
+    qoe_interval_s=10.0,
+    client_port_base=52000,
+    aggregator=None,
+):
+    """Oracle: ``fold_corpus`` as it was, one full ``QoEInterval`` per window.
+
+    Every sealed window becomes the event the streaming engine emits
+    (``build_qoe_interval_event``: loss, frame rate, resolution and
+    objective level included) and is folded through ``observe``.
+    ``fold_corpus`` folds each window's rollup facts straight from the
+    sealed window instead and must leave the same aggregator behind.
+    """
+    sessions = list(sessions)
+    if reports is None:
+        reports = pipeline.process_many(sessions, latency_ms, qoe_mode=qoe_mode)
+    if aggregator is None:
+        aggregator = FleetAggregator()
+    streams = [session.packets for session in sessions]
+    ends = [
+        float(stream.columns().timestamps[-1])
+        for stream in streams
+        if len(stream.columns())
+    ]
+    if not ends:
+        return aggregator
+    clock_end = max(ends)
+    for index, (session, stream, report) in enumerate(
+        zip(sessions, streams, reports)
+    ):
+        columns = stream.columns()
+        if not len(columns):
+            continue
+        origin = float(columns.timestamps[0])
+        last_ts = float(columns.timestamps[-1])
+        key = FlowKey(
+            client_ip=session.client_ip,
+            client_port=client_port_base + index,
+            server_ip=session.server_ip,
+            server_port=49004,
+        )
+        context = FlowContext(
+            platform="GeForce NOW",
+            rate_scale=session.rate_scale,
+            region=regions[index] if regions is not None else None,
+        )
+        if qoe_mode == "approx":
+            reducer = ApproxQoEIntervalReducer(qoe_interval_s)
+        else:
+            reducer = QoEIntervalReducer(qoe_interval_s)
+        down_times = stream.timestamps(Direction.DOWNSTREAM)
+        down_sizes = stream.payload_sizes(Direction.DOWNSTREAM)
+        sequences = columns.rtp_sequence
+        rtp_times = columns.rtp_timestamp
+        if sequences is not None or rtp_times is not None:
+            down_rows = stream.direction_indices(Direction.DOWNSTREAM)
+        reducer.absorb_arrays(
+            down_times,
+            down_sizes,
+            sequences[down_rows] if sequences is not None else None,
+            rtp_times[down_rows] if rtp_times is not None else None,
+            origin,
+        )
+        sealed = reducer.advance(clock_end, origin)
+        sealed.extend(reducer.flush(origin, last_ts))
+        contexts = {key: context}
+        for interval in sealed:
+            aggregator.observe(
+                build_qoe_interval_event(
+                    pipeline, key, context, interval, latency_ms=latency_ms
+                ),
+                contexts,
+            )
+        aggregator.observe(
+            SessionReport(
+                flow=key,
+                time=clock_end,
+                report=report,
+                reason="eof",
+                n_packets=len(columns),
+                duration_s=last_ts - origin,
+            ),
+            contexts,
+        )
+    return aggregator
+
+
+def _physical_scale(session):
+    """``session`` relabelled as physical scale: same packets, no rescaling."""
+    return dataclasses.replace(session, rate_scale=1.0)
+
+
+@pytest.mark.parametrize("qoe_mode", ["exact", "approx"])
+@pytest.mark.parametrize(
+    "regions, latency_ms, physical",
+    [(None, None, False), (REGIONS, 35.0, False), (REGIONS, None, True)],
+    ids=["plain", "regions-latency", "rate-scale-1"],
+)
+def test_corpus_fold_equals_the_event_fold_oracle(
+    fitted_pipeline, runtime_sessions, qoe_mode, regions, latency_ms, physical
+):
+    """Every counter and sketch bin equals the oracle's: a window folded
+    twice, or skipped, moves ``n_windows`` and the digest."""
+    sessions = list(runtime_sessions)
+    if physical:
+        sessions[1] = _physical_scale(sessions[1])  # one session unscaled
+    reports = fitted_pipeline.process_many(sessions, latency_ms, qoe_mode=qoe_mode)
+    kwargs = dict(
+        reports=reports, regions=regions, latency_ms=latency_ms, qoe_mode=qoe_mode
+    )
+    lean = fold_corpus(fitted_pipeline, sessions, **kwargs)
+    oracle = fold_corpus_events(fitted_pipeline, sessions, **kwargs)
+    assert lean.state() == oracle.state()
+    assert pickle.dumps(lean.snapshot()) == pickle.dumps(oracle.snapshot())
+    assert lean.n_intervals == oracle.n_intervals > len(sessions)
+
+    # folding into an aggregator that already holds rollups of the same keys
+    assert (
+        fold_corpus(fitted_pipeline, sessions, aggregator=lean, **kwargs).digest()
+        == fold_corpus_events(
+            fitted_pipeline, sessions, aggregator=oracle, **kwargs
+        ).digest()
+    )
+
+
+_WINDOW_SECONDS = 10.0
+
+
+@st.composite
+def _sealed_windows(draw):
+    """Sealed windows of one random flow: empty, one-row, RTP-less and RTP."""
+    approx = draw(st.booleans())
+    n = draw(st.integers(0, 40))
+    times = np.sort(
+        np.array(
+            draw(st.lists(st.floats(0.0, 29.99), min_size=n, max_size=n)), dtype=float
+        )
+    )
+    if n and draw(st.booleans()):
+        # bursts: rows packed closer than the frame and burst gaps
+        times = times[0] + np.cumsum(
+            draw(st.lists(st.sampled_from([0.0, 0.001, 0.003, 0.02, 1.5]),
+                          min_size=n, max_size=n))
+        )
+    sizes = np.array(
+        draw(st.lists(st.integers(0, 1432), min_size=n, max_size=n)), dtype=float
+    )
+    rtp = draw(st.sampled_from(["none", "all", "some"]))
+    if rtp == "none":
+        sequences = rtp_times = None
+    else:
+        sequences = np.array(
+            draw(st.lists(st.integers(0, 0xFFFF), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        rtp_times = np.array(
+            draw(st.lists(st.integers(0, 2**20), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        if rtp == "some":
+            missing = np.array(
+                draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+            )
+            sequences[missing] = RTP_NONE
+            rtp_times[missing] = RTP_NONE
+    reducer = (ApproxQoEIntervalReducer if approx else QoEIntervalReducer)(
+        _WINDOW_SECONDS
+    )
+    origin = float(times[0]) if n else 0.0
+    reducer.absorb_arrays(times, sizes, sequences, rtp_times, origin)
+    last_ts = float(times[-1]) if n else origin
+    clock = last_ts + draw(st.sampled_from([0.0, 4.0, 25.0]))
+    sealed = reducer.advance(clock, origin)
+    sealed.extend(reducer.flush(origin, last_ts))
+    return sealed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sealed=_sealed_windows(),
+    rate_scale=st.sampled_from([1.0, 0.05, 0.37, 2.0]),
+    latency_ms=st.sampled_from([None, 0.0, 35.0]),
+)
+def test_sealed_window_facts_equal_the_event_facts(
+    fitted_pipeline, sealed, rate_scale, latency_ms
+):
+    """The facts ``fold_corpus`` folds are the facts ``observe`` takes from
+    the engine's event for the same window, and an exact window's zero frame
+    rate is exactly ``has_frame_evidence`` failing."""
+    key = FlowKey("10.0.0.2", 52000, "10.0.0.1", 49004)
+    context = FlowContext(platform="GeForce NOW", rate_scale=rate_scale)
+    for interval in sealed:
+        event = build_qoe_interval_event(
+            fitted_pipeline, key, context, interval, latency_ms=latency_ms
+        )
+        assert sealed_window_facts(interval, rate_scale) == event_window_facts(event)
+        if not event.approximate:
+            # no RTP timestamp and at most one downstream row: no frame rate
+            no_frames = interval.rtp_timestamps.size == 0 and interval.down_times.size <= 1
+            assert (event.metrics.frame_rate == 0.0) == no_frames
+            assert has_frame_evidence(
+                interval.rtp_timestamps.size, interval.down_times.size
+            ) == (not no_frames)
+
+
 @pytest.mark.parametrize("qoe_mode", ["exact", "approx"])
 def test_rollups_bit_identical_across_fold_paths(
     fitted_pipeline, runtime_sessions, qoe_mode
@@ -387,18 +614,18 @@ class _WindowRecorder(FleetAggregator):
 
 @pytest.mark.parametrize("qoe_mode", ["exact", "approx"])
 def test_window_chain_golden(fitted_pipeline, runtime_sessions, qoe_mode):
+    """Window events come from ``build_qoe_interval_event`` (through the
+    oracle); the rollup from ``fold_corpus`` itself, which builds no events."""
     reports = fitted_pipeline.process_many(runtime_sessions, qoe_mode=qoe_mode)
-    fleet = fold_corpus(
-        fitted_pipeline,
-        runtime_sessions,
-        reports=reports,
-        regions=REGIONS,
-        qoe_mode=qoe_mode,
-        aggregator=_WindowRecorder(),
+    kwargs = dict(reports=reports, regions=REGIONS, qoe_mode=qoe_mode)
+    events = fold_corpus_events(
+        fitted_pipeline, runtime_sessions, aggregator=_WindowRecorder(), **kwargs
     )
+    fleet = fold_corpus(fitted_pipeline, runtime_sessions, **kwargs)
+    assert events.digest() == fleet.digest()
     got = {
         "digest": fleet.digest(),
-        "windows": fleet.windows.hexdigest(),
+        "windows": events.windows.hexdigest(),
         "reports": hashlib.sha256(repr(reports).encode()).hexdigest(),
     }
     assert got == GOLDEN[qoe_mode]

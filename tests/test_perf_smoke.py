@@ -198,7 +198,8 @@ def test_tick_count_guard(tmp_path, overrides, expected_exit, named):
 def _traced_corpus_result(**overrides):
     """A traced ``corpus_batch`` record with the counts of a healthy run."""
     counts = {
-        "core.qoe.intervals": 2248,
+        # one estimate per report; the 2 144 windows fold without one
+        "core.qoe.intervals": 104,
         "analytics.fleet.events": 2248,
         "core.reducers.absorb_calls": 104,
         "core.reducers.rows": 2172285,
@@ -218,8 +219,8 @@ def _traced_corpus_result(**overrides):
     "overrides, expected_exit, named",
     [
         ({}, 0, None),
-        # a window estimated but never folded (or a fold that skips sessions)
-        ({"analytics.fleet.events": 2144}, 1, "analytics.fleet.events"),
+        # the parent commit's count: every window's full verdict estimated
+        ({"core.qoe.intervals": 2248}, 1, "core.qoe.intervals"),
         # a second cascade fold per report
         ({"core.reducers.absorb_calls": 208}, 1, "core.reducers.absorb_calls"),
         ({"trace.coverage_frac": 0.9}, 1, "trace.coverage_frac"),

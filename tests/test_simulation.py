@@ -106,8 +106,6 @@ class TestDevices:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             StreamingSettings(fps=5)
-        with pytest.raises(ValueError):
-            StreamingSettings(base_bitrate_mbps=-1)
 
     def test_device_sample_settings_within_supported_range(self):
         config = LAB_CONFIGURATIONS["ios-browser"]["config"]
