@@ -446,13 +446,9 @@ class ContextClassificationPipeline:
     # ------------------------------------------------------------ helpers
     @staticmethod
     def _stage_fractions(stages: Sequence[PlayerStage]) -> Dict[PlayerStage, float]:
-        gameplay = [s for s in stages if s in PlayerStage.gameplay_stages()]
-        if not gameplay:
-            return {stage: 0.0 for stage in PlayerStage.gameplay_stages()}
-        return {
-            stage: sum(1 for s in gameplay if s is stage) / len(gameplay)
-            for stage in PlayerStage.gameplay_stages()
-        }
+        counts = {stage: stages.count(stage) for stage in PlayerStage.gameplay_stages()}
+        total = sum(counts.values())
+        return {stage: count / total if total else 0.0 for stage, count in counts.items()}
 
     @staticmethod
     def _resolve_pattern(

@@ -463,8 +463,16 @@ def _concat_rtp(columns: list, sizes: list) -> Optional[np.ndarray]:
 
 
 def _rtp_values(column: Optional[np.ndarray]) -> np.ndarray:
-    """The RTP values of an optional column (rows without RTP dropped)."""
-    return _EMPTY_INT if column is None else column[column != RTP_NONE]
+    """The RTP values of an optional column (rows without RTP dropped).
+
+    A column whose every value lies above the sentinel is returned itself,
+    not copied: arrays here are never written in place (DESIGN.md §8).
+    """
+    if column is None:
+        return _EMPTY_INT
+    if column.size and column.min() > RTP_NONE:
+        return column
+    return column[column != RTP_NONE]
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import qoe as qoe_module
+from repro.core import reducers as reducers_module
 from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.qoe import (
     EffectiveQoECalibrator,
@@ -407,3 +408,155 @@ def test_window_estimate_costs_its_arithmetic(profile_events):
         )
         <= 80
     )
+
+
+# ---------------------------------------------------------------------------
+# the batched close's reductions, pinned to the bodies they replaced
+# ---------------------------------------------------------------------------
+def oracle_distinct_count(values: np.ndarray) -> int:
+    """``_distinct_count`` before its sort became stable."""
+    if values.size == 0:
+        return 0
+    ordered = np.sort(values)
+    return int(1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def oracle_loss_from_sequences(sequences: np.ndarray) -> float:
+    """``ObjectiveQoEEstimator._loss_from_sequences`` with its boolean masks."""
+    if sequences.size < 2:
+        return 0.0
+    received = int(sequences.size)
+    gaps = (sequences[1:] - sequences[:-1] - 1) & 0xFFFF
+    candidate = (gaps > 0) & (gaps < 200)
+    lost = 0
+    if candidate.any():
+        gap_sizes = gaps[candidate]
+        gap_starts = sequences[:-1][candidate]
+        offsets = np.arange(int(gap_sizes.sum())) - np.repeat(
+            np.cumsum(gap_sizes) - gap_sizes, gap_sizes
+        )
+        skipped = (np.repeat(gap_starts, gap_sizes) + offsets + 1) & 0xFFFF
+        if sequences.min() >= 0 and sequences.max() <= 0xFFFF:
+            seen_mask = np.zeros(0x10000, dtype=bool)
+            seen_mask[sequences] = True
+            lost = int(np.count_nonzero(~seen_mask[skipped]))
+        else:
+            lost = int(np.count_nonzero(~np.isin(skipped, np.unique(sequences))))
+    total = received + lost
+    return lost / total if total else 0.0
+
+
+def oracle_rtp_values(column):
+    """``core.reducers._rtp_values`` when it masked every column."""
+    return np.zeros(0, dtype=np.int64) if column is None else column[column != RTP_NONE]
+
+
+def oracle_stage_fractions(stages):
+    """``ContextClassificationPipeline._stage_fractions`` by filter and sum."""
+    gameplay = [s for s in stages if s in PlayerStage.gameplay_stages()]
+    if not gameplay:
+        return {stage: 0.0 for stage in PlayerStage.gameplay_stages()}
+    return {
+        stage: sum(1 for s in gameplay if s is stage) / len(gameplay)
+        for stage in PlayerStage.gameplay_stages()
+    }
+
+
+#: in order, duplicates, gaps, reorder bursts, and both sides of the
+#: 200-sequence reset rule; then anything a jittery capture can do
+_SEQUENCE_STEPS = st.one_of(
+    st.sampled_from([1, 1, 1, 0, 2, 3, -1, -2, -5, 199, 200, 201]),
+    st.integers(-400, 400),
+)
+_OUT_OF_RANGE = st.one_of(st.integers(-(2**20), -1), st.integers(0x10000, 2**20))
+
+
+@st.composite
+def _rtp_sequences(draw):
+    # starts just below 0xFFFF wrap within a few steps
+    start = draw(st.one_of(st.sampled_from([0, 0xFFFF - 3, 0xFFFF]), st.integers(0, 0xFFFF)))
+    steps = draw(st.lists(_SEQUENCE_STEPS, max_size=300))
+    sequences = (start + np.cumsum([0] + steps, dtype=np.int64)) & 0xFFFF
+    for at in draw(st.lists(st.integers(0, sequences.size - 1), max_size=3)):
+        sequences[at] = draw(_OUT_OF_RANGE)  # the np.isin fallback
+    return sequences
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences=_rtp_sequences())
+@example(sequences=np.array([7, 207, 208], dtype=np.int64))  # a gap of 199
+@example(sequences=np.array([7, 208, 209], dtype=np.int64))  # a gap of 200
+@example(sequences=np.array([0xFFFF - 99, 100, 101], dtype=np.int64))  # 199 over a wrap
+@example(sequences=np.array([0xFFFE, 1, 1, 0], dtype=np.int64))
+def test_loss_from_sequences_is_its_former_body(sequences):
+    got = ObjectiveQoEEstimator()._loss_from_sequences(sequences)
+    assert got.hex() == oracle_loss_from_sequences(sequences).hex()
+
+
+@st.composite
+def _rtp_clock(draw):
+    """RTP timestamps as they arrive: rising with repeats, some bursts reordered."""
+    steps = draw(st.lists(st.sampled_from([0, 0, 1500, 1500, 3000]), max_size=400))
+    values = np.cumsum([draw(st.integers(-(2**33), 2**33))] + steps, dtype=np.int64)
+    for at in draw(st.lists(st.integers(0, values.size - 1), max_size=6)):
+        width = draw(st.integers(2, 8))
+        values[at : at + width] = values[at : at + width][::-1].copy()
+    if draw(st.booleans()):
+        values = draw(st.permutations(values.tolist()))
+        values = np.array(values, dtype=np.int64)
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_rtp_clock())
+def test_distinct_count_is_its_former_body(values):
+    assert qoe_module._distinct_count(values) == oracle_distinct_count(values)
+    assert oracle_distinct_count(values) == np.unique(values).size
+
+
+_RTP_COLUMNS = {
+    "no sentinel": st.integers(0, 2**32 - 1),
+    "only sentinels": st.just(RTP_NONE),
+    "a mix": st.one_of(st.just(RTP_NONE), st.integers(0, 2**32 - 1)),
+    "values below the sentinel": st.one_of(
+        st.just(RTP_NONE), st.integers(-(2**40), RTP_NONE - 1), st.integers(0, 2**16)
+    ),
+    "below the sentinel, none of it": st.one_of(
+        st.integers(-(2**40), RTP_NONE - 1), st.integers(0, 2**16)
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_RTP_COLUMNS)), data=st.data())
+def test_rtp_values_are_its_former_body(kind, data):
+    column = np.array(data.draw(st.lists(_RTP_COLUMNS[kind], max_size=60)), dtype=np.int64)
+    got = reducers_module._rtp_values(column)
+    expected = oracle_rtp_values(column)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    if column.size and bool((column > RTP_NONE).all()):
+        assert got is column  # nothing to drop: no copy
+    none = reducers_module._rtp_values(None)
+    assert none.dtype == np.int64 and none.size == 0
+
+
+_TIMELINES = st.lists(st.sampled_from(list(PlayerStage)), max_size=300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stages=st.one_of(
+        _TIMELINES,
+        _TIMELINES.map(tuple),
+        st.lists(st.just(PlayerStage.LAUNCH), max_size=20),
+        st.just([]),
+    )
+)
+def test_stage_fractions_are_its_former_body(stages):
+    got = ContextClassificationPipeline._stage_fractions(stages)
+    expected = oracle_stage_fractions(stages)
+    assert list(got) == list(expected)
+    assert [value.hex() for value in got.values()] == [
+        value.hex() for value in expected.values()
+    ]

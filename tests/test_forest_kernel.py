@@ -359,6 +359,75 @@ def test_tree_major_accumulation_adds_in_tree_order(
 
 
 # ---------------------------------------------------------------------------
+# rank-space dedup: matrices of a few distinct rows, repeated and shuffled
+# ---------------------------------------------------------------------------
+def _rank_distinct_rows(kernel, n_distinct, rng):
+    """``n_distinct`` rows whose rank vectors are pairwise distinct.
+
+    Each value is drawn from one feature's cuts or just above its last one,
+    so every rank cell of the forest can be hit.
+    """
+    values = [np.append(cuts, cuts[-1] + 1.0) if cuts.size else np.zeros(1)
+              for cuts in kernel._cuts]
+    candidates = np.column_stack(
+        [rng.choice(v, size=n_distinct + n_distinct // 4 + 8) for v in values]
+    )
+    _, first = np.unique(kernel._rank(candidates), axis=0, return_index=True)
+    assert first.size >= n_distinct, "the forest has too few rank cells"
+    return candidates[np.sort(first)[:n_distinct]]
+
+
+def _repeats(n_distinct, n_rows, rng):
+    """``n_rows`` shuffled row picks that name every one of ``n_distinct`` rows."""
+    picks = np.concatenate(
+        (np.arange(n_distinct), rng.integers(0, n_distinct, size=n_rows - n_distinct))
+    )
+    return rng.permutation(picks)
+
+
+def test_dedup_walks_only_distinct_rank_rows_and_keeps_the_bytes(
+    fitted_pipeline, small_forest, narrow_forest, wide_forest, monkeypatch
+):
+    """Both sides of both row bounds, at a few distinct rows, at exactly half
+    distinct (the ``2 * unique <= rows`` edge) and one past it: the kernel
+    walks the distinct rows exactly when the rule says so, and every answer
+    is the oracle's bytes."""
+    rng = np.random.default_rng(43)
+    forest, _ = small_forest
+    cases = list(_shape_cases(fitted_pipeline, narrow_forest, wide_forest))
+    cases.append(("small", forest.kernel, forest.export_state()))
+    for name, kernel, state in cases:
+        walked = []
+        traverse = kernel._traverse
+
+        def spy(ranks, traverse=traverse, walked=walked):
+            walked.append(ranks.shape[0])
+            return traverse(ranks)
+
+        monkeypatch.setattr(kernel, "_traverse", spy)
+        low, high = kernel.DEDUP_MIN_ROWS, kernel.DEDUP_MAX_ROWS
+        for n_rows in (low - 1, low, high, high + 1):
+            for n_distinct in (3, n_rows // 2, n_rows // 2 + 1):
+                distinct = _rank_distinct_rows(kernel, n_distinct, rng)
+                picks = _repeats(n_distinct, n_rows, rng)
+                walked.clear()
+                got = kernel.predict_proba(distinct[picks])
+                # the oracle walks each row on its own: its rows for the
+                # distinct inputs, repeated, are its answer for the matrix
+                expected = oracle_predict_proba(state, distinct)[picks]
+                assert got.tobytes() == expected.tobytes(), (name, n_rows, n_distinct)
+                taken = (
+                    low <= n_rows <= high
+                    and kernel.n_features <= kernel.DEDUP_MAX_FEATURES
+                    and 2 * n_distinct <= n_rows
+                )
+                assert walked == [n_distinct if taken else n_rows], (
+                    name, n_rows, n_distinct,
+                )
+        monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
 # cost as a count: each repeats exactly, where a timing would not
 # ---------------------------------------------------------------------------
 def test_three_wide_rows_rank_in_one_comparison(wide_forest, profile_events):
