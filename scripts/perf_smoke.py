@@ -369,7 +369,7 @@ def pcap_ingest_benchmark(n_packets=50_000):
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench.pcap"
-        write_pcap(path, stream)
+        write_pcap(path, stream.columns())
         columns_s = _timeit(lambda: read_pcap_columns(path), repeats=3)
     return {"n_packets": n_packets, "read_pcap_columns_s": columns_s}
 

@@ -45,7 +45,6 @@ from repro.net import (
     CloudGamingFlowDetector,
     Direction,
     NetworkConditions,
-    Packet,
     PacketStream,
     read_pcap_columns,
     read_pcap_stream,
@@ -87,7 +86,6 @@ __all__ = [
     "EffectiveQoECalibrator",
     "QoELevel",
     # net
-    "Packet",
     "PacketStream",
     "Direction",
     "CloudGamingFlowDetector",

@@ -34,7 +34,6 @@ from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.features import (
     PACKET_GROUP_FEATURE_NAMES,
     launch_feature_matrix,
-    launch_feature_names,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
@@ -55,7 +54,6 @@ __all__ = [
     "PacketGroupLabeler",
     "PACKET_GROUP_FEATURE_NAMES",
     "launch_feature_matrix",
-    "launch_feature_names",
     "volumetric_launch_features",
     "GameTitleClassifier",
     "VolumetricAttributeGenerator",

@@ -152,11 +152,6 @@ FLOW_VOLUMETRIC_FEATURE_NAMES: List[str] = [
 ]
 
 
-def launch_feature_names() -> List[str]:
-    """Return a copy of the 51 canonical attribute names."""
-    return list(PACKET_GROUP_FEATURE_NAMES)
-
-
 def slot_feature_matrix(slots: Sequence[LabeledSlot]) -> np.ndarray:
     """The 51 attributes of every labeled slot of a batch, in one pass.
 

@@ -204,9 +204,8 @@ class ContextClassificationPipeline:
 
         * a :class:`GameSession` is a trusted single flow — its packets are
           classified as they are, on the platform the generator emulates;
-        * anything else (a :class:`PacketStream`, a
-          :class:`~repro.net.packet.PacketColumns` batch or an iterable of
-          :class:`~repro.net.packet.Packet` records) is a capture: the
+        * a :class:`PacketStream` or a
+          :class:`~repro.net.packet.PacketColumns` batch is a capture: the
           cloud-gaming flow detector splits it into flows on the columns and
           the largest matching flow is classified; when nothing matches, the
           whole stream is classified with ``platform=None``.

@@ -95,14 +95,3 @@ def validate_positive_int(value: int, name: str) -> int:
         raise ValueError(f"{name} must be positive, got {value}")
     return int(value)
 
-
-def validate_fraction(value: float, name: str, *, inclusive: bool = False) -> float:
-    """Validate that ``value`` lies in ``(0, 1)`` (or ``[0, 1]``)."""
-    value = float(value)
-    if inclusive:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be within [0, 1], got {value}")
-    else:
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must be within (0, 1), got {value}")
-    return value

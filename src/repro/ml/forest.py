@@ -2,7 +2,7 @@
 
 The paper's model for both of its classification tasks.  This implementation
 supports the hyperparameters tuned in Fig. 14/15 (number of trees and maximum
-tree depth) plus bootstrap sampling and out-of-bag scoring.
+tree depth) plus bootstrap sampling.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ class RandomForestClassifier(BaseClassifier):
     bootstrap:
         When ``True`` (default) each tree is trained on a bootstrap resample
         of the data; when ``False`` every tree sees all rows.
-    oob_score:
-        When ``True`` compute the out-of-bag accuracy after fitting
-        (available as ``oob_score_``).
     random_state:
         Seed controlling bootstrap resampling and per-tree feature sampling.
     """
@@ -52,7 +49,6 @@ class RandomForestClassifier(BaseClassifier):
         min_samples_leaf: int = 1,
         max_features="sqrt",
         bootstrap: bool = True,
-        oob_score: bool = False,
         random_state: Optional[int] = None,
     ) -> None:
         validate_positive_int(n_estimators, "n_estimators")
@@ -62,7 +58,6 @@ class RandomForestClassifier(BaseClassifier):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.oob_score = oob_score
         self.random_state = random_state
         self._state = None
         self._kernel = None
@@ -75,8 +70,6 @@ class RandomForestClassifier(BaseClassifier):
         rng = np.random.default_rng(self.random_state)
 
         trees = []
-        n_classes = len(self.classes_)
-        oob_votes = np.zeros((n_samples, n_classes)) if self.oob_score else None
 
         for _ in range(self.n_estimators):
             tree = DecisionTreeClassifier(
@@ -92,20 +85,6 @@ class RandomForestClassifier(BaseClassifier):
                 indices = np.arange(n_samples)
             tree.fit(X[indices], self.classes_[encoded[indices]])
             trees.append(tree)
-
-            if self.oob_score and self.bootstrap:
-                mask = np.ones(n_samples, dtype=bool)
-                mask[np.unique(indices)] = False
-                if mask.any():
-                    oob_votes[mask] += self._align(tree, tree.predict_proba(X[mask]))
-
-        if self.oob_score:
-            covered = oob_votes.sum(axis=1) > 0
-            if covered.any():
-                oob_pred = np.argmax(oob_votes[covered], axis=1)
-                self.oob_score_ = float(np.mean(oob_pred == encoded[covered]))
-            else:
-                self.oob_score_ = float("nan")
 
         # the trees were scaffolding: the concatenated preorder arrays below
         # are the fitted model (and the ``pipeline.npz`` layout, byte for byte)

@@ -13,56 +13,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ml.base import check_Xy, validate_fraction, validate_positive_int
+from repro.ml.base import check_Xy, validate_positive_int
 from repro.ml.metrics import accuracy_score
-
-
-def train_test_split(
-    X,
-    y,
-    test_size: float = 0.25,
-    random_state: Optional[int] = None,
-    stratify: bool = True,
-):
-    """Split ``(X, y)`` into train and test partitions.
-
-    Parameters
-    ----------
-    test_size:
-        Fraction of samples placed in the test partition.
-    stratify:
-        When ``True`` (default) the split preserves per-class proportions,
-        which matters for the skewed title popularity of Table 1.
-
-    Returns
-    -------
-    tuple
-        ``(X_train, X_test, y_train, y_test)``.
-    """
-    X, y = check_Xy(X, y)
-    validate_fraction(test_size, "test_size")
-    rng = np.random.default_rng(random_state)
-    n_samples = X.shape[0]
-
-    if stratify:
-        test_indices: List[int] = []
-        for label in np.unique(y):
-            label_indices = np.flatnonzero(y == label)
-            rng.shuffle(label_indices)
-            n_test = max(1, int(round(test_size * label_indices.size)))
-            if n_test >= label_indices.size:
-                n_test = label_indices.size - 1
-            if n_test > 0:
-                test_indices.extend(label_indices[:n_test].tolist())
-        test_mask = np.zeros(n_samples, dtype=bool)
-        test_mask[test_indices] = True
-    else:
-        order = rng.permutation(n_samples)
-        n_test = max(1, int(round(test_size * n_samples)))
-        test_mask = np.zeros(n_samples, dtype=bool)
-        test_mask[order[:n_test]] = True
-
-    return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 
 
 class StratifiedKFold:

@@ -36,42 +36,3 @@ class StandardScaler:
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
-
-
-class MinMaxScaler:
-    """Scale features to the ``[0, 1]`` range.
-
-    Used by the player-activity-stage classifier where attributes are already
-    relative fractions of the observed session peak but may slightly exceed
-    one when the peak estimate is updated online.
-    """
-
-    def __init__(self, feature_range: tuple[float, float] = (0.0, 1.0)) -> None:
-        low, high = feature_range
-        if not high > low:
-            raise ValueError(f"feature_range must be increasing, got {feature_range}")
-        self.feature_range = (float(low), float(high))
-
-    def fit(self, X) -> "MinMaxScaler":
-        X, _ = check_Xy(X)
-        self.data_min_ = X.min(axis=0)
-        self.data_max_ = X.max(axis=0)
-        span = self.data_max_ - self.data_min_
-        self.data_range_ = np.where(span > 0, span, 1.0)
-        self.n_features_ = X.shape[1]
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        if not hasattr(self, "data_min_"):
-            raise RuntimeError("MinMaxScaler is not fitted; call fit() first")
-        X, _ = check_Xy(X)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {X.shape[1]}"
-            )
-        low, high = self.feature_range
-        unit = (X - self.data_min_) / self.data_range_
-        return unit * (high - low) + low
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)

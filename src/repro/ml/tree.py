@@ -56,19 +56,6 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(probs * probs))
 
 
-def _entropy(counts: np.ndarray) -> float:
-    """Shannon entropy (bits) of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    probs = counts / total
-    probs = probs[probs > 0]
-    return float(-np.sum(probs * np.log2(probs)))
-
-
-_IMPURITY_FUNCTIONS = {"gini": _gini, "entropy": _entropy}
-
-
 class DecisionTreeClassifier(BaseClassifier):
     """Binary-split CART classifier.
 
@@ -86,8 +73,6 @@ class DecisionTreeClassifier(BaseClassifier):
         ``"sqrt"`` uses ``sqrt(n_features)`` (the random-forest default),
         an ``int`` uses that many, a ``float`` in ``(0, 1]`` uses that
         fraction.
-    criterion:
-        ``"gini"`` (default) or ``"entropy"``.
     random_state:
         Seed for the per-split feature subsampling.
     """
@@ -98,22 +83,16 @@ class DecisionTreeClassifier(BaseClassifier):
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         max_features=None,
-        criterion: str = "gini",
         random_state: Optional[int] = None,
     ) -> None:
         if max_depth is not None:
             validate_positive_int(max_depth, "max_depth")
         validate_positive_int(min_samples_split, "min_samples_split")
         validate_positive_int(min_samples_leaf, "min_samples_leaf")
-        if criterion not in _IMPURITY_FUNCTIONS:
-            raise ValueError(
-                f"criterion must be one of {sorted(_IMPURITY_FUNCTIONS)}, got {criterion!r}"
-            )
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.criterion = criterion
         self.random_state = random_state
         self._flat = None
 
@@ -122,7 +101,6 @@ class DecisionTreeClassifier(BaseClassifier):
         X, y = check_Xy(X, y)
         encoded = self._store_classes(y)
         self.n_features_ = X.shape[1]
-        self._impurity = _IMPURITY_FUNCTIONS[self.criterion]
         self._rng = np.random.default_rng(self.random_state)
         self._n_split_features = self._resolve_max_features(X.shape[1])
         self.feature_importances_ = np.zeros(X.shape[1])
@@ -154,14 +132,14 @@ class DecisionTreeClassifier(BaseClassifier):
         return _Node(
             prediction=prediction,
             n_samples=int(total),
-            impurity=self._impurity(counts),
+            impurity=_gini(counts),
             depth=depth,
         )
 
     def _build(self, X: np.ndarray, encoded: np.ndarray, depth: int) -> _Node:
         n_samples = X.shape[0]
         counts = np.bincount(encoded, minlength=len(self.classes_)).astype(float)
-        node_impurity = self._impurity(counts)
+        node_impurity = _gini(counts)
         depth_exhausted = self.max_depth is not None and depth >= self.max_depth
         if (
             depth_exhausted
@@ -226,15 +204,8 @@ class DecisionTreeClassifier(BaseClassifier):
 
             lc = left_counts[cut_indices]
             rc = total_counts - lc
-            if self.criterion == "gini":
-                left_imp = 1.0 - np.sum((lc / left_sizes[:, None]) ** 2, axis=1)
-                right_imp = 1.0 - np.sum((rc / right_sizes[:, None]) ** 2, axis=1)
-            else:
-                lp = lc / left_sizes[:, None]
-                rp = rc / right_sizes[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    left_imp = -np.nansum(np.where(lp > 0, lp * np.log2(lp), 0.0), axis=1)
-                    right_imp = -np.nansum(np.where(rp > 0, rp * np.log2(rp), 0.0), axis=1)
+            left_imp = 1.0 - np.sum((lc / left_sizes[:, None]) ** 2, axis=1)
+            right_imp = 1.0 - np.sum((rc / right_sizes[:, None]) ** 2, axis=1)
 
             weighted = (left_sizes * left_imp + right_sizes * right_imp) / n_samples
             gains = parent_impurity - weighted

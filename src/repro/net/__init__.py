@@ -2,13 +2,12 @@
 
 Everything the classification pipeline consumes is expressed in terms of this
 subpackage: columnar :class:`~repro.net.packet.PacketColumns` batches and the
-sorted :class:`~repro.net.packet.PacketStream` view over them
-(:class:`~repro.net.packet.Packet` is only the row record a stream ingests
-and hands out), flow demultiplexing by canonical 5-tuple
+sorted :class:`~repro.net.packet.PacketStream` view over them (there is no
+per-packet record), flow demultiplexing by canonical 5-tuple
 (:class:`~repro.net.flow.FlowDemux` / :class:`~repro.net.flow.FlowKey`), RTP
-header encoding, classic-libpcap file I/O, cloud-gaming flow detection
-signatures, and a network-impairment model used to emulate degraded access
-links.
+header constants, column-wise classic-libpcap file I/O, cloud-gaming flow
+detection signatures, and a network-impairment model used to emulate
+degraded access links.
 """
 
 from repro.net.conditions import NetworkConditions, apply_conditions_columns
@@ -18,23 +17,20 @@ from repro.net.filter import (
     FlowSignature,
 )
 from repro.net.flow import FlowDemux, FlowKey
-from repro.net.packet import Direction, Packet, PacketColumns, PacketStream
+from repro.net.packet import Direction, PacketColumns, PacketStream
 from repro.net.pcap import (
     ParseStats,
     read_pcap_columns,
     read_pcap_stream,
     write_pcap,
 )
-from repro.net.rtp import RTPHeader
 
 __all__ = [
-    "Packet",
     "PacketColumns",
     "PacketStream",
     "Direction",
     "FlowDemux",
     "FlowKey",
-    "RTPHeader",
     "ParseStats",
     "read_pcap_columns",
     "read_pcap_stream",

@@ -11,8 +11,8 @@ that already know flow identity emit the ids with the batch: the PCAP
 decoder interns the canonical :class:`FlowKey` of every distinct address
 tuple of a decoded block, :class:`~repro.runtime.feed.SessionFeed` one per
 session, and both hand the table of keys along (``PacketColumns.flow_ids`` /
-``flow_keys``).  A batch without them — hand-built columns, ``Packet``
-records — gets them once, from its addresses: distinct tuples factorise by
+``flow_keys``).  A batch without them — hand-built columns, a generator's
+session — gets them once, from its addresses: distinct tuples factorise by
 one ``np.unique`` over the address column's own object pointers (``id()``;
 Python is touched once per *distinct* address, not per packet), and a
 ``bincount`` presence table over ``(address, direction)`` says which

@@ -1,9 +1,10 @@
 """Packet-level primitives.
 
-A :class:`Packet` is the atomic observation of the whole system: timestamp,
-direction, payload size and transport metadata.  The classification pipeline
-never needs payload bytes — only sizes, times and directions — which is what
-allows the traffic simulator to substitute for real GeForce NOW captures (see
+A packet is the atomic observation of the whole system: timestamp,
+direction, payload size and transport metadata, one row of a
+:class:`PacketColumns` batch.  The classification pipeline never needs
+payload bytes — only sizes, times and directions — which is what allows the
+traffic simulator to substitute for real GeForce NOW captures (see
 DESIGN.md §2).
 
 :class:`PacketStream` is a *columnar* structure-of-arrays store (DESIGN.md
@@ -12,15 +13,14 @@ arrays, per-direction index views are computed lazily and cached, and time
 windows (:meth:`PacketStream.between` / :meth:`PacketStream.first_seconds`)
 are zero-copy slices over the parent arrays.  A stream is an immutable
 sorted view: to add rows, build columns and :meth:`PacketColumns.concat`.
-:class:`Packet` is the row record — ``PacketStream(packets)`` ingests it and
-iterating or indexing a stream hands it out; no algorithm runs on it.
+There is no per-packet record: every producer and consumer works on columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ DOWNSTREAM_CODE = 0
 UPSTREAM_CODE = 1
 
 _DIRECTION_CODES = {Direction.DOWNSTREAM: DOWNSTREAM_CODE, Direction.UPSTREAM: UPSTREAM_CODE}
-_DIRECTIONS_BY_CODE = (Direction.DOWNSTREAM, Direction.UPSTREAM)
 
 #: Sentinel for "no RTP header field" in the integer RTP columns.
 RTP_NONE = -1
@@ -49,51 +48,6 @@ DEFAULT_ADDRESS = ("0.0.0.0", "0.0.0.0", 0, 0, "udp")
 def flow_id_column(ids, n_keys: int) -> np.ndarray:
     """``ids`` as a flow-id column: 16-bit (numpy's radix sort) while ``n_keys`` fits."""
     return np.asarray(ids, dtype=np.int16 if n_keys <= 0x7FFF else np.intp)
-
-
-@dataclass(frozen=True, slots=True)
-class Packet:
-    """A single observed packet.
-
-    Attributes
-    ----------
-    timestamp:
-        Seconds since the start of the capture (float, sub-millisecond
-        resolution).
-    direction:
-        :class:`Direction` relative to the game client.
-    payload_size:
-        UDP payload size in bytes (the quantity plotted in Fig. 3).
-    src_ip, dst_ip, src_port, dst_port, protocol:
-        Transport 5-tuple; ``protocol`` is ``"udp"`` for RTP streaming flows.
-    rtp_payload_type, rtp_ssrc, rtp_sequence, rtp_timestamp:
-        Optional RTP header fields when the packet belongs to an RTP flow.
-    """
-
-    timestamp: float
-    direction: Direction
-    payload_size: int
-    src_ip: str = "0.0.0.0"
-    dst_ip: str = "0.0.0.0"
-    src_port: int = 0
-    dst_port: int = 0
-    protocol: str = "udp"
-    rtp_payload_type: Optional[int] = None
-    rtp_ssrc: Optional[int] = None
-    rtp_sequence: Optional[int] = None
-    rtp_timestamp: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
-        if self.payload_size < 0:
-            raise ValueError(
-                f"payload_size must be non-negative, got {self.payload_size}"
-            )
-        if not 0 <= self.src_port <= 65535:
-            raise ValueError(f"src_port out of range: {self.src_port}")
-        if not 0 <= self.dst_port <= 65535:
-            raise ValueError(f"dst_port out of range: {self.dst_port}")
 
 
 def _as_int_column(values, size: int, dtype=np.int64) -> Optional[np.ndarray]:
@@ -128,7 +82,7 @@ class PacketColumns:
 
     This is the interchange format between the traffic generators and
     :class:`PacketStream`: generators synthesise whole arrays instead of
-    millions of :class:`Packet` objects.  ``rtp_*`` columns use
+    millions of per-packet objects.  ``rtp_*`` columns use
     :data:`RTP_NONE` for absent header fields; ``addresses`` holds
     ``(src_ip, dst_ip, src_port, dst_port, protocol)`` tuples (``None``
     means every row uses :data:`DEFAULT_ADDRESS`).
@@ -370,75 +324,21 @@ class PacketColumns:
         return total
 
 
-def _columns_from_packets(packets: Iterable[Packet]) -> PacketColumns:
-    """Extract columns from packet objects (the only per-packet loop).
-
-    Address tuples are interned one object per distinct 5-tuple, the layout
-    the generators and the PCAP reader produce and flow demux groups by.
-    """
-    ts: List[float] = []
-    sz: List[int] = []
-    dirs: List[int] = []
-    rtp_pt: List[int] = []
-    rtp_ssrc: List[int] = []
-    rtp_seq: List[int] = []
-    rtp_ts: List[int] = []
-    addrs: List[tuple] = []
-    interned: dict = {}
-    any_rtp = False
-    any_addr = False
-    for p in packets:
-        ts.append(p.timestamp)
-        sz.append(p.payload_size)
-        dirs.append(_DIRECTION_CODES[p.direction])
-        pt, ssrc, seq, rts = p.rtp_payload_type, p.rtp_ssrc, p.rtp_sequence, p.rtp_timestamp
-        if pt is not None or ssrc is not None or seq is not None or rts is not None:
-            any_rtp = True
-        rtp_pt.append(RTP_NONE if pt is None else pt)
-        rtp_ssrc.append(RTP_NONE if ssrc is None else ssrc)
-        rtp_seq.append(RTP_NONE if seq is None else seq)
-        rtp_ts.append(RTP_NONE if rts is None else rts)
-        addr = (p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol)
-        if addr != DEFAULT_ADDRESS:
-            any_addr = True
-        addrs.append(interned.setdefault(addr, addr))
-    n = len(ts)
-    address_column: Optional[np.ndarray] = None
-    if any_addr:
-        address_column = np.empty(n, dtype=object)
-        address_column[:] = addrs
-    return PacketColumns(
-        timestamps=np.asarray(ts, dtype=float),
-        payload_sizes=np.asarray(sz, dtype=float),
-        directions=np.asarray(dirs, dtype=np.int8),
-        rtp_payload_type=np.asarray(rtp_pt, dtype=np.int64) if any_rtp else None,
-        rtp_ssrc=np.asarray(rtp_ssrc, dtype=np.int64) if any_rtp else None,
-        rtp_sequence=np.asarray(rtp_seq, dtype=np.int64) if any_rtp else None,
-        rtp_timestamp=np.asarray(rtp_ts, dtype=np.int64) if any_rtp else None,
-        addresses=address_column,
-    )
-
-
 class PacketStream:
     """An ordered sequence of packets backed by columnar numpy storage.
 
     The stream keeps packets sorted by timestamp (stable order for ties) and
     exposes the vectorised views (timestamp / payload-size arrays per
-    direction) used heavily by the feature extraction code.  Object access
-    (:meth:`__iter__` / :meth:`__getitem__`) materialises :class:`Packet`
-    instances lazily from the columns.  The stream never changes after
-    construction.
+    direction) used heavily by the feature extraction code.  The stream
+    never changes after construction.
     """
 
     __slots__ = ("_columns", "_dir_cache")
 
-    def __init__(self, packets: Optional[Iterable[Packet]] = None) -> None:
-        if isinstance(packets, PacketColumns):
-            self._columns = packets.sorted_by_time()
-        elif packets is None:
-            self._columns = PacketColumns.empty()
-        else:
-            self._columns = _columns_from_packets(packets).sorted_by_time()
+    def __init__(self, columns: Optional[PacketColumns] = None) -> None:
+        if columns is not None and not isinstance(columns, PacketColumns):
+            raise TypeError(f"a stream is built from PacketColumns, not {type(columns).__name__}")
+        self._columns = PacketColumns.empty() if columns is None else columns.sorted_by_time()
         self._dir_cache: Optional[dict] = None
         self._freeze()
 
@@ -523,48 +423,9 @@ class PacketStream:
             self._dir_cache[code] = selection
         return selection
 
-    def _packet_at(self, row: int) -> Packet:
-        cols = self._columns
-        addr = DEFAULT_ADDRESS if cols.addresses is None else cols.addresses[row]
-
-        def opt(column: Optional[np.ndarray]) -> Optional[int]:
-            if column is None:
-                return None
-            value = int(column[row])
-            return None if value == RTP_NONE else value
-
-        return Packet(
-            timestamp=float(cols.timestamps[row]),
-            direction=_DIRECTIONS_BY_CODE[cols.directions[row]],
-            payload_size=int(cols.payload_sizes[row]),
-            src_ip=addr[0],
-            dst_ip=addr[1],
-            src_port=int(addr[2]),
-            dst_port=int(addr[3]),
-            protocol=addr[4],
-            rtp_payload_type=opt(cols.rtp_payload_type),
-            rtp_ssrc=opt(cols.rtp_ssrc),
-            rtp_sequence=opt(cols.rtp_sequence),
-            rtp_timestamp=opt(cols.rtp_timestamp),
-        )
-
     # ------------------------------------------------------------ container
     def __len__(self) -> int:
         return len(self._columns)
-
-    def __iter__(self) -> Iterator[Packet]:
-        for row in range(len(self._columns)):
-            yield self._packet_at(row)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._packet_at(row) for row in range(*index.indices(len(self._columns)))]
-        n = len(self._columns)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("packet index out of range")
-        return self._packet_at(index)
 
     # ------------------------------------------------------------- filtering
     def filter_direction(self, direction: Direction) -> "PacketStream":

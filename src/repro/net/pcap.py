@@ -2,17 +2,18 @@
 
 The lab methodology of the paper captures sessions with Wireshark/TCPdump
 into PCAP files (§3.1).  This module implements the classic libpcap container
-(magic ``0xa1b2c3d4``, microsecond timestamps) plus minimal Ethernet/IPv4/UDP
-encapsulation so that synthetic sessions can be round-tripped through real
-PCAP bytes and, conversely, real captures of RTP/UDP traffic can be loaded
-into :class:`~repro.net.packet.PacketStream` objects.
+(magic ``0xa1b2c3d4``, microsecond timestamps) with Ethernet/IPv4/UDP/RTP
+framing, so that synthetic sessions can be round-tripped through real PCAP
+bytes and, conversely, real captures of RTP/UDP traffic can be loaded into
+:class:`~repro.net.packet.PacketColumns` batches.
 
+Both directions work on columns, never on one packet at a time.
+:func:`write_pcap` assigns each header field of every record at once.
 There is one reader: :func:`read_pcap_columns` (whole file),
 :func:`iter_pcap_column_batches` (live-feed batches) and the
-:func:`read_pcap_stream` wrapper decode capture records into
-:class:`~repro.net.packet.PacketColumns` with vectorised header field
-extraction (no per-packet :class:`Packet` objects), which keeps real-capture
-ingestion on the same batch substrate as the synthetic generators.
+:func:`read_pcap_stream` wrapper decode capture records with vectorised
+header field extraction, which keeps real-capture ingestion on the same
+batch substrate as the synthetic generators.
 
 The reader tolerates hostile input — truncated records, short frames, wrong
 link-layer/IP lengths, mangled RTP — by skipping (or, for RTP, demoting to
@@ -25,22 +26,21 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.net.flow import FlowKey, canonical_flow_key
+from repro.net.flow import FlowKey, _object_ids, canonical_flow_key
 from repro.net.packet import (
     DEFAULT_ADDRESS,
     DOWNSTREAM_CODE,
-    Packet,
     PacketColumns,
     PacketStream,
     RTP_NONE,
     UPSTREAM_CODE,
     flow_id_column,
 )
-from repro.net.rtp import RTPHeader, RTP_VERSION
+from repro.net.rtp import PAYLOAD_TYPE_VIDEO, RTP_HEADER_LEN, RTP_VERSION
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -114,107 +114,149 @@ class ParseStats:
         )
 
 
-def _ip_to_bytes(ip: str) -> bytes:
+def _ip_to_u32(ip: str) -> int:
+    """A dotted-quad IPv4 address as its 32-bit integer."""
     parts = ip.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"invalid IPv4 address {ip!r}")
     try:
         values = [int(part) for part in parts]
-    except ValueError as exc:
-        raise ValueError(f"invalid IPv4 address {ip!r}") from exc
-    if any(not 0 <= value <= 255 for value in values):
+    except ValueError:
+        values = []
+    if len(values) != 4 or any(not 0 <= value <= 255 for value in values):
         raise ValueError(f"invalid IPv4 address {ip!r}")
-    return bytes(values)
+    return int.from_bytes(bytes(values), "big")
 
 
-def _checksum(data: bytes) -> int:
-    """RFC 1071 ones-complement checksum."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+#: Everything :func:`write_pcap` writes besides zero payload bytes: the
+#: record header (little endian) and the Ethernet, IPv4, UDP and RTP headers
+#: of one frame (network order), one field each.
+_RECORD_FRAME = np.dtype(
+    [
+        ("seconds", "<u4"), ("micros", "<u4"), ("captured", "<u4"), ("frame", "<u4"),
+        ("eth_dst", "u1", 6), ("eth_src", "u1", 6), ("ethertype", ">u2"),
+        ("version_ihl", "u1"), ("tos", "u1"), ("total_length", ">u2"),
+        ("ident", ">u4"), ("ttl_proto", ">u2"), ("ip_checksum", ">u2"),
+        ("src_ip", ">u4"), ("dst_ip", ">u4"),
+        ("src_port", ">u2"), ("dst_port", ">u2"), ("udp_length", ">u2"), ("udp_checksum", ">u2"),
+        ("rtp_flags", "u1"), ("rtp_payload_type", "u1"), ("rtp_sequence", ">u2"),
+        ("rtp_timestamp", ">u4"), ("rtp_ssrc", ">u4"),
+    ]
+)
 
 
-def _encapsulate(packet: Packet, payload: bytes) -> bytes:
-    """Wrap a payload in Ethernet/IPv4/UDP headers for the given packet."""
-    eth = b"\x02" * 6 + b"\x04" * 6 + struct.pack("!H", _ETHERTYPE_IPV4)
-    udp_length = _UDP_HEADER_LEN + len(payload)
-    total_length = _IPV4_MIN_HEADER_LEN + udp_length
-    ip_header_wo_checksum = struct.pack(
-        "!BBHHHBBH4s4s",
-        0x45,
-        0,
-        total_length,
-        0,
-        0,
-        64,
-        _IPPROTO_UDP,
-        0,
-        _ip_to_bytes(packet.src_ip),
-        _ip_to_bytes(packet.dst_ip),
-    )
-    checksum = _checksum(ip_header_wo_checksum)
-    ip_header = ip_header_wo_checksum[:10] + struct.pack("!H", checksum) + ip_header_wo_checksum[12:]
-    udp_header = struct.pack(
-        "!HHHH", packet.src_port, packet.dst_port, udp_length, 0
-    )
-    return eth + ip_header + udp_header + payload
+def _address_fields(addresses: Optional[np.ndarray], n: int) -> np.ndarray:
+    """``(src_ip, dst_ip, src_port, dst_port)`` integers of every row, shape ``(4, n)``.
 
-
-def _synthesise_payload(packet: Packet) -> bytes:
-    """Produce payload bytes for a packet (RTP header + zero padding)."""
-    if packet.rtp_ssrc is not None:
-        header = RTPHeader(
-            payload_type=packet.rtp_payload_type or 96,
-            sequence_number=(packet.rtp_sequence or 0) & 0xFFFF,
-            timestamp=(packet.rtp_timestamp or 0) & 0xFFFFFFFF,
-            ssrc=packet.rtp_ssrc & 0xFFFFFFFF,
+    Each distinct address tuple is converted (and validated) once and rows
+    take theirs by inverse index.
+    """
+    if addresses is None:
+        table, inverse = [DEFAULT_ADDRESS], np.zeros(n, dtype=np.intp)
+    else:
+        _, first_rows, inverse = np.unique(
+            _object_ids(addresses), return_index=True, return_inverse=True
         )
-        body_len = max(0, packet.payload_size - len(header.encode()))
-        return header.encode() + bytes(body_len)
-    return bytes(packet.payload_size)
+        table = addresses[first_rows].tolist()
+    fields = np.array(
+        [(_ip_to_u32(src), _ip_to_u32(dst), sport, dport) for src, dst, sport, dport, _ in table],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    bad = np.flatnonzero(((fields[:, 2:] < 0) | (fields[:, 2:] > 0xFFFF)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"port out of range in address {table[bad[0]]!r}")
+    return fields[inverse].T
 
 
 def write_pcap(
     path: Union[str, Path],
-    packets: Iterable[Packet],
+    columns: PacketColumns,
     snaplen: int = 65535,
 ) -> int:
-    """Write packets to a classic PCAP file.
+    """Write a batch of packets to a classic PCAP file, one header field at a time.
 
-    Returns the number of records written.  Packets are emitted in timestamp
-    order regardless of input order.
+    Records follow one stable time sort of the rows.  Each frame is
+    Ethernet/IPv4/UDP with a valid IPv4 header checksum, an RTP header on
+    every row with an SSRC whose payload can hold one (a datagram under 12
+    bytes stays plain UDP at its own size; payload type 96 where the column
+    is absent), then zero bytes; at most ``snaplen`` bytes of a frame are
+    captured.  Every field is assigned for all records at once.  Returns the
+    number of records written.
+
+    Raises ``ValueError`` on negative timestamps or payload sizes, ports
+    outside 0-65535, addresses that are not dotted quads and RTP payload
+    types outside 0-127, and on what the format cannot hold: timestamps of
+    2**32 - 1 seconds or more and payloads over 65 507 bytes (an IPv4
+    datagram's 16-bit total length).
     """
-    path = Path(path)
-    ordered = sorted(packets, key=lambda p: p.timestamp)
-    with path.open("wb") as handle:
-        handle.write(
-            _GLOBAL_HEADER.pack(
-                PCAP_MAGIC,
-                PCAP_VERSION_MAJOR,
-                PCAP_VERSION_MINOR,
-                0,
-                0,
-                snaplen,
-                LINKTYPE_ETHERNET,
-            )
-        )
-        for packet in ordered:
-            frame = _encapsulate(packet, _synthesise_payload(packet))
-            seconds = int(packet.timestamp)
-            microseconds = int(round((packet.timestamp - seconds) * 1_000_000))
-            if microseconds >= 1_000_000:
-                seconds += 1
-                microseconds -= 1_000_000
-            captured = frame[:snaplen]
-            handle.write(
-                _RECORD_HEADER.pack(seconds, microseconds, len(captured), len(frame))
-            )
-            handle.write(captured)
-    return len(ordered)
+    columns = columns.sorted_by_time()
+    n = len(columns)
+    if not np.all((columns.timestamps >= 0) & (columns.timestamps < 0xFFFFFFFF)):
+        raise ValueError("timestamps must be non-negative seconds below 2**32 - 1")
+    most = 0xFFFF - _IPV4_MIN_HEADER_LEN - _UDP_HEADER_LEN
+    if not np.all((columns.payload_sizes >= 0) & (columns.payload_sizes <= most)):
+        raise ValueError(f"payload sizes must be non-negative and at most {most} bytes")
+    src_ip, dst_ip, src_port, dst_port = _address_fields(columns.addresses, n)
+    payload = columns.payload_sizes.astype(np.int64)
+    frame_length = _ETH_HEADER_LEN + _IPV4_MIN_HEADER_LEN + _UDP_HEADER_LEN + payload
+    captured = np.minimum(frame_length, snaplen)
+
+    head = np.zeros(n, dtype=_RECORD_FRAME)
+    seconds = np.floor(columns.timestamps)
+    micros = np.rint((columns.timestamps - seconds) * 1_000_000).astype(np.int64)
+    carry = micros >= 1_000_000
+    head["seconds"] = seconds.astype(np.int64) + carry
+    head["micros"] = micros - 1_000_000 * carry
+    head["captured"] = captured
+    head["frame"] = frame_length
+    head["eth_dst"], head["eth_src"], head["ethertype"] = 0x02, 0x04, _ETHERTYPE_IPV4
+    total_length = frame_length - _ETH_HEADER_LEN
+    ttl_proto = (64 << 8) | _IPPROTO_UDP
+    head["version_ihl"], head["total_length"], head["ttl_proto"] = 0x45, total_length, ttl_proto
+    head["src_ip"], head["dst_ip"] = src_ip, dst_ip
+    # RFC 1071: ones-complement sum of the header's 16-bit words, checksum word 0
+    words = (
+        0x4500 + total_length + ttl_proto
+        + (src_ip >> 16) + (src_ip & 0xFFFF) + (dst_ip >> 16) + (dst_ip & 0xFFFF)
+    )
+    words = (words & 0xFFFF) + (words >> 16)
+    words = (words & 0xFFFF) + (words >> 16)
+    head["ip_checksum"] = ~words & 0xFFFF
+    head["src_port"], head["dst_port"] = src_port, dst_port
+    head["udp_length"] = payload + _UDP_HEADER_LEN
+    if columns.rtp_ssrc is not None:
+        rtp = np.flatnonzero((columns.rtp_ssrc != RTP_NONE) & (payload >= RTP_HEADER_LEN))
+
+        def field(column: Optional[np.ndarray], default: int) -> np.ndarray:
+            if column is None:
+                return np.full(rtp.size, default)
+            values = column[rtp]
+            return np.where(values == RTP_NONE, default, values)
+
+        payload_type = field(columns.rtp_payload_type, PAYLOAD_TYPE_VIDEO)
+        if np.any((payload_type < 0) | (payload_type > 0x7F)):
+            raise ValueError("RTP payload types must be within 0-127")
+        head["rtp_flags"][rtp] = RTP_VERSION << 6
+        head["rtp_payload_type"][rtp] = payload_type
+        head["rtp_sequence"][rtp] = field(columns.rtp_sequence, 0) & 0xFFFF
+        head["rtp_timestamp"][rtp] = field(columns.rtp_timestamp, 0) & 0xFFFFFFFF
+        head["rtp_ssrc"][rtp] = columns.rtp_ssrc[rtp] & 0xFFFFFFFF
+
+    record_length = _RECORD_HEADER.size + captured
+    starts = _GLOBAL_HEADER.size + np.cumsum(record_length) - record_length
+    data = np.zeros(_GLOBAL_HEADER.size + int(record_length.sum()), dtype=np.uint8)
+    data[: _GLOBAL_HEADER.size] = np.frombuffer(
+        _GLOBAL_HEADER.pack(
+            PCAP_MAGIC, PCAP_VERSION_MAJOR, PCAP_VERSION_MINOR, 0, 0, snaplen, LINKTYPE_ETHERNET
+        ),
+        dtype=np.uint8,
+    )
+    # each record keeps the head bytes its captured length reaches, byte column by byte column
+    head_bytes = head.view(np.uint8).reshape(n, _RECORD_FRAME.itemsize)
+    kept = _RECORD_HEADER.size + np.minimum(captured, _RECORD_FRAME.itemsize - _RECORD_HEADER.size)
+    for byte in range(_RECORD_FRAME.itemsize):
+        rows = np.flatnonzero(kept > byte)
+        data[starts[rows] + byte] = head_bytes[rows, byte]
+    Path(path).write_bytes(data.tobytes())
+    return n
 
 
 def _scan_records(data: bytes, source: str = "buffer", stats: Optional[ParseStats] = None):
@@ -309,8 +351,8 @@ def read_pcap_columns(
     """Read a classic PCAP file straight into a :class:`PacketColumns` batch.
 
     Every Ethernet/IPv4/UDP header field of every record is extracted with
-    vectorised byte gathers over the capture buffer — no per-packet
-    :class:`Packet` (or RTP header) objects are built.  Only
+    vectorised byte gathers over the capture buffer — nothing is decoded
+    one packet at a time.  Only
     Ethernet/IPv4/UDP frames are decoded; other frames are skipped.
 
     Parameters
@@ -338,7 +380,7 @@ def read_pcap_columns(
     data = path.read_bytes()
     timestamps, offsets, lengths = _scan_records(data, source=str(path), stats=stats)
     client_u32 = (
-        None if client_ip is None else int.from_bytes(_ip_to_bytes(client_ip), "big")
+        None if client_ip is None else _ip_to_u32(client_ip)
     )
     block, _ = _decode_records(
         data, timestamps, offsets, lengths, client_u32, stats=stats
@@ -560,7 +602,7 @@ def iter_pcap_column_batches(
     timestamps, offsets, lengths = _scan_records(data, source=str(path), stats=stats)
     n_records = timestamps.size
     client_u32 = (
-        None if client_ip is None else int.from_bytes(_ip_to_bytes(client_ip), "big")
+        None if client_ip is None else _ip_to_u32(client_ip)
     )
     if n_records == 0:
         return
@@ -634,7 +676,7 @@ def _address_tuples(
     inverse indices.  Returns ``(addresses, addressed, flow_ids,
     flow_keys)``; ``addressed`` marks the rows that carry anything but the
     default address (a batch with none has no address column, the layout
-    ``PacketStream(packets)`` produces), and ``flow_ids`` index
+    the generators produce), and ``flow_ids`` index
     ``flow_keys``, the distinct canonical keys of the tuples.  A tuple's
     direction follows from its source address, so no tuple carries both
     codes and the demux may order flows by first row.

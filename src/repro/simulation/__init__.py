@@ -38,7 +38,6 @@ from repro.simulation.catalog import (
     Genre,
     PlayerStage,
     get_title,
-    titles_by_pattern,
 )
 from repro.simulation.devices import (
     LAB_CONFIGURATIONS,
@@ -67,7 +66,6 @@ __all__ = [
     "CATALOG",
     "GAME_TITLES",
     "get_title",
-    "titles_by_pattern",
     "DeviceConfiguration",
     "StreamingSettings",
     "Resolution",

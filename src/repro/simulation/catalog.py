@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 class Genre(Enum):
@@ -282,11 +282,6 @@ def get_title(name: str) -> GameTitle:
         raise KeyError(
             f"unknown game title {name!r}; known titles: {sorted(CATALOG)}"
         ) from None
-
-
-def titles_by_pattern(pattern: ActivityPattern) -> List[GameTitle]:
-    """All catalog titles following the given gameplay activity pattern."""
-    return [title for title in GAME_TITLES if title.pattern is pattern]
 
 
 def popularity_weights() -> Dict[str, float]:

@@ -30,7 +30,9 @@ from repro.core.packet_groups import (
     PacketGroup,
     PacketGroupLabeler,
 )
-from repro.net.packet import RTP_NONE, Direction, Packet, PacketStream
+from repro.net.packet import DOWNSTREAM_CODE, RTP_NONE, UPSTREAM_CODE, Direction, PacketStream
+
+from packet_rows import PacketRow, stream_of
 
 FULL_SIZE = 1432
 
@@ -212,15 +214,7 @@ def random_stream(seed, n_packets=400, window=6.0, tie_fraction=0.05):
             rng.uniform(0, window, n_ties), 1
         )
     directions = np.where(rng.random(n_packets) < 0.85, 0, 1)
-    packets = [
-        Packet(
-            timestamp=float(t),
-            direction=Direction.DOWNSTREAM if d == 0 else Direction.UPSTREAM,
-            payload_size=int(s),
-        )
-        for t, s, d in zip(times, sizes, directions)
-    ]
-    return PacketStream(packets)
+    return PacketStream.from_arrays(times, sizes, directions)
 
 
 def assert_features_equivalent(got, ref):
@@ -278,20 +272,20 @@ class TestLabelerEquivalence:
 
     def test_single_non_full_packet_is_sparse(self):
         packets = [
-            Packet(timestamp=0.1, direction=Direction.DOWNSTREAM, payload_size=FULL_SIZE),
-            Packet(timestamp=0.2, direction=Direction.DOWNSTREAM, payload_size=700),
+            PacketRow(timestamp=0.1, direction=Direction.DOWNSTREAM, payload_size=FULL_SIZE),
+            PacketRow(timestamp=0.2, direction=Direction.DOWNSTREAM, payload_size=700),
         ]
         labeler = PacketGroupLabeler()
-        slots = labeler.label_window(PacketStream(packets), window_seconds=1.0)
+        slots = labeler.label_window(stream_of(packets), window_seconds=1.0)
         assert slots[0].labels == [PacketGroup.FULL, PacketGroup.SPARSE]
 
     def test_all_full_slot(self):
         packets = [
-            Packet(timestamp=0.1 * i, direction=Direction.DOWNSTREAM, payload_size=FULL_SIZE)
+            PacketRow(timestamp=0.1 * i, direction=Direction.DOWNSTREAM, payload_size=FULL_SIZE)
             for i in range(8)
         ]
         labeler = PacketGroupLabeler()
-        slots = labeler.label_window(PacketStream(packets), window_seconds=1.0)
+        slots = labeler.label_window(stream_of(packets), window_seconds=1.0)
         assert labeler.group_counts(slots[:1]) == {
             PacketGroup.FULL: 8, PacketGroup.STEADY: 0, PacketGroup.SPARSE: 0
         }
@@ -408,34 +402,15 @@ class TestColumnarStreamEquivalence:
         down = stream.filter_direction(Direction.DOWNSTREAM)
         up = stream.filter_direction(Direction.UPSTREAM)
         assert len(down) + len(up) == len(stream)
-        assert all(p.direction is Direction.DOWNSTREAM for p in down)
+        assert np.all(down.columns().directions == DOWNSTREAM_CODE)
 
     def test_aggregates_match_object_loop(self):
         stream = random_stream(52)
-        packets = list(stream)
-        assert stream.total_bytes() == sum(p.payload_size for p in packets)
+        rows = list(zip(stream.payload_sizes().tolist(), stream.columns().directions.tolist()))
+        assert stream.total_bytes() == sum(size for size, _ in rows)
         assert stream.total_bytes(Direction.UPSTREAM) == sum(
-            p.payload_size for p in packets if p.direction is Direction.UPSTREAM
+            size for size, code in rows if code == UPSTREAM_CODE
         )
-
-    def test_packet_metadata_roundtrip(self):
-        original = Packet(
-            timestamp=1.5,
-            direction=Direction.UPSTREAM,
-            payload_size=333,
-            src_ip="10.1.2.3",
-            dst_ip="10.4.5.6",
-            src_port=1234,
-            dst_port=5678,
-            protocol="udp",
-            rtp_payload_type=96,
-            rtp_ssrc=0,
-            rtp_sequence=65535,
-            rtp_timestamp=90000,
-        )
-        plain = Packet(timestamp=0.5, direction=Direction.DOWNSTREAM, payload_size=10)
-        stream = PacketStream([original, plain])
-        assert list(stream) == [plain, original]
 
     def test_misaligned_optional_columns_rejected(self):
         from repro.net.packet import PacketColumns
@@ -450,15 +425,15 @@ class TestColumnarStreamEquivalence:
 
     def test_rtp_columns(self):
         packets = [
-            Packet(timestamp=0.1, direction=Direction.DOWNSTREAM, payload_size=10,
-                   rtp_sequence=7, rtp_timestamp=900, rtp_ssrc=1),
-            Packet(timestamp=0.2, direction=Direction.DOWNSTREAM, payload_size=10),
-            Packet(timestamp=0.3, direction=Direction.DOWNSTREAM, payload_size=10,
-                   rtp_sequence=9, rtp_timestamp=901, rtp_ssrc=1),
+            PacketRow(timestamp=0.1, direction=Direction.DOWNSTREAM, payload_size=10,
+                      rtp_sequence=7, rtp_timestamp=900, rtp_ssrc=1),
+            PacketRow(timestamp=0.2, direction=Direction.DOWNSTREAM, payload_size=10),
+            PacketRow(timestamp=0.3, direction=Direction.DOWNSTREAM, payload_size=10,
+                      rtp_sequence=9, rtp_timestamp=901, rtp_ssrc=1),
         ]
-        stream = PacketStream(packets)
+        stream = stream_of(packets)
         columns = stream.columns()
         np.testing.assert_array_equal(columns.rtp_sequence, [7, RTP_NONE, 9])
         np.testing.assert_array_equal(columns.rtp_timestamp, [900, RTP_NONE, 901])
         assert stream.has_rtp
-        assert not PacketStream([packets[1]]).has_rtp
+        assert not stream_of([packets[1]]).has_rtp

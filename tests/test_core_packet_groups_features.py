@@ -10,7 +10,7 @@ from repro.core.features import (
     volumetric_launch_features,
 )
 from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
-from repro.net.packet import Direction, Packet, PacketStream
+from repro.net.packet import Direction, PacketStream
 from repro.simulation.devices import FULL_PACKET_PAYLOAD
 
 
@@ -21,17 +21,13 @@ def named(vector):
 
 def make_stream(slots):
     """Build a downstream stream from a spec: list of (second, [payload sizes])."""
-    packets = []
-    for second, sizes in slots:
-        for index, size in enumerate(sizes):
-            packets.append(
-                Packet(
-                    timestamp=second + (index + 1) / (len(sizes) + 1),
-                    direction=Direction.DOWNSTREAM,
-                    payload_size=size,
-                )
-            )
-    return PacketStream(packets)
+    times = [
+        second + (index + 1) / (len(sizes) + 1)
+        for second, sizes in slots
+        for index in range(len(sizes))
+    ]
+    sizes = [size for _second, sizes in slots for size in sizes]
+    return PacketStream.from_arrays(times, sizes, Direction.DOWNSTREAM)
 
 
 class TestPacketGroupLabeler:
@@ -96,12 +92,9 @@ class TestPacketGroupLabeler:
             PacketGroupLabeler(neighbor_window=0)
 
     def test_upstream_packets_ignored(self):
-        packets = [
-            Packet(timestamp=0.1, direction=Direction.UPSTREAM, payload_size=100),
-            Packet(timestamp=0.2, direction=Direction.DOWNSTREAM, payload_size=FULL_PACKET_PAYLOAD),
-        ]
+        packets = PacketStream.from_arrays([0.1, 0.2], [100, FULL_PACKET_PAYLOAD], [1, 0])
         labeler = PacketGroupLabeler()
-        counts = labeler.group_counts(labeler.label_window(PacketStream(packets), 1.0))
+        counts = labeler.group_counts(labeler.label_window(packets, 1.0))
         assert sum(counts.values()) == 1
 
     def test_labeling_on_synthetic_launch(self, launch_only_session):

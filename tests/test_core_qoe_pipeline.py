@@ -232,7 +232,7 @@ class TestPipelineIntegration:
         # reduced-fidelity synthetic sessions fall below the physical-scale
         # bitrate signature, so the detector may not tag a platform; the
         # pipeline must still produce a full report from raw packets
-        report = fitted_pipeline.process(list(fortnite_session.packets))
+        report = fitted_pipeline.process(fortnite_session.packets.columns())
         assert report.platform in (None, "GeForce NOW")
         assert report.title.title
         assert report.stage_timeline
@@ -270,9 +270,8 @@ class TestPipelineIntegration:
         return flow("Dota 2", 6.0, 51001), flow("CS:GO/CS2", 14.0, 51002), noise
 
     def test_capture_selects_largest_gaming_flow_on_columns(
-        self, fitted_pipeline, tap_flows, tmp_path, monkeypatch
+        self, fitted_pipeline, tap_flows, tmp_path
     ):
-        from repro.net import packet as packet_module
         from repro.net.packet import PacketColumns, PacketStream
         from repro.net.pcap import read_pcap_stream, write_pcap
         from test_runtime import assert_report_identical
@@ -280,8 +279,8 @@ class TestPipelineIntegration:
         small, large, noise = tap_flows
         assert small.payload_sizes.sum() < large.payload_sizes.sum()
         capture, alone = tmp_path / "tap.pcap", tmp_path / "large.pcap"
-        write_pcap(capture, PacketStream(PacketColumns.concat([small, noise, large])))
-        write_pcap(alone, PacketStream(large))
+        write_pcap(capture, PacketColumns.concat([small, noise, large]))
+        write_pcap(alone, large)
         tap = read_pcap_stream(capture, client_ip="192.168.1.10")
         assert len(tap) == len(small) + len(large) + len(noise)
         detected = fitted_pipeline.detector.detect(tap)
@@ -293,11 +292,6 @@ class TestPipelineIntegration:
             [cascade], platforms=["GeForce NOW"]
         )
         assert expected.platform == "GeForce NOW"
-
-        def no_row_records(*args, **kwargs):
-            raise AssertionError("flow selection materialised a Packet")
-
-        monkeypatch.setattr(packet_module, "Packet", no_row_records)
         assert_report_identical(fitted_pipeline.process(tap), expected)
         # a bare columnar batch takes the same route
         assert_report_identical(fitted_pipeline.process(tap.columns()), expected)
@@ -309,13 +303,12 @@ class TestPipelineIntegration:
     def test_noise_only_capture_falls_back_to_whole_stream(
         self, fitted_pipeline, tap_flows, tmp_path
     ):
-        from repro.net.packet import PacketStream
         from repro.net.pcap import read_pcap_stream, write_pcap
         from test_runtime import assert_report_identical
 
         noise = tap_flows[2]
         path = tmp_path / "noise.pcap"
-        write_pcap(path, PacketStream(noise))
+        write_pcap(path, noise)
         tap = read_pcap_stream(path, client_ip="192.168.1.10")
         assert fitted_pipeline.detector.detect(tap) == []
         report = fitted_pipeline.process(tap)

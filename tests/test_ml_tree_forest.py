@@ -68,15 +68,6 @@ class TestDecisionTree:
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
         assert tree.feature_importances_.sum() == pytest.approx(1.0)
 
-    def test_entropy_criterion(self):
-        X, y = make_blobs(spread=0.3)
-        tree = DecisionTreeClassifier(criterion="entropy", random_state=0).fit(X, y)
-        assert accuracy_score(y, tree.predict(X)) > 0.95
-
-    def test_invalid_criterion_rejected(self):
-        with pytest.raises(ValueError, match="criterion"):
-            DecisionTreeClassifier(criterion="bogus")
-
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             DecisionTreeClassifier().predict(np.zeros((1, 3)))
@@ -125,13 +116,6 @@ class TestRandomForest:
         proba = forest.predict_proba(X[:7])
         assert proba.shape == (7, 4)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-
-    def test_oob_score_reasonable(self):
-        X, y = make_blobs(spread=0.5, seed=2)
-        forest = RandomForestClassifier(
-            n_estimators=40, oob_score=True, random_state=0
-        ).fit(X, y)
-        assert 0.7 <= forest.oob_score_ <= 1.0
 
     def test_reproducible_with_seed(self):
         X, y = make_blobs(seed=9)

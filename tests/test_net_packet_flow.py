@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Direction, FlowDemux, Packet, PacketColumns, PacketStream
+from repro.net import Direction, FlowDemux, PacketColumns, PacketStream, write_pcap
 from repro.net.flow import flow_summary
-from repro.net.rtp import RTP_HEADER_LEN, RTPHeader
+from repro.net.rtp import RTP_HEADER_LEN
 from repro.core.qoe import ObjectiveQoEEstimator
 from repro.core.reducers import raw_slot_matrix
 from repro.core.volumetric import exponential_moving_average
 
-from test_net_pcap_filter_conditions import decode_rtp_header
+from packet_rows import PacketRow, columns_of, stream_of
+from test_net_pcap_filter_conditions import RTPFields, decode_rtp_header, encode_rtp_header
 
 
 def packet(ts, direction=Direction.DOWNSTREAM, size=1000, **kw):
@@ -20,45 +21,76 @@ def packet(ts, direction=Direction.DOWNSTREAM, size=1000, **kw):
         src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=49004, dst_port=50000
     )
     defaults.update(kw)
-    return Packet(timestamp=ts, direction=direction, payload_size=size, **defaults)
+    return PacketRow(timestamp=ts, direction=direction, payload_size=size, **defaults)
 
 
 class TestPacket:
-    def test_negative_timestamp_rejected(self):
-        with pytest.raises(ValueError):
-            packet(-1.0)
+    """Packets from outside the program are validated where they are written."""
 
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            packet(0.0, size=-5)
+    @staticmethod
+    def write(tmp_path, *rows):
+        return write_pcap(tmp_path / "rows.pcap", columns_of([packet(1.0), *rows]))
 
-    def test_invalid_port_rejected(self):
-        with pytest.raises(ValueError):
-            packet(0.0, src_port=70000)
+    def test_negative_timestamp_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="timestamps"):
+            self.write(tmp_path, packet(-1.0))
+
+    def test_negative_size_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="payload sizes"):
+            self.write(tmp_path, packet(0.0, size=-5))
+
+    def test_invalid_port_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="port out of range"):
+            self.write(tmp_path, packet(0.0, src_port=70000))
+        with pytest.raises(ValueError, match="port out of range"):
+            self.write(tmp_path, packet(0.0, dst_port=-1))
+
+    @pytest.mark.parametrize(
+        "bad, good, message",
+        [
+            # the record's 32-bit seconds
+            (packet(2.0**32 - 1), packet(2.0**32 - 2), "timestamps"),
+            # IPv4's 16-bit total length
+            (packet(0.0, size=65508), packet(0.0, size=65507), "payload sizes"),
+            # the RTP header's 7 bits
+            (packet(0.0, rtp_ssrc=1, rtp_payload_type=128),
+             packet(0.0, rtp_ssrc=1, rtp_payload_type=127), "payload types"),
+        ],
+    )
+    def test_value_the_format_cannot_hold_rejected(self, tmp_path, bad, good, message):
+        with pytest.raises(ValueError, match=message):
+            self.write(tmp_path, bad)
+        self.write(tmp_path, good)
+
+    @pytest.mark.parametrize("address", ["10.0.0", "10.0.0.256", "10.0.x.1", ""])
+    def test_bad_dotted_quad_rejected(self, tmp_path, address):
+        with pytest.raises(ValueError, match="invalid IPv4 address"):
+            self.write(tmp_path, packet(0.0, dst_ip=address))
+        assert not (tmp_path / "rows.pcap").exists()
 
 
 class TestPacketStream:
     def test_sorted_on_construction(self):
-        stream = PacketStream([packet(2.0), packet(1.0), packet(3.0)])
+        stream = stream_of([packet(2.0), packet(1.0), packet(3.0)])
         times = stream.timestamps()
         assert list(times) == sorted(times)
 
     def test_append_out_of_order_resorts(self):
         # streams are immutable: appending is concat + a new sorted view
-        stream = PacketStream([packet(1.0)])
-        late = PacketStream([packet(0.5)])
+        stream = stream_of([packet(1.0)])
+        late = stream_of([packet(0.5)])
         stream = PacketStream(PacketColumns.concat([stream.columns(), late.columns()]))
         assert stream.timestamps()[0] == pytest.approx(0.5)
         assert not hasattr(stream, "append")
 
     def test_filter_direction(self):
-        stream = PacketStream(
+        stream = stream_of(
             [packet(0.0), packet(1.0, Direction.UPSTREAM), packet(2.0)]
         )
         assert len(stream.filter_direction(Direction.UPSTREAM)) == 1
 
     def test_between_and_first_seconds(self):
-        stream = PacketStream([packet(float(i)) for i in range(10)])
+        stream = stream_of([packet(float(i)) for i in range(10)])
         assert len(stream.between(2.0, 5.0)) == 3
         assert len(stream.first_seconds(3.0)) == 3
 
@@ -67,9 +99,9 @@ class TestPacketStream:
             PacketStream().between(5.0, 2.0)
 
     def test_throughput_and_rate(self):
-        stream = PacketStream([packet(float(i), size=1250) for i in range(11)])
+        stream = stream_of([packet(float(i), size=1250) for i in range(11)])
         # 10 seconds span, 11 packets of 1250 bytes
-        ((key, _rows),) = split_flows(list(stream))
+        ((key, _rows),) = FlowDemux().split(stream.columns())
         summary = flow_summary(key, stream)
         assert summary["downstream_mbps"] == pytest.approx(11 * 1250 * 8 / 10 / 1e6)
         assert len(stream) / stream.duration == pytest.approx(1.1)
@@ -79,10 +111,14 @@ class TestPacketStream:
         assert stream.duration == 0.0
         assert stream.total_bytes() == 0
 
+    def test_built_from_columns_only(self):
+        with pytest.raises(TypeError, match="PacketColumns"):
+            PacketStream([packet(0.0)])
+
 
 def split_flows(packets):
-    """``FlowDemux().split`` of a time-sorted stream of packet records."""
-    return FlowDemux().split(PacketStream(packets).columns())
+    """``FlowDemux().split`` of a time-sorted stream of packet rows."""
+    return FlowDemux().split(stream_of(packets).columns())
 
 
 class TestFlows:
@@ -128,32 +164,32 @@ class TestFlows:
 
     def test_interarrival_times(self):
         # a stream sorts on construction, so its gaps are the inter-arrival times
-        stream = PacketStream([packet(1.5), packet(0.0), packet(0.5)])
+        stream = stream_of([packet(1.5), packet(0.0), packet(0.5)])
         np.testing.assert_allclose(np.diff(stream.timestamps()), [0.5, 1.0])
 
 
 class TestRTP:
     def test_encode_decode_roundtrip(self):
-        header = RTPHeader(payload_type=96, sequence_number=1234, timestamp=567890, ssrc=42,
+        header = RTPFields(payload_type=96, sequence_number=1234, timestamp=567890, ssrc=42,
                            marker=True)
-        decoded = decode_rtp_header(header.encode())
+        decoded = decode_rtp_header(encode_rtp_header(header))
         assert decoded == header
 
     def test_decode_rejects_short_buffer(self):
         assert decode_rtp_header(b"\x80\x60") is None
 
     def test_decode_rejects_wrong_version(self):
-        data = bytearray(RTPHeader().encode())
+        data = bytearray(encode_rtp_header(RTPFields()))
         data[0] = 0x00  # version 0
         assert decode_rtp_header(bytes(data)) is None
 
     def test_build_and_parse_packet(self):
-        datagram = RTPHeader(ssrc=7).encode() + b"payload-bytes"
+        datagram = encode_rtp_header(RTPFields(ssrc=7)) + b"payload-bytes"
         assert decode_rtp_header(datagram).ssrc == 7
         assert datagram[RTP_HEADER_LEN:] == b"payload-bytes"
 
     def test_looks_like_rtp(self):
-        assert decode_rtp_header(RTPHeader().encode() + b"x" * 50) is not None
+        assert decode_rtp_header(encode_rtp_header(RTPFields()) + b"x" * 50) is not None
         assert decode_rtp_header(b"\x00" * 20) is None
         assert decode_rtp_header(b"ab") is None
 
@@ -182,11 +218,11 @@ class TestRTP:
         st.integers(min_value=0, max_value=127),
     )
     def test_roundtrip_property(self, seq, ts, pt):
-        header = RTPHeader(sequence_number=seq, timestamp=ts, payload_type=pt)
-        assert decode_rtp_header(header.encode()) == header
+        header = RTPFields(sequence_number=seq, timestamp=ts, payload_type=pt)
+        assert decode_rtp_header(encode_rtp_header(header)) == header
 
     def test_header_length_constant(self):
-        assert len(RTPHeader().encode()) == RTP_HEADER_LEN
+        assert len(encode_rtp_header(RTPFields())) == RTP_HEADER_LEN
 
 
 class TestTimeSeries:
@@ -195,7 +231,7 @@ class TestTimeSeries:
     # up Kbps, up pkt/s
 
     def test_throughput_series_values(self):
-        stream = PacketStream([packet(0.1, size=1000), packet(0.2, size=1000),
+        stream = stream_of([packet(0.1, size=1000), packet(0.2, size=1000),
                                packet(1.5, size=500)])
         series = raw_slot_matrix(stream, 1.0, n_slots=2)[:, 0]
         assert len(series) == 2
@@ -203,12 +239,12 @@ class TestTimeSeries:
         assert series[1] == pytest.approx(500 * 8 / 1e6)
 
     def test_packet_rate_series(self):
-        stream = PacketStream([packet(0.1), packet(0.2), packet(0.3)])
+        stream = stream_of([packet(0.1), packet(0.2), packet(0.3)])
         series = raw_slot_matrix(stream, 0.5, n_slots=1)[:, 1]
         assert series[0] == pytest.approx(6.0)
 
     def test_slot_aggregate_includes_empty_slots(self):
-        stream = PacketStream([packet(0.5), packet(4.5)])
+        stream = stream_of([packet(0.5), packet(4.5)])
         series = raw_slot_matrix(stream, 1.0, n_slots=5)[:, 1]
         assert len(series) == 5
         assert series.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0]
@@ -222,14 +258,14 @@ class TestTimeSeries:
         # and payload_sizes(direction) subset the same packets in the same
         # order, so one flow's downstream span indexes both alike
         packets = [
-            Packet(
+            PacketRow(
                 timestamp=float(i) / 10,
                 direction=Direction.DOWNSTREAM if i % 3 else Direction.UPSTREAM,
                 payload_size=1000 + i,
             )
             for i in range(50)
         ]
-        stream = PacketStream(packets)
+        stream = stream_of(packets)
         for direction in (Direction.DOWNSTREAM, Direction.UPSTREAM):
             times = stream.timestamps(direction)
             sizes = stream.payload_sizes(direction)

@@ -1,8 +1,9 @@
 """Tests for PCAP I/O, the cloud-gaming flow detector and network conditions."""
 
+import dataclasses
 import struct
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from repro.net import (
     CloudGamingFlowDetector,
     Direction,
     NetworkConditions,
-    Packet,
     PacketColumns,
     PacketStream,
     apply_conditions_columns,
@@ -22,7 +22,7 @@ from repro.net import (
     write_pcap,
 )
 from repro.net.filter import CLOUD_GAMING_PLATFORMS, FlowSignature
-from repro.net.packet import DOWNSTREAM_CODE
+from repro.net.packet import DOWNSTREAM_CODE, RTP_NONE
 from repro.net.pcap import (
     _ETH_HEADER_LEN,
     _ETHERTYPE_IPV4,
@@ -36,16 +36,46 @@ from repro.net.pcap import (
     PCAP_MAGIC,
     PCAP_MAGIC_SWAPPED,
 )
-from repro.net.rtp import RTP_HEADER_LEN, RTP_VERSION, RTPHeader
+from repro.net.rtp import PAYLOAD_TYPE_VIDEO, RTP_HEADER_LEN, RTP_VERSION
+
+from packet_rows import PacketRow, columns_of, stream_of
 
 
 # ---------------------------------------------------------------------------
 # scalar frame decoder: the differential oracle of the columnar reader
 # (the per-packet reader ``repro.net.pcap`` shipped before the columnar one
-# became the only path, kept verbatim, and the per-packet RTP header decode
-# ``repro.net.rtp`` shipped until the block decode was the only caller left)
+# became the only path, and the per-packet RTP header codec ``repro.net.rtp``
+# shipped until the column-wise writer and reader were its only callers)
 # ---------------------------------------------------------------------------
-def decode_rtp_header(payload: bytes) -> Optional[RTPHeader]:
+class RTPFields(NamedTuple):
+    """The fields of a fixed RTP header."""
+
+    version: int = RTP_VERSION
+    padding: bool = False
+    extension: bool = False
+    csrc_count: int = 0
+    marker: bool = False
+    payload_type: int = PAYLOAD_TYPE_VIDEO
+    sequence_number: int = 0
+    timestamp: int = 0
+    ssrc: int = 0
+
+
+def encode_rtp_header(fields: RTPFields) -> bytes:
+    """The 12-byte wire format of ``fields``."""
+    first = (
+        (fields.version << 6)
+        | (int(fields.padding) << 5)
+        | (int(fields.extension) << 4)
+        | fields.csrc_count
+    )
+    second = (int(fields.marker) << 7) | fields.payload_type
+    return struct.pack(
+        "!BBHII", first, second, fields.sequence_number, fields.timestamp, fields.ssrc
+    )
+
+
+def decode_rtp_header(payload: bytes) -> Optional[RTPFields]:
     """The fixed RTP header at the start of a UDP payload; None when there is none.
 
     The scalar RFC 3550 decode (version 2 or nothing) the columnar reader
@@ -58,7 +88,7 @@ def decode_rtp_header(payload: bytes) -> Optional[RTPHeader]:
     )
     if first >> 6 != RTP_VERSION:
         return None
-    return RTPHeader(
+    return RTPFields(
         version=first >> 6,
         padding=bool((first >> 5) & 0x1),
         extension=bool((first >> 4) & 0x1),
@@ -78,8 +108,8 @@ def _bytes_to_ip(data: bytes) -> str:
 def read_pcap(
     path: Union[str, Path],
     client_ip: Optional[str] = None,
-) -> List[Packet]:
-    """Read a classic PCAP file back into :class:`Packet` records.
+) -> PacketColumns:
+    """Read a classic PCAP file back into columns, one frame at a time.
 
     Parameters
     ----------
@@ -117,7 +147,7 @@ def read_pcap(
                 break
             raw_records.append((seconds + microseconds / 1_000_000, data))
 
-    decoded: List[tuple[float, str, str, int, int, int, Optional[RTPHeader]]] = []
+    decoded: List[tuple[float, str, str, int, int, int, Optional[RTPFields]]] = []
     for timestamp, frame in raw_records:
         parsed = _decode_frame(frame)
         if parsed is not None:
@@ -126,13 +156,13 @@ def read_pcap(
     if client_ip is None:
         client_ip = _infer_client_ip(decoded)
 
-    packets: List[Packet] = []
+    packets: List[PacketRow] = []
     for timestamp, src_ip, dst_ip, src_port, dst_port, payload_len, rtp in decoded:
         direction = (
             Direction.UPSTREAM if src_ip == client_ip else Direction.DOWNSTREAM
         )
         packets.append(
-            Packet(
+            PacketRow(
                 timestamp=timestamp,
                 direction=direction,
                 payload_size=payload_len,
@@ -147,7 +177,7 @@ def read_pcap(
                 rtp_timestamp=rtp.timestamp if rtp else None,
             )
         )
-    return packets
+    return columns_of(packets)
 
 
 def _decode_frame(frame: bytes):
@@ -201,7 +231,7 @@ def streaming_packets(n=2500, server_port=49004, rtp=True, rate_mbps=8.0):
     for i in range(n):
         ts = i / pps
         packets.append(
-            Packet(
+            PacketRow(
                 timestamp=ts,
                 direction=Direction.DOWNSTREAM,
                 payload_size=payload,
@@ -216,7 +246,7 @@ def streaming_packets(n=2500, server_port=49004, rtp=True, rate_mbps=8.0):
         )
         if i % 20 == 0:
             packets.append(
-                Packet(
+                PacketRow(
                     timestamp=ts + 0.001,
                     direction=Direction.UPSTREAM,
                     payload_size=120,
@@ -234,24 +264,24 @@ class TestPcapRoundtrip:
     def test_roundtrip_preserves_counts_sizes_and_rtp(self, tmp_path):
         packets = streaming_packets(200)
         path = tmp_path / "session.pcap"
-        written = write_pcap(path, packets)
+        written = write_pcap(path, columns_of(packets))
         restored = read_pcap_stream(path, client_ip="192.168.0.9")
         assert written == len(packets) == len(restored)
-        assert restored[0].payload_size == packets[0].payload_size
-        assert restored[0].rtp_ssrc == packets[0].rtp_ssrc
+        assert restored.payload_sizes()[0] == packets[0].payload_size
+        assert restored.columns().rtp_ssrc[0] == packets[0].rtp_ssrc
         assert len(restored.timestamps(Direction.DOWNSTREAM)) == 200
 
     def test_client_ip_inference(self, tmp_path):
         packets = streaming_packets(120)
         path = tmp_path / "x.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         restored = read_pcap_stream(path)  # infer client from byte counts
         assert len(restored.timestamps(Direction.DOWNSTREAM)) == 120
 
     def test_timestamps_preserved_to_microseconds(self, tmp_path):
         packets = streaming_packets(50)
         path = tmp_path / "t.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         restored = read_pcap_stream(path, client_ip="192.168.0.9")
         original_ts = sorted(p.timestamp for p in packets)
         np.testing.assert_allclose(restored.timestamps(), original_ts, atol=2e-6)
@@ -284,7 +314,7 @@ class TestPcapColumnarPath:
     def test_columns_equal_object_path_with_rtp(self, tmp_path):
         packets = streaming_packets(300)
         path = tmp_path / "cols.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         reference = PacketStream(read_pcap(path, client_ip="192.168.0.9")).columns()
         got = PacketStream.from_columns(
             read_pcap_columns(path, client_ip="192.168.0.9")
@@ -294,7 +324,7 @@ class TestPcapColumnarPath:
     def test_columns_equal_object_path_without_rtp(self, tmp_path):
         packets = streaming_packets(150, rtp=False)
         path = tmp_path / "plain.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         reference = PacketStream(read_pcap(path, client_ip="192.168.0.9")).columns()
         got = PacketStream.from_columns(
             read_pcap_columns(path, client_ip="192.168.0.9")
@@ -305,7 +335,7 @@ class TestPcapColumnarPath:
     def test_inferred_client_matches_object_path(self, tmp_path):
         packets = streaming_packets(180)
         path = tmp_path / "infer.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         reference = PacketStream(read_pcap(path)).columns()
         got = PacketStream.from_columns(read_pcap_columns(path)).columns()
         self.assert_columns_equal(reference, got)
@@ -315,7 +345,7 @@ class TestPcapColumnarPath:
     def test_read_pcap_stream_wrapper(self, tmp_path):
         packets = streaming_packets(80)
         path = tmp_path / "stream.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         stream = read_pcap_stream(path, client_ip="192.168.0.9")
         assert isinstance(stream, PacketStream)
         assert len(stream) == len(read_pcap(path, client_ip="192.168.0.9"))
@@ -329,7 +359,7 @@ class TestPcapColumnarPath:
 
         packets = streaming_packets(400)
         path = tmp_path / "batched.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         reference = read_pcap_columns(path, client_ip="192.168.0.9")
         batches = list(
             iter_pcap_column_batches(path, client_ip="192.168.0.9", **kwargs)
@@ -343,7 +373,7 @@ class TestPcapColumnarPath:
 
         packets = streaming_packets(300)
         path = tmp_path / "infer-batched.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         reference = read_pcap_columns(path)
         merged = PacketColumns.concat(
             list(iter_pcap_column_batches(path, batch_packets=64))
@@ -359,7 +389,7 @@ class TestPcapColumnarPath:
     def test_truncated_trailing_record_dropped(self, tmp_path):
         packets = streaming_packets(40)
         path = tmp_path / "trunc.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         data = path.read_bytes()
         path.write_bytes(data[:-7])  # cut into the last record's frame
         reference = PacketStream(read_pcap(path, client_ip="192.168.0.9")).columns()
@@ -372,33 +402,33 @@ class TestPcapColumnarPath:
 class TestFlowDetector:
     def test_detects_geforce_now_flow(self):
         detector = CloudGamingFlowDetector()
-        sessions = detector.detect(PacketStream(streaming_packets()))
+        sessions = detector.detect(stream_of(streaming_packets()))
         assert len(sessions) == 1
         assert sessions[0].platform == "GeForce NOW"
         assert sessions[0].key.server_port == 49004
 
     def test_rejects_low_bitrate_flow(self):
         detector = CloudGamingFlowDetector()
-        packets = PacketStream(streaming_packets(rate_mbps=0.5))
+        packets = stream_of(streaming_packets(rate_mbps=0.5))
         assert detector.detect(packets) == []
 
     def test_rejects_non_rtp_when_required(self):
         detector = CloudGamingFlowDetector()
-        packets = PacketStream(streaming_packets(rtp=False))
+        packets = stream_of(streaming_packets(rtp=False))
         assert detector.detect(packets) == []
 
     def test_rejects_wrong_port(self):
         detector = CloudGamingFlowDetector()
-        packets = PacketStream(streaming_packets(server_port=12345))
+        packets = stream_of(streaming_packets(server_port=12345))
         assert detector.detect(packets) == []
 
     def test_rejects_short_flow(self):
         detector = CloudGamingFlowDetector()
-        packets = PacketStream(streaming_packets(n=1000))  # ~1.2 s < 2 s minimum
+        packets = stream_of(streaming_packets(n=1000))  # ~1.2 s < 2 s minimum
         assert detector.detect(packets) == []
 
     def test_accepts_unsorted_columns(self):
-        columns = PacketStream(streaming_packets()).columns()
+        columns = stream_of(streaming_packets()).columns()
         shuffled = columns.take(np.random.default_rng(0).permutation(len(columns)))
         (session,) = CloudGamingFlowDetector().detect(shuffled)
         np.testing.assert_array_equal(session.packets.timestamps(), columns.timestamps)
@@ -406,18 +436,18 @@ class TestFlowDetector:
     def test_filter_packets_returns_only_gaming_traffic(self):
         gaming = streaming_packets()
         noise = [
-            Packet(timestamp=0.1 * i, direction=Direction.DOWNSTREAM, payload_size=300,
-                   src_ip="8.8.8.8", dst_ip="192.168.0.9", src_port=443, dst_port=40000)
+            PacketRow(timestamp=0.1 * i, direction=Direction.DOWNSTREAM, payload_size=300,
+                      src_ip="8.8.8.8", dst_ip="192.168.0.9", src_port=443, dst_port=40000)
             for i in range(30)
         ]
         detector = CloudGamingFlowDetector()
-        sessions = detector.detect(PacketStream(gaming + noise))
+        sessions = detector.detect(stream_of(gaming + noise))
         kept = PacketStream.from_columns(
             PacketColumns.concat([session.packets.columns() for session in sessions])
         )
         assert len(kept) == len(gaming)
         np.testing.assert_array_equal(
-            kept.timestamps(), PacketStream(gaming).timestamps()
+            kept.timestamps(), stream_of(gaming).timestamps()
         )
 
     def test_all_platform_signatures_present(self):
@@ -434,13 +464,13 @@ class TestFlowDetector:
         )
         detector = CloudGamingFlowDetector([signature])
         sessions = detector.detect(
-            PacketStream(streaming_packets(server_port=12345, rtp=False))
+            stream_of(streaming_packets(server_port=12345, rtp=False))
         )
         assert sessions and sessions[0].platform == "TestCloud"
 
     def test_xbox_signature_matches(self):
         detector = CloudGamingFlowDetector()
-        sessions = detector.detect(PacketStream(streaming_packets(server_port=9002)))
+        sessions = detector.detect(stream_of(streaming_packets(server_port=9002)))
         assert sessions and sessions[0].platform == "Xbox Cloud Gaming"
 
 
@@ -454,7 +484,7 @@ class TestNetworkConditions:
             NetworkConditions(bandwidth_mbps=0)
 
     def test_latency_shifts_timestamps(self):
-        columns = PacketStream(streaming_packets(100)).columns()
+        columns = stream_of(streaming_packets(100)).columns()
         conditions = NetworkConditions(latency_ms=100.0, jitter_ms=0.0, loss_rate=0.0)
         shifted = apply_conditions_columns(
             columns, conditions, rng=np.random.default_rng(0)
@@ -465,7 +495,7 @@ class TestNetworkConditions:
         )
 
     def test_loss_drops_packets(self):
-        columns = PacketStream(streaming_packets(1000)).columns()
+        columns = stream_of(streaming_packets(1000)).columns()
         conditions = NetworkConditions(latency_ms=1.0, jitter_ms=0.0, loss_rate=0.2)
         survivors = apply_conditions_columns(
             columns, conditions, rng=np.random.default_rng(1)
@@ -474,7 +504,7 @@ class TestNetworkConditions:
         assert 0.1 < drop_fraction < 0.3
 
     def test_bottleneck_stretches_delivery(self):
-        columns = PacketStream(streaming_packets(500, rate_mbps=20.0)).columns()
+        columns = stream_of(streaming_packets(500, rate_mbps=20.0)).columns()
         conditions = NetworkConditions(
             latency_ms=1.0, jitter_ms=0.0, loss_rate=0.0, bandwidth_mbps=5.0
         )
@@ -488,7 +518,7 @@ class TestNetworkConditions:
         assert len(shaped) == 0
 
     def test_output_sorted(self):
-        columns = PacketStream(streaming_packets(300)).columns()
+        columns = stream_of(streaming_packets(300)).columns()
         shaped = apply_conditions_columns(
             columns,
             NetworkConditions(latency_ms=5, jitter_ms=20, loss_rate=0.0),
@@ -619,7 +649,7 @@ class TestHostileCaptures:
         """An Ethernet/IPv4/UDP frame with independently corruptible fields."""
         import struct as _struct
 
-        from repro.net.pcap import _ip_to_bytes
+        from repro.net.pcap import _ip_to_u32
 
         src = cls.CLIENT if src is None else src
         dst = cls.SERVER if dst is None else dst
@@ -635,20 +665,18 @@ class TestHostileCaptures:
             64,
             protocol,
             0,
-            _ip_to_bytes(src),
-            _ip_to_bytes(dst),
+            _ip_to_u32(src).to_bytes(4, "big"),
+            _ip_to_u32(dst).to_bytes(4, "big"),
         )
         udp = _struct.pack("!HHHH", sport, dport, udp_len, 0)
         return eth + ip + udp + payload
 
     @classmethod
     def rtp_payload(cls, sequence=1):
-        from repro.net.rtp import RTPHeader
-
-        header = RTPHeader(
+        header = RTPFields(
             payload_type=96, sequence_number=sequence, timestamp=1000, ssrc=77
         )
-        return header.encode() + bytes(60)
+        return encode_rtp_header(header) + bytes(60)
 
     def hostile_frames(self):
         """Valid frames interleaved with one record per corruption class."""
@@ -675,7 +703,7 @@ class TestHostileCaptures:
 
         packets = streaming_packets(200)
         path = tmp_path / "clean.pcap"
-        write_pcap(path, packets)
+        write_pcap(path, columns_of(packets))
         stats = ParseStats()
         columns = read_pcap_columns(path, client_ip=self.CLIENT, stats=stats)
         assert len(columns) == len(packets)
@@ -759,13 +787,13 @@ def per_span_batches(path, batch_packets, batch_seconds, client_ip, stats):
     from pathlib import Path
 
     from repro.net.packet import DEFAULT_ADDRESS, RTP_NONE, PacketColumns
-    from repro.net.pcap import _decode_records, _ip_to_bytes, _scan_records
+    from repro.net.pcap import _decode_records, _ip_to_u32, _scan_records
 
     data = Path(path).read_bytes()
     timestamps, offsets, lengths = _scan_records(data, source=str(path), stats=stats)
     n_records = timestamps.size
     client_u32 = (
-        None if client_ip is None else int.from_bytes(_ip_to_bytes(client_ip), "big")
+        None if client_ip is None else _ip_to_u32(client_ip)
     )
     if n_records == 0:
         return
@@ -1183,3 +1211,146 @@ def test_record_derived_bounds_equal_the_edge_formula(
     TestPcapColumnarPath.assert_columns_equal(whole, PacketColumns.concat(batches))
     bounds = np.concatenate(([0], np.cumsum([len(batch) for batch in batches])))
     assert np.array_equal(bounds, edge_formula_bounds(whole.timestamps, batch_seconds))
+
+
+# ---------------------------------------------------------------------------
+# the column-wise writer: what it writes reads back as the columns it took
+# ---------------------------------------------------------------------------
+_WRITER_CLIENT = "10.0.0.1"
+
+
+@st.composite
+def _writer_columns(draw):
+    """Up to 60 rows in one or many flows, or all at the default address,
+    with RTP on all, some or no rows (payload type column present or not)."""
+    n = draw(st.integers(0, 60))
+
+    def column(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    # whole seconds plus 0.9999995 quantise to the next second
+    times = column(st.one_of(st.floats(0, 50), st.integers(0, 50).map(lambda s: s + 0.9999995)))
+    sizes = column(st.integers(0, 200))
+    if draw(st.booleans()):  # every row at the default address, all downstream
+        upstream, addresses = [False] * n, None
+    else:
+        upstream = column(st.booleans())
+        n_servers = draw(st.integers(1, 12))
+        flows = column(st.integers(0, n_servers - 1))
+        addresses = np.empty(n, dtype=object)
+        for row, (up, flow) in enumerate(zip(upstream, flows)):
+            client = (_WRITER_CLIENT, 50000 + flow % 3)
+            server = (f"198.51.{flow}.{7 + flow}", 49000 + flow)
+            src, dst = (client, server) if up else (server, client)
+            addresses[row] = (src[0], dst[0], src[1], dst[1], "udp")
+    rtp = {}
+    rtp_rows = draw(st.sampled_from(["all", "some", "none"]))
+    if rtp_rows != "none":
+        ssrc = st.integers(0, 0xFFFFFFFF)
+        rtp["rtp_ssrc"] = column(ssrc if rtp_rows == "all" else st.one_of(st.just(RTP_NONE), ssrc))
+        rtp["rtp_sequence"] = column(st.integers(0, 0xFFFF))
+        rtp["rtp_timestamp"] = column(st.integers(0, 0xFFFFFFFF))
+        if draw(st.booleans()):
+            rtp["rtp_payload_type"] = column(st.integers(0, 127))
+        rtp = {name: np.array(values, dtype=np.int64) for name, values in rtp.items()}
+    return PacketColumns(
+        timestamps=times, payload_sizes=sizes, directions=np.array(upstream, dtype=np.int8),
+        addresses=addresses, **rtp,
+    )
+
+
+def expected_read(columns: PacketColumns, snaplen: int) -> PacketColumns:
+    """What the reader returns for ``columns`` written at ``snaplen``.
+
+    Rows in time order, each timestamp at its microsecond (the scalar
+    rounding of the per-record writer), and RTP only on rows whose header
+    was written (payload of 12 bytes or more) and captured (frame cut at 54
+    bytes or more); the payload type is 96 where the column is absent.
+    """
+    columns = columns.sorted_by_time()
+    times = []
+    for timestamp in columns.timestamps.tolist():
+        seconds = int(timestamp)
+        micros = int(round((timestamp - seconds) * 1_000_000))
+        if micros >= 1_000_000:
+            seconds, micros = seconds + 1, micros - 1_000_000
+        times.append(float(seconds) + float(micros) / 1_000_000)
+    rtp = dict.fromkeys(("rtp_payload_type", "rtp_ssrc", "rtp_sequence", "rtp_timestamp"))
+    header = _ETH_HEADER_LEN + _IPV4_MIN_HEADER_LEN + _UDP_HEADER_LEN + RTP_HEADER_LEN
+    if columns.rtp_ssrc is not None and snaplen >= header:
+        kept = (columns.rtp_ssrc != RTP_NONE) & (columns.payload_sizes >= RTP_HEADER_LEN)
+        if kept.any():
+            for name in rtp:
+                values = getattr(columns, name)
+                values = np.full(len(columns), PAYLOAD_TYPE_VIDEO) if values is None else values
+                rtp[name] = np.where(kept, values, RTP_NONE)
+    addresses = columns.addresses
+    if addresses is not None and not len(addresses):
+        addresses = None  # no row off the default address: no column
+    return dataclasses.replace(columns, timestamps=np.array(times), addresses=addresses, **rtp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    columns=_writer_columns(),
+    snaplen=st.one_of(st.integers(42, 260), st.just(65535)),
+)
+def test_write_pcap_reads_back_as_its_columns(tmp_path_factory, columns, snaplen):
+    from repro.net import ParseStats
+
+    path = tmp_path_factory.mktemp("writer") / "capture.pcap"
+    assert write_pcap(path, columns, snaplen=snaplen) == len(columns)
+    stats = ParseStats()
+    got = read_pcap_columns(path, client_ip=_WRITER_CLIENT, stats=stats)
+    TestPcapColumnarPath.assert_columns_equal(expected_read(columns, snaplen), got)
+    assert stats.n_decoded == stats.n_records == len(columns)
+    # an RTP header is written whole or not at all: only a snaplen that cuts
+    # into one leaves its first bytes without the rest
+    written_rtp = 0
+    if columns.rtp_ssrc is not None:
+        written_rtp = np.count_nonzero(
+            (columns.rtp_ssrc != RTP_NONE) & (columns.payload_sizes >= RTP_HEADER_LEN)
+        )
+    cuts_header = _ETH_HEADER_LEN + _IPV4_MIN_HEADER_LEN + _UDP_HEADER_LEN < snaplen < 54
+    assert stats.malformed_rtp == (written_rtp if cuts_header else 0)
+    data, position = path.read_bytes(), _GLOBAL_HEADER.size
+    while position < len(data):
+        _seconds, micros, captured, frame = _RECORD_HEADER.unpack_from(data, position)
+        assert micros < 1_000_000 and captured == min(frame, snaplen)
+        position += _RECORD_HEADER.size + captured
+
+
+def test_loadgen_capture_is_write_pcap_of_its_columns(runtime_sessions, tmp_path):
+    """The benchmark's capture writer and :func:`write_pcap` write one format.
+
+    ``benchmarks/e2e/loadgen.py`` is loaded by path and only read.  Its
+    sessions keep their IPs; session ``i``'s client port is
+    ``CLIENT_PORT_BASE + i`` and every server port the generator's default.
+    The sessions hold RTP rows under 12 bytes, which both write as plain UDP.
+    """
+    import importlib.util
+
+    from repro.net.flow import FlowKey, flow_addresses
+    from repro.net.packet import UPSTREAM_CODE
+    from repro.simulation.session import DEFAULT_SERVER_PORT
+
+    source = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "loadgen.py"
+    spec = importlib.util.spec_from_file_location("e2e_loadgen", source)
+    loadgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loadgen)
+
+    parts = []
+    for index, session in enumerate(runtime_sessions):
+        columns = session.packets.columns()
+        up, down = flow_addresses(
+            FlowKey(session.client_ip, loadgen.CLIENT_PORT_BASE + index,
+                    session.server_ip, DEFAULT_SERVER_PORT)
+        )
+        addresses = np.empty(len(columns), dtype=object)
+        addresses[:] = [up if code == UPSTREAM_CODE else down for code in columns.directions]
+        parts.append(dataclasses.replace(columns, addresses=addresses))
+    merged = PacketColumns.concat(parts)
+    assert np.any((merged.rtp_ssrc != RTP_NONE) & (merged.payload_sizes < RTP_HEADER_LEN))
+    path = tmp_path / "capture.pcap"
+    write_pcap(path, merged, snaplen=loadgen.SNAPLEN)
+    assert path.read_bytes() == loadgen.capture_bytes(runtime_sessions)

@@ -110,7 +110,7 @@ def test_bounded_pcap_feed_matches_offline(fitted_pipeline, runtime_sessions, tm
 
     session = runtime_sessions[1]  # the shortest of the three
     path = tmp_path / "session.pcap"
-    write_pcap(path, session.packets)
+    write_pcap(path, session.packets.columns())
     columns = read_pcap_columns(path, client_ip=session.client_ip)
     expected = fitted_pipeline.process(columns)
 

@@ -31,7 +31,6 @@ from repro.simulation.catalog import (
     GAME_TITLES,
     get_title,
     popularity_weights,
-    titles_by_pattern,
 )
 from repro.simulation.devices import (
     FULL_PACKET_PAYLOAD,
@@ -78,8 +77,8 @@ class TestCatalog:
         assert sum(popularity_weights().values()) == pytest.approx(1.0)
 
     def test_titles_by_pattern_partition(self):
-        spectate = titles_by_pattern(ActivityPattern.SPECTATE_AND_PLAY)
-        continuous = titles_by_pattern(ActivityPattern.CONTINUOUS_PLAY)
+        spectate = [t for t in GAME_TITLES if t.pattern is ActivityPattern.SPECTATE_AND_PLAY]
+        continuous = [t for t in GAME_TITLES if t.pattern is ActivityPattern.CONTINUOUS_PLAY]
         assert len(spectate) + len(continuous) == 13
         assert len(continuous) == 4  # the four role-playing titles
 

@@ -64,7 +64,6 @@ from repro.net.packet import (
     DOWNSTREAM_CODE,
     UPSTREAM_CODE,
     Direction,
-    Packet,
     PacketColumns,
 )
 from repro.net.pcap import iter_pcap_column_batches, write_pcap
@@ -81,6 +80,7 @@ from repro.runtime import (
 from repro.simulation.catalog import PlayerStage
 from repro.simulation.session import SessionConfig, SessionGenerator
 
+from packet_rows import PacketRow, columns_of
 from test_reducers import absorb, bincount_slots
 from test_runtime import assert_report_identical
 from test_shm_ring import assert_columns_identical
@@ -266,14 +266,14 @@ def _capture_packets(draw):
         port = 50000 + draw(st.integers(0, 2))
         size = draw(st.integers(20, 400))
         if kind == "default":
-            packets.append(Packet(when, Direction.DOWNSTREAM, size))
+            packets.append(PacketRow(when, Direction.DOWNSTREAM, size))
         elif kind == "servers":
-            packets.append(Packet(when, Direction.DOWNSTREAM, size, *_SERVERS, 49004, port))
+            packets.append(PacketRow(when, Direction.DOWNSTREAM, size, *_SERVERS, 49004, port))
         elif kind == "up":
-            packets.append(Packet(when, Direction.UPSTREAM, size, client, server, port, 49004))
+            packets.append(PacketRow(when, Direction.UPSTREAM, size, client, server, port, 49004))
         else:
-            packets.append(Packet(when, Direction.DOWNSTREAM, size, server, client, 49004, port))
-    return packets
+            packets.append(PacketRow(when, Direction.DOWNSTREAM, size, server, client, 49004, port))
+    return columns_of(packets)
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,10 +322,10 @@ def test_concat_remaps_ids_only_across_different_key_tables(tick_sessions, tmp_p
     same = PacketColumns.concat([first, second])
     assert same.flow_keys is first.flow_keys  # one table: ids concatenated as they are
     packets = [
-        Packet(0.01 * row, Direction.UPSTREAM, 100, "10.0.0.9", "198.51.100.7", 50000, 443)
+        PacketRow(0.01 * row, Direction.UPSTREAM, 100, "10.0.0.9", "198.51.100.7", 50000, 443)
         for row in range(5)
     ]
-    write_pcap(tmp_path / "capture.pcap", packets)
+    write_pcap(tmp_path / "capture.pcap", columns_of(packets))
     (other,) = iter_pcap_column_batches(tmp_path / "capture.pcap", client_ip="10.0.0.9")
     mixed = PacketColumns.concat([first, other, second])
     assert mixed.flow_keys == first.flow_keys + other.flow_keys

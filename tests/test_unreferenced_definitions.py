@@ -10,6 +10,11 @@ and the tracer's patch table name it) — a bare word is a module function or
 a local of the same name, not a call of the method.  Dunder methods are
 exempt: the interpreter calls them.
 
+Three mentions are no use: a package ``__init__``'s ``from ... import`` of
+the name (a re-export), an ``__all__`` entry, and any word inside the
+definition itself (its docstring, a recursive call).  A name that only its
+package exports is public surface without a caller.
+
 A second check applies the same rules without ``tests/``: a definition that
 only the tests name is test code living in ``src/``, and there is none.  A
 reference body a test needs lives in ``tests/`` as an oracle.
@@ -28,6 +33,28 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 ATTRIBUTE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_]*)")
 QUOTED = re.compile(r"""["']([A-Za-z_][A-Za-z0-9_]*)["']""")
 
+
+def _spans(tree: ast.Module, path: Path) -> list:
+    """``(start, end)`` line spans of what no reference counts in: re-exports and ``__all__``."""
+    spans = []
+    for node in ast.walk(tree):
+        reexport = isinstance(node, ast.ImportFrom) and path.name == "__init__.py"
+        exported = isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        )
+        if reexport or exported:
+            spans.append((node.lineno, node.end_lineno))
+    return spans
+
+
+def _mentions(lines: list) -> tuple:
+    """``(words, reachable)`` counters of ``lines`` (methods count only if reachable)."""
+    text = "\n".join(lines)
+    reachable = Counter(ATTRIBUTE.findall(text))
+    reachable.update(QUOTED.findall(text))
+    return Counter(WORD.findall(text)), reachable
+
+
 def unreferenced_definitions(searched) -> list:
     """``path::name`` of every ``src/`` definition not named in ``searched``."""
     words: Counter = Counter()
@@ -36,32 +63,37 @@ def unreferenced_definitions(searched) -> list:
         for path in (ROOT / directory).rglob("*.py"):
             if path == Path(__file__).resolve():
                 continue  # the guard's own words are no reference
-            text = path.read_text()
-            words.update(WORD.findall(text))
-            reachable.update(ATTRIBUTE.findall(text))
-            reachable.update(QUOTED.findall(text))
+            lines = path.read_text().splitlines()
+            for start, end in _spans(ast.parse("\n".join(lines)), path):
+                lines[start - 1 : end] = [""] * (end - start + 1)
+            file_words, file_reachable = _mentions(lines)
+            words.update(file_words)
+            reachable.update(file_reachable)
     definitions = []
     methods = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((node, path.relative_to(ROOT)))
+                own = _mentions(lines[node.lineno - 1 : node.end_lineno])
+                definitions.append((node, path.relative_to(ROOT), own))
             if isinstance(node, ast.ClassDef):
                 methods.update(
                     id(child)
                     for child in node.body
                     if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                 )
-    defined = Counter(node.name for node, _path in definitions)
+    defined = Counter(node.name for node, _path, _own in definitions)
     unreferenced = []
-    for node, path in definitions:
+    for node, path, (own_words, own_reachable) in definitions:
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
         if id(node) in methods:
-            referenced = reachable[name] > 0
+            referenced = reachable[name] > own_reachable[name]
         else:
-            referenced = words[name] > defined[name]
+            # every other definition of the name spells it once on its own line
+            referenced = words[name] - own_words[name] > defined[name] - 1
         if not referenced:
             unreferenced.append(f"{path.as_posix()}::{name}")
     return unreferenced
