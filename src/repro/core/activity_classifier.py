@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.reducers import raw_slot_matrix
+from repro.core.transition import STAGES
 from repro.core.volumetric import VOLUMETRIC_FEATURE_NAMES, VolumetricAttributeGenerator
 from repro.ml.base import BaseClassifier
 from repro.ml.forest import RandomForestClassifier
@@ -142,8 +143,8 @@ class PlayerActivityClassifier:
         return self
 
     # ----------------------------------------------------------- inference
-    def _stages(self, X: np.ndarray) -> List[PlayerStage]:
-        """Most probable stage of every feature row.
+    def _winners(self, X: np.ndarray) -> Tuple[List[PlayerStage], np.ndarray]:
+        """The stage of each forest class, and every row's most probable class.
 
         Shared by the public predictors below, which do not call each other:
         each is a layer boundary the e2e tracer times under one span name.
@@ -151,38 +152,33 @@ class PlayerActivityClassifier:
         # one enum lookup per class, not per row: the live stage gate comes
         # here with one or two rows a tick
         stages = [PlayerStage(value) for value in self.model.classes_.tolist()]
-        winners = self.model.predict_proba(X).argmax(axis=1)
-        return [stages[index] for index in winners.tolist()]
+        return stages, self.model.predict_proba(X).argmax(axis=1)
 
     def predict_features(self, X: np.ndarray) -> List[PlayerStage]:
         """Predict stages for precomputed slot features (one row or a matrix)."""
-        return self._stages(X)
+        stages, winners = self._winners(X)
+        return [stages[index] for index in winners.tolist()]
 
-    def predict_raw_slots_many(
-        self, raw_matrices: Sequence[np.ndarray]
-    ) -> List[List[PlayerStage]]:
-        """The stage of every slot of every session, in one forest pass.
+    def predict_raw_slots_many(self, raw_matrices: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """The stage code of every slot of every session, in one forest pass.
 
         Each ``(n_slots_i, 4)`` raw matrix holds the four raw volumetric
         attributes per slot (down Mbps, down pps, up Kbps, up pps): a
         session's closing counters, or :func:`~repro.core.reducers.raw_slot_matrix`
         of its stream.  The slot features of every session are stacked into
         one matrix, classified together and split back into per-session
-        stage timelines.  Tree traversal is row-independent, so a session's
-        timeline does not depend on its batch; one session is
-        ``predict_raw_slots_many([raw])[0]``.
+        stage timelines, as int arrays of stage codes (positions in
+        :data:`~repro.core.transition.STAGES`, whose members a report lists).
+        Tree traversal is row-independent, so a session's timeline does not
+        depend on its batch; one session is ``predict_raw_slots_many([raw])[0]``.
         """
         blocks = self._slot_features(raw_matrices)
         lengths = [block.shape[0] for block in blocks]
         if sum(lengths) == 0:
-            return [[] for _ in lengths]
-        stages = self._stages(np.vstack([b for b in blocks if b.shape[0]]))
-        timelines: List[List[PlayerStage]] = []
-        cursor = 0
-        for length in lengths:
-            timelines.append(stages[cursor : cursor + length])
-            cursor += length
-        return timelines
+            return [np.zeros(0, dtype=np.intp) for _ in lengths]
+        stages, winners = self._winners(np.vstack([b for b in blocks if b.shape[0]]))
+        code_of_class = np.array([STAGES.index(stage) for stage in stages], dtype=np.intp)
+        return np.split(code_of_class[winners], np.cumsum(lengths)[:-1])
 
     def _slot_features(self, raw_matrices: Sequence[np.ndarray]) -> List[np.ndarray]:
         """raw -> relative -> smoothed: the slot features of every session.

@@ -19,8 +19,11 @@ mirroring the batched processing of §4.2.3.
 All 51 attributes of every slot of a batch are computed with grouped
 reductions over a single concatenated value array (DESIGN.md §3): segment
 ids combine (slot, group), counts/sums/moments come from ``np.bincount`` and
-order statistics from one ``lexsort`` — no per-slot or per-group Python
-loops.
+order statistics from the (segment, value) order of two stable argsorts —
+no per-slot or per-group Python loops.  :func:`launch_feature_matrix` takes
+the labeled rows of a whole batch from one
+:meth:`~repro.core.packet_groups.PacketGroupLabeler.label_windows` pass;
+:func:`slot_feature_matrix` reads already labeled slots.
 
 The module also provides the baseline "flow volumetric" attributes (packet
 rate and throughput per slot) the paper compares against in Table 3.
@@ -92,7 +95,7 @@ def _grouped_stat_matrix(
     std = np.sqrt(m2)
 
     # order statistics: one value-sorted pass, segments stay contiguous
-    order = np.lexsort((values, segments))
+    order = _segment_order(values, segments)
     sorted_values = values[order]
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
     ne_starts = starts[nonempty]
@@ -129,6 +132,20 @@ def _grouped_stat_matrix(
     return out
 
 
+def _segment_order(values: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """The permutation sorting rows by (segment, value), ties in row order.
+
+    ``np.lexsort((values, segments))``'s order from two stable argsorts:
+    by value, then by segment (radix-sorted as 16-bit keys when the
+    segment ids fit).
+    """
+    by_value = np.argsort(values, kind="stable")
+    keys = segments[by_value]
+    if keys.size and keys.max() < 2**16:
+        keys = keys.astype(np.uint16)
+    return by_value[np.argsort(keys, kind="stable")]
+
+
 def _group_feature_names(prefix: str) -> List[str]:
     names = [f"{prefix}_ct_sum"]
     names.extend(f"{prefix}_sz_{stat}" for stat in _STAT_NAMES)
@@ -157,31 +174,43 @@ def slot_feature_matrix(slots: Sequence[LabeledSlot]) -> np.ndarray:
 
     Returns an ``(n_slots, 51)`` matrix.  The slots may come from one
     session or many (concatenate and split afterwards) — each row depends
-    only on its own slot's packets.
+    only on its own slot's packets, and their timestamps need not be
+    chronological.
     """
-    n_slots = len(slots)
-    features = np.zeros((n_slots, len(PACKET_GROUP_FEATURE_NAMES)))
-    if n_slots == 0:
-        return features
     lengths = [slot.label_codes.size for slot in slots]
-    total = int(np.sum(lengths))
+    if not sum(lengths):
+        return np.zeros((len(slots), len(PACKET_GROUP_FEATURE_NAMES)))
+    return _labeled_feature_matrix(
+        np.concatenate([slot.payload_sizes for slot in slots]),
+        np.concatenate([slot.timestamps for slot in slots]),
+        np.concatenate([slot.label_codes for slot in slots]),
+        np.repeat(np.arange(len(slots)), lengths),
+        len(slots),
+    )
+
+
+def _labeled_feature_matrix(
+    sizes: np.ndarray,
+    times: np.ndarray,
+    codes: np.ndarray,
+    slot_ids: np.ndarray,
+    n_slots: int,
+) -> np.ndarray:
+    """The 51 attributes of ``n_slots`` slots from their labeled rows.
+
+    Row ``i`` belongs to slot ``slot_ids[i]`` and group ``codes[i]``;
+    segment ``slot * 3 + group`` keys every grouped reduction.
+    """
+    features = np.zeros((n_slots, len(PACKET_GROUP_FEATURE_NAMES)))
     n_segments = n_slots * 3
-    if total == 0:
-        return features
-
-    sizes = np.concatenate([slot.payload_sizes for slot in slots])
-    times = np.concatenate([slot.timestamps for slot in slots])
-    codes = np.concatenate([slot.label_codes for slot in slots]).astype(np.int64)
-    slot_ids = np.repeat(np.arange(n_slots), lengths)
-    segments = slot_ids * 3 + codes
-
+    segments = slot_ids.astype(np.int64) * 3 + codes
     counts = np.bincount(segments, minlength=n_segments)
     size_stats = _grouped_stat_matrix(sizes, segments, n_segments, counts=counts)
 
-    # inter-arrival times: sort by (segment, time) so consecutive
-    # same-segment diffs reproduce np.diff(np.sort(times)) per (slot, group)
-    # even for hand-built slots whose timestamps are not chronological
-    order = np.lexsort((times, segments))
+    # inter-arrival times: consecutive same-segment diffs in (segment, time)
+    # order reproduce np.diff(np.sort(times)) per (slot, group), even for
+    # hand-built slots whose timestamps are not chronological
+    order = _segment_order(times, segments)
     seg_sorted = segments[order]
     time_sorted = times[order]
     same_segment = seg_sorted[1:] == seg_sorted[:-1]
@@ -190,11 +219,10 @@ def slot_feature_matrix(slots: Sequence[LabeledSlot]) -> np.ndarray:
     ia_stats = _grouped_stat_matrix(interarrivals, ia_segments, n_segments)
 
     for group_code in range(3):
-        rows = np.arange(n_slots) * 3 + group_code
         base = group_code * 17
-        features[:, base] = counts[rows]
-        features[:, base + 1 : base + 9] = size_stats[rows]
-        features[:, base + 9 : base + 17] = ia_stats[rows]
+        features[:, base] = counts[group_code::3]
+        features[:, base + 1 : base + 9] = size_stats[group_code::3]
+        features[:, base + 9 : base + 17] = ia_stats[group_code::3]
     return features
 
 
@@ -244,9 +272,10 @@ def launch_feature_matrix(
 ) -> np.ndarray:
     """Stack launch feature vectors of many sessions into a matrix.
 
-    The slots of every session are labeled first, then all attributes of the
-    whole batch are computed in one grouped reduction — the per-session cost
-    is the labeling, not the statistics.
+    The window rows of every session are labeled in one pass
+    (:meth:`PacketGroupLabeler.label_windows`), then all attributes of the
+    whole batch are computed in one grouped reduction — no per-session or
+    per-slot step beyond slicing each session's window.
 
     Parameters
     ----------
@@ -274,16 +303,15 @@ def launch_feature_matrix(
     if aggregate not in ("mean", "concat"):
         raise ValueError(f"aggregate must be 'mean' or 'concat', got {aggregate!r}")
     labeler = labeler or PacketGroupLabeler()
-    # label_window always returns ceil(window / T) >= 1 slots
-    per_stream_slots = [
-        labeler.label_window(stream, window_seconds=window_seconds)
-        for stream in streams
-    ]
-    per_slot = slot_feature_matrix([slot for slots in per_stream_slots for slot in slots])
-    rows = []
-    cursor = 0
-    for slots in per_stream_slots:
-        block = per_slot[cursor : cursor + len(slots)]
-        rows.append(block.mean(axis=0) if aggregate == "mean" else block.reshape(-1))
-        cursor += len(slots)
-    return np.stack(rows)
+    rows = labeler.label_windows(streams, window_seconds=window_seconds)
+    per_slot = _labeled_feature_matrix(
+        rows.payload_sizes,
+        rows.timestamps,
+        rows.label_codes,
+        rows.slot_ids,
+        int(rows.slot_counts.sum()),
+    )
+    blocks = np.split(per_slot, np.cumsum(rows.slot_counts)[:-1])
+    if aggregate == "mean":
+        return np.stack([block.mean(axis=0) for block in blocks])
+    return np.stack([block.reshape(-1) for block in blocks])

@@ -14,17 +14,19 @@ the remaining packets are split into steady/sparse by a majority-voting rule
 with a tunable relative variation parameter ``V`` (10% in the paper's
 implementation, evaluated between 1% and 20% in §4.4.1).
 
-The labeler is fully vectorised (DESIGN.md §3): slots are carved out of the
-sorted timestamp column with ``searchsorted``, the majority vote runs on
-shifted array comparisons instead of a per-packet loop, and labels are
-stored as an int8 code array per slot.
+The labeler is fully vectorised (DESIGN.md §3): a window is a contiguous
+range of the sorted timestamp column (``searchsorted``), the windows of a
+whole batch of streams are labeled in one pass over their concatenated
+rows (:meth:`PacketGroupLabeler.label_windows`), the majority vote runs on
+shifted array comparisons that count a neighbour only inside its own slot,
+and labels are int8 codes (:class:`LabeledSlot` per slot for one stream).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +105,22 @@ class LabeledSlot:
         return [_GROUPS_BY_CODE[code] for code in self.label_codes]
 
 
+class LabeledRows(NamedTuple):
+    """Labeled window rows of many streams, as concatenated columns.
+
+    ``timestamps`` / ``payload_sizes`` / ``label_codes`` hold the window
+    rows of every stream in stream order; ``slot_ids`` numbers each row's
+    slot among all streams' slots (stream ``i`` owns the ``slot_counts[i]``
+    ids after those of the streams before it), so the ids never decrease.
+    """
+
+    timestamps: np.ndarray
+    payload_sizes: np.ndarray
+    label_codes: np.ndarray
+    slot_ids: np.ndarray
+    slot_counts: np.ndarray
+
+
 class PacketGroupLabeler:
     """Labels downstream launch packets into full/steady/sparse groups.
 
@@ -151,6 +169,83 @@ class PacketGroupLabeler:
         self.neighbor_window = neighbor_window
 
     # ----------------------------------------------------------- labeling
+    def label_windows(
+        self,
+        streams: Sequence[PacketStream],
+        window_seconds: Optional[float] = None,
+        origins: Optional[Sequence[float]] = None,
+    ) -> LabeledRows:
+        """Label the downstream packets of many streams' windows in one pass.
+
+        Each stream's window is ``[origin, origin + window_seconds)`` of its
+        sorted downstream column (``origin`` defaults to the stream's first
+        packet, ``window_seconds`` to its downstream span, at least one
+        slot) and holds ``ceil(window / T)`` slots, empty ones included.
+        The windows' rows are concatenated and labeled together:
+
+        * every stream keeps its own full size (the window maximum unless
+          ``full_size`` is fixed), taken before rows are dropped;
+        * rows whose slot index reaches the stream's slot count are dropped
+          (the window edge can round onto it);
+        * the steady vote compares neighbours only inside the same slot
+          (:meth:`_steady_votes` with slot ids), so no decision depends on
+          which streams share the call.
+        """
+        if window_seconds is not None and window_seconds <= 0:
+            raise ValueError(f"window_seconds must be positive, got {window_seconds}")
+        time_parts = []
+        size_parts = []
+        slot_counts = []
+        starts = []
+        for index, stream in enumerate(streams):
+            # cached per-direction views of the columnar stream; no child stream
+            all_times = stream.timestamps(Direction.DOWNSTREAM)
+            origin = stream.start_time if origins is None else origins[index]
+            window = window_seconds
+            if window is None:
+                span = float(all_times[-1] - all_times[0]) if all_times.size >= 2 else 0.0
+                window = max(span, self.slot_duration)
+            # the window is a contiguous range of the sorted timestamp column
+            lo = int(np.searchsorted(all_times, origin, side="left"))
+            hi = int(np.searchsorted(all_times, origin + window, side="left"))
+            time_parts.append(all_times[lo:hi])
+            size_parts.append(stream.payload_sizes(Direction.DOWNSTREAM)[lo:hi])
+            slot_counts.append(int(np.ceil(window / self.slot_duration)))
+            starts.append(origin)
+        lengths = np.array([part.size for part in time_parts], dtype=np.intp)
+        stream_of_row = np.repeat(np.arange(lengths.size), lengths)
+        times = np.concatenate(time_parts) if time_parts else np.zeros(0)
+        sizes = np.concatenate(size_parts) if size_parts else np.zeros(0)
+        slot_counts = np.array(slot_counts, dtype=np.intp)
+
+        # times are sorted per stream, so slot indices never decrease inside
+        # a stream and each slot is a contiguous run of rows
+        slots = np.floor(
+            (times - np.array(starts, dtype=float)[stream_of_row]) / self.slot_duration
+        ).astype(np.intp)
+        full_size = self.full_size
+        if full_size is None:
+            # per stream: the window maximum, truncated like int()
+            filled = np.flatnonzero(lengths)
+            maxima = np.zeros(lengths.size, dtype=np.int64)
+            if filled.size:
+                heads = (np.cumsum(lengths) - lengths)[filled]
+                maxima[filled] = np.maximum.reduceat(sizes, heads).astype(np.int64)
+            full_size = maxima[stream_of_row]
+        is_full = np.abs(sizes - full_size) <= self.full_tolerance
+        inside = slots < slot_counts[stream_of_row]
+        if not inside.all():
+            sizes, slots, is_full = sizes[inside], slots[inside], is_full[inside]
+            times, stream_of_row = times[inside], stream_of_row[inside]
+        slot_ids = slots + (np.cumsum(slot_counts) - slot_counts)[stream_of_row]
+
+        codes = np.full(sizes.size, SPARSE_CODE, dtype=np.int8)
+        codes[is_full] = FULL_CODE
+        non_full = np.flatnonzero(~is_full)
+        steady = self._steady_votes(sizes[non_full], slot_ids[non_full])
+        codes[non_full[steady]] = STEADY_CODE
+        return LabeledRows(times, sizes, codes, slot_ids, slot_counts)
+
     def label_window(
         self,
         stream: PacketStream,
@@ -160,92 +255,53 @@ class PacketGroupLabeler:
         """Label the downstream packets of the first ``window_seconds``.
 
         Returns one :class:`LabeledSlot` per slot (including empty slots, so
-        that attribute vectors are aligned across sessions).
+        that attribute vectors are aligned across sessions): the one-stream
+        :meth:`label_windows`, split at its slot edges.
         """
-        # cached per-direction views of the columnar stream; no child stream
-        all_times = stream.timestamps(Direction.DOWNSTREAM)
-        origin = stream.start_time if origin is None else origin
-        if window_seconds is None:
-            downstream_span = (
-                float(all_times[-1] - all_times[0]) if all_times.size >= 2 else 0.0
-            )
-            window_seconds = max(downstream_span, self.slot_duration)
-        if window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-
-        # the window is a contiguous range of the sorted timestamp column
-        lo = int(np.searchsorted(all_times, origin, side="left"))
-        hi = int(np.searchsorted(all_times, origin + window_seconds, side="left"))
-        times = all_times[lo:hi]
-        sizes = stream.payload_sizes(Direction.DOWNSTREAM)[lo:hi]
-
-        full_size = self.full_size
-        if full_size is None:
-            full_size = int(sizes.max()) if sizes.size else 0
-
-        n_slots = int(np.ceil(window_seconds / self.slot_duration))
-        # times are sorted, so slot indices are non-decreasing and each slot
-        # is a contiguous range — no per-slot boolean mask needed
-        slot_of_packet = (
-            np.floor((times - origin) / self.slot_duration).astype(int)
-            if times.size
-            else np.array([], dtype=int)
+        rows = self.label_windows(
+            [stream], window_seconds, origins=None if origin is None else [origin]
         )
-        bounds = np.searchsorted(slot_of_packet, np.arange(n_slots + 1), side="left")
-        slots: List[LabeledSlot] = []
-        for slot_index in range(n_slots):
-            start, stop = int(bounds[slot_index]), int(bounds[slot_index + 1])
-            slot_sizes = sizes[start:stop]
-            slots.append(
-                LabeledSlot(
-                    slot_index=slot_index,
-                    timestamps=times[start:stop],
-                    payload_sizes=slot_sizes,
-                    label_codes=self._label_slot_codes(slot_sizes, full_size),
-                )
+        n_slots = int(rows.slot_counts[0])
+        bounds = np.searchsorted(rows.slot_ids, np.arange(n_slots + 1), side="left")
+        return [
+            LabeledSlot(
+                slot_index=slot_index,
+                timestamps=rows.timestamps[start:stop],
+                payload_sizes=rows.payload_sizes[start:stop],
+                label_codes=rows.label_codes[start:stop],
             )
-        return slots
+            for slot_index, start, stop in zip(
+                range(n_slots), bounds[:-1].tolist(), bounds[1:].tolist()
+            )
+        ]
 
-    def _label_slot_codes(self, sizes: np.ndarray, full_size: int) -> np.ndarray:
-        """Vectorised labeling of one slot, returning int8 group codes."""
-        codes = np.full(sizes.size, SPARSE_CODE, dtype=np.int8)
-        if sizes.size == 0:
-            return codes
-        is_full = np.abs(sizes - full_size) <= self.full_tolerance
-        codes[is_full] = FULL_CODE
-        non_full_indices = np.flatnonzero(~is_full)
-        steady = self._steady_votes(sizes[non_full_indices])
-        codes[non_full_indices[steady]] = STEADY_CODE
-        return codes
-
-    def _steady_votes(self, sizes: np.ndarray) -> np.ndarray:
+    def _steady_votes(
+        self, sizes: np.ndarray, slot_ids: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Majority vote: is each non-full packet steady w.r.t. its neighbours?
 
         A packet is steady when the majority of its up-to ``neighbor_window``
         neighbours on each side (within the same slot) have payload sizes
-        within ±``size_variation`` of its own size.  Implemented with shifted
-        array comparisons: offset ``k`` compares every packet with its
-        ``k``-th left/right neighbour at once.
+        within ±``size_variation`` of its own size.  ``sizes`` holds the
+        non-full packets in order and ``slot_ids`` their slots (``None``:
+        all in one slot).  Implemented with shifted array comparisons:
+        offset ``k`` compares every packet with its ``k``-th left/right
+        neighbour at once, and a pair counts only when both share a slot —
+        a lone non-full packet has no neighbour and no band to belong to.
         """
         count = sizes.size
-        if count == 0:
-            return np.array([], dtype=bool)
-        if count == 1:
-            # a lone non-full packet has no band to belong to
-            return np.array([False])
         tolerance = self.size_variation * sizes
         close = np.zeros(count, dtype=np.int64)
         neighbors = np.zeros(count, dtype=np.int64)
-        for offset in range(1, self.neighbor_window + 1):
-            if offset >= count:
-                break
+        for offset in range(1, min(self.neighbor_window, count - 1) + 1):
+            same = True if slot_ids is None else slot_ids[offset:] == slot_ids[:-offset]
             gap = np.abs(sizes[offset:] - sizes[:-offset])
             # left neighbour of index i >= offset
-            close[offset:] += gap <= tolerance[offset:]
-            neighbors[offset:] += 1
+            close[offset:] += (gap <= tolerance[offset:]) & same
+            neighbors[offset:] += same
             # right neighbour of index i <= count - 1 - offset
-            close[:-offset] += gap <= tolerance[:-offset]
-            neighbors[:-offset] += 1
+            close[:-offset] += (gap <= tolerance[:-offset]) & same
+            neighbors[:-offset] += same
         return (close * 2 >= neighbors) & (neighbors > 0)
 
     # ------------------------------------------------------------ summary

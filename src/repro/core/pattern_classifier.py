@@ -24,7 +24,7 @@ from repro.core.transition import (
 )
 from repro.ml.base import BaseClassifier
 from repro.ml.forest import RandomForestClassifier
-from repro.simulation.catalog import ActivityPattern, PlayerStage
+from repro.simulation.catalog import ActivityPattern
 
 
 @dataclass
@@ -88,10 +88,15 @@ class GameplayPatternClassifier:
     # ------------------------------------------------------------ training
     def fit_stage_sequences(
         self,
-        stage_sequences: Sequence[Sequence[PlayerStage]],
+        stage_sequences: Sequence[Sequence[int]],
         patterns: Sequence[ActivityPattern],
     ) -> "GameplayPatternClassifier":
-        """Train from per-session stage sequences and their pattern labels."""
+        """Train from per-session stage-code sequences and their pattern labels.
+
+        A sequence holds stage codes
+        (:func:`~repro.core.transition.stage_codes`), as
+        :meth:`PlayerActivityClassifier.predict_raw_slots_many` returns them.
+        """
         if len(stage_sequences) != len(patterns):
             raise ValueError(
                 f"{len(stage_sequences)} sequences but {len(patterns)} pattern labels"
@@ -152,9 +157,9 @@ class GameplayPatternClassifier:
     _BATCH_CHUNK = 16
 
     def predict_incremental_many(
-        self, stage_sequences: Sequence[Sequence[PlayerStage]]
+        self, stage_sequences: Sequence[Sequence[int]]
     ) -> List[Tuple[PatternPrediction, int]]:
-        """The first slot at which each stage sequence's confidence gate opens.
+        """The first slot at which each stage-code sequence's confidence gate opens.
 
         Per sequence, returns the first confident prediction and the number
         of gameplay slots that were needed (the paper's "time to confident
@@ -232,10 +237,10 @@ class GameplayPatternClassifier:
 
     def evaluate(
         self,
-        stage_sequences: Sequence[Sequence[PlayerStage]],
+        stage_sequences: Sequence[Sequence[int]],
         patterns: Sequence[ActivityPattern],
     ) -> dict:
-        """Accuracy per pattern over labeled sequences (confidence gate off).
+        """Accuracy per pattern over labeled stage-code sequences (confidence gate off).
 
         Every sequence's full transition attributes are classified in one
         ``predict_proba`` pass and the most probable pattern is compared to

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from dataclasses import replace as dataclasses_replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.pattern_classifier import GameplayPatternClassifier, PatternPrediction
 from repro.core.qoe import (
@@ -34,6 +36,7 @@ from repro.core.qoe import (
 )
 from repro.core.reducers import SessionReducerCascade, raw_slot_matrix
 from repro.core.title_classifier import GameTitleClassifier, TitlePrediction
+from repro.core.transition import STAGES
 from repro.ml.forest import RandomForestClassifier
 from repro.net.filter import CloudGamingFlowDetector
 from repro.net.packet import PacketStream
@@ -301,7 +304,9 @@ class ContextClassificationPipeline:
         2. **stage timelines** — the integer-exact slot counters convert to
            raw matrices and classify via
            :meth:`PlayerActivityClassifier.predict_raw_slots_many`
-           (lockstep EMA, one forest pass);
+           (lockstep slot-major EMA, one forest pass) into stage codes,
+           which the pattern stage and the stage fractions read as arrays;
+           each report lists its :class:`PlayerStage` members once;
         3. **pattern** — prefix transition attributes of the final
            timelines through the chunked early-exit
            :meth:`GameplayPatternClassifier.predict_incremental_many`;
@@ -328,6 +333,7 @@ class ContextClassificationPipeline:
         title_predictions = self.title_classifier.predict_streams(
             [cascade.launch_stream() for cascade in cascades]
         )
+        # stage timelines stay stage codes until each report lists its stages
         stage_timelines = self.activity_classifier.predict_raw_slots_many(
             [cascade.final_raw_matrix() for cascade in cascades]
         )
@@ -366,7 +372,7 @@ class ContextClassificationPipeline:
             SessionContextReport(
                 platform=platform,
                 title=title,
-                stage_timeline=timeline,
+                stage_timeline=[STAGES[code] for code in timeline.tolist()],
                 stage_fractions=fractions,
                 pattern=pattern,
                 objective_metrics=metrics,
@@ -444,8 +450,12 @@ class ContextClassificationPipeline:
 
     # ------------------------------------------------------------ helpers
     @staticmethod
-    def _stage_fractions(stages: Sequence[PlayerStage]) -> Dict[PlayerStage, float]:
-        counts = {stage: stages.count(stage) for stage in PlayerStage.gameplay_stages()}
+    def _stage_fractions(codes: np.ndarray) -> Dict[PlayerStage, float]:
+        """Share of each gameplay stage among a stage-code timeline's gameplay slots."""
+        per_code = np.bincount(codes, minlength=len(STAGES)).tolist()
+        counts = {
+            stage: per_code[STAGES.index(stage)] for stage in PlayerStage.gameplay_stages()
+        }
         total = sum(counts.values())
         return {stage: count / total if total else 0.0 for stage, count in counts.items()}
 

@@ -12,6 +12,13 @@ the vector after every slot of a whole sequence (offline inference, and
 through its last row, :func:`transition_features_from_stages`, training);
 :class:`PrefixTransitionTracker` gives the same rows a few slots at a time
 (the streaming runtime).
+
+Whole sequences travel as integer *stage codes* (positions in
+:data:`STAGES`): the stage forest's winners become codes once, the
+transition attributes and the pipeline's stage fractions read them with
+array indexing, and a report turns them into :class:`PlayerStage` members
+once.  :func:`stage_codes` converts a sequence of stages (ground truth, a
+report's timeline) into codes.
 """
 
 from __future__ import annotations
@@ -36,13 +43,26 @@ TRANSITION_FEATURE_NAMES: List[str] = [
 
 _STAGE_INDEX = {stage: index for index, stage in enumerate(STAGE_ORDER)}
 
+#: Every stage, in code order: a stage code is a position in this tuple.
+STAGES: Tuple[PlayerStage, ...] = tuple(PlayerStage)
 
-def prefix_transition_features(
-    stages: Sequence[PlayerStage],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Transition attributes of every prefix of a stage sequence, vectorised.
+_CODE_OF = {stage: code for code, stage in enumerate(STAGES)}
 
-    For a sequence of ``n`` per-slot stages, returns
+#: The :data:`STAGE_ORDER` position of each stage code, -1 off the gameplay
+#: stages; the trailing entry is code -1's (an unknown label)
+_ORDER_OF_CODE = np.array([_STAGE_INDEX.get(stage, -1) for stage in STAGES] + [-1])
+
+
+def stage_codes(stages: Sequence[PlayerStage]) -> np.ndarray:
+    """The stage codes of a sequence of stages; anything else is -1 (unknown)."""
+    return np.array([_CODE_OF.get(stage, -1) for stage in stages], dtype=np.intp)
+
+
+def prefix_transition_features(codes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Transition attributes of every prefix of a stage-code sequence, vectorised.
+
+    For a sequence of ``n`` per-slot stage codes (:data:`STAGES`
+    positions, -1 for an unknown label), returns
 
     * an ``(n, 9)`` float matrix whose row ``t`` holds the nine transition
       attributes of slots ``0..t`` (inclusive) — the vector the incremental
@@ -51,7 +71,7 @@ def prefix_transition_features(
       observed up to and including slot ``t``.
 
     A transition is counted at slot ``t`` exactly when both slot ``t-1`` and
-    slot ``t`` carry gameplay stages (launch and unknown labels break the
+    slot ``t`` carry gameplay stages (launch and unknown codes break the
     chain without counting), so one cumulative sum over a one-hot transition
     matrix counts every prefix.  The paper normalises the nine cells "to
     their probabilities across time slots within the monitored duration",
@@ -60,15 +80,15 @@ def prefix_transition_features(
     stage.  Counts are exact small integers, so the rows equal a
     slot-by-slot replay's bit for bit.
     """
-    idx = np.asarray([_STAGE_INDEX.get(stage, -1) for stage in stages], dtype=np.int64)
+    idx = _ORDER_OF_CODE[np.asarray(codes, dtype=np.intp)]
     n = idx.size
     gameplay_seen = np.cumsum(idx >= 0)
     one_hot = np.zeros((n, 9))
     if n > 1:
         valid = (idx[1:] >= 0) & (idx[:-1] >= 0)
         slots = np.flatnonzero(valid) + 1
-        codes = idx[slots - 1] * 3 + idx[slots]
-        one_hot[slots, codes] = 1.0
+        cells = idx[slots - 1] * 3 + idx[slots]
+        one_hot[slots, cells] = 1.0
     cumulative = np.cumsum(one_hot, axis=0)
     totals = cumulative.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -76,15 +96,15 @@ def prefix_transition_features(
     return features, gameplay_seen
 
 
-def transition_features_from_stages(stages: Sequence[PlayerStage]) -> np.ndarray:
-    """The nine transition attributes of a whole stage sequence.
+def transition_features_from_stages(codes: Sequence[int]) -> np.ndarray:
+    """The nine transition attributes of a whole stage-code sequence.
 
     The last row of :func:`prefix_transition_features` (zeros when there
     are no slots): the vector the pattern forest trains on.
     """
-    if not len(stages):
+    if not len(codes):
         return np.zeros(9)
-    return prefix_transition_features(stages)[0][-1]
+    return prefix_transition_features(codes)[0][-1]
 
 
 class PrefixTransitionTracker:
@@ -99,7 +119,9 @@ class PrefixTransitionTracker:
     bit-identical to one :func:`prefix_transition_features` call over the
     full sequence — counts are exact small integers (their total is exact in
     any order), and each attribute is the same single division of a count by
-    the prefix total.
+    the prefix total.  It takes :class:`PlayerStage` members (the live stage
+    gate's verdicts), where the whole-sequence form takes their
+    :func:`stage_codes`.
     """
 
     def __init__(self) -> None:

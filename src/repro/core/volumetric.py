@@ -13,7 +13,8 @@ packet rate, upstream throughput and upstream packet rate — then
 
 The raw per-slot attributes come from the slot reducer's counters
 (:func:`repro.core.reducers.raw_slot_matrix`); the generator below holds
-the array transforms applied to them offline, and
+the array transforms applied to them offline — its EMA advances a whole
+batch of sessions slot by slot on one slot-major stack — and
 :class:`OnlineVolumetricTracker` the slot-by-slot form used by the
 real-time pipeline.
 """
@@ -32,29 +33,6 @@ VOLUMETRIC_FEATURE_NAMES = (
     "up_throughput_rel",
     "up_packet_rate_rel",
 )
-
-
-def exponential_moving_average(values: Sequence[float], alpha: float) -> np.ndarray:
-    """EMA smoothing: ``attr_t = alpha * attr_t + (1 - alpha) * attr_{t-1}``.
-
-    Equation (1) of the paper.  ``alpha`` is the weight of the *current*
-    slot; smaller values smooth more aggressively.  ``values`` may be a 1-D
-    sequence (one series) or a 2-D ``(n_series, n_slots)`` array, in which
-    case every row is smoothed independently in one vectorised recurrence
-    (bit-identical to smoothing each row on its own).
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return values.copy()
-    smoothed = np.empty_like(values)
-    smoothed[..., 0] = values[..., 0]
-    for index in range(1, values.shape[-1]):
-        smoothed[..., index] = (
-            alpha * values[..., index] + (1.0 - alpha) * smoothed[..., index - 1]
-        )
-    return smoothed
 
 
 class VolumetricAttributeGenerator:
@@ -103,11 +81,15 @@ class VolumetricAttributeGenerator:
     def smooth_many(self, relatives: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Apply the EMA of Equation 1 to many sessions' relative matrices.
 
+        Equation 1 is ``attr_t = alpha * attr_t + (1 - alpha) * attr_{t-1}``
+        (``alpha`` weighs the *current* slot; smaller values smooth more).
         The recurrences of all sessions and columns advance in lockstep on
-        one zero-padded ``(n_sessions, max_slots, 4)`` stack.  The EMA is
-        elementwise per session, so each returned matrix is bit-identical to
-        smoothing its columns one at a time (pinned by
-        ``tests/test_tick_fold.py``).
+        one zero-padded slot-major ``(max_slots, n_sessions, 4)`` stack:
+        ``alpha * attr`` is formed once for the whole stack, then each slot
+        is two in-place ufunc calls on one contiguous row block.  Every
+        element sees the same two products and the same (commutative) sum
+        as smoothing its column on its own, so each returned matrix is
+        bit-identical to that (pinned by ``tests/test_tick_fold.py``).
         """
         if not relatives:
             return []
@@ -115,14 +97,17 @@ class VolumetricAttributeGenerator:
         max_length = max(lengths)
         if max_length == 0:
             return [matrix.copy() for matrix in relatives]
-        stacked = np.zeros((len(relatives), max_length, 4))
+        smoothed = np.zeros((max_length, len(relatives), 4))
         for index, matrix in enumerate(relatives):
-            stacked[index, : matrix.shape[0]] = matrix
-        # smooth along the slot axis for all sessions and columns at once
-        smoothed = exponential_moving_average(
-            stacked.transpose(0, 2, 1), self.alpha
-        ).transpose(0, 2, 1)
-        return [smoothed[index, :length] for index, length in enumerate(lengths)]
+            smoothed[: matrix.shape[0], index] = matrix
+        current = self.alpha * smoothed
+        decay = 1.0 - self.alpha
+        # slot 0 keeps its value; slot t adds alpha * x_t to decay * ema_{t-1}
+        for slot in range(1, max_length):
+            row = smoothed[slot]
+            np.multiply(smoothed[slot - 1], decay, out=row)
+            np.add(current[slot], row, out=row)
+        return [smoothed[:length, index] for index, length in enumerate(lengths)]
 
 
 class OnlineVolumetricTracker:

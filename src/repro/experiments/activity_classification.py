@@ -10,7 +10,11 @@ import numpy as np
 from repro.core.activity_classifier import PlayerActivityClassifier
 from repro.core.pattern_classifier import GameplayPatternClassifier
 from repro.core.reducers import raw_slot_matrix
-from repro.core.transition import TRANSITION_FEATURE_NAMES, transition_features_from_stages
+from repro.core.transition import (
+    TRANSITION_FEATURE_NAMES,
+    stage_codes,
+    transition_features_from_stages,
+)
 from repro.experiments import common
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.importance import permutation_importance
@@ -147,7 +151,7 @@ def run_table5_transition_importance(
     corpus = common.gameplay_corpus(quick=quick, seed=seed)
     X = np.stack(
         [
-            transition_features_from_stages(session.slot_ground_truth(1.0))
+            transition_features_from_stages(stage_codes(session.slot_ground_truth(1.0)))
             for session in corpus.sessions
         ]
     )
@@ -185,7 +189,7 @@ def run_fig15_pattern_model_tuning(
     corpus = common.gameplay_corpus(quick=quick, seed=seed)
     X = np.stack(
         [
-            transition_features_from_stages(session.slot_ground_truth(1.0))
+            transition_features_from_stages(stage_codes(session.slot_ground_truth(1.0)))
             for session in corpus.sessions
         ]
     )

@@ -33,14 +33,17 @@ walk to the last bit:
   and the add.  A one-row stage-gate call and a 20 000-row corpus call run
   the same lines; only the vector length differs;
 * **rank-space memoization** — rows with equal rank vectors traverse
-  every tree identically, so a low-dimensional batch of
-  ``DEDUP_MIN_ROWS``–``DEDUP_MAX_ROWS`` rows (the stage/pattern forests see
-  4- and 9-feature matrices) is keyed by one 1-D ``np.unique`` of its
-  C-contiguous rank rows viewed as ``np.void`` bytes, and walks only the
-  distinct rows when at most half are distinct, scattering their results
-  back.  The pattern forest's slot-pattern rows repeat (41 distinct of
-  1 664 on the corpus); the stage forest's rarely do (97 % distinct), so
-  the key's sort must stay cheap next to the walk it may not save;
+  every tree identically, so a low-dimensional batch of at least
+  ``DEDUP_MIN_ROWS`` rows (the stage/pattern forests see 4- and 9-feature
+  matrices) is keyed by one 1-D ``np.unique`` of its C-contiguous rank
+  rows viewed as ``np.void`` bytes, and walks only the distinct rows when
+  at most half are distinct, scattering their results back.  A batch
+  longer than ``DEDUP_PROBE_ROWS`` sorts its keys only when its first
+  ``DEDUP_PROBE_ROWS`` rows are at most half distinct: the pattern
+  forest's prefix rows repeat from the first slot on (1–3 distinct of
+  48–64 on the corpus), the stage forest's 600–800-row chunks are ~97 %
+  distinct from their first rows on, and the probe's sort costs a tenth
+  of the whole matrix's;
 * **adaptive accumulation** — the per-tree probability sum uses the fused
   3-D ``np.add.reduce(proba[leaves], axis=0)`` for small outputs and the
   full-width per-tree loop for large ones.  Both add the same floats in
@@ -76,14 +79,16 @@ class ForestKernel:
     probability rows are kept; the node arrays stay with the forest.
     """
 
-    #: attempt rank-space dedup only inside this row range.  The void-key
-    #: sort costs ~17-20 us up to 64 rows; from 32 rows, walking only half
-    #: of them saves ~14 us on the 20-tree stage forest and ~120 us on the
+    #: attempt rank-space dedup from this many rows: the void-key sort
+    #: costs ~17-20 us up to 64 rows; from 32 rows, walking only half of
+    #: them saves ~14 us on the 20-tree stage forest and ~120 us on the
     #: 100-tree pattern forest (the live stage gate's 1-24-row tick calls
-    #: never sort).  Above the upper bound the sort outgrows the traversal
-    #: it could save (the big matrices are near-unique anyway)
+    #: never sort)
     DEDUP_MIN_ROWS = 32
-    DEDUP_MAX_ROWS = 4096
+    #: a longer batch sorts all its keys only when this many leading rows
+    #: are at most half distinct: a near-unique matrix pays one probe-sized
+    #: sort, not one the size of the walk it cannot save
+    DEDUP_PROBE_ROWS = 64
     #: ... and only for low-dimensional forests, where equal rank vectors
     #: are actually likely (the 255-feature title matrix never collides)
     DEDUP_MAX_FEATURES = 32
@@ -314,17 +319,15 @@ class ForestKernel:
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
         ranks = self._rank(X)
-        if (
-            self.DEDUP_MIN_ROWS <= X.shape[0] <= self.DEDUP_MAX_ROWS
-            and X.shape[1] <= self.DEDUP_MAX_FEATURES
-        ):
+        n_rows = ranks.shape[0]
+        if n_rows >= self.DEDUP_MIN_ROWS and X.shape[1] <= self.DEDUP_MAX_FEATURES:
             # one 1-D sort of each C-contiguous rank row's bytes as a key
-            keys = ranks.view(np.dtype((np.void, ranks.itemsize * ranks.shape[1])))
-            _, first, inverse = np.unique(
-                keys.ravel(), return_index=True, return_inverse=True
-            )
-            if 2 * first.size <= ranks.shape[0]:
-                return self._accumulate(self._traverse(ranks[first]))[inverse]
+            keys = ranks.view(np.dtype((np.void, ranks.itemsize * ranks.shape[1]))).ravel()
+            probe = keys[: self.DEDUP_PROBE_ROWS]
+            if probe.size == n_rows or 2 * np.unique(probe).size <= probe.size:
+                _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+                if 2 * first.size <= n_rows:
+                    return self._accumulate(self._traverse(ranks[first]))[inverse]
         return self._accumulate(self._traverse(ranks))
 
     # ------------------------------------------------------------- sizing

@@ -7,7 +7,9 @@ timelines, same pattern gates, same QoE levels, bit-for-bit equal
 confidences.  The batched forms are the classifiers' only entry points; the
 slot-by-slot replays they vectorise live here as oracles: the transition
 modeler :func:`transition_replay` and the pattern gate
-:func:`sequential_incremental`.
+:func:`sequential_incremental`.  Timelines travel as stage codes; the
+enum-keyed prefix attributes they replaced are the oracle
+:func:`enum_prefix_transition_features`.
 """
 
 import numpy as np
@@ -23,7 +25,10 @@ from repro.core.reducers import raw_slot_matrix
 from repro.core.title_classifier import GameTitleClassifier
 from repro.core.transition import (
     STAGE_ORDER,
+    STAGES,
+    PrefixTransitionTracker,
     prefix_transition_features,
+    stage_codes,
     transition_features_from_stages,
 )
 from repro.ml.forest import RandomForestClassifier
@@ -54,6 +59,33 @@ def transition_replay(stages):
             previous = None
         total = counts.sum()
         yield (counts / total if total else np.zeros((3, 3))).reshape(-1), seen
+
+
+def enum_prefix_transition_features(stages):
+    """Oracle: ``prefix_transition_features`` as it read ``PlayerStage`` members.
+
+    Each stage is looked up in an enum-keyed dict; anything else (launch,
+    an unknown label) maps to -1 and breaks the chain.
+    """
+    idx = np.asarray([_STAGE_ROW.get(stage, -1) for stage in stages], dtype=np.int64)
+    n = idx.size
+    gameplay_seen = np.cumsum(idx >= 0)
+    one_hot = np.zeros((n, 9))
+    if n > 1:
+        valid = (idx[1:] >= 0) & (idx[:-1] >= 0)
+        slots = np.flatnonzero(valid) + 1
+        codes = idx[slots - 1] * 3 + idx[slots]
+        one_hot[slots, codes] = 1.0
+    cumulative = np.cumsum(one_hot, axis=0)
+    totals = cumulative.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        features = np.where(totals > 0, cumulative / totals, 0.0)
+    return features, gameplay_seen
+
+
+def stages_of(codes):
+    """The ``PlayerStage`` members of a stage-code timeline."""
+    return [STAGES[code] for code in codes]
 
 
 def sequential_incremental(classifier, stages):
@@ -189,7 +221,8 @@ class TestBatchedStages:
         batched = classifier.predict_raw_slots_many(raw)
         assert classifier.predict_raw_slots_many([]) == []
         for matrix, got in zip(raw, batched):
-            assert got == classifier.predict_raw_slots_many([matrix])[0]
+            alone = classifier.predict_raw_slots_many([matrix])[0]
+            assert got.dtype == alone.dtype and np.array_equal(got, alone)
 
     def test_pattern_predict_incremental_many_matches_sequential(
         self, fitted_pipeline, small_gameplay_corpus
@@ -199,12 +232,12 @@ class TestBatchedStages:
             [raw_slot_matrix(s.packets, 1.0) for s in small_gameplay_corpus.sessions]
         )
         # add edge cases: too short to open the gate, empty, launch-only
-        timelines.append([PlayerStage.ACTIVE] * (classifier.min_slots - 1))
-        timelines.append([])
-        timelines.append([PlayerStage.LAUNCH] * 40)
+        timelines.append(stage_codes([PlayerStage.ACTIVE] * (classifier.min_slots - 1)))
+        timelines.append(stage_codes([]))
+        timelines.append(stage_codes([PlayerStage.LAUNCH] * 40))
         batched = classifier.predict_incremental_many(timelines)
         for timeline, got in zip(timelines, batched):
-            assert got == sequential_incremental(classifier, timeline)
+            assert got == sequential_incremental(classifier, stages_of(timeline))
 
 
 class _GateStub:
@@ -258,7 +291,7 @@ class TestIncrementalGateProperty:
     @pytest.mark.parametrize("row, calls", [(15, 1), (16, 2), (79, 2), (80, 3)])
     def test_gate_opens_on_chunk_edges(self, row, calls):
         classifier = _gated([_DISTINCT], open_at=5 + row, min_slots=5)
-        ((prediction, needed),) = classifier.predict_incremental_many([_DISTINCT])
+        ((prediction, needed),) = classifier.predict_incremental_many([stage_codes(_DISTINCT)])
         assert prediction.confident and needed == 5 + row
         assert classifier.model.calls == calls
         assert (prediction, needed) == sequential_incremental(classifier, _DISTINCT)
@@ -293,7 +326,7 @@ class TestIncrementalGateProperty:
     @example(timelines=[[], []], open_at=1, min_slots=1, threshold=0.75)
     def test_equals_sequential_oracle(self, timelines, open_at, min_slots, threshold):
         classifier = _gated(timelines, open_at, min_slots, threshold)
-        batched = classifier.predict_incremental_many(timelines)
+        batched = classifier.predict_incremental_many([stage_codes(t) for t in timelines])
         assert len(batched) == len(timelines)
         for stages, got in zip(timelines, batched):
             expected = sequential_incremental(classifier, stages)
@@ -314,7 +347,7 @@ class TestPrefixTransitionFeatures:
             [],
         ]
         for sequence in stages:
-            features, gameplay_seen = prefix_transition_features(sequence)
+            features, gameplay_seen = prefix_transition_features(stage_codes(sequence))
             assert features.shape == (len(sequence), 9)
             for slot, (expected, seen) in enumerate(transition_replay(sequence)):
                 np.testing.assert_array_equal(features[slot], expected)
@@ -336,12 +369,40 @@ class TestPrefixTransitionFeatures:
         ``None`` stands for an unknown label, which breaks the chain like a
         launch slot.
         """
-        got = transition_features_from_stages(stages)
+        got = transition_features_from_stages(stage_codes(stages))
         expected = np.zeros(9)
         for expected, _seen in transition_replay(stages):
             pass
         assert got.shape == (9,) and got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stages=st.lists(st.sampled_from([_A, _A, _P, _I, _I, _L, None]), max_size=300),
+        steps=st.lists(st.integers(1, 9), min_size=1, max_size=20),
+    )
+    @example(stages=[], steps=[1])
+    @example(stages=[None], steps=[1])
+    @example(stages=[_A, None, _A, _L, _A, _P], steps=[2])
+    def test_code_rows_equal_the_enum_path(self, stages, steps):
+        """Stage codes give the enum-keyed rows bit for bit, tracker included.
+
+        Launch and unknown (``None``, code -1) slots break the chain in both.
+        """
+        features, seen = prefix_transition_features(stage_codes(stages))
+        expected_features, expected_seen = enum_prefix_transition_features(stages)
+        assert features.tobytes() == expected_features.tobytes()
+        assert seen.dtype == expected_seen.dtype and np.array_equal(seen, expected_seen)
+        tracker = PrefixTransitionTracker()
+        position = 0
+        for step in steps * (len(stages) + 1):
+            if position >= len(stages):
+                break
+            rows, counts = tracker.extend(stages[position : position + step])
+            end = position + len(rows)
+            assert rows.tobytes() == expected_features[position:end].tobytes()
+            assert np.array_equal(counts, expected_seen[position:end])
+            position = end
 
 
 class TestBatchForestTraversal:

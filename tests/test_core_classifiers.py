@@ -9,8 +9,10 @@ from repro.core.title_classifier import GameTitleClassifier
 from repro.core.pipeline import ContextClassificationPipeline
 from repro.core.reducers import raw_slot_matrix
 from repro.core.transition import (
+    STAGES,
     TRANSITION_FEATURE_NAMES,
     prefix_transition_features,
+    stage_codes,
     transition_features_from_stages,
 )
 from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
@@ -72,21 +74,24 @@ class TestTransitionModeler:
         assert len(TRANSITION_FEATURE_NAMES) == 9
 
     def test_counts_self_retention(self):
-        features, gameplay_seen = prefix_transition_features([PlayerStage.ACTIVE] * 5)
+        active = stage_codes([PlayerStage.ACTIVE] * 5)
+        features, gameplay_seen = prefix_transition_features(active)
         # the first slot has no predecessor; the other four are active -> active
         assert features[0].sum() == 0.0 and gameplay_seen.tolist() == [1, 2, 3, 4, 5]
-        assert transition_features_from_stages([PlayerStage.ACTIVE] * 5)[0] == 1.0
+        assert transition_features_from_stages(active)[0] == 1.0
 
     def test_launch_breaks_chain(self):
         features = transition_features_from_stages(
-            [PlayerStage.ACTIVE, PlayerStage.LAUNCH, PlayerStage.IDLE]
+            stage_codes([PlayerStage.ACTIVE, PlayerStage.LAUNCH, PlayerStage.IDLE])
         )
         # no transition counted across the launch slot
         assert features.sum() == 0.0
 
     def test_probability_matrix_sums_to_one(self):
         features = transition_features_from_stages(
-            [PlayerStage.IDLE, PlayerStage.ACTIVE, PlayerStage.PASSIVE, PlayerStage.ACTIVE]
+            stage_codes(
+                [PlayerStage.IDLE, PlayerStage.ACTIVE, PlayerStage.PASSIVE, PlayerStage.ACTIVE]
+            )
         )
         assert features.sum() == pytest.approx(1.0)
 
@@ -95,18 +100,19 @@ class TestTransitionModeler:
 
     def test_stage_occupancy(self):
         stages = [PlayerStage.ACTIVE, PlayerStage.ACTIVE, PlayerStage.IDLE, PlayerStage.LAUNCH]
-        occupancy = ContextClassificationPipeline._stage_fractions(stages)
+        occupancy = ContextClassificationPipeline._stage_fractions(stage_codes(stages))
         assert tuple(occupancy) == PlayerStage.gameplay_stages()  # the report's key order
         assert occupancy[PlayerStage.ACTIVE] == pytest.approx(2 / 3)
         assert occupancy[PlayerStage.IDLE] == pytest.approx(1 / 3)
         assert occupancy[PlayerStage.PASSIVE] == 0.0
-        empty = ContextClassificationPipeline._stage_fractions([PlayerStage.LAUNCH])
+        empty = ContextClassificationPipeline._stage_fractions(stage_codes([PlayerStage.LAUNCH]))
         assert empty == {stage: 0.0 for stage in PlayerStage.gameplay_stages()}
 
     def test_transition_features_helper_matches_modeler(self):
         stages = [PlayerStage.IDLE, PlayerStage.ACTIVE, PlayerStage.ACTIVE]
         *_, (expected, _seen) = transition_replay(stages)
-        np.testing.assert_array_equal(transition_features_from_stages(stages), expected)
+        got = transition_features_from_stages(stage_codes(stages))
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestGameTitleClassifier:
@@ -188,12 +194,19 @@ class TestPlayerActivityClassifier:
         assert evaluation["overall"] > 0.85
 
     def test_predict_slots_returns_player_stages(self, trained, fortnite_session):
-        (stages,) = trained.predict_raw_slots_many(
+        (codes,) = trained.predict_raw_slots_many(
             [raw_slot_matrix(fortnite_session.packets, trained.slot_duration)]
         )
-        assert stages
-        assert all(isinstance(stage, PlayerStage) for stage in stages)
-        assert all(stage is not PlayerStage.LAUNCH for stage in stages)
+        assert codes.size and codes.dtype == np.intp
+        stages = [STAGES[code] for code in codes.tolist()]
+        assert all(stage in PlayerStage.gameplay_stages() for stage in stages)
+        # the live gate's verdicts are the members these codes name
+        features = trained.generator.smooth_many(
+            [trained.generator.relative_matrix(
+                raw_slot_matrix(fortnite_session.packets, trained.slot_duration)
+            )]
+        )[0]
+        assert trained.predict_features(features) == stages
 
     def test_label_alignment_skips_launch(self, trained, fortnite_session):
         X, y = trained.corpus_features_and_labels(
@@ -211,7 +224,8 @@ class TestGameplayPatternClassifier:
     @pytest.fixture(scope="class")
     def sequences(self, small_gameplay_corpus):
         data = [
-            (s.slot_ground_truth(1.0), s.pattern) for s in small_gameplay_corpus.sessions
+            (stage_codes(s.slot_ground_truth(1.0)), s.pattern)
+            for s in small_gameplay_corpus.sessions
         ]
         return [d[0] for d in data], [d[1] for d in data]
 
@@ -230,7 +244,7 @@ class TestGameplayPatternClassifier:
         classifier = GameplayPatternClassifier(min_slots=30, random_state=0)
         classifier.fit_stage_sequences(stage_sequences, patterns)
         ((prediction, slots),) = classifier.predict_incremental_many(
-            [[PlayerStage.ACTIVE] * 5]
+            [stage_codes([PlayerStage.ACTIVE] * 5)]
         )
         assert prediction.pattern is None
         assert not prediction.confident

@@ -1,17 +1,193 @@
-"""Tests for packet-group labeling (§4.2.1) and the 51 launch attributes (§4.2.2)."""
+"""Tests for packet-group labeling (§4.2.1) and the 51 launch attributes (§4.2.2).
+
+A batch's launch windows are labeled in one pass over all their rows
+(``PacketGroupLabeler.label_windows``).  The per-slot labeling it replaced
+is the oracle :func:`oracle_label_window`; launch features built from it,
+slot by slot, through ``slot_feature_matrix`` must equal the batched
+``launch_feature_matrix`` byte for byte.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import (
     FLOW_VOLUMETRIC_FEATURE_NAMES,
     PACKET_GROUP_FEATURE_NAMES,
+    _segment_order,
     launch_feature_matrix,
+    slot_feature_matrix,
     volumetric_launch_features,
 )
-from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
+from repro.core.packet_groups import (
+    FULL_CODE,
+    SPARSE_CODE,
+    STEADY_CODE,
+    LabeledSlot,
+    PacketGroup,
+    PacketGroupLabeler,
+)
 from repro.net.packet import Direction, PacketStream
 from repro.simulation.devices import FULL_PACKET_PAYLOAD
+
+
+def oracle_steady_votes(labeler, sizes):
+    """Oracle: one slot's majority vote by shifted comparisons (the per-slot body)."""
+    count = sizes.size
+    if count == 0:
+        return np.array([], dtype=bool)
+    if count == 1:
+        return np.array([False])
+    tolerance = labeler.size_variation * sizes
+    close = np.zeros(count, dtype=np.int64)
+    neighbors = np.zeros(count, dtype=np.int64)
+    for offset in range(1, labeler.neighbor_window + 1):
+        if offset >= count:
+            break
+        gap = np.abs(sizes[offset:] - sizes[:-offset])
+        close[offset:] += gap <= tolerance[offset:]
+        neighbors[offset:] += 1
+        close[:-offset] += gap <= tolerance[:-offset]
+        neighbors[:-offset] += 1
+    return (close * 2 >= neighbors) & (neighbors > 0)
+
+
+def oracle_label_window(labeler, stream, window_seconds):
+    """Oracle: ``label_window`` slot by slot, before the one-pass labeling."""
+    all_times = stream.timestamps(Direction.DOWNSTREAM)
+    origin = stream.start_time
+    lo = int(np.searchsorted(all_times, origin, side="left"))
+    hi = int(np.searchsorted(all_times, origin + window_seconds, side="left"))
+    times = all_times[lo:hi]
+    sizes = stream.payload_sizes(Direction.DOWNSTREAM)[lo:hi]
+    full_size = labeler.full_size
+    if full_size is None:
+        full_size = int(sizes.max()) if sizes.size else 0
+    n_slots = int(np.ceil(window_seconds / labeler.slot_duration))
+    slot_of_packet = (
+        np.floor((times - origin) / labeler.slot_duration).astype(int)
+        if times.size
+        else np.array([], dtype=int)
+    )
+    bounds = np.searchsorted(slot_of_packet, np.arange(n_slots + 1), side="left")
+    slots = []
+    for slot_index in range(n_slots):
+        start, stop = int(bounds[slot_index]), int(bounds[slot_index + 1])
+        slot_sizes = sizes[start:stop]
+        codes = np.full(slot_sizes.size, SPARSE_CODE, dtype=np.int8)
+        is_full = np.abs(slot_sizes - full_size) <= labeler.full_tolerance
+        codes[is_full] = FULL_CODE
+        non_full = np.flatnonzero(~is_full)
+        codes[non_full[oracle_steady_votes(labeler, slot_sizes[non_full])]] = STEADY_CODE
+        slots.append(LabeledSlot(slot_index, times[start:stop], slot_sizes, codes))
+    return slots
+
+
+#: (slot duration, window): 0.7 s slots over 3.5 s put a row just below the
+#: window's end into slot 5 of 5, which the labeling must drop
+_GEOMETRIES = [(1.0, 5.0), (0.7, 3.5), (0.7, 2.8), (1.0, 0.9)]
+
+
+@st.composite
+def launch_chunks(draw):
+    """1-8 streams with empty slots, lone packets, window-edge rows and upstream heads."""
+    slot_duration, window = draw(st.sampled_from(_GEOMETRIES), label="geometry")
+    streams = []
+    for _ in range(draw(st.integers(1, 8), label="sessions")):
+        origin = draw(st.sampled_from([0.0, 0.05, 0.123, 12.9]))
+        edge = np.nextafter(origin + window, -np.inf)
+        # None: the last representable time before the window's end
+        offsets = draw(
+            st.lists(
+                st.one_of(
+                    st.floats(0.0, window + 1.0),
+                    st.sampled_from([0.0, slot_duration, 2 * slot_duration]),
+                    st.none(),
+                ),
+                max_size=60,
+            )
+        )
+        sizes = draw(
+            st.lists(
+                st.sampled_from([1432.0, 1430.0, 700.0, 720.0, 760.0, 300.0, 40.0]),
+                min_size=len(offsets),
+                max_size=len(offsets),
+            )
+        )
+        # the first packet sets the origin; upstream, it is no window row
+        head = draw(st.sampled_from([Direction.DOWNSTREAM, Direction.UPSTREAM]))
+        times = [origin] + [
+            float(edge) if offset is None else origin + offset for offset in offsets
+        ]
+        directions = [head] + [Direction.DOWNSTREAM] * len(offsets)
+        order = np.argsort(times, kind="stable")
+        streams.append(
+            PacketStream.from_arrays(
+                np.array(times)[order],
+                np.array([1432.0] + sizes)[order],
+                np.array([0 if d is Direction.DOWNSTREAM else 1 for d in directions],
+                         dtype=np.int8)[order],
+            )
+        )
+    return streams, slot_duration, window
+
+
+class TestOnePassLabeling:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        chunk=launch_chunks(),
+        full_size=st.sampled_from([None, 1432, 720]),
+        neighbor_window=st.sampled_from([1, 2, 3]),
+    )
+    def test_chunk_features_equal_the_per_slot_oracle(self, chunk, full_size, neighbor_window):
+        streams, slot_duration, window = chunk
+        labeler = PacketGroupLabeler(
+            slot_duration=slot_duration, full_size=full_size, neighbor_window=neighbor_window
+        )
+        oracle = [oracle_label_window(labeler, stream, window) for stream in streams]
+        rows = labeler.label_windows(streams, window_seconds=window)
+        assert rows.label_codes.tobytes() == b"".join(
+            slot.label_codes.tobytes() for slots in oracle for slot in slots
+        )
+        assert rows.slot_counts.tolist() == [len(slots) for slots in oracle]
+        for aggregate in ("mean", "concat"):
+            expected = np.stack(
+                [
+                    slot_feature_matrix(slots).mean(axis=0)
+                    if aggregate == "mean"
+                    else slot_feature_matrix(slots).reshape(-1)
+                    for slots in oracle
+                ]
+            )
+            got = launch_feature_matrix(streams, window, labeler, aggregate)
+            assert got.tobytes() == expected.tobytes(), aggregate
+
+    def test_row_on_the_window_edge_is_dropped(self):
+        # 3.4999999999999996 < 3.5, but (t - 0) / 0.7 rounds to 5.0: slot 5 of 5
+        edge = float(np.nextafter(3.5, -np.inf))
+        stream = PacketStream.from_arrays(
+            [0.0, 1.0, edge], [1432.0, 700.0, 700.0], Direction.DOWNSTREAM
+        )
+        labeler = PacketGroupLabeler(slot_duration=0.7)
+        rows = labeler.label_windows([stream], window_seconds=3.5)
+        assert rows.timestamps.tolist() == [0.0, 1.0]
+        assert [slot.timestamps.size for slot in labeler.label_window(stream, 3.5)] == [
+            1, 1, 0, 0, 0
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, -1.0]), max_size=80),
+        n_segments=st.sampled_from([1, 3, 40, 70000]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(values=[], n_segments=1, seed=0)
+    def test_segment_order_is_the_two_key_lexsort(self, values, n_segments, seed):
+        values = np.array(values, dtype=float)
+        segments = np.random.default_rng(seed).integers(0, n_segments, values.size)
+        got = _segment_order(values, segments)
+        assert got.tolist() == np.lexsort((values, segments)).tolist()
 
 
 def named(vector):

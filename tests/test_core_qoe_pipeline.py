@@ -18,6 +18,7 @@ from repro.core.qoe import (
     QoEThresholds,
     qoe_level_from_metrics,
 )
+from repro.core.transition import stage_codes
 from repro.ml.forest import RandomForestClassifier
 from repro.net.packet import RTP_NONE, Direction
 from repro.simulation.catalog import ActivityPattern, PlayerStage
@@ -547,7 +548,7 @@ _TIMELINES = st.lists(st.sampled_from(list(PlayerStage)), max_size=300)
     )
 )
 def test_stage_fractions_are_its_former_body(stages):
-    got = ContextClassificationPipeline._stage_fractions(stages)
+    got = ContextClassificationPipeline._stage_fractions(stage_codes(stages))
     expected = oracle_stage_fractions(stages)
     assert list(got) == list(expected)
     assert [value.hex() for value in got.values()] == [

@@ -388,10 +388,10 @@ def _repeats(n_distinct, n_rows, rng):
 def test_dedup_walks_only_distinct_rank_rows_and_keeps_the_bytes(
     fitted_pipeline, small_forest, narrow_forest, wide_forest, monkeypatch
 ):
-    """Both sides of both row bounds, at a few distinct rows, at exactly half
-    distinct (the ``2 * unique <= rows`` edge) and one past it: the kernel
-    walks the distinct rows exactly when the rule says so, and every answer
-    is the oracle's bytes."""
+    """Both sides of the row bound and of the probe length, at a few distinct
+    rows, at exactly half distinct (the ``2 * unique <= rows`` edge) and one
+    past it: the kernel walks the distinct rows exactly when the rule says
+    so, and every answer is the oracle's bytes."""
     rng = np.random.default_rng(43)
     forest, _ = small_forest
     cases = list(_shape_cases(fitted_pipeline, narrow_forest, wide_forest))
@@ -405,8 +405,8 @@ def test_dedup_walks_only_distinct_rank_rows_and_keeps_the_bytes(
             return traverse(ranks)
 
         monkeypatch.setattr(kernel, "_traverse", spy)
-        low, high = kernel.DEDUP_MIN_ROWS, kernel.DEDUP_MAX_ROWS
-        for n_rows in (low - 1, low, high, high + 1):
+        low, probe = kernel.DEDUP_MIN_ROWS, kernel.DEDUP_PROBE_ROWS
+        for n_rows in (low - 1, low, probe, probe + 1, 4 * probe):
             for n_distinct in (3, n_rows // 2, n_rows // 2 + 1):
                 distinct = _rank_distinct_rows(kernel, n_distinct, rng)
                 picks = _repeats(n_distinct, n_rows, rng)
@@ -416,15 +416,71 @@ def test_dedup_walks_only_distinct_rank_rows_and_keeps_the_bytes(
                 # distinct inputs, repeated, are its answer for the matrix
                 expected = oracle_predict_proba(state, distinct)[picks]
                 assert got.tobytes() == expected.tobytes(), (name, n_rows, n_distinct)
+                # past the probe, the leading rows decide whether to sort
+                head = picks[:probe]
                 taken = (
-                    low <= n_rows <= high
+                    n_rows >= low
                     and kernel.n_features <= kernel.DEDUP_MAX_FEATURES
+                    and (n_rows <= probe or 2 * np.unique(head).size <= head.size)
                     and 2 * n_distinct <= n_rows
                 )
                 assert walked == [n_distinct if taken else n_rows], (
                     name, n_rows, n_distinct,
                 )
         monkeypatch.undo()
+
+
+def test_dedup_probe_sorts_only_what_can_repeat(fitted_pipeline, monkeypatch):
+    """The rows each ``np.unique`` sorts, and the rows each walk takes.
+
+    A near-unique stage-shaped matrix (one repeat in 32 rows) sorts all its
+    keys up to the probe length and only the probe past it, and walks every
+    row either way; a pattern-shaped matrix (a few rows, each repeated over
+    a run of slots) sorts the probe and then every key, and walks its
+    distinct rows.  Every answer is the oracle's bytes.
+    """
+    rng = np.random.default_rng(47)
+    sorted_rows, walked = [], []
+    unique = np.unique
+
+    def count_unique(keys, *args, **kwargs):
+        sorted_rows.append(keys.shape[0])
+        return unique(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", count_unique)
+    stage = fitted_pipeline.activity_classifier.model
+    pattern = fitted_pipeline.pattern_classifier.model
+    probe = stage.kernel.DEDUP_PROBE_ROWS
+    cases = []
+    for n_rows in (probe, probe + 1, 10 * probe):
+        n_distinct = n_rows - n_rows // 32
+        picks = rng.permutation(
+            np.concatenate((np.arange(n_distinct), np.arange(n_rows - n_distinct)))
+        )
+        expected_sorts = [n_rows] if n_rows <= probe else [probe]
+        cases.append((stage, n_distinct, picks, expected_sorts, n_rows))
+    n_rows = 10 * probe
+    picks = np.repeat(np.arange(3), [n_rows // 2, n_rows // 4, n_rows - 3 * (n_rows // 4)])
+    cases.append((pattern, 3, picks, [probe, n_rows], 3))
+    for forest, n_distinct, picks, expected_sorts, expected_walk in cases:
+        kernel = forest.kernel
+        distinct = _rank_distinct_rows(kernel, n_distinct, rng)
+
+        def spy(ranks, kernel=kernel):
+            walked.append(ranks.shape[0])
+            return type(kernel)._traverse(kernel, ranks)
+
+        monkeypatch.setattr(kernel, "_traverse", spy)
+        sorted_rows.clear()
+        walked.clear()
+        got = kernel.predict_proba(distinct[picks])
+        assert (sorted_rows, walked) == (expected_sorts, [expected_walk]), (
+            kernel.n_features, picks.size,
+        )
+        monkeypatch.setattr(np, "unique", unique)
+        expected = oracle_predict_proba(forest.export_state(), distinct)[picks]
+        monkeypatch.setattr(np, "unique", count_unique)
+        assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,16 @@ from repro.net.flow import flow_summary
 from repro.net.rtp import RTP_HEADER_LEN
 from repro.core.qoe import ObjectiveQoEEstimator
 from repro.core.reducers import raw_slot_matrix
-from repro.core.volumetric import exponential_moving_average
+from repro.core.volumetric import VolumetricAttributeGenerator
 
 from packet_rows import PacketRow, columns_of, stream_of
 from test_net_pcap_filter_conditions import RTPFields, decode_rtp_header, encode_rtp_header
+
+
+def ema(values, alpha):
+    """Equation 1 on one series: the generator's EMA of a single column."""
+    columns = np.repeat(np.asarray(values, dtype=float)[:, None], 4, axis=1)
+    return VolumetricAttributeGenerator(alpha=alpha).smooth_many([columns])[0][:, 0]
 
 
 def packet(ts, direction=Direction.DOWNSTREAM, size=1000, **kw):
@@ -280,24 +286,24 @@ class TestTimeSeries:
 
     def test_ema_2d_rows_match_1d(self):
         rng = np.random.default_rng(3)
-        matrix = rng.uniform(size=(5, 40))
-        smoothed = exponential_moving_average(matrix, 0.5)
-        for row, got in zip(matrix, smoothed):
-            np.testing.assert_array_equal(exponential_moving_average(row, 0.5), got)
+        relatives = [rng.uniform(size=(40, 4)) for _ in range(5)]
+        generator = VolumetricAttributeGenerator(alpha=0.5)
+        for relative, got in zip(relatives, generator.smooth_many(relatives)):
+            np.testing.assert_array_equal(generator.smooth_many([relative])[0], got)
 
     def test_ema_equals_input_for_alpha_one(self):
         values = [1.0, 5.0, 2.0]
-        np.testing.assert_allclose(exponential_moving_average(values, 1.0), values)
+        np.testing.assert_allclose(ema(values, 1.0), values)
 
     def test_ema_smooths_spike(self):
         values = [0.0, 0.0, 10.0, 0.0, 0.0]
-        smoothed = exponential_moving_average(values, 0.4)
+        smoothed = ema(values, 0.4)
         assert smoothed[2] < 10.0
         assert smoothed[3] > 0.0
 
     def test_ema_invalid_alpha(self):
         with pytest.raises(ValueError):
-            exponential_moving_average([1.0], 0.0)
+            VolumetricAttributeGenerator(alpha=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -306,6 +312,6 @@ class TestTimeSeries:
     )
     def test_ema_stays_within_bounds(self, values, alpha):
         """Property: EMA output never leaves the [min, max] range of the input."""
-        smoothed = exponential_moving_average(values, alpha)
+        smoothed = ema(values, alpha)
         assert smoothed.min() >= min(values) - 1e-9
         assert smoothed.max() <= max(values) + 1e-9

@@ -393,10 +393,12 @@ def test_predict_raw_slots_many_matches_stream_path(
         live.append(cascade.final_raw_matrix())
         assert np.array_equal(live[-1], matrix)
     timelines = classifier.predict_raw_slots_many(raw)
-    assert all(timelines)
-    assert classifier.predict_raw_slots_many(live) == timelines
+    assert all(timeline.size for timeline in timelines)
+    for got, expected in zip(classifier.predict_raw_slots_many(live), timelines, strict=True):
+        assert np.array_equal(got, expected)
     assert classifier.predict_raw_slots_many([]) == []
-    assert classifier.predict_raw_slots_many([np.zeros((0, 4))]) == [[]]
+    (empty,) = classifier.predict_raw_slots_many([np.zeros((0, 4))])
+    assert empty.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

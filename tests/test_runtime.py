@@ -13,7 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.transition import PrefixTransitionTracker, prefix_transition_features
+from repro.core.transition import (
+    PrefixTransitionTracker,
+    prefix_transition_features,
+    stage_codes,
+)
 from repro.net.packet import (
     DOWNSTREAM_CODE,
     Direction,
@@ -458,7 +462,7 @@ def test_prefix_transition_tracker_matches_batch_prefixes(rng):
         ]
         for code in rng.integers(0, 4, 400)
     ]
-    expected_features, expected_seen = prefix_transition_features(stages)
+    expected_features, expected_seen = prefix_transition_features(stage_codes(stages))
     tracker = PrefixTransitionTracker()
     features, seen = [], []
     position = 0

@@ -52,12 +52,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.reducers import SessionReducerCascade, SlotStageReducer, TickFacts
-from repro.core.transition import PrefixTransitionTracker, prefix_transition_features
-from repro.core.volumetric import (
-    OnlineVolumetricTracker,
-    VolumetricAttributeGenerator,
-    exponential_moving_average,
+from repro.core.transition import (
+    PrefixTransitionTracker,
+    prefix_transition_features,
+    stage_codes,
 )
+from repro.core.volumetric import OnlineVolumetricTracker, VolumetricAttributeGenerator
 from repro.net.flow import FlowDemux, FlowKey, FlowTick, _object_ids, canonical_flow_key
 from repro.net.packet import (
     DEFAULT_ADDRESS,
@@ -735,7 +735,7 @@ _STAGES = (
 @example(codes=[1, 0, 1, 1], steps=[1])  # launch breaks the chain mid-way
 def test_scalar_extend_rows_equal_prefix_transition_features(codes, steps):
     stages = [_STAGES[code] for code in codes]
-    expected_features, expected_seen = prefix_transition_features(stages)
+    expected_features, expected_seen = prefix_transition_features(stage_codes(stages))
     tracker = PrefixTransitionTracker()
     features, seen = [], []
     position = 0
@@ -764,6 +764,27 @@ def _array_update(peaks, ema, alpha, raw):
     relative = np.clip(raw / np.where(peaks <= 0, 1.0, peaks), 0.0, 1.0)
     ema = relative if ema is None else alpha * relative + (1.0 - alpha) * ema
     return peaks, ema
+
+
+def exponential_moving_average(values, alpha):
+    """Oracle: Equation 1's EMA along the last axis, one slot at a time.
+
+    ``attr_t = alpha * attr_t + (1 - alpha) * attr_{t-1}``; a 2-D input
+    smooths every row in one recurrence.  The padded session-major body
+    ``smooth_many`` ran before its slot-major rewrite.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return values.copy()
+    smoothed = np.empty_like(values)
+    smoothed[..., 0] = values[..., 0]
+    for index in range(1, values.shape[-1]):
+        smoothed[..., index] = (
+            alpha * values[..., index] + (1.0 - alpha) * smoothed[..., index - 1]
+        )
+    return smoothed
 
 
 def smooth_columns(relative, alpha):
@@ -816,6 +837,30 @@ def test_scalar_update_rows_equal_generator(counters, alpha, slot_duration):
         assert np.array_equal(np.array(tracker.step(row.tolist())), expected)
     state = tracker.snapshot()
     assert np.array_equal(state["peaks"], peaks) and np.array_equal(state["ema"], ema)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    alpha=st.sampled_from([0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[0], alpha=0.1, seed=0)
+@example(lengths=[0, 7, 0, 1], alpha=1.0, seed=1)
+def test_slot_major_smooth_many_equals_the_per_session_ema(lengths, alpha, seed):
+    """``smooth_many``'s lockstep slot-major recurrence, session by session.
+
+    Ragged and empty sessions share one stack; each must come back byte-equal
+    to Equation 1 applied to that session's columns alone.
+    """
+    rng = np.random.default_rng(seed)
+    relatives = [rng.random((length, 4)) for length in lengths]
+    smoothed = VolumetricAttributeGenerator(alpha=alpha).smooth_many(relatives)
+    assert len(smoothed) == len(relatives)
+    for relative, got in zip(relatives, smoothed):
+        assert got.shape == relative.shape
+        expected = exponential_moving_average(relative.T, alpha).T
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 # ---------------------------------------------------------------------------
