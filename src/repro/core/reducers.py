@@ -122,7 +122,7 @@ class LaunchWindowReducer:
     directions: the window origin is the session's first packet, which may
     be upstream).  The assembled stream yields launch features identical to
     extracting them from the whole session because
-    :meth:`PacketGroupLabeler.label_window` only reads ``[origin, origin +
+    :meth:`PacketGroupLabeler.label_windows` only reads ``[origin, origin +
     window)`` of the downstream direction and normalises against the maximum
     payload observed *within* the window.
 
