@@ -4,8 +4,7 @@ Generates launch-stage traffic for two titles under different streaming
 settings, labels every downstream packet as full, steady or sparse with the
 paper's majority-voting rule (V = 10%), and prints a per-second text "scatter
 plot" showing that the fingerprint is stable across settings of the same
-title and differs across titles, plus a few of the per-slot attributes
-(Fig. 7) the title classifier reads from the first five seconds.
+title and differs across titles.
 
 Run with::
 
@@ -17,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.characterization import launch_group_scatter, packet_group_share
-from repro.core.features import PACKET_GROUP_FEATURE_NAMES, slot_feature_matrix
-from repro.core.packet_groups import PacketGroupLabeler
 from repro.simulation import SessionConfig, SessionGenerator, StreamingSettings
 from repro.simulation.devices import Resolution
 
@@ -37,11 +34,6 @@ def describe(session, window_seconds: float = 30.0) -> None:
         else:
             line.append(f"{start:>3}s:    -")
     print("  steady-band centres per 5 s: " + "  ".join(line))
-    # the per-slot attributes of the title window, one row per 1 s slot
-    rows = slot_feature_matrix(PacketGroupLabeler().label_window(session.packets, 5.0))
-    for name in ("full_ct_sum", "steady_ct_sum", "steady_sz_mean"):
-        column = rows[:, PACKET_GROUP_FEATURE_NAMES.index(name)]
-        print(f"  {name:>15} per slot: " + " ".join(f"{value:8.3f}" for value in column))
 
 
 def main() -> None:

@@ -22,8 +22,7 @@ ids combine (slot, group), counts/sums/moments come from ``np.bincount`` and
 order statistics from the (segment, value) order of two stable argsorts —
 no per-slot or per-group Python loops.  :func:`launch_feature_matrix` takes
 the labeled rows of a whole batch from one
-:meth:`~repro.core.packet_groups.PacketGroupLabeler.label_windows` pass;
-:func:`slot_feature_matrix` reads already labeled slots.
+:meth:`~repro.core.packet_groups.PacketGroupLabeler.label_windows` pass.
 
 The module also provides the baseline "flow volumetric" attributes (packet
 rate and throughput per slot) the paper compares against in Table 3.
@@ -35,7 +34,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.packet_groups import LabeledSlot, PacketGroup, PacketGroupLabeler
+from repro.core.packet_groups import PacketGroup, PacketGroupLabeler
 from repro.net.packet import Direction, PacketStream
 
 #: Statistical representation functions applied to payload sizes and
@@ -167,26 +166,6 @@ FLOW_VOLUMETRIC_FEATURE_NAMES: List[str] = [
     "down_throughput_mean",
     "down_throughput_std",
 ]
-
-
-def slot_feature_matrix(slots: Sequence[LabeledSlot]) -> np.ndarray:
-    """The 51 attributes of every labeled slot of a batch, in one pass.
-
-    Returns an ``(n_slots, 51)`` matrix.  The slots may come from one
-    session or many (concatenate and split afterwards) — each row depends
-    only on its own slot's packets, and their timestamps need not be
-    chronological.
-    """
-    lengths = [slot.label_codes.size for slot in slots]
-    if not sum(lengths):
-        return np.zeros((len(slots), len(PACKET_GROUP_FEATURE_NAMES)))
-    return _labeled_feature_matrix(
-        np.concatenate([slot.payload_sizes for slot in slots]),
-        np.concatenate([slot.timestamps for slot in slots]),
-        np.concatenate([slot.label_codes for slot in slots]),
-        np.repeat(np.arange(len(slots)), lengths),
-        len(slots),
-    )
 
 
 def _labeled_feature_matrix(

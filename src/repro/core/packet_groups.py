@@ -173,14 +173,14 @@ class PacketGroupLabeler:
         self,
         streams: Sequence[PacketStream],
         window_seconds: Optional[float] = None,
-        origins: Optional[Sequence[float]] = None,
     ) -> LabeledRows:
         """Label the downstream packets of many streams' windows in one pass.
 
-        Each stream's window is ``[origin, origin + window_seconds)`` of its
-        sorted downstream column (``origin`` defaults to the stream's first
-        packet, ``window_seconds`` to its downstream span, at least one
-        slot) and holds ``ceil(window / T)`` slots, empty ones included.
+        Each stream's window is ``[start, start + window_seconds)`` of its
+        sorted downstream column, where ``start`` is the stream's first
+        packet and ``window_seconds`` defaults to its downstream span (at
+        least one slot); it holds ``ceil(window / T)`` slots, empty ones
+        included.
         The windows' rows are concatenated and labeled together:
 
         * every stream keeps its own full size (the window maximum unless
@@ -197,10 +197,10 @@ class PacketGroupLabeler:
         size_parts = []
         slot_counts = []
         starts = []
-        for index, stream in enumerate(streams):
+        for stream in streams:
             # cached per-direction views of the columnar stream; no child stream
             all_times = stream.timestamps(Direction.DOWNSTREAM)
-            origin = stream.start_time if origins is None else origins[index]
+            origin = stream.start_time
             window = window_seconds
             if window is None:
                 span = float(all_times[-1] - all_times[0]) if all_times.size >= 2 else 0.0
@@ -250,7 +250,6 @@ class PacketGroupLabeler:
         self,
         stream: PacketStream,
         window_seconds: Optional[float] = None,
-        origin: Optional[float] = None,
     ) -> List[LabeledSlot]:
         """Label the downstream packets of the first ``window_seconds``.
 
@@ -258,9 +257,7 @@ class PacketGroupLabeler:
         that attribute vectors are aligned across sessions): the one-stream
         :meth:`label_windows`, split at its slot edges.
         """
-        rows = self.label_windows(
-            [stream], window_seconds, origins=None if origin is None else [origin]
-        )
+        rows = self.label_windows([stream], window_seconds)
         n_slots = int(rows.slot_counts[0])
         bounds = np.searchsorted(rows.slot_ids, np.arange(n_slots + 1), side="left")
         return [
@@ -275,26 +272,24 @@ class PacketGroupLabeler:
             )
         ]
 
-    def _steady_votes(
-        self, sizes: np.ndarray, slot_ids: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _steady_votes(self, sizes: np.ndarray, slot_ids: np.ndarray) -> np.ndarray:
         """Majority vote: is each non-full packet steady w.r.t. its neighbours?
 
         A packet is steady when the majority of its up-to ``neighbor_window``
         neighbours on each side (within the same slot) have payload sizes
         within ±``size_variation`` of its own size.  ``sizes`` holds the
-        non-full packets in order and ``slot_ids`` their slots (``None``:
-        all in one slot).  Implemented with shifted array comparisons:
-        offset ``k`` compares every packet with its ``k``-th left/right
-        neighbour at once, and a pair counts only when both share a slot —
-        a lone non-full packet has no neighbour and no band to belong to.
+        non-full packets in order and ``slot_ids`` their slots.
+        Implemented with shifted array comparisons: offset ``k`` compares
+        every packet with its ``k``-th left/right neighbour at once, and a
+        pair counts only when both share a slot — a lone non-full packet
+        has no neighbour and no band to belong to.
         """
         count = sizes.size
         tolerance = self.size_variation * sizes
         close = np.zeros(count, dtype=np.int64)
         neighbors = np.zeros(count, dtype=np.int64)
         for offset in range(1, min(self.neighbor_window, count - 1) + 1):
-            same = True if slot_ids is None else slot_ids[offset:] == slot_ids[:-offset]
+            same = slot_ids[offset:] == slot_ids[:-offset]
             gap = np.abs(sizes[offset:] - sizes[:-offset])
             # left neighbour of index i >= offset
             close[offset:] += (gap <= tolerance[offset:]) & same

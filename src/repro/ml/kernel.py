@@ -33,9 +33,9 @@ walk to the last bit:
   and the add.  A one-row stage-gate call and a 20 000-row corpus call run
   the same lines; only the vector length differs;
 * **rank-space memoization** — rows with equal rank vectors traverse
-  every tree identically, so a low-dimensional batch of at least
-  ``DEDUP_MIN_ROWS`` rows (the stage/pattern forests see 4- and 9-feature
-  matrices) is keyed by one 1-D ``np.unique`` of its C-contiguous rank
+  every tree identically, so a low-dimensional batch of
+  ``DEDUP_MIN_ROWS``–``DEDUP_MAX_ROWS`` rows (the stage/pattern forests see
+  4- and 9-feature matrices) is keyed by one 1-D ``np.unique`` of its C-contiguous rank
   rows viewed as ``np.void`` bytes, and walks only the distinct rows when
   at most half are distinct, scattering their results back.  A batch
   longer than ``DEDUP_PROBE_ROWS`` sorts its keys only when its first
@@ -79,12 +79,14 @@ class ForestKernel:
     probability rows are kept; the node arrays stay with the forest.
     """
 
-    #: attempt rank-space dedup from this many rows: the void-key sort
-    #: costs ~17-20 us up to 64 rows; from 32 rows, walking only half of
-    #: them saves ~14 us on the 20-tree stage forest and ~120 us on the
+    #: attempt rank-space dedup only inside this row range.  The void-key
+    #: sort costs ~17-20 us up to 64 rows; from 32 rows, walking only half
+    #: of them saves ~14 us on the 20-tree stage forest and ~120 us on the
     #: 100-tree pattern forest (the live stage gate's 1-24-row tick calls
-    #: never sort)
+    #: never sort).  Above the upper bound the sort outgrows the traversal
+    #: it could save (the big matrices are near-unique anyway)
     DEDUP_MIN_ROWS = 32
+    DEDUP_MAX_ROWS = 4096
     #: a longer batch sorts all its keys only when this many leading rows
     #: are at most half distinct: a near-unique matrix pays one probe-sized
     #: sort, not one the size of the walk it cannot save
@@ -320,7 +322,10 @@ class ForestKernel:
             )
         ranks = self._rank(X)
         n_rows = ranks.shape[0]
-        if n_rows >= self.DEDUP_MIN_ROWS and X.shape[1] <= self.DEDUP_MAX_FEATURES:
+        if (
+            self.DEDUP_MIN_ROWS <= n_rows <= self.DEDUP_MAX_ROWS
+            and X.shape[1] <= self.DEDUP_MAX_FEATURES
+        ):
             # one 1-D sort of each C-contiguous rank row's bytes as a key
             keys = ranks.view(np.dtype((np.void, ranks.itemsize * ranks.shape[1]))).ravel()
             probe = keys[: self.DEDUP_PROBE_ROWS]

@@ -21,7 +21,6 @@ from repro.core.features import (
     _STAT_NAMES,
     PACKET_GROUP_FEATURE_NAMES,
     launch_feature_matrix,
-    slot_feature_matrix,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import (
@@ -32,6 +31,7 @@ from repro.core.packet_groups import (
 )
 from repro.net.packet import DOWNSTREAM_CODE, RTP_NONE, UPSTREAM_CODE, Direction, PacketStream
 
+from labeled_slots import slot_feature_matrix
 from packet_rows import PacketRow, stream_of
 
 FULL_SIZE = 1432
@@ -260,7 +260,7 @@ class TestLabelerEquivalence:
         for trial in range(50):
             n = int(rng.integers(0, 30))
             sizes = rng.uniform(40, 1400, size=n)
-            got = labeler._steady_votes(sizes)
+            got = labeler._steady_votes(sizes, np.zeros(n, dtype=np.intp))
             ref = ref_steady_votes(sizes, labeler.size_variation, labeler.neighbor_window)
             assert list(got) == ref
 

@@ -17,7 +17,6 @@ from repro.core.features import (
     PACKET_GROUP_FEATURE_NAMES,
     _segment_order,
     launch_feature_matrix,
-    slot_feature_matrix,
     volumetric_launch_features,
 )
 from repro.core.packet_groups import (
@@ -30,6 +29,8 @@ from repro.core.packet_groups import (
 )
 from repro.net.packet import Direction, PacketStream
 from repro.simulation.devices import FULL_PACKET_PAYLOAD
+
+from labeled_slots import slot_feature_matrix
 
 
 def oracle_steady_votes(labeler, sizes):
@@ -328,8 +329,10 @@ class TestLaunchFeatures:
         assert matrix.shape == (4, 51)
 
     def test_launch_feature_matrix_empty_rejected(self):
-        with pytest.raises(ValueError):
-            launch_feature_matrix([])
+        # zero streams is an error, never one all-NaN (or zero-width) row
+        for aggregate in ("mean", "concat"):
+            with pytest.raises(ValueError, match="must not be empty"):
+                launch_feature_matrix([], aggregate=aggregate)
 
     def test_same_title_features_closer_than_cross_title(self, small_launch_corpus):
         """Launch fingerprints cluster by title (the basis of §4.2)."""

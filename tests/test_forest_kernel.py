@@ -388,7 +388,7 @@ def _repeats(n_distinct, n_rows, rng):
 def test_dedup_walks_only_distinct_rank_rows_and_keeps_the_bytes(
     fitted_pipeline, small_forest, narrow_forest, wide_forest, monkeypatch
 ):
-    """Both sides of the row bound and of the probe length, at a few distinct
+    """Both sides of the row bounds and of the probe length, at a few distinct
     rows, at exactly half distinct (the ``2 * unique <= rows`` edge) and one
     past it: the kernel walks the distinct rows exactly when the rule says
     so, and every answer is the oracle's bytes."""
@@ -405,8 +405,8 @@ def test_dedup_walks_only_distinct_rank_rows_and_keeps_the_bytes(
             return traverse(ranks)
 
         monkeypatch.setattr(kernel, "_traverse", spy)
-        low, probe = kernel.DEDUP_MIN_ROWS, kernel.DEDUP_PROBE_ROWS
-        for n_rows in (low - 1, low, probe, probe + 1, 4 * probe):
+        low, probe, high = kernel.DEDUP_MIN_ROWS, kernel.DEDUP_PROBE_ROWS, kernel.DEDUP_MAX_ROWS
+        for n_rows in (low - 1, low, probe, probe + 1, 4 * probe, high, high + 1):
             for n_distinct in (3, n_rows // 2, n_rows // 2 + 1):
                 distinct = _rank_distinct_rows(kernel, n_distinct, rng)
                 picks = _repeats(n_distinct, n_rows, rng)
@@ -419,7 +419,7 @@ def test_dedup_walks_only_distinct_rank_rows_and_keeps_the_bytes(
                 # past the probe, the leading rows decide whether to sort
                 head = picks[:probe]
                 taken = (
-                    n_rows >= low
+                    low <= n_rows <= high
                     and kernel.n_features <= kernel.DEDUP_MAX_FEATURES
                     and (n_rows <= probe or 2 * np.unique(head).size <= head.size)
                     and 2 * n_distinct <= n_rows
